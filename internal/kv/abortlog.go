@@ -186,17 +186,17 @@ func WithAbortLog(al *AbortLog) ServerOption {
 //  1. id            2) unix seconds   3) label ("" unlabelled)
 //  4. committed 0/1 5) cause          6) attempts
 //  7. wait_usec     8) latency_usec   9) array of event strings
-func (srv *Server) abortlogReply(args []string) resp.Value {
-	switch strings.ToUpper(args[0]) {
+func (srv *Server) abortlogReply(_ *connState, a *args) resp.Value {
+	switch strings.ToUpper(a.s[0]) {
 	case "GET":
 		n := 10
-		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
+		if len(a.s) == 2 {
+			v, err := strconv.Atoi(a.s[1])
 			if err != nil {
 				return resp.ErrVal("ERR value is not an integer or out of range")
 			}
 			n = v
-		} else if len(args) > 2 {
+		} else if len(a.s) > 2 {
 			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|get' command")
 		}
 		entries := srv.abort.get(n)
@@ -220,17 +220,17 @@ func (srv *Server) abortlogReply(args []string) resp.Value {
 		}
 		return resp.ArrayVal(elems...)
 	case "LEN":
-		if len(args) != 1 {
+		if len(a.s) != 1 {
 			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|len' command")
 		}
 		return resp.IntVal(srv.abort.Len())
 	case "RESET":
-		if len(args) != 1 {
+		if len(a.s) != 1 {
 			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|reset' command")
 		}
 		srv.abort.reset()
 		return resp.SimpleVal("OK")
 	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown ABORTLOG subcommand '%s'", args[0]))
+		return resp.ErrVal(fmt.Sprintf("ERR unknown ABORTLOG subcommand '%s'", a.s[0]))
 	}
 }

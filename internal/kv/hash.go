@@ -339,46 +339,36 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 
 // HSet writes field name=val in one atomic transaction (see HSetTx).
 func (st *Store) HSet(key, name, val string) (bool, error) {
-	var created bool
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		created, err = st.HSetTx(tx, now, key, name, val)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
+		return st.HSetTx(tx, now, key, name, val)
 	})
-	return created, err
 }
 
 // HGet reads field name in one atomic transaction (see HGetTx).
 func (st *Store) HGet(key, name string) (string, bool, error) {
-	now := st.now()
-	return stm.Atomic2(st.s, func(tx *stm.Tx) (string, bool, error) {
-		return st.HGetTx(tx, now, key, name)
+	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
+		return lookup(st.HGetTx(tx, now, key, name))
 	})
+	return f.v, f.ok, err
 }
 
 // HDel removes fields in one atomic transaction (see HDelTx).
 func (st *Store) HDel(key string, names ...string) (int, error) {
-	var removed int
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		removed, err = st.HDelTx(tx, now, key, names...)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+		return st.HDelTx(tx, now, key, names...)
 	})
-	return removed, err
 }
 
 // HGetAll reads the whole hash in one atomic transaction.
 func (st *Store) HGetAll(key string) ([]KV, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) ([]KV, error) {
+	return view(st, func(tx *stm.Tx, now int64) ([]KV, error) {
 		return st.HGetAllTx(tx, now, key)
 	})
 }
 
 // HLen counts fields in one atomic transaction.
 func (st *Store) HLen(key string) (int, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) (int, error) {
+	return view(st, func(tx *stm.Tx, now int64) (int, error) {
 		return st.HLenTx(tx, now, key)
 	})
 }
@@ -386,11 +376,7 @@ func (st *Store) HLen(key string) (int, error) {
 // HIncr adds delta to a hash field in one atomic transaction (see
 // HIncrTx).
 func (st *Store) HIncr(key, name string, delta int64) (int64, error) {
-	var n int64
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		n, err = st.HIncrTx(tx, now, key, name, delta)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (int64, error) {
+		return st.HIncrTx(tx, now, key, name, delta)
 	})
-	return n, err
 }

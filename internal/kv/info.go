@@ -59,25 +59,14 @@ type cmdMetrics struct {
 	lat    *obs.Histogram
 }
 
-// commandNames enumerates every command the handler accepts, control
-// commands included — the fixed metric universe, pre-registered so the
-// hot path is map lookups of interned strings, never registration.
-var commandNames = []string{
-	"PING", "GET", "SET", "DEL", "INCR", "INCRBY", "MGET", "MSET",
-	"EXPIRE", "PEXPIRE", "TTL", "PTTL", "DBSIZE",
-	"HSET", "HGET", "HDEL", "HGETALL", "HLEN", "HINCRBY",
-	"LPUSH", "RPUSH", "LPOP", "RPOP", "LLEN", "LRANGE",
-	"ZADD", "ZSCORE", "ZREM", "ZCARD", "ZRANGE", "TYPE",
-	"MULTI", "EXEC", "DISCARD", "QUIT", "SAVE", "BGSAVE",
-	"INFO", "SLOWLOG", "ABORTLOG",
-}
-
 // serverMetrics bundles the server's own instruments.
 type serverMetrics struct {
 	connections *obs.Counter
 	clients     *obs.Gauge
-	cmds        map[string]*cmdMetrics
-	unknown     *cmdMetrics
+	// cmds is indexed by command.idx — the fixed metric universe,
+	// registered up front so the hot path is an index, never a
+	// registration. The last slot is unknownCommand's.
+	cmds []cmdMetrics
 
 	sweepFailures  *obs.Counter
 	sweepReaped    *obs.Counter
@@ -88,7 +77,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	sm := &serverMetrics{
 		connections: reg.Counter("stmkv_connections_total", "Connections accepted.", nil),
 		clients:     reg.Gauge("stmkv_connected_clients", "Connections currently open.", nil),
-		cmds:        make(map[string]*cmdMetrics, len(commandNames)+1),
+		cmds:        make([]cmdMetrics, len(commandTable)+1),
 		sweepFailures: reg.Counter("stmkv_sweeper_failures_total",
 			"Background TTL sweeper passes that failed.", nil),
 		sweepReaped: reg.Counter("stmkv_sweeper_reaped_total",
@@ -96,47 +85,31 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		bgsaveFailures: reg.Counter("stmkv_bgsave_failures_total",
 			"Background saves (scheduled or BGSAVE) that failed.", nil),
 	}
-	mk := func(name string) *cmdMetrics {
-		lbl := obs.Labels{"cmd": strings.ToLower(name)}
-		return &cmdMetrics{
+	for _, cmd := range append(commandTable, unknownCommand) {
+		lbl := obs.Labels{"cmd": strings.ToLower(cmd.name)}
+		sm.cmds[cmd.idx] = cmdMetrics{
 			calls:  reg.Counter("stmkv_commands_total", "Commands processed.", lbl),
 			errors: reg.Counter("stmkv_command_errors_total", "Commands answered with an error.", lbl),
 			lat:    reg.Histogram("stmkv_command_seconds", "Command wall time, decode to reply.", lbl),
 		}
 	}
-	for _, name := range commandNames {
-		sm.cmds[name] = mk(name)
-	}
-	sm.unknown = mk("UNKNOWN")
 	return sm
 }
 
-// cmd returns the metrics slot for a command name (already uppercased
-// by the handler), folding unrecognized names into one series so a
-// hostile client cannot grow the label space.
-func (sm *serverMetrics) cmd(name string) *cmdMetrics {
-	if m, ok := sm.cmds[name]; ok {
-		return m
-	}
-	return sm.unknown
-}
-
-// observe records one handled command. reply errors count as command
-// errors whether they came from validation, execution, or state
-// machinery (MULTI misuse) — if the client saw "-ERR", it counts.
-func (srv *Server) observe(name string, start time.Time, args []string, reply resp.Value, cost txCost) {
-	m := srv.sm.cmd(name)
+// observe records one handled command; argv is the request with its
+// name upper-cased. reply errors count as command errors whether they
+// came from validation, execution, or state machinery (MULTI misuse) —
+// if the client saw "-ERR", it counts.
+func (srv *Server) observe(cmd *command, start time.Time, argv []string, reply resp.Value, cost txCost) {
+	m := &srv.sm.cmds[cmd.idx]
 	m.calls.Inc()
 	if reply.IsError() {
 		m.errors.Inc()
 	}
 	dur := time.Since(start)
 	m.lat.Observe(dur)
-	// SLOWLOG itself is exempt: inspecting or resetting the log must
-	// not repopulate it (a RESET would otherwise leave one entry —
-	// the RESET).
-	if name != "SLOWLOG" {
-		srv.slow.note(name, args, dur, cost)
+	if !cmd.noSlowlog {
+		srv.slow.note(argv, dur, cost)
 	}
 }
 
@@ -246,11 +219,13 @@ type slowlog struct {
 	total     int64 // entries ever recorded; also the next id
 }
 
-func (sl *slowlog) note(name string, args []string, dur time.Duration, cost txCost) {
+// note records a command that ran for dur. argv is kept, not copied:
+// the reader allocates one per request and the handler never writes to
+// it again.
+func (sl *slowlog) note(argv []string, dur time.Duration, cost txCost) {
 	if sl.threshold < 0 || dur < sl.threshold || len(sl.ring) == 0 {
 		return
 	}
-	full := append([]string{name}, args...)
 	sl.mu.Lock()
 	sl.ring[sl.total%int64(len(sl.ring))] = slowEntry{
 		id:       sl.total,
@@ -258,7 +233,7 @@ func (sl *slowlog) note(name string, args []string, dur time.Duration, cost txCo
 		dur:      dur,
 		attempts: cost.attempts,
 		waitNs:   cost.waitNs,
-		args:     full,
+		args:     argv,
 	}
 	sl.total++
 	sl.mu.Unlock()
@@ -301,17 +276,17 @@ func (sl *slowlog) reset() {
 }
 
 // slowlogReply serves SLOWLOG GET [n] | LEN | RESET.
-func (srv *Server) slowlogReply(args []string) resp.Value {
-	switch strings.ToUpper(args[0]) {
+func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
+	switch strings.ToUpper(a.s[0]) {
 	case "GET":
 		n := 10
-		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
+		if len(a.s) == 2 {
+			v, err := strconv.Atoi(a.s[1])
 			if err != nil {
 				return resp.ErrVal("ERR value is not an integer or out of range")
 			}
 			n = v
-		} else if len(args) > 2 {
+		} else if len(a.s) > 2 {
 			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|get' command")
 		}
 		entries := srv.slow.get(n)
@@ -332,18 +307,18 @@ func (srv *Server) slowlogReply(args []string) resp.Value {
 		}
 		return resp.ArrayVal(elems...)
 	case "LEN":
-		if len(args) != 1 {
+		if len(a.s) != 1 {
 			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|len' command")
 		}
 		return resp.IntVal(srv.slow.len())
 	case "RESET":
-		if len(args) != 1 {
+		if len(a.s) != 1 {
 			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|reset' command")
 		}
 		srv.slow.reset()
 		return resp.SimpleVal("OK")
 	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown SLOWLOG subcommand '%s'", args[0]))
+		return resp.ErrVal(fmt.Sprintf("ERR unknown SLOWLOG subcommand '%s'", a.s[0]))
 	}
 }
 
@@ -351,10 +326,10 @@ func (srv *Server) slowlogReply(args []string) resp.Value {
 var infoSections = []string{"server", "clients", "stats", "commandstats", "stm", "contention", "wal", "keyspace"}
 
 // infoReply serves INFO [section].
-func (srv *Server) infoReply(args []string) resp.Value {
+func (srv *Server) infoReply(_ *connState, a *args) resp.Value {
 	sections := infoSections
-	if len(args) == 1 {
-		want := strings.ToLower(args[0])
+	if len(a.s) == 1 {
+		want := strings.ToLower(a.s[0])
 		found := false
 		for _, s := range infoSections {
 			if s == want {
@@ -363,7 +338,7 @@ func (srv *Server) infoReply(args []string) resp.Value {
 			}
 		}
 		if !found {
-			return resp.ErrVal(fmt.Sprintf("ERR unknown INFO section '%s'", args[0]))
+			return resp.ErrVal(fmt.Sprintf("ERR unknown INFO section '%s'", a.s[0]))
 		}
 	}
 	var b strings.Builder
@@ -398,8 +373,6 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 			cmds += m.calls.Value()
 			errs += m.errors.Value()
 		}
-		cmds += srv.sm.unknown.calls.Value()
-		errs += srv.sm.unknown.errors.Value()
 		line("total_connections_received", srv.sm.connections.Value())
 		line("total_commands_processed", cmds)
 		line("total_command_errors", errs)
@@ -409,20 +382,17 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("slowlog_len", srv.slow.len())
 	case "commandstats":
 		b.WriteString("# Commandstats\r\n")
-		names := make([]string, 0, len(srv.sm.cmds))
-		for name := range srv.sm.cmds {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			m := srv.sm.cmds[name]
+		byName := append([]*command(nil), commandTable...)
+		sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
+		for _, cmd := range byName {
+			m := &srv.sm.cmds[cmd.idx]
 			calls := m.calls.Value()
 			if calls == 0 {
 				continue
 			}
 			snap := m.lat.Snapshot()
 			fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,p50_usec=%d,p99_usec=%d\r\n",
-				strings.ToLower(name), calls, m.errors.Value(),
+				strings.ToLower(cmd.name), calls, m.errors.Value(),
 				snap.Quantile(0.50).Microseconds(), snap.Quantile(0.99).Microseconds())
 		}
 	case "stm":

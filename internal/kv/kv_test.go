@@ -437,3 +437,43 @@ func TestStoreTransferHammer(t *testing.T) {
 		})
 	}
 }
+
+// TestWrapperAllocParity is the enforceable form of the claim that
+// deriving the Store wrappers from their *Tx forms through view and
+// update is free: a wrapper may not allocate more than the hand-written
+// transaction it replaced (the closures must stay on the stack).
+func TestWrapperAllocParity(t *testing.T) {
+	st := New(stm.New())
+	if err := st.MSet(KV{"k", "v"}, KV{"n", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(fn func() error) float64 {
+		return testing.AllocsPerRun(500, func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	viaView := allocs(func() error { _, _, err := st.Get("k"); return err })
+	byHand := allocs(func() error {
+		now := st.Now()
+		_, _, err := stm.Atomic2(st.s, func(tx *stm.Tx) (string, bool, error) { return st.GetTx(tx, now, "k") })
+		return err
+	})
+	if viaView > byHand {
+		t.Errorf("Get through view: %.1f allocs, hand-written transaction: %.1f", viaView, byHand)
+	}
+	viaUpdate := allocs(func() error { _, err := st.Incr("n", 1); return err })
+	byHand = allocs(func() error {
+		var n int64
+		err := st.Atomically(func(tx *stm.Tx, now int64) (err error) {
+			n, err = st.IncrTx(tx, now, "n", 1)
+			return err
+		})
+		_ = n
+		return err
+	})
+	if viaUpdate > byHand {
+		t.Errorf("Incr through update: %.1f allocs, hand-written transaction: %.1f", viaUpdate, byHand)
+	}
+}

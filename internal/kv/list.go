@@ -155,13 +155,9 @@ func (st *Store) RPush(key string, vals ...string) (int, error) {
 }
 
 func (st *Store) push(key string, front bool, vals []string) (int, error) {
-	var n int
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		n, err = st.pushTx(tx, now, key, front, vals)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+		return st.pushTx(tx, now, key, front, vals)
 	})
-	return n, err
 }
 
 // LPop pops the front element in one atomic transaction.
@@ -171,28 +167,22 @@ func (st *Store) LPop(key string) (string, bool, error) { return st.pop(key, tru
 func (st *Store) RPop(key string) (string, bool, error) { return st.pop(key, false) }
 
 func (st *Store) pop(key string, front bool) (string, bool, error) {
-	var v string
-	var ok bool
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		v, ok, err = st.popTx(tx, now, key, front)
-		return err
+	f, err := update(st, func(tx *stm.Tx, now int64) (found[string], error) {
+		return lookup(st.popTx(tx, now, key, front))
 	})
-	return v, ok, err
+	return f.v, f.ok, err
 }
 
 // LLen reports the list length in one atomic transaction.
 func (st *Store) LLen(key string) (int, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) (int, error) {
+	return view(st, func(tx *stm.Tx, now int64) (int, error) {
 		return st.LLenTx(tx, now, key)
 	})
 }
 
 // LRange reads a rank range in one atomic transaction (see LRangeTx).
 func (st *Store) LRange(key string, start, stop int) ([]string, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) ([]string, error) {
+	return view(st, func(tx *stm.Tx, now int64) ([]string, error) {
 		return st.LRangeTx(tx, now, key, start, stop)
 	})
 }

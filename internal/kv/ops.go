@@ -227,10 +227,10 @@ func (st *Store) TTLTx(tx *stm.Tx, now int64, key string) (time.Duration, bool, 
 
 // Get reads key's value in one atomic transaction.
 func (st *Store) Get(key string) (string, bool, error) {
-	now := st.now()
-	return stm.Atomic2(st.s, func(tx *stm.Tx) (string, bool, error) {
-		return st.GetTx(tx, now, key)
+	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
+		return lookup(st.GetTx(tx, now, key))
 	})
+	return f.v, f.ok, err
 }
 
 // Set writes key=val (no expiry) in one atomic transaction.
@@ -247,40 +247,27 @@ func (st *Store) SetTTL(key, val string, ttl time.Duration) error {
 // Del removes the keys in one atomic transaction and returns how many
 // live entries were removed.
 func (st *Store) Del(keys ...string) (int, error) {
-	removed := 0
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		// Accumulate in a per-attempt local and capture with a plain
-		// assignment: retries overwrite the whole count (txpure's
-		// blessed idiom) instead of relying on a top-of-body reset.
-		n := 0
+	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+		removed := 0
 		for _, key := range keys {
 			ok, err := st.DelTx(tx, now, key)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if ok {
-				n++
+				removed++
 			}
 		}
-		removed = n
-		return nil
+		return removed, nil
 	})
-	return removed, err
 }
 
 // Incr adds delta to the integer at key in one atomic transaction and
 // returns the new value (see IncrTx).
 func (st *Store) Incr(key string, delta int64) (int64, error) {
-	var n int64
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		n, err = st.IncrTx(tx, now, key, delta)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (int64, error) {
+		return st.IncrTx(tx, now, key, delta)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // MGet reads every key in one atomic transaction — a consistent
@@ -326,75 +313,66 @@ func (st *Store) MSet(pairs ...KV) error {
 // Expire arms expiry on key after ttl in one atomic transaction,
 // reporting whether the key existed (see ExpireTx).
 func (st *Store) Expire(key string, ttl time.Duration) (bool, error) {
-	var ok bool
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		ok, err = st.ExpireTx(tx, now, key, ttl)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
+		return st.ExpireTx(tx, now, key, ttl)
 	})
-	return ok, err
 }
 
 // TTL reports key's remaining time to live in one atomic transaction
 // (see TTLTx).
 func (st *Store) TTL(key string) (time.Duration, bool, error) {
-	now := st.now()
-	return stm.Atomic2(st.s, func(tx *stm.Tx) (time.Duration, bool, error) {
-		return st.TTLTx(tx, now, key)
+	f, err := view(st, func(tx *stm.Tx, now int64) (found[time.Duration], error) {
+		return lookup(st.TTLTx(tx, now, key))
 	})
+	return f.v, f.ok, err
+}
+
+// eachLive calls fn for every entry live at now — the whole-store
+// consistent scan: every bucket of every shard joins tx's read set, so
+// it conflicts with all concurrent writers. A non-nil error from fn
+// stops the scan and is returned.
+func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(*entry) error) error {
+	for _, sh := range st.shards {
+		b, err := sh.Buckets(tx)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < b.Len(); i++ {
+			head, err := stm.Read(tx, b.At(i))
+			if err != nil {
+				return err
+			}
+			for e := head; e != nil; e = e.next {
+				if e.dead(now) {
+					continue
+				}
+				if err := fn(e); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// lenTx counts the live keys inside tx — the body of Len and DBSIZE.
+func (st *Store) lenTx(tx *stm.Tx, now int64) (int, error) {
+	total := 0
+	err := st.eachLive(tx, now, func(*entry) error { total++; return nil })
+	return total, err
 }
 
 // Len counts the live keys in one consistent transaction over every
 // shard — the whole-store scan that conflicts with all concurrent
 // writers.
-func (st *Store) Len() (int, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) (int, error) {
-		total := 0
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
-			if err != nil {
-				return 0, err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return 0, err
-				}
-				for e := head; e != nil; e = e.next {
-					if !e.dead(now) {
-						total++
-					}
-				}
-			}
-		}
-		return total, nil
-	})
-}
+func (st *Store) Len() (int, error) { return view(st, st.lenTx) }
 
 // Keys returns every live key in one consistent transaction, in no
 // particular order.
 func (st *Store) Keys() ([]string, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) ([]string, error) {
+	return view(st, func(tx *stm.Tx, now int64) ([]string, error) {
 		var out []string
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return nil, err
-				}
-				for e := head; e != nil; e = e.next {
-					if !e.dead(now) {
-						out = append(out, e.key)
-					}
-				}
-			}
-		}
-		return out, nil
+		err := st.eachLive(tx, now, func(e *entry) error { out = append(out, e.key); return nil })
+		return out, err
 	})
 }

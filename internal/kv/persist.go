@@ -109,27 +109,10 @@ func (st *Store) SnapshotOps() ([]wal.Op, error) {
 	var out []wal.Op
 	err := st.s.Atomically(func(tx *stm.Tx) error {
 		out = out[:0]
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return err
-				}
-				for e := head; e != nil; e = e.next {
-					if e.dead(now) {
-						continue
-					}
-					if out, err = appendEntryOps(tx, out, e); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
+		return st.eachLive(tx, now, func(e *entry) (err error) {
+			out, err = appendEntryOps(tx, out, e)
+			return err
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,14 +33,11 @@ type Server struct {
 
 	// Observability state (see info.go, abortlog.go): the metrics
 	// registry, the per-command instruments, the SLOWLOG and ABORTLOG
-	// rings, the interned flight-recorder labels, and the labels INFO
-	// reports.
+	// rings, and the labels INFO reports.
 	reg         *obs.Registry
 	sm          *serverMetrics
 	slow        *slowlog
 	abort       *AbortLog
-	cmdLabels   map[string]stm.Label
-	execLabel   stm.Label
 	managerName string
 	started     time.Time
 
@@ -67,13 +62,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		// cmd/stmkv installs one on the engine; without the option
 		// ABORTLOG answers but never fills.
 		abort: NewAbortLog(128),
-		// Flight-recorder labels, interned once here so the hot path
-		// only copies a uint32 into the transaction.
-		cmdLabels: make(map[string]stm.Label, len(commandNames)),
-		execLabel: stm.InternLabel("EXEC"),
-	}
-	for _, name := range commandNames {
-		srv.cmdLabels[name] = stm.InternLabel(name)
 	}
 	for _, opt := range opts {
 		opt(srv)
@@ -153,10 +141,35 @@ func (srv *Server) drop(conn net.Conn) {
 	srv.wg.Done()
 }
 
-// handle runs one connection's command loop, including its MULTI
-// state: queued commands are validated at queue time (a bad command
-// poisons the block, Redis-style), and EXEC replays the queue inside
-// one atomic transaction.
+// connState is one connection's protocol state: the MULTI block being
+// queued and the engine cost of the request in flight.
+type connState struct {
+	multi bool        // inside MULTI
+	dirty bool        // a queue-time error poisoned the block: EXEC will refuse it
+	queue []queuedCmd // the block's commands, validated and parsed
+	quit  bool        // hang up once the current reply is flushed
+	// cost is what the current request's transaction cost the engine;
+	// zero for requests that ran none.
+	cost txCost
+}
+
+// queuedCmd is one command of a MULTI block, held with its arguments
+// already parsed so EXEC only runs bodies.
+type queuedCmd struct {
+	cmd *command
+	a   args
+}
+
+// endMulti leaves MULTI state, dropping the block.
+func (c *connState) endMulti() {
+	c.multi, c.dirty, c.queue = false, false, c.queue[:0]
+}
+
+// handle runs one connection's command loop. Every request takes the
+// same path: table lookup, arity check, parse, then — by MULTI state
+// and the command's flags — queue, reject or run. A command that fails
+// validation inside MULTI poisons the block (Redis-style), so EXEC
+// replays only well-formed commands, inside one atomic transaction.
 func (srv *Server) handle(conn net.Conn) {
 	defer srv.drop(conn)
 	srv.sm.connections.Inc()
@@ -165,12 +178,11 @@ func (srv *Server) handle(conn net.Conn) {
 	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
 	var (
-		multi bool
-		queue [][]string
-		dirty bool
+		c connState
+		a args
 	)
-	for {
-		args, err := r.ReadCommand()
+	for !c.quit {
+		argv, err := r.ReadCommand()
 		if err != nil {
 			if resp.IsProtoError(err) {
 				// Tell the peer why before hanging up.
@@ -179,7 +191,7 @@ func (srv *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		if len(args) == 0 {
+		if len(argv) == 0 {
 			// An empty array frame (*0) is a syntactically valid
 			// non-command; answering beats crashing the handler.
 			w.Value(resp.ErrVal("ERR empty command"))
@@ -189,119 +201,40 @@ func (srv *Server) handle(conn net.Conn) {
 			continue
 		}
 		start := time.Now()
-		name := strings.ToUpper(args[0])
-		args = args[1:]
-		var reply resp.Value
-		var cost txCost
-		switch name {
-		case "QUIT":
-			reply = resp.SimpleVal("OK")
-			srv.observe(name, start, args, reply, cost)
-			w.Value(reply)
-			w.Flush()
-			return
-		case "INFO":
-			switch {
-			case len(args) > 1:
-				reply = resp.ErrVal("ERR wrong number of arguments for 'info' command")
-			case multi:
-				// Like SAVE: not replayable inside a transaction, and a
-				// stats snapshot inside EXEC would be a lie anyway.
-				dirty = true
-				reply = resp.ErrVal("ERR INFO inside MULTI is not supported")
-			default:
-				reply = srv.infoReply(args)
-			}
-		case "SLOWLOG":
-			switch {
-			case len(args) == 0:
-				reply = resp.ErrVal("ERR wrong number of arguments for 'slowlog' command")
-			case multi:
-				dirty = true
-				reply = resp.ErrVal("ERR SLOWLOG inside MULTI is not supported")
-			default:
-				reply = srv.slowlogReply(args)
-			}
-		case "ABORTLOG":
-			switch {
-			case len(args) == 0:
-				reply = resp.ErrVal("ERR wrong number of arguments for 'abortlog' command")
-			case multi:
-				dirty = true
-				reply = resp.ErrVal("ERR ABORTLOG inside MULTI is not supported")
-			default:
-				reply = srv.abortlogReply(args)
-			}
-		case "MULTI":
-			if multi {
-				reply = resp.ErrVal("ERR MULTI calls can not be nested")
-			} else {
-				multi, queue, dirty = true, nil, false
-				reply = resp.SimpleVal("OK")
-			}
-		case "DISCARD":
-			if !multi {
-				reply = resp.ErrVal("ERR DISCARD without MULTI")
-			} else {
-				multi, queue, dirty = false, nil, false
-				reply = resp.SimpleVal("OK")
-			}
-		case "SAVE", "BGSAVE":
-			// Snapshots bypass the transactional path: the cut is its
-			// own read-only transaction plus file choreography (see
-			// Store.Save), not something EXEC could replay.
-			switch {
-			case len(args) != 0:
-				reply = resp.ErrVal(fmt.Sprintf("ERR wrong number of arguments for '%s' command", strings.ToLower(name)))
-			case multi:
-				dirty = true
-				reply = resp.ErrVal("ERR " + name + " inside MULTI is not supported")
-			case !srv.store.Durable():
-				reply = resp.ErrVal("ERR persistence is disabled (start the server with -data)")
-			case name == "SAVE":
-				switch err := srv.store.Save(); {
-				case errors.Is(err, wal.ErrSnapshotInProgress):
-					reply = resp.ErrVal("ERR save already in progress")
-				case err != nil:
-					reply = resp.ErrVal("ERR save failed: " + err.Error())
-				default:
-					reply = resp.SimpleVal("OK")
-				}
-			default: // BGSAVE: fire and forget, Redis-style.
-				go func() {
-					if err := srv.store.Save(); err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) {
-						srv.NoteBgsaveFailure()
-						log.Printf("kv: background save: %v", err)
-					}
-				}()
-				reply = resp.SimpleVal("Background saving started")
-			}
-		case "EXEC":
-			switch {
-			case !multi:
-				reply = resp.ErrVal("ERR EXEC without MULTI")
-			case dirty:
-				multi, queue, dirty = false, nil, false
-				reply = resp.ErrVal("EXECABORT Transaction discarded because of previous errors")
-			default:
-				q := queue
-				multi, queue = false, nil
-				reply, cost = srv.execBlock(q)
-			}
-		default:
-			if err := checkCommand(name, args); err != nil {
-				if multi {
-					dirty = true
-				}
-				reply = resp.ErrVal(err.Error())
-			} else if multi {
-				queue = append(queue, append([]string{name}, args...))
-				reply = resp.SimpleVal("QUEUED")
-			} else {
-				reply, cost = srv.runSingle(name, args)
-			}
+		// The upper-cased spelling is the table key, the name error
+		// replies echo and the one SLOWLOG records.
+		argv[0] = strings.ToUpper(argv[0])
+		cmd := lookupCommand(argv[0])
+		a = args{s: argv[1:]}
+		c.cost = txCost{}
+		var invalid error
+		switch {
+		case cmd == unknownCommand:
+			invalid = fmt.Errorf("ERR unknown command '%s'", argv[0])
+		case !cmd.arityOK(len(a.s)):
+			invalid = cmd.arityErr
+		case cmd.parse != nil:
+			invalid = cmd.parse(&a)
 		}
-		srv.observe(name, start, args, reply, cost)
+		var reply resp.Value
+		switch {
+		case invalid != nil:
+			if c.multi {
+				c.dirty = true
+			}
+			reply = resp.ErrVal(invalid.Error())
+		case c.multi && cmd.noMulti:
+			c.dirty = true
+			reply = resp.ErrVal("ERR " + cmd.name + " inside MULTI is not supported")
+		case cmd.ctl != nil:
+			reply = cmd.ctl(srv, &c, &a)
+		case c.multi:
+			c.queue = append(c.queue, queuedCmd{cmd, a})
+			reply = resp.SimpleVal("QUEUED")
+		default:
+			reply = srv.runSingle(&c, cmd, &a)
+		}
+		srv.observe(cmd, start, argv, reply, c.cost)
 		w.Value(reply)
 		if err := w.Flush(); err != nil {
 			return
@@ -329,46 +262,102 @@ func (c *txCost) noteTx(tx *stm.Tx) {
 }
 
 // runSingle executes one command as one atomic transaction.
-func (srv *Server) runSingle(name string, args []string) (resp.Value, txCost) {
+func (srv *Server) runSingle(c *connState, cmd *command, a *args) resp.Value {
 	var reply resp.Value
-	var cost txCost
-	lbl := srv.cmdLabels[name]
 	err := srv.store.Atomically(func(tx *stm.Tx, now int64) error {
-		tx.SetLabel(lbl)
+		tx.SetLabel(cmd.label)
 		var err error
-		reply, err = runCommand(srv.store, tx, now, name, args)
-		cost.noteTx(tx)
+		reply, err = cmd.tx(srv.store, tx, now, a)
+		c.cost.noteTx(tx)
 		return err
 	})
 	if err != nil {
-		return commandError(err), cost
+		return commandError(err)
 	}
-	return reply, cost
+	return reply
 }
 
-// execBlock replays a MULTI queue inside one atomic transaction and
-// returns the array of replies — or an EXECABORT error when any
-// command's execution failed, in which case nothing committed.
-func (srv *Server) execBlock(queue [][]string) (resp.Value, txCost) {
-	replies := make([]resp.Value, len(queue))
-	var cost txCost
-	err := srv.store.Atomically(func(tx *stm.Tx, now int64) error {
-		tx.SetLabel(srv.execLabel)
-		for i, c := range queue {
-			v, err := runCommand(srv.store, tx, now, c[0], c[1:])
-			if err != nil {
-				cost.noteTx(tx)
-				return err
+// execLabel labels an EXEC block's transaction (the block's own label,
+// not any queued command's).
+var execLabel = stm.InternLabel("EXEC")
+
+// multi opens a MULTI block.
+func (srv *Server) multi(c *connState, _ *args) resp.Value {
+	if c.multi {
+		return resp.ErrVal("ERR MULTI calls can not be nested")
+	}
+	c.multi = true
+	return resp.SimpleVal("OK")
+}
+
+// discard drops the MULTI block.
+func (srv *Server) discard(c *connState, _ *args) resp.Value {
+	if !c.multi {
+		return resp.ErrVal("ERR DISCARD without MULTI")
+	}
+	c.endMulti()
+	return resp.SimpleVal("OK")
+}
+
+// exec replays the MULTI block inside one atomic transaction and
+// returns the array of replies — or an EXECABORT error when the block
+// was poisoned at queue time or any command's execution failed, in
+// which case nothing committed.
+func (srv *Server) exec(c *connState, _ *args) resp.Value {
+	if !c.multi {
+		return resp.ErrVal("ERR EXEC without MULTI")
+	}
+	defer c.endMulti()
+	if c.dirty {
+		return resp.ErrVal("EXECABORT Transaction discarded because of previous errors")
+	}
+	replies := make([]resp.Value, len(c.queue))
+	err := srv.store.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		tx.SetLabel(execLabel)
+		for i := range c.queue {
+			q := &c.queue[i]
+			if replies[i], err = q.cmd.tx(srv.store, tx, now, &q.a); err != nil {
+				break
 			}
-			replies[i] = v
 		}
-		cost.noteTx(tx)
-		return nil
+		c.cost.noteTx(tx)
+		return err
 	})
 	if err != nil {
-		return resp.ErrVal("EXECABORT Transaction aborted: " + commandError(err).Str), cost
+		return resp.ErrVal("EXECABORT Transaction aborted: " + commandError(err).Str)
 	}
-	return resp.ArrayVal(replies...), cost
+	return resp.ArrayVal(replies...)
+}
+
+const errNotDurable = "ERR persistence is disabled (start the server with -data)"
+
+// save cuts a snapshot before replying.
+func (srv *Server) save(_ *connState, _ *args) resp.Value {
+	if !srv.store.Durable() {
+		return resp.ErrVal(errNotDurable)
+	}
+	switch err := srv.store.Save(); {
+	case errors.Is(err, wal.ErrSnapshotInProgress):
+		return resp.ErrVal("ERR save already in progress")
+	case err != nil:
+		return resp.ErrVal("ERR save failed: " + err.Error())
+	}
+	return resp.SimpleVal("OK")
+}
+
+// bgsave starts a snapshot and replies at once: fire and forget,
+// Redis-style.
+func (srv *Server) bgsave(_ *connState, _ *args) resp.Value {
+	if !srv.store.Durable() {
+		return resp.ErrVal(errNotDurable)
+	}
+	go func() {
+		if err := srv.store.Save(); err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) {
+			srv.NoteBgsaveFailure()
+			log.Printf("kv: background save: %v", err)
+		}
+	}()
+	return resp.SimpleVal("Background saving started")
 }
 
 // commandError maps an in-transaction command failure to its error
@@ -377,442 +366,11 @@ func (srv *Server) execBlock(queue [][]string) (resp.Value, txCost) {
 func commandError(err error) resp.Value {
 	switch {
 	case errors.Is(err, ErrNotInteger):
-		return resp.ErrVal("ERR value is not an integer or out of range")
+		return resp.ErrVal(errNotInteger.Error())
 	case errors.Is(err, ErrWrongType):
 		return resp.ErrVal("WRONGTYPE Operation against a key holding the wrong kind of value")
 	case errors.Is(err, ErrNotFloat):
-		return resp.ErrVal("ERR value is not a valid float")
+		return resp.ErrVal(errNotFloat.Error())
 	}
 	return resp.ErrVal("ERR internal: " + err.Error())
-}
-
-// checkCommand validates name and arity before execution or queueing,
-// so EXEC replays only well-formed commands.
-func checkCommand(name string, args []string) error {
-	n := len(args)
-	ok := true
-	switch name {
-	case "PING":
-		ok = n <= 1
-	case "GET", "INCR", "TTL", "PTTL":
-		ok = n == 1
-	case "SET":
-		ok = n == 2 || n == 4
-		if n == 4 {
-			opt := strings.ToUpper(args[2])
-			if opt != "EX" && opt != "PX" {
-				return fmt.Errorf("ERR syntax error")
-			}
-			// SET's expiry must be a positive, non-overflowing TTL
-			// (Redis rejects EX 0 too).
-			if err := checkTTL(name, args[3], ttlUnit(name, opt), false); err != nil {
-				return err
-			}
-		}
-	case "INCRBY":
-		ok = n == 2
-		if ok {
-			if _, err := strconv.ParseInt(args[1], 10, 64); err != nil {
-				return fmt.Errorf("ERR value is not an integer or out of range")
-			}
-		}
-	case "EXPIRE", "PEXPIRE":
-		// Non-positive TTLs are allowed (they delete, as in Redis), but
-		// a magnitude whose duration overflows int64 nanoseconds would
-		// silently flip sign — deleting a key meant to live ~300 years —
-		// so it is rejected here.
-		ok = n == 2
-		if ok {
-			if err := checkTTL(name, args[1], ttlUnit(name, ""), true); err != nil {
-				return err
-			}
-		}
-	case "DEL", "MGET":
-		ok = n >= 1
-	case "MSET":
-		ok = n >= 2 && n%2 == 0
-	case "DBSIZE":
-		ok = n == 0
-	case "HGET", "ZSCORE":
-		ok = n == 2
-	case "HSET":
-		// HSET key field value [field value ...]
-		ok = n >= 3 && n%2 == 1
-	case "HDEL", "LPUSH", "RPUSH", "ZREM":
-		ok = n >= 2
-	case "HGETALL", "HLEN", "LPOP", "RPOP", "LLEN", "ZCARD", "TYPE":
-		ok = n == 1
-	case "HINCRBY":
-		ok = n == 3
-		if ok {
-			if err := checkInt(args[2]); err != nil {
-				return err
-			}
-		}
-	case "LRANGE":
-		ok = n == 3
-		if ok {
-			if err := checkInt(args[1]); err != nil {
-				return err
-			}
-			if err := checkInt(args[2]); err != nil {
-				return err
-			}
-		}
-	case "ZADD":
-		// ZADD key score member [score member ...]
-		ok = n >= 3 && n%2 == 1
-		if ok {
-			for i := 1; i+1 < n; i += 2 {
-				if err := checkScore(args[i]); err != nil {
-					return err
-				}
-			}
-		}
-	case "ZRANGE":
-		ok = n == 3 || n == 4
-		if n == 4 && strings.ToUpper(args[3]) != "WITHSCORES" {
-			return fmt.Errorf("ERR syntax error")
-		}
-		if ok {
-			if err := checkInt(args[1]); err != nil {
-				return err
-			}
-			if err := checkInt(args[2]); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("ERR unknown command '%s'", name)
-	}
-	if !ok {
-		return fmt.Errorf("ERR wrong number of arguments for '%s' command", name)
-	}
-	return nil
-}
-
-// checkInt validates an integer argument (rank, delta) at queue time.
-func checkInt(arg string) error {
-	if _, err := strconv.ParseInt(arg, 10, 64); err != nil {
-		return fmt.Errorf("ERR value is not an integer or out of range")
-	}
-	return nil
-}
-
-// checkScore validates a ZADD score at queue time: any finite or
-// infinite float parses; NaN has no place in a total order.
-func checkScore(arg string) error {
-	s, err := strconv.ParseFloat(arg, 64)
-	if err != nil || math.IsNaN(s) {
-		return fmt.Errorf("ERR value is not a valid float")
-	}
-	return nil
-}
-
-// ttlUnit resolves the time unit of a TTL argument: milliseconds for
-// the P-prefixed commands and SET's PX option, seconds otherwise.
-func ttlUnit(name, opt string) time.Duration {
-	if strings.HasPrefix(name, "P") || opt == "PX" {
-		return time.Millisecond
-	}
-	return time.Second
-}
-
-// checkTTL validates a TTL argument: an integer whose duration in unit
-// does not overflow time.Duration (int64 nanoseconds) in either
-// direction, and positive unless nonPositiveOK (EXPIRE's delete
-// semantics) allows otherwise.
-func checkTTL(name, arg string, unit time.Duration, nonPositiveOK bool) error {
-	n, err := strconv.ParseInt(arg, 10, 64)
-	if err != nil {
-		return fmt.Errorf("ERR value is not an integer or out of range")
-	}
-	if !nonPositiveOK && n <= 0 {
-		return fmt.Errorf("ERR invalid expire time in '%s' command", strings.ToLower(name))
-	}
-	limit := int64(math.MaxInt64) / int64(unit)
-	if n > limit || n < -limit {
-		return fmt.Errorf("ERR invalid expire time in '%s' command", strings.ToLower(name))
-	}
-	return nil
-}
-
-// runCommand executes one validated command inside tx at instant now.
-// A returned error aborts the enclosing transaction (and, through it,
-// a whole EXEC block).
-func runCommand(st *Store, tx *stm.Tx, now int64, name string, args []string) (resp.Value, error) {
-	switch name {
-	case "PING":
-		if len(args) == 1 {
-			return resp.BulkVal(args[0]), nil
-		}
-		return resp.SimpleVal("PONG"), nil
-	case "GET":
-		v, ok, err := st.GetTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if !ok {
-			return resp.NullVal(), nil
-		}
-		return resp.BulkVal(v), nil
-	case "SET":
-		var ttl time.Duration
-		if len(args) == 4 {
-			n, _ := strconv.ParseInt(args[3], 10, 64) // validated at check time
-			if strings.ToUpper(args[2]) == "EX" {
-				ttl = time.Duration(n) * time.Second
-			} else {
-				ttl = time.Duration(n) * time.Millisecond
-			}
-		}
-		if err := st.SetTx(tx, now, args[0], args[1], ttl); err != nil {
-			return resp.Value{}, err
-		}
-		return resp.SimpleVal("OK"), nil
-	case "DEL":
-		removed := int64(0)
-		for _, key := range args {
-			ok, err := st.DelTx(tx, now, key)
-			if err != nil {
-				return resp.Value{}, err
-			}
-			if ok {
-				removed++
-			}
-		}
-		return resp.IntVal(removed), nil
-	case "INCR", "INCRBY":
-		delta := int64(1)
-		if name == "INCRBY" {
-			delta, _ = strconv.ParseInt(args[1], 10, 64) // validated at check time
-		}
-		n, err := st.IncrTx(tx, now, args[0], delta)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(n), nil
-	case "MGET":
-		elems := make([]resp.Value, len(args))
-		for i, key := range args {
-			v, ok, err := st.GetTx(tx, now, key)
-			if errors.Is(err, ErrWrongType) {
-				// Redis MGET reports container-typed keys as nil rather
-				// than failing the whole read.
-				v, ok = "", false
-			} else if err != nil {
-				return resp.Value{}, err
-			}
-			if ok {
-				elems[i] = resp.BulkVal(v)
-			} else {
-				elems[i] = resp.NullVal()
-			}
-		}
-		return resp.ArrayVal(elems...), nil
-	case "MSET":
-		for i := 0; i+1 < len(args); i += 2 {
-			if err := st.SetTx(tx, now, args[i], args[i+1], 0); err != nil {
-				return resp.Value{}, err
-			}
-		}
-		return resp.SimpleVal("OK"), nil
-	case "EXPIRE", "PEXPIRE":
-		n, _ := strconv.ParseInt(args[1], 10, 64) // validated at check time
-		unit := time.Second
-		if name == "PEXPIRE" {
-			unit = time.Millisecond
-		}
-		ok, err := st.ExpireTx(tx, now, args[0], time.Duration(n)*unit)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if ok {
-			return resp.IntVal(1), nil
-		}
-		return resp.IntVal(0), nil
-	case "TTL", "PTTL":
-		d, ok, err := st.TTLTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		switch {
-		case !ok:
-			return resp.IntVal(-2), nil
-		case d == NoTTL:
-			return resp.IntVal(-1), nil
-		case name == "PTTL":
-			return resp.IntVal(int64((d + time.Millisecond - 1) / time.Millisecond)), nil
-		default:
-			return resp.IntVal(int64((d + time.Second - 1) / time.Second)), nil
-		}
-	case "HSET":
-		created := int64(0)
-		for i := 1; i+1 < len(args); i += 2 {
-			ok, err := st.HSetTx(tx, now, args[0], args[i], args[i+1])
-			if err != nil {
-				return resp.Value{}, err
-			}
-			if ok {
-				created++
-			}
-		}
-		return resp.IntVal(created), nil
-	case "HGET":
-		v, ok, err := st.HGetTx(tx, now, args[0], args[1])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if !ok {
-			return resp.NullVal(), nil
-		}
-		return resp.BulkVal(v), nil
-	case "HDEL":
-		n, err := st.HDelTx(tx, now, args[0], args[1:]...)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "HGETALL":
-		pairs, err := st.HGetAllTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		elems := make([]resp.Value, 0, 2*len(pairs))
-		for _, p := range pairs {
-			elems = append(elems, resp.BulkVal(p.K), resp.BulkVal(p.V))
-		}
-		return resp.ArrayVal(elems...), nil
-	case "HLEN":
-		n, err := st.HLenTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "HINCRBY":
-		delta, _ := strconv.ParseInt(args[2], 10, 64) // validated at check time
-		n, err := st.HIncrTx(tx, now, args[0], args[1], delta)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(n), nil
-	case "LPUSH", "RPUSH":
-		n, err := st.pushTx(tx, now, args[0], name == "LPUSH", args[1:])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "LPOP", "RPOP":
-		v, ok, err := st.popTx(tx, now, args[0], name == "LPOP")
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if !ok {
-			return resp.NullVal(), nil
-		}
-		return resp.BulkVal(v), nil
-	case "LLEN":
-		n, err := st.LLenTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "LRANGE":
-		start, _ := strconv.Atoi(args[1]) // validated at check time
-		stop, _ := strconv.Atoi(args[2])
-		items, err := st.LRangeTx(tx, now, args[0], start, stop)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		elems := make([]resp.Value, len(items))
-		for i, v := range items {
-			elems[i] = resp.BulkVal(v)
-		}
-		return resp.ArrayVal(elems...), nil
-	case "ZADD":
-		added := int64(0)
-		for i := 1; i+1 < len(args); i += 2 {
-			score, _ := strconv.ParseFloat(args[i], 64) // validated at check time
-			ok, err := st.ZAddTx(tx, now, args[0], args[i+1], score)
-			if err != nil {
-				return resp.Value{}, err
-			}
-			if ok {
-				added++
-			}
-		}
-		return resp.IntVal(added), nil
-	case "ZSCORE":
-		score, ok, err := st.ZScoreTx(tx, now, args[0], args[1])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if !ok {
-			return resp.NullVal(), nil
-		}
-		return resp.BulkVal(formatScore(score)), nil
-	case "ZREM":
-		n, err := st.ZRemTx(tx, now, args[0], args[1:]...)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "ZCARD":
-		n, err := st.ZCardTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		return resp.IntVal(int64(n)), nil
-	case "ZRANGE":
-		start, _ := strconv.Atoi(args[1]) // validated at check time
-		stop, _ := strconv.Atoi(args[2])
-		entries, err := st.ZRangeTx(tx, now, args[0], start, stop)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		withScores := len(args) == 4
-		elems := make([]resp.Value, 0, 2*len(entries))
-		for _, ze := range entries {
-			elems = append(elems, resp.BulkVal(ze.Member))
-			if withScores {
-				elems = append(elems, resp.BulkVal(formatScore(ze.Score)))
-			}
-		}
-		return resp.ArrayVal(elems...), nil
-	case "TYPE":
-		t, ok, err := st.TypeTx(tx, now, args[0])
-		if err != nil {
-			return resp.Value{}, err
-		}
-		if !ok {
-			return resp.SimpleVal("none"), nil
-		}
-		return resp.SimpleVal(t), nil
-	case "DBSIZE":
-		// Whole-store consistent count: every shard's every bucket joins
-		// the read set (the long scan the paper's auditor scenario
-		// stresses — expensive and proud of it).
-		total := int64(0)
-		for _, sh := range st.shards {
-			b, err := sh.Buckets(tx)
-			if err != nil {
-				return resp.Value{}, err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return resp.Value{}, err
-				}
-				for e := head; e != nil; e = e.next {
-					if !e.dead(now) {
-						total++
-					}
-				}
-			}
-		}
-		return resp.IntVal(total), nil
-	default:
-		// checkCommand gates every path here; reaching this is a bug.
-		return resp.Value{}, fmt.Errorf("kv: unvalidated command %q", name)
-	}
 }

@@ -264,6 +264,35 @@ func (st *Store) Atomically(fn func(tx *stm.Tx, now int64) error) error {
 	return nil
 }
 
+// view runs a read-only *Tx form as one atomic transaction and returns
+// its result, sampling the clock once so retries replay identical
+// expiry decisions. Reads log nothing and raise no resize signal, so
+// it skips Atomically's write capture and grooming.
+func view[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
+	now := st.now()
+	return stm.Atomic(st.s, func(tx *stm.Tx) (T, error) { return fn(tx, now) })
+}
+
+// update runs a mutating *Tx form through Atomically and returns its
+// result.
+func update[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
+	var out T
+	err := st.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		out, err = fn(tx, now)
+		return err
+	})
+	return out, err
+}
+
+// found is a lookup's (value, present) pair, so the (V, bool, error)
+// *Tx forms fit view and update's single result.
+type found[V any] struct {
+	v  V
+	ok bool
+}
+
+func lookup[V any](v V, ok bool, err error) (found[V], error) { return found[V]{v, ok}, err }
+
 // Groom drains pending resize signals: every shard whose writers
 // observed an over-long chain is recounted and, if over the load
 // factor, grown in its own transaction (see container.Table.MaybeGrow).

@@ -151,10 +151,10 @@ func (st *Store) TypeTx(tx *stm.Tx, now int64, key string) (string, bool, error)
 
 // Type reports key's value kind in one atomic transaction.
 func (st *Store) Type(key string) (string, bool, error) {
-	now := st.now()
-	return stm.Atomic2(st.s, func(tx *stm.Tx) (string, bool, error) {
-		return st.TypeTx(tx, now, key)
+	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
+		return lookup(st.TypeTx(tx, now, key))
 	})
+	return f.v, f.ok, err
 }
 
 // checkValue verifies the entry's typed payload inside tx — the

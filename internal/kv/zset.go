@@ -276,46 +276,36 @@ func (z *zset) checkInvariants(tx *stm.Tx) error {
 
 // ZAdd adds member with score in one atomic transaction (see ZAddTx).
 func (st *Store) ZAdd(key, member string, score float64) (bool, error) {
-	var added bool
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		added, err = st.ZAddTx(tx, now, key, member, score)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
+		return st.ZAddTx(tx, now, key, member, score)
 	})
-	return added, err
 }
 
 // ZScore reads member's score in one atomic transaction.
 func (st *Store) ZScore(key, member string) (float64, bool, error) {
-	now := st.now()
-	return stm.Atomic2(st.s, func(tx *stm.Tx) (float64, bool, error) {
-		return st.ZScoreTx(tx, now, key, member)
+	f, err := view(st, func(tx *stm.Tx, now int64) (found[float64], error) {
+		return lookup(st.ZScoreTx(tx, now, key, member))
 	})
+	return f.v, f.ok, err
 }
 
 // ZRem removes members in one atomic transaction (see ZRemTx).
 func (st *Store) ZRem(key string, members ...string) (int, error) {
-	var removed int
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		var err error
-		removed, err = st.ZRemTx(tx, now, key, members...)
-		return err
+	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+		return st.ZRemTx(tx, now, key, members...)
 	})
-	return removed, err
 }
 
 // ZCard counts members in one atomic transaction.
 func (st *Store) ZCard(key string) (int, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) (int, error) {
+	return view(st, func(tx *stm.Tx, now int64) (int, error) {
 		return st.ZCardTx(tx, now, key)
 	})
 }
 
 // ZRange reads a rank range in one atomic transaction (see ZRangeTx).
 func (st *Store) ZRange(key string, start, stop int) ([]ZEntry, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) ([]ZEntry, error) {
+	return view(st, func(tx *stm.Tx, now int64) ([]ZEntry, error) {
 		return st.ZRangeTx(tx, now, key, start, stop)
 	})
 }
