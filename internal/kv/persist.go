@@ -2,15 +2,16 @@ package kv
 
 // Durability plumbing: the store's bridge to internal/wal.
 //
-// Capture. When a WAL is attached, Store.Atomically parks a
-// writeCapture in the transaction's local slot; putTx and DelTx
-// append each mutation to it as an absolute wal.Op (value or
-// tombstone, with the expiry deadline). If the transaction ends up
-// writing anything, a commit hook enqueues the capture while the
-// commit still holds its write set's commit stripes — so the WAL
-// queue order equals the per-key commit order (see Tx.OnCommit and
-// DESIGN.md §Durability) — and the durability wait happens after the
-// stripes are released, back in Store.Atomically.
+// Capture. When a WAL is attached, Store.commit parks a writeCapture
+// in the transaction's local slot; putTx and DelTx append each
+// mutation to it as an absolute wal.Op (value or tombstone, with the
+// expiry deadline). If the transaction ends up writing anything, a
+// commit hook enqueues the capture while the commit still holds its
+// write set's commit stripes — so the WAL queue order equals the
+// per-key commit order (see Tx.OnCommit and DESIGN.md §Durability) —
+// and the durability wait happens after the stripes are released, in
+// pending.wait: at once for Store.Atomically's callers, when the reply
+// is released for the server's (see outbox in server.go).
 //
 // Restore. Recovery applies the snapshot and log through Apply,
 // which replays write sets without capture (the WAL is attached only
@@ -235,7 +236,9 @@ func (st *Store) applyOp(tx *stm.Tx, now int64, op wal.Op) error {
 	return err
 }
 
-// capturePool recycles the server path's write captures; the ops
-// slice is safe to reuse once the ticket is acked (the logger has
-// encoded it by then).
+// capturePool recycles write captures. The ops slice is safe to reuse
+// once its ticket is acked (the logger has encoded it by then) and not
+// a moment before: pending.wait is the only place one comes back after
+// a commit, and a pending nobody waits on keeps its capture out of the
+// pool for good.
 var capturePool = sync.Pool{New: func() any { return &writeCapture{} }}

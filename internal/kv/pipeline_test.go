@@ -1,0 +1,462 @@
+package kv
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/resp"
+	"repro/internal/stm"
+	"repro/internal/wal"
+)
+
+// These tests pin the durable pipeline: a connection's buffered frames
+// execute back to back and share a group commit, replies leave in
+// order and never before their record is on disk. All of them run over
+// real TCP against a store logging to t.TempDir(); CI runs them by
+// name (TestDurablePipeline) under -race.
+
+// durableServer starts a server on a fresh store logging with the
+// given group-commit window.
+func durableServer(t *testing.T, window time.Duration, opts ...ServerOption) (*Server, *wal.Log, string, func()) {
+	t.Helper()
+	l, err := wal.Open(t.TempDir(), wal.Options{GroupWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk fakeClock
+	st := New(stm.New(), WithClock(clk.now))
+	st.AttachWAL(l)
+	srv, addr, stop := startServerWith(t, st, opts...)
+	return srv, l, addr, func() {
+		stop()
+		l.Close() // poisoned on purpose in some tests
+	}
+}
+
+// frame encodes one command as an array of bulk strings.
+func frame(words ...string) []byte {
+	var b bytes.Buffer
+	w := resp.NewWriter(&b)
+	w.Array(len(words))
+	for _, word := range words {
+		w.Bulk(word)
+	}
+	w.Flush()
+	return b.Bytes()
+}
+
+// frames encodes space-separated commands, one frame each.
+func frames(cmds ...string) []byte {
+	var b []byte
+	for _, cmd := range cmds {
+		b = append(b, frame(strings.Fields(cmd)...)...)
+	}
+	return b
+}
+
+// pipeConn is a raw connection plus the one reply reader that may read
+// from it (the reader buffers ahead).
+type pipeConn struct {
+	net.Conn
+	r *resp.Reader
+}
+
+func dialPipe(t *testing.T, addr string) *pipeConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &pipeConn{conn, resp.NewReader(conn)}
+}
+
+func (c *pipeConn) send(t *testing.T, b []byte) {
+	t.Helper()
+	if _, err := c.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replies reads n replies and returns each one's wire form.
+func (c *pipeConn) replies(t *testing.T, n int) []string {
+	t.Helper()
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		v, err := c.r.ReadReply()
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v (read so far: %q)", i, n, err, out)
+		}
+		var b bytes.Buffer
+		w := resp.NewWriter(&b)
+		w.Value(v)
+		w.Flush()
+		out = append(out, b.String())
+	}
+	return out
+}
+
+// expectEOF checks that the server hung up after the replies read so
+// far.
+func (c *pipeConn) expectEOF(t *testing.T) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if v, err := c.r.ReadReply(); err != io.EOF {
+		t.Fatalf("after the last reply: read %+v, err %v; want EOF", v, err)
+	}
+}
+
+// TestDurablePipelineTranscript: a burst written with one Write gets
+// the reply transcript the same commands get one at a time — same
+// replies, same order, and a QUIT or a protocol error at the end still
+// comes after every reply before it.
+func TestDurablePipelineTranscript(t *testing.T) {
+	mixed := []string{
+		"SET a 1", "GET a", "INCR a", "INCR n", "GET n", "DEL a missing", "GET a",
+		"MULTI", "SET x 10", "INCRBY x 5", "GET x", "EXEC", "GET x",
+		"SET text abc", "INCR text", "NOSUCH", "GET",
+		"MULTI", "INCR text", "EXEC", "GET text",
+		"RPUSH l a b", "LPOP l", "HSET h f v", "HGET h f", "ZADD z 1 m", "ZRANGE z 0 -1 WITHSCORES",
+		"MULTI", "SET y 1", "DISCARD", "GET y", "DBSIZE",
+	}
+	for _, sc := range []struct {
+		name   string
+		cmds   []string
+		tail   string // raw bytes after the commands
+		extra  int    // replies the tail adds
+		hangup bool
+	}{
+		{name: "mixed", cmds: mixed},
+		{name: "quit", cmds: append(mixed[:7:7], "QUIT"), hangup: true},
+		{name: "protocol error", cmds: mixed[:7], tail: "*1\r\n:1\r\n", extra: 1, hangup: true},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(burst bool) []string {
+				_, _, addr, stop := durableServer(t, 500*time.Microsecond, WithSlowlog(-1, 0))
+				defer stop()
+				conn := dialPipe(t, addr)
+				var got []string
+				if burst {
+					conn.send(t, append(frames(sc.cmds...), sc.tail...))
+					got = conn.replies(t, len(sc.cmds)+sc.extra)
+				} else {
+					for _, cmd := range sc.cmds {
+						conn.send(t, frames(cmd))
+						got = append(got, conn.replies(t, 1)...)
+					}
+					if sc.tail != "" {
+						conn.send(t, []byte(sc.tail))
+						got = append(got, conn.replies(t, sc.extra)...)
+					}
+				}
+				if sc.hangup {
+					conn.expectEOF(t)
+				}
+				return got
+			}
+			single, burst := run(false), run(true)
+			for i := range single {
+				if single[i] != burst[i] {
+					t.Fatalf("reply %d: one at a time %q, in a burst %q", i, single[i], burst[i])
+				}
+			}
+		})
+	}
+}
+
+// TestDurablePipelineSharesFsyncs: 64 SETs pipelined on one connection
+// ride a handful of group commits, not one fsync each.
+func TestDurablePipelineSharesFsyncs(t *testing.T) {
+	_, l, addr, stop := durableServer(t, time.Millisecond)
+	defer stop()
+	conn := dialPipe(t, addr)
+	const n = 64
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = append(burst, frame("SET", "k"+strconv.Itoa(i), "v")...)
+	}
+	before := l.Stats()
+	conn.send(t, burst)
+	for i, got := range conn.replies(t, n) {
+		if got != ok {
+			t.Fatalf("reply %d = %q", i, got)
+		}
+	}
+	after := l.Stats()
+	if got := after.Records - before.Records; got != n {
+		t.Fatalf("%d records logged, want %d", got, n)
+	}
+	if got := after.Fsyncs - before.Fsyncs; got >= n/4 {
+		t.Fatalf("%d pipelined SETs cost %d fsyncs, want < %d", n, got, n/4)
+	}
+}
+
+// TestDurablePipelineWALFailure: the log fails while a connection has
+// writes executed and unanswered. The ones whose records reached the
+// disk first are answered +OK, every one behind the failure is
+// answered with the log's error — never +OK, never silence — reads
+// still answer, and the handler exits cleanly.
+func TestDurablePipelineWALFailure(t *testing.T) {
+	// A window long enough that both halves of the burst are normally in
+	// flight when the log fails; if the box stalls and it is not, the
+	// second half is refused at enqueue and the replies are the same.
+	_, l, addr, stop := durableServer(t, 300*time.Millisecond)
+	defer stop()
+	conn := dialPipe(t, addr)
+	const half = 8
+	sets := func(from int) []byte {
+		var b []byte
+		for i := from; i < from+half; i++ {
+			b = append(b, frame("SET", "k"+strconv.Itoa(i), "v")...)
+		}
+		return b
+	}
+	// arrived waits until n tickets have entered the log's queue (or the
+	// log has failed): flushed records plus whatever still waits.
+	arrived := func(n int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for l.Err() == nil {
+			if st := l.Stats(); st.Records+int64(st.QueueDepth) >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("log never saw %d tickets: %+v", n, l.Stats())
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	conn.send(t, sets(0))
+	arrived(half)
+	// The next rotation fails — the segment's name is taken — and a
+	// failed rotation poisons the log like a failed fsync.
+	taken := filepath.Join(l.Dir(), fmt.Sprintf("wal-%08d.log", l.Stats().Segment+1))
+	if err := os.WriteFile(taken, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rotated := make(chan error, 1)
+	go func() {
+		_, err := l.Rotate()
+		rotated <- err
+	}()
+	arrived(half + 1)
+	conn.send(t, append(sets(half), frame("GET", "k0")...))
+	replies := conn.replies(t, 2*half+1)
+	if err := <-rotated; err == nil {
+		t.Fatal("rotation onto a taken segment name succeeded")
+	}
+	for i, got := range replies[:half] {
+		if got != ok {
+			t.Errorf("reply %d (record ahead of the failure) = %q, want +OK", i, got)
+		}
+	}
+	for i, got := range replies[half : 2*half] {
+		if !strings.HasPrefix(got, "-ERR internal: kv: wal: ") {
+			t.Errorf("reply %d (record behind the failure) = %q, want the log's error", half+i, got)
+		}
+	}
+	if got := replies[2*half]; got != "$1\r\nv\r\n" {
+		t.Errorf("GET behind the failed writes = %q", got)
+	}
+	// The connection is still in step, and hangs up when asked.
+	conn.send(t, frames("SET late v", "QUIT"))
+	tail := conn.replies(t, 2)
+	if !strings.HasPrefix(tail[0], "-ERR internal: kv: wal: ") || tail[1] != ok {
+		t.Errorf("after the failure: SET, QUIT = %q", tail)
+	}
+	conn.expectEOF(t)
+}
+
+// TestDurablePipelinePartialFrame: three whole SETs and half of a
+// fourth arrive; the three replies must come back before the client
+// sends the rest — a half-received frame holds nothing hostage.
+func TestDurablePipelinePartialFrame(t *testing.T) {
+	_, _, addr, stop := durableServer(t, time.Millisecond)
+	defer stop()
+	conn := dialPipe(t, addr)
+	fourth := frame("SET", "k4", "v")
+	cut := len(fourth) / 2
+	conn.send(t, append(frames("SET k1 v", "SET k2 v", "SET k3 v"), fourth[:cut]...))
+	for i, got := range conn.replies(t, 3) {
+		if got != ok {
+			t.Fatalf("reply %d = %q", i, got)
+		}
+	}
+	conn.send(t, fourth[cut:])
+	if got := conn.replies(t, 1)[0]; got != ok {
+		t.Fatalf("fourth reply = %q", got)
+	}
+}
+
+// TestDurablePipelineWindowBound: a client pipelines 10 000 writes
+// without reading a reply. The server never holds more than
+// replyWindow executed requests unanswered, and once the client reads,
+// every reply is there, in order.
+func TestDurablePipelineWindowBound(t *testing.T) {
+	srv, _, addr, stop := durableServer(t, 200*time.Microsecond)
+	defer stop()
+	conn := dialPipe(t, addr)
+	const n = 10000
+	burst := bytes.Repeat(frame("INCR", "n"), n)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(burst)
+		wrote <- err
+	}()
+	// Executed minus released, sampled while the burst drains: commits
+	// first, so that the difference can only underestimate.
+	released := srv.sm.cmds[lookupCommand("INCR").idx].calls
+	engine := srv.store.STM()
+	held := func() int64 { return engine.TotalStats().Commits - released.Value() }
+	// Not reading: the replies (under 60 kB in all) fit the socket
+	// buffers, so the server runs the whole burst regardless.
+	var peak int64
+	for deadline := time.Now().Add(60 * time.Second); released.Value() < n; {
+		if h := held(); h > peak {
+			peak = h
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server released %d of %d replies", released.Value(), n)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	// One more than the window: the request being executed while the
+	// handler makes room for it.
+	if peak > replyWindow+1 {
+		t.Errorf("%d executed requests held unanswered, window is %d", peak, replyWindow)
+	}
+	if peak < 2 {
+		t.Errorf("at most %d requests in flight: the burst was not pipelined", peak)
+	}
+	for i, got := range conn.replies(t, n) {
+		if want := ":" + strconv.Itoa(i+1) + "\r\n"; got != want {
+			t.Fatalf("reply %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestDurablePipelineAbandon: connections reset and the server closes
+// while handlers hold executed writes the log has not flushed yet. A
+// write capture must not return to the pool while the logger can still
+// read it: if one does, its next owner overwrites a record on its way
+// to the disk — the race detector may see that, and the log certainly
+// shows it, since what it replays to is then not what the store holds.
+func TestDurablePipelineAbandon(t *testing.T) {
+	dir := t.TempDir()
+	// A short window keeps the logger flushing batch after batch while
+	// the handlers execute, so at any instant a connection's window
+	// holds acked replies with unflushed writes behind them — the state
+	// in which a dying socket makes the handler walk away from tickets.
+	l, err := wal.Open(dir, wal.Options{GroupWindow: 100 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := New(stm.New())
+	st.AttachWAL(l)
+	for round := 0; round < 8; round++ {
+		_, addr, stop := startServerWith(t, st)
+		const clients, depth = 4, 16 * replyWindow
+		var writers sync.WaitGroup
+		conns := make([]net.Conn, clients)
+		for c := range conns {
+			if conns[c], err = net.Dial("tcp", addr); err != nil {
+				t.Fatal(err)
+			}
+			defer conns[c].Close()
+			var burst []byte
+			for i := 0; i < depth; i++ {
+				burst = append(burst, frame("SET", fmt.Sprintf("r%d:c%d:k%d", round, c, i), "v")...)
+			}
+			writers.Add(1)
+			go func(conn net.Conn) {
+				defer writers.Done()
+				_, _ = conn.Write(burst) // cut short by the close below, on purpose
+			}(conns[c])
+		}
+		// Let the handlers get into their stride, then pull the rug: half
+		// the clients vanish, then the server closes on the rest.
+		before := l.Stats().Records
+		for deadline := time.Now().Add(5 * time.Second); l.Stats().Records < before+int64(round+1)*replyWindow && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		for _, conn := range conns[:clients/2] {
+			conn.Close()
+		}
+		time.Sleep(time.Duration(round) * 200 * time.Microsecond) // vary where the server's close lands
+		stop()
+		writers.Wait()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := New(stm.New())
+	if _, err := wal.Recover(dir, replayed.Apply); err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replayed.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(sortOps(got), sortOps(want)) {
+		t.Fatalf("the log replays to %d keys, the store holds %d: a record was overwritten on its way to the disk", len(got), len(want))
+	}
+}
+
+// TestDurablePipelineLatencyIncludesWait: a command's recorded latency
+// runs from request read to reply released, so on a durable server it
+// includes the wait for the group commit — for a SET, and for a GET
+// whose reply queues behind one — and on a memory-only server it does
+// not. (Half the window is the line: the GET is read a moment after
+// the logger starts lingering for the SET.)
+func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
+	const window = 50 * time.Millisecond
+	check := func(t *testing.T, srv *Server, addr string, durable bool) {
+		conn := dialPipe(t, addr)
+		conn.send(t, frames("SET k v", "GET k"))
+		if got := conn.replies(t, 2); got[0] != ok || got[1] != "$1\r\nv\r\n" {
+			t.Fatalf("replies = %q", got)
+		}
+		entries := srv.slow.get(-1)
+		if len(entries) != 2 {
+			t.Fatalf("slowlog holds %d entries, want 2", len(entries))
+		}
+		for _, e := range entries {
+			if waited := e.dur >= window/2; waited != durable {
+				t.Errorf("%s recorded %v; group window %v, durable %v", e.args[0], e.dur, window, durable)
+			}
+		}
+		for _, name := range []string{"SET", "GET"} {
+			lat := srv.sm.cmds[lookupCommand(name).idx].lat.Snapshot()
+			if waited := lat.Sum() >= window/2; lat.Count() != 1 || waited != durable {
+				t.Errorf("%s histogram: %d samples, sum %v; group window %v, durable %v", name, lat.Count(), lat.Sum(), window, durable)
+			}
+		}
+	}
+	t.Run("durable", func(t *testing.T) {
+		srv, _, addr, stop := durableServer(t, window, WithSlowlog(0, 16))
+		defer stop()
+		check(t, srv, addr, true)
+	})
+	t.Run("memory", func(t *testing.T) {
+		srv, addr, stop := startServerWith(t, New(stm.New()), WithSlowlog(0, 16))
+		defer stop()
+		check(t, srv, addr, false)
+	})
+}

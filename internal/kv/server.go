@@ -142,15 +142,18 @@ func (srv *Server) drop(conn net.Conn) {
 }
 
 // connState is one connection's protocol state: the MULTI block being
-// queued and the engine cost of the request in flight.
+// queued, and what the request in flight cost and is still owed.
 type connState struct {
 	multi bool        // inside MULTI
 	dirty bool        // a queue-time error poisoned the block: EXEC will refuse it
 	queue []queuedCmd // the block's commands, validated and parsed
-	quit  bool        // hang up once the current reply is flushed
+	quit  bool        // hang up once every reply is released
 	// cost is what the current request's transaction cost the engine;
 	// zero for requests that ran none.
 	cost txCost
+	// owed is the durability the current request's transaction still
+	// waits for; zero for requests that logged nothing.
+	owed pending
 }
 
 // queuedCmd is one command of a MULTI block, held with its arguments
@@ -165,18 +168,139 @@ func (c *connState) endMulti() {
 	c.multi, c.dirty, c.queue = false, false, c.queue[:0]
 }
 
+// replyWindow bounds how many executed requests one connection may hold
+// back waiting for their log records: a client that pipelines without
+// reading stalls here instead of growing the server's memory. It is
+// twice the depth at which the log stops lingering for company
+// (wal.Options.SkipLinger's default), so the bound is not what makes a
+// lone connection's batch.
+const replyWindow = 128
+
+// heldReply is one executed request whose reply has not been released:
+// the reply, the durability it waits for, and what observe will need
+// when it goes out.
+type heldReply struct {
+	reply resp.Value
+	owed  pending
+	cmd   *command
+	start time.Time
+	argv  []string
+	cost  txCost
+}
+
+// outbox is one connection's reply path: the writer, and the in-order
+// window of executed requests whose replies wait for a log record.
+//
+// The durability wait is a property of the reply, not of the command:
+// the handler executes the frames already in its read buffer back to
+// back, each write committing in memory and enqueueing its record, and
+// a reply is released — observed, written, flushed — only once its own
+// record and every earlier reply's are on disk. So a connection's
+// pipelined writes ride one group commit instead of one each. The
+// handler blocks on the head of the window in two places only: before
+// a socket read (Read below), and when the window is full.
+type outbox struct {
+	srv  *Server
+	conn net.Conn
+	w    *resp.Writer
+	// win is a ring of replyWindow slots, allocated by the first reply
+	// that has to be held: a memory-only server never does.
+	win     []heldReply
+	head, n int
+}
+
+// Read is the source the connection's resp.Reader fills its buffer
+// from. The window is settled before every socket read, the one place
+// the handler sleeps with requests executed: whatever the peer does
+// next — send the rest of a half-received frame, wait for its replies,
+// nothing — no acked reply is held hostage to it.
+func (out *outbox) Read(p []byte) (int, error) {
+	if err := out.settle(true); err != nil {
+		return 0, err
+	}
+	return out.conn.Read(p)
+}
+
+// reply takes an executed request's reply: straight out when nothing is
+// held ahead of it and it waits for nothing — every reply of a
+// memory-only server — and into the window otherwise, releasing from
+// the head whatever has been acked meanwhile.
+func (out *outbox) reply(h heldReply) error {
+	if out.n == 0 && h.owed.ready() {
+		return out.release(&h)
+	}
+	if out.win == nil {
+		out.win = make([]heldReply, replyWindow)
+	}
+	if out.n == replyWindow {
+		if err := out.releaseHead(); err != nil {
+			return err
+		}
+	}
+	out.win[(out.head+out.n)%replyWindow] = h
+	out.n++
+	return out.settle(false)
+}
+
+// settle releases held replies in order: all of them, sleeping on each
+// record in turn, when block is set; otherwise up to the first whose
+// record is not yet on disk. Waiting on the head alone is sound because
+// tickets ack in enqueue order (see wal.Ticket) and one connection's
+// commits are enqueued in the order it executed them.
+func (out *outbox) settle(block bool) error {
+	for out.n > 0 && (block || out.win[out.head].owed.ready()) {
+		if err := out.releaseHead(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// releaseHead releases the oldest held reply, waiting for its record.
+func (out *outbox) releaseHead() error {
+	h := &out.win[out.head]
+	err := out.release(h)
+	*h = heldReply{}
+	out.head = (out.head + 1) % replyWindow
+	out.n--
+	if err != nil {
+		// The peer is gone. Nothing can be told about the requests still
+		// held; their captures are left to the collector, never returned
+		// to the pool, since the logger may still be reading them.
+		clear(out.win)
+		out.head, out.n = 0, 0
+	}
+	return err
+}
+
+// release waits out what the request is owed, then observes, writes and
+// flushes its reply — one write per reply, held or not. If the log
+// failed, the client is told so instead: the write stands in memory but
+// cannot be promised to survive a restart.
+func (out *outbox) release(h *heldReply) error {
+	if err := h.owed.wait(); err != nil {
+		h.reply = commandError(err)
+	}
+	if h.cmd != nil {
+		out.srv.observe(h.cmd, h.start, h.argv, h.reply, h.cost)
+	}
+	out.w.Value(h.reply)
+	return out.w.Flush()
+}
+
 // handle runs one connection's command loop. Every request takes the
 // same path: table lookup, arity check, parse, then — by MULTI state
-// and the command's flags — queue, reject or run. A command that fails
-// validation inside MULTI poisons the block (Redis-style), so EXEC
-// replays only well-formed commands, inside one atomic transaction.
+// and the command's flags — queue, reject or run, and the reply goes to
+// the connection's outbox. A command that fails validation inside MULTI
+// poisons the block (Redis-style), so EXEC replays only well-formed
+// commands, inside one atomic transaction.
 func (srv *Server) handle(conn net.Conn) {
 	defer srv.drop(conn)
 	srv.sm.connections.Inc()
 	srv.sm.clients.Add(1)
 	defer srv.sm.clients.Add(-1)
-	r := resp.NewReader(conn)
-	w := resp.NewWriter(conn)
+	out := &outbox{srv: srv, conn: conn, w: resp.NewWriter(conn)}
+	r := resp.NewReader(out)
 	var (
 		c connState
 		a args
@@ -184,18 +308,20 @@ func (srv *Server) handle(conn net.Conn) {
 	for !c.quit {
 		argv, err := r.ReadCommand()
 		if err != nil {
-			if resp.IsProtoError(err) {
+			// The frames before the bad one were executed; their replies
+			// come first.
+			if out.settle(true) == nil && resp.IsProtoError(err) {
 				// Tell the peer why before hanging up.
-				w.Error("ERR protocol error: " + err.Error())
-				w.Flush()
+				out.w.Error("ERR protocol error: " + err.Error())
+				out.w.Flush()
 			}
 			return
 		}
 		if len(argv) == 0 {
 			// An empty array frame (*0) is a syntactically valid
 			// non-command; answering beats crashing the handler.
-			w.Value(resp.ErrVal("ERR empty command"))
-			if err := w.Flush(); err != nil {
+			// It is no command, so nothing is observed for it (nil cmd).
+			if out.reply(heldReply{reply: resp.ErrVal("ERR empty command")}) != nil {
 				return
 			}
 			continue
@@ -206,7 +332,7 @@ func (srv *Server) handle(conn net.Conn) {
 		argv[0] = strings.ToUpper(argv[0])
 		cmd := lookupCommand(argv[0])
 		a = args{s: argv[1:]}
-		c.cost = txCost{}
+		c.cost, c.owed = txCost{}, pending{}
 		var invalid error
 		switch {
 		case cmd == unknownCommand:
@@ -234,12 +360,12 @@ func (srv *Server) handle(conn net.Conn) {
 		default:
 			reply = srv.runSingle(&c, cmd, &a)
 		}
-		srv.observe(cmd, start, argv, reply, c.cost)
-		w.Value(reply)
-		if err := w.Flush(); err != nil {
+		if out.reply(heldReply{reply, c.owed, cmd, start, argv, c.cost}) != nil {
 			return
 		}
 	}
+	// QUIT: its +OK, and every reply before it, goes out before the hang-up.
+	_ = out.settle(true) // hanging up either way
 }
 
 // txCost is what one transactional command cost in engine terms:
@@ -264,7 +390,8 @@ func (c *txCost) noteTx(tx *stm.Tx) {
 // runSingle executes one command as one atomic transaction.
 func (srv *Server) runSingle(c *connState, cmd *command, a *args) resp.Value {
 	var reply resp.Value
-	err := srv.store.Atomically(func(tx *stm.Tx, now int64) error {
+	var err error
+	c.owed, err = srv.store.commit(func(tx *stm.Tx, now int64) error {
 		tx.SetLabel(cmd.label)
 		var err error
 		reply, err = cmd.tx(srv.store, tx, now, a)
@@ -312,7 +439,8 @@ func (srv *Server) exec(c *connState, _ *args) resp.Value {
 		return resp.ErrVal("EXECABORT Transaction discarded because of previous errors")
 	}
 	replies := make([]resp.Value, len(c.queue))
-	err := srv.store.Atomically(func(tx *stm.Tx, now int64) (err error) {
+	var err error
+	c.owed, err = srv.store.commit(func(tx *stm.Tx, now int64) (err error) {
 		tx.SetLabel(execLabel)
 		for i := range c.queue {
 			q := &c.queue[i]

@@ -209,51 +209,69 @@ func (st *Store) chain(tx *stm.Tx, key string) (*entry, *stm.Var[*entry], error)
 // group-committed: Atomically returns only once the record is
 // durably on disk (or surfaces the log's error — the memory commit
 // stands either way; a log that cannot persist is poisoned and the
-// server should be restarted into recovery).
+// server should be restarted into recovery). It is commit followed by
+// wait; the server's handler takes the two steps apart so that one
+// connection's pipelined writes share a group commit.
 func (st *Store) Atomically(fn func(tx *stm.Tx, now int64) error) error {
-	now := st.now()
-	if st.log == nil {
-		if err := st.s.Atomically(func(tx *stm.Tx) error { return fn(tx, now) }); err != nil {
-			return err
-		}
-		_ = st.Groom()
-		return nil
-	}
-	c := capturePool.Get().(*writeCapture)
-	var ticket *wal.Ticket
-	err := st.s.Atomically(func(tx *stm.Tx) error {
-		// Re-arm per attempt: the local slot does not survive a retry.
-		c.ops = c.ops[:0]
-		tx.SetLocal(c)
-		if err := fn(tx, now); err != nil {
-			return err
-		}
-		if len(c.ops) > 0 {
-			tx.OnCommit(func() { ticket = st.log.Append(c.ops) })
-		}
-		return nil
-	})
+	p, err := st.commit(fn)
 	if err != nil {
-		// Never committed, so the hook never fired and nothing holds
-		// the capture.
-		capturePool.Put(c)
 		return err
 	}
-	if ticket != nil {
-		// The durability wait happens here — after tryCommit released
-		// the commit stripes — so the fsync latency is off the
-		// engine's critical path.
-		werr := ticket.Wait()
-		capturePool.Put(c) // acked: the logger has encoded the ops
-		if werr != nil {
-			_ = st.Groom()
-			return fmt.Errorf("kv: wal: %w", werr)
-		}
+	return p.wait()
+}
+
+// pending is the durability a committed transaction is still owed: the
+// WAL ticket of its write set and the pooled capture the logger reads
+// that write set from. The zero value owes nothing — a store without a
+// WAL, a transaction that wrote nothing.
+type pending struct {
+	ticket *wal.Ticket
+	c      *writeCapture
+}
+
+// commit is Atomically up to the durability wait: when it returns nil
+// the transaction is committed in memory, visible to every other
+// transaction, and — with a WAL attached — its write set is enqueued
+// for the logger in commit order. The caller owes the returned pending
+// exactly one wait before it may tell anyone the write happened, or
+// none at all if it never will (the capture is then left to the
+// collector: it must not return to the pool while the logger can still
+// read it, and only wait knows when that is).
+func (st *Store) commit(fn func(tx *stm.Tx, now int64) error) (pending, error) {
+	now := st.now()
+	var p pending
+	var err error
+	if st.log == nil {
+		err = st.s.Atomically(func(tx *stm.Tx) error { return fn(tx, now) })
 	} else {
-		capturePool.Put(c)
+		// Declared here, not above: the hook captures it, so it lives on
+		// the heap, and a store without a log should not pay for that.
+		logged := pending{c: capturePool.Get().(*writeCapture)}
+		err = st.s.Atomically(func(tx *stm.Tx) error {
+			// Re-arm per attempt: the local slot does not survive a retry.
+			logged.c.ops = logged.c.ops[:0]
+			tx.SetLocal(logged.c)
+			if err := fn(tx, now); err != nil {
+				return err
+			}
+			if len(logged.c.ops) > 0 {
+				tx.OnCommit(func() { logged.ticket = st.log.Append(logged.c.ops) })
+			}
+			return nil
+		})
+		if logged.ticket != nil {
+			p = logged
+		} else {
+			// Never committed, or committed no writes: the hook never
+			// fired and nothing holds the capture.
+			capturePool.Put(logged.c)
+		}
+	}
+	if err != nil {
+		return pending{}, err
 	}
 	// Grooming is decoupled from the operation's outcome: by this point
-	// fn has durably committed, and reporting a resize failure as the
+	// fn has committed, and reporting a resize failure as the
 	// operation's error would make a caller retry (and double-apply) a
 	// non-idempotent op like Incr. A failed grow re-arms the shard's
 	// signal (see Table.MaybeGrow), so nothing is lost: maintenance
@@ -261,6 +279,25 @@ func (st *Store) Atomically(fn func(tx *stm.Tx, now int64) error) error {
 	// genuinely broken enough to fail the resize transaction will fail
 	// the very next operation too.
 	_ = st.Groom()
+	return p, nil
+}
+
+// ready reports, without blocking, whether wait would return at once.
+func (p pending) ready() bool { return p.ticket == nil || p.ticket.Done() }
+
+// wait blocks until the transaction's record is durably on disk — after
+// tryCommit released the commit stripes, so the fsync latency is off
+// the engine's critical path — and returns the log's error if it is
+// not. Call it at most once: it recycles the capture.
+func (p pending) wait() error {
+	if p.ticket == nil {
+		return nil
+	}
+	err := p.ticket.Wait()
+	capturePool.Put(p.c) // acked: the logger has encoded the ops
+	if err != nil {
+		return fmt.Errorf("kv: wal: %w", err)
+	}
 	return nil
 }
 

@@ -198,17 +198,38 @@ func (r *Reader) readBulk() (string, error) {
 	if n < 0 || n > MaxBulk {
 		return "", protoErrf("bulk length %d out of range [0,%d]", n, MaxBulk)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	return r.readPayload(int(n), "bulk string")
+}
+
+// readPayload reads a bulk payload of n bytes (already checked against
+// MaxBulk) and its CRLF terminator; what names the payload in the
+// missing-terminator error. A payload that fits the read buffer is
+// copied out of it once, into the string returned; a larger one goes
+// through a buffer of its own.
+func (r *Reader) readPayload(n int, what string) (string, error) {
+	var buf []byte
+	var err error
+	inPlace := n+2 <= r.br.Size()
+	if inPlace {
+		buf, err = r.br.Peek(n + 2)
+	} else {
+		buf = make([]byte, n+2)
+		_, err = io.ReadFull(r.br, buf)
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return "", err
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return "", protoErrf("bulk string missing CRLF terminator")
+		return "", protoErrf("%s missing CRLF terminator", what)
 	}
-	return string(buf[:n]), nil
+	s := string(buf[:n])
+	if inPlace {
+		_, err = r.br.Discard(n + 2) // cannot fail: Peek just returned these bytes
+	}
+	return s, err
 }
 
 // Writer encodes server replies. Methods buffer; call Flush once per
@@ -225,36 +246,57 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
 }
 
-func (w *Writer) writeString(s string) {
-	if w.err == nil {
-		_, w.err = w.bw.WriteString(s)
+// The encoders write marker, payload and terminator separately into
+// the buffer — no reply is first assembled as a string. bufio.Writer's
+// errors are sticky, so only the last write of a reply is checked.
+
+// line writes a marker, a payload and CRLF.
+func (w *Writer) line(marker byte, s string) {
+	if w.err != nil {
+		return
 	}
+	w.bw.WriteByte(marker)
+	w.bw.WriteString(s)
+	_, w.err = w.bw.WriteString("\r\n")
+}
+
+// number writes a marker, a decimal integer and CRLF, formatting the
+// digits in the buffer's free space.
+func (w *Writer) number(marker byte, n int64) {
+	if w.err != nil {
+		return
+	}
+	w.bw.WriteByte(marker)
+	w.bw.Write(strconv.AppendInt(w.bw.AvailableBuffer(), n, 10))
+	_, w.err = w.bw.WriteString("\r\n")
 }
 
 // Simple writes a simple-string reply: +s.
-func (w *Writer) Simple(s string) { w.writeString("+" + s + "\r\n") }
+func (w *Writer) Simple(s string) { w.line('+', s) }
 
 // Error writes an error reply: -msg.
-func (w *Writer) Error(msg string) { w.writeString("-" + msg + "\r\n") }
+func (w *Writer) Error(msg string) { w.line('-', msg) }
 
 // Int writes an integer reply: :n.
-func (w *Writer) Int(n int64) { w.writeString(":" + strconv.FormatInt(n, 10) + "\r\n") }
+func (w *Writer) Int(n int64) { w.number(':', n) }
 
 // Bulk writes a bulk-string reply: $len/payload. The payload is
-// written as-is (no concatenation): a GET-heavy workload must not pay
-// an extra copy of up to MaxBulk per reply.
+// written as-is: a GET-heavy workload must not pay an extra copy of up
+// to MaxBulk per reply.
 func (w *Writer) Bulk(s string) {
-	w.writeString("$" + strconv.Itoa(len(s)) + "\r\n")
-	w.writeString(s)
-	w.writeString("\r\n")
+	w.number('$', int64(len(s)))
+	if w.err == nil {
+		w.bw.WriteString(s)
+		_, w.err = w.bw.WriteString("\r\n")
+	}
 }
 
 // Null writes the null bulk reply ($-1), Redis's "no such key".
-func (w *Writer) Null() { w.writeString("$-1\r\n") }
+func (w *Writer) Null() { w.number('$', -1) }
 
 // Array writes an array header for n elements; the caller then writes
 // the n replies.
-func (w *Writer) Array(n int) { w.writeString("*" + strconv.Itoa(n) + "\r\n") }
+func (w *Writer) Array(n int) { w.number('*', int64(n)) }
 
 // Flush drains the buffer and reports the first error of the batch.
 func (w *Writer) Flush() error {

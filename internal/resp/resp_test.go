@@ -137,6 +137,35 @@ func TestWriterReplies(t *testing.T) {
 	}
 }
 
+// TestCodecAllocs pins what the wire costs the allocator: encoding a
+// reply allocates nothing (marker, payload and terminator go to the
+// buffer separately, digits are formatted in its free space), and
+// decoding a command allocates the argument slice plus one string per
+// argument — bulk payloads are copied out of the read buffer once.
+func TestCodecAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	reply := ArrayVal(SimpleVal("OK"), ErrVal("ERR boom"), IntVal(-1234567), BulkVal("hello"), NullVal())
+	if n := testing.AllocsPerRun(100, func() {
+		w.Value(reply)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("encode: %v allocs per reply, want 0", n)
+	}
+
+	const frame = "*3\r\n$3\r\nSET\r\n$8\r\nkey:0001\r\n$5\r\nvalue\r\n"
+	const runs = 100
+	r := NewReader(strings.NewReader(strings.Repeat(frame, runs+1))) // AllocsPerRun warms up once
+	if n := testing.AllocsPerRun(runs, func() {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 3 {
+			t.Fatalf("ReadCommand = %q, %v", args, err)
+		}
+	}); n != 4 {
+		t.Errorf("decode: %v allocs per 3-argument command, want 4 (the slice and one per argument)", n)
+	}
+}
+
 // errWriter fails after n bytes, for the sticky-error contract.
 type errWriter struct {
 	n int

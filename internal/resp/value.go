@@ -63,7 +63,7 @@ func (w *Writer) Value(v Value) {
 		}
 	case '*':
 		if v.Null {
-			w.writeString("*-1\r\n")
+			w.number('*', -1)
 		} else {
 			w.Array(len(v.Elems))
 			for _, e := range v.Elems {
@@ -120,17 +120,11 @@ func (r *Reader) readReply(depth int) (Value, error) {
 		if n < 0 || n > MaxBulk {
 			return Value{}, protoErrf("bulk length %d out of range [0,%d]", n, MaxBulk)
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+		s, err := r.readPayload(int(n), "bulk reply")
+		if err != nil {
 			return Value{}, err
 		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Value{}, protoErrf("bulk reply missing CRLF terminator")
-		}
-		return BulkVal(string(buf[:n])), nil
+		return BulkVal(s), nil
 	case '*':
 		n, err := r.readInt()
 		if err != nil {

@@ -19,10 +19,11 @@
 // (Options.GroupWindow) so concurrent commits coalesce, encodes the
 // batch into CRC32C-framed records (frame.go), writes once and
 // fsyncs once per batch — so fsyncs per committed transaction shrink
-// with the batch depth — then acks every ticket in the batch.
-// Append's ack means "on disk"; AppendAsync forgoes the ack (and the
-// wait) for callers measuring logging overhead rather than fsync
-// latency.
+// with the batch depth — then acks every ticket in the batch, in
+// queue order (see Ticket). Append's ack means "on disk"; a caller
+// holding several tickets may run ahead and wait on the oldest only.
+// AppendAsync forgoes the ack (and the wait) for callers measuring
+// logging overhead rather than fsync latency.
 //
 // Snapshots (Snapshot) rotate the log onto a fresh segment, cut a
 // consistent checkpoint through a caller-supplied function, write it
@@ -70,9 +71,18 @@ func (o *Options) withDefaults() {
 }
 
 // Ticket is the handle for one enqueued write set.
+//
+// Tickets ack in enqueue order: the logger flushes the queue in order
+// and acks a batch front to back, a refused record (too large, or
+// enqueued on a dead log) acks in its turn like any other, and the
+// first write or fsync failure is sticky — it fails every ticket
+// behind it. A caller holding several tickets in enqueue order
+// therefore loses nothing by waiting on the oldest only: once a ticket
+// is Done, so is every earlier one, and once one has failed with the
+// log's error, none behind it will succeed.
 type Ticket struct {
 	ops    []Op
-	done   chan struct{}
+	done   chan struct{} // nil for AppendAsync's tickets: nobody can wait
 	err    error
 	rotate chan uint64 // non-nil marks a rotation control ticket
 	mark   int64       // rotation tickets: append count at enqueue
@@ -83,6 +93,27 @@ type Ticket struct {
 func (t *Ticket) Wait() error {
 	<-t.done
 	return t.err
+}
+
+// Done reports, without blocking, whether Wait would return at once.
+func (t *Ticket) Done() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// ack settles the ticket with err (a refusal recorded earlier wins)
+// and releases its waiter, if it can have one.
+func (t *Ticket) ack(err error) {
+	if t.err == nil {
+		t.err = err
+	}
+	if t.done != nil {
+		close(t.done)
+	}
 }
 
 // Stats is a point-in-time snapshot of the log's counters.
@@ -231,7 +262,7 @@ func (l *Log) AppendAsync(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	l.enqueue(&Ticket{ops: ops, done: make(chan struct{})})
+	l.enqueue(&Ticket{ops: ops})
 }
 
 func (l *Log) enqueue(t *Ticket) *Ticket {
@@ -298,26 +329,27 @@ func (l *Log) run() {
 }
 
 // flush writes one batch: records are encoded in queue order, written
-// with one Write and one fsync, then acked. Rotation tickets split
-// the batch — everything before the rotation is flushed to the old
-// segment first, so rotation is ordered like any other record.
+// with one Write and one fsync, then acked in queue order — a record
+// refused for its size waits its turn, so acks never overtake. Rotation
+// tickets split the batch — everything before the rotation is flushed
+// to the old segment first, so rotation is ordered like any other
+// record.
 func (l *Log) flush(batch []*Ticket) {
 	buf := l.encBuf[:0]
 	var acks []*Ticket
+	records := int64(0) // of acks, how many are encoded in buf
 	settle := func() {
-		if len(buf) > 0 {
-			l.batchOps.ObserveN(int64(len(acks)))
-			err := l.writeAndSync(buf)
-			if err != nil {
+		var err error
+		if records > 0 {
+			l.batchOps.ObserveN(records)
+			if err = l.writeAndSync(buf); err != nil {
 				l.poison(err)
 			}
-			for _, t := range acks {
-				t.err = err
-				close(t.done)
-			}
-			buf = buf[:0]
-			acks = acks[:0]
 		}
+		for _, t := range acks {
+			t.ack(err)
+		}
+		buf, acks, records = buf[:0], acks[:0], 0
 	}
 	for _, t := range batch {
 		if t.rotate != nil {
@@ -326,9 +358,8 @@ func (l *Log) flush(batch []*Ticket) {
 			if err != nil {
 				l.poison(err)
 			}
-			t.err = err
 			t.rotate <- seq
-			close(t.done)
+			t.ack(err)
 			continue
 		}
 		payload := appendRecord(l.frameBuf[:0], t.ops)
@@ -336,11 +367,11 @@ func (l *Log) flush(batch []*Ticket) {
 		if len(payload) > MaxRecord {
 			l.dropped.Add(1)
 			t.err = ErrRecordTooLarge
-			close(t.done)
-			continue
+		} else {
+			buf = appendFrame(buf, payload)
+			l.records.Add(1)
+			records++
 		}
-		buf = appendFrame(buf, payload)
-		l.records.Add(1)
 		acks = append(acks, t)
 	}
 	settle()
@@ -388,11 +419,10 @@ func (l *Log) poison(err error) {
 // fail acks a ticket with an error, keeping a refused rotation
 // ticket's waiter from hanging on its sequence channel.
 func (t *Ticket) fail(err error) {
-	t.err = err
 	if t.rotate != nil {
 		t.rotate <- 0
 	}
-	close(t.done)
+	t.ack(err)
 }
 
 func (l *Log) stickyErr() error {

@@ -495,6 +495,126 @@ func TestRecordTooLarge(t *testing.T) {
 	}
 }
 
+// TestTicketsAckInEnqueueOrder pins the guarantee a holder of several
+// tickets relies on to wait on the oldest only: when any ticket is
+// done, every ticket enqueued before it is done too — a record refused
+// for its size included, which acks in its turn, not ahead of the
+// batch it was queued in.
+func TestTicketsAckInEnqueueOrder(t *testing.T) {
+	// A window long enough that the whole sequence shares batches.
+	l, err := Open(t.TempDir(), Options{GroupWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	huge := []Op{{Key: "k", Val: string(make([]byte, MaxRecord+1))}}
+	const n = 200
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		ops := []Op{{Key: "k", Val: strconv.Itoa(i)}}
+		if i%100 == 50 {
+			ops = huge
+		}
+		tickets[i] = l.Append(ops)
+	}
+	var wg sync.WaitGroup
+	for i := range tickets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := tickets[i].Wait()
+			if want := i%100 == 50; errors.Is(err, ErrRecordTooLarge) != want || (!want && err != nil) {
+				t.Errorf("ticket %d: err = %v", i, err)
+			}
+			for j := 0; j < i; j++ {
+				if !tickets[j].Done() {
+					t.Errorf("ticket %d acked before ticket %d", i, j)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// poisonAtRotate makes the log's next rotation fail — the next
+// segment's name is taken — which poisons the log like a failed write
+// or fsync would.
+func poisonAtRotate(t *testing.T, l *Log) {
+	t.Helper()
+	name := filepath.Join(l.Dir(), segmentName(l.Stats().Segment+1))
+	if err := os.WriteFile(name, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailureIsSticky: the first failure fails every ticket behind it,
+// in the same batch or enqueued later, and the records ahead of it are
+// acked clean — so whoever waits on its oldest ticket learns of the
+// failure no later than it would have by waiting on each.
+func TestFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{GroupWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisonAtRotate(t, l)
+	before := l.Append([]Op{{Key: "a", Val: "1"}})
+	rotated := make(chan error, 1)
+	go func() {
+		_, err := l.Rotate()
+		rotated <- err
+	}()
+	// The rotation is queued behind the first record, ahead of the next.
+	for l.Stats().QueueDepth < 2 && l.Err() == nil {
+		time.Sleep(100 * time.Microsecond)
+	}
+	behind := l.Append([]Op{{Key: "b", Val: "2"}})
+	l.AppendAsync([]Op{{Key: "c", Val: "3"}}) // ack-less tickets fail quietly
+	if err := before.Wait(); err != nil {
+		t.Fatalf("record ahead of the failure: %v", err)
+	}
+	rerr := <-rotated
+	if rerr == nil {
+		t.Fatal("rotation onto a taken segment name succeeded")
+	}
+	if err := behind.Wait(); !errors.Is(err, rerr) && err.Error() != rerr.Error() {
+		t.Fatalf("record behind the failure: err = %v, want %v", err, rerr)
+	}
+	later := l.Append([]Op{{Key: "d", Val: "4"}})
+	if !later.Done() || later.Wait() == nil {
+		t.Fatalf("append on a poisoned log: done %v", later.Done())
+	}
+	l.AppendAsync([]Op{{Key: "e", Val: "5"}})
+	if l.Err() == nil {
+		t.Fatal("Err() = nil on a poisoned log")
+	}
+	l.Close()
+	var c collect
+	if _, err := Recover(dir, c.apply); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Op{{Key: "a", Val: "1"}}; !reflect.DeepEqual(c.flat(), want) {
+		t.Fatalf("recovered %+v, want %+v", c.flat(), want)
+	}
+}
+
+// TestAppendAsyncAllocs: an ack-less append allocates its ticket and
+// nothing else — no channel nobody can wait on.
+func TestAppendAsyncAllocs(t *testing.T) {
+	// The logger sleeps through the measurement, so its own allocations
+	// stay out of the count; the queue's growth amortises to nothing.
+	l, err := Open(t.TempDir(), Options{GroupWindow: 100 * time.Millisecond, SkipLinger: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ops := []Op{{Key: "k", Val: "v"}}
+	if n := testing.AllocsPerRun(2000, func() { l.AppendAsync(ops) }); n != 1 {
+		t.Fatalf("AppendAsync: %v allocs, want 1", n)
+	}
+}
+
 func TestRecoverMissingDir(t *testing.T) {
 	var c collect
 	st, err := Recover(filepath.Join(t.TempDir(), "nope"), c.apply)

@@ -4,9 +4,12 @@
 # the restored state upholds the durable invariants — account
 # conservation (every MULTI/EXEC transfer is all-or-nothing across the
 # crash) and TTL semantics (a long-lived probe survives with its
-# deadline, an expired one stays dead). CI runs this after the
-# in-process smokes; see DESIGN.md §Durability for why the log's
-# per-key ordering makes the conservation check sound.
+# deadline, an expired one stays dead) — and that a pipelined write is
+# on disk when its reply is: 64 SETs sent in one write, the server
+# killed on the 64th +OK, every key read back after the restart. CI
+# runs this after the in-process smokes; see DESIGN.md §Durability for
+# why the log's per-key ordering makes the conservation check sound and
+# for the ack-ordering invariant the last phase probes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +37,45 @@ wait_ready() {
     done
     echo "crash_smoke: server never came up" >&2
     return 1
+}
+
+# pipelined_sets writes 64 inline SETs to the server in one write and
+# returns once it has read 64 +OK replies: the caller kills the server
+# on the spot.
+pipelined_sets() {
+    local req="" i line
+    for i in $(seq 1 64); do
+        req+="SET pipe:$i acked-$i\r\n"
+    done
+    exec 3<>"/dev/tcp/127.0.0.1/6404"
+    printf '%b' "$req" >&3
+    for i in $(seq 1 64); do
+        IFS= read -r -t 10 line <&3 || { echo "crash_smoke: reply $i of 64 never came" >&2; return 1; }
+        if [ "${line%$'\r'}" != "+OK" ]; then
+            echo "crash_smoke: pipelined SET $i answered '${line%$'\r'}'" >&2
+            return 1
+        fi
+    done
+    exec 3<&- 3>&-
+}
+
+# pipelined_gets reads the 64 keys back, again in one write, and fails
+# on the first that does not hold what was acknowledged.
+pipelined_gets() {
+    local req="" i len val
+    for i in $(seq 1 64); do
+        req+="GET pipe:$i\r\n"
+    done
+    exec 3<>"/dev/tcp/127.0.0.1/6404"
+    printf '%b' "$req" >&3
+    for i in $(seq 1 64); do
+        IFS= read -r -t 10 len <&3 && IFS= read -r -t 10 val <&3 || val=
+        if [ "${val%$'\r'}" != "acked-$i" ]; then
+            echo "crash_smoke: pipe:$i was acknowledged, then lost across kill -9 (read back '${len%$'\r'}' '${val%$'\r'}')" >&2
+            return 1
+        fi
+    done
+    exec 3<&- 3>&-
 }
 
 go build -o "$BIN" ./cmd/stmkv
@@ -76,6 +118,18 @@ echo "== phase 3: restart and audit the restored state =="
 SERVER_PID=$!
 wait_ready
 "$BIN" -audit check -addr "$ADDR"
+
+echo "== phase 4: 64 pipelined SETs in one write, kill -9 on the last +OK, read them back =="
+# The replies of a pipelined burst are released only as their records
+# reach the disk, so the instant the 64th +OK is read all 64 must
+# survive a kill.
+pipelined_sets
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+"$BIN" -addr "$ADDR" -data "$DATA" -walwindow 2ms &
+SERVER_PID=$!
+wait_ready
+pipelined_gets
 kill "$SERVER_PID" 2>/dev/null
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=
