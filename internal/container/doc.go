@@ -3,13 +3,16 @@
 // beyond the paper's four integer-set applications with the container
 // shapes real key-value systems are built from:
 //
-//   - HashSet[T]: a growable bucket array of variables, each holding
-//     an immutable chain — operations on different buckets are
-//     disjoint, so contention scales with bucket occupancy rather than
-//     structure size (the friendliest profile for every manager); the
-//     array itself lives in a Var (Table, the resize mechanism shared
-//     with internal/kv), so growing it is an ordinary transaction
-//     racing the writers;
+//   - Map[K, V]: the chained hash map — a growable array of bucket
+//     variables, each holding an immutable chain of bindings, so
+//     operations on different buckets are disjoint and contention
+//     scales with bucket occupancy rather than structure size (the
+//     friendliest profile for every manager). The array itself lives
+//     in a Var (Table), and the insert that leaves a chain longer than
+//     GrowChain doubles it inside its own transaction: no element
+//     count, no signal, no maintenance call. HashSet[T] is
+//     Map[T, struct{}]; internal/kv's shards and per-key field tables
+//     are Maps too;
 //   - Queue[T]: a Michael–Scott-style two-variable FIFO whose head and
 //     tail are permanent hot spots — every producer conflicts with
 //     every producer and every consumer with every consumer, the

@@ -1,236 +1,61 @@
 package container
 
 import (
-	"fmt"
 	"hash/maphash"
 
 	"repro/internal/stm"
 )
 
-// hsNode is one link of a bucket chain. Chains are immutable by
-// construction: Add and Remove build new nodes for the changed prefix
-// and share the unchanged suffix, so the Var's default shallow clone
-// (of the head pointer) is a correct private copy and a transaction's
-// tentative chain never aliases mutable committed state.
-type hsNode[T comparable] struct {
-	elem T
-	next *hsNode[T]
-}
-
-// HashSet is a transactional hash set: a growable array of buckets,
-// each a single stm.Var holding the bucket's chain head. Conflict
-// granularity is the bucket — transactions touching different buckets
-// are disjoint and never consult the contention manager, while
-// collisions within a bucket conflict whole-chain. The bucket array
-// itself lives in a Var (see Table), so resizing is a transaction
-// racing ordinary operations: inserts that walk an over-long chain
-// raise an advisory signal, and the owner drains it with MaybeGrow
-// between transactions.
+// HashSet is a transactional hash set: a Map from elements to nothing,
+// with the Map's conflict granularity (the bucket) and its growth (an
+// Add that leaves a chain too long doubles the array in its own
+// transaction).
 type HashSet[T comparable] struct {
-	table *Table[*hsNode[T]]
+	m *Map[T, struct{}]
 }
 
 // NewHashSet returns an empty set with the given initial number of
 // buckets (minimum 1). More buckets mean more disjoint parallelism;
-// fewer mean hotter chains — until MaybeGrow doubles the array.
+// fewer mean hotter chains — until an Add doubles the array.
 func NewHashSet[T comparable](buckets int) *HashSet[T] {
-	return &HashSet[T]{table: NewTable[*hsNode[T]](buckets)}
+	return &HashSet[T]{m: NewMap[T, struct{}]("", buckets, maphash.Comparable[T])}
 }
 
 // Buckets returns the committed bucket count (a non-transactional
-// snapshot; it changes only when MaybeGrow commits a resize).
-func (h *HashSet[T]) Buckets() int { return h.table.PeekLen() }
-
-// bucket hashes x to its bucket variable within the array version b.
-// The seed is fixed at construction, so the mapping is stable across
-// transaction retries; only the modulus changes when the table grows.
-func (h *HashSet[T]) bucket(b Buckets[*hsNode[T]], x T) *stm.Var[*hsNode[T]] {
-	return b.At(int(maphash.Comparable(h.table.Seed(), x) % uint64(b.Len())))
-}
+// snapshot).
+func (h *HashSet[T]) Buckets() int { return h.m.Buckets() }
 
 // Contains reports whether x is in the set.
 func (h *HashSet[T]) Contains(tx *stm.Tx, x T) (bool, error) {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return false, err
-	}
-	head, err := stm.Read(tx, h.bucket(b, x))
-	if err != nil {
-		return false, err
-	}
-	for n := head; n != nil; n = n.next {
-		if n.elem == x {
-			return true, nil
-		}
-	}
-	return false, nil
+	_, ok, err := h.m.Get(tx, x)
+	return ok, err
 }
 
-// Add inserts x and reports whether the set changed. Walking a chain
-// already growChain long raises the table's resize signal — an atomic
-// flag, not a transactional effect, so retries stay safe — for the
-// owner to act on with MaybeGrow.
+// Add inserts x and reports whether the set changed. Adding a present
+// element writes nothing.
 func (h *HashSet[T]) Add(tx *stm.Tx, x T) (bool, error) {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return false, err
-	}
-	bv := h.bucket(b, x)
-	head, err := stm.Read(tx, bv)
-	if err != nil {
-		return false, err
-	}
-	chain := 0
-	for n := head; n != nil; n = n.next {
-		if n.elem == x {
-			return false, nil
-		}
-		chain++
-	}
-	if chain >= GrowChain {
-		h.table.SignalGrowth()
-	}
-	return true, stm.Write(tx, bv, &hsNode[T]{elem: x, next: head})
+	_, present, err := h.m.set(tx, x, struct{}{}, setAdd)
+	return !present, err
 }
 
-// Remove deletes x and reports whether the set changed. The nodes
-// before x are rebuilt (chains are immutable); the suffix is shared.
+// Remove deletes x and reports whether the set changed.
 func (h *HashSet[T]) Remove(tx *stm.Tx, x T) (bool, error) {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return false, err
-	}
-	bv := h.bucket(b, x)
-	head, err := stm.Read(tx, bv)
-	if err != nil {
-		return false, err
-	}
-	var prefix []T
-	for n := head; n != nil; n = n.next {
-		if n.elem != x {
-			prefix = append(prefix, n.elem)
-			continue
-		}
-		rebuilt := n.next
-		for i := len(prefix) - 1; i >= 0; i-- {
-			rebuilt = &hsNode[T]{elem: prefix[i], next: rebuilt}
-		}
-		return true, stm.Write(tx, bv, rebuilt)
-	}
-	return false, nil
-}
-
-// MaybeGrow drains the advisory resize signal: if a pending signal's
-// exact recount confirms the load factor, the bucket array is doubled
-// in one transaction that rehashes every chain (see Table.MaybeGrow).
-// Call it between transactions — after an Add that might have
-// signalled, or periodically from a maintenance loop; with no signal
-// pending it is one atomic load. It reports whether a resize
-// committed.
-func (h *HashSet[T]) MaybeGrow(s *stm.STM) (bool, error) {
-	return h.table.MaybeGrow(s,
-		func(tx *stm.Tx, b Buckets[*hsNode[T]]) (int, error) {
-			total := 0
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return 0, err
-				}
-				for n := head; n != nil; n = n.next {
-					total++
-				}
-			}
-			return total, nil
-		},
-		func(tx *stm.Tx, old, neu Buckets[*hsNode[T]]) error {
-			heads := make([]*hsNode[T], neu.Len())
-			for i := 0; i < old.Len(); i++ {
-				head, err := stm.Read(tx, old.At(i))
-				if err != nil {
-					return err
-				}
-				for n := head; n != nil; n = n.next {
-					j := int(maphash.Comparable(h.table.Seed(), n.elem) % uint64(neu.Len()))
-					heads[j] = &hsNode[T]{elem: n.elem, next: heads[j]}
-				}
-			}
-			for j, head := range heads {
-				if head == nil {
-					continue // fresh buckets already hold nil
-				}
-				if err := stm.Write(tx, neu.At(j), head); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+	_, ok, err := h.m.Delete(tx, x)
+	return ok, err
 }
 
 // Len counts the elements — a consistent multi-variable read over
-// every bucket, so it conflicts with all concurrent writers (the long
-// read-only scan the paper's bank-auditor scenario stresses).
-func (h *HashSet[T]) Len(tx *stm.Tx) (int, error) {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for i := 0; i < b.Len(); i++ {
-		head, err := stm.Read(tx, b.At(i))
-		if err != nil {
-			return 0, err
-		}
-		for n := head; n != nil; n = n.next {
-			total++
-		}
-	}
-	return total, nil
-}
+// every bucket, so it conflicts with all concurrent writers.
+func (h *HashSet[T]) Len(tx *stm.Tx) (int, error) { return h.m.Len(tx) }
 
 // Elems returns every element, grouped by bucket in chain order — a
 // consistent snapshot of the whole set.
 func (h *HashSet[T]) Elems(tx *stm.Tx) ([]T, error) {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return nil, err
-	}
 	var out []T
-	for i := 0; i < b.Len(); i++ {
-		head, err := stm.Read(tx, b.At(i))
-		if err != nil {
-			return nil, err
-		}
-		for n := head; n != nil; n = n.next {
-			out = append(out, n.elem)
-		}
-	}
-	return out, nil
+	err := h.m.Each(tx, func(x T, _ struct{}) error { out = append(out, x); return nil })
+	return out, err
 }
 
-// CheckInvariants verifies the set's structural invariants inside tx:
-// every element hashes to the bucket that holds it (under the current
-// array version), and no element appears twice. It is the audit hook
-// the harness runs after a benchmark point.
-func (h *HashSet[T]) CheckInvariants(tx *stm.Tx) error {
-	b, err := h.table.Buckets(tx)
-	if err != nil {
-		return err
-	}
-	seen := make(map[T]bool)
-	for i := 0; i < b.Len(); i++ {
-		head, err := stm.Read(tx, b.At(i))
-		if err != nil {
-			return err
-		}
-		for n := head; n != nil; n = n.next {
-			if want := h.bucket(b, n.elem); want != b.At(i) {
-				return fmt.Errorf("container: hashset element %v in bucket %d, hashes elsewhere", n.elem, i)
-			}
-			if seen[n.elem] {
-				return fmt.Errorf("container: hashset element %v duplicated", n.elem)
-			}
-			seen[n.elem] = true
-		}
-	}
-	return nil
-}
+// CheckInvariants verifies the underlying map's structural invariants
+// inside tx.
+func (h *HashSet[T]) CheckInvariants(tx *stm.Tx) error { return h.m.CheckInvariants(tx) }

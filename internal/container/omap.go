@@ -284,6 +284,17 @@ func (m *OMap[K, V]) Keys(tx *stm.Tx) ([]K, error) {
 	}
 }
 
+// Empty reports whether the map holds nothing: one read of the head's
+// level-0 successor, where Len walks the whole chain.
+func (m *OMap[K, V]) Empty(tx *stm.Tx) (bool, error) {
+	head, err := stm.Read(tx, m.head)
+	if err != nil {
+		return false, err
+	}
+	first, err := stm.Read(tx, head.next[0])
+	return first.kind == omTail, err
+}
+
 // Len counts the stored pairs — a consistent walk of the level-0
 // chain, without materializing the keys.
 func (m *OMap[K, V]) Len(tx *stm.Tx) (int, error) {

@@ -1,28 +1,24 @@
 package container
 
 import (
-	"fmt"
 	"hash/maphash"
-	"sync/atomic"
 
 	"repro/internal/stm"
 )
 
-// Table is the shared growable-bucket mechanism behind HashSet and the
-// kv store's shards: an array of bucket variables whose array *itself*
-// lives in a Var, so a resize is just another transaction racing
-// ordinary operations. Every operation reads the array variable first
-// (one read-set entry) and then its bucket; a grow builds a fresh
-// array of fresh bucket variables, rehashes the chains into it, and
-// writes the array variable — serializability of the whole store then
-// falls out of the STM: a grow that commits invalidates every
-// concurrent operation still reading the old array, and an operation
-// that commits first forces the grow to retry against the new chains.
+// Table is the bucket array under Map: an array of bucket variables
+// whose array *itself* lives in a Var, so a resize is just another
+// write racing ordinary operations. Every operation reads the array
+// variable first (one read-set entry) and then its bucket; a resize
+// builds a fresh array of fresh bucket variables and writes the array
+// variable — serializability then falls out of the STM: a resize that
+// commits invalidates every concurrent operation still reading the old
+// array, and an operation that commits first forces the resizing
+// transaction to retry against the new contents.
 //
-// The element type E is one bucket's whole content (an immutable chain
-// head, in both current callers); the Table never inspects it, so
-// walking chains for counting and rehashing is the caller's job via
-// the callbacks on MaybeGrow.
+// The element type E is one bucket's whole content; the Table never
+// inspects it. What a bucket holds, how keys map to buckets and when
+// the array grows are Map's business.
 type Table[E any] struct {
 	seed  maphash.Seed
 	state *stm.Var[tableState[E]]
@@ -33,21 +29,11 @@ type Table[E any] struct {
 	// recorder aggregates by name, and "which table convoys" is the
 	// question it answers.
 	name string
-
-	// growth is the advisory resize signal. Operations that walk an
-	// over-long chain set it from inside their transaction — a plain
-	// atomic store is retry-safe where a transactional counter would
-	// not be (and would serialize every writer on one hot variable) —
-	// and the structure's owner drains it between transactions with
-	// MaybeGrow, which recounts exactly before committing to a resize,
-	// so a signal raised by an attempt that later aborted costs one
-	// cheap no-op transaction, never a wrong-sized table.
-	growth atomic.Bool
 }
 
 // tableState is one committed version of the bucket array. The slice
-// is immutable after construction (a grow installs a brand-new slice),
-// so the Var's default shallow clone is a correct private copy.
+// is immutable after construction (a resize installs a brand-new
+// slice), so the Var's default shallow clone is a correct private copy.
 type tableState[E any] struct {
 	buckets []*stm.Var[E]
 }
@@ -67,50 +53,27 @@ func (b Buckets[E]) At(i int) *stm.Var[E] { return b.vars[i] }
 
 // NewTable returns a table with n buckets (minimum 1), each holding
 // E's zero value.
-func NewTable[E any](n int) *Table[E] { return NewNamedTable[E]("", n) }
+func NewTable[E any](n int) *Table[E] { return newTable[E]("", n) }
 
-// NewNamedTable is NewTable with a flight-recorder label on every
-// variable the table creates (see the name field). An empty name is
-// NewTable.
-func NewNamedTable[E any](name string, n int) *Table[E] {
-	if n < 1 {
-		n = 1
-	}
+// newTable is NewTable with a flight-recorder label on every variable
+// the table creates (see the name field).
+func newTable[E any](name string, n int) *Table[E] {
 	t := &Table[E]{seed: maphash.MakeSeed(), name: name}
-	vars := make([]*stm.Var[E], n)
-	for i := range vars {
-		vars[i] = t.newBucket()
-	}
-	t.state = t.newStateVar(tableState[E]{buckets: vars})
+	t.state = stm.NewNamedVar(name, tableState[E]{buckets: t.mint(make([]E, max(n, 1)))})
 	return t
 }
 
-// newBucket mints one bucket variable, labelled when the table is.
-func (t *Table[E]) newBucket() *stm.Var[E] {
-	var zero E
-	if t.name == "" {
-		return stm.NewVar(zero)
+// mint makes one fresh bucket variable per element of contents.
+func (t *Table[E]) mint(contents []E) []*stm.Var[E] {
+	vars := make([]*stm.Var[E], len(contents))
+	for i, c := range contents {
+		vars[i] = stm.NewNamedVar(t.name, c)
 	}
-	return stm.NewNamedVar(t.name, zero)
+	return vars
 }
-
-// newStateVar mints the bucket-array variable, labelled when the
-// table is.
-func (t *Table[E]) newStateVar(st tableState[E]) *stm.Var[tableState[E]] {
-	if t.name == "" {
-		return stm.NewVar(st)
-	}
-	return stm.NewNamedVar(t.name, st)
-}
-
-// Seed is the table's hash seed, fixed at construction so the
-// key-to-bucket mapping is stable across transaction retries and
-// resizes (a grow re-buckets with the same seed, modulo the new
-// length).
-func (t *Table[E]) Seed() maphash.Seed { return t.seed }
 
 // Buckets reads the current bucket array inside tx. The array variable
-// joins the read set, so a concurrent grow that commits aborts this
+// joins the read set, so a concurrent resize that commits aborts this
 // transaction — the mechanism that makes resize serializable against
 // every ordinary operation.
 func (t *Table[E]) Buckets(tx *stm.Tx) (Buckets[E], error) {
@@ -121,106 +84,16 @@ func (t *Table[E]) Buckets(tx *stm.Tx) (Buckets[E], error) {
 	return Buckets[E]{vars: st.buckets}, nil
 }
 
-// PeekLen returns the committed bucket count outside any transaction —
-// a single-variable snapshot for reports and tests.
-func (t *Table[E]) PeekLen() int { return len(t.state.Peek().buckets) }
+// peek returns the committed bucket array outside any transaction.
+// Like Var.Peek it is a single-variable snapshot: the array is the one
+// committed at some instant during the call, but reading the buckets'
+// contents afterwards observes each bucket independently.
+func (t *Table[E]) peek() Buckets[E] { return Buckets[E]{vars: t.state.Peek().buckets} }
 
-// PeekBuckets returns the committed bucket array outside any
-// transaction. Like Var.Peek it is a single-variable snapshot: the
-// array is the one committed at some instant during the call, but
-// reading the buckets' contents afterwards observes each bucket
-// independently. For observability (key counts, chain-depth probes),
-// not for invariant-carrying reads.
-func (t *Table[E]) PeekBuckets() Buckets[E] { return Buckets[E]{vars: t.state.Peek().buckets} }
-
-// SignalGrowth raises the advisory resize flag. Safe to call from
-// inside a transaction (it is not a transactional effect and is
-// harmless on attempts that abort); the owner drains it with
-// MaybeGrow.
-func (t *Table[E]) SignalGrowth() { t.growth.Store(true) }
-
-// GrowthSignalled reports (without consuming) the advisory flag.
-func (t *Table[E]) GrowthSignalled() bool { return t.growth.Load() }
-
-// maxLoad is the shared grow policy: a table is resized when its
-// element count exceeds maxLoad per bucket, doubling until it does
-// not. Chains stay short without resizing on every excursion.
-const maxLoad = 2
-
-// GrowChain is the companion signalling policy: callers raise the
-// advisory resize signal when a write walks a chain at least this
-// long. One constant for every Table client (HashSet, the kv store's
-// shards), so the two halves of the grow policy cannot drift apart.
-const GrowChain = 6
-
-// MaybeGrow consumes the advisory growth signal and, if an exact count
-// confirms the table is over maxLoad elements per bucket, doubles the
-// bucket array (repeatedly, if needed) inside one transaction:
-// count(tx, old) tallies the elements, rehash(tx, old, neu) moves
-// every chain into the fresh array. It reports whether a resize
-// committed. With no signal pending it is one atomic load — cheap
-// enough to call after every operation.
-func (t *Table[E]) MaybeGrow(
-	s *stm.STM,
-	count func(tx *stm.Tx, b Buckets[E]) (int, error),
-	rehash func(tx *stm.Tx, old, neu Buckets[E]) error,
-) (bool, error) {
-	if !t.growth.CompareAndSwap(true, false) {
-		return false, nil
-	}
-	grown := false
-	err := s.Atomically(func(tx *stm.Tx) error {
-		var err error
-		grown, err = t.GrowTx(tx, count, rehash)
-		return err
-	})
-	if err != nil {
-		// The signal was consumed but the resize never committed; re-arm
-		// it so the growth is retried rather than lost, and let the
-		// caller decide how loudly to fail.
-		t.growth.Store(true)
-		return false, fmt.Errorf("container: table grow: %w", err)
-	}
-	return grown, nil
-}
-
-// GrowTx is the resize body of MaybeGrow exposed for callers already
-// inside a transaction: count exactly, double the bucket array until
-// the load factor holds, rehash, install. Per-key container tables
-// (the kv store's hashes and zset member indexes) use it directly —
-// the transaction that walked an over-long chain grows the table it
-// is about to mutate, and the grow commits or aborts with the
-// mutation, so no advisory signal or out-of-band owner is needed.
-// Reports whether a resize was installed in tx.
-func (t *Table[E]) GrowTx(
-	tx *stm.Tx,
-	count func(tx *stm.Tx, b Buckets[E]) (int, error),
-	rehash func(tx *stm.Tx, old, neu Buckets[E]) error,
-) (bool, error) {
-	old, err := t.Buckets(tx)
-	if err != nil {
-		return false, err
-	}
-	n, err := count(tx, old)
-	if err != nil {
-		return false, err
-	}
-	target := old.Len()
-	for n > target*maxLoad {
-		target *= 2
-	}
-	if target == old.Len() {
-		return false, nil
-	}
-	neu := Buckets[E]{vars: make([]*stm.Var[E], target)}
-	for i := range neu.vars {
-		neu.vars[i] = t.newBucket()
-	}
-	if err := rehash(tx, old, neu); err != nil {
-		return false, err
-	}
-	if err := stm.Write(tx, t.state, tableState[E]{buckets: neu.vars}); err != nil {
-		return false, err
-	}
-	return true, nil
+// resize replaces the bucket array inside tx with fresh variables
+// holding contents. The new variables are born with their contents
+// rather than written to: they are unreachable until the array
+// variable's write commits, so they cost the transaction no opens.
+func (t *Table[E]) resize(tx *stm.Tx, contents []E) error {
+	return stm.Write(tx, t.state, tableState[E]{buckets: t.mint(contents)})
 }

@@ -32,23 +32,12 @@ type app interface {
 	draw(rng *rand.Rand) opDesc
 	// step runs the drawn operation inside tx; it must be retry-safe.
 	step(tx *stm.Tx, d opDesc) error
-	// after runs between transactions, after a committed operation —
-	// the post-commit maintenance slot (the kv store drains its shard
-	// resize signals here). Implementations must be cheap when there
-	// is nothing to do; most apps are no-ops via noMaintenance.
-	after(s *stm.STM) error
 	// mixName reports the op-mix label for measured points: the mix's
 	// name for apps that honour it, empty for fixed-workload apps.
 	mixName() string
 	// audit verifies structural integrity after the run.
 	audit(s *stm.STM) error
 }
-
-// noMaintenance is the after hook of apps with no between-transaction
-// upkeep.
-type noMaintenance struct{}
-
-func (noMaintenance) after(*stm.STM) error { return nil }
 
 // closer is the optional cleanup hook an app may implement when a run
 // leaves external state behind (files, goroutines); Run invokes it
@@ -138,7 +127,6 @@ func newApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) (app, error) 
 // forest's one-or-all variant. The op mix is fixed by the paper, so
 // cfg.Mix does not apply here.
 type intsetApp struct {
-	noMaintenance
 	set intset.Set
 	// forest is non-nil when set is the red-black forest, hoisting the
 	// type assertion out of the per-operation path.
@@ -221,7 +209,6 @@ func (a *intsetApp) audit(s *stm.STM) error {
 // op is a consistent whole-set Len — the long read-only scan that
 // conflicts with every concurrent writer.
 type hashsetApp struct {
-	noMaintenance
 	set  *container.HashSet[int]
 	keys workload.KeyDist
 	mix  workload.OpMix
@@ -275,7 +262,6 @@ func (a *hashsetApp) audit(s *stm.STM) error {
 // every consumer at the head, whatever the key distribution — the
 // keys only supply the enqueued values.
 type queueApp struct {
-	noMaintenance
 	q    *container.Queue[int]
 	keys workload.KeyDist
 	mix  workload.OpMix
@@ -324,7 +310,6 @@ func (a *queueApp) audit(s *stm.STM) error {
 // ops walk the tower path, and the mix's range op scans
 // [key, key+RangeSpan) as one consistent read set.
 type omapApp struct {
-	noMaintenance
 	m    *container.OMap[int, int]
 	keys workload.KeyDist
 	mix  workload.OpMix
@@ -371,10 +356,9 @@ func (a *omapApp) audit(s *stm.STM) error {
 // distribution index a precomputed name table ("key:000042"), so the
 // measured loop samples skew without formatting costs. Point ops map
 // to Get/Set/Del; the mix's range op is a consistent MGet over
-// RangeSpan consecutive names. The store's shard tables grow under
-// load: writes that walk an over-long chain raise the resize signal,
-// and the worker drains it in the after hook — a resize is one more
-// transaction racing the measured traffic, exactly as in cmd/stmkv.
+// RangeSpan consecutive names. The store's shards grow under load
+// inside the inserting transaction — a resize races the measured
+// traffic, exactly as in cmd/stmkv.
 type kvApp struct {
 	store *kv.Store
 	names []string
@@ -458,11 +442,6 @@ func (a *kvApp) step(tx *stm.Tx, d opDesc) error {
 		return err
 	}
 }
-
-// after drains pending shard-resize signals — the serving layer's
-// between-transaction grooming, here so a measured run exercises
-// transactional resize under whatever manager the figure sweeps.
-func (a *kvApp) after(s *stm.STM) error { return a.store.Groom() }
 
 func (a *kvApp) audit(s *stm.STM) error {
 	if err := a.store.CheckInvariants(); err != nil {
@@ -638,8 +617,6 @@ func (a *jobsApp) step(tx *stm.Tx, d opDesc) error {
 		return a.submit(tx, d)
 	}
 }
-
-func (a *jobsApp) after(s *stm.STM) error { return a.store.Groom() }
 
 // audit checks conservation in one consistent transaction: every
 // submitted job is pending, active, or done — nothing lost, nothing

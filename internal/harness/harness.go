@@ -172,7 +172,7 @@ type Point struct {
 	// CommitLatency is the engine-side distribution of successful
 	// Atomically calls (first attempt through commit), merged across
 	// the run's sessions. Unlike Latency it excludes the harness's
-	// draw/after bookkeeping — the two disagreeing is itself a signal.
+	// draw bookkeeping — the two disagreeing is itself a signal.
 	CommitLatency metrics.Histogram
 	// HotVars and HotEdges are the flight recorder's attribution: the
 	// top-K most conflicted named variables and the hottest
@@ -353,9 +353,6 @@ func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Co
 		err := s.Atomically(fn)
 		if errors.Is(err, errStopped) {
 			return nil
-		}
-		if err == nil {
-			err = application.after(s)
 		}
 		if err != nil {
 			return fmt.Errorf("harness: worker: %w", err)

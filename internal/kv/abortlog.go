@@ -187,18 +187,7 @@ func WithAbortLog(al *AbortLog) ServerOption {
 //  4. committed 0/1 5) cause          6) attempts
 //  7. wait_usec     8) latency_usec   9) array of event strings
 func (srv *Server) abortlogReply(_ *connState, a *args) resp.Value {
-	switch strings.ToUpper(a.s[0]) {
-	case "GET":
-		n := 10
-		if len(a.s) == 2 {
-			v, err := strconv.Atoi(a.s[1])
-			if err != nil {
-				return resp.ErrVal("ERR value is not an integer or out of range")
-			}
-			n = v
-		} else if len(a.s) > 2 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|get' command")
-		}
+	return logReply("ABORTLOG", a, func(n int) resp.Value {
 		entries := srv.abort.get(n)
 		elems := make([]resp.Value, len(entries))
 		for i, e := range entries {
@@ -219,18 +208,5 @@ func (srv *Server) abortlogReply(_ *connState, a *args) resp.Value {
 			)
 		}
 		return resp.ArrayVal(elems...)
-	case "LEN":
-		if len(a.s) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|len' command")
-		}
-		return resp.IntVal(srv.abort.Len())
-	case "RESET":
-		if len(a.s) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'abortlog|reset' command")
-		}
-		srv.abort.reset()
-		return resp.SimpleVal("OK")
-	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown ABORTLOG subcommand '%s'", a.s[0]))
-	}
+	}, srv.abort.Len, srv.abort.reset)
 }

@@ -4,16 +4,17 @@
 // exposes over its RESP-lite protocol.
 //
 // Layout: keys are hashed to one of a fixed number of shards, and each
-// shard is a growable bucket table (container.Table) whose bucket
-// array itself lives in a Var — so resizing a shard is an ordinary
-// transaction racing concurrent operations, serialized by the STM like
-// any other conflict. Buckets hold immutable chains of entries
-// (key, value, expiry), so the Var's shallow clone is a correct
-// private copy.
+// shard is a container.Map from key to entry (value, expiry) — a
+// chained hash map whose bucket array itself lives in a Var, so
+// resizing a shard is an ordinary transactional write racing
+// concurrent operations, serialized by the STM like any other
+// conflict. The map grows itself: the write that creates a key in an
+// over-long chain doubles the shard in the same transaction, so the
+// store has no maintenance step.
 //
 // Entries are typed: besides plain strings, a key may hold a hash (a
-// per-key field table), a list (container.Deque) or a sorted set (an
-// OMap score index plus a member table), with Redis semantics — a
+// per-key field Map), a list (container.Deque) or a sorted set (an
+// OMap score index plus a member Map), with Redis semantics — a
 // command against the wrong kind fails with ErrWrongType, TTLs attach
 // to whole keys, and a container emptied of its last element deletes
 // the key. Operations inside a container touch only that container's
@@ -29,8 +30,8 @@
 // concurrent singleton operations and shard resizes.
 //
 // Expiry is lazy: a read treats a dead entry as absent without
-// writing; writes that rebuild a chain drop dead entries in passing,
-// and Sweep reaps shard by shard, one transaction each. Time comes
+// writing, a write replaces or removes only the key it names, and
+// Sweep reaps shard by shard, one transaction each. Time comes
 // from the store's clock (monotonic nanoseconds; injectable for
 // tests), sampled once per logical transaction so retries replay
 // identical decisions.

@@ -275,20 +275,47 @@ func (sl *slowlog) reset() {
 	sl.mu.Unlock()
 }
 
-// slowlogReply serves SLOWLOG GET [n] | LEN | RESET.
-func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
-	switch strings.ToUpper(a.s[0]) {
+// logReply serves the GET [n] | LEN | RESET subcommands SLOWLOG and
+// ABORTLOG share; name is the command's, upper-cased, and get renders
+// the newest n entries.
+func logReply(name string, a *args, get func(n int) resp.Value, length func() int64, reset func()) resp.Value {
+	sub := strings.ToUpper(a.s[0])
+	wrongArgs := func() resp.Value {
+		return resp.ErrVal(fmt.Sprintf("ERR wrong number of arguments for '%s|%s' command", strings.ToLower(name), strings.ToLower(sub)))
+	}
+	switch sub {
 	case "GET":
 		n := 10
+		if len(a.s) > 2 {
+			return wrongArgs()
+		}
 		if len(a.s) == 2 {
 			v, err := strconv.Atoi(a.s[1])
 			if err != nil {
 				return resp.ErrVal("ERR value is not an integer or out of range")
 			}
 			n = v
-		} else if len(a.s) > 2 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|get' command")
 		}
+		return get(n)
+	case "LEN":
+		if len(a.s) != 1 {
+			return wrongArgs()
+		}
+		return resp.IntVal(length())
+	case "RESET":
+		if len(a.s) != 1 {
+			return wrongArgs()
+		}
+		reset()
+		return resp.SimpleVal("OK")
+	default:
+		return resp.ErrVal(fmt.Sprintf("ERR unknown %s subcommand '%s'", name, a.s[0]))
+	}
+}
+
+// slowlogReply serves SLOWLOG GET [n] | LEN | RESET.
+func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
+	return logReply("SLOWLOG", a, func(n int) resp.Value {
 		entries := srv.slow.get(n)
 		elems := make([]resp.Value, len(entries))
 		for i, e := range entries {
@@ -306,20 +333,7 @@ func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
 			)
 		}
 		return resp.ArrayVal(elems...)
-	case "LEN":
-		if len(a.s) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|len' command")
-		}
-		return resp.IntVal(srv.slow.len())
-	case "RESET":
-		if len(a.s) != 1 {
-			return resp.ErrVal("ERR wrong number of arguments for 'slowlog|reset' command")
-		}
-		srv.slow.reset()
-		return resp.SimpleVal("OK")
-	default:
-		return resp.ErrVal(fmt.Sprintf("ERR unknown SLOWLOG subcommand '%s'", a.s[0]))
-	}
+	}, srv.slow.len, srv.slow.reset)
 }
 
 // infoSections lists the sections in rendering order.

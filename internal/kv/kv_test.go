@@ -205,38 +205,17 @@ func hammerOps(t *testing.T) int {
 
 // TestStoreResizeUnderMutators races shard resizes against 32
 // goroutines mutating concurrently: tiny initial bucket arrays, every
-// writer inserting a disjoint key range with interleaved deletes, and
-// grooming running both inline (top-level Set drains signals) and from
-// a dedicated maintenance goroutine. Transactional resize must
-// preserve every live key.
+// writer inserting a disjoint key range with interleaved deletes, so
+// the Sets that find a chain too long resize their shard against
+// everyone else's traffic. Transactional resize must preserve every
+// live key.
 func TestStoreResizeUnderMutators(t *testing.T) {
 	const writers = 32
 	perWriter := hammerOps(t)
 	s := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")), stm.WithInterleavePeriod(4))
 	st := New(s, WithShards(4), WithBuckets(1))
 	var wg sync.WaitGroup
-	errs := make([]error, writers+1)
-	stop := make(chan struct{})
-	var maint sync.WaitGroup
-	maint.Add(1)
-	go func() {
-		defer maint.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := st.Groom(); err != nil {
-				errs[writers] = err
-				return
-			}
-			// Pace the drain: back-to-back whole-shard recounts would
-			// serialize against every writer and starve the storm the
-			// test exists to create.
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
+	errs := make([]error, writers)
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -257,8 +236,6 @@ func TestStoreResizeUnderMutators(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	maint.Wait()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -289,6 +266,80 @@ func TestStoreResizeUnderMutators(t *testing.T) {
 			t.Fatalf("Get(%s) = %q, %v, %v", key, v, ok, err)
 		}
 	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// opensPerCommit runs fn and returns how many transactions it committed
+// on st's engine and how many variables they opened per commit.
+func opensPerCommit(t *testing.T, st *Store, fn func()) (commits int64, opens float64) {
+	t.Helper()
+	before := st.STM().TotalStats()
+	fn()
+	after := st.STM().TotalStats()
+	commits = after.Commits - before.Commits
+	return commits, float64(after.Opens-before.Opens) / float64(commits)
+}
+
+// TestStoreOverwriteCostsNoMaintenance is the hot-key regression: 8 000
+// keys in one shard of 4 096 buckets put hundreds of keys in chains
+// longer than seven, and overwriting a key must cost one transaction
+// of at most four opens however long its chain. (A store that reacts
+// to long chains on every write — recounting the shard to find out
+// that it need not grow — fails both counts.)
+func TestStoreOverwriteCostsNoMaintenance(t *testing.T) {
+	const keys, rounds = 8_000, 10_000
+	st := New(stm.New(), WithShards(1), WithBuckets(4096))
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("key:%d", i)
+		if err := st.Set(names[i], "0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits, opens := opensPerCommit(t, st, func() {
+		for i := 0; i < rounds; i++ {
+			if err := st.Set(names[i%keys], "1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if commits != rounds {
+		t.Fatalf("%d overwrites took %d commits", rounds, commits)
+	}
+	if opens > 4 {
+		t.Fatalf("overwrites opened %.2f variables per commit, want <= 4", opens)
+	}
+}
+
+// TestStorePreloadOpens is the preload regression: filling a default
+// store, resizes included, averages at most four opens per SET and
+// leaves the structure sound.
+func TestStorePreloadOpens(t *testing.T) {
+	keys := 200_000
+	if testing.Short() {
+		keys = 40_000
+	}
+	st := New(stm.New())
+	commits, opens := opensPerCommit(t, st, func() {
+		for i := 0; i < keys; i++ {
+			if err := st.Set(fmt.Sprintf("key:%d", i), "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if commits != int64(keys) {
+		t.Fatalf("%d SETs took %d commits", keys, commits)
+	}
+	if opens > 4 {
+		t.Fatalf("preload opened %.2f variables per commit, want <= 4", opens)
+	}
+	total := 0
+	for _, b := range st.BucketsPerShard() {
+		total += b
+	}
+	t.Logf("%d keys: %.2f opens/commit, %d buckets", keys, opens, total)
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

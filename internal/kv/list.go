@@ -55,12 +55,11 @@ func (st *Store) RPopTx(tx *stm.Tx, now int64, key string) (string, bool, error)
 }
 
 func (st *Store) popTx(tx *stm.Tx, now int64, key string, front bool) (string, bool, error) {
-	e, err := st.typedEntry(tx, now, key, kindList)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindList)
+	if err != nil || !ok {
 		return "", false, err
 	}
 	var v string
-	var ok bool
 	if front {
 		v, ok, err = e.list.PopFront(tx)
 	} else {
@@ -75,7 +74,7 @@ func (st *Store) popTx(tx *stm.Tx, now int64, key string, front bool) (string, b
 		return "", false, err
 	}
 	if n == 0 {
-		if err := st.removeKeyTx(tx, now, key); err != nil {
+		if err := st.removeKeyTx(tx, key); err != nil {
 			return "", false, err
 		}
 	}
@@ -85,8 +84,8 @@ func (st *Store) popTx(tx *stm.Tx, now int64, key string, front bool) (string, b
 // LLenTx reports the length of the list at key (0 when absent) from
 // the deque's end counters — no chain walk.
 func (st *Store) LLenTx(tx *stm.Tx, now int64, key string) (int, error) {
-	e, err := st.typedEntry(tx, now, key, kindList)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindList)
+	if err != nil || !ok {
 		return 0, err
 	}
 	return e.list.Len(tx)
@@ -97,8 +96,8 @@ func (st *Store) LLenTx(tx *stm.Tx, now int64, key string) (int, error) {
 // the back, Redis-style. A non-negative range walks only the prefix
 // it needs.
 func (st *Store) LRangeTx(tx *stm.Tx, now int64, key string, start, stop int) ([]string, error) {
-	e, err := st.typedEntry(tx, now, key, kindList)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindList)
+	if err != nil || !ok {
 		return nil, err
 	}
 	if start >= 0 && stop >= 0 {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/container"
 	"repro/internal/stm"
 	"repro/internal/wal"
 )
@@ -17,31 +16,23 @@ import (
 // transaction — an EXEC block included — aborts atomically.
 var ErrNotInteger = errors.New("kv: value is not an integer")
 
-// findEntry reads key's live entry inside tx at instant now, or nil —
-// the read-only lookup under Get, TTL and Incr. Expired entries read
-// as absent without writing, so a hot read never acquires ownership.
-func (st *Store) findEntry(tx *stm.Tx, now int64, key string) (*entry, error) {
-	head, _, err := st.chain(tx, key)
-	if err != nil {
-		return nil, err
+// findEntry reads key's live entry inside tx at instant now — the
+// read-only lookup under Get, TTL and Incr. Expired entries read as
+// absent without writing, so a hot read never acquires ownership.
+func (st *Store) findEntry(tx *stm.Tx, now int64, key string) (entry, bool, error) {
+	e, ok, err := st.shard(key).Get(tx, key)
+	if err != nil || !ok || e.dead(now) {
+		return entry{}, false, err
 	}
-	for e := head; e != nil; e = e.next {
-		if e.key == key {
-			if e.dead(now) {
-				return nil, nil
-			}
-			return e, nil
-		}
-	}
-	return nil, nil
+	return e, true, nil
 }
 
 // GetTx reads key's string value inside tx at instant now (see
 // findEntry for the expiry contract). A live key of a container kind
 // yields ErrWrongType.
 func (st *Store) GetTx(tx *stm.Tx, now int64, key string) (string, bool, error) {
-	e, err := st.typedEntry(tx, now, key, kindString)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindString)
+	if err != nil || !ok {
 		return "", false, err
 	}
 	return e.val, true, nil
@@ -58,34 +49,14 @@ func (st *Store) SetTx(tx *stm.Tx, now int64, key, val string, ttl time.Duration
 			expireAt = math.MaxInt64 // deadline past the clock's range: lives forever
 		}
 	}
-	return st.putTx(tx, now, key, val, expireAt)
+	return st.putTx(tx, key, val, expireAt)
 }
 
 // putTx writes key=val with an explicit expiry deadline (0 = none) —
-// the single chain-rebuild under Set and Incr. Like Redis SET, it
-// overwrites a container entry wholesale. The rebuilt chain drops
-// entries dead at now in passing — writers reap lazily so Sweep has
-// less to do. A chain left longer than container.GrowChain raises the
-// shard's advisory resize signal (an atomic flag, retry-safe; Groom
-// acts on it).
-func (st *Store) putTx(tx *stm.Tx, now int64, key, val string, expireAt int64) error {
-	head, bv, err := st.chain(tx, key)
-	if err != nil {
-		return err
-	}
-	rebuilt := &entry{key: key, val: val, expireAt: expireAt}
-	chain := 1
-	for e := head; e != nil; e = e.next {
-		if e.key == key || e.dead(now) {
-			continue
-		}
-		rebuilt = e.with(rebuilt)
-		chain++
-	}
-	if chain > container.GrowChain {
-		st.shard(key).SignalGrowth()
-	}
-	if err := stm.Write(tx, bv, rebuilt); err != nil {
+// the write under Set and Incr. Like Redis SET, it overwrites a
+// container entry wholesale.
+func (st *Store) putTx(tx *stm.Tx, key, val string, expireAt int64) error {
+	if _, _, err := st.shard(key).Put(tx, key, entry{val: val, expireAt: expireAt}); err != nil {
 		return err
 	}
 	capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
@@ -93,48 +64,16 @@ func (st *Store) putTx(tx *stm.Tx, now int64, key, val string, expireAt int64) e
 }
 
 // DelTx removes key inside tx at instant now, reporting whether a live
-// entry was removed. Dead entries encountered in the chain are dropped
-// too, but count for nothing.
+// entry was removed. Deleting an absent key writes nothing.
 func (st *Store) DelTx(tx *stm.Tx, now int64, key string) (bool, error) {
-	head, bv, err := st.chain(tx, key)
-	if err != nil {
+	old, ok, err := st.shard(key).Delete(tx, key)
+	if err != nil || !ok || old.dead(now) {
+		// Removing an already-dead entry is a physical cleanup replay
+		// reproduces by expiry alone: not logged, not counted.
 		return false, err
 	}
-	found := false
-	for e := head; e != nil; e = e.next {
-		if e.key == key {
-			found = !e.dead(now)
-			break
-		}
-	}
-	live, dropped := pruneKey(head, key, now)
-	if !found && dropped == 0 {
-		return false, nil // absent: stay read-only, no write conflict
-	}
-	if err := stm.Write(tx, bv, live); err != nil {
-		return false, err
-	}
-	if found {
-		// Only a live removal is logged; pruning already-dead entries
-		// is a physical cleanup replay reproduces by expiry alone.
-		capture(tx, wal.Op{Key: key, Del: true})
-	}
-	return found, nil
-}
-
-// pruneKey rebuilds head without key and without entries dead at now,
-// reporting how many entries were dropped for either reason.
-func pruneKey(head *entry, key string, now int64) (*entry, int) {
-	var live *entry
-	dropped := 0
-	for e := head; e != nil; e = e.next {
-		if e.key == key || e.dead(now) {
-			dropped++
-			continue
-		}
-		live = e.with(live)
-	}
-	return live, dropped
+	capture(tx, wal.Op{Key: key, Del: true})
+	return true, nil
 }
 
 // IncrTx adds delta to the integer value at key inside tx at instant
@@ -142,13 +81,13 @@ func pruneKey(head *entry, key string, now int64) (*entry, int) {
 // new value. An existing key keeps its TTL, Redis-style; a fresh one
 // stores without expiry. A non-integer value yields ErrNotInteger.
 func (st *Store) IncrTx(tx *stm.Tx, now int64, key string, delta int64) (int64, error) {
-	e, err := st.typedEntry(tx, now, key, kindString)
+	e, ok, err := st.typedEntry(tx, now, key, kindString)
 	if err != nil {
 		return 0, err
 	}
 	n := int64(0)
 	var expireAt int64
-	if e != nil {
+	if ok {
 		n, err = strconv.ParseInt(e.val, 10, 64)
 		if err != nil {
 			return 0, ErrNotInteger
@@ -156,7 +95,7 @@ func (st *Store) IncrTx(tx *stm.Tx, now int64, key string, delta int64) (int64, 
 		expireAt = e.expireAt
 	}
 	n += delta
-	if err := st.putTx(tx, now, key, strconv.FormatInt(n, 10), expireAt); err != nil {
+	if err := st.putTx(tx, key, strconv.FormatInt(n, 10), expireAt); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -181,42 +120,26 @@ func (st *Store) ExpireTx(tx *stm.Tx, now int64, key string, ttl time.Duration) 
 	return true, nil
 }
 
-// touchTx rebuilds key's chain with the entry's expiry deadline
-// replaced — the kind-agnostic body of Expire and the replay form of
-// a touch op. It reports whether a live entry was found; it does not
-// capture (ExpireTx does).
+// touchTx replaces the expiry deadline of key's live entry — the
+// kind-agnostic body of Expire and the replay form of a touch op. It
+// reports whether a live entry was found (an absent key writes
+// nothing); it does not capture (ExpireTx does).
 func (st *Store) touchTx(tx *stm.Tx, now int64, key string, expireAt int64) (bool, error) {
-	head, bv, err := st.chain(tx, key)
-	if err != nil {
+	e, ok, err := st.findEntry(tx, now, key)
+	if err != nil || !ok {
 		return false, err
 	}
-	found := false
-	var rebuilt *entry
-	for e := head; e != nil; e = e.next {
-		if e.dead(now) {
-			continue
-		}
-		if e.key == key {
-			found = true
-			c := e.with(rebuilt)
-			c.expireAt = expireAt
-			rebuilt = c
-			continue
-		}
-		rebuilt = e.with(rebuilt)
-	}
-	if !found {
-		return false, nil // absent: stay read-only, no write conflict
-	}
-	return true, stm.Write(tx, bv, rebuilt)
+	e.expireAt = expireAt
+	_, _, err = st.shard(key).Put(tx, key, e)
+	return true, err
 }
 
 // TTLTx reports key's remaining time to live at instant now: ok is
 // false when the key is absent or expired; a live key without expiry
 // reports NoTTL.
 func (st *Store) TTLTx(tx *stm.Tx, now int64, key string) (time.Duration, bool, error) {
-	e, err := st.findEntry(tx, now, key)
-	if err != nil || e == nil {
+	e, ok, err := st.findEntry(tx, now, key)
+	if err != nil || !ok {
 		return 0, false, err
 	}
 	if e.expireAt == 0 {
@@ -331,25 +254,16 @@ func (st *Store) TTL(key string) (time.Duration, bool, error) {
 // consistent scan: every bucket of every shard joins tx's read set, so
 // it conflicts with all concurrent writers. A non-nil error from fn
 // stops the scan and is returned.
-func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(*entry) error) error {
+func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(key string, e entry) error) error {
 	for _, sh := range st.shards {
-		b, err := sh.Buckets(tx)
+		err := sh.Each(tx, func(key string, e entry) error {
+			if e.dead(now) {
+				return nil
+			}
+			return fn(key, e)
+		})
 		if err != nil {
 			return err
-		}
-		for i := 0; i < b.Len(); i++ {
-			head, err := stm.Read(tx, b.At(i))
-			if err != nil {
-				return err
-			}
-			for e := head; e != nil; e = e.next {
-				if e.dead(now) {
-					continue
-				}
-				if err := fn(e); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return nil
@@ -358,7 +272,7 @@ func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(*entry) error) error {
 // lenTx counts the live keys inside tx — the body of Len and DBSIZE.
 func (st *Store) lenTx(tx *stm.Tx, now int64) (int, error) {
 	total := 0
-	err := st.eachLive(tx, now, func(*entry) error { total++; return nil })
+	err := st.eachLive(tx, now, func(string, entry) error { total++; return nil })
 	return total, err
 }
 
@@ -372,7 +286,7 @@ func (st *Store) Len() (int, error) { return view(st, st.lenTx) }
 func (st *Store) Keys() ([]string, error) {
 	return view(st, func(tx *stm.Tx, now int64) ([]string, error) {
 		var out []string
-		err := st.eachLive(tx, now, func(e *entry) error { out = append(out, e.key); return nil })
+		err := st.eachLive(tx, now, func(key string, _ entry) error { out = append(out, key); return nil })
 		return out, err
 	})
 }

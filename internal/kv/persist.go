@@ -110,8 +110,8 @@ func (st *Store) SnapshotOps() ([]wal.Op, error) {
 	var out []wal.Op
 	err := st.s.Atomically(func(tx *stm.Tx) error {
 		out = out[:0]
-		return st.eachLive(tx, now, func(e *entry) (err error) {
-			out, err = appendEntryOps(tx, out, e)
+		return st.eachLive(tx, now, func(key string, e entry) (err error) {
+			out, err = appendEntryOps(tx, out, key, e)
 			return err
 		})
 	})
@@ -121,18 +121,19 @@ func (st *Store) SnapshotOps() ([]wal.Op, error) {
 	return out, nil
 }
 
-// appendEntryOps appends e's canonical op sequence to out.
-func appendEntryOps(tx *stm.Tx, out []wal.Op, e *entry) ([]wal.Op, error) {
+// appendEntryOps appends the canonical op sequence of key's entry e to
+// out.
+func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, error) {
 	switch e.kind {
 	case kindString:
-		return append(out, wal.Op{Key: e.key, Val: e.val, ExpireAt: e.expireAt}), nil
+		return append(out, wal.Op{Key: key, Val: e.val, ExpireAt: e.expireAt}), nil
 	case kindHash:
 		pairs, err := sortedFields(tx, e.hash)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range pairs {
-			out = append(out, wal.Op{Kind: wal.KindHash, Key: e.key, Field: p.K, Val: p.V})
+			out = append(out, wal.Op{Kind: wal.KindHash, Key: key, Field: p.K, Val: p.V})
 		}
 	case kindList:
 		items, err := e.list.Items(tx)
@@ -140,7 +141,7 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, e *entry) ([]wal.Op, error) {
 			return nil, err
 		}
 		for _, v := range items {
-			out = append(out, wal.Op{Kind: wal.KindList, Key: e.key, Val: v})
+			out = append(out, wal.Op{Kind: wal.KindList, Key: key, Val: v})
 		}
 	case kindZSet:
 		keys, err := e.zset.byScore.Keys(tx)
@@ -149,11 +150,11 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, e *entry) ([]wal.Op, error) {
 		}
 		for _, k := range keys {
 			score, member := zkeyDecode(k)
-			out = append(out, wal.Op{Kind: wal.KindZSet, Key: e.key, Field: member, Val: formatScore(score)})
+			out = append(out, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: formatScore(score)})
 		}
 	}
 	if e.expireAt != 0 {
-		out = append(out, wal.Op{Key: e.key, Touch: true, ExpireAt: e.expireAt})
+		out = append(out, wal.Op{Key: key, Touch: true, ExpireAt: e.expireAt})
 	}
 	return out, nil
 }
@@ -192,7 +193,6 @@ func (st *Store) Apply(ops []wal.Op) error {
 	if err != nil {
 		return fmt.Errorf("kv: apply: %w", err)
 	}
-	_ = st.Groom()
 	return nil
 }
 
@@ -231,7 +231,7 @@ func (st *Store) applyOp(tx *stm.Tx, now int64, op wal.Op) error {
 	case op.Del:
 		_, err = st.DelTx(tx, now, op.Key)
 	default:
-		err = st.putTx(tx, now, op.Key, op.Val, op.ExpireAt)
+		err = st.putTx(tx, op.Key, op.Val, op.ExpireAt)
 	}
 	return err
 }

@@ -217,17 +217,25 @@ func TestWALConcurrentTransfersConserve(t *testing.T) {
 	}
 }
 
-// TestSweepLogsTombstones pins the sweeper satellite's contract: a
-// swept expiry is logged, so replay agrees with the reap even under
-// a clock that has not reached the deadline (the resurrection case
-// absolute deadlines alone cannot rule out).
+// TestSweepLogsTombstones pins the expiry contract end to end. A dead
+// entry is absent to every read but stays in its chain — a SET on a
+// neighbouring key does not reap it — until SweepShard removes it, and
+// the swept expiry is logged, so replay agrees with the reap even
+// under a clock that has not reached the deadline (the resurrection
+// case absolute deadlines alone cannot rule out).
 func TestSweepLogsTombstones(t *testing.T) {
 	dir := t.TempDir()
 	var clk atomic.Int64
 	clk.Store(1_000)
-	a := New(stm.New(), WithShards(2), WithClock(func() int64 { return clk.Load() }))
+	// One shard of one bucket: every key is every other key's neighbour.
+	a := New(stm.New(), WithShards(1), WithBuckets(1), WithClock(func() int64 { return clk.Load() }))
 	l := openTestWAL(t, dir)
 	a.AttachWAL(l)
+	physical := func() int {
+		n := 0
+		a.shards[0].Peek(func(string, entry) { n++ })
+		return n
+	}
 
 	if err := a.SetTTL("doomed", "v", 50); err != nil {
 		t.Fatal(err)
@@ -236,9 +244,27 @@ func TestSweepLogsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Add(100)
-	removed, err := a.Sweep()
+	if _, ok, err := a.Get("doomed"); err != nil || ok {
+		t.Fatalf("Get(dead) = %v, %v; want absent", ok, err)
+	}
+	if _, ok, err := a.TTL("doomed"); err != nil || ok {
+		t.Fatalf("TTL(dead) = %v, %v; want absent", ok, err)
+	}
+	if _, ok, err := a.Type("doomed"); err != nil || ok {
+		t.Fatalf("Type(dead) = %v, %v; want absent", ok, err)
+	}
+	if err := a.Set("neighbour", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if got := physical(); got != 3 {
+		t.Fatalf("chain holds %d entries after a neighbouring SET, want 3 (dead one included)", got)
+	}
+	removed, err := a.SweepShard(0)
 	if err != nil || removed != 1 {
 		t.Fatalf("sweep removed %d (%v), want 1", removed, err)
+	}
+	if got := physical(); got != 2 {
+		t.Fatalf("chain holds %d entries after the sweep, want 2", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -10,37 +10,26 @@ import (
 	"repro/internal/wal"
 )
 
-// entry is one key's record in a bucket chain. Chains are immutable by
-// construction — writers rebuild the changed chain and share nothing
-// mutable — so the bucket Var's default shallow clone (of the head
-// pointer) is a correct private copy. kind discriminates the value:
-// val for strings, exactly one of the container pointers otherwise
-// (see types.go). The container pointers themselves are immutable;
-// their *contents* live behind the containers' own stm.Vars, so an
-// entry shared across chain rebuilds keeps one transactional value.
+// entry is one key's record: the value a shard (a container.Map) binds
+// the key to, copied whole when the map rebuilds a chain. kind
+// discriminates the value: val for strings, exactly one of the
+// container pointers otherwise (see types.go). The container pointers
+// themselves are immutable; their *contents* live behind the
+// containers' own stm.Vars, so an entry copied across chain rebuilds
+// keeps one transactional value.
 type entry struct {
-	key  string
 	kind kind
 	val  string
-	hash *container.Table[*field]
+	hash *container.Map[string, string]
 	list *container.Deque[string]
 	zset *zset
 	// expireAt is the store-clock instant the entry dies, in
 	// nanoseconds; zero means no expiry.
 	expireAt int64
-	next     *entry
-}
-
-// with clones e linked to next — the one chain-rebuild helper, so no
-// rebuild site can forget a typed field.
-func (e *entry) with(next *entry) *entry {
-	c := *e
-	c.next = next
-	return &c
 }
 
 // dead reports whether the entry has expired at instant now.
-func (e *entry) dead(now int64) bool {
+func (e entry) dead(now int64) bool {
 	return e.expireAt != 0 && e.expireAt <= now
 }
 
@@ -59,7 +48,7 @@ type KV struct {
 type Store struct {
 	s      *stm.STM
 	seed   maphash.Seed
-	shards []*container.Table[*entry]
+	shards []*container.Map[string, entry]
 	now    func() int64
 	// log, when attached, receives every committed write set (see
 	// persist.go; nil for a purely in-memory store).
@@ -114,7 +103,7 @@ func New(s *stm.STM, opts ...Option) *Store {
 	st := &Store{
 		s:      s,
 		seed:   maphash.MakeSeed(),
-		shards: make([]*container.Table[*entry], n),
+		shards: make([]*container.Map[string, entry], n),
 		now:    cfg.clock,
 	}
 	for i := range st.shards {
@@ -122,7 +111,7 @@ func New(s *stm.STM, opts ...Option) *Store {
 		// bucket-chain and resize conflicts to a shard rather than an
 		// anonymous stripe; per-key containers carry their own labels
 		// (see containerEntry).
-		st.shards[i] = container.NewNamedTable[*entry](fmt.Sprintf("kv:shard:%d", i), cfg.buckets)
+		st.shards[i] = container.NewMap[string, entry](fmt.Sprintf("kv:shard:%d", i), cfg.buckets, maphash.String)
 	}
 	return st
 }
@@ -146,7 +135,7 @@ func (st *Store) Shards() int { return len(st.shards) }
 func (st *Store) BucketsPerShard() []int {
 	out := make([]int, len(st.shards))
 	for i, sh := range st.shards {
-		out[i] = sh.PeekLen()
+		out[i] = sh.Buckets()
 	}
 	return out
 }
@@ -160,49 +149,23 @@ func (st *Store) PeekLen() int64 {
 	now := st.now()
 	var total int64
 	for _, sh := range st.shards {
-		b := sh.PeekBuckets()
-		for i := 0; i < b.Len(); i++ {
-			for e := b.At(i).Peek(); e != nil; e = e.next {
-				if !e.dead(now) {
-					total++
-				}
+		sh.Peek(func(_ string, e entry) {
+			if !e.dead(now) {
+				total++
 			}
-		}
+		})
 	}
 	return total
 }
 
-// shard maps a key to its shard table.
-func (st *Store) shard(key string) *container.Table[*entry] {
+// shard maps a key to its shard.
+func (st *Store) shard(key string) *container.Map[string, entry] {
 	return st.shards[maphash.String(st.seed, key)&uint64(len(st.shards)-1)]
-}
-
-// bucket resolves a key's bucket variable within shard sh under the
-// array version b.
-func bucket(sh *container.Table[*entry], b container.Buckets[*entry], key string) *stm.Var[*entry] {
-	return b.At(int(maphash.String(sh.Seed(), key) % uint64(b.Len())))
-}
-
-// chain reads the bucket chain holding key inside tx, returning the
-// chain head and the bucket variable (for writers to rebuild into).
-func (st *Store) chain(tx *stm.Tx, key string) (*entry, *stm.Var[*entry], error) {
-	sh := st.shard(key)
-	b, err := sh.Buckets(tx)
-	if err != nil {
-		return nil, nil, err
-	}
-	bv := bucket(sh, b, key)
-	head, err := stm.Read(tx, bv)
-	if err != nil {
-		return nil, nil, err
-	}
-	return head, bv, nil
 }
 
 // Atomically runs fn as one atomic transaction against the store,
 // sampling the clock once so retries replay identical expiry
-// decisions, then performs post-commit grooming (resize signals raised
-// by fn's writes). It is the composition surface: the server's EXEC
+// decisions. It is the composition surface: the server's EXEC
 // replays a whole queued command block through one call, so the block
 // is serializable against every concurrent singleton operation.
 // When a WAL is attached the transaction's write set is captured and
@@ -270,15 +233,6 @@ func (st *Store) commit(fn func(tx *stm.Tx, now int64) error) (pending, error) {
 	if err != nil {
 		return pending{}, err
 	}
-	// Grooming is decoupled from the operation's outcome: by this point
-	// fn has committed, and reporting a resize failure as the
-	// operation's error would make a caller retry (and double-apply) a
-	// non-idempotent op like Incr. A failed grow re-arms the shard's
-	// signal (see Table.MaybeGrow), so nothing is lost: maintenance
-	// loops calling Groom directly still see the error, and an engine
-	// genuinely broken enough to fail the resize transaction will fail
-	// the very next operation too.
-	_ = st.Groom()
 	return p, nil
 }
 
@@ -303,8 +257,8 @@ func (p pending) wait() error {
 
 // view runs a read-only *Tx form as one atomic transaction and returns
 // its result, sampling the clock once so retries replay identical
-// expiry decisions. Reads log nothing and raise no resize signal, so
-// it skips Atomically's write capture and grooming.
+// expiry decisions. Reads log nothing, so it skips Atomically's write
+// capture.
 func view[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
 	now := st.now()
 	return stm.Atomic(st.s, func(tx *stm.Tx) (T, error) { return fn(tx, now) })
@@ -330,71 +284,11 @@ type found[V any] struct {
 
 func lookup[V any](v V, ok bool, err error) (found[V], error) { return found[V]{v, ok}, err }
 
-// Groom drains pending resize signals: every shard whose writers
-// observed an over-long chain is recounted and, if over the load
-// factor, grown in its own transaction (see container.Table.MaybeGrow).
-// Top-level write operations call it automatically; loops driving the
-// *Tx forms directly should call it between transactions.
-func (st *Store) Groom() error {
-	for _, sh := range st.shards {
-		if !sh.GrowthSignalled() {
-			continue
-		}
-		if _, err := sh.MaybeGrow(st.s, countEntries, rehashFor(sh)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// countEntries tallies a shard's entries (dead ones included — expiry
-// is resolved by Sweep and passing writers, not the resize policy).
-func countEntries(tx *stm.Tx, b container.Buckets[*entry]) (int, error) {
-	total := 0
-	for i := 0; i < b.Len(); i++ {
-		head, err := stm.Read(tx, b.At(i))
-		if err != nil {
-			return 0, err
-		}
-		for e := head; e != nil; e = e.next {
-			total++
-		}
-	}
-	return total, nil
-}
-
-// rehashFor builds the resize callback for one shard: every chain of
-// the old array is re-bucketed into the new one. The shard's seed is
-// unchanged; only the modulus moves.
-func rehashFor(sh *container.Table[*entry]) func(tx *stm.Tx, old, neu container.Buckets[*entry]) error {
-	return func(tx *stm.Tx, old, neu container.Buckets[*entry]) error {
-		heads := make([]*entry, neu.Len())
-		for i := 0; i < old.Len(); i++ {
-			head, err := stm.Read(tx, old.At(i))
-			if err != nil {
-				return err
-			}
-			for e := head; e != nil; e = e.next {
-				j := int(maphash.String(sh.Seed(), e.key) % uint64(neu.Len()))
-				heads[j] = e.with(heads[j])
-			}
-		}
-		for j, head := range heads {
-			if head == nil {
-				continue // fresh buckets already hold nil
-			}
-			if err := stm.Write(tx, neu.At(j), head); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // Sweep reaps expired entries, one transaction per shard so the write
 // set stays bounded, and returns how many entries were removed. It is
-// the lazy-expiry backstop: reads never write, so without passing
-// writers a dead entry would otherwise linger forever.
+// the expiry backstop: reads treat a dead entry as absent without
+// writing and writers leave their neighbours alone, so nothing else
+// reclaims one.
 func (st *Store) Sweep() (int, error) {
 	removed := 0
 	for i := range st.shards {
@@ -415,61 +309,13 @@ func (st *Store) Sweep() (int, error) {
 // it keeps the replayed physical state in step with the swept one and
 // compacts the history a snapshot would otherwise carry forward.
 func (st *Store) SweepShard(i int) (int, error) {
-	sh := st.shards[i]
-	removed := 0
-	err := st.Atomically(func(tx *stm.Tx, now int64) error {
-		// Per-attempt accumulator, captured whole at the end — an
-		// aborted attempt's partial count vanishes with it.
-		reaped := 0
-		b, err := sh.Buckets(tx)
-		if err != nil {
-			return err
+	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+		reaped, err := st.shards[i].Prune(tx, func(_ string, e entry) bool { return e.dead(now) })
+		for _, key := range reaped {
+			capture(tx, wal.Op{Key: key, Del: true})
 		}
-		for j := 0; j < b.Len(); j++ {
-			head, err := stm.Read(tx, b.At(j))
-			if err != nil {
-				return err
-			}
-			live, dropped := pruneChain(head, now)
-			if dropped == 0 {
-				continue
-			}
-			if err := stm.Write(tx, b.At(j), live); err != nil {
-				return err
-			}
-			for e := head; e != nil; e = e.next {
-				if e.dead(now) {
-					capture(tx, wal.Op{Key: e.key, Del: true})
-				}
-			}
-			reaped += dropped
-		}
-		removed = reaped
-		return nil
+		return len(reaped), err
 	})
-	return removed, err
-}
-
-// pruneChain rebuilds head without entries dead at now, reporting how
-// many were dropped. When nothing is dead the original chain is
-// returned unchanged (dropped == 0), so callers can skip the write.
-func pruneChain(head *entry, now int64) (*entry, int) {
-	dropped := 0
-	for e := head; e != nil; e = e.next {
-		if e.dead(now) {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		return head, 0
-	}
-	var live *entry
-	for e := head; e != nil; e = e.next {
-		if !e.dead(now) {
-			live = e.with(live)
-		}
-	}
-	return live, dropped
 }
 
 // CheckInvariants verifies the store's structural invariants in one
@@ -481,32 +327,21 @@ func pruneChain(head *entry, now int64) (*entry, int) {
 // hammers.
 func (st *Store) CheckInvariants() error {
 	return st.s.Atomically(func(tx *stm.Tx) error {
-		seen := make(map[string]bool)
 		for si, sh := range st.shards {
-			b, err := sh.Buckets(tx)
+			if err := sh.CheckInvariants(tx); err != nil {
+				return fmt.Errorf("kv: shard %d: %w", si, err)
+			}
+			err := sh.Each(tx, func(key string, e entry) error {
+				if st.shard(key) != sh {
+					return fmt.Errorf("kv: key %q in shard %d, hashes elsewhere", key, si)
+				}
+				if err := e.checkValue(tx); err != nil {
+					return fmt.Errorf("kv: key %q: %w", key, err)
+				}
+				return nil
+			})
 			if err != nil {
 				return err
-			}
-			for i := 0; i < b.Len(); i++ {
-				head, err := stm.Read(tx, b.At(i))
-				if err != nil {
-					return err
-				}
-				for e := head; e != nil; e = e.next {
-					if st.shard(e.key) != sh {
-						return fmt.Errorf("kv: key %q in shard %d, hashes elsewhere", e.key, si)
-					}
-					if bucket(sh, b, e.key) != b.At(i) {
-						return fmt.Errorf("kv: key %q in bucket %d of shard %d, hashes elsewhere", e.key, i, si)
-					}
-					if seen[e.key] {
-						return fmt.Errorf("kv: key %q duplicated", e.key)
-					}
-					seen[e.key] = true
-					if err := e.checkValue(tx); err != nil {
-						return fmt.Errorf("kv: key %q: %w", e.key, err)
-					}
-				}
 			}
 		}
 		return nil

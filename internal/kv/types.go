@@ -4,9 +4,9 @@ package kv
 // hash, list, zset — discriminated by entry.kind. The containers live
 // *inside* the entry: mutating a hash field, list end or zset member
 // goes through the container's own stm.Vars and never rewrites the
-// bucket chain, so two transactions touching different fields of the
-// same key do not conflict on the key. Only creation, whole-key
-// deletion, expiry updates and the shard resize rebuild chains.
+// key's binding in its shard, so two transactions touching different
+// fields of the same key do not conflict on the key. Only creation,
+// whole-key deletion and expiry updates write the shard.
 //
 // Semantics follow Redis: a typed command against a key of another
 // kind fails with ErrWrongType (SET is the exception — it overwrites
@@ -57,40 +57,31 @@ func (k kind) String() string {
 	}
 }
 
-// typedEntry reads key's live entry of kind k, or nil when the key is
-// absent or expired — the lookup under every read-mostly typed
+// typedEntry reads key's live entry of kind k; ok is false when the
+// key is absent or expired — the lookup under every read-mostly typed
 // operation. A live entry of another kind yields ErrWrongType.
-func (st *Store) typedEntry(tx *stm.Tx, now int64, key string, k kind) (*entry, error) {
-	e, err := st.findEntry(tx, now, key)
-	if err != nil || e == nil {
-		return nil, err
+func (st *Store) typedEntry(tx *stm.Tx, now int64, key string, k kind) (entry, bool, error) {
+	e, ok, err := st.findEntry(tx, now, key)
+	if err != nil || !ok {
+		return entry{}, false, err
 	}
 	if e.kind != k {
-		return nil, ErrWrongType
+		return entry{}, false, ErrWrongType
 	}
-	return e, nil
+	return e, true, nil
 }
 
-// containerEntry reads key's live entry of kind k, creating an empty
-// container entry when the key is absent or expired — the
+// containerEntry reads key's live entry of kind k, binding the key to
+// an empty container when it is absent or expired — the
 // find-or-create under every typed mutation (HSET, LPUSH, ZADD). The
-// create path rebuilds the bucket chain (dropping dead entries in
-// passing, like putTx); the found path reads it only, so mutations of
-// an existing container never conflict on the chain.
-func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (*entry, error) {
-	head, bv, err := st.chain(tx, key)
-	if err != nil {
-		return nil, err
+// found path only reads the shard, so mutations of an existing
+// container never conflict on the key's bucket.
+func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (entry, error) {
+	e, ok, err := st.typedEntry(tx, now, key, k)
+	if err != nil || ok {
+		return e, err
 	}
-	for e := head; e != nil; e = e.next {
-		if e.key == key && !e.dead(now) {
-			if e.kind != k {
-				return nil, ErrWrongType
-			}
-			return e, nil
-		}
-	}
-	neu := &entry{key: key, kind: k}
+	e = entry{kind: k}
 	// Containers are named after their key so the STM flight recorder
 	// attributes conflicts to "list(jobs)" rather than an anonymous
 	// commit stripe. The label is a plain string on the container's
@@ -98,52 +89,30 @@ func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (*ent
 	// cardinality costs only the string.
 	switch k {
 	case kindHash:
-		neu.hash = newNamedFieldTable("hash(" + key + ")")
+		e.hash = newFieldMap("hash(" + key + ")")
 	case kindList:
-		neu.list = container.NewNamedDeque[string]("list(" + key + ")")
+		e.list = container.NewNamedDeque[string]("list(" + key + ")")
 	case kindZSet:
-		neu.zset = newNamedZSet("zset(" + key + ")")
+		e.zset = newZSet("zset(" + key + ")")
 	}
-	rebuilt := neu
-	chain := 1
-	for e := head; e != nil; e = e.next {
-		if e.key == key || e.dead(now) {
-			continue
-		}
-		rebuilt = e.with(rebuilt)
-		chain++
-	}
-	if chain > container.GrowChain {
-		st.shard(key).SignalGrowth()
-	}
-	if err := stm.Write(tx, bv, rebuilt); err != nil {
-		return nil, err
-	}
-	return neu, nil
+	_, _, err = st.shard(key).Put(tx, key, e)
+	return e, err
 }
 
-// removeKeyTx physically removes key from its chain without logging a
-// tombstone — the auto-delete behind a container's last HDEL/POP/
-// ZREM. The container ops already in the capture replay through the
-// same code path and reproduce the delete, so a tombstone would be
-// redundant.
-func (st *Store) removeKeyTx(tx *stm.Tx, now int64, key string) error {
-	head, bv, err := st.chain(tx, key)
-	if err != nil {
-		return err
-	}
-	live, dropped := pruneKey(head, key, now)
-	if dropped == 0 {
-		return nil
-	}
-	return stm.Write(tx, bv, live)
+// removeKeyTx unbinds key without logging a tombstone — the
+// auto-delete behind a container's last HDEL/POP/ZREM. The container
+// ops already in the capture replay through the same code path and
+// reproduce the delete, so a tombstone would be redundant.
+func (st *Store) removeKeyTx(tx *stm.Tx, key string) error {
+	_, _, err := st.shard(key).Delete(tx, key)
+	return err
 }
 
 // TypeTx reports key's value kind as its Redis TYPE name; ok is false
 // when the key is absent or expired.
 func (st *Store) TypeTx(tx *stm.Tx, now int64, key string) (string, bool, error) {
-	e, err := st.findEntry(tx, now, key)
-	if err != nil || e == nil {
+	e, ok, err := st.findEntry(tx, now, key)
+	if err != nil || !ok {
 		return "", false, err
 	}
 	return e.kind.String(), true, nil
@@ -161,14 +130,17 @@ func (st *Store) Type(key string) (string, bool, error) {
 // per-kind extension of Store.CheckInvariants. Containers must be
 // internally consistent and non-empty (an empty container would mean
 // an auto-delete was missed).
-func (e *entry) checkValue(tx *stm.Tx) error {
+func (e entry) checkValue(tx *stm.Tx) error {
 	switch e.kind {
 	case kindString:
 		if e.hash != nil || e.list != nil || e.zset != nil {
 			return errors.New("string entry carries a container")
 		}
 	case kindHash:
-		n, err := checkFieldTable(tx, e.hash)
+		if err := e.hash.CheckInvariants(tx); err != nil {
+			return err
+		}
+		n, err := e.hash.Len(tx)
 		if err != nil {
 			return err
 		}

@@ -208,6 +208,30 @@ func TestZSetOps(t *testing.T) {
 	}
 }
 
+// TestZRemOpensTowerNotIndex: removing one member of a 1 000-member
+// sorted set costs the skip-list search and the tower's unlinking, not
+// a count of the member index (at least 128 buckets by then) to learn
+// that the set is not empty.
+func TestZRemOpensTowerNotIndex(t *testing.T) {
+	st := New(stm.New())
+	for i := 0; i < 1000; i++ {
+		if _, err := st.ZAdd("zs", fmt.Sprintf("m%d", i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits, opens := opensPerCommit(t, st, func() {
+		if n, err := st.ZRem("zs", "m500"); err != nil || n != 1 {
+			t.Fatalf("ZRem = %d, %v; want 1", n, err)
+		}
+	})
+	if commits != 1 || opens > 100 {
+		t.Fatalf("ZRem of one member: %d commits, %.0f opens; want 1 commit of at most 100 opens", commits, opens)
+	}
+	if n, err := st.ZCard("zs"); err != nil || n != 999 {
+		t.Fatalf("ZCard = %d, %v; want 999", n, err)
+	}
+}
+
 // TestWrongTypeSemantics pins the Redis type matrix: typed commands
 // against a key of another kind fail with ErrWrongType, SET overwrites
 // anything, MGet reads container keys as absent, DEL/TYPE/EXPIRE/TTL

@@ -21,21 +21,17 @@ import (
 // an invariant every consistent reader can check.
 type zset struct {
 	byScore *container.OMap[string, string] // zkey(score, member) → member
-	index   *container.Table[*field]        // member → canonical score string
+	index   *container.Map[string, string]  // member → canonical score string
 }
 
-func newZSet() *zset {
-	return newNamedZSet("")
-}
-
-// newNamedZSet is newZSet with a flight-recorder label on both halves'
-// variables; the skip list and the member index share the key's one
-// label, since "which zset convoys" is the question the recorder
-// answers.
-func newNamedZSet(name string) *zset {
+// newZSet returns an empty sorted set with a flight-recorder label on
+// both halves' variables; the skip list and the member index share the
+// key's one label, since "which zset convoys" is the question the
+// recorder answers.
+func newZSet(name string) *zset {
 	return &zset{
 		byScore: container.NewNamedOMap[string, string](name),
-		index:   newNamedFieldTable(name),
+		index:   newFieldMap(name),
 	}
 }
 
@@ -103,7 +99,7 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 		return false, err
 	}
 	scoreStr := formatScore(score)
-	old, ok, err := fieldGet(tx, e.zset.index, member)
+	old, ok, err := e.zset.index.Get(tx, member)
 	if err != nil {
 		return false, err
 	}
@@ -122,7 +118,7 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 	if _, _, err := e.zset.byScore.Put(tx, zkey(score, member), member); err != nil {
 		return false, err
 	}
-	if _, err := fieldSet(tx, e.zset.index, member, scoreStr); err != nil {
+	if _, _, err := e.zset.index.Put(tx, member, scoreStr); err != nil {
 		return false, err
 	}
 	capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: scoreStr})
@@ -131,11 +127,11 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 
 // ZScoreTx reads member's score in the sorted set at key.
 func (st *Store) ZScoreTx(tx *stm.Tx, now int64, key, member string) (float64, bool, error) {
-	e, err := st.typedEntry(tx, now, key, kindZSet)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindZSet)
+	if err != nil || !ok {
 		return 0, false, err
 	}
-	s, ok, err := fieldGet(tx, e.zset.index, member)
+	s, ok, err := e.zset.index.Get(tx, member)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -149,13 +145,13 @@ func (st *Store) ZScoreTx(tx *stm.Tx, now int64, key, member string) (float64, b
 // ZRemTx removes members from the sorted set at key, returning how
 // many were present. Removing the last member deletes the key.
 func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (int, error) {
-	e, err := st.typedEntry(tx, now, key, kindZSet)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindZSet)
+	if err != nil || !ok {
 		return 0, err
 	}
 	removed := 0
 	for _, member := range members {
-		old, ok, err := fieldGet(tx, e.zset.index, member)
+		old, ok, err := e.zset.index.Get(tx, member)
 		if err != nil {
 			return 0, err
 		}
@@ -166,7 +162,7 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 		if err != nil {
 			return 0, err
 		}
-		if _, err := fieldDel(tx, e.zset.index, member); err != nil {
+		if _, _, err := e.zset.index.Delete(tx, member); err != nil {
 			return 0, err
 		}
 		if _, _, err := e.zset.byScore.Delete(tx, zkey(oldScore, member)); err != nil {
@@ -176,16 +172,15 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 		capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Del: true})
 	}
 	if removed > 0 {
-		b, err := e.zset.index.Buckets(tx)
+		// Emptiness is the skip list's to answer — one read past its head
+		// — not the member index's, which would have to count every
+		// bucket.
+		empty, err := e.zset.byScore.Empty(tx)
 		if err != nil {
 			return 0, err
 		}
-		n, err := countFields(tx, b)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			if err := st.removeKeyTx(tx, now, key); err != nil {
+		if empty {
+			if err := st.removeKeyTx(tx, key); err != nil {
 				return 0, err
 			}
 		}
@@ -196,23 +191,19 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 // ZCardTx counts the members of the sorted set at key via the member
 // index — a bucket scan, not a skip-list walk.
 func (st *Store) ZCardTx(tx *stm.Tx, now int64, key string) (int, error) {
-	e, err := st.typedEntry(tx, now, key, kindZSet)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindZSet)
+	if err != nil || !ok {
 		return 0, err
 	}
-	b, err := e.zset.index.Buckets(tx)
-	if err != nil {
-		return 0, err
-	}
-	return countFields(tx, b)
+	return e.zset.index.Len(tx)
 }
 
 // ZRangeTx returns the members of the sorted set at key between ranks
 // start and stop inclusive, in ascending (score, member) order;
 // negative ranks count from the end, Redis-style.
 func (st *Store) ZRangeTx(tx *stm.Tx, now int64, key string, start, stop int) ([]ZEntry, error) {
-	e, err := st.typedEntry(tx, now, key, kindZSet)
-	if err != nil || e == nil {
+	e, ok, err := st.typedEntry(tx, now, key, kindZSet)
+	if err != nil || !ok {
 		return nil, err
 	}
 	keys, err := e.zset.byScore.Keys(tx)
@@ -240,16 +231,15 @@ func (z *zset) checkInvariants(tx *stm.Tx) error {
 	if err := z.byScore.CheckInvariants(tx); err != nil {
 		return err
 	}
-	n, err := checkFieldTable(tx, z.index)
-	if err != nil {
+	if err := z.index.CheckInvariants(tx); err != nil {
 		return err
-	}
-	if n == 0 {
-		return errors.New("empty zset not auto-deleted")
 	}
 	pairs, err := fieldAll(tx, z.index)
 	if err != nil {
 		return err
+	}
+	if len(pairs) == 0 {
+		return errors.New("empty zset not auto-deleted")
 	}
 	for _, p := range pairs {
 		score, err := strconv.ParseFloat(p.V, 64)
@@ -268,7 +258,7 @@ func (z *zset) checkInvariants(tx *stm.Tx) error {
 	if err != nil {
 		return err
 	}
-	if m != n {
+	if m != len(pairs) {
 		return errors.New("zset index and score order disagree on size")
 	}
 	return nil

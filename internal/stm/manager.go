@@ -79,10 +79,6 @@ type Manager interface {
 // transaction stream, no coordination between instances.
 type ManagerFactory func() Manager
 
-// Factory is the former name of ManagerFactory, kept as an alias for
-// compatibility.
-type Factory = ManagerFactory
-
 // defaultManager backs STM.Atomically when no WithManagerFactory is
 // configured: wait politely with growing backoff, but give up on an
 // enemy after a bounded number of rounds and abort it, so a halted or
