@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -212,5 +213,57 @@ func TestDequeHammer(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestDequeBoundedHeap cycles push-back/pop-front pairs through a
+// deque held at 64 elements and requires the live heap to stay flat. A
+// link variable's committed value is the neighbouring node, so anything
+// in the engine that keeps a superseded version of a link reachable —
+// a committed locator holding on to its pre-image, an initial locator
+// co-allocated with its Var — pins the node that was the neighbour at
+// that moment, which pins its own neighbour of the time, and so on:
+// every popped node, forever. This is the guard on the locator's
+// pre-image release and on stm.NewVar's co-allocation rule.
+func TestDequeBoundedHeap(t *testing.T) {
+	pairs := 1_000_000
+	if testing.Short() {
+		pairs = 100_000
+	}
+	s := stm.New()
+	d := NewDeque[int]()
+	for i := 0; i < 64; i++ {
+		if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, i) }); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := stm.Atomic2(s, d.PopFront); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(pairs / 10)
+	before := live()
+	run(pairs - pairs/10)
+	after := live()
+	// A pinned node is a few hundred bytes: a leak of one per pair is
+	// tens of megabytes even in -short.
+	const slack = 1 << 20
+	if after > before+slack {
+		t.Fatalf("live heap grew %d B over %d push/pop pairs on a 64-element deque", after-before, pairs-pairs/10)
+	}
+	if n, err := stm.Atomic(s, d.Len); err != nil || n != 64 {
+		t.Fatalf("Len = %d, %v; want 64", n, err)
 	}
 }

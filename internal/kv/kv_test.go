@@ -528,3 +528,26 @@ func TestWrapperAllocParity(t *testing.T) {
 		t.Errorf("Incr through update: %.1f allocs, hand-written transaction: %.1f", viaUpdate, byHand)
 	}
 }
+
+// TestIncrAllocBudget pins one IncrTx transaction on an existing key
+// to its absolute allocation count — the engine's three for a
+// one-write transaction (descriptor, locator, version; see
+// stm.TestAttemptAllocBudget) plus the formatted value — so the
+// attempt-path budget is seen to hold through the store's layers.
+func TestIncrAllocBudget(t *testing.T) {
+	st := New(stm.New())
+	if err := st.Set("n", "1"); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		if err := st.Atomically(func(tx *stm.Tx, now int64) error {
+			_, err := st.IncrTx(tx, now, "n", 1)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 4 {
+		t.Errorf("IncrTx transaction: %.1f allocs, want 4", got)
+	}
+}

@@ -64,7 +64,9 @@
 // handles, the Value interface, OpenRead and OpenWrite — which is what
 // the contention managers, the failure injector and the tests of the
 // conflict protocol see. Each TObj holds a locator: a triple of (owner
-// transaction, old version, new version) installed by compare-and-swap.
+// transaction, pre-image, new version) installed by compare-and-swap;
+// the pre-image is let go once the owner commits, so a committed
+// object keeps none of its history alive.
 // A transaction commits by changing its status word from active to
 // committed with a single compare-and-swap; one transaction aborts
 // another the same way. Conflict detection is eager: a transaction

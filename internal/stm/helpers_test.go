@@ -2,6 +2,7 @@ package stm_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -164,44 +165,108 @@ func TestAtomic2(t *testing.T) {
 	}
 }
 
-// TestInlineReadSetOverflow crosses the inline-array boundary: a
-// transaction reading more variables than the inline capacity must
-// still validate and commit a consistent snapshot, and repeated reads
-// must hit the recorded version on both sides of the spill.
-func TestInlineReadSetOverflow(t *testing.T) {
-	s := stm.New()
-	const n = 40 // comfortably past the inline capacity
+// openCounter counts the manager's Opened notifications for one
+// watched attempt.
+type openCounter struct {
+	politeManager
+	watch  *stm.Tx
+	opened int
+}
+
+func (m *openCounter) Opened(tx *stm.Tx, _ bool) {
+	if tx == m.watch {
+		m.opened++
+	}
+}
+
+// TestReadSetAcrossInlineBoundary crosses the read set's slice/overflow
+// boundary: a transaction reading more variables than InlineReads must
+// still validate and commit a consistent snapshot; a repeated read
+// must return the recorded version — not the committed one — on both
+// sides of the boundary; and Opens and the manager's Opened must count
+// each object once however often and from whichever side it is
+// re-read.
+func TestReadSetAcrossInlineBoundary(t *testing.T) {
+	const n = 2*stm.InlineReads + 8 // the last reads land in the overflow map
+	mgr := &openCounter{}
+	s := stm.New(stm.WithManagerFactory(func() stm.Manager { return mgr }))
 	vars := make([]*stm.Var[int], n)
 	for i := range vars {
 		vars[i] = stm.NewVar(i)
 	}
+	attempts := 0
+	seen := make([]int, n)
 	if err := s.Atomically(func(tx *stm.Tx) error {
-		// First pass records; second pass must see identical values via
-		// the recorded read set (inline for the first few, map beyond).
-		first := make([]int, n)
-		for i, v := range vars {
-			x, err := stm.Read(tx, v)
+		attempts++
+		mgr.watch, mgr.opened = tx, 0
+		// overwrite commits a new version of vars[i] behind tx's back,
+		// which dooms the attempt; until it notices, reread must still
+		// return what tx recorded. Attempt 1 is doomed while the set
+		// is all inline, attempt 2 once it has overflowed, attempt 3
+		// commits.
+		overwrite := func(during, i int) error {
+			if attempts != during {
+				return nil
+			}
+			return s.Atomically(func(o *stm.Tx) error { return stm.Write(o, vars[i], 1000+i) })
+		}
+		reread := func(i int) error {
+			x, err := stm.Read(tx, vars[i])
 			if err != nil {
 				return err
 			}
-			first[i] = x
+			if x != seen[i] {
+				return fmt.Errorf("attempt %d: repeated read of vars[%d] = %d, want the recorded %d", attempts, i, x, seen[i])
+			}
+			return nil
 		}
 		for i, v := range vars {
 			x, err := stm.Read(tx, v)
 			if err != nil {
 				return err
 			}
-			if x != first[i] {
-				return errors.New("repeated read differed from recorded version")
+			seen[i] = x
+			if i == stm.InlineReads/2 {
+				// The set is still inline.
+				if err := overwrite(1, 0); err != nil {
+					return err
+				}
+				if err := reread(0); err != nil {
+					return err
+				}
 			}
+		}
+		// Overflowed: an inline entry and a map entry.
+		if err := overwrite(2, n-1); err != nil {
+			return err
+		}
+		for _, i := range []int{0, n - 1, 0} {
+			if err := reread(i); err != nil {
+				return err
+			}
+		}
+		if got := tx.Opens(); got != n {
+			return fmt.Errorf("Opens() = %d after %d distinct reads and 4 repeats, want %d", got, n, n)
+		}
+		if mgr.opened != n {
+			return fmt.Errorf("manager heard %d Opened calls, want %d", mgr.opened, n)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A writer invalidating a spilled (map-side) entry must abort the
-	// reader's commit: snapshot consistency cannot depend on which side
-	// of the inline boundary the read landed.
+	// Both stale attempts must have failed validation and retried.
+	if attempts != 3 || seen[0] != 1000 || seen[n-1] != 1000+n-1 {
+		t.Fatalf("committed on attempt %d having read %d and %d; want attempt 3 reading the overwritten 1000 and %d", attempts, seen[0], seen[n-1], 1000+n-1)
+	}
+	for _, i := range []int{0, n - 1} {
+		if err := s.Atomically(func(o *stm.Tx) error { return stm.Write(o, vars[i], i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A writer invalidating an entry must abort the reader's commit
+	// wherever it sits: snapshot consistency cannot depend on which side
+	// of the boundary the read landed.
 	sums := make(chan int, 2)
 	release := make(chan struct{})
 	go func() {
@@ -232,7 +297,7 @@ func TestInlineReadSetOverflow(t *testing.T) {
 	}()
 	<-release
 	if err := s.Atomically(func(tx *stm.Tx) error {
-		// Invalidate both an inline-side and a map-side variable.
+		// Invalidate an entry on each side of the boundary.
 		if err := stm.Update(tx, vars[1], func(x int) int { return x + 1000 }); err != nil {
 			return err
 		}

@@ -44,7 +44,8 @@ func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
-	if v, ok := tx.lazyWrites[o]; ok {
+	sess := tx.sess
+	if v, ok := sess.lazyWrites[o]; ok {
 		return v, nil
 	}
 	// Record the pre-image for commit-time validation. This is one
@@ -68,14 +69,15 @@ func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
 	case base != nil:
 		clone = base.Clone()
 	}
-	if tx.lazyWrites == nil {
-		tx.lazyWrites = make(map[*TObj]Value, 4)
+	if sess.lazyWrites == nil {
+		sess.lazyWrites = make(map[*TObj]Value, 4)
 	}
-	tx.lazyWrites[o] = clone
-	tx.opens++
-	tx.sess.stats.opens.Add(1)
-	tx.sess.mgr.Opened(tx, true)
-	if rec := tx.sess.rec; rec != nil {
+	sess.lazyWrites[o] = clone
+	sess.writeStripes = append(sess.writeStripes, o.stripe)
+	sess.opens++
+	sess.stats.opens.Add(1)
+	sess.mgr.Opened(tx, true)
+	if rec := sess.rec; rec != nil {
 		rec.open(o, true)
 	}
 	tx.maybeYield()
@@ -93,14 +95,11 @@ func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
 // lock-aware, exactly as in the eager writer commit: a read whose
 // stripe another writer holds mid-commit is a conflict.
 func (tx *Tx) tryCommitLazy() bool {
-	if len(tx.lazyWrites) == 0 {
+	if len(tx.sess.writeStripes) == 0 {
 		return tx.tryCommitReadOnly()
 	}
-	buf := tx.sess.stripeScratch[:0]
-	for obj := range tx.lazyWrites {
-		buf = append(buf, obj.stripe)
-	}
-	held := tx.lockStripes(buf)
+	s := tx.sess.stm
+	held := tx.lockStripes()
 	defer tx.unlockStripes(held)
 	if !tx.readsCommittedAndUnowned() {
 		// A conflicting transaction committed first; all our work is
@@ -110,7 +109,7 @@ func (tx *Tx) tryCommitLazy() bool {
 		tx.Abort()
 		return false
 	}
-	if h := tx.stm.commitHook; h != nil {
+	if h := s.commitHook; h != nil {
 		h()
 	}
 	if !tx.commit() {
@@ -121,12 +120,12 @@ func (tx *Tx) tryCommitLazy() bool {
 	// installer count drops back, so a validator that finds the count
 	// at zero after our installation necessarily re-reads a moved
 	// clock and rescans.
-	tx.stm.installers.Add(1)
-	for obj, newVal := range tx.lazyWrites {
+	s.installers.Add(1)
+	for obj, newVal := range tx.sess.lazyWrites {
 		obj.loc.Store(&locator{newVal: newVal})
 	}
-	tx.stm.commitClock.Add(2)
-	tx.stm.installers.Add(-1)
+	s.commitClock.Add(2)
+	s.installers.Add(-1)
 	// Stripes are still held (the deferred unlockStripes runs after we
 	// return), so lazy-mode commit hooks keep the same per-object
 	// ordering guarantee as the eager writer path.
@@ -140,20 +139,21 @@ func (tx *Tx) tryCommitLazy() bool {
 // the scan) prove every read was simultaneously valid at the scan's
 // start, which is the serialization point.
 func (tx *Tx) tryCommitReadOnly() bool {
+	s := tx.sess.stm
 	for attempt := 0; ; attempt++ {
-		if tx.stm.installers.Load() != 0 {
+		if s.installers.Load() != 0 {
 			// An installation is in progress; wait it out.
 			tx.backoff(attempt)
 			continue
 		}
-		c0 := tx.stm.commitClock.Load()
-		if !tx.scanReads() {
+		c0 := s.commitClock.Load()
+		if !tx.readsStillCommitted() {
 			tx.setCause(CauseValidation)
 			tx.noteConflict()
 			tx.Abort()
 			return false
 		}
-		if tx.stm.installers.Load() == 0 && tx.stm.commitClock.Load() == c0 {
+		if s.installers.Load() == 0 && s.commitClock.Load() == c0 {
 			if !tx.commit() {
 				tx.setCause(CauseCASRace)
 				return false

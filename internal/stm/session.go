@@ -21,11 +21,11 @@ type session struct {
 	mgr Manager
 
 	// pinned marks a Thread's session. Pinned sessions never reuse Tx
-	// descriptors (only the owner-private read-set map): Thread exposes
-	// the running attempt through Current() for failure injection, and
-	// a stale injector reference must stay a harmless no-op on a
-	// finished transaction — never a Halt of an unrelated later one.
-	// Pooled sessions expose no descriptor, so they recycle freely.
+	// descriptors: Thread exposes the running attempt through Current()
+	// for failure injection, and a stale injector reference must stay a
+	// harmless no-op on a finished transaction — never a Halt of an
+	// unrelated later one. Pooled sessions expose no descriptor, so
+	// they recycle freely.
 	pinned bool
 
 	// current is the attempt now running on this session, exposed so
@@ -44,23 +44,46 @@ type session struct {
 	commitLat   metrics.AtomicHistogram
 	commitTries metrics.AtomicHistogram
 
-	// freeTx, freeReads and freeShared cache attempt state for reuse
-	// (see recycle). They are owner-private: only the goroutine holding
-	// the session touches them.
+	// freeTx and freeShared cache a descriptor and a logical-transaction
+	// record for reuse (see recycle and atomically). They are
+	// owner-private: only the goroutine holding the session touches them.
 	freeTx     *Tx
-	freeReads  map[*TObj]Value
 	freeShared *txShared
 
-	// inline is the small-transaction read-set array lent to the
-	// session's running attempt (one runs at a time), so per-attempt
-	// descriptors stay small and small transactions need no map.
-	inline inlineReadSet
-
-	// stripeScratch is the reusable buffer writer commits collect
-	// their write set's stripe indices into (see Tx.lockStripes);
-	// owner-private like the rest of the attempt scaffolding, so a
-	// steady-state commit allocates nothing for stripe bookkeeping.
-	stripeScratch []uint32
+	// The state of the running attempt. One attempt runs on a session
+	// at a time and only its goroutine touches any of this, so it lives
+	// here — reused by every attempt, emptied by resetAttempt — and not
+	// on the per-attempt descriptor that locators pin (see Tx).
+	//
+	// reads and overflow are the read set: each object opened for
+	// reading with the version observed. Invisible to writers,
+	// validated lazily. The first inlineReads entries sit in the slice,
+	// in open order, and are looked up by linear scan; the rest go to
+	// the map (nil until a transaction first needs it).
+	reads    []readEntry
+	overflow map[*TObj]Value
+	// writeStripes holds the commit-stripe index of every object the
+	// attempt has open for writing, in open order — what commit needs
+	// of the write set to lock it (and to know there is one);
+	// Tx.lockStripes sorts and dedupes it in place. installed holds
+	// the locators an eager attempt installed, whose pre-images its
+	// commit releases (see locator).
+	writeStripes []uint32
+	installed    []*locator
+	// validClock is the commit-clock value at which the read set was
+	// last known valid; validation is skipped while the clock has not
+	// advanced.
+	validClock uint64
+	// opens counts objects opened by the attempt (reads and writes).
+	opens int32
+	// lazyWrites buffers tentative versions in lazy-conflict mode
+	// (nil in eager mode and until a lazy transaction first writes).
+	lazyWrites map[*TObj]Value
+	// local is the attempt-scoped scratch slot for layers composed
+	// above the engine (the kv store parks its write-set capture
+	// here); onCommit is the attempt's commit hook (see Tx.OnCommit).
+	local    any
+	onCommit func()
 
 	// Flight-recorder state (see trace.go), owner-private. rec is
 	// non-nil exactly while a sampled logical transaction runs — that
@@ -78,7 +101,7 @@ type session struct {
 // instance and registers it with the STM so TotalStats can see its
 // counters.
 func (s *STM) newSession(mgr Manager) *session {
-	sess := &session{stm: s, mgr: mgr, stripeScratch: make([]uint32, 0, 8)}
+	sess := &session{stm: s, mgr: mgr}
 	s.mu.Lock()
 	s.sessions = append(s.sessions, sess)
 	s.mu.Unlock()
@@ -201,19 +224,11 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 		if tx := sess.current.Load(); tx != nil {
 			tx.Abort()
 			sess.current.Store(nil)
-			// The orphan skipped recycle; its read set is owner-private
-			// and never consulted again, so don't let it pin Values —
-			// nor the local slot and commit hook pin caller state.
-			tx.reads = nil
-			tx.local = nil
-			tx.onCommit = nil
+			// The orphan skipped the reset every finished attempt gets;
+			// don't let its read set pin Values — nor the local slot and
+			// commit hook pin caller state — while the session idles.
+			sess.resetAttempt()
 		}
-		// Halted and panicked attempts skip recycle, which is what
-		// normally empties the session's inline read set before it
-		// idles in the pool; reset here so an abandoned attempt's
-		// entries don't pin old committed Values (no-op when recycle
-		// already ran).
-		sess.inline.reset()
 		// A panicked sampled transaction never reached finishTrace;
 		// discard its half-built recording rather than letting the
 		// next sampled transaction inherit it (no-op otherwise).
@@ -293,16 +308,14 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 		case errors.Is(err, ErrHalted):
 			// Failure injection: abandon the transaction without
 			// aborting it. It remains active and obstructing, so its
-			// descriptor is not recycled — but its read set is
+			// descriptor is not recycled — but the attempt state is
 			// owner-private and never consulted again (enemies only
-			// read the descriptor's atomics), so sever it rather than
-			// letting stale locator references pin old Values.
+			// read the descriptor's atomics), so empty it as for any
+			// finished attempt.
 			sess.endAttemptRegion(reg, CauseNone)
 			sess.current.Store(nil)
 			sess.stats.halted.Add(1)
-			tx.reads = nil
-			tx.local = nil
-			tx.onCommit = nil
+			sess.resetAttempt()
 			return ErrHalted
 		case errors.Is(err, ErrAborted):
 			// Enemy abort: fall through to retry.
@@ -342,17 +355,10 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 	}
 }
 
-// maxRecycledReads caps the read-set size kept for reuse, so one huge
-// transaction does not pin a huge map on the session forever.
-const maxRecycledReads = 256
-
 // newAttempt produces the descriptor for the next attempt, reusing the
-// session's cached descriptor or read-set map when available.
+// session's cached descriptor when there is one. The attempt state on
+// the session is already empty: every way an attempt ends resets it.
 func (sess *session) newAttempt(shared *txShared) *Tx {
-	// The previous attempt's inline entries are normally reset by
-	// recycle; a halted or panicked attempt skips recycling, so reset
-	// again here before lending the array out.
-	sess.inline.reset()
 	if tx := sess.freeTx; tx != nil {
 		sess.freeTx = nil
 		tx.shared = shared
@@ -360,52 +366,52 @@ func (sess *session) newAttempt(shared *txShared) *Tx {
 		tx.waiting.Store(false)
 		tx.halted.Store(false)
 		tx.cause = CauseNone
-		tx.validClock = 0
-		tx.opens = 0
 		return tx
 	}
-	tx := &Tx{stm: sess.stm, sess: sess, shared: shared, inline: &sess.inline}
-	// The inline array serves small transactions without a map; adopt a
-	// salvaged overflow map when one is cached, and otherwise leave
-	// reads nil until the inline slots fill.
-	if sess.freeReads != nil {
-		tx.reads = sess.freeReads
-		sess.freeReads = nil
-	}
-	return tx
+	return &Tx{sess: sess, shared: shared}
 }
 
-// recycle salvages attempt state once the attempt is frozen. A
+// recycle ends a frozen attempt: it keeps the descriptor for reuse
+// when that is safe and empties the session's attempt state. A
 // descriptor may be reused only if it never appeared as an owner in
 // any locator — that is, it opened nothing for eager writing: enemies
 // that reached a descriptor through a stale locator interrogate its
 // status forever, and resetting a referenced descriptor to active
 // would rewrite committed history. Read-only attempts and lazy-mode
 // attempts (whose commit installs ownerless locators) are never
-// referenced, so their descriptors and read-set maps are reused whole;
-// for eager writers only the owner-private read-set map is salvaged.
+// referenced.
 func (sess *session) recycle(tx *Tx) {
-	// Reset here, not at reuse: a session may idle in the pool
-	// indefinitely, and its inline read-set entries must not pin old
-	// committed Values while it does. The local slot and commit hook
-	// are attempt-scoped for the same reason (a fired hook already
-	// cleared itself; an aborted attempt's hook must not survive into
-	// a retry).
-	sess.inline.reset()
-	tx.local = nil
-	tx.onCommit = nil
-	if len(tx.writes) == 0 && !sess.pinned {
-		if sess.freeTx == nil && len(tx.reads) <= maxRecycledReads {
-			clear(tx.reads)
-			clear(tx.lazyWrites)
-			sess.freeTx = tx
-		}
-		return
+	if (sess.stm.lazy || len(sess.writeStripes) == 0) && !sess.pinned {
+		sess.freeTx = tx
 	}
-	if sess.freeReads == nil && tx.reads != nil && len(tx.reads) <= maxRecycledReads {
-		m := tx.reads
-		tx.reads = nil
-		clear(m)
-		sess.freeReads = m
+	sess.resetAttempt()
+}
+
+// maxRetainedReads caps the overflow map a session keeps between
+// attempts, so one huge transaction (a Map.grow, a BGSAVE-sized scan)
+// does not leave its read set's buckets on a pooled session forever.
+const maxRetainedReads = 2048
+
+// resetAttempt empties the session's attempt state, keeping the
+// buffers. It runs when an attempt ends, not when the next begins: a
+// session may idle in the pool indefinitely, and its read set must not
+// pin old committed Values — nor the local slot and commit hook pin
+// caller state — while it does. (A fired hook already cleared itself;
+// an aborted attempt's hook must not survive into a retry.)
+func (sess *session) resetAttempt() {
+	clear(sess.reads)
+	sess.reads = sess.reads[:0]
+	if len(sess.overflow) > maxRetainedReads {
+		sess.overflow = nil
+	} else {
+		clear(sess.overflow)
 	}
+	sess.writeStripes = sess.writeStripes[:0]
+	clear(sess.installed)
+	sess.installed = sess.installed[:0]
+	sess.validClock = 0
+	sess.opens = 0
+	clear(sess.lazyWrites)
+	sess.local = nil
+	sess.onCommit = nil
 }

@@ -268,22 +268,21 @@ type commitStripe struct {
 	_     [64 - 16]byte
 }
 
-// lockStripes sorts and dedupes the stripe indices in buf, locks each
-// stripe in ascending order (the global order that makes overlapping
-// writer commits deadlock-free) and publishes tx as the stripes'
-// committing owner. It returns the deduped prefix of buf, which the
-// caller passes to unlockStripes; buf is the session's reusable
-// scratch so a steady-state commit allocates nothing.
-func (tx *Tx) lockStripes(buf []uint32) []uint32 {
-	tx.sess.stripeScratch = buf // retain any growth for the next commit
-	slices.Sort(buf)
-	buf = slices.Compact(buf)
-	for _, i := range buf {
-		st := &tx.stm.stripes[i]
+// lockStripes sorts and dedupes the attempt's write-set stripe indices
+// in place, locks each stripe in ascending order (the global order
+// that makes overlapping writer commits deadlock-free) and publishes tx
+// as the stripes' committing owner. It returns the deduped stripes,
+// which the caller passes to unlockStripes.
+func (tx *Tx) lockStripes() []uint32 {
+	held := tx.sess.writeStripes
+	slices.Sort(held)
+	held = slices.Compact(held)
+	for _, i := range held {
+		st := &tx.sess.stm.stripes[i]
 		st.mu.Lock()
 		st.owner.Store(tx)
 	}
-	return buf
+	return held
 }
 
 // unlockStripes clears the owner published by lockStripes and releases
@@ -292,9 +291,19 @@ func (tx *Tx) lockStripes(buf []uint32) []uint32 {
 // the committed versions the owner installed.
 func (tx *Tx) unlockStripes(held []uint32) {
 	for _, i := range held {
-		st := &tx.stm.stripes[i]
+		st := &tx.sess.stm.stripes[i]
 		st.owner.Store(nil)
 		st.mu.Unlock()
+	}
+}
+
+// releasePreimages lets go of the versions a committed eager writer
+// replaced: with the owner committed no reader of its locators looks
+// at the pre-image again (see locator), and keeping it would pin it
+// until the object's next write.
+func (tx *Tx) releasePreimages() {
+	for _, l := range tx.sess.installed {
+		l.prev.Store(nil)
 	}
 }
 
@@ -311,15 +320,17 @@ func (tx *Tx) unlockStripes(held []uint32) {
 // overlapping read/write sets, at least one observes the other and
 // fails validation (see DESIGN.md for the ordering argument).
 func (tx *Tx) tryCommit() bool {
-	if tx.stm.lazy {
+	sess := tx.sess
+	s := sess.stm
+	if s.lazy {
 		return tx.tryCommitLazy()
 	}
-	if len(tx.writes) == 0 {
+	if len(sess.writeStripes) == 0 {
 		return tx.tryCommitReadOnly()
 	}
-	if tx.inline.n == 0 && len(tx.reads) == 0 {
+	if len(sess.reads) == 0 {
 		// Blind writer (e.g. a typed Update, whose pre-image is the
-		// owned locator's oldVal, not a read-set entry): with nothing
+		// owned locator's prev, not a read-set entry): with nothing
 		// to validate there is no validate-then-CAS window to protect,
 		// so no stripes are taken — the status CAS alone is the
 		// serialization point, exactly the original DSTM commit.
@@ -331,7 +342,8 @@ func (tx *Tx) tryCommit() bool {
 			tx.setCause(CauseCASRace)
 			return false
 		}
-		tx.stm.commitClock.Add(2)
+		s.commitClock.Add(2)
+		tx.releasePreimages()
 		// No stripes are held here, so the commit hook of a blind
 		// writer carries no cross-transaction ordering guarantee; the
 		// kv capture never reaches this path (its mutations read the
@@ -339,11 +351,7 @@ func (tx *Tx) tryCommit() bool {
 		tx.fireOnCommit()
 		return true
 	}
-	buf := tx.sess.stripeScratch[:0]
-	for _, obj := range tx.writes {
-		buf = append(buf, obj.stripe)
-	}
-	held := tx.lockStripes(buf)
+	held := tx.lockStripes()
 	defer tx.unlockStripes(held)
 	if !tx.readsCommittedAndUnowned() {
 		tx.setCause(CauseValidation)
@@ -351,25 +359,18 @@ func (tx *Tx) tryCommit() bool {
 		tx.Abort()
 		return false
 	}
-	if h := tx.stm.commitHook; h != nil {
+	if h := s.commitHook; h != nil {
 		h()
 	}
 	if !tx.commit() {
 		tx.setCause(CauseCASRace)
 		return false
 	}
-	tx.stm.commitClock.Add(2)
+	s.commitClock.Add(2)
+	tx.releasePreimages()
 	// The deferred unlockStripes has not run yet: the hook fires with
 	// the write set's stripes still held, so the hooks of two writers
 	// that touched the same object run in their commit order.
 	tx.fireOnCommit()
 	return true
-}
-
-// scanReads performs a full read-set scan against current committed
-// versions, without the commit-clock shortcut and without lock
-// awareness — the read-only commit's scan (writer commits use the
-// lock-aware readsCommittedAndUnowned instead).
-func (tx *Tx) scanReads() bool {
-	return tx.readsStillCommitted()
 }

@@ -70,15 +70,16 @@ func testCyclicWriters(t *testing.T, opts ...stm.Option) {
 		stm.WithCommitHook(func() { time.Sleep(time.Millisecond) }),
 	}, opts...)
 	// Filler variables pad both read sets: validation scans them
-	// before reaching the contended entry (inline slots hold the
-	// first eight reads, the rest spill to the overflow map), so the
-	// window between "validated the contended read" and "status CAS"
-	// is wide enough for the two commits — marched to the commit
-	// doorstep together by the barriers — to actually overlap. With
+	// before reaching the contended entry (the inline slots hold the
+	// first reads, the rest spill to the overflow map, which is
+	// scanned last), so the window between "validated the contended
+	// read" and "status CAS" is wide enough for the two commits —
+	// marched to the commit doorstep together by the barriers — to
+	// actually overlap. With
 	// the old global commitMu this interleaving was impossible by
 	// construction; the striped protocol must exclude it through
 	// lock-aware validation.
-	const fillers = 48
+	const fillers = stm.InlineReads + 16
 	for r := 0; r < rounds; r++ {
 		s := stm.New(opts...)
 		pad := make([]*stm.Var[int], fillers)

@@ -21,25 +21,46 @@ type Value interface {
 // committed version is determined by the owner's frozen status:
 //
 //	owner nil or committed -> newVal
-//	owner aborted          -> oldVal
-//	owner active           -> oldVal (the tentative newVal is private)
+//	owner aborted          -> the pre-image, prev.newVal
+//	owner active           -> the pre-image (the tentative newVal is private)
 //
-// Locators are immutable once installed; ownership changes by
-// installing a whole new locator with CAS.
+// Ownership changes by installing a whole new locator with CAS; owner
+// and newVal never change once a locator is installed.
+//
+// The pre-image is held as a pointer to the locator that committed it
+// (prev, whose newVal it is) and not as a second Value, so that it can
+// be let go: a committed owner's pre-image is dead, and the owner
+// clears prev right after its status CAS (Tx.releasePreimages). Were
+// it kept — as DSTM's oldVal is — every written object would pin its
+// previous version until its next write, and a version that holds a
+// pointer pins whatever that reaches: in a Deque the popped
+// predecessor, whose own link pins its predecessor, so every node ever
+// popped (TestDequeBoundedHeap). prev always points at a locator whose
+// own owner is nil or committed, never through an aborted one, so the
+// chain it keeps alive is one locator long.
 type locator struct {
 	owner  *Tx
-	oldVal Value
+	prev   atomic.Pointer[locator]
 	newVal Value
+}
+
+// base returns the locator whose newVal is the committed version this
+// locator records, which is stable provided the owner is not active.
+func (l *locator) base() *locator {
+	if l.owner == nil || l.owner.Status() == StatusCommitted {
+		return l
+	}
+	if p := l.prev.Load(); p != nil {
+		return p
+	}
+	// prev is cleared only after the owner's commit CAS: the owner
+	// committed between the two loads.
+	return l
 }
 
 // current returns the committed version recorded by this locator,
 // which is stable provided the owner is not active.
-func (l *locator) current() Value {
-	if l.owner == nil || l.owner.Status() == StatusCommitted {
-		return l.newVal
-	}
-	return l.oldVal
-}
+func (l *locator) current() Value { return l.base().newVal }
 
 // TObj is a transactional object: a shared handle whose versioned
 // contents are read and written only inside transactions. The zero
@@ -126,7 +147,7 @@ func (o *TObj) openWrite(tx *Tx) (Value, error) { return o.openWriteAs(tx, nil) 
 // the existing private version is returned and the caller overwrites
 // it in place.
 func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
-	if tx.stm.lazy {
+	if tx.sess.stm.lazy {
 		return o.openWriteLazy(tx, mk)
 	}
 	for spin := 0; ; spin++ {
@@ -143,11 +164,13 @@ func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
 			}
 			continue
 		}
-		// Owner is nil or frozen: l.current() is stable for as long as
+		// Owner is nil or frozen: l.base() is stable for as long as
 		// the locator stays installed, and our CAS fails if it does
 		// not.
-		cur := l.current()
-		nl := &locator{owner: tx, oldVal: cur}
+		base := l.base()
+		cur := base.newVal
+		nl := &locator{owner: tx}
+		nl.prev.Store(base)
 		switch {
 		case mk != nil:
 			nl.newVal = mk()
@@ -158,8 +181,9 @@ func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
 			tx.backoff(spin)
 			continue
 		}
-		tx.writes = append(tx.writes, o)
-		tx.opens++
+		tx.sess.writeStripes = append(tx.sess.writeStripes, o.stripe)
+		tx.sess.installed = append(tx.sess.installed, nl)
+		tx.sess.opens++
 		tx.sess.mgr.Opened(tx, true)
 		tx.sess.stats.opens.Add(1)
 		if rec := tx.sess.rec; rec != nil {
@@ -184,7 +208,7 @@ func (o *TObj) openRead(tx *Tx) (Value, error) {
 		return nil, err
 	}
 	// Read own write.
-	if v, ok := tx.lazyWrites[o]; ok {
+	if v, ok := tx.sess.lazyWrites[o]; ok {
 		return v, nil
 	}
 	if l := o.loc.Load(); l.owner == tx {
@@ -210,7 +234,7 @@ func (o *TObj) openRead(tx *Tx) (Value, error) {
 		}
 		v := l.current()
 		tx.recordRead(o, v)
-		tx.opens++
+		tx.sess.opens++
 		tx.sess.mgr.Opened(tx, false)
 		tx.sess.stats.opens.Add(1)
 		if rec := tx.sess.rec; rec != nil {

@@ -41,9 +41,16 @@ type txShared struct {
 // by the owning session (see session.recycle).
 //
 // Enemy transactions hold references to a Tx through object locators
-// and interrogate it only through the atomic accessors below.
+// and interrogate it only through the atomic accessors below. A locator
+// keeps its owner's descriptor reachable until the object's next write,
+// so the descriptor holds only what an enemy may touch: everything the
+// owner alone uses — the read set, the write set, the validation
+// clock, the open count, the lazy write buffer, the local slot and the
+// commit hook — lives on the session (see session's attempt state),
+// where the next attempt reuses it. Nothing owner-private may be added
+// here: a field on the descriptor is retained, per written object, for
+// as long as that object goes unwritten (TestTxDescriptorSize).
 type Tx struct {
-	stm    *STM
 	sess   *session
 	shared *txShared
 
@@ -55,40 +62,6 @@ type Tx struct {
 	// the owning goroutine). A single byte in the status word's padding
 	// hole, so abort forensics cost the descriptor no space.
 	cause AbortCause
-	// opens counts objects opened by this attempt (reads and writes).
-	// An int32 here fills the status word's padding hole, keeping the
-	// per-attempt descriptor in the smaller allocation size class.
-	opens int32
-
-	// The read set maps each object opened for reading to the version
-	// observed. Invisible to writers; validated lazily. Small
-	// transactions are the common case, so the first inlineReads
-	// entries live in a fixed array scanned linearly — no hashing, and
-	// a small transaction allocates no map at all — with the map as
-	// overflow (nil until the inline slots fill). The array is owned by
-	// the session (one attempt runs on a session at a time) rather than
-	// embedded here, so the descriptors of eager writers — allocated
-	// per attempt because they can never be recycled — stay small.
-	inline *inlineReadSet
-	reads  map[*TObj]Value
-	// writes lists objects this attempt has open for writing, in open
-	// order (used by statistics and tests; commit itself is just a
-	// status CAS).
-	writes []*TObj
-	// validClock is the commit-clock value at which the read set was
-	// last known valid; validation is skipped while the clock has not
-	// advanced.
-	validClock uint64
-	// lazyWrites buffers tentative versions in lazy-conflict mode
-	// (nil in eager mode and for read-only lazy transactions).
-	lazyWrites map[*TObj]Value
-
-	// local is the attempt-scoped scratch slot for layers composed
-	// above the engine (the kv store parks its write-set capture
-	// here); onCommit is the attempt's commit hook (see Tx.OnCommit).
-	// Both are owner-private and cleared at attempt boundaries.
-	local    any
-	onCommit func()
 }
 
 // ID returns the logical transaction id, stable across retries.
@@ -133,8 +106,9 @@ func (tx *Tx) SetPriority(p int64) { tx.shared.priority.Store(p) }
 // aborted so far.
 func (tx *Tx) Aborts() int64 { return tx.shared.aborts.Load() }
 
-// Opens returns the number of objects this attempt has opened.
-func (tx *Tx) Opens() int { return int(tx.opens) }
+// Opens returns the number of objects this attempt has opened. Like
+// SetLocal and OnCommit it is for the goroutine running the attempt.
+func (tx *Tx) Opens() int { return int(tx.sess.opens) }
 
 // Abort moves the transaction from active to aborted on behalf of an
 // enemy (or of the transaction itself). It returns true if the
@@ -176,10 +150,10 @@ func (tx *Tx) Halted() bool { return tx.halted.Load() }
 // the goroutine running the attempt may touch it), holds one value,
 // and is cleared when the attempt ends, so a retry starts empty and
 // the transactional function must re-arm it.
-func (tx *Tx) SetLocal(v any) { tx.local = v }
+func (tx *Tx) SetLocal(v any) { tx.sess.local = v }
 
 // Local returns the value attached with SetLocal, or nil.
-func (tx *Tx) Local() any { return tx.local }
+func (tx *Tx) Local() any { return tx.sess.local }
 
 // OnCommit registers fn to run if — and only if — this attempt
 // commits. For writer transactions fn runs inside the commit's
@@ -193,13 +167,13 @@ func (tx *Tx) Local() any { return tx.local }
 // other transactions or run transactions itself. One hook per
 // attempt: a second call replaces the first. The hook is cleared at
 // attempt boundaries, so a retried transaction must re-register it.
-func (tx *Tx) OnCommit(fn func()) { tx.onCommit = fn }
+func (tx *Tx) OnCommit(fn func()) { tx.sess.onCommit = fn }
 
 // fireOnCommit runs and clears the attempt's commit hook, if any.
 // Called only on the success paths of tryCommit and its variants.
 func (tx *Tx) fireOnCommit() {
-	if h := tx.onCommit; h != nil {
-		tx.onCommit = nil
+	if h := tx.sess.onCommit; h != nil {
+		tx.sess.onCommit = nil
 		h()
 	}
 }
@@ -258,13 +232,15 @@ func (tx *Tx) validate() bool {
 	// before the clock: an installation that finished before the count
 	// read zero bumped the clock first, so the subsequent clock load
 	// cannot match a pre-installation validClock.
+	sess := tx.sess
+	s := sess.stm
 	for attempt := 0; ; attempt++ {
-		if tx.stm.installers.Load() != 0 {
+		if s.installers.Load() != 0 {
 			tx.backoff(attempt)
 			continue
 		}
-		clock := tx.stm.commitClock.Load()
-		if clock == tx.validClock && !tx.stm.fullValidation {
+		clock := s.commitClock.Load()
+		if clock == sess.validClock && !s.fullValidation {
 			return true
 		}
 		if !tx.readsStillCommitted() {
@@ -272,9 +248,9 @@ func (tx *Tx) validate() bool {
 			tx.Abort()
 			return false
 		}
-		if tx.stm.installers.Load() == 0 && tx.stm.commitClock.Load() == clock {
+		if s.installers.Load() == 0 && s.commitClock.Load() == clock {
 			// Stable scan: cache it.
-			tx.validClock = clock
+			sess.validClock = clock
 			return true
 		}
 		if attempt >= 3 {
@@ -290,47 +266,54 @@ func (tx *Tx) validate() bool {
 // configured interleave period, so transactions overlap even when the
 // host has fewer cores than workers (see WithInterleavePeriod).
 func (tx *Tx) maybeYield() {
-	if p := tx.stm.interleave; p > 0 && int(tx.opens)%p == 0 {
+	if p := tx.sess.stm.interleave; p > 0 && int(tx.sess.opens)%p == 0 {
 		runtime.Gosched()
 	}
 }
 
+// readEntry is one read-set entry: an object opened for reading and
+// the version observed.
+type readEntry struct {
+	obj  *TObj
+	seen Value
+}
+
 // inlineReads is the number of read-set entries kept in the session's
-// fixed array before recording spills to the overflow map. Eight
-// covers the paper's small update transactions (a list or tree
-// operation on the benchmark key range reads a handful of nodes).
-const inlineReads = 8
+// slice and looked up by linear scan; reads past it go to the overflow
+// map. Every first read of an object pays one failed lookup, so a
+// transaction of n ≤ inlineReads reads costs n²/2 pointer compares and
+// no hashing, and every read past it pays a failed scan of the slice
+// before its map probe. Measured, not tunable — BenchmarkReadSet (n
+// distinct reads, then a repeated read of the first and the last),
+// ns/op, best of ten runs at -benchtime 20000x on the 2-core builder
+// (run-to-run spread about ±8 %), 0 allocs/op in every cell:
+//
+//	inlineReads    n=4    n=16    n=64    n=1024
+//	         8     379    1040    3814     62759
+//	        16     395     729    3394     58980
+//	        32     383     677    3354     72361
+//	        64     394     689    2364     85779
+//	       128     398     716    2468     98351
+//
+// Spilling a 16-read transaction to the map costs it 40–50 %; 16 and
+// 32 cannot be told apart below 1 024 reads, where 32 costs 20 % and
+// 128 costs 60 %. 32 is the smallest that holds every transaction of
+// the job pipeline (21 opens per commit) in the slice; 64 would buy a
+// 64-read transaction 30 % and nothing in this repository is that
+// size. (Why the overflow is a map at all: DESIGN.md §2.)
+const inlineReads = 32
 
-// inlineReadSet is the small-transaction read-set fast path: a fixed
-// array scanned linearly. Each session owns one, lent to its running
-// attempt; it is owner-private like the overflow map.
-type inlineReadSet struct {
-	objs [inlineReads]*TObj
-	vals [inlineReads]Value
-	n    int
-}
-
-// reset empties the set, releasing the recorded Values so an idle
-// session does not pin old committed versions.
-func (rs *inlineReadSet) reset() {
-	for i := 0; i < rs.n; i++ {
-		rs.objs[i] = nil
-		rs.vals[i] = nil
-	}
-	rs.n = 0
-}
-
-// lookupRead returns the version the transaction has recorded for obj,
-// if any: the inline entries first, then the overflow map.
+// lookupRead returns the version the attempt has recorded for obj, if
+// any: the slice first, then the overflow map.
 func (tx *Tx) lookupRead(obj *TObj) (Value, bool) {
-	rs := tx.inline
-	for i := 0; i < rs.n; i++ {
-		if rs.objs[i] == obj {
-			return rs.vals[i], true
+	sess := tx.sess
+	for i := range sess.reads {
+		if sess.reads[i].obj == obj {
+			return sess.reads[i].seen, true
 		}
 	}
-	if tx.reads != nil {
-		v, ok := tx.reads[obj]
+	if len(sess.overflow) != 0 {
+		v, ok := sess.overflow[obj]
 		return v, ok
 	}
 	return nil, false
@@ -341,20 +324,18 @@ func (tx *Tx) lookupRead(obj *TObj) (Value, bool) {
 // nothing, and only the owning goroutine mutates the read set, so no
 // duplicate check is repeated here — this is the hottest read path.
 func (tx *Tx) recordRead(obj *TObj, v Value) {
-	rs := tx.inline
-	if rs.n < inlineReads {
-		rs.objs[rs.n] = obj
-		rs.vals[rs.n] = v
-		rs.n++
+	sess := tx.sess
+	if len(sess.reads) < inlineReads {
+		sess.reads = append(sess.reads, readEntry{obj, v})
 		return
 	}
-	if tx.reads == nil {
-		tx.reads = make(map[*TObj]Value, 16)
+	if sess.overflow == nil {
+		sess.overflow = make(map[*TObj]Value, 2*inlineReads)
 	}
-	tx.reads[obj] = v
+	sess.overflow[obj] = v
 }
 
-// readsStillCommitted re-checks every recorded read — inline entries
+// readsStillCommitted re-checks every recorded read — slice entries
 // and overflow map — against the object's current committed version.
 // This is the plain (open-time and read-only-commit) scan; writer
 // commits use the lock-aware readsCommittedAndUnowned.
@@ -373,13 +354,12 @@ func (tx *Tx) readsCommittedAndUnowned() bool {
 }
 
 func (tx *Tx) validateReads(lockAware bool) bool {
-	rs := tx.inline
-	for i := 0; i < rs.n; i++ {
-		if !tx.readStillValid(rs.objs[i], rs.vals[i], lockAware) {
+	for _, r := range tx.sess.reads {
+		if !tx.readStillValid(r.obj, r.seen, lockAware) {
 			return false
 		}
 	}
-	for obj, seen := range tx.reads {
+	for obj, seen := range tx.sess.overflow {
 		if !tx.readStillValid(obj, seen, lockAware) {
 			return false
 		}
@@ -400,7 +380,7 @@ func (tx *Tx) validateReads(lockAware bool) bool {
 // a post-release owner read and let both commit.)
 func (tx *Tx) readStillValid(obj *TObj, seen Value, lockAware bool) bool {
 	if lockAware {
-		if owner := tx.stm.stripes[obj.stripe].owner.Load(); owner != nil && owner != tx {
+		if owner := tx.sess.stm.stripes[obj.stripe].owner.Load(); owner != nil && owner != tx {
 			return false
 		}
 	}

@@ -53,12 +53,32 @@ type Var[T any] struct {
 	clone Cloner[T]
 }
 
+// birthCell co-allocates a Var's initial locator with its initial box,
+// making NewVar two allocations instead of three. A locator may share
+// a cell with the version it carries as newVal, and with nothing else,
+// because the two are needed for exactly the same span: while the
+// locator is installed, and then as the next writer's pre-image (prev
+// points at the locator, whose newVal is the box) until that writer
+// commits and lets go. Folding the initial locator into the Var would
+// instead keep it — and the birth value it points at — alive as long
+// as the Var: in a Deque the birth value of a link is the neighbouring
+// node, whose own links pin their birth neighbours, i.e. every popped
+// node forever (TestDequeBoundedHeap; DESIGN.md §1). Only the initial
+// pair is co-allocated: later versions come from Value.Clone, which
+// the engine does not allocate.
+type birthCell[T any] struct {
+	loc locator
+	box varBox[T]
+}
+
 // NewVar creates a transactional variable whose initial committed
 // value is v, with the shallow (assignment) clone strategy.
 func NewVar[T any](v T) *Var[T] {
 	va := &Var[T]{}
 	va.obj.stripe = nextStripe()
-	va.obj.loc.Store(&locator{newVal: &varBox[T]{va: va, val: v}})
+	c := &birthCell[T]{box: varBox[T]{va: va, val: v}}
+	c.loc.newVal = &c.box
+	va.obj.loc.Store(&c.loc)
 	return va
 }
 
