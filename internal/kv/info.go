@@ -174,7 +174,7 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 	}
 	l := st.WAL()
 	reg.CounterFunc("wal_records_total", "Write sets logged.", nil,
-		func() int64 { return l.Stats().Records })
+		func() int64 { return l.Stats().Records() })
 	reg.CounterFunc("wal_batches_total", "Group-commit flushes.", nil,
 		func() int64 { return l.Stats().Batches })
 	reg.CounterFunc("wal_fsyncs_total", "Segment fsync syscalls.", nil,
@@ -183,8 +183,12 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 		func() int64 { return l.Stats().Dropped })
 	reg.GaugeFunc("wal_segment", "Sequence number of the segment being written.", nil,
 		func() float64 { return float64(l.Stats().Segment) })
-	reg.GaugeFunc("wal_queue_depth", "Tickets enqueued but not yet flushed.", nil,
-		func() float64 { return float64(l.Stats().QueueDepth) })
+	reg.GaugeFunc("wal_lsn_enqueued", "LSN of the last record appended (committed in memory).", nil,
+		func() float64 { return float64(l.Stats().Enqueued) })
+	reg.GaugeFunc("wal_lsn_durable", "Durable watermark: the LSN up to which records are fsynced.", nil,
+		func() float64 { return float64(l.Stats().Durable) })
+	reg.GaugeFunc("wal_queue_depth", "Records appended but not yet durable (lsn_enqueued - lsn_durable).", nil,
+		func() float64 { return float64(l.Stats().QueueDepth()) })
 	reg.GaugeFunc("wal_sticky_error", "1 when the log is poisoned by a write/fsync failure.", nil,
 		func() float64 {
 			if l.Err() != nil {
@@ -448,12 +452,14 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("wal_enabled", 1)
 		l := srv.store.WAL()
 		st := l.Stats()
-		line("records", st.Records)
+		line("records", st.Records())
 		line("batches", st.Batches)
 		line("fsyncs", st.Fsyncs)
 		line("dropped", st.Dropped)
 		line("segment", st.Segment)
-		line("queue_depth", st.QueueDepth)
+		line("lsn_enqueued", st.Enqueued)
+		line("lsn_durable", st.Durable)
+		line("queue_depth", st.QueueDepth())
 		lat := l.FsyncLatency()
 		line("fsync_p50_usec", lat.Quantile(0.50).Microseconds())
 		line("fsync_p99_usec", lat.Quantile(0.99).Microseconds())

@@ -171,7 +171,7 @@ func TestSlowlogRingWraparound(t *testing.T) {
 // the manager label, and WAL internals on a durable store.
 func TestMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupWindow: 200 * time.Microsecond})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +238,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if _, ok := samples[`wal_fsync_seconds_count`]; !ok {
 		t.Fatalf("wal fsync histogram missing:\n%s", body)
+	}
+	// One SET, acknowledged: appended, durable, nothing in between.
+	if enq, dur, depth := samples[`wal_lsn_enqueued`], samples[`wal_lsn_durable`], samples[`wal_queue_depth`]; enq != 1 || dur != 1 || depth != 0 {
+		t.Fatalf("wal watermark gauges: lsn_enqueued %g, lsn_durable %g, queue_depth %g, want 1, 1, 0\n%s", enq, dur, depth, body)
+	}
+	if info := c.mustDo(t, "INFO", "wal").Str; !strings.Contains(info, "lsn_enqueued:1\r\nlsn_durable:1\r\nqueue_depth:0\r\n") {
+		t.Fatalf("INFO wal lacks the watermark lines:\n%s", info)
 	}
 	if samples[`stmkv_keys`] != 1 {
 		t.Fatalf("stmkv_keys = %g, want 1\n%s", samples[`stmkv_keys`], body)

@@ -551,3 +551,30 @@ func TestIncrAllocBudget(t *testing.T) {
 		t.Errorf("IncrTx transaction: %.1f allocs, want 4", got)
 	}
 }
+
+// TestDurableSetAllocBudget pins one durable SET — Store.commit, then
+// the wait for its record — against the same SET on a memory-only
+// store: the log adds no allocation of its own (the capture and its
+// commit hook are pooled, the ticket is a value, the record is framed
+// into the log's buffer, the waiter parks on a sync.Cond).
+func TestDurableSetAllocBudget(t *testing.T) {
+	set := func(st *Store) float64 {
+		return testing.AllocsPerRun(200, func() {
+			p, err := st.commit(func(tx *stm.Tx, now int64) error { return st.SetTx(tx, now, "k", "v", 0) })
+			if err == nil {
+				err = p.wait()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	memory := set(New(stm.New()))
+	durable := New(stm.New())
+	l := openTestWAL(t, t.TempDir())
+	defer l.Close()
+	durable.AttachWAL(l)
+	if got := set(durable); got != memory || got != 4 {
+		t.Errorf("durable SET: %.1f allocs, memory-only %.1f, want 4 and 4", got, memory)
+	}
+}

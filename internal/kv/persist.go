@@ -6,9 +6,9 @@ package kv
 // in the transaction's local slot; putTx and DelTx append each
 // mutation to it as an absolute wal.Op (value or tombstone, with the
 // expiry deadline). If the transaction ends up writing anything, a
-// commit hook enqueues the capture while the commit still holds its
-// write set's commit stripes — so the WAL queue order equals the
-// per-key commit order (see Tx.OnCommit and DESIGN.md §Durability) —
+// commit hook appends the captured ops to the log while the commit still
+// holds its write set's commit stripes — so the log's LSN order equals
+// the per-key commit order (see Tx.OnCommit and DESIGN.md §Durability) —
 // and the durability wait happens after the stripes are released, in
 // pending.wait: at once for Store.Atomically's callers, when the reply
 // is released for the server's (see outbox in server.go).
@@ -32,9 +32,14 @@ import (
 // an attached log.
 var ErrNoWAL = errors.New("kv: no wal attached")
 
-// writeCapture accumulates one transaction's write set for logging.
+// writeCapture accumulates one transaction's write set for logging,
+// and carries what Store.commit's hook needs to log it: pooled captures
+// build the hook (appendOps) once, not once per commit.
 type writeCapture struct {
-	ops []wal.Op
+	ops       []wal.Op
+	log       *wal.Log
+	ticket    wal.Ticket
+	appendOps func() // ticket = log.Append(ops)
 }
 
 // AttachWAL makes every subsequent write through the store durable:
@@ -86,13 +91,9 @@ func (st *Store) SealLogAsync(tx *stm.Tx) {
 	if st.log == nil {
 		return
 	}
-	c, ok := tx.Local().(*writeCapture)
-	if !ok || len(c.ops) == 0 {
-		return
+	if c, ok := tx.Local().(*writeCapture); ok && len(c.ops) > 0 {
+		tx.OnCommit(func() { st.log.AppendAsync(c.ops) })
 	}
-	ops := c.ops
-	tx.SetLocal(nil) // the ops slice is handed over; don't reuse it
-	tx.OnCommit(func() { st.log.AppendAsync(ops) })
 }
 
 // SnapshotOps dumps every live entry as a canonical absolute op
@@ -236,9 +237,9 @@ func (st *Store) applyOp(tx *stm.Tx, now int64, op wal.Op) error {
 	return err
 }
 
-// capturePool recycles write captures. The ops slice is safe to reuse
-// once its ticket is acked (the logger has encoded it by then) and not
-// a moment before: pending.wait is the only place one comes back after
-// a commit, and a pending nobody waits on keeps its capture out of the
-// pool for good.
-var capturePool = sync.Pool{New: func() any { return &writeCapture{} }}
+// capturePool recycles Store.commit's write captures.
+var capturePool = sync.Pool{New: func() any {
+	c := &writeCapture{}
+	c.appendOps = func() { c.ticket = c.log.Append(c.ops) }
+	return c
+}}

@@ -25,7 +25,7 @@ func sortOps(ops []wal.Op) []wal.Op {
 
 func openTestWAL(t *testing.T, dir string) *wal.Log {
 	t.Helper()
-	l, err := wal.Open(dir, wal.Options{GroupWindow: 100 * time.Microsecond})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

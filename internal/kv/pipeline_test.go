@@ -2,17 +2,17 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/resp"
 	"repro/internal/stm"
@@ -25,11 +25,63 @@ import (
 // real TCP against a store logging to t.TempDir(); CI runs them by
 // name (TestDurablePipeline) under -race.
 
-// durableServer starts a server on a fresh store logging with the
-// given group-commit window.
-func durableServer(t *testing.T, window time.Duration, opts ...ServerOption) (*Server, *wal.Log, string, func()) {
+// setFlushHook installs h as l's flush hook: internal/wal's one test
+// seam, which runs in place of each flush's segment write + fsync and
+// is handed that step. The field is unexported and wal's export_test.go
+// serves wal's own tests only, so from here it is reached by address —
+// until ROADMAP item 2(c) gives the log an injectable filesystem. Call
+// it before the log sees traffic.
+func setFlushHook(l *wal.Log, h func(writeSync func() error) error) {
+	f := reflect.ValueOf(l).Elem().FieldByName("flushHook")
+	*(*func(func() error) error)(unsafe.Pointer(f.UnsafeAddr())) = h
+}
+
+// gateFlushes makes each of l's flushes wait at the disk for one value
+// on the returned channel: nil lets it through, an error fails it with
+// that error. A send returns once the logger has a flush waiting, so
+// whatever was appended before it is either in that flush or queued
+// behind it.
+func gateFlushes(l *wal.Log) chan<- error {
+	gate := make(chan error)
+	setFlushHook(l, func(writeSync func() error) error {
+		if err := <-gate; err != nil {
+			return err
+		}
+		return writeSync()
+	})
+	return gate
+}
+
+// appended waits until n records have been appended to l — durable or
+// not — or the log has failed.
+func appended(t *testing.T, l *wal.Log, n uint64) {
 	t.Helper()
-	l, err := wal.Open(t.TempDir(), wal.Options{GroupWindow: window})
+	for deadline := time.Now().Add(10 * time.Second); l.Err() == nil && l.Stats().Enqueued < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("log never saw %d records: %+v", n, l.Stats())
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// holdOneFlush parks l's logger at the disk with one record that is
+// nobody's reply (a direct store write), so that everything the test
+// then sends queues behind a flush in flight — the state group commit
+// batches in. The logger stays there until the gate is fed.
+func holdOneFlush(t *testing.T, st *Store, l *wal.Log) (gate chan<- error, primed <-chan error) {
+	t.Helper()
+	gate = gateFlushes(l)
+	done := make(chan error, 1)
+	go func() { done <- st.Set("flush-in-flight", "v") }()
+	appended(t, l, 1)
+	return gate, done
+}
+
+// durableServer starts a server on a fresh store logging to a fresh
+// directory.
+func durableServer(t *testing.T, opts ...ServerOption) (*Server, *wal.Log, string, func()) {
+	t.Helper()
+	l, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +195,7 @@ func TestDurablePipelineTranscript(t *testing.T) {
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(burst bool) []string {
-				_, _, addr, stop := durableServer(t, 500*time.Microsecond, WithSlowlog(-1, 0))
+				_, _, addr, stop := durableServer(t, WithSlowlog(-1, 0))
 				defer stop()
 				conn := dialPipe(t, addr)
 				var got []string
@@ -176,29 +228,35 @@ func TestDurablePipelineTranscript(t *testing.T) {
 }
 
 // TestDurablePipelineSharesFsyncs: 64 SETs pipelined on one connection
-// ride a handful of group commits, not one fsync each.
+// behind a flush in flight are all executed while it lasts and ride the
+// next one together — two fsyncs in all, not one each.
 func TestDurablePipelineSharesFsyncs(t *testing.T) {
-	_, l, addr, stop := durableServer(t, time.Millisecond)
+	srv, l, addr, stop := durableServer(t)
 	defer stop()
+	gate, primed := holdOneFlush(t, srv.store, l)
 	conn := dialPipe(t, addr)
 	const n = 64
 	var burst []byte
 	for i := 0; i < n; i++ {
 		burst = append(burst, frame("SET", "k"+strconv.Itoa(i), "v")...)
 	}
-	before := l.Stats()
 	conn.send(t, burst)
+	appended(t, l, n+1)
+	if st := l.Stats(); st.Durable != 0 || st.Fsyncs != 0 {
+		t.Fatalf("behind a held flush: %+v", st)
+	}
+	gate <- nil // the flush in flight
+	gate <- nil // everything that queued behind it
 	for i, got := range conn.replies(t, n) {
 		if got != ok {
 			t.Fatalf("reply %d = %q", i, got)
 		}
 	}
-	after := l.Stats()
-	if got := after.Records - before.Records; got != n {
-		t.Fatalf("%d records logged, want %d", got, n)
+	if err := <-primed; err != nil {
+		t.Fatal(err)
 	}
-	if got := after.Fsyncs - before.Fsyncs; got >= n/4 {
-		t.Fatalf("%d pipelined SETs cost %d fsyncs, want < %d", n, got, n/4)
+	if st := l.Stats(); st.Records() != n+1 || st.Fsyncs != 2 || st.Batches != 2 {
+		t.Fatalf("%d pipelined SETs behind one flush in flight: %+v, want 2 fsyncs", n, st)
 	}
 }
 
@@ -208,11 +266,11 @@ func TestDurablePipelineSharesFsyncs(t *testing.T) {
 // answered with the log's error — never +OK, never silence — reads
 // still answer, and the handler exits cleanly.
 func TestDurablePipelineWALFailure(t *testing.T) {
-	// A window long enough that both halves of the burst are normally in
-	// flight when the log fails; if the box stalls and it is not, the
-	// second half is refused at enqueue and the replies are the same.
-	_, l, addr, stop := durableServer(t, 300*time.Millisecond)
+	srv, l, addr, stop := durableServer(t)
 	defer stop()
+	// Every flush waits for the test: the first half reaches the disk,
+	// then the log fails with the second half executed and in flight.
+	gate, primed := holdOneFlush(t, srv.store, l)
 	conn := dialPipe(t, addr)
 	const half = 8
 	sets := func(from int) []byte {
@@ -222,38 +280,17 @@ func TestDurablePipelineWALFailure(t *testing.T) {
 		}
 		return b
 	}
-	// arrived waits until n tickets have entered the log's queue (or the
-	// log has failed): flushed records plus whatever still waits.
-	arrived := func(n int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for l.Err() == nil {
-			if st := l.Stats(); st.Records+int64(st.QueueDepth) >= n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("log never saw %d tickets: %+v", n, l.Stats())
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
 	conn.send(t, sets(0))
-	arrived(half)
-	// The next rotation fails — the segment's name is taken — and a
-	// failed rotation poisons the log like a failed fsync.
-	taken := filepath.Join(l.Dir(), fmt.Sprintf("wal-%08d.log", l.Stats().Segment+1))
-	if err := os.WriteFile(taken, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rotated := make(chan error, 1)
-	go func() {
-		_, err := l.Rotate()
-		rotated <- err
-	}()
-	arrived(half + 1)
+	appended(t, l, 1+half)
+	gate <- nil // the flush in flight
+	gate <- nil // the first half, which queued behind it
+	// The handler reads on once the first half is answered.
 	conn.send(t, append(sets(half), frame("GET", "k0")...))
+	appended(t, l, 1+2*half)
+	gate <- errors.New("injected fsync failure")
 	replies := conn.replies(t, 2*half+1)
-	if err := <-rotated; err == nil {
-		t.Fatal("rotation onto a taken segment name succeeded")
+	if err := <-primed; err != nil {
+		t.Fatal(err)
 	}
 	for i, got := range replies[:half] {
 		if got != ok {
@@ -281,7 +318,7 @@ func TestDurablePipelineWALFailure(t *testing.T) {
 // fourth arrive; the three replies must come back before the client
 // sends the rest — a half-received frame holds nothing hostage.
 func TestDurablePipelinePartialFrame(t *testing.T) {
-	_, _, addr, stop := durableServer(t, time.Millisecond)
+	_, _, addr, stop := durableServer(t)
 	defer stop()
 	conn := dialPipe(t, addr)
 	fourth := frame("SET", "k4", "v")
@@ -303,7 +340,7 @@ func TestDurablePipelinePartialFrame(t *testing.T) {
 // replyWindow executed requests unanswered, and once the client reads,
 // every reply is there, in order.
 func TestDurablePipelineWindowBound(t *testing.T) {
-	srv, _, addr, stop := durableServer(t, 200*time.Microsecond)
+	srv, _, addr, stop := durableServer(t)
 	defer stop()
 	conn := dialPipe(t, addr)
 	const n = 10000
@@ -356,11 +393,11 @@ func TestDurablePipelineWindowBound(t *testing.T) {
 // shows it, since what it replays to is then not what the store holds.
 func TestDurablePipelineAbandon(t *testing.T) {
 	dir := t.TempDir()
-	// A short window keeps the logger flushing batch after batch while
-	// the handlers execute, so at any instant a connection's window
-	// holds acked replies with unflushed writes behind them — the state
-	// in which a dying socket makes the handler walk away from tickets.
-	l, err := wal.Open(dir, wal.Options{GroupWindow: 100 * time.Microsecond})
+	// The logger flushes batch after batch while the handlers execute, so
+	// at any instant a connection's window holds acked replies with
+	// unflushed writes behind them — the state in which a dying socket
+	// makes the handler walk away from tickets.
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +425,8 @@ func TestDurablePipelineAbandon(t *testing.T) {
 		}
 		// Let the handlers get into their stride, then pull the rug: half
 		// the clients vanish, then the server closes on the rest.
-		before := l.Stats().Records
-		for deadline := time.Now().Add(5 * time.Second); l.Stats().Records < before+int64(round+1)*replyWindow && time.Now().Before(deadline); {
+		before := l.Stats().Records()
+		for deadline := time.Now().Add(5 * time.Second); l.Stats().Records() < before+int64(round+1)*replyWindow && time.Now().Before(deadline); {
 			time.Sleep(50 * time.Microsecond)
 		}
 		for _, conn := range conns[:clients/2] {
@@ -421,10 +458,10 @@ func TestDurablePipelineAbandon(t *testing.T) {
 
 // TestDurablePipelineLatencyIncludesWait: a command's recorded latency
 // runs from request read to reply released, so on a durable server it
-// includes the wait for the group commit — for a SET, and for a GET
-// whose reply queues behind one — and on a memory-only server it does
-// not. (Half the window is the line: the GET is read a moment after
-// the logger starts lingering for the SET.)
+// includes the wait for the flush — here one made to take 50 ms — for a
+// SET, and for a GET whose reply queues behind one, and on a memory-only
+// server it does not. (Half the flush is the line: the GET is read a
+// moment after the logger starts on the SET.)
 func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 	const window = 50 * time.Millisecond
 	check := func(t *testing.T, srv *Server, addr string, durable bool) {
@@ -439,19 +476,23 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 		}
 		for _, e := range entries {
 			if waited := e.dur >= window/2; waited != durable {
-				t.Errorf("%s recorded %v; group window %v, durable %v", e.args[0], e.dur, window, durable)
+				t.Errorf("%s recorded %v; a flush takes %v, durable %v", e.args[0], e.dur, window, durable)
 			}
 		}
 		for _, name := range []string{"SET", "GET"} {
 			lat := srv.sm.cmds[lookupCommand(name).idx].lat.Snapshot()
 			if waited := lat.Sum() >= window/2; lat.Count() != 1 || waited != durable {
-				t.Errorf("%s histogram: %d samples, sum %v; group window %v, durable %v", name, lat.Count(), lat.Sum(), window, durable)
+				t.Errorf("%s histogram: %d samples, sum %v; a flush takes %v, durable %v", name, lat.Count(), lat.Sum(), window, durable)
 			}
 		}
 	}
 	t.Run("durable", func(t *testing.T) {
-		srv, _, addr, stop := durableServer(t, window, WithSlowlog(0, 16))
+		srv, l, addr, stop := durableServer(t, WithSlowlog(0, 16))
 		defer stop()
+		setFlushHook(l, func(writeSync func() error) error {
+			time.Sleep(window)
+			return writeSync()
+		})
 		check(t, srv, addr, true)
 	})
 	t.Run("memory", func(t *testing.T) {

@@ -171,9 +171,8 @@ func (c *connState) endMulti() {
 // replyWindow bounds how many executed requests one connection may hold
 // back waiting for their log records: a client that pipelines without
 // reading stalls here instead of growing the server's memory. It is
-// twice the depth at which the log stops lingering for company
-// (wal.Options.SkipLinger's default), so the bound is not what makes a
-// lone connection's batch.
+// several times what a handler executes during one fsync, so the bound
+// is not what ends a lone connection's batch.
 const replyWindow = 128
 
 // heldReply is one executed request whose reply has not been released:
@@ -244,9 +243,10 @@ func (out *outbox) reply(h heldReply) error {
 
 // settle releases held replies in order: all of them, sleeping on each
 // record in turn, when block is set; otherwise up to the first whose
-// record is not yet on disk. Waiting on the head alone is sound because
-// tickets ack in enqueue order (see wal.Ticket) and one connection's
-// commits are enqueued in the order it executed them.
+// record is not yet on disk. Waiting on the head alone loses nothing:
+// one connection's commits get their LSNs in the order it executed them,
+// and a ticket is done when the log's one durable watermark has reached
+// its LSN (see wal.Ticket).
 func (out *outbox) settle(block bool) error {
 	for out.n > 0 && (block || out.win[out.head].owed.ready()) {
 		if err := out.releaseHead(); err != nil {
@@ -264,9 +264,7 @@ func (out *outbox) releaseHead() error {
 	out.head = (out.head + 1) % replyWindow
 	out.n--
 	if err != nil {
-		// The peer is gone. Nothing can be told about the requests still
-		// held; their captures are left to the collector, never returned
-		// to the pool, since the logger may still be reading them.
+		// The peer is gone: nothing can be told about the requests still held.
 		clear(out.win)
 		out.head, out.n = 0, 0
 	}

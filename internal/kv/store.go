@@ -184,72 +184,52 @@ func (st *Store) Atomically(fn func(tx *stm.Tx, now int64) error) error {
 }
 
 // pending is the durability a committed transaction is still owed: the
-// WAL ticket of its write set and the pooled capture the logger reads
-// that write set from. The zero value owes nothing — a store without a
-// WAL, a transaction that wrote nothing.
+// WAL ticket of its write set. The zero value owes nothing — a store
+// without a WAL, a transaction that wrote nothing.
 type pending struct {
-	ticket *wal.Ticket
-	c      *writeCapture
+	ticket wal.Ticket
 }
 
 // commit is Atomically up to the durability wait: when it returns nil
 // the transaction is committed in memory, visible to every other
-// transaction, and — with a WAL attached — its write set is enqueued
-// for the logger in commit order. The caller owes the returned pending
-// exactly one wait before it may tell anyone the write happened, or
-// none at all if it never will (the capture is then left to the
-// collector: it must not return to the pool while the logger can still
-// read it, and only wait knows when that is).
+// transaction, and — with a WAL attached — its write set is framed into
+// the log in commit order. The caller owes the returned pending a wait
+// before it may tell anyone the write happened.
 func (st *Store) commit(fn func(tx *stm.Tx, now int64) error) (pending, error) {
 	now := st.now()
-	var p pending
-	var err error
 	if st.log == nil {
-		err = st.s.Atomically(func(tx *stm.Tx) error { return fn(tx, now) })
-	} else {
-		// Declared here, not above: the hook captures it, so it lives on
-		// the heap, and a store without a log should not pay for that.
-		logged := pending{c: capturePool.Get().(*writeCapture)}
-		err = st.s.Atomically(func(tx *stm.Tx) error {
-			// Re-arm per attempt: the local slot does not survive a retry.
-			logged.c.ops = logged.c.ops[:0]
-			tx.SetLocal(logged.c)
-			if err := fn(tx, now); err != nil {
-				return err
-			}
-			if len(logged.c.ops) > 0 {
-				tx.OnCommit(func() { logged.ticket = st.log.Append(logged.c.ops) })
-			}
-			return nil
-		})
-		if logged.ticket != nil {
-			p = logged
-		} else {
-			// Never committed, or committed no writes: the hook never
-			// fired and nothing holds the capture.
-			capturePool.Put(logged.c)
+		return pending{}, st.s.Atomically(func(tx *stm.Tx) error { return fn(tx, now) })
+	}
+	// The log keeps nothing of the capture (see wal.Log.Append), so it
+	// goes back to the pool here, whether or not the hook fired.
+	c := capturePool.Get().(*writeCapture)
+	c.log, c.ticket = st.log, wal.Ticket{}
+	err := st.s.Atomically(func(tx *stm.Tx) error {
+		// Re-arm per attempt: the local slot does not survive a retry.
+		c.ops = c.ops[:0]
+		tx.SetLocal(c)
+		if err := fn(tx, now); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return pending{}, err
-	}
-	return p, nil
+		if len(c.ops) > 0 {
+			tx.OnCommit(c.appendOps)
+		}
+		return nil
+	})
+	p := pending{c.ticket}
+	capturePool.Put(c)
+	return p, err
 }
 
 // ready reports, without blocking, whether wait would return at once.
-func (p pending) ready() bool { return p.ticket == nil || p.ticket.Done() }
+func (p pending) ready() bool { return p.ticket.Done() }
 
 // wait blocks until the transaction's record is durably on disk — after
 // tryCommit released the commit stripes, so the fsync latency is off
 // the engine's critical path — and returns the log's error if it is
-// not. Call it at most once: it recycles the capture.
+// not.
 func (p pending) wait() error {
-	if p.ticket == nil {
-		return nil
-	}
-	err := p.ticket.Wait()
-	capturePool.Put(p.c) // acked: the logger has encoded the ops
-	if err != nil {
+	if err := p.ticket.Wait(); err != nil {
 		return fmt.Errorf("kv: wal: %w", err)
 	}
 	return nil

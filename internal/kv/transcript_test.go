@@ -380,7 +380,7 @@ func TestServerTranscript(t *testing.T) {
 			var clk fakeClock
 			st := New(stm.New(), WithClock(clk.now))
 			if sc.durable {
-				l, err := wal.Open(t.TempDir(), wal.Options{GroupWindow: 200 * time.Microsecond})
+				l, err := wal.Open(t.TempDir(), wal.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -51,8 +51,9 @@ var ErrSnapshotContended = fmt.Errorf("wal: snapshot: writes kept arriving betwe
 // point would be both in the checkpoint and in a surviving segment —
 // harmless for absolute-valued records, but a replayed list push or
 // pop is a delta and would corrupt the restored list. Snapshot
-// therefore detects any append accepted after the rotation (the
-// count stamped on the rotation ticket) once the cut returns, and
+// therefore detects any append accepted after the rotation (the LSN
+// has moved past the one the rotation was ordered at) once the cut
+// returns, and
 // redoes the rotate+cut rather than publish an overlapping
 // checkpoint. Appends racing the check only ever cause a spurious
 // redo, never an overlap: a record enqueued after the cut's
@@ -71,7 +72,7 @@ func (l *Log) Snapshot(cut func() ([]Op, error)) error {
 		if err != nil {
 			return fmt.Errorf("wal: snapshot cut: %w", err)
 		}
-		if l.appends.Load() != mark {
+		if l.Stats().Enqueued != mark {
 			if redo == maxSnapshotRedos {
 				return ErrSnapshotContended
 			}

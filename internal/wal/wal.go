@@ -4,26 +4,28 @@
 //
 // The write path is split in two so the STM's commit critical section
 // stays short. Inside the commit window — while the committing
-// writer still holds its write set's commit stripes — the store
-// enqueues the write set with Append or AppendAsync, which only
-// appends to an in-memory queue under a mutex. Because two writers
-// that touched the same key serialize on a shared stripe, the queue
-// order equals the per-key commit order, and the logger preserves
-// queue order on disk; a crash therefore durably keeps a prefix of
-// the queue, which is per-key-prefix-closed — the property the
-// conservation invariant needs (see DESIGN.md §Durability). The
-// durability wait (Ticket.Wait) happens after the stripes are
-// released.
+// writer still holds its write set's commit stripes — the store hands
+// the write set to Append or AppendAsync, which give it the next log
+// sequence number (LSN) and frame it (frame.go) into the log's pending
+// buffer under a mutex; nothing of the caller's is kept. Because two
+// writers that touched the same key serialize on a shared stripe, LSN
+// order equals the per-key commit order, and the buffer reaches the
+// disk in LSN order; a crash therefore durably keeps a prefix of the
+// LSNs, which is per-key-prefix-closed — the property the conservation
+// invariant needs (see DESIGN.md §Durability). The durability wait
+// (Ticket.Wait) happens after the stripes are released.
 //
-// A single logger goroutine drains the queue: it lingers briefly
-// (Options.GroupWindow) so concurrent commits coalesce, encodes the
-// batch into CRC32C-framed records (frame.go), writes once and
-// fsyncs once per batch — so fsyncs per committed transaction shrink
-// with the batch depth — then acks every ticket in the batch, in
-// queue order (see Ticket). Append's ack means "on disk"; a caller
-// holding several tickets may run ahead and wait on the oldest only.
-// AppendAsync forgoes the ack (and the wait) for callers measuring
-// logging overhead rather than fsync latency.
+// A single logger goroutine is clocked by the disk and by nothing else:
+// the moment it is free and the pending buffer is not empty it takes
+// the buffer, writes it once, fsyncs once, advances the durable
+// watermark to the last LSN it carried and wakes the waiters. The
+// group-commit window is therefore the fsync in flight: a lone writer
+// pays exactly one fsync, and N concurrent writers share one because
+// they queued behind the one before — so fsyncs per committed
+// transaction shrink with the load, and no record ever waits on a
+// timer. Append's ack means "on disk" and is positional (see Ticket);
+// AppendAsync forgoes it for callers measuring logging overhead rather
+// than fsync latency.
 //
 // Snapshots (Snapshot) rotate the log onto a fresh segment, cut a
 // consistent checkpoint through a caller-supplied function, write it
@@ -34,8 +36,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,94 +50,86 @@ import (
 	"repro/internal/obs"
 )
 
-// Options tunes a Log. The zero value gets sensible defaults.
-type Options struct {
-	// GroupWindow is how long the logger lingers after waking so
-	// concurrent commits coalesce into one fsync. Zero defaults to
-	// 500µs; negative disables lingering.
-	GroupWindow time.Duration
-	// SkipLinger is the queue depth at which the logger flushes
-	// without lingering — the batch is already worth an fsync.
-	// Zero defaults to 64.
-	SkipLinger int
-}
+// Options is what Open takes besides the directory. There is nothing
+// left to tune: the log clocks itself off the disk.
+type Options struct{}
 
-func (o *Options) withDefaults() {
-	if o.GroupWindow == 0 {
-		o.GroupWindow = 500 * time.Microsecond
-	}
-	if o.GroupWindow < 0 {
-		o.GroupWindow = 0
-	}
-	if o.SkipLinger <= 0 {
-		o.SkipLinger = 64
-	}
-}
-
-// Ticket is the handle for one enqueued write set.
+// Ticket is the handle for one appended write set: the log and the
+// record's LSN. The zero Ticket (an empty write set) is done.
 //
-// Tickets ack in enqueue order: the logger flushes the queue in order
-// and acks a batch front to back, a refused record (too large, or
-// enqueued on a dead log) acks in its turn like any other, and the
-// first write or fsync failure is sticky — it fails every ticket
-// behind it. A caller holding several tickets in enqueue order
-// therefore loses nothing by waiting on the oldest only: once a ticket
-// is Done, so is every earlier one, and once one has failed with the
-// log's error, none behind it will succeed.
+// Acks are positional. The log keeps one durable watermark — the LSN up
+// to which every record is written and fsynced — and a ticket is done
+// once the watermark has reached its LSN, so when a ticket is done
+// every earlier one is. A record refused for its size has no LSN of its
+// own and carries its predecessor's, so it acks in its turn like any
+// other. The first write or fsync failure stops the watermark for good:
+// every LSN past it fails with the log's error, as does every append
+// made afterwards. A caller holding several tickets in append order
+// therefore loses nothing by waiting on the oldest only.
 type Ticket struct {
-	ops    []Op
-	done   chan struct{} // nil for AppendAsync's tickets: nobody can wait
-	err    error
-	rotate chan uint64 // non-nil marks a rotation control ticket
-	mark   int64       // rotation tickets: append count at enqueue
+	l   *Log
+	lsn uint64 // top bit: refused (ErrRecordTooLarge)
+}
+
+// refused marks, in a ticket's LSN, a record dropped for its size; dead
+// marks, in the watermark, a log that will never advance it again
+// (failed or closed), which settles every ticket still waiting.
+const refused, dead = 1 << 63, 1 << 63
+
+// Done reports, without blocking, whether Wait would return at once.
+func (t Ticket) Done() bool {
+	return t.l == nil || t.l.mark.Load() >= t.lsn&^refused
 }
 
 // Wait blocks until the record is durably on disk (written and
-// fsynced) and returns the sticky log error, if any.
-func (t *Ticket) Wait() error {
-	<-t.done
-	return t.err
-}
-
-// Done reports, without blocking, whether Wait would return at once.
-func (t *Ticket) Done() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
+// fsynced) and returns the sticky log error if it never will be.
+func (t Ticket) Wait() error {
+	if t.l == nil {
+		return nil
 	}
-}
-
-// ack settles the ticket with err (a refusal recorded earlier wins)
-// and releases its waiter, if it can have one.
-func (t *Ticket) ack(err error) {
-	if t.err == nil {
-		t.err = err
+	lsn := t.lsn &^ refused
+	mark := t.l.mark.Load()
+	if mark < lsn {
+		t.l.ackMu.Lock()
+		for mark = t.l.mark.Load(); mark < lsn; mark = t.l.mark.Load() {
+			t.l.acked.Wait()
+		}
+		t.l.ackMu.Unlock()
 	}
-	if t.done != nil {
-		close(t.done)
+	switch {
+	case t.lsn&refused != 0:
+		return ErrRecordTooLarge
+	case mark&^dead >= lsn:
+		return nil
 	}
+	return t.l.failure()
 }
 
 // Stats is a point-in-time snapshot of the log's counters.
 type Stats struct {
-	// Records is the number of write sets encoded and written.
-	Records int64
+	// Enqueued is the LSN of the last record accepted by Append or
+	// AppendAsync; Durable is the watermark, the LSN up to which records
+	// are written and fsynced. Their difference is what is committed in
+	// memory and not yet promised to anyone.
+	Enqueued, Durable uint64
 	// Batches is the number of group-commit flushes.
 	Batches int64
-	// Fsyncs counts fsync syscalls on segment files. Group commit
-	// exists to keep Fsyncs well below Records under load.
+	// Fsyncs counts fsync syscalls on segment files: one per batch, so
+	// it falls below Durable exactly when writers overlap.
 	Fsyncs int64
 	// Dropped counts records refused for exceeding MaxRecord.
 	Dropped int64
 	// Segment is the sequence number of the segment being written.
 	Segment uint64
-	// QueueDepth is the number of tickets enqueued but not yet taken
-	// by the logger — a sustained nonzero depth means the disk cannot
-	// keep up with the commit rate.
-	QueueDepth int
 }
+
+// Records is the number of write sets written and fsynced.
+func (s Stats) Records() int64 { return int64(s.Durable) }
+
+// QueueDepth is the number of records accepted but not yet durable — a
+// depth that stays high means the disk cannot keep up with the commit
+// rate.
+func (s Stats) QueueDepth() int { return int(s.Enqueued - s.Durable) }
 
 // ErrClosed is returned for appends after Close.
 var ErrClosed = errors.New("wal: closed")
@@ -147,33 +143,36 @@ var ErrSnapshotInProgress = errors.New("wal: snapshot in progress")
 // time; nothing enforces that, as with most single-node stores.
 type Log struct {
 	dir string
-	opt Options
 
-	mu      sync.Mutex
-	pending []*Ticket
-	closed  bool
-	err     error // sticky: first write/fsync failure poisons the log
+	mu     sync.Mutex
+	work   sync.Cond  // on mu: the idle logger sleeps here
+	buf    []byte     // framed records the logger has not taken, in LSN order
+	lsn    uint64     // LSN of the last record framed into buf
+	cuts   []rotation // rotations requested, by position in buf
+	closed bool       // no more appends: Close was called, or the logger failed
+	err    error      // sticky: first write/fsync failure poisons the log
+	// flushHook, when set, runs in place of each flush's segment write +
+	// fsync and is handed that step to call. Tests install one (see
+	// export_test.go) to hold, delay or fail a flush; it is the only seam.
+	flushHook func(writeSync func() error) error
 
-	kick chan struct{}
-	wg   sync.WaitGroup
+	// mark is the durable watermark, plus the dead bit once the logger
+	// has stopped. Only the logger stores to it, under ackMu, so that a
+	// waiter cannot check it and go to sleep on acked in between.
+	mark  atomic.Uint64
+	ackMu sync.Mutex
+	acked sync.Cond
+
+	wg sync.WaitGroup
 
 	// Logger-goroutine-private state.
-	f        *os.File
-	seq      uint64
-	encBuf   []byte
-	frameBuf []byte
+	f   *os.File
+	seq uint64
 
-	records atomic.Int64
 	batches atomic.Int64
 	fsyncs  atomic.Int64
 	dropped atomic.Int64
 	curSeq  atomic.Uint64
-
-	// appends counts record tickets ever accepted into the queue (not
-	// rotations). Snapshot compares it against the count stamped on
-	// its rotation ticket to detect writes that slipped between the
-	// rotation and the checkpoint cut — see Snapshot.
-	appends atomic.Int64
 
 	// fsyncLat distributes the wall time of segment fsyncs and
 	// batchOps the records-per-flush batch sizes — together they show
@@ -185,11 +184,24 @@ type Log struct {
 	snapshotting atomic.Bool
 }
 
+// rotation is one requested segment switch: the position in the pending
+// buffer it was ordered at, the LSN of the last record before it, and
+// where the logger reports the outcome.
+type rotation struct {
+	off int
+	lsn uint64
+	res chan rotated // buffered: the logger never waits for the requester
+}
+
+type rotated struct {
+	seq uint64
+	err error
+}
+
 // Open creates (or opens) the log directory and starts the logger on
 // a fresh segment numbered past every existing one — recovery never
 // appends to a possibly-torn tail segment.
-func Open(dir string, opt Options) (*Log, error) {
-	opt.withDefaults()
+func Open(dir string, _ Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
@@ -201,7 +213,8 @@ func Open(dir string, opt Options) (*Log, error) {
 	if n := len(segs); n > 0 {
 		next = segs[n-1].seq + 1
 	}
-	l := &Log{dir: dir, opt: opt, kick: make(chan struct{}, 1)}
+	l := &Log{dir: dir}
+	l.work.L, l.acked.L = &l.mu, &l.ackMu
 	f, err := l.createSegment(next)
 	if err != nil {
 		return nil, err
@@ -219,21 +232,40 @@ func (l *Log) Dir() string { return l.dir }
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	depth := len(l.pending)
+	enqueued := l.lsn
 	l.mu.Unlock()
 	return Stats{
-		Records:    l.records.Load(),
-		Batches:    l.batches.Load(),
-		Fsyncs:     l.fsyncs.Load(),
-		Dropped:    l.dropped.Load(),
-		Segment:    l.curSeq.Load(),
-		QueueDepth: depth,
+		Enqueued: enqueued,
+		Durable:  l.mark.Load() &^ dead,
+		Batches:  l.batches.Load(),
+		Fsyncs:   l.fsyncs.Load(),
+		Dropped:  l.dropped.Load(),
+		Segment:  l.curSeq.Load(),
 	}
 }
 
 // Err returns the sticky log error: the first write or fsync failure,
 // which poisons every later append. Nil while the log is healthy.
-func (l *Log) Err() error { return l.stickyErr() }
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// failure is what a dead log refuses with, and what every ticket past
+// its watermark fails with: the sticky error, or ErrClosed without one.
+func (l *Log) failure() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failureLocked()
+}
+
+func (l *Log) failureLocked() error {
+	if l.err != nil {
+		return l.err
+	}
+	return ErrClosed
+}
 
 // FsyncLatency returns a snapshot of the fsync wall-time distribution.
 func (l *Log) FsyncLatency() *metrics.Histogram { return l.fsyncLat.Snapshot() }
@@ -242,147 +274,134 @@ func (l *Log) FsyncLatency() *metrics.Histogram { return l.fsyncLat.Snapshot() }
 // (dimensionless counts, not durations).
 func (l *Log) BatchSizes() *metrics.Histogram { return l.batchOps.Snapshot() }
 
-// Append enqueues one committed write set for durable logging and
-// returns a ticket to wait on. It never blocks on I/O — it is safe
-// to call from inside the STM's commit window — and the caller must
-// not mutate ops until the ticket is done. An empty write set
-// returns nil.
-func (l *Log) Append(ops []Op) *Ticket {
+// Append frames one committed write set into the log and returns a
+// ticket to wait on. It never blocks on I/O — it is safe to call from
+// inside the STM's commit window — and keeps nothing of ops: the caller
+// may reuse the slice as soon as Append returns. An empty write set
+// returns the zero Ticket.
+func (l *Log) Append(ops []Op) Ticket {
 	if len(ops) == 0 {
-		return nil
+		return Ticket{}
 	}
-	return l.enqueue(&Ticket{ops: ops, done: make(chan struct{})})
-}
-
-// AppendAsync enqueues one committed write set without an ack: the
-// record reaches disk with the next batch, but the caller learns
-// nothing of when (or, after a log error, whether). The ops slice is
-// handed over and must not be reused.
-func (l *Log) AppendAsync(ops []Op) {
-	if len(ops) == 0 {
-		return
-	}
-	l.enqueue(&Ticket{ops: ops})
-}
-
-func (l *Log) enqueue(t *Ticket) *Ticket {
 	l.mu.Lock()
-	if l.closed || l.err != nil {
-		err := l.err
+	if l.closed {
+		// Past the watermark for good: fails once the logger has stopped.
+		t := Ticket{l, l.lsn + 1}
 		l.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		t.fail(err)
 		return t
 	}
-	if t.rotate == nil {
-		l.appends.Add(1)
-	} else {
-		t.mark = l.appends.Load()
+	// The frame (see frame.go) is built in place: header reserved, payload
+	// encoded behind it, length and CRC filled in once they are known.
+	start := len(l.buf)
+	l.buf = appendRecord(append(l.buf, make([]byte, frameHeader)...), ops)
+	payload := l.buf[start+frameHeader:]
+	if len(payload) > MaxRecord {
+		// Refused here, acked in its turn: behind its predecessor.
+		l.buf = l.buf[:start]
+		t := Ticket{l, l.lsn | refused}
+		l.mu.Unlock()
+		l.dropped.Add(1)
+		return t
 	}
-	l.pending = append(l.pending, t)
+	binary.LittleEndian.PutUint32(l.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, castagnoli))
+	l.lsn++
+	t := Ticket{l, l.lsn}
 	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
+	l.work.Signal()
 	return t
 }
 
-// run is the logger goroutine: drain, linger, encode, write, fsync,
-// ack — one pass per batch.
+// AppendAsync is Append for callers that will never wait: the record
+// reaches disk with the next flush, but the caller learns nothing of
+// when (or, after a log error, whether).
+func (l *Log) AppendAsync(ops []Op) { l.Append(ops) }
+
+// maxSpare bounds the buffer capacity the log keeps between flushes, so
+// one outsized record does not pin its size for the log's lifetime.
+const maxSpare = 4 << 20
+
+// run is the logger goroutine: whenever anything is pending it takes
+// all of it — the records that queued behind the previous flush are the
+// next batch — and flushes; it sleeps only on an empty log.
 func (l *Log) run() {
 	defer l.wg.Done()
+	var buf []byte
+	var cuts []rotation
 	for {
-		<-l.kick
-		l.mu.Lock()
-		n := len(l.pending)
-		closed := l.closed
-		l.mu.Unlock()
-		if n == 0 && closed {
-			return
-		}
-		if n == 0 {
-			continue
-		}
-		if l.opt.GroupWindow > 0 && n < l.opt.SkipLinger && !closed {
-			time.Sleep(l.opt.GroupWindow)
+		if cap(buf) > maxSpare {
+			buf = nil
 		}
 		l.mu.Lock()
-		batch := l.pending
-		l.pending = nil
-		l.mu.Unlock()
-		l.flush(batch)
-		// A concurrent enqueue between the drain and a consumed kick
-		// would go unnoticed; re-kick ourselves if work remains.
-		l.mu.Lock()
-		again := len(l.pending) > 0 || l.closed
-		l.mu.Unlock()
-		if again {
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
+		for len(l.buf) == 0 && len(l.cuts) == 0 && !l.closed {
+			l.work.Wait()
 		}
-	}
-}
-
-// flush writes one batch: records are encoded in queue order, written
-// with one Write and one fsync, then acked in queue order — a record
-// refused for its size waits its turn, so acks never overtake. Rotation
-// tickets split the batch — everything before the rotation is flushed
-// to the old segment first, so rotation is ordered like any other
-// record.
-func (l *Log) flush(batch []*Ticket) {
-	buf := l.encBuf[:0]
-	var acks []*Ticket
-	records := int64(0) // of acks, how many are encoded in buf
-	settle := func() {
+		buf, l.buf = l.buf, buf[:0]
+		cuts, l.cuts = l.cuts, cuts[:0]
+		last, hook := l.lsn, l.flushHook
+		l.mu.Unlock()
 		var err error
-		if records > 0 {
-			l.batchOps.ObserveN(records)
-			if err = l.writeAndSync(buf); err != nil {
-				l.poison(err)
+		if len(buf) == 0 && len(cuts) == 0 { // closed and drained
+			if err = l.f.Close(); err != nil {
+				err = fmt.Errorf("wal: close segment %d: %w", l.seq, err)
 			}
-		}
-		for _, t := range acks {
-			t.ack(err)
-		}
-		buf, acks, records = buf[:0], acks[:0], 0
-	}
-	for _, t := range batch {
-		if t.rotate != nil {
-			settle()
-			seq, err := l.rotateSegment()
-			if err != nil {
-				l.poison(err)
-			}
-			t.rotate <- seq
-			t.ack(err)
+		} else if err = l.flush(buf, cuts, last, hook); err == nil {
 			continue
-		}
-		payload := appendRecord(l.frameBuf[:0], t.ops)
-		l.frameBuf = payload[:0]
-		if len(payload) > MaxRecord {
-			l.dropped.Add(1)
-			t.err = ErrRecordTooLarge
 		} else {
-			buf = appendFrame(buf, payload)
-			l.records.Add(1)
-			records++
+			l.f.Close() // the flush's error is the one to keep
 		}
-		acks = append(acks, t)
+		l.stop(err)
+		return
 	}
-	settle()
-	l.encBuf = buf[:0] // retain growth
 }
 
-// writeAndSync appends buf to the current segment and fsyncs it.
-func (l *Log) writeAndSync(buf []byte) error {
-	if err := l.stickyErr(); err != nil {
+// flush writes one batch in LSN order, splitting it at each rotation so
+// that a rotation is ordered like a record: everything before it goes to
+// the old segment first. A failure answers the rotations not yet made.
+func (l *Log) flush(buf []byte, cuts []rotation, last uint64, hook func(func() error) error) error {
+	off := 0
+	for i, c := range cuts {
+		err := l.writeSync(buf[off:c.off], c.lsn, hook)
+		var seq uint64
+		if err == nil {
+			seq, err = l.rotateSegment()
+		}
+		if err != nil {
+			for _, unmade := range cuts[i:] {
+				unmade.res <- rotated{err: err}
+			}
+			return err
+		}
+		c.res <- rotated{seq: seq}
+		off = c.off
+	}
+	return l.writeSync(buf[off:], last, hook)
+}
+
+// writeSync appends buf — the records up to LSN upTo — to the current
+// segment, fsyncs it, moves the watermark there and wakes the waiters.
+func (l *Log) writeSync(buf []byte, upTo uint64, hook func(func() error) error) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	var err error
+	if hook != nil {
+		err = hook(func() error { return l.writeSegment(buf) })
+	} else {
+		err = l.writeSegment(buf)
+	}
+	if err != nil {
 		return err
 	}
+	l.fsyncs.Add(1)
+	l.batches.Add(1)
+	l.batchOps.ObserveN(int64(upTo - l.mark.Load()))
+	l.setMark(upTo)
+	return nil
+}
+
+// writeSegment is the flush's I/O: one write, one fsync.
+func (l *Log) writeSegment(buf []byte) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: write segment %d: %w", l.seq, err)
 	}
@@ -391,64 +410,61 @@ func (l *Log) writeAndSync(buf []byte) error {
 		return fmt.Errorf("wal: fsync segment %d: %w", l.seq, err)
 	}
 	l.fsyncLat.ObserveSince(t0)
-	l.fsyncs.Add(1)
-	l.batches.Add(1)
 	return nil
 }
 
-// poison records the first fatal error; every later append is refused
-// with it. A log that cannot persist must not pretend otherwise.
-func (l *Log) poison(err error) {
-	if err == nil {
-		return
-	}
+// setMark publishes a new watermark value and wakes every waiter.
+func (l *Log) setMark(v uint64) {
+	l.ackMu.Lock()
+	l.mark.Store(v)
+	l.ackMu.Unlock()
+	l.acked.Broadcast()
+}
+
+// stop ends the logger: err, if it is the first, poisons the log — a
+// log that cannot persist must not pretend otherwise — and the dead bit
+// settles every ticket past the watermark, so nothing is left waiting on
+// a logger that can no longer make progress.
+func (l *Log) stop(err error) {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
 	}
-	// Fail whatever queued behind the failure rather than letting
-	// waiters hang on a logger that can no longer make progress.
-	pending := l.pending
-	l.pending = nil
+	l.closed = true
+	err = l.failureLocked()
+	cuts := l.cuts
+	l.buf, l.cuts = nil, nil
 	l.mu.Unlock()
-	for _, t := range pending {
-		t.fail(err)
+	for _, c := range cuts {
+		c.res <- rotated{err: err}
 	}
-}
-
-// fail acks a ticket with an error, keeping a refused rotation
-// ticket's waiter from hanging on its sequence channel.
-func (t *Ticket) fail(err error) {
-	if t.rotate != nil {
-		t.rotate <- 0
-	}
-	t.ack(err)
-}
-
-func (l *Log) stickyErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+	l.setMark(l.mark.Load() | dead)
 }
 
 // Rotate closes the current segment and starts the next one,
-// ordered after every record enqueued before it. It returns the
+// ordered after every record appended before it. It returns the
 // sequence number of the new segment.
 func (l *Log) Rotate() (uint64, error) {
 	seq, _, err := l.rotateMarked()
 	return seq, err
 }
 
-// rotateMarked is Rotate plus the append count stamped at the moment
-// the rotation entered the queue: every record ticket accepted before
-// the rotation is ≤ mark and lands in a segment below the returned
-// one; any append observed past mark may share the new segment.
-func (l *Log) rotateMarked() (uint64, int64, error) {
-	t := &Ticket{done: make(chan struct{}), rotate: make(chan uint64, 1)}
-	l.enqueue(t)
-	seq := <-t.rotate
-	<-t.done
-	return seq, t.mark, t.err
+// rotateMarked is Rotate plus the LSN at the moment the rotation was
+// ordered: every record up to mark lands in a segment below the
+// returned one; any record past it may share the new segment.
+func (l *Log) rotateMarked() (seq, mark uint64, err error) {
+	l.mu.Lock()
+	if l.closed {
+		err := l.failureLocked()
+		l.mu.Unlock()
+		return 0, 0, err
+	}
+	c := rotation{off: len(l.buf), lsn: l.lsn, res: make(chan rotated, 1)}
+	l.cuts = append(l.cuts, c)
+	l.mu.Unlock()
+	l.work.Signal()
+	r := <-c.res
+	return r.seq, c.lsn, r.err
 }
 
 // rotateSegment runs on the logger goroutine.
@@ -484,29 +500,15 @@ func (l *Log) createSegment(seq uint64) (*os.File, error) {
 	return f, nil
 }
 
-// Close flushes everything enqueued, fsyncs, and stops the logger.
+// Close flushes everything appended, fsyncs, and stops the logger.
 // Appends racing Close may be refused with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.wg.Wait()
-		return l.err
-	}
 	l.closed = true
 	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
+	l.work.Signal()
 	l.wg.Wait()
-	err := l.f.Close()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil && err != nil {
-		l.err = fmt.Errorf("wal: close segment %d: %w", l.seq, err)
-	}
-	return l.err
+	return l.Err()
 }
 
 // syncDir fsyncs a directory so renames and creates in it are

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -33,14 +34,9 @@ func (c *collect) flat() []Op {
 	return out
 }
 
-// testOptions keeps group-commit tests fast and deterministic-ish.
-func testOptions() Options {
-	return Options{GroupWindow: 200 * time.Microsecond}
-}
-
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +69,11 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 func TestAppendEmptyAndAfterClose(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tk := l.Append(nil); tk != nil {
+	if tk := l.Append(nil); tk != (Ticket{}) {
 		t.Fatal("empty write set should not be logged")
 	}
 	if err := l.Close(); err != nil {
@@ -91,14 +87,20 @@ func TestAppendEmptyAndAfterClose(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatches drives concurrent appends and checks the
-// group commit actually grouped: far fewer fsyncs than records.
+// TestGroupCommitBatches drives concurrent appends at a disk made slow
+// enough (a millisecond per flush) that every writer is back in the
+// queue before the flush ahead of it ends, and checks the group commit
+// actually grouped: far fewer fsyncs than records.
 func TestGroupCommitBatches(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{GroupWindow: time.Millisecond})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.SetFlushHook(func(writeSync func() error) error {
+		time.Sleep(time.Millisecond)
+		return writeSync()
+	})
 	const writers = 16
 	const perW = 25
 	var wg sync.WaitGroup
@@ -117,11 +119,11 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	wg.Wait()
 	st := l.Stats()
-	if st.Records != writers*perW {
-		t.Fatalf("records = %d, want %d", st.Records, writers*perW)
+	if st.Records() != writers*perW {
+		t.Fatalf("records = %d, want %d", st.Records(), writers*perW)
 	}
-	if st.Fsyncs >= st.Records/2 {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d records", st.Fsyncs, st.Records)
+	if st.Fsyncs >= st.Records()/2 {
+		t.Fatalf("group commit did not batch: %d fsyncs for %d records", st.Fsyncs, st.Records())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -149,7 +151,7 @@ func TestGroupCommitBatches(t *testing.T) {
 
 func TestRotateStartsNewSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestRotateStartsNewSegment(t *testing.T) {
 
 func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 // recovery sees each op exactly once.
 func TestSnapshotRedoesOnSlippedAppend(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestSnapshotRedoesOnSlippedAppend(t *testing.T) {
 // the log remains fully recoverable — nothing was reaped.
 func TestSnapshotContended(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func TestSnapshotContended(t *testing.T) {
 
 func TestSnapshotCutErrorLeavesLogUsable(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("% x", tail), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, testOptions())
+			l, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -404,7 +406,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 
 func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +440,7 @@ func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 
 func TestOpenAfterRecoverStartsFreshSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +454,7 @@ func TestOpenAfterRecoverStartsFreshSegment(t *testing.T) {
 	if _, err := Recover(dir, c.apply); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, testOptions())
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +479,7 @@ func TestOpenAfterRecoverStartsFreshSegment(t *testing.T) {
 
 func TestRecordTooLarge(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,15 +503,16 @@ func TestRecordTooLarge(t *testing.T) {
 // for its size included, which acks in its turn, not ahead of the
 // batch it was queued in.
 func TestTicketsAckInEnqueueOrder(t *testing.T) {
-	// A window long enough that the whole sequence shares batches.
-	l, err := Open(t.TempDir(), Options{GroupWindow: 20 * time.Millisecond})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	// Held until every waiter is up, so the whole sequence shares batches.
+	_, release := l.HoldFlushes()
 	huge := []Op{{Key: "k", Val: string(make([]byte, MaxRecord+1))}}
 	const n = 200
-	tickets := make([]*Ticket, n)
+	tickets := make([]Ticket, n)
 	for i := range tickets {
 		ops := []Op{{Key: "k", Val: strconv.Itoa(i)}}
 		if i%100 == 50 {
@@ -534,6 +537,7 @@ func TestTicketsAckInEnqueueOrder(t *testing.T) {
 			}
 		}(i)
 	}
+	close(release)
 	wg.Wait()
 }
 
@@ -554,23 +558,26 @@ func poisonAtRotate(t *testing.T, l *Log) {
 // failure no later than it would have by waiting on each.
 func TestFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{GroupWindow: 20 * time.Millisecond})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	poisonAtRotate(t, l)
+	entered, release := l.HoldFlushes()
 	before := l.Append([]Op{{Key: "a", Val: "1"}})
+	<-entered
 	rotated := make(chan error, 1)
 	go func() {
 		_, err := l.Rotate()
 		rotated <- err
 	}()
-	// The rotation is queued behind the first record, ahead of the next.
-	for l.Stats().QueueDepth < 2 && l.Err() == nil {
+	// The rotation is ordered behind the first record, ahead of the next.
+	for l.Rotations() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	behind := l.Append([]Op{{Key: "b", Val: "2"}})
-	l.AppendAsync([]Op{{Key: "c", Val: "3"}}) // ack-less tickets fail quietly
+	l.AppendAsync([]Op{{Key: "c", Val: "3"}}) // ack-less appends fail quietly
+	close(release)
 	if err := before.Wait(); err != nil {
 		t.Fatalf("record ahead of the failure: %v", err)
 	}
@@ -599,20 +606,153 @@ func TestFailureIsSticky(t *testing.T) {
 	}
 }
 
-// TestAppendAsyncAllocs: an ack-less append allocates its ticket and
-// nothing else — no channel nobody can wait on.
+// TestAppendAsyncAllocs: an append frames its record into the log's
+// buffer and allocates nothing of its own — no ticket, no channel.
 func TestAppendAsyncAllocs(t *testing.T) {
-	// The logger sleeps through the measurement, so its own allocations
-	// stay out of the count; the queue's growth amortises to nothing.
-	l, err := Open(t.TempDir(), Options{GroupWindow: 100 * time.Millisecond, SkipLinger: 1 << 20})
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The logger is held through the measurement, so the pending buffer
+	// only grows; its doublings amortise to nothing.
+	_, release := l.HoldFlushes()
+	defer close(release)
+	ops := []Op{{Key: "k", Val: "v"}}
+	if n := testing.AllocsPerRun(2000, func() { l.AppendAsync(ops) }); n != 0 {
+		t.Fatalf("AppendAsync: %v allocs, want 0", n)
+	}
+}
+
+// TestAppendWaitAllocs: in steady state a durable append — frame, wake
+// the logger, swap buffers, write, fsync, advance the watermark, wake
+// the waiter — allocates nothing on either goroutine.
+func TestAppendWaitAllocs(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	ops := []Op{{Key: "k", Val: "v"}}
-	if n := testing.AllocsPerRun(2000, func() { l.AppendAsync(ops) }); n != 1 {
-		t.Fatalf("AppendAsync: %v allocs, want 1", n)
+	n := testing.AllocsPerRun(100, func() {
+		if err := l.Append(ops).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Append+Wait: %v allocs, want 0", n)
 	}
+}
+
+// TestFlushDrainsQueue pins the self-clocking: with one flush held at
+// the disk, n appends from several goroutines queue behind it, and the
+// moment it ends the logger takes all n as exactly one further batch —
+// the fsync in flight was their group-commit window — and acks them in
+// LSN order.
+func TestFlushDrainsQueue(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	entered, release := l.HoldFlushes()
+	first := l.Append([]Op{{Key: "first", Val: "v"}})
+	<-entered
+	const writers, perW = 8, 16
+	tickets := make([]Ticket, writers*perW)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				tickets[w*perW+i] = l.Append([]Op{{Key: "k" + strconv.Itoa(w), Val: strconv.Itoa(i)}})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := l.Stats(); st.Enqueued != writers*perW+1 || st.Durable != 0 || st.Batches != 0 {
+		t.Fatalf("behind a held flush: %+v", st)
+	}
+	if first.Done() {
+		t.Fatal("ticket done while its flush is held")
+	}
+	sort.Slice(tickets, func(i, j int) bool { return tickets[i].lsn < tickets[j].lsn })
+	for i := range tickets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := tickets[i].Wait(); err != nil {
+				t.Errorf("ticket %d: %v", i, err)
+			}
+			if !first.Done() || (i > 0 && !tickets[i-1].Done()) {
+				t.Errorf("LSN %d acked before its predecessor", tickets[i].lsn)
+			}
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+	st := l.Stats()
+	if st.Batches != 2 || st.Fsyncs != 2 || st.Durable != st.Enqueued {
+		t.Fatalf("%d appends behind one held flush: %+v, want 2 batches in all", writers*perW, st)
+	}
+	if sizes := l.BatchSizes(); sizes.Quantile(1) < writers*perW {
+		t.Fatalf("largest batch carried %v records, want %d", sizes.Quantile(1), writers*perW)
+	}
+}
+
+// TestLoneAppendIsOneFsync: a writer with nobody to share with pays one
+// fsync per record and waits on nothing else.
+func TestLoneAppendIsOneFsync(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const k = 20
+	for i := 0; i < k; i++ {
+		if err := l.Append([]Op{{Key: "k", Val: strconv.Itoa(i)}}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Batches != k || st.Fsyncs != k || st.Records() != k {
+		t.Fatalf("%d sequential appends: %+v, want one batch and one fsync each", k, st)
+	}
+}
+
+// BenchmarkAppendSync prices a lone durable append against the floor it
+// should sit on: the same bytes written and fsynced to a bare file in
+// the same directory.
+func BenchmarkAppendSync(b *testing.B) {
+	ops := []Op{{Key: "key:000042", Val: "0123456789abcdef0123456789abcdef"}}
+	b.Run("wal", func(b *testing.B) {
+		l, err := Open(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		for b.Loop() {
+			if err := l.Append(ops).Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bare", func(b *testing.B) {
+		f, err := os.Create(filepath.Join(b.TempDir(), "bare.log"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		rec := appendFrame(nil, appendRecord(nil, ops))
+		for b.Loop() {
+			if _, err := f.Write(rec); err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestRecoverMissingDir(t *testing.T) {
@@ -628,7 +768,7 @@ func TestRecoverMissingDir(t *testing.T) {
 // a healthy log.
 func TestTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, testOptions())
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,11 +790,11 @@ func TestTelemetry(t *testing.T) {
 	if sizes.Count() != uint64(st.Batches) {
 		t.Fatalf("batch size count = %d, want %d", sizes.Count(), st.Batches)
 	}
-	if got := int64(sizes.Sum()); got != st.Records {
-		t.Fatalf("batch sizes sum to %d records, want %d", got, st.Records)
+	if got := int64(sizes.Sum()); got != st.Records() {
+		t.Fatalf("batch sizes sum to %d records, want %d", got, st.Records())
 	}
-	if st.QueueDepth != 0 {
-		t.Fatalf("queue depth at rest = %d, want 0", st.QueueDepth)
+	if st.QueueDepth() != 0 || st.Enqueued != n {
+		t.Fatalf("at rest: queue depth %d, enqueued %d, want 0 and %d", st.QueueDepth(), st.Enqueued, n)
 	}
 	if l.Err() != nil {
 		t.Fatalf("healthy log Err() = %v", l.Err())

@@ -81,7 +81,7 @@ pipelined_gets() {
 go build -o "$BIN" ./cmd/stmkv
 
 echo "== phase 1: seed a durable server, plant TTL + typed probes, snapshot =="
-"$BIN" -addr "$ADDR" -data "$DATA" -walwindow 2ms &
+"$BIN" -addr "$ADDR" -data "$DATA" &
 SERVER_PID=$!
 wait_ready
 "$BIN" -loadgen -addr "$ADDR" -clients 8 -ops 500 -typed
@@ -97,7 +97,7 @@ echo "== phase 2: restart, then kill -9 mid-loadgen =="
 # Scheduled snapshots every 400 logged records: the crash lands with
 # the log mid-truncation cycle, so recovery proves snapshot + suffix
 # replay under typed traffic, not just a cold log.
-"$BIN" -addr "$ADDR" -data "$DATA" -walwindow 2ms -bgsave-every 400ops &
+"$BIN" -addr "$ADDR" -data "$DATA" -bgsave-every 400ops &
 SERVER_PID=$!
 wait_ready
 # A deliberately oversized run with binary-hostile keys and typed
@@ -114,7 +114,7 @@ wait "$LOADGEN_PID" 2>/dev/null || true
 LOADGEN_PID=
 
 echo "== phase 3: restart and audit the restored state =="
-"$BIN" -addr "$ADDR" -data "$DATA" -walwindow 2ms &
+"$BIN" -addr "$ADDR" -data "$DATA" &
 SERVER_PID=$!
 wait_ready
 "$BIN" -audit check -addr "$ADDR"
@@ -126,7 +126,7 @@ echo "== phase 4: 64 pipelined SETs in one write, kill -9 on the last +OK, read 
 pipelined_sets
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-"$BIN" -addr "$ADDR" -data "$DATA" -walwindow 2ms &
+"$BIN" -addr "$ADDR" -data "$DATA" &
 SERVER_PID=$!
 wait_ready
 pipelined_gets
