@@ -81,6 +81,44 @@ func checkTypedProbes(c *client) error {
 	return nil
 }
 
+// checkTypedLists verifies the private lists a -typed loadgen leaves
+// behind (list:<client>): each client pushed consecutive sequence
+// numbers at the back and popped from the front, so whatever prefix of
+// its history survived a crash, the list is one ascending run without a
+// gap or a repeat. A push replayed twice, or one a snapshot both holds
+// and leaves in the log, shows as a repeat; a lost one as a gap. Absent
+// lists (no typed run, or everything popped) are skipped.
+func checkTypedLists(c *client) (checked int, err error) {
+	for g := 0; g < 64; g++ {
+		key := "list:" + strconv.Itoa(g)
+		v, err := c.must("LRANGE", key, "0", "-1")
+		if err != nil {
+			return checked, err
+		}
+		prev := -1
+		for i, e := range v.Elems {
+			// The sequence number is the element's decimal tail; what
+			// precedes it depends on -binkeys.
+			digits := len(e.Str)
+			for digits > 0 && e.Str[digits-1] >= '0' && e.Str[digits-1] <= '9' {
+				digits--
+			}
+			seq, err := strconv.Atoi(e.Str[digits:])
+			if err != nil {
+				return checked, fmt.Errorf("audit: %s[%d] = %q carries no sequence number", key, i, e.Str)
+			}
+			if i > 0 && seq != prev+1 {
+				return checked, fmt.Errorf("audit: %s[%d] is element %d after element %d (FIFO run broken across restart)", key, i, seq, prev)
+			}
+			prev = seq
+		}
+		if len(v.Elems) > 0 {
+			checked++
+		}
+	}
+	return checked, nil
+}
+
 // runAudit connects to addr and verifies the durable invariants.
 // Modes: "sum" checks account conservation; "set" additionally plants
 // two TTL probes (one long-lived, one already doomed) and one key per
@@ -88,7 +126,9 @@ func checkTypedProbes(c *client) error {
 // previous "set"'s probes — the long TTL must survive with its
 // deadline intact, the doomed one must be gone even though no sweep
 // may have run before the crash, and every container probe must come
-// back element-for-element with its kind. With save, a SAVE is issued
+// back element-for-element with its kind. Every mode also checks the
+// typed loadgen's residue when there is any: the hash ledger's sum and
+// the FIFO order of the private lists. With save, a SAVE is issued
 // at the end so the next restart boots from a snapshot.
 func runAudit(addr, mode string, accounts int, save bool) error {
 	if mode != "sum" && mode != "set" && mode != "check" {
@@ -191,6 +231,10 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 			return fmt.Errorf("audit: typed ledger broken: %s sums to %d, want %d", typedStatsKey, hsum, want)
 		}
 	}
+	lists, err := checkTypedLists(c)
+	if err != nil {
+		return err
+	}
 	size, err := c.must("DBSIZE")
 	if err != nil {
 		return err
@@ -200,7 +244,7 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "audit(%s): ok — %d accounts conserved (%d), dbsize %d, save=%v\n",
-		mode, accounts, sum, size.Int, save)
+	fmt.Fprintf(os.Stderr, "audit(%s): ok — %d accounts conserved (%d), %d typed lists in FIFO order, dbsize %d, save=%v\n",
+		mode, accounts, sum, lists, size.Int, save)
 	return nil
 }

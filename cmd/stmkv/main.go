@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -178,8 +179,8 @@ func openStore(manager string, shards, buckets int, data string, txtrace int) (*
 		return nil, nil, nil, fmt.Errorf("recover %s: %w", data, err)
 	}
 	fmt.Fprintf(os.Stderr,
-		"stmkv: recovered %s — snapshot %d ops (base %d), %d segments, %d records (%d ops), torn tail %d bytes\n",
-		data, rst.SnapshotOps, rst.Base, rst.Segments, rst.Records, rst.Ops, rst.TruncatedBytes)
+		"stmkv: recovered %s — snapshot %d ops (base %d, skip %d), %d segments, %d records (%d ops), torn tail %d bytes\n",
+		data, rst.SnapshotOps, rst.Base, rst.Skipped, rst.Segments, rst.Records, rst.Ops, rst.TruncatedBytes)
 	l, err := wal.Open(data, wal.Options{})
 	if err != nil {
 		return nil, nil, nil, err
@@ -235,12 +236,13 @@ func startSweeper(srv *kv.Server, store *kv.Store, cadence time.Duration, seed u
 // either a duration ("30s": wall-clock ticker) or a record count
 // ("500ops": a snapshot once at least that many new records reached
 // the log since the last cut, polled coarsely). Each trigger runs
-// Store.Save — the same rotate → cut → rename → reap path as an
-// explicit BGSAVE — so the log is continuously truncated and a
-// restart replays a bounded suffix. Failures are counted in the
-// server's registry and logged, and the schedule keeps running: a
-// snapshot that loses a race with traffic just tries again next
-// period.
+// Store.Save — the same rotate → cut → roll forward → rename → reap
+// path as an explicit BGSAVE — so the log is continuously truncated
+// and a restart replays a bounded suffix, whatever the write load: the
+// cut is a walk of short transactions that writers cannot starve.
+// Failures are counted in the server's registry and logged, and the
+// schedule keeps running. stop cancels a save in progress at its next
+// chunk and waits for it.
 func startBgsave(srv *kv.Server, store *kv.Store, spec string) (stop func(), err error) {
 	if spec == "" {
 		return func() {}, nil
@@ -276,7 +278,7 @@ func startBgsave(srv *kv.Server, store *kv.Store, spec string) (stop func(), err
 		}
 		trigger = func() bool { return true }
 	}
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -285,20 +287,20 @@ func startBgsave(srv *kv.Server, store *kv.Store, spec string) (stop func(), err
 		defer ticker.Stop()
 		for {
 			select {
-			case <-done:
+			case <-ctx.Done():
 				return
 			case <-ticker.C:
 			}
 			if !trigger() {
 				continue
 			}
-			if err := store.Save(); err != nil {
+			if err := store.Save(ctx); err != nil && ctx.Err() == nil {
 				srv.NoteBgsaveFailure()
 				fmt.Fprintf(os.Stderr, "stmkv: bgsave: %v\n", err)
 			}
 		}
 	}()
-	return func() { close(done); wg.Wait() }, nil
+	return func() { cancel(); wg.Wait() }, nil
 }
 
 // startMetrics serves the observability endpoints — Prometheus

@@ -58,6 +58,21 @@ func storeOp() {
 	})
 }
 
+// readOnly: a transaction that only reads fires its hook with the
+// stripes of its read set held, so the rule is the writer's: no
+// transaction from inside it.
+func readOnly() {
+	_ = s.Atomically(func(tx *stm.Tx) error {
+		if _, err := stm.Read(tx, v); err != nil {
+			return err
+		}
+		tx.OnCommit(func() { // want `OnCommit hook calls stm.Atomically`
+			_ = s.Atomically(func(tx2 *stm.Tx) error { _, err := stm.Read(tx2, v); return err })
+		})
+		return nil
+	})
+}
+
 // clean: hooks hand data outward — enqueue, stash, count.
 func outwardOnly() {
 	var ticket int

@@ -175,10 +175,11 @@ func (m *Map[K, V]) grow(tx *stm.Tx, old Buckets[*mapNode[K, V]], at int, head *
 	return m.table.resize(tx, heads)
 }
 
-// each calls fn for every binding of the array version b, bucket by
-// bucket in chain order, fetching each chain head with load.
-func (m *Map[K, V]) each(b Buckets[*mapNode[K, V]], load func(*stm.Var[*mapNode[K, V]]) (*mapNode[K, V], error), fn func(k K, v V) error) error {
-	for i := 0; i < b.Len(); i++ {
+// each calls fn for every binding in the residue class (r, of) of the
+// array version b — (0, 1) is all of it — bucket by bucket in chain
+// order, fetching each chain head with load.
+func (m *Map[K, V]) each(b Buckets[*mapNode[K, V]], r, of int, load func(*stm.Var[*mapNode[K, V]]) (*mapNode[K, V], error), fn func(k K, v V) error) error {
+	for i := r; i < b.Len(); i += of {
 		head, err := load(b.At(i))
 		if err != nil {
 			return err
@@ -198,11 +199,44 @@ func (m *Map[K, V]) each(b Buckets[*mapNode[K, V]], load func(*stm.Var[*mapNode[
 // bank-auditor scenario stresses). A non-nil error from fn stops the
 // scan and is returned.
 func (m *Map[K, V]) Each(tx *stm.Tx, fn func(k K, v V) error) error {
+	return m.EachIn(tx, 0, 1, fn)
+}
+
+// A residue class (r, of) is the buckets whose index is r modulo of —
+// the unit a long walk cuts its transactions to. For any of that
+// divides the bucket count a key's class is its hash modulo of,
+// whatever the array's size (ClassOf); and since the count only ever
+// doubles, an of that divides it once divides it for good. A walk that
+// visits the classes 0..of-1, one transaction each, therefore visits
+// every binding exactly once even if the map grows in between: growth
+// moves a key to another bucket of its own class. When growth has made
+// a class too wide for one transaction, (r, of) splits into (r, 2·of)
+// and (r+of, 2·of).
+
+// EachIn is Each over the residue class (r, of): it reads the array
+// variable and the BucketCount/of buckets of the class, nothing else.
+// of must divide the bucket count.
+func (m *Map[K, V]) EachIn(tx *stm.Tx, r, of int, fn func(k K, v V) error) error {
 	b, err := m.table.Buckets(tx)
 	if err != nil {
 		return err
 	}
-	return m.each(b, func(bv *stm.Var[*mapNode[K, V]]) (*mapNode[K, V], error) { return stm.Read(tx, bv) }, fn)
+	if b.Len()%of != 0 {
+		return fmt.Errorf("container: map walk in %d classes over %d buckets", of, b.Len())
+	}
+	return m.each(b, r, of, func(bv *stm.Var[*mapNode[K, V]]) (*mapNode[K, V], error) { return stm.Read(tx, bv) }, fn)
+}
+
+// BucketCount is Buckets as a transactional read: the size of the
+// array version tx sees.
+func (m *Map[K, V]) BucketCount(tx *stm.Tx) (int, error) {
+	b, err := m.table.Buckets(tx)
+	return b.Len(), err
+}
+
+// ClassOf is the residue class, out of of, that holds k.
+func (m *Map[K, V]) ClassOf(k K, of int) int {
+	return int(m.hash(m.table.seed, k) % uint64(of))
 }
 
 // Len counts the bindings, at Each's price.
@@ -217,7 +251,7 @@ func (m *Map[K, V]) Len(tx *stm.Tx) (int, error) {
 // binding may be seen twice or not at all. For observability (key
 // counts), not for invariant-carrying reads.
 func (m *Map[K, V]) Peek(fn func(k K, v V)) {
-	_ = m.each(m.table.peek(),
+	_ = m.each(m.table.peek(), 0, 1,
 		func(bv *stm.Var[*mapNode[K, V]]) (*mapNode[K, V], error) { return bv.Peek(), nil },
 		func(k K, v V) error { fn(k, v); return nil })
 }

@@ -208,3 +208,66 @@ func TestMapOnlyInsertsGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapClassWalkSurvivesGrowth walks a map one residue class per
+// transaction while inserts double it between the transactions: every
+// key present for the whole walk is visited exactly once, in the class
+// ClassOf names, and no transaction opens more than the array variable
+// plus the buckets of its class.
+func TestMapClassWalkSurvivesGrowth(t *testing.T) {
+	s := stm.New()
+	m := NewMap[int, int]("", 6, maphash.Comparable[int]) // 6: classes need not be powers of two
+	put := func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if err := s.Atomically(func(tx *stm.Tx) error { _, _, err := m.Put(tx, k, k); return err }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 60)
+	const of = 3
+	start := m.Buckets()
+	if start%of != 0 {
+		t.Fatalf("%d buckets, want a multiple of %d", start, of)
+	}
+	seen := make(map[int]int)
+	for r := 0; r < of; r++ {
+		var keys []int
+		err := s.Atomically(func(tx *stm.Tx) error {
+			n, err := m.BucketCount(tx)
+			if err != nil {
+				return err
+			}
+			var walked []int
+			if err := m.EachIn(tx, r, of, func(k, _ int) error { walked = append(walked, k); return nil }); err != nil {
+				return err
+			}
+			keys = walked
+			if tx.Opens() != 1+n/of {
+				t.Errorf("class %d of %d over %d buckets opened %d variables, want %d", r, of, n, tx.Opens(), 1+n/of)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if got := m.ClassOf(k, of); got != r {
+				t.Fatalf("key %d walked in class %d, ClassOf says %d", k, r, got)
+			}
+			seen[k]++
+		}
+		put(1000*(r+1), 1000*(r+1)+150) // at least one doubling before the next class
+	}
+	if m.Buckets() < 8*start {
+		t.Fatalf("buckets %d → %d across the walk, want three doublings", start, m.Buckets())
+	}
+	for k := 0; k < 60; k++ {
+		if seen[k] != 1 {
+			t.Fatalf("key %d, present throughout, visited %d times", k, seen[k])
+		}
+	}
+	if err := s.Atomically(func(tx *stm.Tx) error { return m.EachIn(tx, 0, 5, func(int, int) error { return nil }) }); err == nil {
+		t.Fatal("EachIn accepted a class count that does not divide the bucket count")
+	}
+}

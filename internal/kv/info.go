@@ -183,6 +183,18 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 		func() int64 { return l.Stats().Dropped })
 	reg.GaugeFunc("wal_segment", "Sequence number of the segment being written.", nil,
 		func() float64 { return float64(l.Stats().Segment) })
+	reg.GaugeFunc("wal_segments", "Segment files in the data directory; falls when a snapshot completes.", nil,
+		func() float64 { return float64(l.Stats().Segments) })
+	reg.CounterFunc("wal_snapshots_completed_total", "Snapshots published (SAVE, BGSAVE and scheduled).", nil,
+		func() int64 { return l.Stats().Snapshots })
+	reg.GaugeFunc("wal_snapshot_last_seconds", "Wall time of the latest completed snapshot, rotation to rename.", nil,
+		func() float64 { return l.Stats().SnapshotLast.Seconds() })
+	reg.GaugeFunc("wal_snapshot_last_chunks", "Chunk transactions the latest completed snapshot was cut in.", nil,
+		func() float64 { n, _ := st.SaveStats(); return float64(n) })
+	reg.CounterFunc("wal_snapshot_chunk_retries_total", "Snapshot chunk transactions that had to run again.", nil,
+		func() int64 { _, n := st.SaveStats(); return n })
+	reg.CounterFunc("wal_snapshot_tail_records_total", "Log records snapshots read back to roll their chunks forward.", nil,
+		func() int64 { return l.Stats().SnapshotTail })
 	reg.GaugeFunc("wal_lsn_enqueued", "LSN of the last record appended (committed in memory).", nil,
 		func() float64 { return float64(l.Stats().Enqueued) })
 	reg.GaugeFunc("wal_lsn_durable", "Durable watermark: the LSN up to which records are fsynced.", nil,
@@ -457,6 +469,13 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("fsyncs", st.Fsyncs)
 		line("dropped", st.Dropped)
 		line("segment", st.Segment)
+		line("wal_segments", st.Segments)
+		chunks, retries := srv.store.SaveStats()
+		line("snapshots_completed", st.Snapshots)
+		line("snapshot_last_usec", st.SnapshotLast.Microseconds())
+		line("snapshot_last_chunks", chunks)
+		line("snapshot_chunk_retries", retries)
+		line("snapshot_tail_records", st.SnapshotTail)
 		line("lsn_enqueued", st.Enqueued)
 		line("lsn_durable", st.Durable)
 		line("queue_depth", st.QueueDepth())

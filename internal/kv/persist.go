@@ -19,11 +19,13 @@ package kv
 // replayed history is not re-logged.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 
+	"repro/internal/container"
 	"repro/internal/stm"
 	"repro/internal/wal"
 )
@@ -97,12 +99,14 @@ func (st *Store) SealLogAsync(tx *stm.Tx) {
 }
 
 // SnapshotOps dumps every live entry as a canonical absolute op
-// sequence, cut in one consistent transaction across all shards —
-// the checkpoint Save hands to wal.Log.Snapshot. Dead entries are
-// excluded: a snapshot is also a compaction. Per kind: strings are
+// sequence, cut in one consistent transaction across all shards — the
+// audit dump tests and the smoke compare two stores with, for quiet
+// stores only: under writers a whole-store transaction may never
+// commit, which is why Save does not use it. Dead entries are excluded.
+// Per kind (appendEntryOps, which Save's chunks share): strings are
 // one set-op carrying the deadline; hashes emit field sets sorted by
 // name (so two stores with the same logical hash — whatever their
-// table seeds — snapshot identically); lists emit back-pushes front
+// table seeds — dump identically); lists emit back-pushes front
 // to back; zsets emit member sets in (score, member) order; container
 // entries with a TTL append one touch op. Replay through Apply runs
 // the same typed code paths the live store did.
@@ -160,18 +164,172 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, er
 	return out, nil
 }
 
+// chunkBuckets bounds a snapshot chunk: the shard's array variable plus
+// this many buckets is the largest read set that stays in the
+// transaction's inline slice (see stm.InlineReads), so revalidating a
+// chunk never walks a map. The containers of the chunk's keys come on
+// top of it.
+const chunkBuckets = stm.InlineReads - 1
+
 // Save cuts a point-in-time snapshot and truncates the log: the
-// BGSAVE/SAVE implementation. Single-flight; see wal.Log.Snapshot
-// for the rotate → cut → rename → reap choreography. The cut is one
-// read-only transaction over the whole store, so under a sustained
-// write hammer it may retry for a while before finding a stable
-// serialization point — snapshots are for quiet(er) moments, as with
-// most single-node stores.
-func (st *Store) Save() error {
+// BGSAVE/SAVE implementation. Single-flight; see wal.Log.Snapshot for
+// the rotate → cut → roll forward → rename → reap choreography. The cut
+// is a walk of bounded read-only transactions, a chunk each: per shard,
+// the buckets of one residue class (container.Map.EachIn), at most
+// chunkBuckets of them, with the containers of the keys found there cut
+// whole in the same transaction. Writers never wait for it and a chunk
+// conflicts only with the writers of its own buckets, so Save finishes
+// under any write load; what it costs them is one retried chunk per
+// write that lands in a chunk's buckets while it is being read. Each
+// chunk commits with a hook (see stm.Tx.OnCommit) that reads the log's
+// position, which the commit stripes make exact: every record up to it
+// that touches the chunk's keys is reflected in the chunk, none after
+// is. The log's roll-forward turns the chunks into the state at the last
+// chunk's position by appending the logged ops that are newer than
+// their key's chunk — Save keeps, per chunk, the position it was cut
+// at, because only this process's hash can tell which chunk a key is in.
+//
+// ctx is checked between chunks; a cancelled Save publishes nothing and
+// leaves the previous snapshot and the whole log in place.
+func (st *Store) Save(ctx context.Context) error {
 	if st.log == nil {
 		return ErrNoWAL
 	}
-	return st.log.Snapshot(st.SnapshotOps)
+	chunks := 0
+	err := st.log.Snapshot(func(emit func([]wal.Op) error) (wal.Cut, error) {
+		marks := make([]shardMarks, len(st.shards))
+		var upTo uint64
+		var buf []wal.Op // one chunk's ops; emit keeps nothing of it
+		for i, sh := range st.shards {
+			// The class count is fixed here, from the size the shard
+			// has now: a power-of-two divisor of it, so that it divides
+			// every later size too and each class holds chunkBuckets
+			// buckets or fewer until the shard grows.
+			n := sh.Buckets()
+			per := 1
+			for per*2 <= chunkBuckets && n%(per*2) == 0 {
+				per *= 2
+			}
+			todo := make([]class, 0, n/per)
+			for r := n/per - 1; r >= 0; r-- {
+				todo = append(todo, class{r, n / per})
+			}
+			for len(todo) > 0 {
+				if err := ctx.Err(); err != nil {
+					return wal.Cut{}, err
+				}
+				c := todo[len(todo)-1]
+				todo = todo[:len(todo)-1]
+				ops, at, wide, err := st.cutChunk(sh, c, buf[:0])
+				if err != nil {
+					return wal.Cut{}, err
+				}
+				if wide {
+					// The shard has doubled since c was sized.
+					todo = append(todo, class{c.r + c.of, 2 * c.of}, class{c.r, 2 * c.of})
+					continue
+				}
+				if err := emit(ops); err != nil {
+					return wal.Cut{}, err
+				}
+				buf = ops
+				chunks++
+				marks[i].cut = append(marks[i].cut, chunkMark{c, at})
+				upTo = at // positions only grow: each chunk reads the log's after the one before
+			}
+			marks[i].flatten()
+		}
+		return wal.Cut{UpTo: upTo, Reflected: func(op wal.Op, lsn uint64) bool {
+			i := st.shardIndex(op.Key)
+			return lsn <= marks[i].at(st.shards[i], op.Key)
+		}}, nil
+	})
+	if err == nil {
+		st.lastChunks.Store(int64(chunks))
+	}
+	return err
+}
+
+// SaveStats reports Save's own counters, beside the log's (wal.Stats):
+// how many chunks the latest completed snapshot was cut in, and how
+// many chunk transactions have had to run again since the store was
+// created — a chunk retries when a write lands in its buckets, or in a
+// container it holds, while it is being read.
+func (st *Store) SaveStats() (lastChunks, chunkRetries int64) {
+	return st.lastChunks.Load(), st.chunkRetries.Load()
+}
+
+// class is the residue class (r, of) of a shard's buckets.
+type class struct{ r, of int }
+
+// chunkMark is one committed chunk: its class and the log position it
+// was cut at.
+type chunkMark struct {
+	class
+	at uint64
+}
+
+// shardMarks maps a shard's keys to the position their chunk was cut
+// at. The walk appends to cut; flatten then spreads the marks over the
+// classes of the finest modulus any chunk used, so that a lookup is one
+// hash.
+type shardMarks struct {
+	cut []chunkMark
+	of  int
+	lsn []uint64
+}
+
+func (m *shardMarks) flatten() {
+	for _, c := range m.cut {
+		m.of = max(m.of, c.of)
+	}
+	m.lsn = make([]uint64, m.of)
+	for _, c := range m.cut {
+		for r := c.r; r < m.of; r += c.of {
+			m.lsn[r] = c.at
+		}
+	}
+	m.cut = nil
+}
+
+func (m *shardMarks) at(sh *container.Map[string, entry], key string) uint64 {
+	return m.lsn[sh.ClassOf(key, m.of)]
+}
+
+// cutChunk runs one chunk transaction over class c of shard sh and
+// returns its live entries as ops, appended to buf, with the log
+// position the chunk was cut at — or wide, when the shard has grown past
+// chunkBuckets buckets in the class, in which case nothing was cut.
+func (st *Store) cutChunk(sh *container.Map[string, entry], c class, buf []wal.Op) (ops []wal.Op, at uint64, wide bool, err error) {
+	now := st.now()
+	var retries int64
+	err = st.s.Atomically(func(tx *stm.Tx) error {
+		ops, wide, retries = buf, false, tx.Aborts()
+		n, err := sh.BucketCount(tx)
+		if err != nil {
+			return err
+		}
+		if n/c.of > chunkBuckets {
+			wide = true
+			return nil
+		}
+		err = sh.EachIn(tx, c.r, c.of, func(key string, e entry) (err error) {
+			if !e.dead(now) {
+				ops, err = appendEntryOps(tx, ops, key, e)
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		if st.chunkCut != nil {
+			st.chunkCut(n / c.of)
+		}
+		tx.OnCommit(func() { at = st.log.Stats().Enqueued })
+		return nil
+	})
+	st.chunkRetries.Add(retries)
+	return ops, at, wide, err
 }
 
 // Apply replays one recovered write set (or snapshot batch) in a

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -70,7 +71,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 	if _, err := a.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Save(); err != nil {
+	if err := a.Save(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// History after the snapshot, replayed from the rotated log.

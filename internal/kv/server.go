@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -46,6 +47,10 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+	// ctx ends at Close: it stops a SAVE or BGSAVE between two chunks
+	// (background saves are in wg, so Close waits them out).
+	ctx  context.Context
+	stop context.CancelFunc
 }
 
 // NewServer returns a server for the store. Without options it keeps
@@ -63,6 +68,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		// ABORTLOG answers but never fills.
 		abort: NewAbortLog(128),
 	}
+	srv.ctx, srv.stop = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(srv)
 	}
@@ -119,6 +125,7 @@ func (srv *Server) Close() error {
 		return nil
 	}
 	srv.closed = true
+	srv.stop()
 	ln := srv.ln
 	for conn := range srv.conns {
 		conn.Close()
@@ -462,7 +469,7 @@ func (srv *Server) save(_ *connState, _ *args) resp.Value {
 	if !srv.store.Durable() {
 		return resp.ErrVal(errNotDurable)
 	}
-	switch err := srv.store.Save(); {
+	switch err := srv.store.Save(srv.ctx); {
 	case errors.Is(err, wal.ErrSnapshotInProgress):
 		return resp.ErrVal("ERR save already in progress")
 	case err != nil:
@@ -477,8 +484,10 @@ func (srv *Server) bgsave(_ *connState, _ *args) resp.Value {
 	if !srv.store.Durable() {
 		return resp.ErrVal(errNotDurable)
 	}
+	srv.wg.Add(1) // from a handler, which Close is still waiting for
 	go func() {
-		if err := srv.store.Save(); err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) {
+		defer srv.wg.Done()
+		if err := srv.store.Save(srv.ctx); err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) && !errors.Is(err, context.Canceled) {
 			srv.NoteBgsaveFailure()
 			log.Printf("kv: background save: %v", err)
 		}

@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"hash/maphash"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/container"
@@ -53,6 +54,12 @@ type Store struct {
 	// log, when attached, receives every committed write set (see
 	// persist.go; nil for a purely in-memory store).
 	log *wal.Log
+	// Save's counters (see SaveStats). chunkCut, when set, is told the
+	// number of buckets each chunk attempt read; only tests set it, to
+	// hold Save to its bound.
+	chunkRetries atomic.Int64
+	lastChunks   atomic.Int64
+	chunkCut     func(buckets int)
 }
 
 // Option configures a Store.
@@ -158,9 +165,14 @@ func (st *Store) PeekLen() int64 {
 	return total
 }
 
+// shardIndex maps a key to its shard's index.
+func (st *Store) shardIndex(key string) int {
+	return int(maphash.String(st.seed, key) & uint64(len(st.shards)-1))
+}
+
 // shard maps a key to its shard.
 func (st *Store) shard(key string) *container.Map[string, entry] {
-	return st.shards[maphash.String(st.seed, key)&uint64(len(st.shards)-1)]
+	return st.shards[st.shardIndex(key)]
 }
 
 // Atomically runs fn as one atomic transaction against the store,

@@ -95,4 +95,22 @@
 // and at commit time, so committed transactions are serializable and
 // reads are consistent (a transaction never observes two snapshots that
 // no serial execution could produce without subsequently aborting).
+//
+// # Commit hooks
+//
+// Tx.OnCommit registers a function that runs if, and only if, the
+// attempt commits, inside the commit itself. A writer's hook fires after
+// its status CAS with the commit stripes of its write set still held, so
+// the hooks of writers that touched a common object run in their commit
+// order; the kv store appends to its write-ahead log from there. A
+// read-only transaction ordinarily commits without taking any stripe;
+// one that registered a hook locks the stripes of everything it read,
+// validates, fires the hook and unlocks, which orders its hook against
+// the hook of every writer it read from — each has returned, or has not
+// begun and was not seen. A writer's values are visible from its status
+// CAS on, before its hook runs, so nothing weaker (not the commit clock)
+// tells a reader that what it saw has been logged; the kv store's
+// snapshot chunks commit this way to learn the exact log position they
+// were cut at. Hooks must not start or touch a transaction (stmlint's
+// hookreentry).
 package stm

@@ -9,7 +9,3 @@ package stm
 func WithCommitHook(f func()) Option {
 	return func(s *STM) { s.commitHook = f }
 }
-
-// InlineReads exposes the read set's slice/overflow-map boundary so
-// tests can place entries on either side of it.
-const InlineReads = inlineReads

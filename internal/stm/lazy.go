@@ -23,6 +23,8 @@ package stm
 // concurrent, stripe-disjoint installers), so concurrent readers never
 // accept a cut that spans a partial installation.
 
+import "slices"
+
 // WithLazyConflicts switches the STM to commit-time conflict
 // detection. Contention managers still receive lifecycle
 // notifications, but ResolveConflict is never called: transactions are
@@ -137,8 +139,13 @@ func (tx *Tx) tryCommitLazy() bool {
 // eager and lazy paths. It takes no stripe locks: the scan plus the
 // stability check (installer count still zero, clock unmoved across
 // the scan) prove every read was simultaneously valid at the scan's
-// start, which is the serialization point.
+// start, which is the serialization point. An attempt that registered
+// a commit hook is the exception: its hook must be ordered against the
+// hooks of the writers it read from, which only the stripes can do.
 func (tx *Tx) tryCommitReadOnly() bool {
+	if tx.sess.onCommit != nil {
+		return tx.tryCommitReadOnlyHooked()
+	}
 	s := tx.sess.stm
 	for attempt := 0; ; attempt++ {
 		if s.installers.Load() != 0 {
@@ -158,8 +165,59 @@ func (tx *Tx) tryCommitReadOnly() bool {
 				tx.setCause(CauseCASRace)
 				return false
 			}
-			tx.fireOnCommit()
 			return true
 		}
 	}
+}
+
+// tryCommitReadOnlyHooked commits a read-only attempt that registered
+// an OnCommit hook: the writer commit minus the write. It locks the
+// commit stripes of its read set, validates, takes the status CAS and
+// fires the hook with the stripes still held. Every writer of an object
+// in the read set holds that object's stripe from before its validation
+// until after its own hook, so each such writer is either wholly before
+// this commit — its values were read and its hook has returned — or
+// blocked until this hook has; no writer is seen without its hook, which
+// the clock-stable scan above cannot promise (a writer's values are
+// visible from its status CAS on, before its clock bump and its hook).
+// With the stripes held nothing in the read set can change, so the
+// plain scan is exact and the installer count needs no watching. The
+// stripes are locked but not owned: this attempt writes nothing, so a
+// writer that merely read one of these objects has no reason to fail
+// its lock-aware validation on it.
+func (tx *Tx) tryCommitReadOnlyHooked() bool {
+	sess := tx.sess
+	// writeStripes is empty (this is the read-only commit); borrow its
+	// buffer for the read set's stripes and hand it back empty, so the
+	// attempt still counts as having written nothing.
+	held := sess.writeStripes[:0]
+	for _, r := range sess.reads {
+		held = append(held, r.obj.stripe)
+	}
+	for obj := range sess.overflow {
+		held = append(held, obj.stripe)
+	}
+	slices.Sort(held)
+	held = slices.Compact(held)
+	for _, i := range held {
+		sess.stm.stripes[i].mu.Lock()
+	}
+	defer func() {
+		for _, i := range held {
+			sess.stm.stripes[i].mu.Unlock()
+		}
+		sess.writeStripes = held[:0]
+	}()
+	if !tx.readsStillCommitted() {
+		tx.setCause(CauseValidation)
+		tx.noteConflict()
+		tx.Abort()
+		return false
+	}
+	if !tx.commit() {
+		tx.setCause(CauseCASRace)
+		return false
+	}
+	tx.fireOnCommit()
+	return true
 }

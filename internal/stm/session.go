@@ -388,7 +388,7 @@ func (sess *session) recycle(tx *Tx) {
 }
 
 // maxRetainedReads caps the overflow map a session keeps between
-// attempts, so one huge transaction (a Map.grow, a BGSAVE-sized scan)
+// attempts, so one huge transaction (a Map.grow, a DBSIZE-sized scan)
 // does not leave its read set's buckets on a pooled session forever.
 const maxRetainedReads = 2048
 

@@ -163,6 +163,20 @@ func (tx *Tx) Local() any { return tx.sess.local }
 // order — the property the WAL's group-commit ordering rests on (log
 // order = commit order per key; see DESIGN.md §Durability).
 //
+// A read-only transaction that registers a hook commits by locking the
+// stripes of its *read* set, validating, firing the hook and unlocking
+// (tryCommitReadOnlyHooked). Its hook is thereby ordered against the
+// hook of every writer of an object it read: each such writer's hook
+// has either returned — and the reader saw that writer's values — or
+// has not started, and the reader saw none of them. That is what lets
+// a snapshot chunk name the exact log position it was cut at (kv's
+// Store.Save); a read-only transaction without a hook takes no stripe
+// and is never delayed by one.
+//
+// Blind writers (an empty read set in eager mode) commit without
+// stripes and are ordered against nobody's hook; nothing that logs is
+// one.
+//
 // Because the stripes are held, fn must be fast and must not block on
 // other transactions or run transactions itself. One hook per
 // attempt: a second call replaces the first. The hook is cleared at
@@ -302,6 +316,11 @@ type readEntry struct {
 // 64-read transaction 30 % and nothing in this repository is that
 // size. (Why the overflow is a map at all: DESIGN.md §2.)
 const inlineReads = 32
+
+// InlineReads is the number of reads a transaction makes before its
+// read set spills from the slice to the overflow map — the size a
+// background walk cuts its transactions to (kv's snapshot chunks).
+const InlineReads = inlineReads
 
 // lookupRead returns the version the attempt has recorded for obj, if
 // any: the slice first, then the overflow map.

@@ -12,12 +12,16 @@ import (
 type RecoverStats struct {
 	// SnapshotOps is the number of ops loaded from the snapshot.
 	SnapshotOps int
-	// Base is the first segment the snapshot does not cover.
-	Base uint64
+	// Base is the first segment the snapshot does not cover; Skipped is
+	// how many records at the head of it the snapshot does (they were
+	// read past, not applied).
+	Base    uint64
+	Skipped uint64
 	// Segments is how many segment files were replayed (even
 	// partially).
 	Segments int
-	// Records and Ops count the replayed write sets and their ops.
+	// Records and Ops count the write sets applied from the log and
+	// their ops.
 	Records int
 	Ops     int
 	// TruncatedBytes is how much of the final segment was discarded
@@ -28,7 +32,8 @@ type RecoverStats struct {
 
 // Recover rebuilds state from a log directory: load the snapshot (if
 // any), then replay every segment the snapshot does not cover, in
-// sequence order, calling apply once per record — each call is one
+// sequence order and starting after the records its header says it
+// does, calling apply once per record — each call is one
 // committed write set, in the original per-key commit order. A bad
 // frame in the final segment is the expected torn tail of a crash:
 // replay stops there and the tail is physically truncated, so the
@@ -45,7 +50,7 @@ func Recover(dir string, apply func([]Op) error) (RecoverStats, error) {
 		st.Base = 1
 		return st, nil
 	}
-	base, snapOps, err := loadSnapshot(dir, apply)
+	base, skip, snapOps, err := loadSnapshot(dir, apply)
 	if err != nil {
 		return st, err
 	}
@@ -61,16 +66,17 @@ func Recover(dir string, apply func([]Op) error) (RecoverStats, error) {
 			continue
 		}
 		last := i == len(segs)-1
-		truncAt, err := replaySegment(sf.path, apply, &st)
+		truncAt, err := replaySegment(sf.path, skip-st.Skipped, apply, &st)
 		if err == nil {
 			continue
 		}
 		if !errors.Is(err, errBadFrame) {
 			return st, fmt.Errorf("wal: replay segment %d: %w", sf.seq, err)
 		}
-		if !last {
+		if !last || st.Skipped < skip {
 			// Only the newest segment can have a torn tail — writes
-			// only ever went to the newest segment.
+			// only ever went to the newest segment — and never among
+			// records a snapshot was published after.
 			return st, fmt.Errorf("wal: segment %d corrupt mid-log: %w", sf.seq, err)
 		}
 		info, statErr := os.Stat(sf.path)
@@ -82,13 +88,19 @@ func Recover(dir string, apply func([]Op) error) (RecoverStats, error) {
 			return st, fmt.Errorf("wal: truncate segment %d: %w", sf.seq, terr)
 		}
 	}
+	if st.Skipped < skip {
+		// The snapshot was published only once these records were on
+		// disk, so a log without them has lost a segment.
+		return st, fmt.Errorf("wal: snapshot covers %d records from segment %d on, the log holds %d", skip, base, st.Skipped)
+	}
 	return st, nil
 }
 
-// replaySegment applies every intact record of one segment, counting
-// into st. On a bad frame it returns the good-prefix length and the
-// frame error.
-func replaySegment(path string, apply func([]Op) error, st *RecoverStats) (int64, error) {
+// replaySegment reads past the first skip records of one segment —
+// they must still be intact frames — and applies every intact record
+// after them, counting into st. On a bad frame it returns the
+// good-prefix length and the frame error.
+func replaySegment(path string, skip uint64, apply func([]Op) error, st *RecoverStats) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -107,6 +119,12 @@ func replaySegment(path string, apply func([]Op) error, st *RecoverStats) (int64
 		ops, err := decodeRecord(payload)
 		if err != nil {
 			return fr.good, err
+		}
+		if skip > 0 {
+			skip--
+			st.Skipped++
+			fr.markGood(len(payload))
+			continue
 		}
 		if err := apply(ops); err != nil {
 			return fr.good, fmt.Errorf("apply: %w", err)

@@ -27,11 +27,13 @@
 // AppendAsync forgoes it for callers measuring logging overhead rather
 // than fsync latency.
 //
-// Snapshots (Snapshot) rotate the log onto a fresh segment, cut a
-// consistent checkpoint through a caller-supplied function, write it
-// to a side file, atomically rename it into place, and reap the
-// segments the checkpoint covers. Recovery (Recover) loads the
-// snapshot, replays the surviving segments in order, and truncates
+// Snapshots (Snapshot) rotate the log onto a fresh segment, stream the
+// live state into a side file in chunks that a caller-supplied function
+// cuts — each at a log position of its own, while appends continue —
+// roll the chunks forward to one position by reading the log back,
+// atomically rename the file into place, and reap the segments it
+// covers. Recovery (Recover) loads the snapshot, replays the surviving
+// segments in order from the record after that position, and truncates
 // at the first bad frame of the final segment.
 package wal
 
@@ -119,8 +121,18 @@ type Stats struct {
 	Fsyncs int64
 	// Dropped counts records refused for exceeding MaxRecord.
 	Dropped int64
-	// Segment is the sequence number of the segment being written.
-	Segment uint64
+	// Segment is the sequence number of the segment being written;
+	// Segments is how many segment files the directory holds, which
+	// grows until a snapshot completes and reaps them.
+	Segment  uint64
+	Segments int
+	// Snapshots counts completed snapshots. SnapshotLast is how long the
+	// latest took, rotation to rename; SnapshotTail is the number of
+	// records all of them read back from the log to roll their chunks
+	// forward.
+	Snapshots    int64
+	SnapshotLast time.Duration
+	SnapshotTail int64
 }
 
 // Records is the number of write sets written and fsynced.
@@ -182,6 +194,12 @@ type Log struct {
 	batchOps obs.Histogram
 
 	snapshotting atomic.Bool
+	// firstSeq is the oldest segment file not yet reaped; the rest are
+	// Stats' snapshot counters.
+	firstSeq     atomic.Uint64
+	snapshots    atomic.Int64
+	snapshotLast atomic.Int64 // ns
+	snapshotTail atomic.Int64
 }
 
 // rotation is one requested segment switch: the position in the pending
@@ -214,6 +232,10 @@ func Open(dir string, _ Options) (*Log, error) {
 		next = segs[n-1].seq + 1
 	}
 	l := &Log{dir: dir}
+	l.firstSeq.Store(next)
+	if len(segs) > 0 {
+		l.firstSeq.Store(segs[0].seq)
+	}
 	l.work.L, l.acked.L = &l.mu, &l.ackMu
 	f, err := l.createSegment(next)
 	if err != nil {
@@ -241,6 +263,11 @@ func (l *Log) Stats() Stats {
 		Fsyncs:   l.fsyncs.Load(),
 		Dropped:  l.dropped.Load(),
 		Segment:  l.curSeq.Load(),
+		Segments: int(l.curSeq.Load() - l.firstSeq.Load() + 1),
+
+		Snapshots:    l.snapshots.Load(),
+		SnapshotLast: time.Duration(l.snapshotLast.Load()),
+		SnapshotTail: l.snapshotTail.Load(),
 	}
 }
 

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -185,6 +187,15 @@ func TestRotateStartsNewSegment(t *testing.T) {
 	}
 }
 
+// whole is a cut of one chunk: the given ops, at the position the log
+// has reached when it runs.
+func whole(l *Log, ops ...Op) func(emit func([]Op) error) (Cut, error) {
+	return func(emit func([]Op) error) (Cut, error) {
+		at := l.Stats().Enqueued
+		return Cut{UpTo: at, Reflected: func(_ Op, lsn uint64) bool { return lsn <= at }}, emit(ops)
+	}
+}
+
 func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -195,16 +206,16 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if err := l.Append([]Op{{Key: "a", Val: "1"}, {Key: "b", Val: "2"}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	cut := func() ([]Op, error) {
-		return []Op{{Key: "a", Val: "1"}, {Key: "b", Val: "2"}}, nil
-	}
-	if err := l.Snapshot(cut); err != nil {
+	if err := l.Snapshot(whole(l, Op{Key: "a", Val: "1"}, Op{Key: "b", Val: "2"})); err != nil {
 		t.Fatal(err)
 	}
 	// Pre-snapshot segments are reaped; the log continues.
 	segs, _ := listSegments(dir)
 	if len(segs) != 1 || segs[0].seq != 2 {
 		t.Fatalf("segments after snapshot: %+v", segs)
+	}
+	if st := l.Stats(); st.Snapshots != 1 || st.Segments != 1 || st.SnapshotLast <= 0 || st.SnapshotTail != 0 {
+		t.Fatalf("stats after snapshot: %+v", st)
 	}
 	if err := l.Append([]Op{{Key: "b", Del: true}, {Key: "c", Val: "3"}}).Wait(); err != nil {
 		t.Fatal(err)
@@ -217,7 +228,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SnapshotOps != 2 || st.Base != 2 || st.Records != 1 {
+	if st.SnapshotOps != 2 || st.Base != 2 || st.Skipped != 0 || st.Records != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	want := []Op{{Key: "a", Val: "1"}, {Key: "b", Val: "2"}, {Key: "b", Del: true}, {Key: "c", Val: "3"}}
@@ -226,81 +237,140 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSnapshotRedoesOnSlippedAppend pins the overlap defense: a write
-// accepted after the rotation but captured by the checkpoint cut
-// would otherwise be applied twice on recovery (fatal for list
-// deltas). Snapshot must notice and redo the rotate+cut, so the
-// slipped record's segment is reaped under the final checkpoint and
-// recovery sees each op exactly once.
-func TestSnapshotRedoesOnSlippedAppend(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
+// lists is a store of lists for the snapshot tests: pushes are deltas,
+// so an op applied twice, or not at all, shows in the result. do
+// commits a write set the way the kv store does — state change and
+// append under one lock — and chunk cuts some of the keys under the same
+// lock, so the position it reports is exact.
+type lists struct {
+	mu    sync.Mutex
+	l     *Log
+	state map[string][]string
+}
+
+func (s *lists) apply(ops []Op) error {
+	for _, op := range ops {
+		s.state[op.Key] = append(s.state[op.Key], op.Val)
+	}
+	return nil
+}
+
+func (s *lists) do(t *testing.T, ops ...Op) {
+	t.Helper()
+	s.mu.Lock()
+	s.apply(ops)
+	tk := s.l.Append(ops)
+	s.mu.Unlock()
+	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
-	}
-	if err := l.Append([]Op{{Kind: KindList, Key: "l", Val: "e0"}}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	cut := func() ([]Op, error) {
-		calls++
-		if calls == 1 {
-			// A commit slips in after the rotation; the cut's state
-			// includes it.
-			if err := l.Append([]Op{{Kind: KindList, Key: "l", Val: "e1"}}).Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return []Op{
-			{Kind: KindList, Key: "l", Val: "e0"},
-			{Kind: KindList, Key: "l", Val: "e1"},
-		}, nil
-	}
-	if err := l.Snapshot(cut); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("cut ran %d times, want 2 (one redo after the slipped append)", calls)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var c collect
-	st, err := Recover(dir, c.apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 0 {
-		t.Fatalf("recovery replayed %d log records, want 0 (all covered by the checkpoint)", st.Records)
-	}
-	want := []Op{
-		{Kind: KindList, Key: "l", Val: "e0"},
-		{Kind: KindList, Key: "l", Val: "e1"},
-	}
-	if !reflect.DeepEqual(c.flat(), want) {
-		t.Fatalf("recovered %+v, want %+v (the push must not double-apply)", c.flat(), want)
 	}
 }
 
-// TestSnapshotContended: when a write lands between rotation and cut
-// on every attempt, Snapshot gives up with ErrSnapshotContended and
-// the log remains fully recoverable — nothing was reaped.
-func TestSnapshotContended(t *testing.T) {
+func (s *lists) chunk(emit func([]Op) error, keys ...string) (at uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ops []Op
+	for _, k := range keys {
+		for _, v := range s.state[k] {
+			ops = append(ops, push(k, v))
+		}
+	}
+	return s.l.Stats().Enqueued, emit(ops)
+}
+
+func push(key, val string) Op { return Op{Kind: KindList, Key: key, Val: val} }
+
+// TestSnapshotOverlapIsSkipped lands appends between the rotation and
+// every chunk and after the last one. A record at or below its key's
+// chunk position is in the chunk, one between that and the snapshot's
+// position is rolled forward into the file, one above is replayed from
+// the log — and recovery, which skips the first two kinds by count,
+// applies every push exactly once.
+func TestSnapshotOverlapIsSkipped(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	cut := func() ([]Op, error) {
-		i++
-		if err := l.Append([]Op{{Key: "k", Val: strconv.Itoa(i)}}).Wait(); err != nil {
-			t.Fatal(err)
+	s := &lists{l: l, state: map[string][]string{}}
+	s.do(t, push("l", "e0"))
+	s.do(t, push("m", "f0"))
+	var upTo uint64
+	err = l.Snapshot(func(emit func([]Op) error) (Cut, error) {
+		at := map[string]uint64{}
+		s.do(t, push("l", "e1")) // after the rotation, in l's chunk
+		if at["l"], err = s.chunk(emit, "l"); err != nil {
+			return Cut{}, err
 		}
-		return []Op{{Key: "k", Val: strconv.Itoa(i)}}, nil
+		s.do(t, push("m", "f1"), push("l", "e2")) // in m's chunk; behind l's: rolled forward
+		if at["m"], err = s.chunk(emit, "m"); err != nil {
+			return Cut{}, err
+		}
+		s.do(t, push("m", "f2")) // behind every chunk: replayed
+		upTo = at["m"]
+		return Cut{UpTo: upTo, Reflected: func(op Op, lsn uint64) bool { return lsn <= at[op.Key] }}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := l.Snapshot(cut); !errors.Is(err, ErrSnapshotContended) {
-		t.Fatalf("err = %v, want ErrSnapshotContended", err)
+	if st := l.Stats(); st.SnapshotTail != 2 {
+		t.Fatalf("roll-forward read %d records back, want 2 (e1; f1+e2)", st.SnapshotTail)
+	}
+	s.do(t, push("l", "e3"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := &lists{state: map[string][]string{}}
+	st, err := Recover(dir, got.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != 2 || st.Records != 2 {
+		t.Fatalf("recovery skipped %d records and applied %d, want 2 and 2: %+v", st.Skipped, st.Records, st)
+	}
+	if !reflect.DeepEqual(got.state, s.state) {
+		t.Fatalf("recovered %v, want %v (every push exactly once)", got.state, s.state)
+	}
+
+	// The snapshot was published after the skipped records were on
+	// disk; a log without them is not a shorter history, it is damage.
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, err %v", segs, err)
+	}
+	if err := os.Remove(segs[0].path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir, (&collect{}).apply); err == nil {
+		t.Fatal("recovery accepted a log that lacks records its snapshot covers")
+	}
+}
+
+// TestSnapshotTailIsFiltered: one record writes two keys, one whose
+// chunk is already cut and one whose chunk is cut afterwards. Only the
+// first op belongs in the roll-forward; the second is in its chunk.
+func TestSnapshotTailIsFiltered(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &lists{l: l, state: map[string][]string{}}
+	s.do(t, push("a", "a0"))
+	s.do(t, push("b", "b0"))
+	err = l.Snapshot(func(emit func([]Op) error) (Cut, error) {
+		at := map[string]uint64{}
+		if at["a"], err = s.chunk(emit, "a"); err != nil {
+			return Cut{}, err
+		}
+		s.do(t, push("a", "a1"), push("b", "b1"))
+		if at["b"], err = s.chunk(emit, "b"); err != nil {
+			return Cut{}, err
+		}
+		return Cut{UpTo: at["b"], Reflected: func(op Op, lsn uint64) bool { return lsn <= at[op.Key] }}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -310,11 +380,50 @@ func TestSnapshotContended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SnapshotOps != 0 {
-		t.Fatalf("a contended snapshot was published: %+v", st)
+	want := []Op{push("a", "a0"), push("b", "b0"), push("b", "b1"), push("a", "a1")}
+	if !reflect.DeepEqual(c.flat(), want) {
+		t.Fatalf("snapshot body %+v, want %+v (chunk a, chunk b, then a1 alone)", c.flat(), want)
 	}
-	if got := len(c.flat()); got != i {
-		t.Fatalf("recovered %d records, want all %d appends", got, i)
+	if st.SnapshotOps != 4 || st.Skipped != 1 || st.Records != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestRecoverV1Snapshot recovers a directory as the previous format
+// left it: a v1 snapshot (base only), a leftover segment below the base
+// and two above it. Every record from the base on is applied.
+func TestRecoverV1Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	header := binary.AppendUvarint(append([]byte("stmkv-snapshot-v1"), 0), 2)
+	snap := appendFrame(nil, header)
+	snap = appendFrame(snap, appendRecord(nil, []Op{{Key: "a", Val: "1"}, push("l", "e0")}))
+	files := map[string][]byte{
+		snapshotName:   snap,
+		segmentName(1): appendFrame(nil, appendRecord(nil, []Op{{Key: "a", Val: "stale"}})),
+		segmentName(2): appendFrame(nil, appendRecord(nil, []Op{push("l", "e1")})),
+		segmentName(3): appendFrame(nil, appendRecord(nil, []Op{{Key: "a", Del: true}})),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var c collect
+	st, err := Recover(dir, c.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Op{{Key: "a", Val: "1"}, push("l", "e0"), push("l", "e1"), {Key: "a", Del: true}}
+	if !reflect.DeepEqual(c.flat(), want) {
+		t.Fatalf("recovered %+v, want %+v", c.flat(), want)
+	}
+	if st.SnapshotOps != 2 || st.Base != 2 || st.Skipped != 0 || st.Records != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+	// The other direction is refused, not misread: a v1 reader checks
+	// for its own magic at the head of the header payload.
+	if v2 := snapshotHeader(2, 0)[frameHeader:]; bytes.HasPrefix(v2, header[:len("stmkv-snapshot-v1")+1]) {
+		t.Fatal("a v2 header passes a v1 reader's magic check")
 	}
 }
 
@@ -328,8 +437,14 @@ func TestSnapshotCutErrorLeavesLogUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("cut failed")
-	if err := l.Snapshot(func() ([]Op, error) { return nil, boom }); !errors.Is(err, boom) {
+	err = l.Snapshot(func(emit func([]Op) error) (Cut, error) {
+		return Cut{}, errors.Join(emit([]Op{{Key: "a", Val: "1"}}), boom)
+	})
+	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotTemp)); !os.IsNotExist(err) {
+		t.Fatalf("abandoned snapshot left its side file behind (stat: %v)", err)
 	}
 	// The rotation happened but nothing was reaped; everything still
 	// recovers.

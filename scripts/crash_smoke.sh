@@ -6,10 +6,14 @@
 # crash) and TTL semantics (a long-lived probe survives with its
 # deadline, an expired one stays dead) — and that a pipelined write is
 # on disk when its reply is: 64 SETs sent in one write, the server
-# killed on the 64th +OK, every key read back after the restart. CI
+# killed on the 64th +OK, every key read back after the restart. One
+# phase kills the server as a snapshot starts (BGSAVE looped from a side
+# connection under typed load) and audits what an inexact cut would
+# break: the lists' FIFO runs and the hash ledger. CI
 # runs this after the in-process smokes; see DESIGN.md §Durability for
-# why the log's per-key ordering makes the conservation check sound and
-# for the ack-ordering invariant the last phase probes.
+# why the log's per-key ordering makes the conservation check sound,
+# why a snapshot may be cut under writers, and for the ack-ordering
+# invariant the last phase probes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,6 +82,24 @@ pipelined_gets() {
     exec 3<&- 3>&-
 }
 
+# bgsave_until sends BGSAVE from its own connection, 20 ms apart, and
+# returns on the Nth "Background saving started": that snapshot has just
+# begun, and the caller kills the server under it.
+bgsave_until() {
+    local n=0 line
+    exec 4<>"/dev/tcp/127.0.0.1/6404"
+    while :; do
+        printf 'BGSAVE\r\n' >&4
+        IFS= read -r -t 10 line <&4 || { echo "crash_smoke: BGSAVE $((n + 1)) got no reply" >&2; return 1; }
+        if [ "${line%$'\r'}" = "+Background saving started" ]; then
+            n=$((n + 1))
+            [ "$n" -ge "$1" ] && break
+        fi
+        sleep 0.02
+    done
+    exec 4<&- 4>&-
+}
+
 go build -o "$BIN" ./cmd/stmkv
 
 echo "== phase 1: seed a durable server, plant TTL + typed probes, snapshot =="
@@ -119,7 +141,29 @@ SERVER_PID=$!
 wait_ready
 "$BIN" -audit check -addr "$ADDR"
 
-echo "== phase 4: 64 pipelined SETs in one write, kill -9 on the last +OK, read them back =="
+echo "== phase 4: typed load, BGSAVE in a loop, kill -9 as the 40th snapshot starts =="
+# Snapshots finish under load, so most of the 40 complete and the log
+# is a fresh suffix each time; the kill lands in one — chunks half
+# written, or rolled forward and not yet renamed, or renamed and not yet
+# reaped. Whatever is on disk must recover to lists that are still
+# single FIFO runs (a push both in a snapshot and replayed would repeat)
+# and a ledger that still sums.
+"$BIN" -loadgen -addr "$ADDR" -clients 8 -ops 1000000 -typed &
+LOADGEN_PID=$!
+sleep 1
+bgsave_until 40
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=
+kill "$LOADGEN_PID" 2>/dev/null || true
+wait "$LOADGEN_PID" 2>/dev/null || true
+LOADGEN_PID=
+"$BIN" -addr "$ADDR" -data "$DATA" &
+SERVER_PID=$!
+wait_ready
+"$BIN" -audit check -addr "$ADDR"
+
+echo "== phase 5: 64 pipelined SETs in one write, kill -9 on the last +OK, read them back =="
 # The replies of a pipelined burst are released only as their records
 # reach the disk, so the instant the 64th +OK is read all 64 must
 # survive a kill.
