@@ -241,12 +241,11 @@ func BenchmarkHaltedRecovery(b *testing.B) {
 // BenchmarkSTMWriteTx measures a minimal single-object write
 // transaction (substrate micro-benchmark).
 func BenchmarkSTMWriteTx(b *testing.B) {
-	world := stm.New()
+	world := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")))
 	counter := stm.NewVar(0)
-	th := world.NewThread(core.NewGreedy())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error {
+		if err := world.Atomically(func(tx *stm.Tx) error {
 			return stm.Update(tx, counter, func(v int) int { return v + 1 })
 		}); err != nil {
 			b.Fatal(err)
@@ -257,15 +256,14 @@ func BenchmarkSTMWriteTx(b *testing.B) {
 // BenchmarkSTMReadTx measures a read-only transaction over 16 objects
 // (validation-path micro-benchmark).
 func BenchmarkSTMReadTx(b *testing.B) {
-	world := stm.New()
+	world := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")))
 	vars := make([]*stm.Var[int], 16)
 	for i := range vars {
 		vars[i] = stm.NewVar(i)
 	}
-	th := world.NewThread(core.NewGreedy())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error {
+		if err := world.Atomically(func(tx *stm.Tx) error {
 			sum := 0
 			for _, v := range vars {
 				n, err := stm.Read(tx, v)

@@ -6,7 +6,8 @@
 // pooled sessions, with a per-session contention manager built by the
 // STM's ManagerFactory) over a DSTM-style engine, pluggable contention
 // managers (internal/stm, internal/core), the paper's benchmark data
-// structures (internal/intset), a transactional container subsystem —
+// structures (internal/intset; its skiplist is the container
+// subsystem's ordered map), a transactional container subsystem —
 // hash set, FIFO queue and ordered map on Var[T], with a shared
 // transactional-resize Table (internal/container) — a sharded
 // TTL-aware key-value store and its RESP-lite protocol
@@ -29,8 +30,8 @@
 // violations carry //stm:impure(reason)-style suppressions (see
 // DESIGN.md, "Static analysis").
 //
-// See DESIGN.md for the architecture (engine / sessions / typed
-// facade / managers / containers / kv server / durability) and the
+// See DESIGN.md for the architecture (engine / sessions / Var[T] /
+// managers / containers / kv server / durability) and the
 // hardware substitutions; cmd/stmbench (figures 1-9, -structure,
 // -mix, -keys, -binkeys, tables, CSV and -json output), cmd/benchdiff
 // (BENCH_*.json trajectory diffs, the cross-PR -trajectory table and

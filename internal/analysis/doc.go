@@ -2,7 +2,7 @@
 // transactional contracts the Go compiler cannot check. The engine
 // (internal/stm) executes a transaction body any number of times
 // before one attempt commits — the contention manager, not the
-// caller, decides who aborts and retries — and pooled sessions
+// caller, decides who aborts and retries — and sessions
 // recycle Tx descriptors between unrelated transactions. DESIGN.md
 // documents the resulting rules for user code; the analyzers here
 // enforce them:
@@ -13,12 +13,12 @@
 //     writes to captured variables are flagged. Suppress a deliberate
 //     violation with //stm:impure(reason).
 //
-//   - txescape: a *stm.Tx or *stm.Thread must not outlive the
-//     attempt or session it belongs to: storing one in a struct
-//     field, global, map, slice or channel, or handing one to a
-//     spawned goroutine, is exactly the descriptor-recycling ABA
-//     hazard DESIGN.md §2 argues around. Suppress with
-//     //stm:escape(reason).
+//   - txescape: a *stm.Tx must not outlive the attempt it belongs
+//     to: storing one in a struct field, global, map, slice or
+//     channel, or handing one to a spawned goroutine, is exactly the
+//     descriptor-recycling ABA hazard DESIGN.md §2 argues around (and
+//     what keeps Tx.Halt confined to a running attempt). Suppress
+//     with //stm:escape(reason).
 //
 //   - hookreentry: a function registered with Tx.OnCommit runs
 //     inside the stripe-held commit window (DESIGN.md §Durability);

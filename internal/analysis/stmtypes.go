@@ -29,9 +29,10 @@ func isEnginePackage(path string) bool {
 	return false
 }
 
-// isStmNamedPtr reports whether t is *P.N where P is the engine
-// package and N is one of names.
-func isStmNamedPtr(t types.Type, names ...string) bool {
+// isTxType reports whether t is *stm.Tx — the descriptor handle that
+// sessions recycle and that must therefore never escape the code that
+// was handed it.
+func isTxType(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -41,24 +42,8 @@ func isStmNamedPtr(t types.Type, names ...string) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != stmPkgPath {
-		return false
-	}
-	for _, n := range names {
-		if obj.Name() == n {
-			return true
-		}
-	}
-	return false
+	return obj.Pkg() != nil && obj.Pkg().Path() == stmPkgPath && obj.Name() == "Tx"
 }
-
-// isTxType reports whether t is *stm.Tx.
-func isTxType(t types.Type) bool { return isStmNamedPtr(t, "Tx") }
-
-// isTxOrThreadType reports whether t is *stm.Tx or *stm.Thread — the
-// two descriptor handles that pooled sessions recycle and that must
-// therefore never escape the code that was handed them.
-func isTxOrThreadType(t types.Type) bool { return isStmNamedPtr(t, "Tx", "Thread") }
 
 // sigHasTxParam reports whether any parameter of sig is *stm.Tx.
 func sigHasTxParam(sig *types.Signature) bool {

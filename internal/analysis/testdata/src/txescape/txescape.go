@@ -11,7 +11,6 @@ var s = stm.New()
 
 type holder struct {
 	tx *stm.Tx
-	th *stm.Thread
 }
 
 var global *stm.Tx
@@ -42,13 +41,6 @@ func goroutines() {
 	})
 }
 
-// threads recycle exactly like attempts do: Thread is a pinned
-// session handle.
-func threads(th *stm.Thread) {
-	h := &holder{}
-	h.th = th // want `\*stm\.Thread stored in a struct field`
-}
-
 // clean: a descriptor may flow through locals, plain calls and
 // returns — only storage that outlives the frame is an escape.
 func clean(tx *stm.Tx) *stm.Tx {
@@ -60,11 +52,11 @@ func clean(tx *stm.Tx) *stm.Tx {
 
 func helper(tx *stm.Tx) { use(tx) }
 
-// suppressed: the failure-injector pattern — a Thread kept around so
-// the experiment can halt it from outside — carries a reason.
-type injector struct{ victim *stm.Thread }
+// suppressed: a deliberate escape — here a test's probe that parks the
+// attempt's descriptor while the body stays blocked — carries a reason.
+type probe struct{ victim *stm.Tx }
 
-func (i *injector) arm(th *stm.Thread) {
-	//stm:escape(fixture: injector halts the thread from outside; handle is never used after Close)
-	i.victim = th
+func (p *probe) arm(tx *stm.Tx) {
+	//stm:escape(fixture: the body blocks until the probe is done with the descriptor)
+	p.victim = tx
 }

@@ -8,27 +8,26 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// Txescape flags *stm.Tx and *stm.Thread values that escape the code
-// they were handed to.
+// Txescape flags *stm.Tx values that escape the code they were handed
+// to.
 //
-// Pooled sessions recycle Tx descriptors: the moment Atomically
-// returns, the descriptor a body was using may be re-armed for an
-// unrelated transaction on another goroutine (DESIGN.md §2 is the
-// safety argument for why the engine itself tolerates this — the
-// argument covers only references that stay inert). A Tx stored in a
-// struct field, global, map, slice or channel, or captured by a
-// spawned goroutine, is a live reference to memory that will be
-// reused: reads through it alias a stranger's transaction — the
-// classic ABA hazard. Thread is a pinned session and recycles the
-// same way on Close.
+// Sessions recycle Tx descriptors: the moment Atomically returns, the
+// descriptor a body was using may be re-armed for an unrelated
+// transaction on another goroutine (DESIGN.md §2 is the safety argument
+// for why the engine itself tolerates this — the argument covers only
+// references that stay inert). A Tx stored in a struct field, global,
+// map, slice or channel, or captured by a spawned goroutine, is a live
+// reference to memory that will be reused: reads through it alias a
+// stranger's transaction — the classic ABA hazard — and a Halt through
+// it (valid only while the attempt's function is running) crashes the
+// stranger.
 //
 // Keep descriptors on the stack of the function that received them.
-// Deliberate escapes (the failure injector holds a Thread to halt it
-// from outside) carry //stm:escape(reason).
+// Deliberate escapes carry //stm:escape(reason).
 var Txescape = &analysis.Analyzer{
 	Name: "txescape",
-	Doc: "check that *stm.Tx / *stm.Thread descriptors do not escape into structs, " +
-		"globals, containers, channels or spawned goroutines (pooled sessions recycle them)",
+	Doc: "check that *stm.Tx descriptors do not escape into structs, " +
+		"globals, containers, channels or spawned goroutines (sessions recycle them)",
 	Run: runTxescape,
 }
 
@@ -66,21 +65,13 @@ type escape struct {
 
 func (e *escape) descriptor(expr ast.Expr) bool {
 	t := e.pass.TypesInfo.TypeOf(expr)
-	return t != nil && isTxOrThreadType(t)
-}
-
-func kindName(t types.Type) string {
-	if isStmNamedPtr(t, "Thread") {
-		return "*stm.Thread"
-	}
-	return "*stm.Tx"
+	return t != nil && isTxType(t)
 }
 
 func (e *escape) reportEscape(expr ast.Expr, how string) {
-	t := e.pass.TypesInfo.TypeOf(expr)
 	e.sup.report(e.pass, expr.Pos(),
-		"%s %s: pooled sessions recycle descriptors, so a stored reference aliases a future, unrelated transaction (DESIGN.md §2)",
-		kindName(t), how)
+		"*stm.Tx %s: sessions recycle descriptors, so a stored reference aliases a future, unrelated transaction (DESIGN.md §2)",
+		how)
 }
 
 func (e *escape) check(n ast.Node) bool {
@@ -172,14 +163,14 @@ func (e *escape) checkGo(g *ast.GoStmt) {
 		if obj == nil {
 			return true
 		}
-		if _, isVar := obj.(*types.Var); !isVar || !isTxOrThreadType(obj.Type()) {
+		if _, isVar := obj.(*types.Var); !isVar || !isTxType(obj.Type()) {
 			return true
 		}
 		// Declared outside the literal = captured by the goroutine.
 		if obj.Pos() < lit.Pos() || obj.Pos() > lit.End() {
 			e.sup.report(e.pass, id.Pos(),
-				"%s captured by a goroutine spawned at %s: the descriptor may be recycled before the goroutine runs (DESIGN.md §2)",
-				kindName(obj.Type()), e.pass.Fset.Position(g.Pos()))
+				"*stm.Tx captured by a goroutine spawned at %s: the descriptor may be recycled before the goroutine runs (DESIGN.md §2)",
+				e.pass.Fset.Position(g.Pos()))
 		}
 		return true
 	})

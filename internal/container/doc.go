@@ -22,9 +22,9 @@
 //     counters giving an O(1) Len that does not re-couple the ends) —
 //     the kv store's list kind, so LPUSH and RPUSH on one hot key
 //     commit in parallel;
-//   - OMap[K, V]: an ordered map over a transactional skip list
-//     (generalizing intset.SkipList to arbitrary ordered keys and
-//     values), whose Range runs as a consistent multi-variable read —
+//   - OMap[K, V]: an ordered map over a transactional skip list (the
+//     repository's only one: intset.SkipList is an OMap[int, struct{}]),
+//     whose Range runs as a consistent multi-variable read —
 //     a long read-only scan competing with point writers, the pattern
 //     the paper notes backoff-style managers handle poorly.
 //

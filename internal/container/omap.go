@@ -23,14 +23,13 @@ const (
 	omTail
 )
 
-// omNode is one tower of the ordered map's skip list — the
-// generalization of intset.skipNode to arbitrary ordered keys and
-// values. next[i] is the handle of the successor tower at level i. The
-// link slice is mutable state reached through the value, so map
-// variables install a Cloner that re-allocates it: a writer's
-// tentative link changes stay private. The value is copied at the top
-// level only; values with mutable indirect state must be treated as
-// immutable (replace, don't mutate), per the stm.Var contract.
+// omNode is one tower of the ordered map's skip list. next[i] is the
+// handle of the successor tower at level i. The link slice is mutable
+// state reached through the value, so map variables install a Cloner
+// that re-allocates it: a writer's tentative link changes stay private.
+// The value is copied at the top level only; values with mutable
+// indirect state must be treated as immutable (replace, don't mutate),
+// per the stm.Var contract.
 type omNode[K cmp.Ordered, V any] struct {
 	kind omKind
 	key  K
@@ -176,8 +175,7 @@ func (m *OMap[K, V]) Get(tx *stm.Tx, key K) (V, bool, error) {
 
 // Put stores val under key, returning the previous value and whether
 // the key was already present. An existing tower is updated in place
-// (one variable written); a new key splices a fresh tower bottom-up,
-// exactly like the intset skip list.
+// (one variable written); a new key splices a fresh tower bottom-up.
 func (m *OMap[K, V]) Put(tx *stm.Tx, key K, val V) (V, bool, error) {
 	var prev V
 	var preds [omapMaxLevel]*stm.Var[omNode[K, V]]

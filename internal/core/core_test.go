@@ -11,34 +11,33 @@ import (
 	"repro/internal/stm"
 )
 
-// parked starts a transaction on its own thread and parks it holding
-// obj open for writing, returning the live *stm.Tx for direct
+// parked starts a transaction on its own goroutine and parks it
+// holding obj open for writing, returning the live *stm.Tx — handed out
+// of the blocked fn, so valid until release — for direct
 // ResolveConflict experiments. release unparks it (it then tries to
-// commit); wait joins the goroutine.
+// commit); wait joins the goroutine. The parked transaction is alone on
+// its object, so its own manager is never consulted.
 func parked(t *testing.T, s *stm.STM, obj *stm.Var[int]) (tx *stm.Tx, release, wait func()) {
 	t.Helper()
-	th := s.NewThread(core.NewGreedy())
-	held := make(chan struct{})
+	held := make(chan *stm.Tx, 1)
 	releaseCh := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = th.Atomically(func(tx *stm.Tx) error {
+		_ = s.Atomically(func(tx *stm.Tx) error {
 			if err := stm.Update(tx, obj, func(v int) int { return v + 1 }); err != nil {
 				return err
 			}
 			select {
-			case <-held:
+			case held <- tx:
 			default:
-				close(held)
 			}
 			<-releaseCh
 			return nil
 		})
 	}()
-	<-held
 	var once sync.Once
-	return th.Current(), func() { once.Do(func() { close(releaseCh) }) }, func() { <-done }
+	return <-held, func() { once.Do(func() { close(releaseCh) }) }, func() { <-done }
 }
 
 // twoParked gives two live transactions in timestamp order (older

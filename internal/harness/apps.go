@@ -190,9 +190,9 @@ func (a *intsetApp) audit(s *stm.STM) error {
 		}
 	}
 	switch v := a.set.(type) {
-	case *intset.RBTree:
+	case interface{ CheckInvariants(*stm.Tx) error }: // skiplist, rbtree
 		if err := s.Atomically(v.CheckInvariants); err != nil {
-			return fmt.Errorf("harness: audit rbtree: %w", err)
+			return fmt.Errorf("harness: audit %s: %w", a.cfg.Structure, err)
 		}
 	case *intset.RBForest:
 		for i := 0; i < v.Size(); i++ {

@@ -9,10 +9,10 @@
 // Update the modified nodes, so the conflict profile seen by the
 // contention manager matches the DSTM/SXM benchmarks the paper
 // measured (long read chains for lists, short paths for trees,
-// root-adjacent write hot spots under rebalancing). The skiplist
-// installs an stm.Cloner for its link slices; the list and tree nodes
-// are plain data plus immutable handles, covered by the default
-// shallow copy.
+// root-adjacent write hot spots under rebalancing). The skiplist is
+// container.OMap, the one transactional skip list in the repository;
+// the list and tree nodes are plain data plus immutable handles,
+// covered by the default shallow copy.
 package intset
 
 import (

@@ -1,195 +1,48 @@
 package intset
 
 import (
-	"math"
-
+	"repro/internal/container"
 	"repro/internal/stm"
 )
 
-// skipMaxLevel bounds tower height; 2^8 = 256 comfortably covers the
-// benchmark key range (and far beyond at the usual 1/2 promotion
-// rate).
-const skipMaxLevel = 8
-
-// skipNode is one tower of the skiplist. next[i] is the handle of the
-// successor tower at level i. The link slice is mutable state reached
-// through the value, so skiplist variables install a Cloner that
-// re-allocates it: a writer's tentative link changes stay private.
-type skipNode struct {
-	key  int
-	next []*stm.Var[skipNode]
-}
-
-// cloneSkipNode is the skiplist's stm.Cloner: a deep copy of the link
-// slice (the handles themselves are immutable and shared).
-func cloneSkipNode(n skipNode) skipNode {
-	next := make([]*stm.Var[skipNode], len(n.next))
-	copy(next, n.next)
-	n.next = next
-	return n
-}
-
-// newSkipVar wraps a tower in a transactional variable with the deep
-// link-slice clone.
-func newSkipVar(n skipNode) *stm.Var[skipNode] {
-	return stm.NewVarCloner(n, cloneSkipNode)
-}
-
 // SkipList is the paper's skiplist application, after the benchmark in
-// the DSTM paper. Towers shorten the read chains relative to the list,
-// so conflicts concentrate near tall towers instead of the head.
+// the DSTM paper: the repository's one transactional skip list,
+// container.OMap, keyed by int with nothing stored under the keys.
+// Towers shorten the read chains relative to the list, so conflicts
+// concentrate near tall towers instead of the head.
 //
-// Tower heights are a deterministic pseudo-random function of the key
-// rather than of a mutable RNG: transactional code may retry, and a
-// retry must make the same choices.
+// The map is embedded, so Keys (Set's fourth method) and the structural
+// audit CheckInvariants are the map's own.
 type SkipList struct {
-	head *stm.Var[skipNode]
+	*container.OMap[int, struct{}]
 }
 
 // NewSkipList returns an empty skiplist.
 func NewSkipList() *SkipList {
-	tail := newSkipVar(skipNode{key: math.MaxInt, next: make([]*stm.Var[skipNode], skipMaxLevel)})
-	links := make([]*stm.Var[skipNode], skipMaxLevel)
-	for i := range links {
-		links[i] = tail
-	}
-	head := newSkipVar(skipNode{key: math.MinInt, next: links})
-	return &SkipList{head: head}
+	return &SkipList{container.NewOMap[int, struct{}]()}
 }
 
-// levelFor returns the deterministic tower height for key, geometric
-// with rate 1/2, in [1, skipMaxLevel].
-func levelFor(key int) int {
-	// splitmix64 finalizer as a cheap stateless hash.
-	x := uint64(key) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	level := 1
-	for level < skipMaxLevel && x&1 == 1 {
-		level++
-		x >>= 1
-	}
-	return level
-}
-
-// findPreds fills preds with the handle of the rightmost tower whose
-// key is strictly less than key at every level, and returns the value
-// of the level-0 successor.
-func (s *SkipList) findPreds(tx *stm.Tx, key int, preds []*stm.Var[skipNode]) (skipNode, error) {
-	curVar := s.head
-	cur, err := stm.Read(tx, curVar)
-	if err != nil {
-		return skipNode{}, err
-	}
-	for level := skipMaxLevel - 1; level >= 0; level-- {
-		for {
-			nextVar := cur.next[level]
-			next, err := stm.Read(tx, nextVar)
-			if err != nil {
-				return skipNode{}, err
-			}
-			if next.key >= key {
-				break
-			}
-			curVar, cur = nextVar, next
-		}
-		preds[level] = curVar
-	}
-	return stm.Read(tx, cur.next[0])
-}
-
-// Insert implements Set.
+// Insert implements Set. A key already present is left alone: Put alone
+// would rewrite its tower's (empty) value, turning the paper's read-only
+// duplicate insert into a writer that invalidates every traversal
+// through that tower. The second descent Put makes for a new key runs
+// over the read set the first one recorded.
 func (s *SkipList) Insert(tx *stm.Tx, key int) (bool, error) {
-	preds := make([]*stm.Var[skipNode], skipMaxLevel)
-	succ, err := s.findPreds(tx, key, preds)
-	if err != nil {
+	if _, ok, err := s.Get(tx, key); ok || err != nil {
 		return false, err
 	}
-	if succ.key == key {
-		return false, nil
-	}
-	level := levelFor(key)
-	node := skipNode{key: key, next: make([]*stm.Var[skipNode], level)}
-	// Read the predecessors' current links first so the new tower can
-	// point at the right successors, then splice bottom-up.
-	for i := 0; i < level; i++ {
-		pred, err := stm.Read(tx, preds[i])
-		if err != nil {
-			return false, err
-		}
-		node.next[i] = pred.next[i]
-	}
-	nodeVar := newSkipVar(node)
-	for i := 0; i < level; i++ {
-		// The writer's copy carries a deep-cloned link slice, so the
-		// in-place splice stays private until commit.
-		err := stm.Update(tx, preds[i], func(pred skipNode) skipNode {
-			pred.next[i] = nodeVar
-			return pred
-		})
-		if err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	_, _, err := s.Put(tx, key, struct{}{})
+	return err == nil, err
 }
 
 // Remove implements Set.
 func (s *SkipList) Remove(tx *stm.Tx, key int) (bool, error) {
-	preds := make([]*stm.Var[skipNode], skipMaxLevel)
-	succ, err := s.findPreds(tx, key, preds)
-	if err != nil {
-		return false, err
-	}
-	if succ.key != key {
-		return false, nil
-	}
-	level := len(succ.next)
-	for i := 0; i < level; i++ {
-		// The predecessor links to the victim at level i only if the
-		// victim's tower reaches it (it does: level = len(succ.next)),
-		// and pred is the rightmost key < victim, so the link is to
-		// the victim unless a duplicate key intervened (impossible).
-		err := stm.Update(tx, preds[i], func(pred skipNode) skipNode {
-			pred.next[i] = succ.next[i]
-			return pred
-		})
-		if err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	_, had, err := s.Delete(tx, key)
+	return had, err
 }
 
 // Contains implements Set.
 func (s *SkipList) Contains(tx *stm.Tx, key int) (bool, error) {
-	preds := make([]*stm.Var[skipNode], skipMaxLevel)
-	succ, err := s.findPreds(tx, key, preds)
-	if err != nil {
-		return false, err
-	}
-	return succ.key == key, nil
-}
-
-// Keys implements Set.
-func (s *SkipList) Keys(tx *stm.Tx) ([]int, error) {
-	var keys []int
-	cur, err := stm.Read(tx, s.head)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		next, err := stm.Read(tx, cur.next[0])
-		if err != nil {
-			return nil, err
-		}
-		if next.key == math.MaxInt {
-			return keys, nil
-		}
-		keys = append(keys, next.key)
-		cur = next
-	}
+	_, ok, err := s.Get(tx, key)
+	return ok, err
 }

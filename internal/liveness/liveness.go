@@ -152,12 +152,13 @@ func HaltedRecovery(manager string, survivors, opsEach int, deadline time.Durati
 	obj := stm.NewVar(0)
 
 	// The crasher takes the earliest timestamp, opens the object, and
-	// halts without committing or aborting. It runs on a pinned Thread
-	// (the compatibility shim): its manager choice is irrelevant — it
-	// meets no conflicts — but pinning keeps it out of the survivors'
-	// session pool.
-	crasher := world.NewThread(core.NewGreedy())
-	crashErr := crasher.Atomically(func(tx *stm.Tx) error {
+	// halts itself without committing or aborting. It meets no
+	// conflicts, so its manager is never consulted. Its session returns
+	// to the pool the survivors draw from, which is safe: a halted
+	// attempt's descriptor and logical-transaction record stay with the
+	// corpse (the survivors' managers keep reading its status, timestamp
+	// and waiting flag) and are never reused by the session.
+	crashErr := world.Atomically(func(tx *stm.Tx) error {
 		if err := stm.Update(tx, obj, incr); err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import "fmt"
 // thread i has the given length in ticks and touches `touches` objects
 // chosen by a deterministic spread (so runs are reproducible without a
 // seed). Timestamps are dynamic: -1 until the simulator assigns one at
-// first start, which is exactly how Thread.Atomically stamps
+// first start, which is exactly how STM.Atomically stamps
 // transactions in the STM.
 func SequenceInstance(threads, perThread, s, length, touches int) *Instance {
 	if threads < 1 {

@@ -57,19 +57,18 @@ func TestCounterStressPolite(t *testing.T) {
 // interleaving may expose a state where the sum differs.
 func TestTwoObjectInvariant(t *testing.T) {
 	const workers, perWorker, initial = 6, 150, 10_000
-	s := stm.New()
+	s := worldOf(aggressiveManager{})
 	a := stm.NewVar(initial)
 	b := stm.NewVar(0)
 
 	var violations sync.Map
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		th := s.NewThread(aggressiveManager{})
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				err := th.Atomically(func(tx *stm.Tx) error {
+				err := s.Atomically(func(tx *stm.Tx) error {
 					var av int
 					if err := stm.Update(tx, a, func(v int) int { av = v; return v - 1 }); err != nil {
 						return err
@@ -106,19 +105,20 @@ func TestTwoObjectInvariant(t *testing.T) {
 // read-only transaction is a serializability bug.
 func TestReadersSeeConsistentSnapshots(t *testing.T) {
 	const writers, readers, perWorker = 4, 4, 200
-	s := stm.New(stm.WithManagerFactory(func() stm.Manager { return politeManager{} }))
+	// Aggressive all round: writers kill each other and readers kill the
+	// writers they meet between the two increments.
+	s := worldOf(aggressiveManager{})
 	x := stm.NewVar(0)
 	y := stm.NewVar(0)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers)
 	for w := 0; w < writers; w++ {
-		th := s.NewThread(aggressiveManager{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if err := th.Atomically(func(tx *stm.Tx) error {
+				if err := s.Atomically(func(tx *stm.Tx) error {
 					if err := incr(tx, x); err != nil {
 						return err
 					}
@@ -137,8 +137,7 @@ func TestReadersSeeConsistentSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				// Readers use the typed multi-var form on the pooled
-				// surface; the snapshot is consistent by construction.
+				// The snapshot is consistent by construction.
 				vals, err := stm.Atomic(s, func(tx *stm.Tx) ([2]int, error) {
 					xv, err := stm.Read(tx, x)
 					if err != nil {
@@ -178,14 +177,13 @@ func TestQuickBankConservation(t *testing.T) {
 		if len(seedAmounts) == 0 {
 			return true
 		}
-		s := stm.New()
+		s := worldOf(aggressiveManager{})
 		accounts := make([]*stm.Var[int], len(seedAmounts))
 		total := 0
 		for i, amt := range seedAmounts {
 			accounts[i] = stm.NewVar(int(amt))
 			total += int(amt)
 		}
-		th := s.NewThread(aggressiveManager{})
 		for _, tr := range transfers {
 			from := int(tr>>8) % len(accounts)
 			to := int(tr&0xff) % len(accounts)
@@ -193,7 +191,7 @@ func TestQuickBankConservation(t *testing.T) {
 			if from == to {
 				continue
 			}
-			err := th.Atomically(func(tx *stm.Tx) error {
+			err := s.Atomically(func(tx *stm.Tx) error {
 				if err := stm.Update(tx, accounts[from], func(v int) int { return v - amount }); err != nil {
 					return err
 				}

@@ -4,7 +4,7 @@
 // evaluation in Guerraoui, Herlihy and Pochon, "Toward a Theory of
 // Transactional Contention Managers" (PODC 2005/2006).
 //
-// # Typed API
+// # API
 //
 // Transactional data lives in generic Var[T] handles, accessed inside
 // transactions with the package-level Read, Write, Update, UpdateErr
@@ -23,16 +23,16 @@
 // contention-manager instance (built by the factory the STM was
 // configured with), so any number of goroutines may call it
 // concurrently — a goroutine-per-request server needs no worker
-// pinning. Atomic is the typed entry point for transactions that
-// return a value, and Snapshot is the packaged consistent multi-Var
-// read. The paper-faithful pinned surface remains as Thread (one
-// session, one manager instance, one goroutine at a time):
+// pinning. Atomic is the entry point for transactions that return a
+// value, and Snapshot is the packaged consistent multi-Var read. A
+// logical transaction keeps its timestamp and its manager instance
+// across retries — what the paper's one-transaction-per-thread model
+// (and the greedy bound of Theorem 1) asks of a thread — so there is no
+// separate pinned-thread surface; a fixed-thread sweep is N goroutines
+// calling Atomically.
 //
-//	th := s.NewThread(core.NewGreedy())   // fixed-thread sweeps
-//	err = th.Atomically(...)
-//
-// The whole flow is compile-time checked: no Value interface, no type
-// assertions, no panic surface. By default a transaction's private
+// The whole flow is compile-time checked: no interface to implement,
+// no type assertions, no panic surface. By default a transaction's private
 // copy of a value is made by plain assignment, which is correct for
 // plain data and for payloads whose pointers, slices and maps are
 // treated as immutable (handles such as *Var are immutable and may be
@@ -58,15 +58,16 @@
 // are nil checks — a world without a tracer pays nothing (enforced by
 // TestTracerDisabledAllocParity).
 //
-// # The untyped engine
+// # The engine
 //
-// Underneath the typed facade sits the untyped DSTM machinery — TObj
-// handles, the Value interface, OpenRead and OpenWrite — which is what
-// the contention managers, the failure injector and the tests of the
-// conflict protocol see. Each TObj holds a locator: a triple of (owner
-// transaction, pre-image, new version) installed by compare-and-swap;
-// the pre-image is let go once the owner commits, so a committed
-// object keeps none of its history alive.
+// Var[T] is the DSTM transactional object. Each Var holds a locator: a
+// triple of (owner transaction, pre-image, new version) installed by
+// compare-and-swap; the pre-image is let go once the owner commits, so
+// a committed object keeps none of its history alive. The locator
+// machinery is untyped and unexported — a version is a boxed T behind a
+// one-method interface — so one read set and one conflict protocol
+// serve every payload type, and nothing outside this package can reach
+// a locator.
 // A transaction commits by changing its status word from active to
 // committed with a single compare-and-swap; one transaction aborts
 // another the same way. Conflict detection is eager: a transaction
@@ -75,10 +76,9 @@
 // contention manager, which decides whether to abort the enemy or to
 // wait. This is exactly the structure the paper assumes: correctness
 // (serializability) is the STM's job, progress (liveness) is the
-// contention manager's job. Var[T] adds nothing to this protocol — it
-// wraps a TObj whose versions carry a T, so the typed and untyped
-// surfaces drive one engine and the managers cannot tell them apart
-// (BenchmarkTypedVsUntyped holds the facade to allocation parity).
+// contention manager's job. Failure injection (the prematurely stopped
+// transactions of the paper's Section 6) is Tx.Halt, valid only while
+// the attempt's function is running.
 //
 // Transactions carry the three pieces of state the paper's greedy
 // manager needs (Section 3):

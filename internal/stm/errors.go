@@ -2,8 +2,8 @@ package stm
 
 import "errors"
 
-// ErrAborted is returned by OpenRead, OpenWrite and Commit when the
-// calling transaction has been aborted, either by an enemy transaction
+// ErrAborted is returned by the typed accessors (Read, Write, Update
+// and the rest) when the calling transaction has been aborted, either by an enemy transaction
 // through its contention manager or by failed read-set validation.
 // Transactional functions must propagate it so that Atomically can
 // retry the transaction; wrapping it with fmt.Errorf("...: %w", err)

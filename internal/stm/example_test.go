@@ -19,10 +19,9 @@ func (greedyLike) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 	return stm.Wait
 }
 
-// The goroutine-agnostic surface in one screen: configure the STM
-// with a manager factory once, then call Atomically from any
-// goroutine — each transaction runs on a pooled session with its own
-// manager instance.
+// The API in one screen: configure the STM with a manager factory
+// once, then call Atomically from any goroutine — each transaction runs
+// on a pooled session with its own manager instance.
 func ExampleSTM_Atomically() {
 	world := stm.New(stm.WithManagerFactory(func() stm.Manager { return greedyLike{} }))
 	counter := stm.NewVar(0)
@@ -46,7 +45,7 @@ func ExampleSTM_Atomically() {
 	// Output: counter: 100
 }
 
-// Atomic is the typed entry point for transactions that compute a
+// Atomic is the entry point for transactions that compute a
 // value; Snapshot is its packaged multi-variable read.
 func ExampleAtomic() {
 	world := stm.New()
@@ -119,36 +118,13 @@ func ExampleUpdateErr() {
 	// balance: 100
 }
 
-// The typed API in one screen: a Var[T] holds a T, Update is the
-// transactional read-modify-write, and no type assertions appear
-// anywhere — the compiler checks the whole flow. Thread is the pinned
-// compatibility surface; new code should prefer STM.Atomically.
-func ExampleThread_Atomically() {
-	world := stm.New()
-	account := stm.NewVar(100)
-
-	th := world.NewThread(greedyLike{})
-	err := th.Atomically(func(tx *stm.Tx) error {
-		// A non-nil error means an enemy aborted us; returning it makes
-		// Atomically retry with the same timestamp.
-		return stm.Update(tx, account, func(balance int) int { return balance + 42 })
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("balance:", account.Peek())
-	// Output: balance: 142
-}
-
 func ExampleRead() {
 	world := stm.New()
 	a := stm.NewVar(3)
 	b := stm.NewVar(4)
 
-	th := world.NewThread(greedyLike{})
 	var sum int
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := world.Atomically(func(tx *stm.Tx) error {
 		av, err := stm.Read(tx, a)
 		if err != nil {
 			return err
@@ -174,8 +150,7 @@ func ExampleWrite() {
 	world := stm.New()
 	greeting := stm.NewVar("hello")
 
-	th := world.NewThread(greedyLike{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := world.Atomically(func(tx *stm.Tx) error {
 		old, err := stm.Read(tx, greeting)
 		if err != nil {
 			return err
@@ -202,8 +177,7 @@ func ExampleNewVar() {
 	second := stm.NewVar(cell{value: 2})
 	first := stm.NewVar(cell{value: 1, next: second})
 
-	th := world.NewThread(greedyLike{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := world.Atomically(func(tx *stm.Tx) error {
 		// Splice a new cell between first and second.
 		return stm.Update(tx, first, func(c cell) cell {
 			c.next = stm.NewVar(cell{value: 99, next: c.next})
@@ -232,8 +206,7 @@ func ExampleNewVarCloner() {
 		return c
 	})
 
-	th := world.NewThread(greedyLike{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := world.Atomically(func(tx *stm.Tx) error {
 		return stm.Update(tx, scores, func(s []int) []int {
 			s[0] = 10 // mutates the private deep copy, not the committed slice
 			return s
@@ -256,9 +229,8 @@ func ExampleWithLazyConflicts() {
 	world := stm.New(stm.WithLazyConflicts())
 	counter := stm.NewVar(0)
 
-	th := world.NewThread(greedyLike{})
 	for i := 0; i < 3; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error {
+		if err := world.Atomically(func(tx *stm.Tx) error {
 			return stm.Update(tx, counter, func(v int) int { return v + 1 })
 		}); err != nil {
 			fmt.Println("error:", err)

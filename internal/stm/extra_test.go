@@ -14,8 +14,7 @@ func TestFullValidationEquivalence(t *testing.T) {
 		s := stm.New(opts...)
 		a := stm.NewVar(1)
 		b := stm.NewVar(2)
-		th := s.NewThread(politeManager{})
-		err := th.Atomically(func(tx *stm.Tx) error {
+		err := s.Atomically(func(tx *stm.Tx) error {
 			av, err := stm.Read(tx, a)
 			if err != nil {
 				return err
@@ -36,9 +35,8 @@ func TestInterleaveOptionYields(t *testing.T) {
 	// the most aggressive yield period.
 	s := stm.New(stm.WithInterleavePeriod(1))
 	obj := stm.NewVar(0)
-	th := s.NewThread(politeManager{})
 	for i := 0; i < 50; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+		if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,38 +45,10 @@ func TestInterleaveOptionYields(t *testing.T) {
 	}
 }
 
-func TestBoxClone(t *testing.T) {
-	b := stm.NewBox(7)
-	c := b.Clone().(*stm.Box[int])
-	c.V = 9
-	if b.V != 7 {
-		t.Fatalf("clone aliased the original: %d", b.V)
-	}
-	type rec struct{ A, B string }
-	rb := stm.NewBox(rec{A: "x", B: "y"})
-	rc := rb.Clone().(*stm.Box[rec])
-	rc.V.A = "z"
-	if rb.V.A != "x" {
-		t.Fatalf("struct clone aliased: %+v", rb.V)
-	}
-}
-
-func TestNamedTObjString(t *testing.T) {
-	o := stm.NewNamedTObj("account", stm.NewBox(0))
-	if got := o.String(); got != "tobj(account)" {
-		t.Fatalf("String() = %q", got)
-	}
-	anon := stm.NewTObj(stm.NewBox(0))
-	if !strings.HasPrefix(anon.String(), "tobj(0x") {
-		t.Fatalf("anonymous String() = %q", anon.String())
-	}
-}
-
 func TestTxStringAndAccessors(t *testing.T) {
 	s := stm.New()
 	obj := stm.NewVar(0)
-	th := s.NewThread(politeManager{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		if tx.ID() == 0 {
 			t.Error("ID() = 0, want positive")
 		}
@@ -114,26 +84,26 @@ func TestTxStringAndAccessors(t *testing.T) {
 
 func TestAbortIdempotentAndCommitExcluded(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	obj := stm.NewVar(0)
-	held := make(chan struct{})
+	// The blocked attempt hands its descriptor out; it stays valid for
+	// as long as fn is held at release.
+	held := make(chan *stm.Tx, 1)
 	release := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		_ = th.Atomically(func(tx *stm.Tx) error {
+		done <- s.Atomically(func(tx *stm.Tx) error {
 			if err := stm.Write(tx, obj, 1); err != nil {
 				return err
 			}
 			select {
-			case <-held:
+			case held <- tx:
 			default:
-				close(held)
 			}
 			<-release
 			return nil
 		})
 	}()
-	<-held
-	tx := th.Current()
+	tx := <-held
 	if !tx.Abort() {
 		t.Fatal("first Abort failed on an active transaction")
 	}
@@ -144,6 +114,9 @@ func TestAbortIdempotentAndCommitExcluded(t *testing.T) {
 		t.Fatalf("status = %v", tx.Status())
 	}
 	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("aborted transaction did not retry to commit: %v", err)
+	}
 }
 
 func TestStatsAbortRate(t *testing.T) {
@@ -167,8 +140,7 @@ func TestWriteAfterReadUpgrade(t *testing.T) {
 	// succeeds (no false self-conflict).
 	s := stm.New()
 	obj := stm.NewVar(10)
-	th := s.NewThread(politeManager{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		v, err := stm.Read(tx, obj)
 		if err != nil {
 			return err
@@ -186,9 +158,8 @@ func TestWriteAfterReadUpgrade(t *testing.T) {
 func TestCommitClockAdvancesOnWritesOnly(t *testing.T) {
 	s := stm.New()
 	obj := stm.NewVar(0)
-	th := s.NewThread(politeManager{})
 	before := s.CommitClock()
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		_, err := stm.Read(tx, obj)
 		return err
 	}); err != nil {
@@ -197,7 +168,7 @@ func TestCommitClockAdvancesOnWritesOnly(t *testing.T) {
 	if s.CommitClock() != before {
 		t.Fatal("read-only commit advanced the clock")
 	}
-	if err := th.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+	if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 		t.Fatal(err)
 	}
 	if s.CommitClock() == before {

@@ -64,24 +64,25 @@ func TestOnCommitSkippedOnUserError(t *testing.T) {
 // function saw a clean local slot on the retry, and the commit hook
 // fired exactly once overall.
 func TestOnCommitClearedAcrossRetries(t *testing.T) {
-	var s *STM
 	v := NewVar(0)
+	// committing is the attempt whose fn ran last — with one transaction
+	// in flight, the one now inside the commit hook.
+	var committing *Tx
 	poisoned := false
-	s = New(WithCommitHook(func() {
+	s := New(WithCommitHook(func() {
 		// Invalidate the first committing attempt once by committing
 		// an overlapping write from a fresh goroutine-free path: abort
 		// the attempt directly instead, which is simpler and exercises
 		// the same retry machinery.
 		if !poisoned {
 			poisoned = true
-			if tx := currentCommitting(s); tx != nil {
-				tx.Abort()
-			}
+			committing.Abort()
 		}
 	}))
 	fired := 0
 	attempts := 0
 	err := s.Atomically(func(tx *Tx) error {
+		committing = tx
 		attempts++
 		if got := tx.Local(); got != nil {
 			t.Errorf("attempt %d: stale local slot %v", attempts, got)
@@ -103,20 +104,6 @@ func TestOnCommitClearedAcrossRetries(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("hook fired %d times across retries, want 1", fired)
 	}
-}
-
-// currentCommitting finds the session currently inside a commit, for
-// the retry test above. With one transaction in flight there is at
-// most one candidate.
-func currentCommitting(s *STM) *Tx {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sess := range s.sessions {
-		if tx := sess.current.Load(); tx != nil {
-			return tx
-		}
-	}
-	return nil
 }
 
 // TestOnCommitOrderPerObject is the ordering guarantee the WAL rests

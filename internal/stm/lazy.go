@@ -9,19 +9,20 @@ package stm
 //	 ensuring progress for this kind of STM design remains largely
 //	 unexplored."
 //
-// With WithLazyConflicts, OpenWrite buffers the tentative version
-// privately instead of installing a locator, so running transactions
-// never see each other: no open-time conflicts arise and the
-// contention manager is never consulted. All conflicts surface at
+// With WithLazyConflicts, opening for writing buffers the tentative
+// version privately instead of installing a locator, so running
+// transactions never see each other: no open-time conflicts arise and
+// the contention manager is never consulted. All conflicts surface at
 // commit, where the loser has already executed in full — the wasted
 // work that motivates eager detection plus contention management, and
 // the comparison BenchmarkLazyVsEager measures.
 //
-// Commit installs each written object's new version in place under the
-// write set's commit stripes, bracketed by the STM's installer count
-// (the seqlock generalizing the old odd/even commit-clock window to
-// concurrent, stripe-disjoint installers), so concurrent readers never
-// accept a cut that spans a partial installation.
+// Commit is the one stripe-held writer commit (tryCommit); only its
+// publish step differs: each written object's new version is installed
+// in place, bracketed by the STM's installer count (the seqlock
+// generalizing the old odd/even commit-clock window to concurrent,
+// stripe-disjoint installers), so concurrent readers never accept a cut
+// that spans a partial installation.
 
 import "slices"
 
@@ -38,11 +39,11 @@ func (s *STM) Lazy() bool { return s.lazy }
 
 // openWriteLazy buffers a private clone of the object's committed
 // version in the transaction's write buffer (or mk(), when the caller
-// replaces the whole value — see openWriteAs). The pre-image is
+// replaces the whole value — see openWrite). The pre-image is
 // recorded in the read set, which is what commit-time validation
 // checks: if any base version moved, the transaction aborts itself
 // and retries.
-func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
+func (o *tobj) openWriteLazy(tx *Tx, mk func() value) (value, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
@@ -64,15 +65,14 @@ func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
 		base = o.loc.Load().current()
 		tx.recordRead(o, base)
 	}
-	var clone Value
-	switch {
-	case mk != nil:
+	var clone value
+	if mk != nil {
 		clone = mk()
-	case base != nil:
+	} else {
 		clone = base.Clone()
 	}
 	if sess.lazyWrites == nil {
-		sess.lazyWrites = make(map[*TObj]Value, 4)
+		sess.lazyWrites = make(map[*tobj]value, 4)
 	}
 	sess.lazyWrites[o] = clone
 	sess.writeStripes = append(sess.writeStripes, o.stripe)
@@ -87,52 +87,6 @@ func (o *TObj) openWriteLazy(tx *Tx, mk func() Value) (Value, error) {
 		return nil, ErrAborted
 	}
 	return clone, nil
-}
-
-// tryCommitLazy validates the read set (which includes every write's
-// base version) and installs the buffered writes under the write
-// set's commit stripes, with the STM's installer count held non-zero
-// for the duration of the installation so that concurrent clock-stable
-// validations retry rather than accept a partial commit. Validation is
-// lock-aware, exactly as in the eager writer commit: a read whose
-// stripe another writer holds mid-commit is a conflict.
-func (tx *Tx) tryCommitLazy() bool {
-	if len(tx.sess.writeStripes) == 0 {
-		return tx.tryCommitReadOnly()
-	}
-	s := tx.sess.stm
-	held := tx.lockStripes()
-	defer tx.unlockStripes(held)
-	if !tx.readsCommittedAndUnowned() {
-		// A conflicting transaction committed first; all our work is
-		// wasted — the lazy design's signature cost.
-		tx.setCause(CauseValidation)
-		tx.noteConflict()
-		tx.Abort()
-		return false
-	}
-	if h := s.commitHook; h != nil {
-		h()
-	}
-	if !tx.commit() {
-		tx.setCause(CauseCASRace)
-		return false
-	}
-	// Publish the buffered writes. The clock bump lands before the
-	// installer count drops back, so a validator that finds the count
-	// at zero after our installation necessarily re-reads a moved
-	// clock and rescans.
-	s.installers.Add(1)
-	for obj, newVal := range tx.sess.lazyWrites {
-		obj.loc.Store(&locator{newVal: newVal})
-	}
-	s.commitClock.Add(2)
-	s.installers.Add(-1)
-	// Stripes are still held (the deferred unlockStripes runs after we
-	// return), so lazy-mode commit hooks keep the same per-object
-	// ordering guarantee as the eager writer path.
-	tx.fireOnCommit()
-	return true
 }
 
 // tryCommitReadOnly is the clock-stable read-only commit shared by the

@@ -37,7 +37,7 @@ func (d Decision) String() string {
 
 // Manager is the contention-manager interface, the module the paper
 // holds responsible for progress. One Manager instance serves one
-// session — a pinned Thread or a pooled STM.Atomically session —
+// pooled session (see WithManagerFactory), one transaction at a time,
 // mirroring the per-thread managers of DSTM and SXM: managers are
 // highly decentralized and decide conflicts by comparing only the
 // two transactions' public states (timestamp, status, waiting flag,

@@ -3,7 +3,6 @@ package stm
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -14,23 +13,12 @@ import (
 // reusable pieces of attempt state. One goroutine uses a session at a
 // time, but — unlike the paper's thread model — a session is not tied
 // to any particular goroutine: STM.Atomically borrows one from a pool
-// for the duration of a single logical transaction, and the Thread
-// compatibility shim pins one for its lifetime.
+// for the duration of a single logical transaction. What the paper's
+// thread owes a transaction — one timestamp and one manager across
+// retries — the session provides.
 type session struct {
 	stm *STM
 	mgr Manager
-
-	// pinned marks a Thread's session. Pinned sessions never reuse Tx
-	// descriptors: Thread exposes the running attempt through Current()
-	// for failure injection, and a stale injector reference must stay a
-	// harmless no-op on a finished transaction — never a Halt of an
-	// unrelated later one. Pooled sessions expose no descriptor, so
-	// they recycle freely.
-	pinned bool
-
-	// current is the attempt now running on this session, exposed so
-	// that failure injectors and tests can halt or examine it.
-	current atomic.Pointer[Tx]
 
 	// stats counters are written only by the session's current
 	// goroutine but read concurrently by TotalStats, hence atomic.
@@ -55,13 +43,16 @@ type session struct {
 	// here — reused by every attempt, emptied by resetAttempt — and not
 	// on the per-attempt descriptor that locators pin (see Tx).
 	//
+	// current is the running attempt's descriptor, nil between attempts:
+	// what atomically's cleanup aborts when fn panics out of one.
+	current *Tx
 	// reads and overflow are the read set: each object opened for
 	// reading with the version observed. Invisible to writers,
 	// validated lazily. The first inlineReads entries sit in the slice,
 	// in open order, and are looked up by linear scan; the rest go to
 	// the map (nil until a transaction first needs it).
 	reads    []readEntry
-	overflow map[*TObj]Value
+	overflow map[*tobj]value
 	// writeStripes holds the commit-stripe index of every object the
 	// attempt has open for writing, in open order — what commit needs
 	// of the write set to lock it (and to know there is one);
@@ -78,7 +69,7 @@ type session struct {
 	opens int32
 	// lazyWrites buffers tentative versions in lazy-conflict mode
 	// (nil in eager mode and until a lazy transaction first writes).
-	lazyWrites map[*TObj]Value
+	lazyWrites map[*tobj]value
 	// local is the attempt-scoped scratch slot for layers composed
 	// above the engine (the kv store parks its write-set capture
 	// here); onCommit is the attempt's commit hook (see Tx.OnCommit).
@@ -138,12 +129,15 @@ func (s *STM) release(sess *session) {
 // contention-manager instance) for the duration of the logical
 // transaction.
 //
-// The error contract is Thread.Atomically's: the logical transaction
-// receives its timestamp before the first attempt and keeps it across
-// retries; fn must propagate errors from the typed accessors (or
-// OpenRead/OpenWrite); enemy-inflicted aborts retry, ErrHalted and
-// user errors surface. fn may be called many times and must be free of
-// side effects other than through the transaction.
+// The logical transaction receives its timestamp before the first
+// attempt and keeps it across retries (the greedy manager's key
+// requirement). fn must propagate errors from the typed accessors; when
+// the underlying cause is an enemy-inflicted abort, Atomically retries
+// fn, and any other error — ErrHalted included — aborts or abandons the
+// transaction and is returned to the caller unchanged.
+//
+// fn may be called many times and must therefore be free of side
+// effects other than through the transaction.
 func (s *STM) Atomically(fn func(tx *Tx) error) error {
 	sess := s.acquire()
 	defer s.release(sess)
@@ -214,19 +208,17 @@ func Atomic2[A, B any](s *STM, fn func(tx *Tx) (A, B, error)) (A, B, error) {
 
 // atomically executes one logical transaction on the session.
 func (sess *session) atomically(fn func(tx *Tx) error) error {
-	// If fn panics (or calls runtime.Goexit) mid-attempt, the normal
-	// paths below never clear current. Abort the orphaned attempt so
-	// it stops obstructing its objects — a goroutine-per-request
-	// server that recovers panics must not wedge a Var forever — and
-	// leave it unrecycled (Abort freezes it, which is all the locator
-	// protocol needs).
+	// If fn panics (or calls runtime.Goexit) mid-attempt, the attempt
+	// never reaches the reset that ends every finished one. Abort the
+	// orphan so it stops obstructing its objects — a
+	// goroutine-per-request server that recovers panics must not wedge
+	// a Var forever — and leave it unrecycled (Abort freezes it, which
+	// is all the locator protocol needs); the reset keeps its read set
+	// from pinning versions — and the local slot and commit hook from
+	// pinning caller state — while the session idles.
 	defer func() {
-		if tx := sess.current.Load(); tx != nil {
+		if tx := sess.current; tx != nil {
 			tx.Abort()
-			sess.current.Store(nil)
-			// The orphan skipped the reset every finished attempt gets;
-			// don't let its read set pin Values — nor the local slot and
-			// commit hook pin caller state — while the session idles.
 			sess.resetAttempt()
 		}
 		// A panicked sampled transaction never reached finishTrace;
@@ -287,7 +279,6 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 	for {
 		tx := sess.newAttempt(shared)
-		sess.current.Store(tx)
 		if rec := sess.rec; rec != nil {
 			rec.begin()
 		}
@@ -298,7 +289,6 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 		case err == nil:
 			if tx.tryCommit() {
 				sess.endAttemptRegion(reg, CauseNone)
-				sess.current.Store(nil)
 				sess.mgr.Committed(tx)
 				sess.stats.commits.Add(1)
 				sess.recycle(tx)
@@ -313,7 +303,6 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 			// read the descriptor's atomics), so empty it as for any
 			// finished attempt.
 			sess.endAttemptRegion(reg, CauseNone)
-			sess.current.Store(nil)
 			sess.stats.halted.Add(1)
 			sess.resetAttempt()
 			return ErrHalted
@@ -330,7 +319,6 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 				rec.abort(CauseUserError)
 			}
 			sess.endAttemptRegion(reg, CauseUserError)
-			sess.current.Store(nil)
 			sess.mgr.Aborted(tx)
 			sess.recycle(tx)
 			return err
@@ -359,16 +347,19 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 // session's cached descriptor when there is one. The attempt state on
 // the session is already empty: every way an attempt ends resets it.
 func (sess *session) newAttempt(shared *txShared) *Tx {
-	if tx := sess.freeTx; tx != nil {
+	tx := sess.freeTx
+	if tx != nil {
 		sess.freeTx = nil
 		tx.shared = shared
 		tx.status.Store(int32(StatusActive))
 		tx.waiting.Store(false)
 		tx.halted.Store(false)
 		tx.cause = CauseNone
-		return tx
+	} else {
+		tx = &Tx{sess: sess, shared: shared}
 	}
-	return &Tx{sess: sess, shared: shared}
+	sess.current = tx
+	return tx
 }
 
 // recycle ends a frozen attempt: it keeps the descriptor for reuse
@@ -381,7 +372,7 @@ func (sess *session) newAttempt(shared *txShared) *Tx {
 // attempts (whose commit installs ownerless locators) are never
 // referenced.
 func (sess *session) recycle(tx *Tx) {
-	if (sess.stm.lazy || len(sess.writeStripes) == 0) && !sess.pinned {
+	if sess.stm.lazy || len(sess.writeStripes) == 0 {
 		sess.freeTx = tx
 	}
 	sess.resetAttempt()
@@ -395,10 +386,11 @@ const maxRetainedReads = 2048
 // resetAttempt empties the session's attempt state, keeping the
 // buffers. It runs when an attempt ends, not when the next begins: a
 // session may idle in the pool indefinitely, and its read set must not
-// pin old committed Values — nor the local slot and commit hook pin
+// pin old committed versions — nor the local slot and commit hook pin
 // caller state — while it does. (A fired hook already cleared itself;
 // an aborted attempt's hook must not survive into a retry.)
 func (sess *session) resetAttempt() {
+	sess.current = nil
 	clear(sess.reads)
 	sess.reads = sess.reads[:0]
 	if len(sess.overflow) > maxRetainedReads {

@@ -11,8 +11,7 @@ import (
 )
 
 // TestSTMAtomicallyBasic: the goroutine-agnostic entry point commits a
-// transaction with no Thread anywhere in sight, on the built-in
-// default manager.
+// transaction on the built-in default manager.
 func TestSTMAtomicallyBasic(t *testing.T) {
 	s := stm.New()
 	v := stm.NewVar(1)
@@ -411,44 +410,5 @@ func TestNewNamedVarCloner(t *testing.T) {
 	}
 	if got := v.Peek(); got[0] != 1 || got[1] != 20 {
 		t.Fatalf("Peek = %v, want [1 20]", got)
-	}
-}
-
-// TestPooledAndPinnedInterleave: Threads and pooled sessions drive the
-// same STM and the totals add up.
-func TestPooledAndPinnedInterleave(t *testing.T) {
-	s := stm.New(stm.WithManagerFactory(func() stm.Manager { return politeManager{} }))
-	counter := stm.NewVar(0)
-	th := s.NewThread(politeManager{})
-	const each = 100
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < each; i++ {
-			if err := th.Atomically(func(tx *stm.Tx) error { return incr(tx, counter) }); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < each; i++ {
-			if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, counter) }); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if got := counter.Peek(); got != 2*each {
-		t.Fatalf("counter = %d, want %d", got, 2*each)
-	}
-	if th.Stats().Commits != each {
-		t.Fatalf("thread commits = %d, want %d", th.Stats().Commits, each)
-	}
-	if c := s.TotalStats().Commits; c != 2*each {
-		t.Fatalf("TotalStats().Commits = %d, want %d", c, 2*each)
 	}
 }

@@ -2,9 +2,8 @@ package stm
 
 import "sync/atomic"
 
-// Stats is a snapshot of transaction statistics: per session through
-// Thread.Stats, or aggregated over every session of an STM through
-// STM.TotalStats. The live counters are atomic, so snapshots may be
+// Stats is a snapshot of transaction statistics, aggregated over every
+// session of an STM by STM.TotalStats. The live counters are atomic, so snapshots may be
 // taken at any time, concurrently with running transactions.
 type Stats struct {
 	// Commits counts committed logical transactions.
@@ -32,7 +31,7 @@ type Stats struct {
 	// validation failures (all modes — so eager and lazy conflict
 	// counts are comparable in the figures).
 	Conflicts int64
-	// EnemyAborts counts conflicts this thread resolved by aborting
+	// EnemyAborts counts conflicts this session resolved by aborting
 	// the enemy.
 	EnemyAborts int64
 	// Opens counts successful object opens (reads and writes).

@@ -13,15 +13,12 @@ import (
 // cooperating transactions uses. Independent STM instances are fully
 // isolated from one another.
 //
-// Transactions are executed through two equivalent surfaces:
-//
-//   - STM.Atomically (and the typed Atomic), callable from any
-//     goroutine: each call borrows a pooled session carrying a private
-//     contention-manager instance built by the STM's ManagerFactory
-//     (see WithManagerFactory);
-//   - Thread, the paper-faithful pinned form: one session bound to one
-//     manager instance for its lifetime, for harnesses that sweep a
-//     fixed number of worker threads.
+// Transactions run through STM.Atomically (and the typed Atomic),
+// callable from any goroutine: each call borrows a pooled session
+// carrying a private contention-manager instance built by the STM's
+// ManagerFactory (see WithManagerFactory). The logical transaction
+// keeps its timestamp and its manager across retries, which is all the
+// paper's one-transaction-per-thread model asks of a thread.
 type STM struct {
 	txIDs       atomic.Uint64
 	timestamps  atomic.Uint64
@@ -44,7 +41,7 @@ type STM struct {
 	// clock optimization buys (see BenchmarkAblationValidation).
 	fullValidation bool
 
-	// stripes are the per-object commit locks. Every TObj maps to one
+	// stripes are the per-object commit locks. Every Var maps to one
 	// stripe; a writer commit locks its write set's stripes in
 	// ascending index order (deadlock-free), validates its read set
 	// with lock-aware validation, performs the status CAS and
@@ -129,8 +126,9 @@ func WithFullValidation() Option {
 // entry (core.Factory) to pick a policy by name. Without this option
 // the STM falls back to a built-in polite-with-patience-bound manager
 // (wait with growing backoff, abort the enemy after a bounded number
-// of rounds so a halted enemy cannot obstruct forever). Threads are
-// unaffected: NewThread takes its manager instance explicitly.
+// of rounds so a halted enemy cannot obstruct forever). The factory
+// runs once per pooled session, so the session count — the peak number
+// of concurrent Atomically calls — is also the manager count.
 func WithManagerFactory(f ManagerFactory) Option {
 	return func(s *STM) { s.factory = f }
 }
@@ -150,61 +148,10 @@ func New(opts ...Option) *STM {
 	return s
 }
 
-// Thread is the paper's per-thread execution context, kept as a thin
-// shim over a pinned session: it binds one contention-manager instance
-// to a stream of transactions for its whole lifetime, matching the
-// model of one transaction per thread that the figures sweep. A Thread
-// must be used by one goroutine at a time (concurrent Atomically calls
-// on the same Thread are a bug). Code that is not reproducing the
-// fixed-thread sweeps should prefer STM.Atomically, which any
-// goroutine may call.
-type Thread struct {
-	sess *session
-}
-
-// NewThread registers a new thread with its per-thread contention
-// manager.
-func (s *STM) NewThread(mgr Manager) *Thread {
-	sess := s.newSession(mgr)
-	sess.pinned = true
-	return &Thread{sess: sess}
-}
-
-// Manager returns the thread's contention manager.
-func (t *Thread) Manager() Manager { return t.sess.mgr }
-
-// Stats returns a snapshot of the thread's counters. The counters are
-// atomic, so the snapshot is safe (and exact to the last completed
-// update) even while the thread's goroutine is running.
-func (t *Thread) Stats() Stats { return t.sess.stats.snapshot() }
-
-// Current returns the transaction attempt currently running on the
-// thread, or nil. Intended for failure injection and tests. A
-// Thread's descriptors are never recycled (unlike a pooled session's),
-// so poking a stale reference after the attempt finished remains a
-// harmless no-op on a frozen transaction, as it always was.
-func (t *Thread) Current() *Tx { return t.sess.current.Load() }
-
-// Atomically runs fn as a transaction on the thread's pinned session,
-// retrying until it commits.
-//
-// The logical transaction receives its timestamp before the first
-// attempt and keeps it across retries (the greedy manager's key
-// requirement). fn must propagate errors from the typed accessors (or
-// OpenRead/OpenWrite); when the underlying cause is an enemy-inflicted
-// abort, Atomically retries fn, and any other error aborts the
-// transaction and is returned to the caller unchanged.
-//
-// fn may be called many times and must therefore be free of side
-// effects other than through the transaction.
-func (t *Thread) Atomically(fn func(tx *Tx) error) error {
-	return t.sess.atomically(fn)
-}
-
 // TotalStats aggregates the statistics of every session the STM has
-// created — pooled sessions and Threads alike. The counters are
-// atomic, so it may be called at any time, concurrently with running
-// transactions; each counter is exact to the last completed update.
+// created. The counters are atomic, so it may be called at any time,
+// concurrently with running transactions; each counter is exact to the
+// last completed update.
 func (s *STM) TotalStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,18 +260,18 @@ func (tx *Tx) releasePreimages() {
 // Read-only transactions validate with a clock-stability loop: if the
 // commit clock is unchanged across the scan, every read was
 // simultaneously valid at the scan's start, which is the transaction's
-// serialization point. Writer transactions lock the commit stripes
-// covering their write set (in ascending index order) and validate
-// with the lock-aware scan, which treats a stripe held by another
-// committing writer as a conflict — so of two writers racing on
-// overlapping read/write sets, at least one observes the other and
-// fails validation (see DESIGN.md for the ordering argument).
+// serialization point. Writer transactions, eager and lazy alike, lock
+// the commit stripes covering their write set (in ascending index
+// order) and validate with the lock-aware scan, which treats a stripe
+// held by another committing writer as a conflict — so of two writers
+// racing on overlapping read/write sets, at least one observes the
+// other and fails validation (see DESIGN.md for the ordering argument).
+// In lazy mode the read set includes every write's base version, and a
+// failed validation means a conflicting transaction committed first and
+// all this attempt's work is wasted — the lazy design's signature cost.
 func (tx *Tx) tryCommit() bool {
 	sess := tx.sess
 	s := sess.stm
-	if s.lazy {
-		return tx.tryCommitLazy()
-	}
 	if len(sess.writeStripes) == 0 {
 		return tx.tryCommitReadOnly()
 	}
@@ -366,8 +313,26 @@ func (tx *Tx) tryCommit() bool {
 		tx.setCause(CauseCASRace)
 		return false
 	}
-	s.commitClock.Add(2)
-	tx.releasePreimages()
+	// Publish — the one step in which the two modes differ. An eager
+	// writer's versions became current with the CAS (its locators are
+	// already installed), so it only drops the pre-images. A lazy writer
+	// installs its buffered versions now, object by object, with the
+	// installer count held non-zero so that clock-stable validations
+	// retry rather than accept a cut through a partial installation; the
+	// clock bump lands before the count drops back, so a validator that
+	// finds the count at zero afterwards necessarily re-reads a moved
+	// clock and rescans.
+	if s.lazy {
+		s.installers.Add(1)
+		for obj, newVal := range sess.lazyWrites {
+			obj.loc.Store(&locator{newVal: newVal})
+		}
+		s.commitClock.Add(2)
+		s.installers.Add(-1)
+	} else {
+		s.commitClock.Add(2)
+		tx.releasePreimages()
+	}
 	// The deferred unlockStripes has not run yet: the hook fires with
 	// the write set's stripes still held, so the hooks of two writers
 	// that touched the same object run in their commit order.

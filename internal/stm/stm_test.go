@@ -33,10 +33,16 @@ func (suicidalManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 	return stm.AbortSelf
 }
 
-func newCounterWorld(t *testing.T) (*stm.STM, *stm.Var[int]) {
+// worldOf returns an STM whose every session runs mgr. The test
+// managers are stateless (or synchronize their own state), so one
+// instance serves all sessions.
+func worldOf(mgr stm.Manager, opts ...stm.Option) *stm.STM {
+	return stm.New(append(opts, stm.WithManagerFactory(func() stm.Manager { return mgr }))...)
+}
+
+func newCounterWorld(t *testing.T, mgr stm.Manager) (*stm.STM, *stm.Var[int]) {
 	t.Helper()
-	s := stm.New()
-	return s, stm.NewVar(0)
+	return worldOf(mgr), stm.NewVar(0)
 }
 
 func counterValue(t *testing.T, counter *stm.Var[int]) int {
@@ -49,9 +55,8 @@ func incr(tx *stm.Tx, counter *stm.Var[int]) error {
 }
 
 func TestCommitMakesWriteVisible(t *testing.T) {
-	s, obj := newCounterWorld(t)
-	th := s.NewThread(aggressiveManager{})
-	if err := th.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+	s, obj := newCounterWorld(t, aggressiveManager{})
+	if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 		t.Fatalf("Atomically: %v", err)
 	}
 	if got := counterValue(t, obj); got != 1 {
@@ -60,10 +65,9 @@ func TestCommitMakesWriteVisible(t *testing.T) {
 }
 
 func TestUserErrorAbortsAndPropagates(t *testing.T) {
-	s, obj := newCounterWorld(t)
-	th := s.NewThread(aggressiveManager{})
+	s, obj := newCounterWorld(t, aggressiveManager{})
 	boom := errors.New("boom")
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		if err := incr(tx, obj); err != nil {
 			return err
 		}
@@ -78,9 +82,8 @@ func TestUserErrorAbortsAndPropagates(t *testing.T) {
 }
 
 func TestReadOwnWrite(t *testing.T) {
-	s, obj := newCounterWorld(t)
-	th := s.NewThread(aggressiveManager{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	s, obj := newCounterWorld(t, aggressiveManager{})
+	err := s.Atomically(func(tx *stm.Tx) error {
 		if err := incr(tx, obj); err != nil {
 			return err
 		}
@@ -99,12 +102,12 @@ func TestReadOwnWrite(t *testing.T) {
 }
 
 func TestRepeatedReadIsStable(t *testing.T) {
-	s, obj := newCounterWorld(t)
-	reader := s.NewThread(politeManager{})
-	writer := s.NewThread(aggressiveManager{})
+	// Reads are invisible and the writer finds the object unowned, so no
+	// manager is ever consulted here.
+	s, obj := newCounterWorld(t, aggressiveManager{})
 
 	interfered := false
-	err := reader.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		v1, err := stm.Read(tx, obj)
 		if err != nil {
 			return err
@@ -118,7 +121,7 @@ func TestRepeatedReadIsStable(t *testing.T) {
 			interfered = true
 			done := make(chan error, 1)
 			go func() {
-				done <- writer.Atomically(func(wtx *stm.Tx) error { return incr(wtx, obj) })
+				done <- s.Atomically(func(wtx *stm.Tx) error { return incr(wtx, obj) })
 			}()
 			if err := <-done; err != nil {
 				return fmt.Errorf("writer: %w", err)
@@ -141,19 +144,18 @@ func TestRepeatedReadIsStable(t *testing.T) {
 }
 
 func TestAbortSelfRetriesAndCommits(t *testing.T) {
-	s, obj := newCounterWorld(t)
-
-	// Hold the object with a parked transaction, then let a suicidal
-	// manager clash with it: it should abort itself, retry, and
-	// eventually commit after the blocker finishes.
-	blocker := s.NewThread(politeManager{})
+	// Hold the object with a parked transaction (it opens first and so
+	// never consults its manager), then let a suicidal manager clash
+	// with it: it should abort itself, retry, and eventually commit
+	// after the blocker finishes.
+	s, obj := newCounterWorld(t, suicidalManager{})
 	held := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = blocker.Atomically(func(tx *stm.Tx) error {
+		_ = s.Atomically(func(tx *stm.Tx) error {
 			if err := incr(tx, obj); err != nil {
 				return err
 			}
@@ -164,11 +166,10 @@ func TestAbortSelfRetriesAndCommits(t *testing.T) {
 	}()
 	<-held
 
-	kamikaze := s.NewThread(suicidalManager{})
 	done := make(chan error, 1)
 	var attempts atomic.Int64
 	go func() {
-		done <- kamikaze.Atomically(func(tx *stm.Tx) error {
+		done <- s.Atomically(func(tx *stm.Tx) error {
 			attempts.Add(1)
 			return incr(tx, obj)
 		})
@@ -187,15 +188,15 @@ func TestAbortSelfRetriesAndCommits(t *testing.T) {
 	if got := counterValue(t, obj); got != 2 {
 		t.Fatalf("counter = %d, want 2", got)
 	}
-	if aborts := kamikaze.Stats().Aborts; aborts == 0 {
+	// Nobody aborts the blocker, so every abort is the kamikaze's.
+	if aborts := s.TotalStats().Aborts; aborts == 0 {
 		t.Fatalf("suicidal thread recorded no aborts; expected at least one")
 	}
 }
 
 func TestEnemyAbortForcesRetry(t *testing.T) {
-	s, obj := newCounterWorld(t)
+	s, obj := newCounterWorld(t, aggressiveManager{})
 
-	victimTh := s.NewThread(politeManager{})
 	held := make(chan struct{})
 	proceed := make(chan struct{})
 	var victimErr error
@@ -204,7 +205,7 @@ func TestEnemyAbortForcesRetry(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		first := true
-		victimErr = victimTh.Atomically(func(tx *stm.Tx) error {
+		victimErr = s.Atomically(func(tx *stm.Tx) error {
 			if err := incr(tx, obj); err != nil {
 				return err
 			}
@@ -219,8 +220,7 @@ func TestEnemyAbortForcesRetry(t *testing.T) {
 	<-held
 
 	// The aggressor kills the victim and commits.
-	aggressor := s.NewThread(aggressiveManager{})
-	if err := aggressor.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+	if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 		t.Fatalf("aggressor: %v", err)
 	}
 	close(proceed)
@@ -231,15 +231,16 @@ func TestEnemyAbortForcesRetry(t *testing.T) {
 	if got := counterValue(t, obj); got != 2 {
 		t.Fatalf("counter = %d, want 2 (victim must retry after enemy abort)", got)
 	}
-	if victimTh.Stats().Aborts == 0 {
+	// The aggressor met the victim mid-flight and killed it; it was
+	// never aborted itself.
+	if s.TotalStats().Aborts == 0 {
 		t.Fatalf("victim recorded no aborts")
 	}
 }
 
 func TestTimestampRetainedAcrossRetries(t *testing.T) {
-	s, obj := newCounterWorld(t)
+	s, obj := newCounterWorld(t, aggressiveManager{})
 
-	victimTh := s.NewThread(politeManager{})
 	var stamps []uint64
 	held := make(chan struct{})
 	proceed := make(chan struct{})
@@ -248,7 +249,7 @@ func TestTimestampRetainedAcrossRetries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		first := true
-		_ = victimTh.Atomically(func(tx *stm.Tx) error {
+		_ = s.Atomically(func(tx *stm.Tx) error {
 			stamps = append(stamps, tx.Timestamp())
 			if err := incr(tx, obj); err != nil {
 				return err
@@ -262,8 +263,7 @@ func TestTimestampRetainedAcrossRetries(t *testing.T) {
 		})
 	}()
 	<-held
-	aggressor := s.NewThread(aggressiveManager{})
-	if err := aggressor.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+	if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 		t.Fatalf("aggressor: %v", err)
 	}
 	close(proceed)
@@ -280,11 +280,10 @@ func TestTimestampRetainedAcrossRetries(t *testing.T) {
 }
 
 func TestHaltedTransactionObstructsUntilAborted(t *testing.T) {
-	s, obj := newCounterWorld(t)
+	s, obj := newCounterWorld(t, aggressiveManager{})
 
 	// A transaction halts (crashes) while holding the object.
-	crasher := s.NewThread(politeManager{})
-	err := crasher.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		if err := incr(tx, obj); err != nil {
 			return err
 		}
@@ -300,8 +299,7 @@ func TestHaltedTransactionObstructsUntilAborted(t *testing.T) {
 	}
 
 	// An aggressive enemy can abort the corpse and proceed.
-	rescuer := s.NewThread(aggressiveManager{})
-	if err := rescuer.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+	if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 		t.Fatalf("rescuer: %v", err)
 	}
 	if got := counterValue(t, obj); got != 1 {
@@ -310,23 +308,18 @@ func TestHaltedTransactionObstructsUntilAborted(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	s, obj := newCounterWorld(t)
-	th := s.NewThread(aggressiveManager{})
+	s, obj := newCounterWorld(t, aggressiveManager{})
 	for i := 0; i < 10; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
+		if err := s.Atomically(func(tx *stm.Tx) error { return incr(tx, obj) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := th.Stats()
+	st := s.TotalStats()
 	if st.Commits != 10 {
 		t.Fatalf("Commits = %d, want 10", st.Commits)
 	}
 	if st.Opens != 10 {
 		t.Fatalf("Opens = %d, want 10", st.Opens)
-	}
-	total := s.TotalStats()
-	if total.Commits != 10 {
-		t.Fatalf("TotalStats().Commits = %d, want 10", total.Commits)
 	}
 }
 
@@ -339,10 +332,9 @@ func TestPeekOutsideTransaction(t *testing.T) {
 
 func TestNilInitialValue(t *testing.T) {
 	s := stm.New()
-	obj := stm.NewTObj(nil)
-	th := s.NewThread(aggressiveManager{})
-	err := th.Atomically(func(tx *stm.Tx) error {
-		v, err := tx.OpenRead(obj)
+	obj := stm.NewVar[*int](nil)
+	err := s.Atomically(func(tx *stm.Tx) error {
+		v, err := stm.Read(tx, obj)
 		if err != nil {
 			return err
 		}

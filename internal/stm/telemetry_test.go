@@ -58,12 +58,13 @@ func (m *sleepyManager) ResolveConflict(me, enemy *Tx) Decision {
 // transaction left obstructing the object, the deterministic way to
 // force exactly one conflict episode.
 func TestWaitTimeAccounting(t *testing.T) {
-	s := New()
+	const nap = 2 * time.Millisecond
+	s := New(WithManagerFactory(func() Manager { return &sleepyManager{naps: nap} }))
 	v := NewVar(0)
 
-	// Park a halted-but-active enemy owning v.
-	victim := s.NewThread(&defaultManager{})
-	err := victim.Atomically(func(tx *Tx) error {
+	// Park a halted-but-active enemy owning v (it meets no conflict, so
+	// its own manager never naps).
+	err := s.Atomically(func(tx *Tx) error {
 		if err := Write(tx, v, 1); err != nil {
 			return err
 		}
@@ -74,20 +75,14 @@ func TestWaitTimeAccounting(t *testing.T) {
 		t.Fatalf("victim error = %v, want ErrHalted", err)
 	}
 
-	const nap = 2 * time.Millisecond
-	attacker := s.NewThread(&sleepyManager{naps: nap})
-	if err := attacker.Atomically(func(tx *Tx) error {
+	if err := s.Atomically(func(tx *Tx) error {
 		return Write(tx, v, 2)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st := attacker.Stats()
-	if st.WaitNs < int64(nap) {
-		t.Fatalf("WaitNs = %v, want >= %v", time.Duration(st.WaitNs), nap)
-	}
 	total := s.TotalStats()
-	if total.WaitNs < st.WaitNs {
-		t.Fatalf("TotalStats.WaitNs = %d < thread WaitNs = %d", total.WaitNs, st.WaitNs)
+	if total.WaitNs < int64(nap) {
+		t.Fatalf("WaitNs = %v, want >= %v", time.Duration(total.WaitNs), nap)
 	}
 	if total.BackoffNs < 0 {
 		t.Fatalf("BackoffNs negative: %d", total.BackoffNs)

@@ -6,15 +6,13 @@ import (
 	"time"
 )
 
-// Value is the interface transactional data must implement. Opening an
-// object for writing hands the transaction a private clone; the clone
-// becomes the committed version if and only if the transaction
-// commits. Clone must return a deep-enough copy: mutations of the
-// clone must not be observable through the original. (References to
-// other TObj handles may be shared — the handles themselves are
-// immutable.)
-type Value interface {
-	Clone() Value
+// value is a committed or tentative version as the locator engine sees
+// it: untyped, so one read set and one locator layout serve every
+// Var[T]. Its only implementation is varBox[T]. Opening an object for
+// writing hands the transaction a private Clone, which becomes the
+// committed version if and only if the transaction commits.
+type value interface {
+	Clone() value
 }
 
 // locator is the DSTM indirection record. The object's current
@@ -28,7 +26,7 @@ type Value interface {
 // and newVal never change once a locator is installed.
 //
 // The pre-image is held as a pointer to the locator that committed it
-// (prev, whose newVal it is) and not as a second Value, so that it can
+// (prev, whose newVal it is) and not as a second value, so that it can
 // be let go: a committed owner's pre-image is dead, and the owner
 // clears prev right after its status CAS (Tx.releasePreimages). Were
 // it kept — as DSTM's oldVal is — every written object would pin its
@@ -41,7 +39,7 @@ type Value interface {
 type locator struct {
 	owner  *Tx
 	prev   atomic.Pointer[locator]
-	newVal Value
+	newVal value
 }
 
 // base returns the locator whose newVal is the committed version this
@@ -60,12 +58,13 @@ func (l *locator) base() *locator {
 
 // current returns the committed version recorded by this locator,
 // which is stable provided the owner is not active.
-func (l *locator) current() Value { return l.base().newVal }
+func (l *locator) current() value { return l.base().newVal }
 
-// TObj is a transactional object: a shared handle whose versioned
-// contents are read and written only inside transactions. The zero
-// value is not usable; create handles with NewTObj.
-type TObj struct {
+// tobj is the untyped core of a Var[T]: the locator slot, the commit
+// stripe and the debugging label. Var embeds it, so read sets, locators
+// and the flight recorder can name an object without knowing its
+// payload type.
+type tobj struct {
 	loc atomic.Pointer[locator]
 	// stripe indexes the commit-stripe lock guarding writer commits
 	// that include this object (see commitStripe in stm.go). Stripes
@@ -73,10 +72,10 @@ type TObj struct {
 	// cheaper and more evenly spread than hashing the pointer, and
 	// deterministic enough for tests to construct same-stripe and
 	// distinct-stripe object pairs. Stripe indices are STM-independent
-	// (a TObj is not bound to an STM instance); each STM owns its own
+	// (a Var is not bound to an STM instance); each STM owns its own
 	// lock array of the shared, fixed size.
 	stripe uint32
-	// name is an optional debugging label (see NewNamedTObj).
+	// name is an optional debugging label (see NewNamedVar).
 	name string
 }
 
@@ -85,32 +84,12 @@ type TObj struct {
 var stripeSeq atomic.Uint32
 
 // nextStripe returns the commit-stripe index for a newly created
-// transactional object. Every constructor that builds a TObj — NewTObj
-// and the typed Var variants, which embed the TObj directly — must
-// assign it, or the object silently joins stripe 0 and writer commits
-// touching it re-serialize.
+// transactional object. NewVar must assign it, or the object silently
+// joins stripe 0 and writer commits touching it re-serialize.
 func nextStripe() uint32 { return stripeSeq.Add(1) % commitStripes }
 
-// NewTObj creates a transactional object whose initial committed
-// version is v (which may be nil for "not yet populated" slots, as in
-// optional tree children).
-func NewTObj(v Value) *TObj {
-	o := &TObj{stripe: nextStripe()}
-	o.loc.Store(&locator{newVal: v})
-	return o
-}
-
-// NewNamedTObj creates a transactional object with a debugging label
-// reported by String. Tests and the scheduling simulator use names;
-// the hot paths never touch them.
-func NewNamedTObj(name string, v Value) *TObj {
-	o := NewTObj(v)
-	o.name = name
-	return o
-}
-
 // String identifies the object for debugging.
-func (o *TObj) String() string {
+func (o *tobj) String() string {
 	if o.name != "" {
 		return "tobj(" + o.name + ")"
 	}
@@ -121,15 +100,8 @@ func (o *TObj) String() string {
 // is exact at some instant during the call; with an active owner the
 // answer is the owner's pre-image, which is correct because an active
 // owner's tentative version is private.
-func (o *TObj) committed() Value {
+func (o *tobj) committed() value {
 	return o.loc.Load().current()
-}
-
-// Peek returns the current committed version outside any transaction.
-// It is intended for post-run verification in tests and benchmarks;
-// concurrent use is safe but yields only a single-object snapshot.
-func (o *TObj) Peek() Value {
-	return o.committed()
 }
 
 // openWrite acquires the object for writing on behalf of tx and
@@ -137,16 +109,13 @@ func (o *TObj) Peek() Value {
 // the paper's: if an active enemy owns the object, tx's contention
 // manager chooses between aborting the enemy and waiting, and the STM
 // retries until the object is free or tx itself dies.
-func (o *TObj) openWrite(tx *Tx) (Value, error) { return o.openWriteAs(tx, nil) }
-
-// openWriteAs is openWrite with an optional replacement factory: when
-// mk is non-nil, a fresh acquisition installs mk() as the private
-// version instead of cloning the committed one. Callers that overwrite
-// the whole value (the typed Write) use it to skip a clone they would
-// immediately discard. When the transaction already owns the object,
-// the existing private version is returned and the caller overwrites
-// it in place.
-func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
+//
+// A fresh acquisition installs a clone of the committed version, or
+// mk() when mk is non-nil: callers that overwrite the whole value (the
+// typed Write) use it to skip a clone they would immediately discard.
+// When the transaction already owns the object, the existing private
+// version is returned and the caller overwrites it in place.
+func (o *tobj) openWrite(tx *Tx, mk func() value) (value, error) {
 	if tx.sess.stm.lazy {
 		return o.openWriteLazy(tx, mk)
 	}
@@ -168,14 +137,12 @@ func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
 		// the locator stays installed, and our CAS fails if it does
 		// not.
 		base := l.base()
-		cur := base.newVal
 		nl := &locator{owner: tx}
 		nl.prev.Store(base)
-		switch {
-		case mk != nil:
+		if mk != nil {
 			nl.newVal = mk()
-		case cur != nil:
-			nl.newVal = cur.Clone()
+		} else {
+			nl.newVal = base.newVal.Clone()
 		}
 		if !o.loc.CompareAndSwap(l, nl) {
 			tx.backoff(spin)
@@ -203,7 +170,7 @@ func (o *TObj) openWriteAs(tx *Tx, mk func() Value) (Value, error) {
 // returns it. Reads are invisible to writers, but an active writer is
 // a conflict for the reader (as in DSTM): the contention manager
 // arbitrates before the read can proceed.
-func (o *TObj) openRead(tx *Tx) (Value, error) {
+func (o *tobj) openRead(tx *Tx) (value, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
@@ -259,7 +226,7 @@ func (tx *Tx) noteConflict() { tx.sess.stats.conflicts.Add(1) }
 // progress guarantees. The same measurement accrues to the logical
 // transaction's own counter (Tx.WaitNs) and, on sampled transactions,
 // to a conflict event naming the enemy and the ruling.
-func resolve(tx, enemy *Tx, o *TObj) error {
+func resolve(tx, enemy *Tx, o *tobj) error {
 	tx.noteConflict()
 	t0 := time.Now()
 	d := tx.sess.mgr.ResolveConflict(tx, enemy)
@@ -284,17 +251,3 @@ func resolve(tx, enemy *Tx, o *TObj) error {
 	}
 	return tx.step()
 }
-
-// OpenWrite opens the object for writing inside tx and returns the
-// transaction's private, mutable version (a clone of the committed
-// version, nil if the committed version is nil). The returned error is
-// non-nil when the transaction has been aborted or halted and must be
-// propagated out of the transactional function.
-func (tx *Tx) OpenWrite(o *TObj) (Value, error) { return o.openWrite(tx) }
-
-// OpenRead opens the object for reading inside tx and returns the
-// committed version observed (nil if the committed version is nil).
-// The value must be treated as immutable. The returned error is
-// non-nil when the transaction has been aborted or halted and must be
-// propagated.
-func (tx *Tx) OpenRead(o *TObj) (Value, error) { return o.openRead(tx) }

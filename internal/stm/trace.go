@@ -300,12 +300,12 @@ func (r *txRecorder) begin() {
 }
 
 // open records an object acquisition.
-func (r *txRecorder) open(o *TObj, write bool) {
+func (r *txRecorder) open(o *tobj, write bool) {
 	r.event(TraceEvent{Kind: TraceOpen, Obj: o.name, Stripe: o.stripe, Write: write})
 }
 
 // conflict records one manager consultation.
-func (r *txRecorder) conflict(o *TObj, enemy *Tx, d Decision, ns int64) {
+func (r *txRecorder) conflict(o *tobj, enemy *Tx, d Decision, ns int64) {
 	r.event(TraceEvent{
 		Kind: TraceConflict, Obj: o.name, Stripe: o.stripe,
 		Enemy: enemy.Label(), Decision: d, Ns: ns,

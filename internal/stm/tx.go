@@ -133,11 +133,12 @@ func (tx *Tx) commit() bool {
 // transaction stays active (and keeps obstructing its objects) until
 // some enemy's manager aborts it.
 //
-// Halt is meaningful on a running attempt: one's own tx inside the
-// transactional function, or a Thread.Current() reference (Thread
-// descriptors are never recycled, so a stale Halt is a no-op on a
-// frozen transaction). Descriptors of pooled STM.Atomically sessions
-// are not exposed outside the transactional function.
+// Halt is valid only while the attempt's transactional function is
+// running: on one's own tx, or on a tx a test handed out of a function
+// it keeps blocked. The attempt notices at its next open, which returns
+// ErrHalted. Once the function has returned the descriptor may already
+// be serving an unrelated transaction (sessions recycle them), which is
+// why a *Tx must not be stored — stmlint's txescape enforces it.
 func (tx *Tx) Halt() { tx.halted.Store(true) }
 
 // Halted reports whether failure injection has halted the transaction.
@@ -288,8 +289,8 @@ func (tx *Tx) maybeYield() {
 // readEntry is one read-set entry: an object opened for reading and
 // the version observed.
 type readEntry struct {
-	obj  *TObj
-	seen Value
+	obj  *tobj
+	seen value
 }
 
 // inlineReads is the number of read-set entries kept in the session's
@@ -324,7 +325,7 @@ const InlineReads = inlineReads
 
 // lookupRead returns the version the attempt has recorded for obj, if
 // any: the slice first, then the overflow map.
-func (tx *Tx) lookupRead(obj *TObj) (Value, bool) {
+func (tx *Tx) lookupRead(obj *tobj) (value, bool) {
 	sess := tx.sess
 	for i := range sess.reads {
 		if sess.reads[i].obj == obj {
@@ -342,14 +343,14 @@ func (tx *Tx) lookupRead(obj *TObj) (Value, bool) {
 // The caller (openRead) has already checked lookupRead and found
 // nothing, and only the owning goroutine mutates the read set, so no
 // duplicate check is repeated here — this is the hottest read path.
-func (tx *Tx) recordRead(obj *TObj, v Value) {
+func (tx *Tx) recordRead(obj *tobj, v value) {
 	sess := tx.sess
 	if len(sess.reads) < inlineReads {
 		sess.reads = append(sess.reads, readEntry{obj, v})
 		return
 	}
 	if sess.overflow == nil {
-		sess.overflow = make(map[*TObj]Value, 2*inlineReads)
+		sess.overflow = make(map[*tobj]value, 2*inlineReads)
 	}
 	sess.overflow[obj] = v
 }
@@ -397,7 +398,7 @@ func (tx *Tx) validateReads(lockAware bool) bool {
 // other's acquisition, which is impossible, so at least one fails.
 // (Checked the other way around, a stale version read could pair with
 // a post-release owner read and let both commit.)
-func (tx *Tx) readStillValid(obj *TObj, seen Value, lockAware bool) bool {
+func (tx *Tx) readStillValid(obj *tobj, seen value, lockAware bool) bool {
 	if lockAware {
 		if owner := tx.sess.stm.stripes[obj.stripe].owner.Load(); owner != nil && owner != tx {
 			return false

@@ -1,25 +1,22 @@
 package stm
 
-// This file is the typed transactional API: a generic facade over the
-// untyped locator/TObj engine. Var[T] wraps a TObj whose committed
-// versions are varBox[T] values, so Read/Write/Update can hand callers
-// T directly — no Value interface, no type assertions, no panic
-// surface — while the conflict protocol underneath (and hence
-// everything the contention managers see) is exactly the one the
-// untyped API drives.
-//
-// The facade is zero-overhead relative to hand-written Box[T] code:
-// opening for writing still performs exactly one clone allocation (the
-// varBox), reads allocate nothing, and BenchmarkTypedVsUntyped holds
-// the two paths to identical allocation counts.
+// This file is the transactional API: Var[T] is the transactional
+// object, and Read/Write/Update and friends hand callers T directly —
+// no interface, no type assertions, no panic surface. Underneath, every
+// Var embeds the same untyped core (tobj: locator slot, commit stripe,
+// label) and its versions are varBox[T] values, so one read set, one
+// locator layout and one conflict protocol — everything the contention
+// managers see — serve every payload type. Opening for writing performs
+// exactly one clone allocation (the varBox) and reads allocate nothing
+// (TestAttemptAllocBudget).
 
 // Cloner is a pluggable deep-copy strategy for a Var's payload. The
 // returned value must not share mutable state with the argument:
-// mutations of one must not be observable through the other. Handles
-// (*Var, *TObj) are immutable and may be shared freely.
+// mutations of one must not be observable through the other. *Var
+// handles are immutable and may be shared freely.
 type Cloner[T any] func(T) T
 
-// varBox adapts a typed payload to the untyped Value engine. The
+// varBox adapts a typed payload to the untyped locator engine. The
 // back-pointer carries the Var's clone strategy into Clone, which the
 // engine invokes without knowing the payload type.
 type varBox[T any] struct {
@@ -27,9 +24,9 @@ type varBox[T any] struct {
 	val T
 }
 
-// Clone implements Value: a shallow copy of the payload, deepened by
+// Clone implements value: a shallow copy of the payload, deepened by
 // the Var's Cloner when one is installed.
-func (b *varBox[T]) Clone() Value {
+func (b *varBox[T]) Clone() value {
 	c := &varBox[T]{va: b.va, val: b.val}
 	if cl := b.va.clone; cl != nil {
 		c.val = cl(c.val)
@@ -37,19 +34,19 @@ func (b *varBox[T]) Clone() Value {
 	return c
 }
 
-// Var is a typed transactional variable holding a T. It is the typed
-// counterpart of TObj: a shared handle whose versioned contents are
-// accessed inside transactions with Read, Write and Update. Handles
+// Var is a transactional variable holding a T: a shared handle whose
+// versioned contents are accessed inside transactions with Read, Write
+// and Update. Handles
 // are immutable and safe to share between threads and to embed in
 // other transactional payloads; the zero Var is not usable — create
 // variables with NewVar (or its variants).
 //
 // By default a transaction's private copy is made by plain assignment
-// (the Box[T] semantics): appropriate when T is plain data, or when
+// (a shallow copy): appropriate when T is plain data, or when
 // any pointers, slices or maps inside T are treated as immutable.
 // Payloads with mutable indirect state need NewVarCloner.
 type Var[T any] struct {
-	obj   TObj
+	obj   tobj
 	clone Cloner[T]
 }
 
@@ -64,8 +61,8 @@ type Var[T any] struct {
 // as the Var: in a Deque the birth value of a link is the neighbouring
 // node, whose own links pin their birth neighbours, i.e. every popped
 // node forever (TestDequeBoundedHeap; DESIGN.md §1). Only the initial
-// pair is co-allocated: later versions come from Value.Clone, which
-// the engine does not allocate.
+// pair is co-allocated: later versions come from varBox.Clone, one
+// allocation each.
 type birthCell[T any] struct {
 	loc locator
 	box varBox[T]
@@ -113,12 +110,6 @@ func NewNamedVarCloner[T any](name string, v T, clone Cloner[T]) *Var[T] {
 	return va
 }
 
-// Obj returns the variable's underlying transactional object, for
-// interoperation with the untyped engine (failure injection, manager
-// tests, debugging). The handle identifies the same versioned slot:
-// opening it directly bypasses the typed facade, not the STM.
-func (v *Var[T]) Obj() *TObj { return &v.obj }
-
 // String identifies the variable for debugging.
 func (v *Var[T]) String() string { return v.obj.String() }
 
@@ -155,11 +146,11 @@ func Write[T any](tx *Tx, v *Var[T], x T) error {
 	if v.clone != nil {
 		x = v.clone(x)
 	}
-	val, err := v.obj.openWriteAs(tx, func() Value { return &varBox[T]{va: v, val: x} })
+	val, err := v.obj.openWrite(tx, func() value { return &varBox[T]{va: v, val: x} })
 	if err != nil {
 		return err
 	}
-	// Write-after-write: ownership was already ours, so openWriteAs
+	// Write-after-write: ownership was already ours, so openWrite
 	// returned the existing private version; overwrite it in place.
 	// (On fresh acquisition this re-stores the value just installed.)
 	val.(*varBox[T]).val = x
@@ -173,7 +164,7 @@ func Write[T any](tx *Tx, v *Var[T], x T) error {
 // of side effects outside the transaction, since an abort retries the
 // whole transactional function. The error contract is Read's.
 func Update[T any](tx *Tx, v *Var[T], f func(T) T) error {
-	val, err := v.obj.openWrite(tx)
+	val, err := v.obj.openWrite(tx, nil)
 	if err != nil {
 		return err
 	}
@@ -201,7 +192,7 @@ func Update[T any](tx *Tx, v *Var[T], f func(T) T) error {
 //		return bal - amount, nil
 //	})
 func UpdateErr[T any](tx *Tx, v *Var[T], f func(T) (T, error)) error {
-	val, err := v.obj.openWrite(tx)
+	val, err := v.obj.openWrite(tx, nil)
 	if err != nil {
 		return err
 	}
@@ -224,7 +215,7 @@ func Swap[T any](tx *Tx, v *Var[T], x T) (T, error) {
 	if v.clone != nil {
 		x = v.clone(x)
 	}
-	val, err := v.obj.openWrite(tx)
+	val, err := v.obj.openWrite(tx, nil)
 	if err != nil {
 		var zero T
 		return zero, err

@@ -10,8 +10,7 @@ import (
 )
 
 // runGoroutines spreads b.N operations across g goroutines (each op
-// receives its worker index) and reports allocations. Shared by the
-// concurrent benchmark points below.
+// receives its worker index) and reports allocations.
 func runGoroutines(b *testing.B, g int, op func(w int) error) {
 	b.Helper()
 	var next atomic.Int64
@@ -37,109 +36,6 @@ func runGoroutines(b *testing.B, g int, op func(w int) error) {
 	for err := range errs {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkTypedVsUntyped holds the typed facade to its zero-overhead
-// claim on the shared-counter workload: stm.Update[int] against a raw
-// OpenWrite plus type assertion on a Box[int]. Both paths must show
-// identical allocation counts — the typed wrapper may add nothing
-// beyond the one clone the engine already performs per open-for-write.
-// (This benchmark lives inside internal/stm because the untyped leg is
-// exactly the assertion style the typed API removes from the rest of
-// the repo.) The g64/g128 sub-benchmarks run the same comparison from
-// 64 and 128 goroutines over disjoint counters on the pooled surface,
-// checking that neither facade diverges once the striped commit
-// protocol lets writers commit in parallel.
-func BenchmarkTypedVsUntyped(b *testing.B) {
-	for _, g := range []int{64, 128} {
-		g := g
-		b.Run(fmt.Sprintf("typed-update/g%d", g), func(b *testing.B) {
-			world := stm.New(stm.WithManagerFactory(func() stm.Manager { return politeManager{} }))
-			vars := make([]*stm.Var[int], g)
-			for i := range vars {
-				vars[i] = stm.NewVar(0)
-			}
-			runGoroutines(b, g, func(w int) error {
-				return world.Atomically(func(tx *stm.Tx) error {
-					return stm.Update(tx, vars[w], func(v int) int { return v + 1 })
-				})
-			})
-			b.StopTimer()
-			sum := 0
-			for _, v := range vars {
-				sum += v.Peek()
-			}
-			if sum != b.N {
-				b.Fatalf("sum of counters = %d, want %d", sum, b.N)
-			}
-		})
-		b.Run(fmt.Sprintf("untyped-openwrite/g%d", g), func(b *testing.B) {
-			world := stm.New(stm.WithManagerFactory(func() stm.Manager { return politeManager{} }))
-			objs := make([]*stm.TObj, g)
-			for i := range objs {
-				objs[i] = stm.NewTObj(stm.NewBox[int](0))
-			}
-			runGoroutines(b, g, func(w int) error {
-				return world.Atomically(func(tx *stm.Tx) error {
-					v, err := tx.OpenWrite(objs[w])
-					if err != nil {
-						return err
-					}
-					v.(*stm.Box[int]).V++
-					return nil
-				})
-			})
-			b.StopTimer()
-			sum := 0
-			for _, o := range objs {
-				sum += o.Peek().(*stm.Box[int]).V
-			}
-			if sum != b.N {
-				b.Fatalf("sum of counters = %d, want %d", sum, b.N)
-			}
-		})
-	}
-	b.Run("typed-update", func(b *testing.B) {
-		world := stm.New()
-		counter := stm.NewVar(0)
-		th := world.NewThread(politeManager{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := th.Atomically(func(tx *stm.Tx) error {
-				return stm.Update(tx, counter, func(v int) int { return v + 1 })
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := counter.Peek(); got != b.N {
-			b.Fatalf("counter = %d, want %d", got, b.N)
-		}
-	})
-	b.Run("untyped-openwrite", func(b *testing.B) {
-		world := stm.New()
-		counter := stm.NewTObj(stm.NewBox[int](0))
-		th := world.NewThread(politeManager{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := th.Atomically(func(tx *stm.Tx) error {
-				v, err := tx.OpenWrite(counter)
-				if err != nil {
-					return err
-				}
-				v.(*stm.Box[int]).V++
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := counter.Peek().(*stm.Box[int]).V; got != b.N {
-			b.Fatalf("counter = %d, want %d", got, b.N)
-		}
-	})
 }
 
 // BenchmarkPooledAtomically drives the goroutine-agnostic surface over

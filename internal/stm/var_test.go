@@ -13,14 +13,13 @@ import (
 // a few payload shapes: initial value, Read, Write, Update, Peek.
 func TestVarRoundTrip(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 
 	num := stm.NewVar(41)
 	str := stm.NewVar("a")
 	type point struct{ X, Y int }
 	pt := stm.NewVar(point{X: 1, Y: 2})
 
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		n, err := stm.Read(tx, num)
 		if err != nil {
 			return err
@@ -61,7 +60,6 @@ func TestVarRoundTrip(t *testing.T) {
 // the zero value, for value and pointer-bearing payloads alike.
 func TestVarZeroValue(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	type rec struct {
 		N    int
 		Next *stm.Var[int]
@@ -69,7 +67,7 @@ func TestVarZeroValue(t *testing.T) {
 	vi := stm.NewVar(0)
 	vs := stm.NewVar("")
 	vr := stm.NewVar(rec{})
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		n, err := stm.Read(tx, vi)
 		if err != nil {
 			return err
@@ -99,7 +97,6 @@ func TestVarZeroValue(t *testing.T) {
 // the typed writes never become visible.
 func TestVarAbortDiscardsWrites(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	v := stm.NewVar(7)
 	boom := func(tx *stm.Tx) error {
 		if err := stm.Write(tx, v, 99); err != nil {
@@ -107,7 +104,7 @@ func TestVarAbortDiscardsWrites(t *testing.T) {
 		}
 		return errTestBoom
 	}
-	if err := th.Atomically(boom); err != errTestBoom {
+	if err := s.Atomically(boom); err != errTestBoom {
 		t.Fatalf("Atomically = %v, want errTestBoom", err)
 	}
 	if got := v.Peek(); got != 7 {
@@ -170,7 +167,6 @@ func TestVarUpdateContentionAllManagers(t *testing.T) {
 // that the shallow copy aliases the slice.
 func TestVarClonerIsolation(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	deep := stm.NewVarCloner([]int{1, 2, 3}, func(sl []int) []int {
 		c := make([]int, len(sl))
 		copy(c, sl)
@@ -179,7 +175,7 @@ func TestVarClonerIsolation(t *testing.T) {
 
 	// Mutate in place inside a transaction that then aborts: the
 	// committed slice must be untouched.
-	err := th.Atomically(func(tx *stm.Tx) error {
+	err := s.Atomically(func(tx *stm.Tx) error {
 		if err := stm.Update(tx, deep, func(sl []int) []int {
 			sl[0] = 100
 			return sl
@@ -196,7 +192,7 @@ func TestVarClonerIsolation(t *testing.T) {
 	}
 
 	// The same mutation in a committing transaction takes effect.
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		return stm.Update(tx, deep, func(sl []int) []int {
 			sl[0] = 100
 			return sl
@@ -210,7 +206,7 @@ func TestVarClonerIsolation(t *testing.T) {
 }
 
 // TestVarNamedAndObj covers the debugging surface: names flow through
-// String, and Obj exposes the same underlying slot the engine sees.
+// String, and naming a variable changes nothing else about it.
 func TestVarNamedAndObj(t *testing.T) {
 	v := stm.NewNamedVar("account", 5)
 	if got := v.String(); got != "tobj(account)" {
@@ -220,19 +216,11 @@ func TestVarNamedAndObj(t *testing.T) {
 	if !strings.HasPrefix(anon.String(), "tobj(0x") {
 		t.Errorf("anonymous String() = %q", anon.String())
 	}
-	if v.Obj() == nil || v.Obj() != v.Obj() {
-		t.Error("Obj() must return a stable handle")
-	}
-	// The untyped view and the typed view are the same slot.
 	s := stm.New()
-	th := s.NewThread(politeManager{})
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		return stm.Update(tx, v, func(n int) int { return n + 1 })
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if v.Obj().Peek() == nil {
-		t.Error("untyped Peek through Obj() lost the committed version")
 	}
 	if got := v.Peek(); got != 6 {
 		t.Errorf("Peek = %d, want 6", got)
@@ -243,10 +231,9 @@ func TestVarNamedAndObj(t *testing.T) {
 // detection unchanged.
 func TestVarLazyMode(t *testing.T) {
 	s := stm.New(stm.WithLazyConflicts())
-	th := s.NewThread(politeManager{})
 	v := stm.NewVar(0)
 	for i := 0; i < 5; i++ {
-		if err := th.Atomically(func(tx *stm.Tx) error {
+		if err := s.Atomically(func(tx *stm.Tx) error {
 			return stm.Update(tx, v, func(n int) int { return n + 1 })
 		}); err != nil {
 			t.Fatal(err)
@@ -257,51 +244,11 @@ func TestVarLazyMode(t *testing.T) {
 	}
 }
 
-// TestTypedFacadeAllocParity is the enforceable form of the
-// zero-overhead claim (BenchmarkTypedVsUntyped is its observable
-// counterpart): an stm.Update transaction may not allocate more than
-// the equivalent raw OpenWrite transaction. CI runs this test, so a
-// facade change that adds a per-transaction allocation fails the
-// build rather than silently regressing.
-func TestTypedFacadeAllocParity(t *testing.T) {
-	worldT := stm.New()
-	typed := stm.NewVar(0)
-	thT := worldT.NewThread(politeManager{})
-	typedAllocs := testing.AllocsPerRun(500, func() {
-		if err := thT.Atomically(func(tx *stm.Tx) error {
-			return stm.Update(tx, typed, func(v int) int { return v + 1 })
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	worldU := stm.New()
-	untyped := stm.NewTObj(stm.NewBox[int](0))
-	thU := worldU.NewThread(politeManager{})
-	untypedAllocs := testing.AllocsPerRun(500, func() {
-		if err := thU.Atomically(func(tx *stm.Tx) error {
-			v, err := tx.OpenWrite(untyped)
-			if err != nil {
-				return err
-			}
-			v.(*stm.Box[int]).V++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	if typedAllocs > untypedAllocs {
-		t.Fatalf("typed facade allocates more than the untyped engine: %.1f vs %.1f allocs per transaction", typedAllocs, untypedAllocs)
-	}
-}
-
 // TestWriteClonesNewValueOnly pins Write's fast path: replacing the
 // whole value clones x exactly once (isolation from the caller's
 // value) and never deep-copies the pre-image it is about to discard.
 func TestWriteClonesNewValueOnly(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	clones := 0
 	v := stm.NewVarCloner([]int{1, 2}, func(sl []int) []int {
 		clones++
@@ -310,7 +257,7 @@ func TestWriteClonesNewValueOnly(t *testing.T) {
 		return c
 	})
 	clones = 0 // discount the constructor's clone of the initial value
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		return stm.Write(tx, v, []int{9})
 	}); err != nil {
 		t.Fatal(err)
@@ -321,7 +268,7 @@ func TestWriteClonesNewValueOnly(t *testing.T) {
 	if got := v.Peek(); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("Peek = %v, want [9]", got)
 	}
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		return stm.Update(tx, v, func(sl []int) []int { sl[0]++; return sl })
 	}); err != nil {
 		t.Fatal(err)
@@ -342,7 +289,6 @@ func TestWriteClonesNewValueOnly(t *testing.T) {
 // slice after commit would corrupt the committed version.
 func TestWriteDoesNotAliasCaller(t *testing.T) {
 	s := stm.New()
-	th := s.NewThread(politeManager{})
 	deepCopy := func(sl []int) []int {
 		c := make([]int, len(sl))
 		copy(c, sl)
@@ -350,7 +296,7 @@ func TestWriteDoesNotAliasCaller(t *testing.T) {
 	}
 	v := stm.NewVarCloner([]int{0}, deepCopy)
 	shared := []int{0}
-	if err := th.Atomically(func(tx *stm.Tx) error {
+	if err := s.Atomically(func(tx *stm.Tx) error {
 		if err := stm.Write(tx, v, shared); err != nil {
 			return err
 		}
