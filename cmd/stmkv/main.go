@@ -449,10 +449,7 @@ func runSmoke(manager string, shards, buckets int, data string, sweep time.Durat
 	if err != nil {
 		return fmt.Errorf("smoke: sweep: %w", err)
 	}
-	n, err := store.Len()
-	if err != nil {
-		return fmt.Errorf("smoke: len: %w", err)
-	}
+	n := store.PeekLen()
 	stats := store.STM().TotalStats()
 	fmt.Printf("smoke: ok — %d live keys, %d reaped, shard buckets %v, %d commits (abort rate %.2f)\n",
 		n, reaped, store.BucketsPerShard(), stats.Commits, stats.AbortRate())
@@ -667,7 +664,11 @@ func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
 		// replays field by field, so a lost or doubled HINCRBY would
 		// break the sum even when the op-for-op comparison above passed
 		// (it compares against the live store, not the ground truth).
-		pairs, err := fresh.HGetAll(typedStatsKey)
+		var pairs []kv.KV
+		err := fresh.Atomically(func(tx *stm.Tx, now int64) (err error) {
+			pairs, err = fresh.HGetAllTx(tx, now, typedStatsKey)
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("smoke: restored typed ledger: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/resp"
@@ -25,14 +24,11 @@ import (
 // critical section is kept to the ring store; rendering the event
 // strings happens outside the lock.
 type AbortLog struct {
-	mu    sync.Mutex
-	ring  []abortEntry
-	total int64 // entries ever recorded; also the next id
+	*ring[abortEntry]
 }
 
 // abortEntry is one recorded troubled transaction.
 type abortEntry struct {
-	id        int64
 	unix      int64 // wall-clock seconds when the transaction ended
 	label     string
 	committed bool
@@ -50,10 +46,7 @@ const maxAbortEvents = 32
 // NewAbortLog returns a ring keeping the size most recent troubled
 // transactions (minimum 1).
 func NewAbortLog(size int) *AbortLog {
-	if size < 1 {
-		size = 1
-	}
-	return &AbortLog{ring: make([]abortEntry, size)}
+	return &AbortLog{newRing[abortEntry](size)}
 }
 
 // TxDone records the transaction if it was troubled: any retry, any
@@ -65,8 +58,7 @@ func (al *AbortLog) TxDone(sum stm.TxSummary, events []stm.TraceEvent) {
 	}
 	// Render outside the lock; the events slice is reused by the
 	// session, so everything kept is copied into fresh strings here.
-	rendered := renderEvents(events)
-	e := abortEntry{
+	al.add(abortEntry{
 		unix:      time.Now().Unix(),
 		label:     sum.Label,
 		committed: sum.Committed,
@@ -74,13 +66,8 @@ func (al *AbortLog) TxDone(sum stm.TxSummary, events []stm.TraceEvent) {
 		attempts:  sum.Attempts,
 		waitNs:    sum.WaitNs,
 		latNs:     sum.LatNs,
-		events:    rendered,
-	}
-	al.mu.Lock()
-	e.id = al.total
-	al.ring[al.total%int64(len(al.ring))] = e
-	al.total++
-	al.mu.Unlock()
+		events:    renderEvents(events),
+	})
 }
 
 // renderEvents formats a trace compactly, one string per event:
@@ -131,42 +118,8 @@ func renderEvents(events []stm.TraceEvent) []string {
 	return out
 }
 
-// get returns up to n entries, newest first (n < 0 means all held).
-func (al *AbortLog) get(n int) []abortEntry {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	held := al.total
-	if held > int64(len(al.ring)) {
-		held = int64(len(al.ring))
-	}
-	if n >= 0 && int64(n) < held {
-		held = int64(n)
-	}
-	out := make([]abortEntry, 0, held)
-	for i := int64(0); i < held; i++ {
-		out = append(out, al.ring[(al.total-1-i)%int64(len(al.ring))])
-	}
-	return out
-}
-
 // Len reports how many entries the ring currently holds.
-func (al *AbortLog) Len() int64 {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	if al.total > int64(len(al.ring)) {
-		return int64(len(al.ring))
-	}
-	return al.total
-}
-
-func (al *AbortLog) reset() {
-	al.mu.Lock()
-	al.total = 0
-	for i := range al.ring {
-		al.ring[i] = abortEntry{}
-	}
-	al.mu.Unlock()
-}
+func (al *AbortLog) Len() int64 { return al.len() }
 
 // WithAbortLog hands the server the abort log installed on its store's
 // engine (via stm.WithTracer), so ABORTLOG serves it. Without this
@@ -190,13 +143,14 @@ func (srv *Server) abortlogReply(_ *connState, a *args) resp.Value {
 	return logReply("ABORTLOG", a, func(n int) resp.Value {
 		entries := srv.abort.get(n)
 		elems := make([]resp.Value, len(entries))
-		for i, e := range entries {
+		for i, l := range entries {
+			e := l.e
 			evs := make([]resp.Value, len(e.events))
 			for j, s := range e.events {
 				evs[j] = resp.BulkVal(s)
 			}
 			elems[i] = resp.ArrayVal(
-				resp.IntVal(e.id),
+				resp.IntVal(l.id),
 				resp.IntVal(e.unix),
 				resp.BulkVal(e.label),
 				resp.IntVal(int64(boolInt(e.committed))),

@@ -21,13 +21,16 @@
 // Vars, so transactions on different fields of one hash, or opposite
 // ends of one list, do not conflict.
 //
-// Every top-level operation (Get, Set, Del, Incr, MGet, MSet, Expire,
-// TTL, and the typed HSet/LPush/ZAdd… families) runs as one atomic
-// transaction on a pooled session; the *Tx forms compose into larger
-// transactions — the server's MULTI/EXEC replays a queued command
-// block inside a single Atomically, making cross-key transfers (and
-// cross-kind moves like list→zset promotion) serializable against
-// concurrent singleton operations and shard resizes.
+// The surface is Store.Atomically plus the *Tx forms (GetTx, SetTx,
+// HSetTx, LPushTx, ZAddTx, ExpireTx, TTLTx…): Atomically runs one
+// transaction on a pooled session, and the *Tx forms compose inside
+// it. The server runs every command that way, and MULTI/EXEC replays a
+// queued command block inside a single Atomically, making cross-key
+// transfers (and cross-kind moves like list→zset promotion)
+// serializable against concurrent singleton operations and shard
+// resizes. Eight one-shot forms (Get, Set, SetTTL, Del, Incr, MGet,
+// MSet, RPush) each wrap one *Tx form in its own transaction; they
+// remain only because the bench/ module calls them.
 //
 // Expiry is lazy: a read treats a dead entry as absent without
 // writing, a write replaces or removes only the key it names, and

@@ -145,47 +145,3 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 	capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})
 	return n, nil
 }
-
-// HSet writes field name=val in one atomic transaction (see HSetTx).
-func (st *Store) HSet(key, name, val string) (bool, error) {
-	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
-		return st.HSetTx(tx, now, key, name, val)
-	})
-}
-
-// HGet reads field name in one atomic transaction (see HGetTx).
-func (st *Store) HGet(key, name string) (string, bool, error) {
-	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
-		return lookup(st.HGetTx(tx, now, key, name))
-	})
-	return f.v, f.ok, err
-}
-
-// HDel removes fields in one atomic transaction (see HDelTx).
-func (st *Store) HDel(key string, names ...string) (int, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.HDelTx(tx, now, key, names...)
-	})
-}
-
-// HGetAll reads the whole hash in one atomic transaction.
-func (st *Store) HGetAll(key string) ([]KV, error) {
-	return view(st, func(tx *stm.Tx, now int64) ([]KV, error) {
-		return st.HGetAllTx(tx, now, key)
-	})
-}
-
-// HLen counts fields in one atomic transaction.
-func (st *Store) HLen(key string) (int, error) {
-	return view(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.HLenTx(tx, now, key)
-	})
-}
-
-// HIncr adds delta to a hash field in one atomic transaction (see
-// HIncrTx).
-func (st *Store) HIncr(key, name string, delta int64) (int64, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int64, error) {
-		return st.HIncrTx(tx, now, key, name, delta)
-	})
-}

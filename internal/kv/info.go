@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -47,7 +46,7 @@ func WithSlowlog(threshold time.Duration, size int) ServerOption {
 	return func(srv *Server) {
 		srv.slow.threshold = threshold
 		if size > 0 {
-			srv.slow.ring = make([]slowEntry, size)
+			srv.slow.ring = newRing[slowEntry](size)
 		}
 	}
 }
@@ -217,7 +216,6 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 // attempts or a large wait was a contention victim, one with neither
 // was genuinely doing work (a long LRANGE, a DBSIZE scan).
 type slowEntry struct {
-	id       int64
 	unix     int64 // wall-clock seconds when the command finished
 	dur      time.Duration
 	attempts int64    // transaction attempts (0 for non-transactional commands)
@@ -225,70 +223,28 @@ type slowEntry struct {
 	args     []string // command name followed by its arguments
 }
 
-// slowlog is a fixed-size ring of the most recent slow commands,
-// mirroring Redis's SLOWLOG: mutex-guarded because it is only touched
-// for commands that already took ~milliseconds.
+// slowlog is the ring of the most recent slow commands, mirroring
+// Redis's SLOWLOG: its lock is only taken for commands that already
+// took ~milliseconds.
 type slowlog struct {
-	mu        sync.Mutex
 	threshold time.Duration
-	ring      []slowEntry
-	total     int64 // entries ever recorded; also the next id
+	*ring[slowEntry]
 }
 
 // note records a command that ran for dur. argv is kept, not copied:
 // the reader allocates one per request and the handler never writes to
 // it again.
 func (sl *slowlog) note(argv []string, dur time.Duration, cost txCost) {
-	if sl.threshold < 0 || dur < sl.threshold || len(sl.ring) == 0 {
+	if sl.threshold < 0 || dur < sl.threshold {
 		return
 	}
-	sl.mu.Lock()
-	sl.ring[sl.total%int64(len(sl.ring))] = slowEntry{
-		id:       sl.total,
+	sl.add(slowEntry{
 		unix:     time.Now().Unix(),
 		dur:      dur,
 		attempts: cost.attempts,
 		waitNs:   cost.waitNs,
 		args:     argv,
-	}
-	sl.total++
-	sl.mu.Unlock()
-}
-
-// get returns up to n entries, newest first (n < 0 means all held).
-func (sl *slowlog) get(n int) []slowEntry {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	held := sl.total
-	if held > int64(len(sl.ring)) {
-		held = int64(len(sl.ring))
-	}
-	if n >= 0 && int64(n) < held {
-		held = int64(n)
-	}
-	out := make([]slowEntry, 0, held)
-	for i := int64(0); i < held; i++ {
-		out = append(out, sl.ring[(sl.total-1-i)%int64(len(sl.ring))])
-	}
-	return out
-}
-
-func (sl *slowlog) len() int64 {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.total > int64(len(sl.ring)) {
-		return int64(len(sl.ring))
-	}
-	return sl.total
-}
-
-func (sl *slowlog) reset() {
-	sl.mu.Lock()
-	sl.total = 0
-	for i := range sl.ring {
-		sl.ring[i] = slowEntry{}
-	}
-	sl.mu.Unlock()
+	})
 }
 
 // logReply serves the GET [n] | LEN | RESET subcommands SLOWLOG and
@@ -334,13 +290,14 @@ func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
 	return logReply("SLOWLOG", a, func(n int) resp.Value {
 		entries := srv.slow.get(n)
 		elems := make([]resp.Value, len(entries))
-		for i, e := range entries {
+		for i, l := range entries {
+			e := l.e
 			cmd := make([]resp.Value, len(e.args))
 			for j, a := range e.args {
 				cmd[j] = resp.BulkVal(a)
 			}
 			elems[i] = resp.ArrayVal(
-				resp.IntVal(e.id),
+				resp.IntVal(l.id),
 				resp.IntVal(e.unix),
 				resp.IntVal(e.dur.Microseconds()),
 				resp.ArrayVal(cmd...),

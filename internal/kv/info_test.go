@@ -102,8 +102,11 @@ func TestInfoAndSlowlogRejectedInsideMulti(t *testing.T) {
 
 func TestSlowlogRingWraparound(t *testing.T) {
 	st := New(stm.New())
-	// Threshold zero records every command; ring of 4 forces wraparound.
-	_, addr, stop := startServerWith(t, st, WithSlowlog(0, 4))
+	// Threshold zero records every command; rings of 4 force wraparound.
+	// The abort log is not installed as the engine's tracer, so only
+	// the TxDone calls below feed it.
+	al := NewAbortLog(4)
+	_, addr, stop := startServerWith(t, st, WithSlowlog(0, 4), WithAbortLog(al))
 	defer stop()
 	c := dialClient(t, addr)
 	defer c.close()
@@ -162,6 +165,56 @@ func TestSlowlogRingWraparound(t *testing.T) {
 	// Unknown subcommand errors.
 	if v, _ := c.do("SLOWLOG", "HELP"); !v.IsError() {
 		t.Fatalf("SLOWLOG HELP = %+v, want error", v)
+	}
+
+	// ABORTLOG keeps the same ring behind its own filter: a clean
+	// first-try commit is not recorded, a retried one is, with its cause.
+	al.TxDone(stm.TxSummary{Label: "SET", Committed: true, Attempts: 1}, nil)
+	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 0 {
+		t.Fatalf("ABORTLOG LEN after a clean commit = %d, want 0", v.Int)
+	}
+	retried := stm.TxSummary{Label: "SET", Committed: true, Cause: stm.CauseEnemyAbort, Attempts: 2}
+	for i := 0; i < 10; i++ {
+		al.TxDone(retried, []stm.TraceEvent{{Kind: stm.TraceAbort, Attempt: 1, Cause: stm.CauseEnemyAbort}})
+	}
+	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 4 {
+		t.Fatalf("ABORTLOG LEN = %d, want ring size 4", v.Int)
+	}
+	v = c.mustDo(t, "ABORTLOG", "GET", "-1")
+	if len(v.Elems) != 4 {
+		t.Fatalf("ABORTLOG GET returned %d entries, want 4", len(v.Elems))
+	}
+	// Newest first, and ids keep counting past the ring: 9, 8, 7, 6.
+	for i, e := range v.Elems {
+		if len(e.Elems) != 9 {
+			t.Fatalf("entry shape = %+v", e)
+		}
+		if id := e.Elems[0].Int; id != int64(9-i) {
+			t.Fatalf("entry %d has id %d, want %d", i, id, 9-i)
+		}
+		if label, cause, attempts := e.Elems[2].Str, e.Elems[4].Str, e.Elems[5].Int; label != "SET" || cause != "enemy-abort" || attempts != 2 {
+			t.Fatalf("entry %d = label %q, cause %q, %d attempts; want SET, enemy-abort, 2", i, label, cause, attempts)
+		}
+		if evs := e.Elems[8].Elems; len(evs) != 1 || evs[0].Str != "a1 abort cause=enemy-abort" {
+			t.Fatalf("entry %d events = %+v", i, evs)
+		}
+	}
+	if v = c.mustDo(t, "ABORTLOG", "GET", "2"); len(v.Elems) != 2 {
+		t.Fatalf("ABORTLOG GET 2 returned %d entries", len(v.Elems))
+	}
+	// A trace longer than the cap renders as 32 events plus a count of
+	// the rest.
+	al.TxDone(stm.TxSummary{Cause: stm.CauseUserError, Attempts: 1}, make([]stm.TraceEvent, 40))
+	v = c.mustDo(t, "ABORTLOG", "GET", "1")
+	if evs := v.Elems[0].Elems[8].Elems; len(evs) != 33 || evs[32].Str != "... 8 more events" {
+		t.Fatalf("long trace rendered as %d events, last %+v", len(evs), evs[len(evs)-1])
+	}
+	c.mustDo(t, "ABORTLOG", "RESET")
+	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 0 {
+		t.Fatalf("ABORTLOG LEN after RESET = %d", v.Int)
+	}
+	if v = c.mustDo(t, "ABORTLOG", "GET"); len(v.Elems) != 0 {
+		t.Fatalf("ABORTLOG GET after RESET returned %d entries", len(v.Elems))
 	}
 }
 

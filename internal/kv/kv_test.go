@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -23,6 +25,17 @@ type fakeClock struct {
 
 func (c *fakeClock) now() int64              { return c.t.Load() }
 func (c *fakeClock) advance(d time.Duration) { c.t.Add(int64(d)) }
+
+// do runs fn as one Store.Atomically transaction and returns its
+// result: how tests call a *Tx form on its own.
+func do[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
+	var out T
+	err := st.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		out, err = fn(tx, now)
+		return err
+	})
+	return out, err
+}
 
 // TestStoreBasicOps exercises the single-client contract of every
 // typed operation.
@@ -62,10 +75,12 @@ func TestStoreBasicOps(t *testing.T) {
 	if n, err := st.Del("x", "nope", "y"); err != nil || n != 2 {
 		t.Fatalf("Del = %d, %v; want 2, nil", n, err)
 	}
-	if n, err := st.Len(); err != nil || n != 4 { // a, fresh, text, z
+	if n, err := do(st, st.lenTx); err != nil || n != 4 { // a, fresh, text, z
 		t.Fatalf("Len = %d, %v; want 4, nil", n, err)
 	}
-	keys, err := st.Keys()
+	keys, err := do(st, func(tx *stm.Tx, now int64) (keys []string, err error) {
+		return keys, st.eachLive(tx, now, func(key string, _ entry) error { keys = append(keys, key); return nil })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,28 +93,61 @@ func TestStoreBasicOps(t *testing.T) {
 	}
 }
 
+// TestStoreSurface pins the exported *Store methods that take no
+// *stm.Tx. A data operation belongs in a *Tx form composed under
+// Atomically (ROADMAP 10(b)): any method missing from this list without
+// a *stm.Tx parameter should be one. The eight one-shot forms remain
+// only because bench/ calls them (ROADMAP 1(e)); the rest is plumbing —
+// engine, clock, persistence, sweeping and audit hooks.
+func TestStoreSurface(t *testing.T) {
+	want := []string{
+		"Del", "Get", "Incr", "MGet", "MSet", "RPush", "Set", "SetTTL",
+		"Apply", "Atomically", "AttachWAL", "BucketsPerShard", "CheckInvariants", "Durable",
+		"Now", "PeekLen", "STM", "Save", "SaveStats", "Shards", "SnapshotOps", "Sweep", "SweepShard", "WAL",
+	}
+	txType := reflect.TypeOf((*stm.Tx)(nil))
+	typ := reflect.TypeOf((*Store)(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		m := typ.Method(i)
+		takesTx := false
+		for j := range m.Type.NumIn() {
+			takesTx = takesTx || m.Type.In(j) == txType
+		}
+		if !takesTx {
+			got = append(got, m.Name)
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Store methods without a *stm.Tx parameter:\n got  %v\n want %v", got, want)
+	}
+}
+
 // TestStoreExpiry pins the TTL contract on a hand-advanced clock: TTL
 // readouts, lazy reads of dead entries, Redis-style TTL clearing on
 // SET, TTL preservation across INCR, and EXPIRE with a non-positive
 // TTL acting as DEL.
 func TestStoreExpiry(t *testing.T) {
+	var ok bool
 	var clk fakeClock
 	st := New(stm.New(), WithClock(clk.now))
 	if err := st.SetTTL("k", "v", 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if ttl, ok, err := st.TTL("k"); err != nil || !ok || ttl != 100*time.Millisecond {
+	if ttl, err := do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "k"); return }); err != nil || !ok || ttl != 100*time.Millisecond {
 		t.Fatalf("TTL = %v, %v, %v; want 100ms, true, nil", ttl, ok, err)
 	}
 	clk.advance(60 * time.Millisecond)
-	if ttl, ok, _ := st.TTL("k"); !ok || ttl != 40*time.Millisecond {
+	if ttl, _ := do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "k"); return }); !ok || ttl != 40*time.Millisecond {
 		t.Fatalf("TTL after 60ms = %v, %v; want 40ms, true", ttl, ok)
 	}
 	clk.advance(40 * time.Millisecond)
 	if _, ok, _ := st.Get("k"); ok {
 		t.Fatal("expired key still readable")
 	}
-	if _, ok, _ := st.TTL("k"); ok {
+	if _, _ = do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "k"); return }); ok {
 		t.Fatal("expired key still has TTL")
 	}
 	// SET clears TTL; INCR preserves it.
@@ -109,27 +157,27 @@ func TestStoreExpiry(t *testing.T) {
 	if err := st.Set("n", "5"); err != nil {
 		t.Fatal(err)
 	}
-	if ttl, ok, _ := st.TTL("n"); !ok || ttl != NoTTL {
+	if ttl, _ := do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "n"); return }); !ok || ttl != NoTTL {
 		t.Fatalf("TTL after plain SET = %v, %v; want NoTTL, true", ttl, ok)
 	}
-	if _, err := st.Expire("n", time.Second); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ExpireTx(tx, now, "n", time.Second) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Incr("n", 1); err != nil {
 		t.Fatal(err)
 	}
-	if ttl, ok, _ := st.TTL("n"); !ok || ttl != time.Second {
+	if ttl, _ := do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "n"); return }); !ok || ttl != time.Second {
 		t.Fatalf("TTL after INCR = %v, %v; want 1s, true", ttl, ok)
 	}
 	// EXPIRE with non-positive TTL deletes.
-	if ok, err := st.Expire("n", 0); err != nil || !ok {
+	if ok, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ExpireTx(tx, now, "n", 0) }); err != nil || !ok {
 		t.Fatalf("Expire(n, 0) = %v, %v; want true, nil", ok, err)
 	}
 	if _, ok, _ := st.Get("n"); ok {
 		t.Fatal("key survived EXPIRE 0")
 	}
 	// EXPIRE on a missing key reports false.
-	if ok, err := st.Expire("ghost", time.Second); err != nil || ok {
+	if ok, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ExpireTx(tx, now, "ghost", time.Second) }); err != nil || ok {
 		t.Fatalf("Expire(ghost) = %v, %v; want false, nil", ok, err)
 	}
 }
@@ -186,7 +234,7 @@ func TestStoreExpiryMonotonic(t *testing.T) {
 	if removed != keys {
 		t.Fatalf("Sweep removed %d, want %d", removed, keys)
 	}
-	if n, err := st.Len(); err != nil || n != 0 {
+	if n, err := do(st, st.lenTx); err != nil || n != 0 {
 		t.Fatalf("Len after sweep = %d, %v; want 0, nil", n, err)
 	}
 	if removed, err := st.Sweep(); err != nil || removed != 0 {
@@ -252,7 +300,7 @@ func TestStoreResizeUnderMutators(t *testing.T) {
 	}
 	deleted := perWriter / 5
 	want := writers * (perWriter - deleted)
-	n, err := st.Len()
+	n, err := do(st, st.lenTx)
 	if err != nil {
 		t.Fatal(err)
 	}

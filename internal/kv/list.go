@@ -143,45 +143,13 @@ func rangeBounds(start, stop, n int) (int, int, bool) {
 	return start, stop, true
 }
 
-// LPush pushes vals onto the front in one atomic transaction.
-func (st *Store) LPush(key string, vals ...string) (int, error) {
-	return st.push(key, true, vals)
-}
-
-// RPush pushes vals onto the back in one atomic transaction.
-func (st *Store) RPush(key string, vals ...string) (int, error) {
-	return st.push(key, false, vals)
-}
-
-func (st *Store) push(key string, front bool, vals []string) (int, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.pushTx(tx, now, key, front, vals)
+// RPush pushes vals onto the back in one atomic transaction and
+// returns the new length. Kept only because bench/ calls it
+// (ROADMAP 1(e)).
+func (st *Store) RPush(key string, vals ...string) (n int, err error) {
+	err = st.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		n, err = st.RPushTx(tx, now, key, vals...)
+		return err
 	})
-}
-
-// LPop pops the front element in one atomic transaction.
-func (st *Store) LPop(key string) (string, bool, error) { return st.pop(key, true) }
-
-// RPop pops the back element in one atomic transaction.
-func (st *Store) RPop(key string) (string, bool, error) { return st.pop(key, false) }
-
-func (st *Store) pop(key string, front bool) (string, bool, error) {
-	f, err := update(st, func(tx *stm.Tx, now int64) (found[string], error) {
-		return lookup(st.popTx(tx, now, key, front))
-	})
-	return f.v, f.ok, err
-}
-
-// LLen reports the list length in one atomic transaction.
-func (st *Store) LLen(key string) (int, error) {
-	return view(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.LLenTx(tx, now, key)
-	})
-}
-
-// LRange reads a rank range in one atomic transaction (see LRangeTx).
-func (st *Store) LRange(key string, start, stop int) ([]string, error) {
-	return view(st, func(tx *stm.Tx, now int64) ([]string, error) {
-		return st.LRangeTx(tx, now, key, start, stop)
-	})
+	return n, err
 }

@@ -17,7 +17,7 @@ import (
 var ErrNotInteger = errors.New("kv: value is not an integer")
 
 // findEntry reads key's live entry inside tx at instant now — the
-// read-only lookup under Get, TTL and Incr. Expired entries read as
+// read-only lookup under GetTx, TTLTx and IncrTx. Expired entries read as
 // absent without writing, so a hot read never acquires ownership.
 func (st *Store) findEntry(tx *stm.Tx, now int64, key string) (entry, bool, error) {
 	e, ok, err := st.shard(key).Get(tx, key)
@@ -148,19 +148,20 @@ func (st *Store) TTLTx(tx *stm.Tx, now int64, key string) (time.Duration, bool, 
 	return time.Duration(e.expireAt - now), true, nil
 }
 
-// Get reads key's value in one atomic transaction.
+// Get reads key's value in one atomic transaction. Kept only because
+// bench/ calls it (ROADMAP 1(e)).
 func (st *Store) Get(key string) (string, bool, error) {
-	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
-		return lookup(st.GetTx(tx, now, key))
-	})
-	return f.v, f.ok, err
+	// Reads log nothing, so Get skips Atomically's write capture.
+	now := st.now()
+	return stm.Atomic2(st.s, func(tx *stm.Tx) (string, bool, error) { return st.GetTx(tx, now, key) })
 }
 
-// Set writes key=val (no expiry) in one atomic transaction.
+// Set writes key=val (no expiry) in one atomic transaction. Kept only
+// because bench/ calls it (ROADMAP 1(e)).
 func (st *Store) Set(key, val string) error { return st.SetTTL(key, val, 0) }
 
 // SetTTL writes key=val with expiry after ttl (ttl <= 0: none) in one
-// atomic transaction.
+// atomic transaction. Kept only because bench/ calls it (ROADMAP 1(e)).
 func (st *Store) SetTTL(key, val string, ttl time.Duration) error {
 	return st.Atomically(func(tx *stm.Tx, now int64) error {
 		return st.SetTx(tx, now, key, val, ttl)
@@ -168,35 +169,42 @@ func (st *Store) SetTTL(key, val string, ttl time.Duration) error {
 }
 
 // Del removes the keys in one atomic transaction and returns how many
-// live entries were removed.
-func (st *Store) Del(keys ...string) (int, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int, error) {
-		removed := 0
+// live entries were removed. Kept only because bench/ calls it
+// (ROADMAP 1(e)).
+func (st *Store) Del(keys ...string) (removed int, err error) {
+	err = st.Atomically(func(tx *stm.Tx, now int64) error {
+		n := 0
 		for _, key := range keys {
 			ok, err := st.DelTx(tx, now, key)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if ok {
-				removed++
+				n++
 			}
 		}
-		return removed, nil
+		removed = n
+		return nil
 	})
+	return removed, err
 }
 
 // Incr adds delta to the integer at key in one atomic transaction and
-// returns the new value (see IncrTx).
-func (st *Store) Incr(key string, delta int64) (int64, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int64, error) {
-		return st.IncrTx(tx, now, key, delta)
+// returns the new value (see IncrTx). Kept only because bench/ calls
+// it (ROADMAP 1(e)).
+func (st *Store) Incr(key string, delta int64) (n int64, err error) {
+	err = st.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		n, err = st.IncrTx(tx, now, key, delta)
+		return err
 	})
+	return n, err
 }
 
 // MGet reads every key in one atomic transaction — a consistent
 // multi-key snapshot: vals[i], present[i] reflect keys[i] at a single
 // serialization point. Keys holding container values read as absent
-// (Redis MGET never errors on type).
+// (Redis MGET never errors on type). Kept only because bench/ calls it
+// (ROADMAP 1(e)).
 func (st *Store) MGet(keys ...string) (vals []string, present []bool, err error) {
 	now := st.now()
 	err = st.s.Atomically(func(tx *stm.Tx) error {
@@ -221,7 +229,8 @@ func (st *Store) MGet(keys ...string) (vals []string, present []bool, err error)
 }
 
 // MSet writes every pair in one atomic transaction: concurrent readers
-// see all of the writes or none.
+// see all of the writes or none. Kept only because bench/ calls it
+// (ROADMAP 1(e)).
 func (st *Store) MSet(pairs ...KV) error {
 	return st.Atomically(func(tx *stm.Tx, now int64) error {
 		for _, p := range pairs {
@@ -231,23 +240,6 @@ func (st *Store) MSet(pairs ...KV) error {
 		}
 		return nil
 	})
-}
-
-// Expire arms expiry on key after ttl in one atomic transaction,
-// reporting whether the key existed (see ExpireTx).
-func (st *Store) Expire(key string, ttl time.Duration) (bool, error) {
-	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
-		return st.ExpireTx(tx, now, key, ttl)
-	})
-}
-
-// TTL reports key's remaining time to live in one atomic transaction
-// (see TTLTx).
-func (st *Store) TTL(key string) (time.Duration, bool, error) {
-	f, err := view(st, func(tx *stm.Tx, now int64) (found[time.Duration], error) {
-		return lookup(st.TTLTx(tx, now, key))
-	})
-	return f.v, f.ok, err
 }
 
 // eachLive calls fn for every entry live at now — the whole-store
@@ -269,24 +261,9 @@ func (st *Store) eachLive(tx *stm.Tx, now int64, fn func(key string, e entry) er
 	return nil
 }
 
-// lenTx counts the live keys inside tx — the body of Len and DBSIZE.
+// lenTx counts the live keys inside tx — the body of DBSIZE.
 func (st *Store) lenTx(tx *stm.Tx, now int64) (int, error) {
 	total := 0
 	err := st.eachLive(tx, now, func(string, entry) error { total++; return nil })
 	return total, err
-}
-
-// Len counts the live keys in one consistent transaction over every
-// shard — the whole-store scan that conflicts with all concurrent
-// writers.
-func (st *Store) Len() (int, error) { return view(st, st.lenTx) }
-
-// Keys returns every live key in one consistent transaction, in no
-// particular order.
-func (st *Store) Keys() ([]string, error) {
-	return view(st, func(tx *stm.Tx, now int64) ([]string, error) {
-		var out []string
-		err := st.eachLive(tx, now, func(key string, _ entry) error { out = append(out, key); return nil })
-		return out, err
-	})
 }

@@ -42,6 +42,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 	var clk atomic.Int64
 	clk.Store(1_000)
 	clock := func() int64 { return clk.Load() }
+	var ok bool
 
 	a := New(stm.New(), WithShards(4), WithBuckets(2), WithClock(clock))
 	l := openTestWAL(t, dir)
@@ -64,7 +65,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 	if _, err := a.Incr("ctr", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Expire("key:001", 120); err != nil {
+	if _, err := do(a, func(tx *stm.Tx, now int64) (bool, error) { return a.ExpireTx(tx, now, "key:001", 120) }); err != nil {
 		t.Fatal(err)
 	}
 	clk.Add(300) // kills tmp:0..3 and key:001
@@ -121,7 +122,10 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 		t.Fatalf("ctr = %q (%v), want 3", v, ok)
 	}
 	// TTL semantics survive: tmp:new still carries its deadline.
-	if d, ok, _ := b.TTL("tmp:new"); !ok || d <= 0 {
+	if d, _ := do(b, func(tx *stm.Tx, now int64) (v time.Duration, err error) {
+		v, ok, err = b.TTLTx(tx, now, "tmp:new")
+		return
+	}); !ok || d <= 0 {
 		t.Fatalf("tmp:new TTL = %v (%v)", d, ok)
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -225,6 +229,7 @@ func TestWALConcurrentTransfersConserve(t *testing.T) {
 // under a clock that has not reached the deadline (the resurrection
 // case absolute deadlines alone cannot rule out).
 func TestSweepLogsTombstones(t *testing.T) {
+	var ok bool
 	dir := t.TempDir()
 	var clk atomic.Int64
 	clk.Store(1_000)
@@ -248,10 +253,13 @@ func TestSweepLogsTombstones(t *testing.T) {
 	if _, ok, err := a.Get("doomed"); err != nil || ok {
 		t.Fatalf("Get(dead) = %v, %v; want absent", ok, err)
 	}
-	if _, ok, err := a.TTL("doomed"); err != nil || ok {
+	if _, err := do(a, func(tx *stm.Tx, now int64) (v time.Duration, err error) {
+		v, ok, err = a.TTLTx(tx, now, "doomed")
+		return
+	}); err != nil || ok {
 		t.Fatalf("TTL(dead) = %v, %v; want absent", ok, err)
 	}
-	if _, ok, err := a.Type("doomed"); err != nil || ok {
+	if _, err := do(a, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = a.TypeTx(tx, now, "doomed"); return }); err != nil || ok {
 		t.Fatalf("Type(dead) = %v, %v; want absent", ok, err)
 	}
 	if err := a.Set("neighbour", "v"); err != nil {

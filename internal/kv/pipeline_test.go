@@ -475,8 +475,8 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 			t.Fatalf("slowlog holds %d entries, want 2", len(entries))
 		}
 		for _, e := range entries {
-			if waited := e.dur >= window/2; waited != durable {
-				t.Errorf("%s recorded %v; a flush takes %v, durable %v", e.args[0], e.dur, window, durable)
+			if waited := e.e.dur >= window/2; waited != durable {
+				t.Errorf("%s recorded %v; a flush takes %v, durable %v", e.e.args[0], e.e.dur, window, durable)
 			}
 		}
 		for _, name := range []string{"SET", "GET"} {

@@ -62,7 +62,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		conns:       make(map[net.Conn]struct{}),
 		managerName: "default",
 		started:     time.Now(),
-		slow:        &slowlog{threshold: 10 * time.Millisecond, ring: make([]slowEntry, 128)},
+		slow:        &slowlog{threshold: 10 * time.Millisecond, ring: newRing[slowEntry](128)},
 		// A private ring by default, replaced by WithAbortLog when
 		// cmd/stmkv installs one on the engine; without the option
 		// ABORTLOG answers but never fills.

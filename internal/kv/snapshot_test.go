@@ -337,34 +337,35 @@ func (w *snapshotWriter) step() error {
 	case 5:
 		k := w.key("list", 0)
 		log(wal.Op{Kind: wal.KindList, Key: k, Del: true, Front: true})
-		_, _, err := w.st.LPop(k)
+		_, err := do(w.st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := w.st.LPopTx(tx, now, k); return v, err })
 		return err
 	case 6:
 		_, err := w.st.RPush(fmt.Sprintf("shared:list:%d", w.rng.IntN(2)), val)
 		return err
 	case 7:
-		_, _, err := w.st.LPop(fmt.Sprintf("shared:list:%d", w.rng.IntN(2)))
+		k := fmt.Sprintf("shared:list:%d", w.rng.IntN(2))
+		_, err := do(w.st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := w.st.LPopTx(tx, now, k); return v, err })
 		return err
 	case 8: // three fields, deleted as often as set: the hash empties now and then
 		k, f := w.key("hash", 0), fmt.Sprint(w.rng.IntN(3))
 		if w.rng.IntN(2) == 0 {
 			log(wal.Op{Kind: wal.KindHash, Key: k, Field: f, Val: val})
-			_, err := w.st.HSet(k, f, val)
+			_, err := do(w.st, func(tx *stm.Tx, now int64) (bool, error) { return w.st.HSetTx(tx, now, k, f, val) })
 			return err
 		}
 		log(wal.Op{Kind: wal.KindHash, Key: k, Field: f, Del: true})
-		_, err := w.st.HDel(k, f)
+		_, err := do(w.st, func(tx *stm.Tx, now int64) (int, error) { return w.st.HDelTx(tx, now, k, f) })
 		return err
 	case 9:
 		k, m := w.key("zset", 0), fmt.Sprint(w.rng.IntN(3))
 		if w.rng.IntN(2) == 0 {
 			score := float64(w.rng.IntN(50))
 			log(wal.Op{Kind: wal.KindZSet, Key: k, Field: m, Val: formatScore(score)})
-			_, err := w.st.ZAdd(k, m, score)
+			_, err := do(w.st, func(tx *stm.Tx, now int64) (bool, error) { return w.st.ZAddTx(tx, now, k, m, score) })
 			return err
 		}
 		log(wal.Op{Kind: wal.KindZSet, Key: k, Field: m, Del: true})
-		_, err := w.st.ZRem(k, m)
+		_, err := do(w.st, func(tx *stm.Tx, now int64) (int, error) { return w.st.ZRemTx(tx, now, k, m) })
 		return err
 	case 10: // delete, then come back as the next kind
 		k := w.key("morph", 0)
@@ -383,10 +384,10 @@ func (w *snapshotWriter) step() error {
 			_, err = w.st.RPush(k, val)
 		case 2:
 			log(wal.Op{Kind: wal.KindHash, Key: k, Field: "f", Val: val})
-			_, err = w.st.HSet(k, "f", val)
+			_, err = do(w.st, func(tx *stm.Tx, now int64) (bool, error) { return w.st.HSetTx(tx, now, k, "f", val) })
 		case 3:
 			log(wal.Op{Kind: wal.KindZSet, Key: k, Field: "m", Val: "1"})
-			_, err = w.st.ZAdd(k, "m", 1)
+			_, err = do(w.st, func(tx *stm.Tx, now int64) (bool, error) { return w.st.ZAddTx(tx, now, k, "m", 1) })
 		}
 		return err
 	default: // one transaction over several keys, kinds and shards
@@ -543,7 +544,7 @@ func TestSaveWaitsOutWriterBetweenCASAndAppend(t *testing.T) {
 				writer <- c.ticket.Wait()
 			}()
 			<-parked
-			if items, err := st.LRange("l", 0, -1); err != nil || len(items) != 2 {
+			if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 0, -1) }); err != nil || len(items) != 2 {
 				t.Fatalf("list %v (%v): the parked writer's push should be visible", items, err)
 			}
 			saved := make(chan error, 1)
@@ -563,7 +564,7 @@ func TestSaveWaitsOutWriterBetweenCASAndAppend(t *testing.T) {
 			if _, err := wal.Recover(dir, got.Apply); err != nil {
 				t.Fatal(err)
 			}
-			if items, err := got.LRange("l", 0, -1); err != nil || fmt.Sprint(items) != "[a x]" {
+			if items, err := do(got, func(tx *stm.Tx, now int64) ([]string, error) { return got.LRangeTx(tx, now, "l", 0, -1) }); err != nil || fmt.Sprint(items) != "[a x]" {
 				t.Fatalf("recovered list %v (%v), want [a x]", items, err)
 			}
 			if err := l.Close(); err != nil {

@@ -247,35 +247,6 @@ func (p pending) wait() error {
 	return nil
 }
 
-// view runs a read-only *Tx form as one atomic transaction and returns
-// its result, sampling the clock once so retries replay identical
-// expiry decisions. Reads log nothing, so it skips Atomically's write
-// capture.
-func view[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
-	now := st.now()
-	return stm.Atomic(st.s, func(tx *stm.Tx) (T, error) { return fn(tx, now) })
-}
-
-// update runs a mutating *Tx form through Atomically and returns its
-// result.
-func update[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
-	var out T
-	err := st.Atomically(func(tx *stm.Tx, now int64) (err error) {
-		out, err = fn(tx, now)
-		return err
-	})
-	return out, err
-}
-
-// found is a lookup's (value, present) pair, so the (V, bool, error)
-// *Tx forms fit view and update's single result.
-type found[V any] struct {
-	v  V
-	ok bool
-}
-
-func lookup[V any](v V, ok bool, err error) (found[V], error) { return found[V]{v, ok}, err }
-
 // Sweep reaps expired entries, one transaction per shard so the write
 // set stays bounded, and returns how many entries were removed. It is
 // the expiry backstop: reads treat a dead entry as absent without
@@ -300,14 +271,16 @@ func (st *Store) Sweep() (int, error) {
 // (replayed entries past their deadline read as absent anyway), but
 // it keeps the replayed physical state in step with the swept one and
 // compacts the history a snapshot would otherwise carry forward.
-func (st *Store) SweepShard(i int) (int, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int, error) {
+func (st *Store) SweepShard(i int) (n int, err error) {
+	err = st.Atomically(func(tx *stm.Tx, now int64) error {
 		reaped, err := st.shards[i].Prune(tx, func(_ string, e entry) bool { return e.dead(now) })
 		for _, key := range reaped {
 			capture(tx, wal.Op{Key: key, Del: true})
 		}
-		return len(reaped), err
+		n = len(reaped)
+		return err
 	})
+	return n, err
 }
 
 // CheckInvariants verifies the store's structural invariants in one

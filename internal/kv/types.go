@@ -28,7 +28,7 @@ import (
 // EXEC block aborts atomically.
 var ErrWrongType = errors.New("kv: operation against a key holding the wrong kind of value")
 
-// ErrNotFloat is returned by ZAdd when a score is NaN (no total
+// ErrNotFloat is returned by ZAddTx when a score is NaN (no total
 // order) and by the server when a score argument does not parse.
 var ErrNotFloat = errors.New("kv: value is not a valid float")
 
@@ -116,14 +116,6 @@ func (st *Store) TypeTx(tx *stm.Tx, now int64, key string) (string, bool, error)
 		return "", false, err
 	}
 	return e.kind.String(), true, nil
-}
-
-// Type reports key's value kind in one atomic transaction.
-func (st *Store) Type(key string) (string, bool, error) {
-	f, err := view(st, func(tx *stm.Tx, now int64) (found[string], error) {
-		return lookup(st.TypeTx(tx, now, key))
-	})
-	return f.v, f.ok, err
 }
 
 // checkValue verifies the entry's typed payload inside tx — the

@@ -20,32 +20,41 @@ import (
 // overwrite vs create, HGETALL completeness, HINCRBY arithmetic and
 // errors, and auto-delete on the last HDEL.
 func TestHashOps(t *testing.T) {
+	var ok bool
 	st := New(stm.New())
-	if created, err := st.HSet("h", "f1", "a"); err != nil || !created {
+	if created, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.HSetTx(tx, now, "h", "f1", "a") }); err != nil || !created {
 		t.Fatalf("HSet fresh = %v, %v; want true, nil", created, err)
 	}
-	if created, err := st.HSet("h", "f1", "b"); err != nil || created {
+	if created, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.HSetTx(tx, now, "h", "f1", "b") }); err != nil || created {
 		t.Fatalf("HSet overwrite = %v, %v; want false, nil", created, err)
 	}
-	if v, ok, err := st.HGet("h", "f1"); err != nil || !ok || v != "b" {
+	if v, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.HGetTx(tx, now, "h", "f1"); return }); err != nil || !ok || v != "b" {
 		t.Fatalf("HGet = %q, %v, %v; want \"b\", true, nil", v, ok, err)
 	}
-	if _, ok, err := st.HGet("h", "nope"); err != nil || ok {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) {
+		v, ok, err = st.HGetTx(tx, now, "h", "nope")
+		return
+	}); err != nil || ok {
 		t.Fatalf("HGet absent field = %v, %v; want false, nil", ok, err)
 	}
-	if _, ok, err := st.HGet("missing", "f"); err != nil || ok {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) {
+		v, ok, err = st.HGetTx(tx, now, "missing", "f")
+		return
+	}); err != nil || ok {
 		t.Fatalf("HGet absent key = %v, %v; want false, nil", ok, err)
 	}
 	// Enough fields to force in-transaction table growth.
 	for i := 0; i < 64; i++ {
-		if _, err := st.HSet("h", fmt.Sprintf("k%02d", i), strconv.Itoa(i)); err != nil {
+		if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) {
+			return st.HSetTx(tx, now, "h", fmt.Sprintf("k%02d", i), strconv.Itoa(i))
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := st.HLen("h"); err != nil || n != 65 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.HLenTx(tx, now, "h") }); err != nil || n != 65 {
 		t.Fatalf("HLen = %d, %v; want 65, nil", n, err)
 	}
-	pairs, err := st.HGetAll("h")
+	pairs, err := do(st, func(tx *stm.Tx, now int64) ([]KV, error) { return st.HGetAllTx(tx, now, "h") })
 	if err != nil || len(pairs) != 65 {
 		t.Fatalf("HGetAll = %d pairs, %v; want 65", len(pairs), err)
 	}
@@ -53,16 +62,16 @@ func TestHashOps(t *testing.T) {
 	if pairs[0].K != "f1" || pairs[0].V != "b" {
 		t.Fatalf("HGetAll missing f1=b: %v", pairs[0])
 	}
-	if n, err := st.HIncr("h", "ctr", 5); err != nil || n != 5 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int64, error) { return st.HIncrTx(tx, now, "h", "ctr", 5) }); err != nil || n != 5 {
 		t.Fatalf("HIncr fresh = %d, %v; want 5, nil", n, err)
 	}
-	if n, err := st.HIncr("h", "ctr", -7); err != nil || n != -2 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int64, error) { return st.HIncrTx(tx, now, "h", "ctr", -7) }); err != nil || n != -2 {
 		t.Fatalf("HIncr = %d, %v; want -2, nil", n, err)
 	}
-	if _, err := st.HIncr("h", "f1", 1); !errors.Is(err, ErrNotInteger) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int64, error) { return st.HIncrTx(tx, now, "h", "f1", 1) }); !errors.Is(err, ErrNotInteger) {
 		t.Fatalf("HIncr on non-integer = %v; want ErrNotInteger", err)
 	}
-	if n, err := st.HDel("h", "f1", "nope", "ctr"); err != nil || n != 2 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.HDelTx(tx, now, "h", "f1", "nope", "ctr") }); err != nil || n != 2 {
 		t.Fatalf("HDel = %d, %v; want 2, nil", n, err)
 	}
 	if err := st.CheckInvariants(); err != nil {
@@ -73,13 +82,13 @@ func TestHashOps(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		names = append(names, fmt.Sprintf("k%02d", i))
 	}
-	if n, err := st.HDel("h", names...); err != nil || n != 64 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.HDelTx(tx, now, "h", names...) }); err != nil || n != 64 {
 		t.Fatalf("HDel all = %d, %v; want 64, nil", n, err)
 	}
-	if _, ok, err := st.Type("h"); err != nil || ok {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.TypeTx(tx, now, "h"); return }); err != nil || ok {
 		t.Fatalf("Type after emptying hash = %v, %v; want absent", ok, err)
 	}
-	if n, err := st.Len(); err != nil || n != 0 {
+	if n, err := do(st, st.lenTx); err != nil || n != 0 {
 		t.Fatalf("Len = %d, %v; want 0", n, err)
 	}
 }
@@ -88,51 +97,52 @@ func TestHashOps(t *testing.T) {
 // pop order, LRANGE rank semantics including negatives, and
 // auto-delete on the last pop.
 func TestListOps(t *testing.T) {
+	var ok bool
 	st := New(stm.New())
 	if n, err := st.RPush("l", "a", "b"); err != nil || n != 2 {
 		t.Fatalf("RPush = %d, %v; want 2, nil", n, err)
 	}
-	if n, err := st.LPush("l", "c", "d"); err != nil || n != 4 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.LPushTx(tx, now, "l", "c", "d") }); err != nil || n != 4 {
 		t.Fatalf("LPush = %d, %v; want 4, nil", n, err)
 	}
 	// LPUSH c then d: d is frontmost → d c a b
 	want := []string{"d", "c", "a", "b"}
-	if items, err := st.LRange("l", 0, -1); err != nil || fmt.Sprint(items) != fmt.Sprint(want) {
+	if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 0, -1) }); err != nil || fmt.Sprint(items) != fmt.Sprint(want) {
 		t.Fatalf("LRange(0,-1) = %v, %v; want %v", items, err, want)
 	}
-	if items, err := st.LRange("l", 1, 2); err != nil || fmt.Sprint(items) != fmt.Sprint([]string{"c", "a"}) {
+	if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 1, 2) }); err != nil || fmt.Sprint(items) != fmt.Sprint([]string{"c", "a"}) {
 		t.Fatalf("LRange(1,2) = %v, %v; want [c a]", items, err)
 	}
-	if items, err := st.LRange("l", -2, -1); err != nil || fmt.Sprint(items) != fmt.Sprint([]string{"a", "b"}) {
+	if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", -2, -1) }); err != nil || fmt.Sprint(items) != fmt.Sprint([]string{"a", "b"}) {
 		t.Fatalf("LRange(-2,-1) = %v, %v; want [a b]", items, err)
 	}
-	if items, err := st.LRange("l", 2, 1); err != nil || len(items) != 0 {
+	if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 2, 1) }); err != nil || len(items) != 0 {
 		t.Fatalf("LRange(2,1) = %v, %v; want empty", items, err)
 	}
-	if items, err := st.LRange("l", 0, 99); err != nil || len(items) != 4 {
+	if items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 0, 99) }); err != nil || len(items) != 4 {
 		t.Fatalf("LRange(0,99) = %v, %v; want all 4", items, err)
 	}
-	if v, ok, err := st.LPop("l"); err != nil || !ok || v != "d" {
+	if v, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.LPopTx(tx, now, "l"); return }); err != nil || !ok || v != "d" {
 		t.Fatalf("LPop = %q, %v, %v; want \"d\"", v, ok, err)
 	}
-	if v, ok, err := st.RPop("l"); err != nil || !ok || v != "b" {
+	if v, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.RPopTx(tx, now, "l"); return }); err != nil || !ok || v != "b" {
 		t.Fatalf("RPop = %q, %v, %v; want \"b\"", v, ok, err)
 	}
-	if n, err := st.LLen("l"); err != nil || n != 2 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.LLenTx(tx, now, "l") }); err != nil || n != 2 {
 		t.Fatalf("LLen = %d, %v; want 2", n, err)
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"c", "a"} {
-		if v, ok, err := st.LPop("l"); err != nil || !ok || v != w {
+		if v, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.LPopTx(tx, now, "l"); return }); err != nil || !ok || v != w {
 			t.Fatalf("LPop = %q, %v, %v; want %q", v, ok, err, w)
 		}
 	}
-	if _, ok, err := st.LPop("l"); err != nil || ok {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.LPopTx(tx, now, "l"); return }); err != nil || ok {
 		t.Fatalf("LPop empty = %v, %v; want absent", ok, err)
 	}
-	if n, err := st.Len(); err != nil || n != 0 {
+	if n, err := do(st, st.lenTx); err != nil || n != 0 {
 		t.Fatalf("list not auto-deleted: Len = %d, %v", n, err)
 	}
 }
@@ -141,6 +151,7 @@ func TestListOps(t *testing.T) {
 // member tie-break, relocation on re-add, same-score no-op, negative
 // and infinite scores, ZRANGE ranks, and auto-delete.
 func TestZSetOps(t *testing.T) {
+	var ok bool
 	st := New(stm.New())
 	adds := []struct {
 		member string
@@ -149,17 +160,17 @@ func TestZSetOps(t *testing.T) {
 		{"b", 2}, {"a", 2}, {"neg", -1.5}, {"inf", math.Inf(1)}, {"lo", math.Inf(-1)}, {"z", 0.25},
 	}
 	for _, ad := range adds {
-		if added, err := st.ZAdd("zs", ad.member, ad.score); err != nil || !added {
+		if added, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", ad.member, ad.score) }); err != nil || !added {
 			t.Fatalf("ZAdd(%q) = %v, %v; want true, nil", ad.member, added, err)
 		}
 	}
-	if _, err := st.ZAdd("zs", "nan", math.NaN()); !errors.Is(err, ErrNotFloat) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "nan", math.NaN()) }); !errors.Is(err, ErrNotFloat) {
 		t.Fatalf("ZAdd NaN = %v; want ErrNotFloat", err)
 	}
-	if added, err := st.ZAdd("zs", "a", 2); err != nil || added {
+	if added, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "a", 2) }); err != nil || added {
 		t.Fatalf("ZAdd same score = %v, %v; want false, nil", added, err)
 	}
-	entries, err := st.ZRange("zs", 0, -1)
+	entries, err := do(st, func(tx *stm.Tx, now int64) ([]ZEntry, error) { return st.ZRangeTx(tx, now, "zs", 0, -1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,39 +182,45 @@ func TestZSetOps(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("ZRange order = %v, want %v", order, want)
 	}
-	if s, ok, err := st.ZScore("zs", "neg"); err != nil || !ok || s != -1.5 {
+	if s, err := do(st, func(tx *stm.Tx, now int64) (v float64, err error) {
+		v, ok, err = st.ZScoreTx(tx, now, "zs", "neg")
+		return
+	}); err != nil || !ok || s != -1.5 {
 		t.Fatalf("ZScore(neg) = %v, %v, %v; want -1.5", s, ok, err)
 	}
 	// Relocate: a moves past b.
-	if added, err := st.ZAdd("zs", "a", 3); err != nil || added {
+	if added, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "a", 3) }); err != nil || added {
 		t.Fatalf("ZAdd relocate = %v, %v; want false, nil", added, err)
 	}
-	entries, _ = st.ZRange("zs", 3, 4)
+	entries, _ = do(st, func(tx *stm.Tx, now int64) ([]ZEntry, error) { return st.ZRangeTx(tx, now, "zs", 3, 4) })
 	if len(entries) != 2 || entries[0].Member != "b" || entries[1].Member != "a" {
 		t.Fatalf("ZRange(3,4) after relocate = %v; want [b a]", entries)
 	}
-	if n, err := st.ZCard("zs"); err != nil || n != 6 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZCardTx(tx, now, "zs") }); err != nil || n != 6 {
 		t.Fatalf("ZCard = %d, %v; want 6", n, err)
 	}
 	// -0 and +0 are the same score: re-adding z at -0 is a no-op.
-	if added, err := st.ZAdd("zs", "z", math.Copysign(0, -1)); err != nil {
+	if added, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "z", math.Copysign(0, -1)) }); err != nil {
 		t.Fatal(err)
 	} else if added {
 		t.Fatal("ZAdd(-0) after 0.25: added = true, want relocate")
 	}
-	if s, ok, _ := st.ZScore("zs", "z"); !ok || s != 0 || math.Signbit(s) {
+	if s, _ := do(st, func(tx *stm.Tx, now int64) (v float64, err error) {
+		v, ok, err = st.ZScoreTx(tx, now, "zs", "z")
+		return
+	}); !ok || s != 0 || math.Signbit(s) {
 		t.Fatalf("ZScore(z) = %v; want +0", s)
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := st.ZRem("zs", "a", "ghost", "b"); err != nil || n != 2 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZRemTx(tx, now, "zs", "a", "ghost", "b") }); err != nil || n != 2 {
 		t.Fatalf("ZRem = %d, %v; want 2", n, err)
 	}
-	if n, err := st.ZRem("zs", "lo", "neg", "z", "inf"); err != nil || n != 4 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZRemTx(tx, now, "zs", "lo", "neg", "z", "inf") }); err != nil || n != 4 {
 		t.Fatalf("ZRem rest = %d, %v; want 4", n, err)
 	}
-	if n, err := st.Len(); err != nil || n != 0 {
+	if n, err := do(st, st.lenTx); err != nil || n != 0 {
 		t.Fatalf("zset not auto-deleted: Len = %d, %v", n, err)
 	}
 }
@@ -215,19 +232,21 @@ func TestZSetOps(t *testing.T) {
 func TestZRemOpensTowerNotIndex(t *testing.T) {
 	st := New(stm.New())
 	for i := 0; i < 1000; i++ {
-		if _, err := st.ZAdd("zs", fmt.Sprintf("m%d", i), float64(i)); err != nil {
+		if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) {
+			return st.ZAddTx(tx, now, "zs", fmt.Sprintf("m%d", i), float64(i))
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	commits, opens := opensPerCommit(t, st, func() {
-		if n, err := st.ZRem("zs", "m500"); err != nil || n != 1 {
+		if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZRemTx(tx, now, "zs", "m500") }); err != nil || n != 1 {
 			t.Fatalf("ZRem = %d, %v; want 1", n, err)
 		}
 	})
 	if commits != 1 || opens > 100 {
 		t.Fatalf("ZRem of one member: %d commits, %.0f opens; want 1 commit of at most 100 opens", commits, opens)
 	}
-	if n, err := st.ZCard("zs"); err != nil || n != 999 {
+	if n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZCardTx(tx, now, "zs") }); err != nil || n != 999 {
 		t.Fatalf("ZCard = %d, %v; want 999", n, err)
 	}
 }
@@ -237,21 +256,22 @@ func TestZRemOpensTowerNotIndex(t *testing.T) {
 // anything, MGet reads container keys as absent, DEL/TYPE/EXPIRE/TTL
 // are kind-agnostic.
 func TestWrongTypeSemantics(t *testing.T) {
+	var ok bool
 	clk := &fakeClock{}
 	st := New(stm.New(), WithClock(clk.now))
 	if err := st.Set("s", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.HSet("s", "f", "v"); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.HSetTx(tx, now, "s", "f", "v") }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("HSet on string = %v; want ErrWrongType", err)
 	}
-	if _, err := st.LPush("s", "v"); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.LPushTx(tx, now, "s", "v") }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("LPush on string = %v; want ErrWrongType", err)
 	}
-	if _, err := st.ZAdd("s", "m", 1); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "s", "m", 1) }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("ZAdd on string = %v; want ErrWrongType", err)
 	}
-	if _, err := st.HSet("s", "f", "v"); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.HSetTx(tx, now, "s", "f", "v") }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("HSet on string = %v; want ErrWrongType", err)
 	}
 	if _, err := st.RPush("l", "x"); err != nil {
@@ -263,10 +283,10 @@ func TestWrongTypeSemantics(t *testing.T) {
 	if _, err := st.Incr("l", 1); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("Incr on list = %v; want ErrWrongType", err)
 	}
-	if _, _, err := st.HGet("l", "f"); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := st.HGetTx(tx, now, "l", "f"); return v, err }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("HGet on list = %v; want ErrWrongType", err)
 	}
-	if _, err := st.ZCard("l"); !errors.Is(err, ErrWrongType) {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZCardTx(tx, now, "l") }); !errors.Is(err, ErrWrongType) {
 		t.Fatalf("ZCard on list = %v; want ErrWrongType", err)
 	}
 	// MGet never errors on type: the list key reads as absent.
@@ -278,14 +298,14 @@ func TestWrongTypeSemantics(t *testing.T) {
 		t.Fatalf("MGet = %v %v; want [v absent absent]", vals, present)
 	}
 	// TYPE names every kind.
-	if _, err := st.HSet("h", "f", "v"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.HSetTx(tx, now, "h", "f", "v") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ZAdd("zs", "m", 1); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "m", 1) }); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]string{"s": "string", "l": "list", "h": "hash", "zs": "zset"} {
-		if typ, ok, err := st.Type(key); err != nil || !ok || typ != want {
+		if typ, err := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.TypeTx(tx, now, key); return }); err != nil || !ok || typ != want {
 			t.Fatalf("Type(%s) = %q, %v, %v; want %q", key, typ, ok, err, want)
 		}
 	}
@@ -293,21 +313,21 @@ func TestWrongTypeSemantics(t *testing.T) {
 	if err := st.Set("l", "now a string"); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, _ := st.Type("l"); typ != "string" {
+	if typ, _ := do(st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := st.TypeTx(tx, now, "l"); return v, err }); typ != "string" {
 		t.Fatalf("Type after SET over list = %q; want string", typ)
 	}
 	// EXPIRE/TTL attach to the whole key whatever its kind.
-	if ok, err := st.Expire("h", time.Second); err != nil || !ok {
+	if ok, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ExpireTx(tx, now, "h", time.Second) }); err != nil || !ok {
 		t.Fatalf("Expire on hash = %v, %v; want true, nil", ok, err)
 	}
-	if d, ok, err := st.TTL("h"); err != nil || !ok || d <= 0 {
+	if d, err := do(st, func(tx *stm.Tx, now int64) (v time.Duration, err error) { v, ok, err = st.TTLTx(tx, now, "h"); return }); err != nil || !ok || d <= 0 {
 		t.Fatalf("TTL on hash = %v, %v, %v; want positive", d, ok, err)
 	}
 	clk.advance(2 * time.Second)
-	if _, ok, _ := st.HGet("h", "f"); ok {
+	if _, _ = do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.HGetTx(tx, now, "h", "f"); return }); ok {
 		t.Fatal("hash field readable after whole-key expiry")
 	}
-	if typ, ok, _ := st.Type("h"); ok {
+	if typ, _ := do(st, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = st.TypeTx(tx, now, "h"); return }); ok {
 		t.Fatalf("Type of expired hash = %q; want absent", typ)
 	}
 	// DEL removes containers whole.
@@ -435,7 +455,7 @@ func TestCrossTypeConservation(t *testing.T) {
 	// Let the storm run until every job is done or a tripwire fires.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		n, err := st.HLen("done")
+		n, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.HLenTx(tx, now, "done") })
 		if err != nil {
 			break
 		}
@@ -471,6 +491,7 @@ func TestCrossTypeConservation(t *testing.T) {
 // store, and requires exact state equality via canonical snapshots —
 // the unit-level version of the crash smoke's acceptance criterion.
 func TestTypedWALRoundTrip(t *testing.T) {
+	var ok bool
 	dir := t.TempDir()
 	clk := &fakeClock{}
 	clk.advance(time.Hour)
@@ -485,34 +506,36 @@ func TestTypedWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := st.HSet("h", fmt.Sprintf("f%d", i), strconv.Itoa(i)); err != nil {
+		if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) {
+			return st.HSetTx(tx, now, "h", fmt.Sprintf("f%d", i), strconv.Itoa(i))
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.HDel("h", "f3"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.HDelTx(tx, now, "h", "f3") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.RPush("l", "a", "b", "c"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.LPush("l", "front"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.LPushTx(tx, now, "l", "front") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.RPop("l"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := st.RPopTx(tx, now, "l"); return v, err }); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range []string{"x", "y", "z"} {
-		if _, err := st.ZAdd("zs", m, float64(i)*1.5-1); err != nil {
+		if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", m, float64(i)*1.5-1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.ZAdd("zs", "x", 99); err != nil { // relocate
+	if _, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ZAddTx(tx, now, "zs", "x", 99) }); err != nil { // relocate
 		t.Fatal(err)
 	}
-	if _, err := st.ZRem("zs", "y"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (int, error) { return st.ZRemTx(tx, now, "zs", "y") }); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := st.Expire("zs", time.Hour); err != nil || !ok {
+	if ok, err := do(st, func(tx *stm.Tx, now int64) (bool, error) { return st.ExpireTx(tx, now, "zs", time.Hour) }); err != nil || !ok {
 		t.Fatalf("Expire(zs) = %v, %v", ok, err)
 	}
 	// A container created then fully drained must stay absent after
@@ -520,7 +543,7 @@ func TestTypedWALRoundTrip(t *testing.T) {
 	if _, err := st.RPush("ghost", "only"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.LPop("ghost"); err != nil {
+	if _, err := do(st, func(tx *stm.Tx, now int64) (string, error) { v, _, err := st.LPopTx(tx, now, "ghost"); return v, err }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -546,13 +569,16 @@ func TestTypedWALRoundTrip(t *testing.T) {
 			t.Fatalf("op %d differs:\n got: %+v\nwant: %+v", i, gotS[i], wantS[i])
 		}
 	}
-	if _, ok, _ := fresh.Type("ghost"); ok {
+	if _, _ = do(fresh, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = fresh.TypeTx(tx, now, "ghost"); return }); ok {
 		t.Fatal("drained list resurrected by replay")
 	}
-	if typ, ok, _ := fresh.Type("zs"); !ok || typ != "zset" {
+	if typ, _ := do(fresh, func(tx *stm.Tx, now int64) (v string, err error) { v, ok, err = fresh.TypeTx(tx, now, "zs"); return }); !ok || typ != "zset" {
 		t.Fatalf("zset lost: %q, %v", typ, ok)
 	}
-	if d, ok, _ := fresh.TTL("zs"); !ok || d <= 0 {
+	if d, _ := do(fresh, func(tx *stm.Tx, now int64) (v time.Duration, err error) {
+		v, ok, err = fresh.TTLTx(tx, now, "zs")
+		return
+	}); !ok || d <= 0 {
 		t.Fatalf("zset TTL lost: %v, %v", d, ok)
 	}
 	if err := fresh.CheckInvariants(); err != nil {

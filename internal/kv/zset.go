@@ -78,7 +78,7 @@ func normScore(s float64) (float64, error) {
 	return s, nil
 }
 
-// ZEntry is one (member, score) pair, the unit of ZRange.
+// ZEntry is one (member, score) pair, the unit of ZRangeTx.
 type ZEntry struct {
 	Member string
 	Score  float64
@@ -262,40 +262,4 @@ func (z *zset) checkInvariants(tx *stm.Tx) error {
 		return errors.New("zset index and score order disagree on size")
 	}
 	return nil
-}
-
-// ZAdd adds member with score in one atomic transaction (see ZAddTx).
-func (st *Store) ZAdd(key, member string, score float64) (bool, error) {
-	return update(st, func(tx *stm.Tx, now int64) (bool, error) {
-		return st.ZAddTx(tx, now, key, member, score)
-	})
-}
-
-// ZScore reads member's score in one atomic transaction.
-func (st *Store) ZScore(key, member string) (float64, bool, error) {
-	f, err := view(st, func(tx *stm.Tx, now int64) (found[float64], error) {
-		return lookup(st.ZScoreTx(tx, now, key, member))
-	})
-	return f.v, f.ok, err
-}
-
-// ZRem removes members in one atomic transaction (see ZRemTx).
-func (st *Store) ZRem(key string, members ...string) (int, error) {
-	return update(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.ZRemTx(tx, now, key, members...)
-	})
-}
-
-// ZCard counts members in one atomic transaction.
-func (st *Store) ZCard(key string) (int, error) {
-	return view(st, func(tx *stm.Tx, now int64) (int, error) {
-		return st.ZCardTx(tx, now, key)
-	})
-}
-
-// ZRange reads a rank range in one atomic transaction (see ZRangeTx).
-func (st *Store) ZRange(key string, start, stop int) ([]ZEntry, error) {
-	return view(st, func(tx *stm.Tx, now int64) ([]ZEntry, error) {
-		return st.ZRangeTx(tx, now, key, start, stop)
-	})
 }
