@@ -55,7 +55,7 @@ func main() {
 		metrics = flag.String("metrics", "", "observability HTTP listener serving /metrics, /healthz and /debug/pprof (empty disables)")
 		txtrace = flag.Int("txtrace", 0, "transaction flight recorder: sample 1 in N transactions into ABORTLOG and /debug/stm/conflicts (0 disables)")
 		data    = flag.String("data", "", "durability directory: recover on boot, then write-ahead log every commit (empty = memory only)")
-		sweep   = flag.Duration("sweep", 500*time.Millisecond, "background TTL sweep cadence for a full pass over all shards (0 disables)")
+		sweep   = flag.Duration("sweep", 500*time.Millisecond, "background TTL sweep cadence for a full pass over all shards; shards holding no TTL are skipped (0 disables)")
 		bgsave  = flag.String("bgsave-every", "", "scheduled BGSAVE cadence: a duration (\"30s\") or a logged-record count (\"500ops\"); empty disables (durable mode only)")
 
 		loadgen  = flag.Bool("loadgen", false, "run the closed-loop load generator against -addr instead of serving")

@@ -34,10 +34,12 @@
 //
 // Expiry is lazy: a read treats a dead entry as absent without
 // writing, a write replaces or removes only the key it names, and
-// Sweep reaps shard by shard, one transaction each. Time comes
-// from the store's clock (monotonic nanoseconds; injectable for
-// tests), sampled once per logical transaction so retries replay
-// identical decisions.
+// Sweep reaps shard by shard, one transaction each. A transactional
+// flag per shard, set by every write of a deadline and cleared by the
+// sweep that keeps none, lets a sweep of a shard without TTLs end
+// after one read instead of walking every bucket. Time comes from the
+// store's clock (monotonic nanoseconds; injectable for tests), sampled
+// once per logical transaction so retries replay identical decisions.
 //
 // Durability is optional: AttachWAL hooks the store to an
 // internal/wal log, after which every committed top-level write set

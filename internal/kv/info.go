@@ -168,6 +168,8 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 		engine.CommitAttempts)
 	reg.GaugeFunc("stmkv_keys", "Approximate live keys (expired excluded).", nil,
 		func() float64 { return float64(st.PeekLen()) })
+	reg.GaugeFunc("stmkv_expiry_armed_shards", "Shards that may hold a key with a TTL; the sweeper skips the rest.", nil,
+		func() float64 { return float64(st.armedShards()) })
 	if !st.Durable() {
 		return
 	}
@@ -365,6 +367,7 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("total_command_errors", errs)
 		line("sweeper_failures", srv.sm.sweepFailures.Value())
 		line("sweeper_reaped_keys", srv.sm.sweepReaped.Value())
+		line("expiry_armed_shards", srv.store.armedShards())
 		line("bgsave_failures", srv.sm.bgsaveFailures.Value())
 		line("slowlog_len", srv.slow.len())
 	case "commandstats":

@@ -72,6 +72,15 @@ func TestInfoSections(t *testing.T) {
 		t.Fatalf("INFO stm = %q", v.Str)
 	}
 
+	// A TTL arms its shard's sweep, and only its shard's.
+	if v = c.mustDo(t, "INFO", "stats"); !strings.Contains(v.Str, "sweeper_reaped_keys:0\r\nexpiry_armed_shards:0\r\n") {
+		t.Fatalf("INFO stats before any TTL = %q", v.Str)
+	}
+	c.mustDo(t, "SET", "c", "3", "PX", "60000")
+	if v = c.mustDo(t, "INFO", "stats"); !strings.Contains(v.Str, "expiry_armed_shards:1\r\n") {
+		t.Fatalf("INFO stats after SET PX = %q", v.Str)
+	}
+
 	// Unknown section and bad arity are errors.
 	if v, _ := c.do("INFO", "bogus"); !v.IsError() || !strings.Contains(v.Str, "unknown INFO section") {
 		t.Fatalf("INFO bogus = %+v, want unknown-section error", v)
@@ -221,7 +230,8 @@ func TestSlowlogRingWraparound(t *testing.T) {
 // TestMetricsExposition drives commands over RESP and checks the
 // registry's /metrics output parses back with the expected samples —
 // per-command counters and latency histograms, engine wait-time with
-// the manager label, and WAL internals on a durable store.
+// the manager label, the shard a TTL armed, and WAL internals on a
+// durable store.
 func TestMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(dir, wal.Options{})
@@ -240,7 +250,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	c := dialClient(t, addr)
 	defer c.close()
-	c.mustDo(t, "SET", "k", "v")
+	c.mustDo(t, "SET", "k", "v", "PX", "60000")
 	c.mustDo(t, "GET", "k")
 	c.mustDo(t, "GET", "k")
 	if v, _ := c.do("GET"); !v.IsError() {
@@ -268,6 +278,7 @@ func TestMetricsExposition(t *testing.T) {
 		`stmkv_command_errors_total{cmd="get"}`:  1,
 		`stmkv_command_seconds_count{cmd="get"}`: 3,
 		`stmkv_sweeper_failures_total`:           1,
+		`stmkv_expiry_armed_shards`:              1,
 		`stmkv_bgsave_failures_total`:            1,
 	}
 	for name, want := range checks {

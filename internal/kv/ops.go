@@ -54,9 +54,9 @@ func (st *Store) SetTx(tx *stm.Tx, now int64, key, val string, ttl time.Duration
 
 // putTx writes key=val with an explicit expiry deadline (0 = none) —
 // the write under Set and Incr. Like Redis SET, it overwrites a
-// container entry wholesale.
+// container entry wholesale. A deadline arms the shard's sweep.
 func (st *Store) putTx(tx *stm.Tx, key, val string, expireAt int64) error {
-	if _, _, err := st.shard(key).Put(tx, key, entry{val: val, expireAt: expireAt}); err != nil {
+	if err := st.putEntry(tx, key, entry{val: val, expireAt: expireAt}); err != nil {
 		return err
 	}
 	capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
@@ -130,8 +130,22 @@ func (st *Store) touchTx(tx *stm.Tx, now int64, key string, expireAt int64) (boo
 		return false, err
 	}
 	e.expireAt = expireAt
-	_, _, err = st.shard(key).Put(tx, key, e)
-	return true, err
+	return true, st.putEntry(tx, key, e)
+}
+
+// putEntry binds key to e — the one write of an entry that may carry a
+// deadline (putTx and touchTx). A deadline first sets the shard's
+// expiring flag: one read once it is set, so the TTL writers of an
+// armed shard do not conflict over it.
+func (st *Store) putEntry(tx *stm.Tx, key string, e entry) error {
+	i := st.shardIndex(key)
+	if e.expireAt != 0 {
+		if _, err := stm.CompareAndSwap(tx, st.expiring[i], false, true); err != nil {
+			return err
+		}
+	}
+	_, _, err := st.shards[i].Put(tx, key, e)
+	return err
 }
 
 // TTLTx reports key's remaining time to live at instant now: ok is

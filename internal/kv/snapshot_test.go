@@ -100,8 +100,20 @@ func testSnapshotUnderWriters(t *testing.T, shards int, opts ...stm.Option) {
 		grewFrom = st.BucketsPerShard()
 		grown := make(chan error, 1)
 		go func() { // not from inside the chunk's transaction
+			// The writers may already have grown the store well past its
+			// seed size, so insert until some shard has doubled three
+			// times rather than a fixed count (capped, so a store that
+			// stopped growing fails the check below instead of hanging).
+			tripled := func() bool {
+				for i, n := range st.BucketsPerShard() {
+					if n >= 8*grewFrom[i] {
+						return true
+					}
+				}
+				return false
+			}
 			var err error
-			for i := 0; i < 10*shards && err == nil; i++ {
+			for i := 0; i < 200*shards && err == nil && !tripled(); i++ {
 				batch := make([]KV, 70)
 				for j := range batch {
 					batch[j] = KV{K: fmt.Sprintf("grow:%d:%d", i, j), V: "g"}

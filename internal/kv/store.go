@@ -50,7 +50,12 @@ type Store struct {
 	s      *stm.STM
 	seed   maphash.Seed
 	shards []*container.Map[string, entry]
-	now    func() int64
+	// expiring[i] is true while shard i may hold an entry with a
+	// deadline: putEntry sets it, a sweep that keeps no such entry
+	// clears it, and a sweep of a shard whose flag is false is one read
+	// (see SweepShard).
+	expiring []*stm.Var[bool]
+	now      func() int64
 	// log, when attached, receives every committed write set (see
 	// persist.go; nil for a purely in-memory store).
 	log *wal.Log
@@ -108,10 +113,11 @@ func New(s *stm.STM, opts ...Option) *Store {
 		cfg.clock = func() int64 { return int64(time.Since(start)) }
 	}
 	st := &Store{
-		s:      s,
-		seed:   maphash.MakeSeed(),
-		shards: make([]*container.Map[string, entry], n),
-		now:    cfg.clock,
+		s:        s,
+		seed:     maphash.MakeSeed(),
+		shards:   make([]*container.Map[string, entry], n),
+		expiring: make([]*stm.Var[bool], n),
+		now:      cfg.clock,
 	}
 	for i := range st.shards {
 		// Shard tables are named so the flight recorder attributes
@@ -119,8 +125,22 @@ func New(s *stm.STM, opts ...Option) *Store {
 		// anonymous stripe; per-key containers carry their own labels
 		// (see containerEntry).
 		st.shards[i] = container.NewMap[string, entry](fmt.Sprintf("kv:shard:%d", i), cfg.buckets, maphash.String)
+		st.expiring[i] = stm.NewNamedVar(fmt.Sprintf("kv:ttl:%d", i), false)
 	}
 	return st
+}
+
+// armedShards counts the shards whose expiring flag is set, without a
+// transaction — each flag is an independent committed snapshot. For
+// INFO and /metrics.
+func (st *Store) armedShards() int {
+	n := 0
+	for _, f := range st.expiring {
+		if f.Peek() {
+			n++
+		}
+	}
+	return n
 }
 
 // STM returns the engine the store executes its transactions on —
@@ -251,7 +271,7 @@ func (p pending) wait() error {
 // set stays bounded, and returns how many entries were removed. It is
 // the expiry backstop: reads treat a dead entry as absent without
 // writing and writers leave their neighbours alone, so nothing else
-// reclaims one.
+// reclaims one. Shards that hold no deadline cost one read each.
 func (st *Store) Sweep() (int, error) {
 	removed := 0
 	for i := range st.shards {
@@ -271,34 +291,71 @@ func (st *Store) Sweep() (int, error) {
 // (replayed entries past their deadline read as absent anyway), but
 // it keeps the replayed physical state in step with the swept one and
 // compacts the history a snapshot would otherwise carry forward.
+//
+// The shard's expiring flag is the transaction's first read; when it is
+// false the sweep ends there. A walk that keeps no entry with a
+// deadline clears the flag in the same transaction. A TTL writer reads
+// the flag and writes a bucket, a clearing sweep reads every bucket and
+// writes the flag, so of two that overlap one retries (DESIGN.md §KV,
+// Expiry).
 func (st *Store) SweepShard(i int) (n int, err error) {
 	err = st.Atomically(func(tx *stm.Tx, now int64) error {
-		reaped, err := st.shards[i].Prune(tx, func(_ string, e entry) bool { return e.dead(now) })
+		n = 0
+		armed, err := stm.Read(tx, st.expiring[i])
+		if err != nil || !armed {
+			return err
+		}
+		// Prune asks doomed about every binding, and keeps exactly the
+		// ones it answers false for.
+		keptDeadline := false
+		reaped, err := st.shards[i].Prune(tx, func(_ string, e entry) bool {
+			if e.dead(now) {
+				return true
+			}
+			if e.expireAt != 0 {
+				keptDeadline = true
+			}
+			return false
+		})
+		if err != nil {
+			return err
+		}
 		for _, key := range reaped {
 			capture(tx, wal.Op{Key: key, Del: true})
 		}
 		n = len(reaped)
-		return err
+		if !keptDeadline {
+			return stm.Write(tx, st.expiring[i], false)
+		}
+		return nil
 	})
 	return n, err
 }
 
 // CheckInvariants verifies the store's structural invariants in one
 // consistent transaction: every entry sits in the shard and bucket its
-// key hashes to, no key appears twice, and every typed value is
+// key hashes to, no key appears twice, every typed value is
 // internally consistent (hash field placement, deque link symmetry
-// and counters, zset index↔skip-list bijection) and non-empty. The
-// harness audit hook and the server's smoke mode run it after their
-// hammers.
+// and counters, zset index↔skip-list bijection) and non-empty, and no
+// entry, live or dead, carries a deadline in a shard whose expiring
+// flag is false. The harness audit hook and the server's smoke mode
+// run it after their hammers.
 func (st *Store) CheckInvariants() error {
 	return st.s.Atomically(func(tx *stm.Tx) error {
 		for si, sh := range st.shards {
 			if err := sh.CheckInvariants(tx); err != nil {
 				return fmt.Errorf("kv: shard %d: %w", si, err)
 			}
-			err := sh.Each(tx, func(key string, e entry) error {
+			armed, err := stm.Read(tx, st.expiring[si])
+			if err != nil {
+				return err
+			}
+			err = sh.Each(tx, func(key string, e entry) error {
 				if st.shard(key) != sh {
 					return fmt.Errorf("kv: key %q in shard %d, hashes elsewhere", key, si)
+				}
+				if e.expireAt != 0 && !armed {
+					return fmt.Errorf("kv: key %q has a deadline, shard %d's expiring flag is clear", key, si)
 				}
 				if err := e.checkValue(tx); err != nil {
 					return fmt.Errorf("kv: key %q: %w", key, err)
