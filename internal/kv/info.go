@@ -70,6 +70,7 @@ type serverMetrics struct {
 	sweepFailures  *obs.Counter
 	sweepReaped    *obs.Counter
 	bgsaveFailures *obs.Counter
+	replyFlushes   *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -83,6 +84,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Expired keys removed by the background sweeper.", nil),
 		bgsaveFailures: reg.Counter("stmkv_bgsave_failures_total",
 			"Background saves (scheduled or BGSAVE) that failed.", nil),
+		replyFlushes: reg.Counter("stmkv_reply_flushes_total",
+			"Batches of replies sent to clients; commands per batch is stmkv_commands_total over this.", nil),
 	}
 	for _, cmd := range append(commandTable, unknownCommand) {
 		lbl := obs.Labels{"cmd": strings.ToLower(cmd.name)}
@@ -123,6 +126,10 @@ func (srv *Server) NoteSweepReaped(n int) { srv.sm.sweepReaped.Add(int64(n)) }
 // NoteBgsaveFailure counts a failed background save (scheduled
 // -bgsave-every runs and BGSAVE commands alike).
 func (srv *Server) NoteBgsaveFailure() { srv.sm.bgsaveFailures.Inc() }
+
+// replyFlushes is how many batches of replies the server has sent —
+// one writev(2) each on a TCP connection.
+func (srv *Server) replyFlushes() int64 { return srv.sm.replyFlushes.Value() }
 
 // Registry returns the registry holding the server's metrics (its own
 // unless WithRegistry injected one), for serving over HTTP.
@@ -365,6 +372,7 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("total_connections_received", srv.sm.connections.Value())
 		line("total_commands_processed", cmds)
 		line("total_command_errors", errs)
+		line("reply_flushes", srv.replyFlushes())
 		line("sweeper_failures", srv.sm.sweepFailures.Value())
 		line("sweeper_reaped_keys", srv.sm.sweepReaped.Value())
 		line("expiry_armed_shards", srv.store.armedShards())

@@ -58,8 +58,10 @@ func TestInfoSections(t *testing.T) {
 			t.Fatalf("INFO missing %q:\n%s", want, v.Str)
 		}
 	}
-	if !strings.Contains(v.Str, "total_commands_processed:") {
-		t.Fatalf("INFO missing stats:\n%s", v.Str)
+	// Two commands sent one at a time: two replies, two sends (INFO's own
+	// reply is not sent yet).
+	if !strings.Contains(v.Str, "total_commands_processed:2\r\n") || !strings.Contains(v.Str, "reply_flushes:2\r\n") {
+		t.Fatalf("INFO stats: want 2 commands in 2 reply flushes:\n%s", v.Str)
 	}
 
 	// Section selection, case-insensitive.
@@ -280,6 +282,7 @@ func TestMetricsExposition(t *testing.T) {
 		`stmkv_sweeper_failures_total`:           1,
 		`stmkv_expiry_armed_shards`:              1,
 		`stmkv_bgsave_failures_total`:            1,
+		`stmkv_reply_flushes_total`:              4, // four commands, one at a time
 	}
 	for name, want := range checks {
 		if got := samples[name]; got != want {

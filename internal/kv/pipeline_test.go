@@ -19,11 +19,13 @@ import (
 	"repro/internal/wal"
 )
 
-// These tests pin the durable pipeline: a connection's buffered frames
-// execute back to back and share a group commit, replies leave in
-// order and never before their record is on disk. All of them run over
-// real TCP against a store logging to t.TempDir(); CI runs them by
-// name (TestDurablePipeline) under -race.
+// These tests pin the reply path. The TestDurablePipeline ones pin the
+// durable pipeline: a connection's buffered frames execute back to back
+// and share a group commit, replies leave in order and never before
+// their record is on disk; they run against a store logging to
+// t.TempDir(). The TestReplyBatch ones pin the batch: released replies
+// go out together, but never stay behind while the handler sleeps. All
+// of them run over real TCP; CI runs them by name under -race.
 
 // setFlushHook installs h as l's flush hook: internal/wal's one test
 // seam, which runs in place of each flush's segment write + fsync and
@@ -500,4 +502,122 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 		defer stop()
 		check(t, srv, addr, false)
 	})
+}
+
+// TestReplyBatchSends: the replies to what one socket read brought in
+// leave in one send. Sixteen GETs in one client write are one send,
+// sixteen sent one at a time are sixteen, and a MULTI block sent whole
+// is one.
+func TestReplyBatchSends(t *testing.T) {
+	srv, addr, stop := startServerWith(t, New(stm.New()))
+	defer stop()
+	gets := make([]string, 16)
+	for i := range gets {
+		gets[i] = "GET k" + strconv.Itoa(i)
+	}
+	for _, tc := range []struct {
+		name  string
+		cmds  []string
+		burst bool
+		want  []string // nil: every reply is the null bulk
+		sends int64
+	}{
+		{name: "pipelined", cmds: gets, burst: true, sends: 1},
+		{name: "depth 1", cmds: gets, sends: 16},
+		{
+			name: "multi", cmds: []string{"MULTI", "INCRBY a 5", "INCRBY b -5", "EXEC"}, burst: true,
+			want: []string{ok, "+QUEUED\r\n", "+QUEUED\r\n", "*2\r\n:5\r\n:-5\r\n"}, sends: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := dialPipe(t, addr)
+			before := srv.replyFlushes()
+			var got []string
+			if tc.burst {
+				conn.send(t, frames(tc.cmds...))
+				got = conn.replies(t, len(tc.cmds))
+			} else {
+				for _, cmd := range tc.cmds {
+					conn.send(t, frames(cmd))
+					got = append(got, conn.replies(t, 1)...)
+				}
+			}
+			for i, g := range got {
+				want := "$-1\r\n"
+				if tc.want != nil {
+					want = tc.want[i]
+				}
+				if g != want {
+					t.Fatalf("reply %d = %q, want %q", i, g, want)
+				}
+			}
+			if sends := srv.replyFlushes() - before; sends != tc.sends {
+				t.Fatalf("%d replies took %d sends, want %d", len(got), sends, tc.sends)
+			}
+		})
+	}
+}
+
+// TestReplyBatchPartialFrame: on a memory-only server, a whole GET and
+// the start of a second frame arrive; the GET's reply must come back
+// before the client sends the rest — the batch goes out before the
+// handler reads again.
+func TestReplyBatchPartialFrame(t *testing.T) {
+	_, addr, stop := startServerWith(t, New(stm.New()))
+	defer stop()
+	conn := dialPipe(t, addr)
+	conn.send(t, []byte("GET a\r\n*2\r\n$3\r\nGE"))
+	if got := conn.replies(t, 1)[0]; got != "$-1\r\n" {
+		t.Fatalf("GET a = %q", got)
+	}
+	conn.send(t, []byte("T\r\n$1\r\nb\r\n"))
+	if got := conn.replies(t, 1)[0]; got != "$-1\r\n" {
+		t.Fatalf("GET b = %q", got)
+	}
+}
+
+// TestReplyBatchBeforeFsyncWait: GET k and SET k v arrive in one write
+// at a durable server whose fsync is stalled. The GET's reply is
+// released at once, and the handler must send it before it sleeps on
+// the SET's record, not keep it in the batch until the disk answers.
+func TestReplyBatchBeforeFsyncWait(t *testing.T) {
+	_, l, addr, stop := durableServer(t)
+	defer stop()
+	gate := gateFlushes(l)
+	defer close(gate) // lets every flush through, should the test fail holding one
+	conn := dialPipe(t, addr)
+	conn.send(t, frames("GET k", "SET k v"))
+	if got := conn.replies(t, 1)[0]; got != "$-1\r\n" {
+		t.Fatalf("GET k = %q", got)
+	}
+	if st := l.Stats(); st.Enqueued != 1 || st.Durable != 0 {
+		t.Fatalf("GET answered with the log at %+v, want the SET appended and not durable", st)
+	}
+	gate <- nil
+	if got := conn.replies(t, 1)[0]; got != ok {
+		t.Fatalf("SET k v = %q", got)
+	}
+}
+
+// TestReplyBatchLargeReply: a reply larger than the batch cap leaves
+// whole and byte-identical, between the replies around it.
+func TestReplyBatchLargeReply(t *testing.T) {
+	_, addr, stop := startServerWith(t, New(stm.New()))
+	defer stop()
+	conn := dialPipe(t, addr)
+	var b strings.Builder
+	for i := 0; b.Len() < 3*replyBatchCap; i++ {
+		b.WriteString(strconv.Itoa(i) + ",")
+	}
+	big := b.String()
+	conn.send(t, append(frame("SET", "big", big), frames("GET big", "PING")...))
+	want := ok + "$" + strconv.Itoa(len(big)) + "\r\n" + big + "\r\n+PONG\r\n"
+	got := make([]byte, len(want))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(conn.Conn, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatal("the replies around a reply larger than the batch cap did not arrive byte-identical")
+	}
 }

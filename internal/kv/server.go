@@ -194,37 +194,70 @@ type heldReply struct {
 	cost  txCost
 }
 
-// outbox is one connection's reply path: the writer, and the in-order
-// window of executed requests whose replies wait for a log record.
+// replyBatchCap is the size at which a batch of released replies goes
+// out without waiting for the handler to block: large enough that a
+// read buffer's worth of pipelined replies is one send, small enough
+// that a connection's idle buffer stays small.
+const replyBatchCap = 64 << 10
+
+// maxBatchReplies is the most replies one writev(2) takes (IOV_MAX), so
+// a batch that reaches it is sent at once: a longer one would cost as
+// many system calls and hold more slice headers.
+const maxBatchReplies = 1024
+
+// outbox is one connection's reply path: the in-order window of
+// executed requests whose replies wait for a log record, and the batch
+// of replies released and not yet sent.
 //
 // The durability wait is a property of the reply, not of the command:
 // the handler executes the frames already in its read buffer back to
 // back, each write committing in memory and enqueueing its record, and
-// a reply is released — observed, written, flushed — only once its own
-// record and every earlier reply's are on disk. So a connection's
-// pipelined writes ride one group commit instead of one each. The
-// handler blocks on the head of the window in two places only: before
-// a socket read (Read below), and when the window is full.
+// a reply is released — observed and encoded into the batch — only
+// once its own record and every earlier reply's are on disk. So a
+// connection's pipelined writes ride one group commit instead of one
+// each. The handler blocks on the head of the window in two places
+// only: before a socket read (Read below), and when the window is full.
+//
+// The batch goes to the socket whenever the handler is about to block —
+// before a socket read, before waiting on a record not yet on disk
+// (which covers the full window), at hang-up — and once it reaches
+// replyBatchCap or maxBatchReplies. So no released reply sits in the
+// batch while the handler sleeps, and sixteen pipelined GETs cost one
+// write(2), not sixteen.
 type outbox struct {
 	srv  *Server
 	conn net.Conn
-	w    *resp.Writer
 	// win is a ring of replyWindow slots, allocated by the first reply
 	// that has to be held: a memory-only server never does.
 	win     []heldReply
 	head, n int
+	// batch holds the encoded replies released since the last send, and
+	// vec the same bytes cut into one buffer per reply; send is the copy
+	// of vec that WriteTo consumes, a field so that a send allocates
+	// nothing.
+	batch     []byte
+	vec, send net.Buffers
 }
 
 // Read is the source the connection's resp.Reader fills its buffer
-// from. The window is settled before every socket read, the one place
-// the handler sleeps with requests executed: whatever the peer does
-// next — send the rest of a half-received frame, wait for its replies,
-// nothing — no acked reply is held hostage to it.
+// from. The window is settled and the batch sent before every socket
+// read, the one place the handler sleeps with requests executed:
+// whatever the peer does next — send the rest of a half-received frame,
+// wait for its replies, nothing — no reply is held hostage to it.
 func (out *outbox) Read(p []byte) (int, error) {
-	if err := out.settle(true); err != nil {
+	if err := out.drain(); err != nil {
 		return 0, err
 	}
 	return out.conn.Read(p)
+}
+
+// drain releases every held reply, waiting for their records, and sends
+// the batch.
+func (out *outbox) drain() error {
+	if err := out.settle(true); err != nil {
+		return err
+	}
+	return out.flush()
 }
 
 // reply takes an executed request's reply: straight out when nothing is
@@ -278,19 +311,58 @@ func (out *outbox) releaseHead() error {
 	return err
 }
 
-// release waits out what the request is owed, then observes, writes and
-// flushes its reply — one write per reply, held or not. If the log
-// failed, the client is told so instead: the write stands in memory but
-// cannot be promised to survive a restart.
+// release waits out what the request is owed — sending the batch first
+// if that means sleeping — then observes its reply and adds it to the
+// batch. If the log failed, the client is told so instead: the write
+// stands in memory but cannot be promised to survive a restart.
 func (out *outbox) release(h *heldReply) error {
+	if !h.owed.ready() {
+		if err := out.flush(); err != nil {
+			return err
+		}
+	}
 	if err := h.owed.wait(); err != nil {
 		h.reply = commandError(err)
 	}
 	if h.cmd != nil {
 		out.srv.observe(h.cmd, h.start, h.argv, h.reply, h.cost)
 	}
-	out.w.Value(h.reply)
-	return out.w.Flush()
+	return out.add(h.reply)
+}
+
+// add encodes a released reply into the batch, and sends the batch once
+// it is full.
+func (out *outbox) add(v resp.Value) error {
+	start := len(out.batch)
+	b, err := resp.AppendValue(out.batch, v)
+	if err != nil {
+		return err
+	}
+	// A reply's buffer stays valid when a later append moves the batch:
+	// it keeps the array it was encoded into.
+	out.batch, out.vec = b, append(out.vec, b[start:])
+	if len(out.batch) >= replyBatchCap || len(out.vec) == maxBatchReplies {
+		return out.flush()
+	}
+	return nil
+}
+
+// flush sends the batch as one buffer per reply: a *net.TCPConn takes
+// them in one writev(2), any other writer gets one Write per reply. A
+// batch buffer an oversized reply grew is let go.
+func (out *outbox) flush() error {
+	if len(out.vec) == 0 {
+		return nil
+	}
+	out.srv.sm.replyFlushes.Inc()
+	out.send = out.vec
+	_, err := out.send.WriteTo(out.conn)
+	clear(out.vec)
+	out.vec, out.batch = out.vec[:0], out.batch[:0]
+	if cap(out.batch) > 2*replyBatchCap {
+		out.batch = nil
+	}
+	return err
 }
 
 // handle runs one connection's command loop. Every request takes the
@@ -304,7 +376,7 @@ func (srv *Server) handle(conn net.Conn) {
 	srv.sm.connections.Inc()
 	srv.sm.clients.Add(1)
 	defer srv.sm.clients.Add(-1)
-	out := &outbox{srv: srv, conn: conn, w: resp.NewWriter(conn)}
+	out := &outbox{srv: srv, conn: conn}
 	r := resp.NewReader(out)
 	var (
 		c connState
@@ -317,9 +389,9 @@ func (srv *Server) handle(conn net.Conn) {
 			// come first.
 			if out.settle(true) == nil && resp.IsProtoError(err) {
 				// Tell the peer why before hanging up.
-				out.w.Error("ERR protocol error: " + err.Error())
-				out.w.Flush()
+				_ = out.add(resp.ErrVal("ERR protocol error: " + err.Error()))
 			}
+			_ = out.flush() // hanging up either way
 			return
 		}
 		if len(argv) == 0 {
@@ -370,7 +442,7 @@ func (srv *Server) handle(conn net.Conn) {
 		}
 	}
 	// QUIT: its +OK, and every reply before it, goes out before the hang-up.
-	_ = out.settle(true) // hanging up either way
+	_ = out.drain() // hanging up either way
 }
 
 // txCost is what one transactional command cost in engine terms:

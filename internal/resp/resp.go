@@ -232,76 +232,88 @@ func (r *Reader) readPayload(n int, what string) (string, error) {
 	return s, err
 }
 
-// Writer encodes server replies. Methods buffer; call Flush once per
-// command batch (the request-response pipeline's natural boundary).
-// The first write error sticks and is reported by Flush, so reply
-// sequences need only one check.
+// Writer encodes values — a server's replies, a client's commands — by
+// appending them to its own buffer, and Flush hands everything encoded
+// since the last Flush to the underlying writer in one Write. The first
+// error, an unencodable value or a failed Write, sticks: later encodes
+// are dropped and every Flush reports it, so a sequence needs one check.
 type Writer struct {
-	bw  *bufio.Writer
+	w   io.Writer
+	buf []byte
 	err error
 }
 
-// NewWriter wraps w for reply encoding.
+// maxRetained bounds the buffer a Writer keeps across a Flush: one that
+// grew past it for a large batch is let go rather than pinned by an
+// idle connection.
+const maxRetained = 64 << 10
+
+// NewWriter returns a Writer that flushes to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
+	return &Writer{w: w}
 }
 
-// The encoders write marker, payload and terminator separately into
-// the buffer — no reply is first assembled as a string. bufio.Writer's
-// errors are sticky, so only the last write of a reply is checked.
+// Simple encodes a simple-string reply: +s.
+func (w *Writer) Simple(s string) { w.Value(SimpleVal(s)) }
 
-// line writes a marker, a payload and CRLF.
-func (w *Writer) line(marker byte, s string) {
-	if w.err != nil {
-		return
-	}
-	w.bw.WriteByte(marker)
-	w.bw.WriteString(s)
-	_, w.err = w.bw.WriteString("\r\n")
-}
+// Error encodes an error reply: -msg.
+func (w *Writer) Error(msg string) { w.Value(ErrVal(msg)) }
 
-// number writes a marker, a decimal integer and CRLF, formatting the
-// digits in the buffer's free space.
-func (w *Writer) number(marker byte, n int64) {
-	if w.err != nil {
-		return
-	}
-	w.bw.WriteByte(marker)
-	w.bw.Write(strconv.AppendInt(w.bw.AvailableBuffer(), n, 10))
-	_, w.err = w.bw.WriteString("\r\n")
-}
+// Int encodes an integer reply: :n.
+func (w *Writer) Int(n int64) { w.Value(IntVal(n)) }
 
-// Simple writes a simple-string reply: +s.
-func (w *Writer) Simple(s string) { w.line('+', s) }
+// Bulk encodes a bulk string: $len/payload.
+func (w *Writer) Bulk(s string) { w.Value(BulkVal(s)) }
 
-// Error writes an error reply: -msg.
-func (w *Writer) Error(msg string) { w.line('-', msg) }
+// Null encodes the null bulk reply ($-1), Redis's "no such key".
+func (w *Writer) Null() { w.Value(NullVal()) }
 
-// Int writes an integer reply: :n.
-func (w *Writer) Int(n int64) { w.number(':', n) }
-
-// Bulk writes a bulk-string reply: $len/payload. The payload is
-// written as-is: a GET-heavy workload must not pay an extra copy of up
-// to MaxBulk per reply.
-func (w *Writer) Bulk(s string) {
-	w.number('$', int64(len(s)))
+// Array encodes an array header for n elements; the caller then encodes
+// the n elements.
+func (w *Writer) Array(n int) {
 	if w.err == nil {
-		w.bw.WriteString(s)
-		_, w.err = w.bw.WriteString("\r\n")
+		w.buf = appendNumber(w.buf, '*', int64(n))
 	}
 }
 
-// Null writes the null bulk reply ($-1), Redis's "no such key".
-func (w *Writer) Null() { w.number('$', -1) }
+// Value encodes v.
+func (w *Writer) Value(v Value) {
+	if w.err == nil {
+		w.buf, w.err = AppendValue(w.buf, v)
+	}
+}
 
-// Array writes an array header for n elements; the caller then writes
-// the n replies.
-func (w *Writer) Array(n int) { w.number('*', int64(n)) }
-
-// Flush drains the buffer and reports the first error of the batch.
+// Flush writes what was encoded since the last Flush in one Write and
+// reports the first error.
 func (w *Writer) Flush() error {
-	if w.err != nil {
+	if w.err != nil || len(w.buf) == 0 {
 		return w.err
 	}
-	return w.bw.Flush()
+	n, err := w.w.Write(w.buf)
+	if err == nil && n < len(w.buf) {
+		err = io.ErrShortWrite
+	}
+	w.err = err
+	if w.buf = w.buf[:0]; cap(w.buf) > maxRetained {
+		w.buf = nil
+	}
+	return err
+}
+
+// The encoders append marker, payload and terminator to the buffer
+// separately — no reply is first assembled as a string, and a bulk
+// payload is copied once, into the buffer.
+
+// appendLine appends a marker, a payload and CRLF.
+func appendLine(b []byte, marker byte, s string) []byte {
+	b = append(b, marker)
+	b = append(b, s...)
+	return append(b, '\r', '\n')
+}
+
+// appendNumber appends a marker, a decimal integer and CRLF.
+func appendNumber(b []byte, marker byte, n int64) []byte {
+	b = append(b, marker)
+	b = strconv.AppendInt(b, n, 10)
+	return append(b, '\r', '\n')
 }

@@ -138,10 +138,12 @@ func TestWriterReplies(t *testing.T) {
 }
 
 // TestCodecAllocs pins what the wire costs the allocator: encoding a
-// reply allocates nothing (marker, payload and terminator go to the
-// buffer separately, digits are formatted in its free space), and
-// decoding a command allocates the argument slice plus one string per
-// argument — bulk payloads are copied out of the read buffer once.
+// reply allocates nothing once the buffer it is appended to has grown
+// (marker, payload and terminator are appended separately, digits
+// formatted in place), through a Writer or straight into a caller's
+// buffer, and decoding a command allocates the argument slice plus one
+// string per argument — bulk payloads are copied out of the read
+// buffer once.
 func TestCodecAllocs(t *testing.T) {
 	w := NewWriter(io.Discard)
 	reply := ArrayVal(SimpleVal("OK"), ErrVal("ERR boom"), IntVal(-1234567), BulkVal("hello"), NullVal())
@@ -152,6 +154,15 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("encode: %v allocs per reply, want 0", n)
+	}
+	var batch []byte
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if batch, err = AppendValue(batch[:0], reply); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("append-encode: %v allocs per reply, want 0", n)
 	}
 
 	const frame = "*3\r\n$3\r\nSET\r\n$8\r\nkey:0001\r\n$5\r\nvalue\r\n"
@@ -168,10 +179,12 @@ func TestCodecAllocs(t *testing.T) {
 
 // errWriter fails after n bytes, for the sticky-error contract.
 type errWriter struct {
-	n int
+	n      int
+	writes int
 }
 
 func (w *errWriter) Write(p []byte) (int, error) {
+	w.writes++
 	if len(p) > w.n {
 		n := w.n
 		w.n = 0
@@ -181,15 +194,61 @@ func (w *errWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriterSticky: the first transport error is retained and reported
-// by Flush; later writes are no-ops rather than panics.
+// TestWriterSticky: the first error — a failed Write or a value that
+// cannot be encoded — is retained and reported by every later Flush;
+// later encodes are dropped and nothing more reaches the sink.
 func TestWriterSticky(t *testing.T) {
-	w := NewWriter(&errWriter{n: 4})
+	sink := &errWriter{n: 4}
+	w := NewWriter(sink)
 	for i := 0; i < 1000; i++ {
 		w.Bulk(strings.Repeat("x", 64))
 	}
-	if err := w.Flush(); err == nil {
+	err := w.Flush()
+	if err == nil {
 		t.Fatal("Flush after sink failure = nil, want error")
+	}
+	w.Simple("OK")
+	if again := w.Flush(); again != err || sink.writes != 1 || len(w.buf) != 0 {
+		t.Fatalf("after the failure: Flush = %v (first %v), %d writes, %d bytes buffered", again, err, sink.writes, len(w.buf))
+	}
+
+	var buf bytes.Buffer
+	w = NewWriter(&buf)
+	w.Simple("OK")
+	w.Value(Value{Kind: '?'})
+	w.Int(1)
+	err = w.Flush()
+	if !IsProtoError(err) || buf.Len() != 0 {
+		t.Fatalf("unencodable value: Flush = %v, wrote %q", err, buf.String())
+	}
+	if again := w.Flush(); again != err {
+		t.Fatalf("second Flush = %v, want the first error %v", again, err)
+	}
+}
+
+// TestWriterBufferRetention: a Writer keeps its buffer across a Flush,
+// so a steady stream of small batches reuses one, but not a buffer a
+// large batch grew past maxRetained.
+func TestWriterBufferRetention(t *testing.T) {
+	var sink bytes.Buffer
+	w := NewWriter(&sink)
+	w.Bulk("hello")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.buf) == 0 {
+		t.Fatal("a small batch's buffer was not kept")
+	}
+	big := strings.Repeat("x", maxRetained)
+	w.Bulk(big)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.buf) != 0 {
+		t.Fatalf("kept a %d-byte buffer after a batch past the %d-byte cap", cap(w.buf), maxRetained)
+	}
+	if want := fmt.Sprintf("$5\r\nhello\r\n$%d\r\n%s\r\n", len(big), big); sink.String() != want {
+		t.Fatal("the large batch did not arrive byte-identical")
 	}
 }
 

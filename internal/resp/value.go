@@ -46,35 +46,36 @@ func ArrayVal(elems ...Value) Value {
 // IsError reports whether the value is an error reply.
 func (v Value) IsError() bool { return v.Kind == '-' }
 
-// Value encodes v onto the writer's buffer.
-func (w *Writer) Value(v Value) {
+// AppendValue appends v's wire form to b and returns the extended
+// buffer. A value of unknown kind is an error, and b then ends in a
+// partial encoding.
+func AppendValue(b []byte, v Value) ([]byte, error) {
 	switch v.Kind {
-	case '+':
-		w.Simple(v.Str)
-	case '-':
-		w.Error(v.Str)
+	case '+', '-':
+		return appendLine(b, v.Kind, v.Str), nil
 	case ':':
-		w.Int(v.Int)
+		return appendNumber(b, ':', v.Int), nil
 	case '$':
 		if v.Null {
-			w.Null()
-		} else {
-			w.Bulk(v.Str)
+			return appendNumber(b, '$', -1), nil
 		}
+		b = appendNumber(b, '$', int64(len(v.Str)))
+		b = append(b, v.Str...)
+		return append(b, '\r', '\n'), nil
 	case '*':
 		if v.Null {
-			w.number('*', -1)
-		} else {
-			w.Array(len(v.Elems))
-			for _, e := range v.Elems {
-				w.Value(e)
+			return appendNumber(b, '*', -1), nil
+		}
+		b = appendNumber(b, '*', int64(len(v.Elems)))
+		for _, e := range v.Elems {
+			var err error
+			if b, err = AppendValue(b, e); err != nil {
+				return b, err
 			}
 		}
-	default:
-		if w.err == nil {
-			w.err = protoErrf("cannot encode value kind %q", v.Kind)
-		}
+		return b, nil
 	}
+	return b, protoErrf("cannot encode value kind %q", v.Kind)
 }
 
 // maxReplyDepth bounds array nesting in ReadReply, so a hostile server
