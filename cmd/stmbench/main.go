@@ -1,17 +1,18 @@
 // Command stmbench regenerates the paper's evaluation figures and the
-// container-subsystem extensions: for each figure it sweeps the number
-// of threads and prints committed transactions per second per
+// container and kv-store extensions: for each figure it sweeps the
+// number of threads and prints committed transactions per second per
 // contention manager — the same series Figures 1–4 plot, plus the
-// hash-set, queue and ordered-map sweeps (figures 5–7).
+// hash-set, queue, ordered-map, kv-store and job-pipeline sweeps
+// (figures 5–10). It is the repository's only figure driver; -audit
+// turns a sweep into a correctness check as well.
 //
 // Usage:
 //
 //	stmbench -figure 1                 # one figure
-//	stmbench -all                      # all figures (paper + containers)
-//	stmbench -structure omap           # sweep one structure by name
-//	stmbench -structure queue -mix rangeheavy
-//	stmbench -figure 4 -csv            # machine-readable output (CSV)
+//	stmbench -all                      # all figures (paper + extensions)
+//	stmbench -figure 6 -mix rangeheavy
 //	stmbench -all -json                # machine-readable output (JSON array)
+//	stmbench -all -audit -threads 1,4,64,128 -window 120ms -warmup 30ms
 //	stmbench -figure 2 -threads 1,4,8 -window 200ms -managers greedy,karma
 //	stmbench -figure 10 -threads 64 -txtrace 16 -json   # conflict attribution
 package main
@@ -32,35 +33,23 @@ import (
 
 func main() {
 	var (
-		figureID  = flag.Int("figure", 0, "figure number to run (1-7, see -list)")
-		all       = flag.Bool("all", false, "run every figure")
-		structure = flag.String("structure", "", "sweep one structure by name (list, skiplist, rbtree, rbforest, hashset, queue, omap)")
-		duration  = flag.Duration("duration", 300*time.Millisecond, "measurement window per point (alias of -window)")
-		window    = flag.Duration("window", 0, "measurement window per point; overrides -duration when set")
-		warmup    = flag.Duration("warmup", 50*time.Millisecond, "warmup per point (runs before the window opens; not measured)")
-		txtrace   = flag.Int("txtrace", 0, "sample 1 in N transactions into the flight recorder: points gain abort-cause breakdown and top-K hot vars (0 disables)")
-		threads   = flag.String("threads", "", "comma-separated thread counts (default: the figure's 1..32 sweep)")
-		managers  = flag.String("managers", "", "comma-separated manager names (default: the figure's five series)")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		jsonOut   = flag.Bool("json", false, "emit a JSON array of per-point results instead of a table")
-		chart     = flag.Bool("plot", false, "render an ASCII chart of each figure (with the table)")
-		audit     = flag.Bool("audit", false, "verify structural integrity after every point")
-		keyDist   = flag.String("keys", "", "key distribution: uniform, zipf, zipf:<s> (default: the figure's own, uniform unless stated)")
-		mix       = flag.String("mix", "", "container op mix: update, readheavy, mixed, rangeheavy, w:l,i,d,r (containers only)")
-		binKeys   = flag.Bool("binkeys", false, "kv structures: use a binary-hostile key table (NULs, CRLFs, high bytes)")
-		seed      = flag.Uint64("seed", 0x5eed, "workload seed")
-		list      = flag.Bool("list", false, "list figures, structures and managers, then exit")
+		figureID = flag.Int("figure", 0, fmt.Sprintf("figure number to run (1-%d, see -list)", len(harness.Figures)))
+		all      = flag.Bool("all", false, "run every figure")
+		window   = flag.Duration("window", 300*time.Millisecond, "measurement window per point")
+		warmup   = flag.Duration("warmup", 50*time.Millisecond, "warmup per point (runs before the window opens; not measured)")
+		txtrace  = flag.Int("txtrace", 0, "sample 1 in N transactions into the flight recorder: points gain abort-cause breakdown and top-K hot vars (0 disables)")
+		threads  = flag.String("threads", "", fmt.Sprintf("comma-separated positive thread counts (default: the figure's sweep, %v)", harness.DefaultThreads))
+		managers = flag.String("managers", "", "comma-separated manager names (default: the figure's five series)")
+		jsonOut  = flag.Bool("json", false, "emit a JSON array of per-point results instead of a table")
+		chart    = flag.Bool("plot", false, "render an ASCII chart of each figure (with the table)")
+		audit    = flag.Bool("audit", false, "verify structural integrity after every point")
+		keyDist  = flag.String("keys", "", "key distribution: uniform, zipf, zipf:<s> (default: the figure's own, uniform unless stated)")
+		mix      = flag.String("mix", "", "container op mix: update, readheavy, mixed, rangeheavy, w:l,i,d,r (containers only)")
+		binKeys  = flag.Bool("binkeys", false, "kv structures: use a binary-hostile key table (NULs, CRLFs, high bytes)")
+		seed     = flag.Uint64("seed", 0x5eed, "workload seed")
+		list     = flag.Bool("list", false, "list figures, structures and managers, then exit")
 	)
 	flag.Parse()
-
-	if *csvOut && *jsonOut {
-		usage("-csv and -json are mutually exclusive")
-	}
-	// -window is the measurement window's proper name (the warmup runs
-	// before it opens); -duration predates it and stays as an alias.
-	if *window > 0 {
-		*duration = *window
-	}
 
 	if *list {
 		fmt.Println("figures:")
@@ -73,13 +62,13 @@ func main() {
 		return
 	}
 
-	figures, err := selectFigures(*all, *figureID, *structure)
+	figures, err := selectFigures(*all, *figureID)
 	if err != nil {
 		usage(err.Error())
 	}
 
 	opts := harness.FigureOptions{
-		Duration:   *duration,
+		Duration:   *window,
 		Warmup:     *warmup,
 		Seed:       *seed,
 		Audit:      *audit,
@@ -91,15 +80,14 @@ func main() {
 	if *threads != "" {
 		ts, err := parseInts(*threads)
 		if err != nil {
-			fatal(err)
+			usage(err.Error())
 		}
 		opts.Threads = ts
 	}
 	if *managers != "" {
 		opts.Managers = strings.Split(*managers, ",")
 	}
-	machine := *csvOut || *jsonOut
-	if !machine {
+	if !*jsonOut {
 		opts.Progress = func(p harness.Point) {
 			hot := ""
 			if len(p.HotVars) > 0 {
@@ -114,12 +102,8 @@ func main() {
 	// JSON array; RunFigure stamps each point with its figure id.
 	var jsonPoints []harness.Point
 	for _, fig := range figures {
-		if !machine {
-			if fig.ID != 0 {
-				fmt.Fprintf(os.Stderr, "running figure %d: %s\n", fig.ID, fig.Name)
-			} else {
-				fmt.Fprintf(os.Stderr, "running %s\n", fig.Name)
-			}
+		if !*jsonOut {
+			fmt.Fprintf(os.Stderr, "running figure %d: %s\n", fig.ID, fig.Name)
 		}
 		points, err := harness.RunFigure(fig, opts)
 		if err != nil {
@@ -129,17 +113,8 @@ func main() {
 			jsonPoints = append(jsonPoints, points...)
 			continue
 		}
-		if *csvOut {
-			if err := harness.WriteCSV(os.Stdout, points); err != nil {
-				fatal(err)
-			}
-			continue
-		}
 		fmt.Println()
-		title := fig.Name
-		if fig.ID != 0 {
-			title = fmt.Sprintf("Figure %d: %s", fig.ID, fig.Name)
-		}
+		title := fmt.Sprintf("Figure %d: %s", fig.ID, fig.Name)
 		if err := harness.WriteTable(os.Stdout, title, points); err != nil {
 			fatal(err)
 		}
@@ -157,40 +132,23 @@ func main() {
 	}
 }
 
-// selectFigures resolves the -all / -figure / -structure selection
-// into the figures to run, rejecting unknown or ambiguous selections
-// so a typo never silently measures the wrong thing.
-func selectFigures(all bool, figureID int, structure string) ([]harness.Figure, error) {
-	selected := 0
-	if all {
-		selected++
-	}
-	if figureID != 0 {
-		selected++
-	}
-	if structure != "" {
-		selected++
-	}
+// selectFigures resolves the -all / -figure selection into the figures
+// to run, rejecting unknown or ambiguous selections so a typo never
+// silently measures the wrong thing.
+func selectFigures(all bool, figureID int) ([]harness.Figure, error) {
 	switch {
-	case selected == 0:
-		return nil, errors.New("pass -figure N, -structure NAME or -all (see -list)")
-	case selected > 1:
-		return nil, errors.New("-figure, -structure and -all are mutually exclusive")
+	case all && figureID != 0:
+		return nil, errors.New("-figure and -all are mutually exclusive")
 	case all:
 		return harness.Figures, nil
-	case structure != "":
-		fig, err := harness.StructureFigure(structure)
-		if err != nil {
-			return nil, err
-		}
-		return []harness.Figure{fig}, nil
-	default:
-		fig, err := harness.FigureByID(figureID)
-		if err != nil {
-			return nil, err
-		}
-		return []harness.Figure{fig}, nil
+	case figureID == 0:
+		return nil, errors.New("pass -figure N or -all (see -list)")
 	}
+	fig, err := harness.FigureByID(figureID)
+	if err != nil {
+		return nil, err
+	}
+	return []harness.Figure{fig}, nil
 }
 
 // renderChart draws the figure's series as an ASCII line chart, the
@@ -220,13 +178,18 @@ func renderChart(title string, points []harness.Point) error {
 	})
 }
 
+// parseInts parses -threads: a comma-separated list of thread counts,
+// each of which must be positive.
 func parseInts(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("stmbench: bad thread count %q: %w", p, err)
+			return nil, fmt.Errorf("bad thread count %q: %w", p, err)
+		}
+		if v <= 0 {
+			return nil, fmt.Errorf("bad thread count %d: must be positive", v)
 		}
 		out = append(out, v)
 	}

@@ -32,12 +32,11 @@
 //
 // See DESIGN.md for the architecture (engine / sessions / Var[T] /
 // managers / containers / kv server / durability) and the
-// hardware substitutions; cmd/stmbench (figures 1-9, -structure,
-// -mix, -keys, -binkeys, tables, CSV and -json output), cmd/benchdiff
-// (BENCH_*.json trajectory diffs, the cross-PR -trajectory table and
-// its per-manager -slice), cmd/stmkv (the RESP-lite server — durable
-// with -data — load generator, audit mode and CI smoke harness; see
-// cmd/stmkv/README.md) and cmd/makespan for the experiment drivers;
+// hardware substitutions; cmd/stmbench (figures 1-10, -mix, -keys,
+// -binkeys, -audit, tables and -json output), cmd/stmkv (the
+// RESP-lite server — durable with -data — load generator, audit mode
+// and CI smoke harness; see cmd/stmkv/README.md) and cmd/makespan for
+// the experiment drivers;
 // and examples/ for runnable programs (each verifies its own
 // invariant and exits non-zero on violation, so CI smoke-runs them).
 package repro

@@ -1,10 +1,12 @@
 package container
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -275,6 +277,27 @@ func hammerOps(t *testing.T) int {
 	return 250
 }
 
+// errHammerFuse is the hammers' livelock fuse. Managers without a
+// progress guarantee (aggressive above all) can keep two writers
+// aborting each other for thousands of attempts under the race
+// detector, so an operation gives up after a bounded number of
+// attempts instead of hanging the test. A fused operation simply never
+// happened, so the audits that end each hammer stay exact.
+var errHammerFuse = errors.New("container: hammer livelock fuse blew")
+
+// newFuse returns one operation's attempt guard: called first in the
+// transaction body, it fails with errHammerFuse once the body has run
+// more than 500 times.
+func newFuse() func() error {
+	attempts := 0
+	return func() error {
+		if attempts++; attempts > 500 {
+			return errHammerFuse
+		}
+		return nil
+	}
+}
+
 // TestHashSetHammer drives 32 goroutines of mixed add/remove/contains
 // traffic on a small bucket array under every registry manager, then
 // audits the bucket invariants.
@@ -361,40 +384,55 @@ func TestQueueHammer(t *testing.T) {
 
 // TestOMapHammer drives 32 goroutines of put/delete/get/range traffic
 // on a small key range under every registry manager, then audits the
-// skip-list invariants.
+// skip-list invariants. Every transaction carries the livelock fuse;
+// greedy, whose timestamp order guarantees progress, must never blow
+// it.
 func TestOMapHammer(t *testing.T) {
 	const goroutines = 32
 	ops := hammerOps(t)
 	for _, mgr := range core.Names() {
 		t.Run(mgr, func(t *testing.T) {
 			m := NewOMap[int, int]()
+			var fused atomic.Int64
 			fn := func(s *stm.STM, g, i int, rng *rand.Rand) error {
-				key := int(rng.Int64N(64))
-				switch rng.Int64N(4) {
-				case 0:
-					_, _, err := stm.Atomic2(s, func(tx *stm.Tx) (int, bool, error) { return m.Put(tx, key, g) })
-					return err
-				case 1:
-					_, _, err := stm.Atomic2(s, func(tx *stm.Tx) (int, bool, error) { return m.Delete(tx, key) })
-					return err
-				case 2:
-					_, _, err := stm.Atomic2(s, func(tx *stm.Tx) (int, bool, error) { return m.Get(tx, key) })
-					return err
-				default:
-					pairs, err := stm.Atomic(s, func(tx *stm.Tx) ([]KV[int, int], error) {
-						return m.Range(tx, key, key+8)
-					})
-					for i := 1; i < len(pairs); i++ {
-						if pairs[i-1].Key >= pairs[i].Key {
-							return fmt.Errorf("range not ascending: %v", pairs)
-						}
+				key, op := int(rng.Int64N(64)), rng.Int64N(4)
+				fuse := newFuse()
+				var pairs []KV[int, int]
+				err := s.Atomically(func(tx *stm.Tx) error {
+					if err := fuse(); err != nil {
+						return err
+					}
+					var err error
+					switch op {
+					case 0:
+						_, _, err = m.Put(tx, key, g)
+					case 1:
+						_, _, err = m.Delete(tx, key)
+					case 2:
+						_, _, err = m.Get(tx, key)
+					default:
+						pairs, err = m.Range(tx, key, key+8)
 					}
 					return err
+				})
+				if errors.Is(err, errHammerFuse) {
+					fused.Add(1)
+					return nil
 				}
+				for i := 1; i < len(pairs); i++ {
+					if pairs[i-1].Key >= pairs[i].Key {
+						return fmt.Errorf("range not ascending: %v", pairs)
+					}
+				}
+				return err
 			}
 			hammer(t, mgr, goroutines, ops, fn, func(s *stm.STM) error {
 				return s.Atomically(m.CheckInvariants)
 			})
+			t.Logf("%s: %d of %d operations fused", mgr, fused.Load(), goroutines*ops)
+			if mgr == "greedy" && fused.Load() > 0 {
+				t.Errorf("greedy blew the livelock fuse on %d operations", fused.Load())
+			}
 		})
 	}
 }

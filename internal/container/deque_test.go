@@ -80,24 +80,22 @@ func TestDequeBasic(t *testing.T) {
 	}
 }
 
-// errDequeFuse is the hammer's livelock fuse. A ≤1-element deque makes
-// front and back operations splice against opposite sentinels, so the
-// two ends acquire the boundary Vars in opposite orders — an ABBA
-// stand-off that unbounded-patience managers (karma, eruption) resolve
-// pathologically slowly under symmetric load: each abort adds karma,
-// widening the priority gap the next waiter must out-wait. As in the
-// kv transfer hammer, an operation gives up after a bounded number of
-// attempts instead of hanging the test; a fused push or pop simply
-// never happened, so the conservation checks stay exact (only values
-// whose push committed are expected back out).
-var errDequeFuse = errors.New("container: deque hammer livelock fuse blew")
-
 // TestDequeHammer drives 32 goroutines — 8 per operation (PushFront,
 // PushBack, PopFront, PopBack) — through the deque's two end hot
 // spots under every registry manager, in both eager and lazy conflict
 // modes, checking conservation: every popped value was pushed exactly
 // once, the leftovers are exactly the never-popped pushes, and the
 // link/counter invariants hold.
+//
+// Every operation carries the hammers' livelock fuse (errHammerFuse).
+// A ≤1-element deque makes front and back operations splice against
+// opposite sentinels, so the two ends acquire the boundary Vars in
+// opposite orders — an ABBA stand-off that unbounded-patience managers
+// (karma, eruption) resolve pathologically slowly under symmetric
+// load: each abort adds karma, widening the priority gap the next
+// waiter must out-wait. A fused push or pop simply never happened, so
+// the conservation checks stay exact (only values whose push committed
+// are expected back out).
 func TestDequeHammer(t *testing.T) {
 	const perOp = 8
 	ops := hammerOps(t)
@@ -126,13 +124,7 @@ func TestDequeHammer(t *testing.T) {
 							for i := 0; i < ops; i++ {
 								val := g*1_000_000 + i
 								var err error
-								attempts := 0
-								fuse := func() error {
-									if attempts++; attempts > 500 {
-										return errDequeFuse
-									}
-									return nil
-								}
+								fuse := newFuse()
 								switch g / perOp {
 								case 0, 1:
 									push := d.PushFront
@@ -169,7 +161,7 @@ func TestDequeHammer(t *testing.T) {
 										mu.Unlock()
 									}
 								}
-								if err != nil && !errors.Is(err, errDequeFuse) {
+								if err != nil && !errors.Is(err, errHammerFuse) {
 									errs[g] = err
 									return
 								}

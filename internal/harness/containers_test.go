@@ -247,21 +247,6 @@ func TestStructuresListsEverything(t *testing.T) {
 	}
 }
 
-func TestStructureFigure(t *testing.T) {
-	for _, structure := range harness.Structures() {
-		fig, err := harness.StructureFigure(structure)
-		if err != nil {
-			t.Fatalf("StructureFigure(%q): %v", structure, err)
-		}
-		if fig.ID != 0 || fig.Structure != structure {
-			t.Fatalf("StructureFigure(%q) = %+v", structure, fig)
-		}
-	}
-	if _, err := harness.StructureFigure("btree"); err == nil {
-		t.Fatal("unknown structure accepted")
-	}
-}
-
 func TestContainerFigureSweep(t *testing.T) {
 	fig, err := harness.FigureByID(6) // the queue figure
 	if err != nil {

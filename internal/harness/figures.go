@@ -44,10 +44,14 @@ type Figure struct {
 var DefaultThreads = []int{1, 2, 4, 8, 16, 24, 32, 64, 128}
 
 // Figures are the paper's four evaluation figures (1-4) plus the
-// container-subsystem extensions (5-7): the same manager series over
-// the contention profiles the paper's structures cannot produce —
-// disjoint hash buckets, a two-variable FIFO hot spot, and skip-list
-// range scans competing with point writers.
+// container-subsystem extensions (5-7) and the kv-store applications
+// (8-10): the same manager series over the contention profiles the
+// paper's structures cannot produce — disjoint hash buckets, a
+// two-variable FIFO hot spot, skip-list range scans competing with
+// point writers, skewed string keys, a logged store and a cross-type
+// job pipeline. Every structure is the structure of exactly one
+// figure; TestFigureCoverage pins that and the rest of what a sweep
+// must cover.
 var Figures = []Figure{
 	{
 		ID:        1,
@@ -128,37 +132,6 @@ var Figures = []Figure{
 		Managers:  core.FigureManagers,
 		Threads:   DefaultThreads,
 	},
-}
-
-// StructureFigure returns a synthetic one-structure figure (ID 0) for
-// sweeps selected by structure name rather than figure number —
-// stmbench's -structure flag. The name must be one of Structures.
-func StructureFigure(name string) (Figure, error) {
-	for _, s := range Structures() {
-		if s != name {
-			continue
-		}
-		fig := Figure{
-			Name:      name + " sweep",
-			Structure: name,
-			Managers:  core.FigureManagers,
-			Threads:   DefaultThreads,
-		}
-		// Inherit the structure's intrinsic parameters from its
-		// canonical numbered figure so a -structure sweep stays in
-		// lockstep if the figure is ever retuned. TailWork is left at
-		// zero and Mix at the default on purpose: those are scenario
-		// knobs (Figure 3's low-contention tail, Figure 7's mixed
-		// traffic), not properties of the structure.
-		for _, f := range Figures {
-			if f.Structure == name {
-				fig.ForestAllProb = f.ForestAllProb
-				break
-			}
-		}
-		return fig, nil
-	}
-	return Figure{}, fmt.Errorf("harness: unknown structure %q (have %v)", name, Structures())
 }
 
 // FigureByID returns the figure definition for the paper's figure

@@ -132,7 +132,7 @@ type Point struct {
 	// structures, which always run the paper's fixed update workload).
 	Mix string
 	// KeyDist is the key distribution the point ran, empty for
-	// uniform (the paper's default) so historical records compare.
+	// uniform (the paper's default).
 	KeyDist string
 	// Figure is the paper figure the point belongs to; zero when the
 	// point was run outside a figure sweep (RunFigure stamps it).

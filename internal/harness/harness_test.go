@@ -1,10 +1,12 @@
 package harness_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -135,6 +137,42 @@ func TestFigureByID(t *testing.T) {
 	}
 }
 
+// TestFigureCoverage is the figure sweep's coverage contract: figures
+// 1-10 all exist, each plots the paper's five manager series, the
+// default thread sweep keeps the 1, 4, 64 and 128 points CI measures,
+// and every structure is the structure of exactly one figure — 10
+// figures x 5 managers x 4 thread counts, 200 points per sweep.
+func TestFigureCoverage(t *testing.T) {
+	paperSeries := []string{"eruption", "greedy", "aggressive", "backoff", "karma"}
+	if !slices.Equal(core.FigureManagers, paperSeries) {
+		t.Errorf("core.FigureManagers = %v, want the paper's series %v", core.FigureManagers, paperSeries)
+	}
+	ids := map[int]bool{}
+	figuresOf := map[string]int{}
+	for _, fig := range harness.Figures {
+		ids[fig.ID] = true
+		figuresOf[fig.Structure]++
+		if !slices.Equal(fig.Managers, core.FigureManagers) {
+			t.Errorf("figure %d plots %v, want core.FigureManagers %v", fig.ID, fig.Managers, core.FigureManagers)
+		}
+	}
+	for id := 1; id <= 10; id++ {
+		if !ids[id] {
+			t.Errorf("figure %d is missing", id)
+		}
+	}
+	for _, th := range []int{1, 4, 64, 128} {
+		if !slices.Contains(harness.DefaultThreads, th) {
+			t.Errorf("DefaultThreads %v lost the %d-thread point", harness.DefaultThreads, th)
+		}
+	}
+	for _, s := range harness.Structures() {
+		if n := figuresOf[s]; n != 1 {
+			t.Errorf("structure %q is the structure of %d figures, want exactly one", s, n)
+		}
+	}
+}
+
 func TestRunFigureTinySweep(t *testing.T) {
 	fig, err := harness.FigureByID(1)
 	if err != nil {
@@ -159,24 +197,12 @@ func TestRunFigureTinySweep(t *testing.T) {
 	}
 }
 
-func TestWriteCSVAndTable(t *testing.T) {
+func TestWriteTable(t *testing.T) {
 	points := []harness.Point{
 		{Structure: "list", Manager: "greedy", Threads: 1, CommitsPerSec: 1000, Commits: 100},
 		{Structure: "list", Manager: "greedy", Threads: 2, CommitsPerSec: 900, Commits: 90},
 		{Structure: "list", Manager: "karma", Threads: 1, CommitsPerSec: 800, Commits: 80},
 	}
-	var csvBuf strings.Builder
-	if err := harness.WriteCSV(&csvBuf, points); err != nil {
-		t.Fatal(err)
-	}
-	out := csvBuf.String()
-	if !strings.Contains(out, "structure,manager,threads") {
-		t.Fatalf("CSV missing header: %q", out)
-	}
-	if !strings.Contains(out, "list,greedy,1,1000.0") {
-		t.Fatalf("CSV missing data row: %q", out)
-	}
-
 	var tblBuf strings.Builder
 	if err := harness.WriteTable(&tblBuf, "Figure 1: List application", points); err != nil {
 		t.Fatal(err)
@@ -191,21 +217,5 @@ func TestWriteCSVAndTable(t *testing.T) {
 	// stale or zero cell.
 	if !strings.Contains(tbl, "-") {
 		t.Fatalf("table missing placeholder for absent cell:\n%s", tbl)
-	}
-}
-
-func TestWriteCSVIncludesLatencyColumns(t *testing.T) {
-	var p harness.Point
-	p.Structure, p.Manager, p.Threads = "list", "greedy", 1
-	p.Latency.Observe(100 * time.Microsecond)
-	var sb strings.Builder
-	if err := harness.WriteCSV(&sb, []harness.Point{p}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, col := range []string{"lat_p50_us", "lat_p99_us", "lat_max_us"} {
-		if !strings.Contains(out, col) {
-			t.Fatalf("CSV missing %q:\n%s", col, out)
-		}
 	}
 }

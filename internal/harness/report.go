@@ -1,21 +1,18 @@
 package harness
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// pointJSON is the machine-readable form of a Point for -json output
-// and BENCH_*.json trajectory tracking. The latency histogram is
-// flattened to its tracked quantiles; Figure carries the paper figure
-// the point belongs to (0 when run outside a figure sweep).
+// pointJSON is the machine-readable form of a Point for stmbench's
+// -json output. The latency histogram is flattened to its tracked
+// quantiles; Figure carries the paper figure the point belongs to (0
+// when run outside a figure sweep).
 type pointJSON struct {
 	Figure        int     `json:"figure,omitempty"`
 	Structure     string  `json:"structure"`
@@ -31,8 +28,7 @@ type pointJSON struct {
 	AbortRate     float64 `json:"abort_rate"`
 	WaitNs        int64   `json:"wait_ns,omitempty"`
 	BackoffNs     int64   `json:"backoff_ns,omitempty"`
-	// The per-cause abort partition (always exact; omitted when zero
-	// so pre-recorder trajectory records stay byte-comparable).
+	// The per-cause abort partition (always exact; omitted when zero).
 	AbortsEnemy      int64   `json:"aborts_enemy,omitempty"`
 	AbortsValidation int64   `json:"aborts_validation,omitempty"`
 	AbortsCASRace    int64   `json:"aborts_cas_race,omitempty"`
@@ -87,57 +83,6 @@ func WriteJSON(w io.Writer, points []Point) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// WriteCSV emits the points as CSV with a header row, suitable for
-// re-plotting the paper's figures.
-func WriteCSV(w io.Writer, points []Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"structure", "manager", "threads", "commits_per_sec", "commits", "aborts", "conflicts", "abort_rate", "wait_ns", "backoff_ns", "aborts_enemy", "aborts_validation", "aborts_cas_race", "lat_p50_us", "lat_p99_us", "lat_max_us", "commit_p50_us", "commit_p99_us", "hot_vars"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Structure,
-			p.Manager,
-			strconv.Itoa(p.Threads),
-			strconv.FormatFloat(p.CommitsPerSec, 'f', 1, 64),
-			strconv.FormatInt(p.Commits, 10),
-			strconv.FormatInt(p.Aborts, 10),
-			strconv.FormatInt(p.Conflicts, 10),
-			strconv.FormatFloat(p.AbortRate, 'f', 4, 64),
-			strconv.FormatInt(p.WaitNs, 10),
-			strconv.FormatInt(p.BackoffNs, 10),
-			strconv.FormatInt(p.AbortsEnemy, 10),
-			strconv.FormatInt(p.AbortsValidation, 10),
-			strconv.FormatInt(p.AbortsCASRace, 10),
-			strconv.FormatFloat(float64(p.Latency.Quantile(0.50).Microseconds()), 'f', 0, 64),
-			strconv.FormatFloat(float64(p.Latency.Quantile(0.99).Microseconds()), 'f', 0, 64),
-			strconv.FormatFloat(float64(p.Latency.Max().Microseconds()), 'f', 0, 64),
-			strconv.FormatFloat(float64(p.CommitLatency.Quantile(0.50).Microseconds()), 'f', 0, 64),
-			strconv.FormatFloat(float64(p.CommitLatency.Quantile(0.99).Microseconds()), 'f', 0, 64),
-			hotVarsCell(p.HotVars),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// hotVarsCell flattens the traced top-K into one CSV cell:
-// "kv:shard:12=143;jobs:pending=88" (object=conflict count). Empty on
-// untraced runs, so the column is present but blank.
-func hotVarsCell(vars []obs.HotObject) string {
-	if len(vars) == 0 {
-		return ""
-	}
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = v.Obj + "=" + strconv.FormatInt(v.Conflicts, 10)
-	}
-	return strings.Join(parts, ";")
 }
 
 // WriteTable renders the points as the figure's series table: one row
