@@ -130,7 +130,7 @@ func checkTypedLists(c *client) (checked int, err error) {
 // typed loadgen's residue when there is any: the hash ledger's sum and
 // the FIFO order of the private lists. With save, a SAVE is issued
 // at the end so the next restart boots from a snapshot.
-func runAudit(addr, mode string, accounts int, save bool) error {
+func runAudit(addr, mode string, save bool) error {
 	if mode != "sum" && mode != "set" && mode != "check" {
 		return fmt.Errorf("audit: unknown mode %q (want sum, set or check)", mode)
 	}
@@ -191,7 +191,7 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 
 	// Conservation: one consistent MGET across the transfer accounts.
 	args := []string{"MGET"}
-	for i := 0; i < accounts; i++ {
+	for i := 0; i < transferAccounts; i++ {
 		args = append(args, fmt.Sprintf("acct:%d", i))
 	}
 	v, err := c.must(args...)
@@ -209,7 +209,7 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 		}
 		sum += n
 	}
-	if want := accounts * 1000; sum != want {
+	if want := transferAccounts * 1000; sum != want {
 		return fmt.Errorf("audit: conservation broken: accounts sum to %d, want %d", sum, want)
 	}
 	// Typed-ledger conservation, when a -typed loadgen ran against this
@@ -227,7 +227,7 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 			}
 			hsum += n
 		}
-		if want := accounts * 1000; hsum != want {
+		if want := transferAccounts * 1000; hsum != want {
 			return fmt.Errorf("audit: typed ledger broken: %s sums to %d, want %d", typedStatsKey, hsum, want)
 		}
 	}
@@ -245,6 +245,6 @@ func runAudit(addr, mode string, accounts int, save bool) error {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "audit(%s): ok — %d accounts conserved (%d), %d typed lists in FIFO order, dbsize %d, save=%v\n",
-		mode, accounts, sum, lists, size.Int, save)
+		mode, transferAccounts, sum, lists, size.Int, save)
 	return nil
 }

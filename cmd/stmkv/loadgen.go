@@ -17,16 +17,21 @@ import (
 
 // loadConfig parameterizes the closed-loop load generator.
 type loadConfig struct {
-	clients  int
-	ops      int
-	keyRange int
-	keyDist  string
-	accounts int
-	transfer float64
-	seed     uint64
-	binKeys  bool
-	typed    bool
+	clients int
+	ops     int
+	binKeys bool
+	typed   bool
 }
+
+// The load generator's fixed workload. -audit, in another process,
+// checks conservation over the same transferAccounts.
+const (
+	keyRange         = 512    // key universe size
+	keyDist          = "zipf" // key distribution (see workload.NewKeyDist)
+	transferAccounts = 8      // conservation-checked transfer accounts
+	transferShare    = 0.2    // fraction of ops that are MULTI/EXEC transfers
+	loadSeed         = 0x5eed // workload seed
+)
 
 // client is one load-generator connection.
 type client struct {
@@ -131,10 +136,10 @@ func (l *opLats) report() string {
 // contract over real sockets), and no command ever yields an
 // unexpected error reply.
 func runLoadgen(addr string, cfg loadConfig) (string, error) {
-	if cfg.clients < 1 || cfg.ops < 1 || cfg.accounts < 1 || cfg.keyRange < 1 {
-		return "", fmt.Errorf("loadgen: need positive clients, ops, accounts and keyrange")
+	if cfg.clients < 1 || cfg.ops < 1 {
+		return "", fmt.Errorf("loadgen: need positive clients and ops")
 	}
-	dist, err := workload.NewKeyDist(cfg.keyDist, cfg.keyRange)
+	dist, err := workload.NewKeyDist(keyDist, keyRange)
 	if err != nil {
 		return "", err
 	}
@@ -143,7 +148,7 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 	// same mix through keys full of NULs, CRLFs and high bytes —
 	// protocol framing, store hashing and WAL encoding must all be
 	// length-prefixed, never delimiter-based, for this to survive.
-	keys := make([]string, cfg.keyRange)
+	keys := make([]string, keyRange)
 	for i := range keys {
 		if cfg.binKeys {
 			keys[i] = binKey(i)
@@ -152,7 +157,7 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 		}
 	}
 	const initial = 1000
-	accounts := make([]string, cfg.accounts)
+	accounts := make([]string, transferAccounts)
 	seedConn, err := dial(addr)
 	if err != nil {
 		return "", err
@@ -172,7 +177,7 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 		// the string accounts — the same atomicity contract, one value
 		// kind deeper.
 		args := []string{"HSET", typedStatsKey}
-		for i := 0; i < cfg.accounts; i++ {
+		for i := 0; i < transferAccounts; i++ {
 			args = append(args, "h:"+strconv.Itoa(i), strconv.Itoa(initial))
 		}
 		if _, err := seedConn.must(args...); err != nil {
@@ -227,12 +232,12 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 		}
 		sum += n
 	}
-	if want := cfg.accounts * initial; sum != want {
+	if want := transferAccounts * initial; sum != want {
 		return "", fmt.Errorf("loadgen: conservation broken: accounts sum to %d, want %d", sum, want)
 	}
 	typedNote := ""
 	if cfg.typed {
-		if err := auditTypedLedger(audit, cfg.accounts*initial); err != nil {
+		if err := auditTypedLedger(audit, transferAccounts*initial); err != nil {
 			return "", err
 		}
 		typedNote = fmt.Sprintf("\n  typed: hincrs=%d pushes=%d pops=%d zadds=%d — hash ledger conserved",
@@ -289,7 +294,7 @@ func binKey(i int) string {
 }
 
 // driveClient is one connection's closed loop: a transfer with
-// probability cfg.transfer, otherwise a weighted singleton command on
+// probability transferShare, otherwise a weighted singleton command on
 // a distribution-drawn key. Every op's round-trip lands in lat.
 func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys, accounts []string, cnt *counters, lat *opLats) error {
 	c, err := dial(addr)
@@ -297,7 +302,7 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 		return err
 	}
 	defer c.conn.Close()
-	rng := rand.New(rand.NewPCG(cfg.seed+uint64(g)+1, uint64(g)*0x9e37+7))
+	rng := rand.New(rand.NewPCG(loadSeed+uint64(g)+1, uint64(g)*0x9e37+7))
 	typed := typedState{g: g}
 	if cfg.typed {
 		// Reset this client's private containers: a durable server may
@@ -308,7 +313,7 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 		}
 	}
 	for i := 0; i < cfg.ops; i++ {
-		if rng.Float64() < cfg.transfer {
+		if rng.Float64() < transferShare {
 			t0 := time.Now()
 			if err := doTransfer(c, rng, accounts); err != nil {
 				return err
@@ -404,8 +409,8 @@ func (ts *typedState) step(c *client, rng *rand.Rand, cfg loadConfig, cnt *count
 	zsetKey := "zset:" + strconv.Itoa(ts.g)
 	switch rng.Int64N(4) {
 	case 0: // contended hash-ledger transfer
-		from := "h:" + strconv.Itoa(int(rng.Int64N(int64(cfg.accounts))))
-		to := "h:" + strconv.Itoa(int(rng.Int64N(int64(cfg.accounts))))
+		from := "h:" + strconv.Itoa(int(rng.Int64N(transferAccounts)))
+		to := "h:" + strconv.Itoa(int(rng.Int64N(transferAccounts)))
 		amount := strconv.FormatInt(rng.Int64N(20)+1, 10)
 		for _, cmd := range [][]string{
 			{"MULTI"},

@@ -12,12 +12,14 @@
 //	stmkv -smoke                   # in-process server + loadgen + invariants
 //
 // The server runs one goroutine per connection; every command borrows
-// a pooled STM session (PR 2's goroutine-agnostic surface), so
-// concurrent clients commit in parallel under the striped commit
-// protocol, arbitrated by the contention manager named with -manager.
-// With -data, committed write sets are group-committed to a write-ahead
-// log and SAVE/BGSAVE cut snapshots that truncate it (DESIGN.md
-// §Durability).
+// a pooled STM session, so concurrent clients commit in parallel under
+// the striped commit protocol, arbitrated by the contention manager
+// named with -manager. With -data, committed write sets are
+// group-committed to a write-ahead log and SAVE/BGSAVE cut snapshots
+// that truncate it (DESIGN.md §Durability). Serving and -smoke start
+// the server the same way (start); the store's shape (16 shards of 8
+// initial buckets) and the load generator's workload (see loadgen.go)
+// are fixed, so every run exercises the same program.
 package main
 
 import (
@@ -49,8 +51,6 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":6399", "listen address (serve) or target address (-loadgen/-audit)")
 		manager = flag.String("manager", "greedy", "contention manager registry name (see stmbench -list)")
-		shards  = flag.Int("shards", 16, "store shard count (rounded up to a power of two)")
-		buckets = flag.Int("buckets", 8, "initial buckets per shard (shards grow on demand)")
 
 		metrics = flag.String("metrics", "", "observability HTTP listener serving /metrics, /healthz and /debug/pprof (empty disables)")
 		txtrace = flag.Int("txtrace", 0, "transaction flight recorder: sample 1 in N transactions into ABORTLOG and /debug/stm/conflicts (0 disables)")
@@ -58,17 +58,12 @@ func main() {
 		sweep   = flag.Duration("sweep", 500*time.Millisecond, "background TTL sweep cadence for a full pass over all shards; shards holding no TTL are skipped (0 disables)")
 		bgsave  = flag.String("bgsave-every", "", "scheduled BGSAVE cadence: a duration (\"30s\") or a logged-record count (\"500ops\"); empty disables (durable mode only)")
 
-		loadgen  = flag.Bool("loadgen", false, "run the closed-loop load generator against -addr instead of serving")
-		smoke    = flag.Bool("smoke", false, "start an in-process server on an ephemeral port, run the load generator against it, verify invariants, shut down")
-		clients  = flag.Int("clients", 8, "load generator: concurrent connections")
-		ops      = flag.Int("ops", 2000, "load generator: operations per connection")
-		keyRange = flag.Int("keyrange", 512, "load generator: key universe size")
-		keyDist  = flag.String("keys", "zipf", "load generator: key distribution (uniform, zipf, zipf:<s>)")
-		accounts = flag.Int("accounts", 8, "load generator: transfer accounts (conservation-checked)")
-		transfer = flag.Float64("transfer", 0.2, "load generator: fraction of ops that are MULTI/EXEC transfers")
-		seed     = flag.Uint64("seed", 0x5eed, "load generator: workload seed")
-		binKeys  = flag.Bool("binkeys", false, "load generator: use a binary-hostile key table (NULs, CRLFs, high bytes)")
-		typed    = flag.Bool("typed", false, "load generator: mix in typed-container traffic (hash-ledger transfers, FIFO lists, zset round-trips)")
+		loadgen = flag.Bool("loadgen", false, "run the closed-loop load generator against -addr instead of serving")
+		smoke   = flag.Bool("smoke", false, "start an in-process server on an ephemeral port, run the load generator against it, verify invariants, shut down")
+		clients = flag.Int("clients", 8, "load generator: concurrent connections")
+		ops     = flag.Int("ops", 2000, "load generator: operations per connection")
+		binKeys = flag.Bool("binkeys", false, "load generator: use a binary-hostile key table (NULs, CRLFs, high bytes)")
+		typed   = flag.Bool("typed", false, "load generator: mix in typed-container traffic (hash-ledger transfers, FIFO lists, zset round-trips)")
 
 		audit = flag.String("audit", "", "audit a live server at -addr: sum (conservation), set (plant TTL probes too), check (verify probes too)")
 		save  = flag.Bool("save", false, "audit: issue SAVE before exiting")
@@ -84,16 +79,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stmkv: -loadgen, -smoke and -audit are mutually exclusive")
 		os.Exit(2)
 	}
-	lcfg := loadConfig{
-		clients:  *clients,
-		ops:      *ops,
-		keyRange: *keyRange,
-		keyDist:  *keyDist,
-		accounts: *accounts,
-		transfer: *transfer,
-		seed:     *seed,
-		binKeys:  *binKeys,
-		typed:    *typed,
+	lcfg := loadConfig{clients: *clients, ops: *ops, binKeys: *binKeys, typed: *typed}
+	scfg := serverConfig{
+		addr:    *addr,
+		metrics: *metrics,
+		manager: *manager,
+		data:    *data,
+		sweep:   *sweep,
+		bgsave:  *bgsave,
+		txtrace: *txtrace,
 	}
 	switch {
 	case *loadgen:
@@ -103,18 +97,30 @@ func main() {
 		}
 		fmt.Println(report)
 	case *audit != "":
-		if err := runAudit(*addr, *audit, *accounts, *save); err != nil {
+		if err := runAudit(*addr, *audit, *save); err != nil {
 			fatal(err)
 		}
 	case *smoke:
-		if err := runSmoke(*manager, *shards, *buckets, *data, *sweep, *bgsave, *txtrace, lcfg); err != nil {
+		if err := runSmoke(scfg, lcfg); err != nil {
 			fatal(err)
 		}
 	default:
-		if err := serve(*addr, *metrics, *manager, *shards, *buckets, *data, *sweep, *bgsave, *txtrace); err != nil {
+		if err := serve(scfg); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// serverConfig is what the serving flags set: where to listen, which
+// contention manager arbitrates, and the optional durability, sweep,
+// snapshot, metrics and flight-recorder settings.
+type serverConfig struct {
+	addr, metrics string
+	manager       string
+	data          string
+	sweep         time.Duration
+	bgsave        string
+	txtrace       int
 }
 
 // traceState bundles the flight-recorder sinks when -txtrace is on:
@@ -147,7 +153,7 @@ func (tr *traceState) muxOpts() []obs.MuxOption {
 // server quiesces. txtrace > 0 installs the transaction flight
 // recorder, sampling 1 in txtrace transactions into the returned
 // traceState (nil when disabled).
-func openStore(manager string, shards, buckets int, data string, txtrace int) (*kv.Store, *wal.Log, *traceState, error) {
+func openStore(manager, data string, txtrace int) (*kv.Store, *wal.Log, *traceState, error) {
 	factory, err := core.Factory(manager)
 	if err != nil {
 		return nil, nil, nil, err
@@ -159,12 +165,10 @@ func openStore(manager string, shards, buckets int, data string, txtrace int) (*
 			conflicts: obs.NewConflicts(manager),
 			abortlog:  kv.NewAbortLog(128),
 		}
-		stmOpts = append(stmOpts,
-			stm.WithTracer(stm.Tee(tr.conflicts, tr.abortlog), txtrace),
-			stm.WithRuntimeTrace())
+		stmOpts = append(stmOpts, stm.WithTracer(stm.Tee(tr.conflicts, tr.abortlog), txtrace))
 	}
 	s := stm.New(stmOpts...)
-	opts := []kv.Option{kv.WithShards(shards), kv.WithBuckets(buckets)}
+	var opts []kv.Option
 	if data != "" {
 		// Anchor the store clock to the unix epoch so the absolute TTL
 		// deadlines in the log mean the same thing after a restart.
@@ -196,7 +200,7 @@ func openStore(manager string, shards, buckets int, data string, txtrace int) (*
 // in the WAL and replay agrees with the reap. Failures and reaped-key
 // counts feed the server's registry (INFO stats, /metrics) as well as
 // stderr.
-func startSweeper(srv *kv.Server, store *kv.Store, cadence time.Duration, seed uint64) (stop func()) {
+func startSweeper(srv *kv.Server, store *kv.Store, cadence time.Duration) (stop func()) {
 	if cadence <= 0 {
 		return func() {}
 	}
@@ -205,7 +209,7 @@ func startSweeper(srv *kv.Server, store *kv.Store, cadence time.Duration, seed u
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewPCG(seed, 0x5ee9))
+		rng := rand.New(rand.NewPCG(0x51eeb, 0x5ee9))
 		per := cadence / time.Duration(store.Shards())
 		if per < time.Millisecond {
 			per = time.Millisecond
@@ -330,55 +334,85 @@ func startMetrics(addr string, srv *kv.Server, store *kv.Store, tr *traceState) 
 	return ln.Addr().String(), func() { hs.Close() }, nil
 }
 
+// instance is a started server and what runs around it.
+type instance struct {
+	store       *kv.Store
+	log         *wal.Log // nil in memory-only mode
+	srv         *kv.Server
+	ln          net.Listener
+	metricsAddr string     // "" when the metrics listener is off
+	done        chan error // receives Serve's result
+	stopWorkers func()     // sweeper, snapshot schedule, metrics listener; idempotent
+}
+
+// start is the one start-up sequence both serving and -smoke run: open
+// (and in durable mode recover) the store, build the server, start the
+// snapshot schedule, the metrics listener and the socket listener,
+// print the boot line, start the sweeper, and serve in the background.
+// A failed start leaves workers running; the caller exits.
+func start(cfg serverConfig) (*instance, error) {
+	store, l, tr, err := openStore(cfg.manager, cfg.data, cfg.txtrace)
+	if err != nil {
+		return nil, err
+	}
+	srv := kv.NewServer(store, append([]kv.ServerOption{kv.WithManagerName(cfg.manager)}, tr.serverOpts()...)...)
+	stopSave, err := startBgsave(srv, store, cfg.bgsave)
+	if err != nil {
+		return nil, err
+	}
+	maddr, stopMetrics, err := startMetrics(cfg.metrics, srv, store, tr)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "stmkv: serving on %s (manager=%s shards=%d durable=%v bgsave=%q metrics=%q)\n",
+		ln.Addr(), cfg.manager, store.Shards(), store.Durable(), cfg.bgsave, maddr)
+	stopSweep := startSweeper(srv, store, cfg.sweep)
+	inst := &instance{
+		store:       store,
+		log:         l,
+		srv:         srv,
+		ln:          ln,
+		metricsAddr: maddr,
+		done:        make(chan error, 1),
+		stopWorkers: sync.OnceFunc(func() {
+			stopSweep()
+			stopSave()
+			stopMetrics()
+		}),
+	}
+	go func() { inst.done <- srv.Serve(ln) }()
+	return inst, nil
+}
+
 // serve runs the server until SIGINT/SIGTERM, then shuts down cleanly:
-// listener and connections first, then the sweeper and the snapshot
-// schedule, then the log.
-func serve(addr, metrics, manager string, shards, buckets int, data string, sweep time.Duration, bgsave string, txtrace int) error {
-	store, l, tr, err := openStore(manager, shards, buckets, data, txtrace)
+// listener and connections first, then the sweeper, the snapshot
+// schedule and the metrics listener, then the log.
+func serve(cfg serverConfig) error {
+	inst, err := start(cfg)
 	if err != nil {
 		return err
 	}
-	srv := kv.NewServer(store, append([]kv.ServerOption{kv.WithManagerName(manager)}, tr.serverOpts()...)...)
-	stopSave, err := startBgsave(srv, store, bgsave)
-	if err != nil {
-		return err
-	}
-	maddr, stopMetrics, err := startMetrics(metrics, srv, store, tr)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "stmkv: serving on %s (manager=%s shards=%d buckets=%d durable=%v bgsave=%q metrics=%q)\n",
-		ln.Addr(), manager, store.Shards(), buckets, store.Durable(), bgsave, maddr)
-	stopSweep := startSweeper(srv, store, sweep, 0x51eeb)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	shutdown := func(serveErr error) error {
-		stopSweep()
-		stopSave()
-		stopMetrics()
-		if l != nil {
-			if err := l.Close(); err != nil && serveErr == nil {
-				serveErr = fmt.Errorf("wal close: %w", err)
-			}
-		}
-		return serveErr
-	}
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "stmkv: %v, shutting down\n", sig)
-		if err := srv.Close(); err != nil {
-			return shutdown(err)
+		if err = inst.srv.Close(); err == nil {
+			err = <-inst.done
 		}
-		return shutdown(<-done)
-	case err := <-done:
-		return shutdown(err)
+	case err = <-inst.done:
 	}
+	inst.stopWorkers()
+	if inst.log != nil {
+		if cerr := inst.log.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("wal close: %w", cerr)
+		}
+	}
+	return err
 }
 
 // runSmoke is the CI path: a real server on an ephemeral port, the
@@ -389,36 +423,20 @@ func serve(addr, metrics, manager string, shards, buckets int, data string, swee
 // closing the log, as a crash would leave it — into a fresh store
 // that must match the pre-shutdown state exactly. Any violation exits
 // non-zero through main.
-func runSmoke(manager string, shards, buckets int, data string, sweep time.Duration, bgsave string, txtrace int, lcfg loadConfig) error {
-	// The smoke gates the flight recorder end to end, so it is always
-	// on here; a dense sampling period makes the loadgen storm fill it.
-	if txtrace <= 0 {
-		txtrace = 4
+func runSmoke(cfg serverConfig, lcfg loadConfig) error {
+	// The smoke gates the metrics listener and the flight recorder end
+	// to end, so both are always on here, on ephemeral ports; a dense
+	// sampling period makes the loadgen storm fill the recorder.
+	cfg.addr, cfg.metrics = "127.0.0.1:0", "127.0.0.1:0"
+	if cfg.txtrace <= 0 {
+		cfg.txtrace = 4
 	}
-	store, l, tr, err := openStore(manager, shards, buckets, data, txtrace)
+	inst, err := start(cfg)
 	if err != nil {
 		return err
 	}
-	srv := kv.NewServer(store, append([]kv.ServerOption{kv.WithManagerName(manager)}, tr.serverOpts()...)...)
-	stopSave, err := startBgsave(srv, store, bgsave)
-	if err != nil {
-		return err
-	}
-	stopSave = sync.OnceFunc(stopSave)
-	defer stopSave()
-	maddr, stopMetrics, err := startMetrics("127.0.0.1:0", srv, store, tr)
-	if err != nil {
-		return err
-	}
-	defer stopMetrics()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	stopSweep := sync.OnceFunc(startSweeper(srv, store, sweep, lcfg.seed))
-	defer stopSweep()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	defer inst.stopWorkers()
+	store, l, srv, ln := inst.store, inst.log, inst.srv, inst.ln
 
 	report, err := runLoadgen(ln.Addr().String(), lcfg)
 	if err != nil {
@@ -429,14 +447,14 @@ func runSmoke(manager string, shards, buckets int, data string, sweep time.Durat
 	// The observability surface is a smoke gate too: the exposition
 	// must parse back, the storm must be visible in the command
 	// counters, and health and pprof must answer.
-	if err := smokeMetrics("http://" + maddr); err != nil {
+	if err := smokeMetrics("http://" + inst.metricsAddr); err != nil {
 		return fmt.Errorf("smoke: %w", err)
 	}
 
 	// And so is the flight recorder: the conflict matrix must serve
 	// parseable JSON that saw the storm, and ABORTLOG must answer over
 	// RESP.
-	if err := smokeTrace("http://"+maddr, ln.Addr().String()); err != nil {
+	if err := smokeTrace("http://"+inst.metricsAddr, ln.Addr().String()); err != nil {
 		return fmt.Errorf("smoke: %w", err)
 	}
 
@@ -459,8 +477,7 @@ func runSmoke(manager string, shards, buckets int, data string, sweep time.Durat
 		// rotating and reaping segments — or a sweeper pass appending
 		// tombstones — while Recover scans the directory hands the
 		// comparison a torn view of the log.
-		stopSweep()
-		stopSave()
+		inst.stopWorkers()
 		if err := smokeDurability(store, l, lcfg); err != nil {
 			return err
 		}
@@ -469,10 +486,10 @@ func runSmoke(manager string, shards, buckets int, data string, sweep time.Durat
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("smoke: close: %w", err)
 	}
-	if err := <-done; err != nil {
+	if err := <-inst.done; err != nil {
 		return fmt.Errorf("smoke: serve returned: %w", err)
 	}
-	stopSweep()
+	inst.stopWorkers()
 	// A second Close must be a no-op, and the port must be free again.
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("smoke: double close: %w", err)
@@ -632,8 +649,7 @@ func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
 	if err != nil {
 		return fmt.Errorf("smoke: snapshot ops: %w", err)
 	}
-	fresh := kv.New(stm.New(), kv.WithShards(store.Shards()),
-		kv.WithClock(func() int64 { return time.Now().UnixNano() }))
+	fresh := kv.New(stm.New(), kv.WithClock(func() int64 { return time.Now().UnixNano() }))
 	if _, err := wal.Recover(l.Dir(), fresh.Apply); err != nil {
 		return fmt.Errorf("smoke: recover: %w", err)
 	}
@@ -647,7 +663,7 @@ func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
 		return fmt.Errorf("smoke: restore mismatch: %s", diff)
 	}
 	sum := 0
-	for i := 0; i < lcfg.accounts; i++ {
+	for i := 0; i < transferAccounts; i++ {
 		v, ok, err := fresh.Get(fmt.Sprintf("acct:%d", i))
 		if err != nil || !ok {
 			return fmt.Errorf("smoke: restored account %d missing (%v)", i, err)
@@ -656,7 +672,7 @@ func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
 		fmt.Sscan(v, &n)
 		sum += n
 	}
-	if want := lcfg.accounts * 1000; sum != want {
+	if want := transferAccounts * 1000; sum != want {
 		return fmt.Errorf("smoke: restored conservation broken: %d, want %d", sum, want)
 	}
 	if lcfg.typed {
@@ -680,7 +696,7 @@ func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
 			}
 			hsum += n
 		}
-		if want := lcfg.accounts * 1000; hsum != want {
+		if want := transferAccounts * 1000; hsum != want {
 			return fmt.Errorf("smoke: restored typed ledger broken: %d, want %d", hsum, want)
 		}
 	}

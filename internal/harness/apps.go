@@ -101,7 +101,7 @@ func Structures() []string {
 func newApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) (app, error) {
 	switch cfg.Structure {
 	case "hashset":
-		return &hashsetApp{set: container.NewHashSet[int](cfg.Buckets), keys: keys, mix: mix, cfg: cfg}, nil
+		return &hashsetApp{set: container.NewHashSet[int](hashsetBuckets), keys: keys, mix: mix, cfg: cfg}, nil
 	case "queue":
 		return &queueApp{q: container.NewQueue[int](), keys: keys, mix: mix, cfg: cfg}, nil
 	case "omap":
@@ -204,8 +204,11 @@ func (a *intsetApp) audit(s *stm.STM) error {
 	return nil
 }
 
+// hashsetBuckets is the hash set's bucket count.
+const hashsetBuckets = 64
+
 // hashsetApp drives container.HashSet: point ops hash to one bucket
-// (mostly disjoint under the default 64 buckets), and the mix's range
+// (mostly disjoint under hashsetBuckets), and the mix's range
 // op is a consistent whole-set Len — the long read-only scan that
 // conflicts with every concurrent writer.
 type hashsetApp struct {
@@ -251,7 +254,7 @@ func (a *hashsetApp) audit(s *stm.STM) error {
 }
 
 // queueApp drives container.Queue: inserts enqueue, deletes dequeue,
-// lookups peek, and the mix's range op snapshots the first RangeSpan
+// lookups peek, and the mix's range op snapshots the first rangeSpan
 // items. A dequeue that finds the queue empty enqueues the drawn key
 // instead: under a symmetric mix the queue length is a random walk
 // whose excursions exceed any fixed seed within a measurement window,
@@ -292,7 +295,7 @@ func (a *queueApp) step(tx *stm.Tx, d opDesc) error {
 			err = a.q.Enqueue(tx, d.key) // empty: refill instead of no-op
 		}
 	case workload.OpRange:
-		_, err = a.q.PeekN(tx, a.cfg.RangeSpan)
+		_, err = a.q.PeekN(tx, rangeSpan)
 	default:
 		_, _, err = a.q.Peek(tx)
 	}
@@ -308,7 +311,7 @@ func (a *queueApp) audit(s *stm.STM) error {
 
 // omapApp drives container.OMap with keys doubling as values: point
 // ops walk the tower path, and the mix's range op scans
-// [key, key+RangeSpan) as one consistent read set.
+// [key, key+rangeSpan) as one consistent read set.
 type omapApp struct {
 	m    *container.OMap[int, int]
 	keys workload.KeyDist
@@ -337,7 +340,7 @@ func (a *omapApp) step(tx *stm.Tx, d opDesc) error {
 	case workload.OpDelete:
 		_, _, err = a.m.Delete(tx, d.key)
 	case workload.OpRange:
-		_, err = a.m.Range(tx, d.key, d.key+a.cfg.RangeSpan)
+		_, err = a.m.Range(tx, d.key, d.key+rangeSpan)
 	default:
 		_, _, err = a.m.Get(tx, d.key)
 	}
@@ -356,7 +359,7 @@ func (a *omapApp) audit(s *stm.STM) error {
 // distribution index a precomputed name table ("key:000042"), so the
 // measured loop samples skew without formatting costs. Point ops map
 // to Get/Set/Del; the mix's range op is a consistent MGet over
-// RangeSpan consecutive names. The store's shards grow under load
+// rangeSpan consecutive names. The store's shards grow under load
 // inside the inserting transaction — a resize races the measured
 // traffic, exactly as in cmd/stmkv.
 type kvApp struct {
@@ -397,15 +400,11 @@ func binName(i int) string {
 
 func (a *kvApp) seed(s *stm.STM, rng *rand.Rand) error {
 	// The store binds to the run's STM, so it is built at seed time
-	// (newApp runs before the STM exists). Initial buckets are kept
-	// small relative to the key range: the seeding pass itself drives
-	// the first resizes, and the measured window inherits a table at
-	// its natural load factor.
-	buckets := a.cfg.Buckets / kvShards
-	if buckets < 2 {
-		buckets = 2
-	}
-	a.store = kv.New(s, kv.WithShards(kvShards), kv.WithBuckets(buckets))
+	// (newApp runs before the STM exists). Its shards start small
+	// relative to the key range: the seeding pass itself drives the
+	// first resizes, and the measured window inherits a table at its
+	// natural load factor.
+	a.store = kv.New(s, kv.WithShards(kvShards))
 	for i := 0; i < a.cfg.KeyRange/2; i++ {
 		key := a.keys.Sample(rng)
 		if err := a.store.Set(a.names[key], strconv.Itoa(key)); err != nil {
@@ -429,9 +428,9 @@ func (a *kvApp) step(tx *stm.Tx, d opDesc) error {
 		_, err := a.store.DelTx(tx, d.now, a.names[d.key])
 		return err
 	case workload.OpRange:
-		// Consistent multi-key read over RangeSpan consecutive names —
+		// Consistent multi-key read over rangeSpan consecutive names —
 		// the MGET shape, crossing shard boundaries on purpose.
-		for j := d.key; j < d.key+a.cfg.RangeSpan; j++ {
+		for j := d.key; j < d.key+rangeSpan; j++ {
 			if _, _, err := a.store.GetTx(tx, d.now, a.names[j%len(a.names)]); err != nil {
 				return err
 			}
@@ -501,11 +500,7 @@ func (a *jobsApp) label(d opDesc) stm.Label {
 }
 
 func (a *jobsApp) seed(s *stm.STM, rng *rand.Rand) error {
-	buckets := a.cfg.Buckets / kvShards
-	if buckets < 2 {
-		buckets = 2
-	}
-	a.store = kv.New(s, kv.WithShards(kvShards), kv.WithBuckets(buckets))
+	a.store = kv.New(s, kv.WithShards(kvShards))
 	// Seed a backlog so promote and complete do real work from the
 	// first measured transaction: half the key range pending, a quarter
 	// already active.

@@ -52,11 +52,6 @@ type Config struct {
 	// weights. The intset structures always run the paper's fixed
 	// update workload; the mix applies to the container structures.
 	Mix string
-	// RangeSpan is how many keys (omap) or items (queue) a range
-	// operation covers; default 16.
-	RangeSpan int
-	// Buckets is the hashset bucket count; default 64.
-	Buckets int
 	// TailWork adds an uncontended computation of roughly TailWork
 	// arithmetic steps at the end of every transaction, reproducing
 	// Figure 3's low-contention scenario ("threads perform
@@ -67,11 +62,6 @@ type Config struct {
 	// operation updates all trees rather than one, producing the
 	// high-variance transaction lengths of Figure 4.
 	ForestAllProb float64
-	// Interleave is the STM's yield period in object opens: on hosts
-	// with fewer cores than workers it makes transactions genuinely
-	// overlap (see stm.WithInterleavePeriod). Zero selects the default
-	// (4); negative disables yielding.
-	Interleave int
 	// BinaryKeys switches the kv applications' key table to
 	// binary-hostile names (NULs, CRLFs, high bytes) — an end-to-end
 	// check that nothing in the measured path is delimiter-based. The
@@ -90,6 +80,15 @@ type Config struct {
 	TxTrace int
 }
 
+// rangeSpan is how many keys (omap, kv) or items (queue) a range
+// operation covers.
+const rangeSpan = 16
+
+// interleave is the STM's yield period in object opens: on hosts with
+// fewer cores than workers it makes transactions genuinely overlap
+// (see stm.WithInterleavePeriod).
+const interleave = 4
+
 // withDefaults fills the zero fields with the paper's parameters.
 func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
@@ -107,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.ForestAllProb <= 0 {
 		c.ForestAllProb = 0.1
 	}
-	if c.Interleave == 0 {
-		c.Interleave = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed
-	}
-	if c.RangeSpan <= 0 {
-		c.RangeSpan = 16
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 64
 	}
 	return c
 }
@@ -184,7 +174,8 @@ type Point struct {
 }
 
 // pointTopK is how many hot variables and decision edges a traced
-// point keeps — enough to name a convoy, small enough for a CSV cell.
+// point keeps — enough to name a convoy, few enough to print beside
+// its throughput.
 const pointTopK = 5
 
 // Run executes one benchmark configuration.
@@ -210,10 +201,6 @@ func Run(cfg Config) (Point, error) {
 	// directory) release them through the optional closer interface.
 	if c, ok := application.(closer); ok {
 		defer func() { _ = c.close() }()
-	}
-	interleave := cfg.Interleave
-	if interleave < 0 {
-		interleave = 0
 	}
 	// The STM carries the contention-manager factory; workers are
 	// plain goroutines calling s.Atomically, each served by a pooled

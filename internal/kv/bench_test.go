@@ -18,7 +18,7 @@ func BenchmarkStoreOps(b *testing.B) {
 	const keySpace = 1024
 	newStore := func() (*Store, []string) {
 		s := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")))
-		st := New(s, WithShards(16), WithBuckets(keySpace/16/2))
+		st := New(s, WithShards(16), withBuckets(keySpace/16/2))
 		keys := make([]string, keySpace)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key:%06d", i)

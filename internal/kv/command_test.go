@@ -20,8 +20,8 @@ func TestCommandTableComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	_, addr, stop := startServerWith(t, New(stm.New()), WithRegistry(reg))
+	srv, addr, stop := startServerWith(t, New(stm.New()))
+	reg := srv.Registry()
 	defer stop()
 
 	seen := make(map[string]bool)

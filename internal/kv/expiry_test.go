@@ -45,7 +45,7 @@ func TestSweepSkipsShardsWithoutDeadlines(t *testing.T) {
 	dir := t.TempDir()
 	var clk fakeClock
 	clk.advance(time.Second)
-	st := New(stm.New(), WithShards(4), WithBuckets(2), WithClock(clk.now))
+	st := New(stm.New(), WithShards(4), withBuckets(2), WithClock(clk.now))
 	l := openTestWAL(t, dir)
 	st.AttachWAL(l)
 	logged := func() uint64 { return l.Stats().Enqueued }
@@ -194,7 +194,7 @@ func testSweepRacesTTLWriters(t *testing.T, opts ...stm.Option) {
 	const writers, keys, maxTTL = 4, 48, 64
 	ops := 50 * hammerOps(t)
 	var clk atomic.Int64
-	st := New(stm.New(opts...), WithShards(4), WithBuckets(2), WithClock(clk.Load))
+	st := New(stm.New(opts...), WithShards(4), withBuckets(2), WithClock(clk.Load))
 
 	var wg sync.WaitGroup
 	var done atomic.Int32

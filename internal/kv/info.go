@@ -24,31 +24,11 @@ import (
 // ServerOption configures a Server beyond its store.
 type ServerOption func(*Server)
 
-// WithRegistry makes the server register and expose its metrics in
-// reg instead of a private registry — the hook cmd/stmkv uses to serve
-// everything on one /metrics listener.
-func WithRegistry(reg *obs.Registry) ServerOption {
-	return func(srv *Server) { srv.reg = reg }
-}
-
 // WithManagerName labels the engine metrics with the contention
 // manager the server was started with, so dashboards can tell a karma
 // fleet from a greedy one.
 func WithManagerName(name string) ServerOption {
 	return func(srv *Server) { srv.managerName = name }
-}
-
-// WithSlowlog tunes the slow-command ring: commands at or above
-// threshold are recorded, keeping the most recent size entries. A
-// negative threshold disables recording; zero records everything.
-// Defaults: 10ms, 128 entries.
-func WithSlowlog(threshold time.Duration, size int) ServerOption {
-	return func(srv *Server) {
-		srv.slow.threshold = threshold
-		if size > 0 {
-			srv.slow.ring = newRing[slowEntry](size)
-		}
-	}
 }
 
 // cmdMetrics is one command's counters and latency distribution.
@@ -131,8 +111,8 @@ func (srv *Server) NoteBgsaveFailure() { srv.sm.bgsaveFailures.Inc() }
 // one writev(2) each on a TCP connection.
 func (srv *Server) replyFlushes() int64 { return srv.sm.replyFlushes.Value() }
 
-// Registry returns the registry holding the server's metrics (its own
-// unless WithRegistry injected one), for serving over HTTP.
+// Registry returns the registry holding the server's metrics, for
+// serving over HTTP.
 func (srv *Server) Registry() *obs.Registry { return srv.reg }
 
 // registerStoreMetrics bridges engine, WAL and keyspace state into the
@@ -234,7 +214,9 @@ type slowEntry struct {
 
 // slowlog is the ring of the most recent slow commands, mirroring
 // Redis's SLOWLOG: its lock is only taken for commands that already
-// took ~milliseconds.
+// took ~milliseconds. A server keeps the 128 most recent commands
+// that ran for 10ms or more (NewServer); tests set their own threshold
+// (zero records everything, a negative one nothing).
 type slowlog struct {
 	threshold time.Duration
 	*ring[slowEntry]

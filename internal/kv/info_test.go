@@ -117,7 +117,7 @@ func TestSlowlogRingWraparound(t *testing.T) {
 	// The abort log is not installed as the engine's tracer, so only
 	// the TxDone calls below feed it.
 	al := NewAbortLog(4)
-	_, addr, stop := startServerWith(t, st, WithSlowlog(0, 4), WithAbortLog(al))
+	_, addr, stop := startServerWith(t, st, withSlowlog(0, 4), WithAbortLog(al))
 	defer stop()
 	c := dialClient(t, addr)
 	defer c.close()
@@ -244,12 +244,9 @@ func TestMetricsExposition(t *testing.T) {
 	st.AttachWAL(l)
 	defer l.Close()
 
-	reg := obs.NewRegistry()
-	srv, addr, stop := startServerWith(t, st, WithRegistry(reg), WithManagerName("karma"))
+	srv, addr, stop := startServerWith(t, st, WithManagerName("karma"))
 	defer stop()
-	if srv.Registry() != reg {
-		t.Fatal("Registry() did not return the injected registry")
-	}
+	reg := srv.Registry()
 	c := dialClient(t, addr)
 	defer c.close()
 	c.mustDo(t, "SET", "k", "v", "PX", "60000")

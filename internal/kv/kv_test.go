@@ -26,6 +26,22 @@ type fakeClock struct {
 func (c *fakeClock) now() int64              { return c.t.Load() }
 func (c *fakeClock) advance(d time.Duration) { c.t.Add(int64(d)) }
 
+// withBuckets sets each shard's initial bucket count in place of New's
+// 8: one or two buckets drive the resize path from the first inserts,
+// a large count keeps a benchmark's table still.
+func withBuckets(n int) Option {
+	return func(c *config) { c.buckets = n }
+}
+
+// withSlowlog replaces the server's slow-command ring: commands that
+// ran for at least threshold are kept, the newest size of them. Zero
+// records every command, a negative threshold none.
+func withSlowlog(threshold time.Duration, size int) ServerOption {
+	return func(srv *Server) {
+		srv.slow = &slowlog{threshold: threshold, ring: newRing[slowEntry](size)}
+	}
+}
+
 // do runs fn as one Store.Atomically transaction and returns its
 // result: how tests call a *Tx form on its own.
 func do[T any](st *Store, fn func(tx *stm.Tx, now int64) (T, error)) (T, error) {
@@ -261,7 +277,7 @@ func TestStoreResizeUnderMutators(t *testing.T) {
 	const writers = 32
 	perWriter := hammerOps(t)
 	s := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")), stm.WithInterleavePeriod(4))
-	st := New(s, WithShards(4), WithBuckets(1))
+	st := New(s, WithShards(4), withBuckets(1))
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
 	for g := 0; g < writers; g++ {
@@ -338,7 +354,7 @@ func opensPerCommit(t *testing.T, st *Store, fn func()) (commits int64, opens fl
 // that it need not grow — fails both counts.)
 func TestStoreOverwriteCostsNoMaintenance(t *testing.T) {
 	const keys, rounds = 8_000, 10_000
-	st := New(stm.New(), WithShards(1), WithBuckets(4096))
+	st := New(stm.New(), WithShards(1), withBuckets(4096))
 	names := make([]string, keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("key:%d", i)
@@ -421,7 +437,7 @@ func TestStoreTransferHammer(t *testing.T) {
 	for _, mgr := range core.Names() {
 		t.Run(mgr, func(t *testing.T) {
 			s := stm.New(stm.WithManagerFactory(core.MustFactory(mgr)), stm.WithInterleavePeriod(4))
-			st := New(s, WithShards(4), WithBuckets(2))
+			st := New(s, WithShards(4), withBuckets(2))
 			for _, k := range keys {
 				if err := st.Set(k, strconv.Itoa(initial)); err != nil {
 					t.Fatal(err)

@@ -44,7 +44,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 	clock := func() int64 { return clk.Load() }
 	var ok bool
 
-	a := New(stm.New(), WithShards(4), WithBuckets(2), WithClock(clock))
+	a := New(stm.New(), WithShards(4), withBuckets(2), WithClock(clock))
 	l := openTestWAL(t, dir)
 	a.AttachWAL(l)
 
@@ -97,7 +97,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := New(stm.New(), WithShards(8), WithBuckets(2), WithClock(clock))
+	b := New(stm.New(), WithShards(8), withBuckets(2), WithClock(clock))
 	st, err := wal.Recover(dir, b.Apply)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 // shutdown.
 func TestWALConcurrentTransfersConserve(t *testing.T) {
 	dir := t.TempDir()
-	a := New(stm.New(), WithShards(8), WithBuckets(4))
+	a := New(stm.New(), WithShards(8), withBuckets(4))
 	l := openTestWAL(t, dir)
 	a.AttachWAL(l)
 
@@ -187,7 +187,7 @@ func TestWALConcurrentTransfersConserve(t *testing.T) {
 
 	// Recover without closing the log: the on-disk state is what a
 	// kill -9 after the last ack would leave.
-	b := New(stm.New(), WithShards(8), WithBuckets(4))
+	b := New(stm.New(), WithShards(8), withBuckets(4))
 	if _, err := wal.Recover(dir, b.Apply); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSweepLogsTombstones(t *testing.T) {
 	var clk atomic.Int64
 	clk.Store(1_000)
 	// One shard of one bucket: every key is every other key's neighbour.
-	a := New(stm.New(), WithShards(1), WithBuckets(1), WithClock(func() int64 { return clk.Load() }))
+	a := New(stm.New(), WithShards(1), withBuckets(1), WithClock(func() int64 { return clk.Load() }))
 	l := openTestWAL(t, dir)
 	a.AttachWAL(l)
 	physical := func() int {

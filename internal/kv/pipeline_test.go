@@ -197,7 +197,7 @@ func TestDurablePipelineTranscript(t *testing.T) {
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(burst bool) []string {
-				_, _, addr, stop := durableServer(t, WithSlowlog(-1, 0))
+				_, _, addr, stop := durableServer(t, withSlowlog(-1, 0))
 				defer stop()
 				conn := dialPipe(t, addr)
 				var got []string
@@ -489,7 +489,7 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 		}
 	}
 	t.Run("durable", func(t *testing.T) {
-		srv, l, addr, stop := durableServer(t, WithSlowlog(0, 16))
+		srv, l, addr, stop := durableServer(t, withSlowlog(0, 16))
 		defer stop()
 		setFlushHook(l, func(writeSync func() error) error {
 			time.Sleep(window)
@@ -498,7 +498,7 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 		check(t, srv, addr, true)
 	})
 	t.Run("memory", func(t *testing.T) {
-		srv, addr, stop := startServerWith(t, New(stm.New()), WithSlowlog(0, 16))
+		srv, addr, stop := startServerWith(t, New(stm.New()), withSlowlog(0, 16))
 		defer stop()
 		check(t, srv, addr, false)
 	})

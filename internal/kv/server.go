@@ -53,12 +53,13 @@ type Server struct {
 	stop context.CancelFunc
 }
 
-// NewServer returns a server for the store. Without options it keeps
-// metrics in a private registry (INFO and SLOWLOG still work); pass
-// WithRegistry to expose them on a shared /metrics listener.
+// NewServer returns a server for the store. It keeps its metrics in
+// a registry of its own (see Registry), which INFO reads and an HTTP
+// listener may serve.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	srv := &Server{
 		store:       store,
+		reg:         obs.NewRegistry(),
 		conns:       make(map[net.Conn]struct{}),
 		managerName: "default",
 		started:     time.Now(),
@@ -71,9 +72,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	srv.ctx, srv.stop = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(srv)
-	}
-	if srv.reg == nil {
-		srv.reg = obs.NewRegistry()
 	}
 	srv.sm = newServerMetrics(srv.reg)
 	registerStoreMetrics(srv.reg, store, srv.managerName)

@@ -487,7 +487,7 @@ func TestServerTransferHammer(t *testing.T) {
 	)
 	ops := hammerOps(t) / 2
 	s := stm.New(stm.WithManagerFactory(core.MustFactory("karma")), stm.WithInterleavePeriod(4))
-	st := New(s, WithShards(4), WithBuckets(2))
+	st := New(s, WithShards(4), withBuckets(2))
 	addr, stop := startServer(t, st)
 	defer stop()
 

@@ -64,7 +64,7 @@ func testSnapshotUnderWriters(t *testing.T, shards int, opts ...stm.Option) {
 	// dead or alive for everyone at once.
 	var clk atomic.Int64
 	clk.Store(1_000)
-	st := New(stm.New(opts...), WithShards(shards), WithBuckets(2), WithClock(clk.Load))
+	st := New(stm.New(opts...), WithShards(shards), withBuckets(2), WithClock(clk.Load))
 	l := openTestWAL(t, dir)
 	defer l.Close()
 	st.AttachWAL(l)

@@ -71,7 +71,9 @@ type Store struct {
 type Option func(*config)
 
 type config struct {
-	shards  int
+	shards int
+	// buckets is each shard's initial bucket count: 8, which shards
+	// grow past on demand; only tests change it.
 	buckets int
 	clock   func() int64
 }
@@ -82,13 +84,6 @@ type config struct {
 // that shard's keys.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
-}
-
-// WithBuckets sets each shard's initial bucket count (default 8).
-// Shards grow past it on demand; a small value exercises the resize
-// path, a large one avoids it for stable benchmark profiles.
-func WithBuckets(n int) Option {
-	return func(c *config) { c.buckets = n }
 }
 
 // WithClock replaces the store's time source — monotonic nanoseconds,

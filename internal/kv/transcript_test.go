@@ -388,7 +388,7 @@ func TestServerTranscript(t *testing.T) {
 				// BGSAVE's cut runs behind its reply; the server's Close
 				// (stop, below) waits for it, before the log closes.
 			}
-			_, addr, stop := startServerWith(t, st, WithSlowlog(-1, 0))
+			_, addr, stop := startServerWith(t, st, withSlowlog(-1, 0))
 			defer stop()
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {

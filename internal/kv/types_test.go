@@ -352,7 +352,7 @@ func TestCrossTypeConservation(t *testing.T) {
 		auditors  = 2
 	)
 	s := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")), stm.WithInterleavePeriod(4))
-	st := New(s, WithShards(4), WithBuckets(2))
+	st := New(s, WithShards(4), withBuckets(2))
 	for i := 0; i < jobs; i++ {
 		if _, err := st.RPush("pending", fmt.Sprintf("job-%03d", i)); err != nil {
 			t.Fatal(err)

@@ -53,9 +53,10 @@
 // begins, opens, conflicts, aborts and commits, delivered to a
 // TraceSink after the commit stripes release. Transactions are named
 // with SetLabel (labels interned once via InternLabel), objects via
-// NewNamedVar; WithRuntimeTrace additionally emits runtime/trace tasks
-// and regions when go tool trace collection is live. The hook sites
-// are nil checks — a world without a tracer pays nothing (enforced by
+// NewNamedVar. Independently of the recorder, every transaction is a
+// runtime/trace task and every attempt a region whenever go tool trace
+// collection is live (TestRuntimeTraceTasks). The hook sites are nil
+// checks — a world without a tracer pays nothing (enforced by
 // TestTracerDisabledAllocParity).
 //
 // # The engine

@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"errors"
+	rtrace "runtime/trace"
 	"time"
 
 	"repro/internal/metrics"
@@ -245,9 +246,9 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 	if trc != nil {
 		sess.armTrace(trc)
 	}
-	if sess.stm.rtrace {
-		endTask := sess.beginRuntimeTask()
-		defer endTask()
+	if rtrace.IsEnabled() {
+		task := sess.beginRuntimeTask()
+		defer sess.endRuntimeTask(task)
 	}
 	start := time.Now()
 	err := sess.run(shared, fn)

@@ -72,11 +72,8 @@ type STM struct {
 
 	// tracer, when non-nil, is the flight recorder installed by
 	// WithTracer: sessions sample logical transactions and deliver
-	// event traces to its sink (see trace.go). rtrace additionally
-	// emits runtime/trace tasks and regions while an execution trace
-	// is being collected (WithRuntimeTrace).
+	// event traces to its sink (see trace.go).
 	tracer *tracerConfig
-	rtrace bool
 
 	// commitHook, when non-nil, runs inside every writer commit after
 	// read-set validation succeeds and before the status CAS — the

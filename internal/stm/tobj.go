@@ -159,8 +159,8 @@ func (o *tobj) openWrite(tx *Tx, mk func() value) (value, error) {
 		tx.maybeYield()
 		// Writing this object may form part of an inconsistent view;
 		// early validation keeps the transaction opaque.
-		if !tx.validate() {
-			return nil, ErrAborted
+		if err := tx.checkOpaque(); err != nil {
+			return nil, err
 		}
 		return nl.newVal, nil
 	}
@@ -208,11 +208,22 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 			rec.open(o, false)
 		}
 		tx.maybeYield()
-		if !tx.validate() {
-			return nil, ErrAborted
+		if err := tx.checkOpaque(); err != nil {
+			return nil, err
 		}
 		return v, nil
 	}
+}
+
+// checkOpaque ends every successful open. An owned object's pre-image
+// is not in the read set, so validate cannot see an enemy that aborted
+// this attempt, took the object and committed; only the status can
+// (DESIGN.md §1, *Opacity after an open*).
+func (tx *Tx) checkOpaque() error {
+	if !tx.validate() {
+		return ErrAborted
+	}
+	return tx.step()
 }
 
 func (tx *Tx) noteConflict() { tx.sess.stats.conflicts.Add(1) }

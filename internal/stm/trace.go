@@ -184,16 +184,6 @@ func WithTracer(sink TraceSink, sampleEvery int) Option {
 	}
 }
 
-// WithRuntimeTrace emits a runtime/trace task per logical transaction
-// and a region per attempt (plus abort-cause log events) whenever Go
-// execution tracing is active, so `go tool trace` shows attempt
-// lifecycles interleaved with scheduling. Emission is gated on
-// trace.IsEnabled(), so outside a trace collection the cost is one
-// boolean check per transaction.
-func WithRuntimeTrace() Option {
-	return func(s *STM) { s.rtrace = true }
-}
-
 // Labels. Transactions are labelled with interned strings so that the
 // hot paths (an enemy reading its victim's label, a retry resetting
 // state) touch only a uint32. The intern table is append-only and
@@ -363,22 +353,25 @@ func (sess *session) finishTrace(trc *tracerConfig, shared *txShared, committed 
 	rec.reset()
 }
 
-// Runtime/trace integration (WithRuntimeTrace): a task per logical
-// transaction, a region per attempt, and log events for abort causes.
+// Runtime/trace integration: whenever Go execution tracing is active
+// (trace.IsEnabled), every logical transaction is a task named
+// "stm.tx", every attempt a region named "stm.attempt", and every
+// abort a log event carrying its cause, so `go tool trace` shows
+// attempt lifecycles interleaved with scheduling. Outside a trace
+// collection the cost is one boolean check per transaction.
 
-// beginRuntimeTask opens the per-transaction task when execution
-// tracing is live; it returns a cleanup that ends the task (never nil
-// so the caller can defer unconditionally on the traced path).
-func (sess *session) beginRuntimeTask() func() {
-	if !rtrace.IsEnabled() {
-		return func() {}
-	}
+// beginRuntimeTask opens the per-transaction task; the caller has
+// checked that execution tracing is live.
+func (sess *session) beginRuntimeTask() *rtrace.Task {
 	ctx, task := rtrace.NewTask(context.Background(), "stm.tx")
 	sess.rtCtx = ctx
-	return func() {
-		sess.rtCtx = nil
-		task.End()
-	}
+	return task
+}
+
+// endRuntimeTask ends the task beginRuntimeTask opened.
+func (sess *session) endRuntimeTask(task *rtrace.Task) {
+	sess.rtCtx = nil
+	task.End()
 }
 
 // beginAttemptRegion opens the per-attempt region, or returns nil

@@ -1,7 +1,9 @@
 package stm_test
 
 import (
+	"bytes"
 	"errors"
+	"runtime/trace"
 	"sync"
 	"testing"
 
@@ -253,6 +255,36 @@ func TestTracerDisabledAllocParity(t *testing.T) {
 		t.Fatalf("tracer installation changed the unsampled path: %.1f allocs without tracer, %.1f with", off, unsampled)
 	}
 	t.Logf("pooled Atomically: %.1f allocs/tx (tracer off and unsampled)", off)
+}
+
+// TestRuntimeTraceTasks checks that every STM, with no option set,
+// shows its transactions to go tool trace: while an execution trace is
+// collected, each transaction is a task named "stm.tx" and each
+// attempt a region named "stm.attempt".
+func TestRuntimeTraceTasks(t *testing.T) {
+	if trace.IsEnabled() {
+		t.Skip("execution tracing is already on")
+	}
+	var buf bytes.Buffer
+	if err := trace.Start(&buf); err != nil {
+		t.Skipf("cannot start an execution trace: %v", err)
+	}
+	world := stm.New()
+	v := stm.NewVar(0)
+	for i := 0; i < 8; i++ {
+		if err := world.Atomically(func(tx *stm.Tx) error {
+			return stm.Update(tx, v, func(n int) int { return n + 1 })
+		}); err != nil {
+			trace.Stop()
+			t.Fatal(err)
+		}
+	}
+	trace.Stop()
+	for _, name := range []string{"stm.tx", "stm.attempt"} {
+		if !bytes.Contains(buf.Bytes(), []byte(name)) {
+			t.Errorf("execution trace (%d bytes) names no %q", buf.Len(), name)
+		}
+	}
 }
 
 // nullSink drops everything — the benchmark sink, so the measured cost
