@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/resp"
 	"repro/internal/stm"
@@ -26,6 +27,12 @@ type command struct {
 	noMulti bool
 	// noSlowlog exempts the command from SLOWLOG recording.
 	noSlowlog bool
+	// borrow marks a read-only command whose reply carries none of its
+	// arguments: it runs on the reader's views of them (see
+	// resp.Reader.ReadArgs), uncopied. Every other command has its
+	// arguments cloned before parse, so whatever the store keeps is
+	// owned; see Server.handle for the copies a borrowed one still needs.
+	borrow bool
 	// parse, when set, converts and validates the arguments once, before
 	// the command is queued or run, so a transaction body — which reruns
 	// on every retry — never parses and EXEC replays well-formed
@@ -86,6 +93,46 @@ func lookupCommand(name string) *command {
 	return unknownCommand
 }
 
+// maxNameLen is the length of the longest name in commandTable (init
+// checks it): a name sent with more ASCII bytes than that upper-cases
+// to a longer one, which is unknown without a lookup.
+const maxNameLen = len("ABORTLOG")
+
+// internName is the handler's name callback for resp.Reader.ReadArgs:
+// it resolves a command name as sent, in any case, to its table entry's
+// upper-case name, or to "" when the table holds no such command. It
+// allocates nothing for an ASCII name: the lookup keys the map by the
+// bytes, and a lower-case spelling is upper-cased on the stack. A name
+// with a non-ASCII byte goes through strings.ToUpper, whose Unicode
+// case mapping can turn one into a table name ("ſet" is SET).
+func internName(b []byte) string {
+	if cmd, ok := commandsByName[string(b)]; ok {
+		return cmd.name
+	}
+	var upper [maxNameLen]byte
+	for i, c := range b {
+		switch {
+		case c >= utf8.RuneSelf:
+			return lookupCommand(strings.ToUpper(string(b))).internedName()
+		case i == maxNameLen:
+			return ""
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		upper[i] = c
+	}
+	return lookupCommand(string(upper[:len(b)])).internedName()
+}
+
+// internedName is the name internName resolves to the command: its
+// own, or "" for the unknown command.
+func (cmd *command) internedName() string {
+	if cmd == unknownCommand {
+		return ""
+	}
+	return cmd.name
+}
+
 // The table is assigned in init rather than declared with its value:
 // INFO renders per-command stats from it and is itself an entry, which
 // as a declaration would be an initialization cycle.
@@ -97,7 +144,7 @@ func init() {
 			}
 			return resp.SimpleVal("PONG"), nil
 		}},
-		{name: "GET", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "GET", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return bulkReply(st.GetTx(tx, now, a.s[0]))
 		}},
 		// SET key value [EX seconds | PX milliseconds]
@@ -120,7 +167,7 @@ func init() {
 		}},
 		{name: "INCR", min: 1, max: 1, parse: func(a *args) error { a.i = 1; return nil }, tx: cmdIncr},
 		{name: "INCRBY", min: 2, max: 2, parse: intArg(1), tx: cmdIncr},
-		{name: "MGET", min: 1, max: -1, tx: cmdMGet},
+		{name: "MGET", borrow: true, min: 1, max: -1, tx: cmdMGet},
 		{name: "MSET", min: 2, max: -1, step: 2, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			for i := 0; i+1 < len(a.s); i += 2 {
 				if err := st.SetTx(tx, now, a.s[i], a.s[i+1], 0); err != nil {
@@ -132,15 +179,15 @@ func init() {
 		// Non-positive TTLs are allowed (they delete, as in Redis).
 		{name: "EXPIRE", min: 2, max: 2, parse: ttlArg("expire", time.Second), tx: cmdExpire},
 		{name: "PEXPIRE", min: 2, max: 2, parse: ttlArg("pexpire", time.Millisecond), tx: cmdExpire},
-		{name: "TTL", min: 1, max: 1, tx: cmdTTL(time.Second)},
-		{name: "PTTL", min: 1, max: 1, tx: cmdTTL(time.Millisecond)},
+		{name: "TTL", borrow: true, min: 1, max: 1, tx: cmdTTL(time.Second)},
+		{name: "PTTL", borrow: true, min: 1, max: 1, tx: cmdTTL(time.Millisecond)},
 		// Whole-store consistent count: every shard's every bucket joins
 		// the read set (the long scan the paper's auditor scenario
 		// stresses — expensive and proud of it).
-		{name: "DBSIZE", tx: func(st *Store, tx *stm.Tx, now int64, _ *args) (resp.Value, error) {
+		{name: "DBSIZE", borrow: true, tx: func(st *Store, tx *stm.Tx, now int64, _ *args) (resp.Value, error) {
 			return intReply(st.lenTx(tx, now))
 		}},
-		{name: "TYPE", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "TYPE", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			t, ok, err := st.TypeTx(tx, now, a.s[0])
 			if !ok {
 				t = "none"
@@ -162,13 +209,13 @@ func init() {
 			}
 			return resp.IntVal(created), nil
 		}},
-		{name: "HGET", min: 2, max: 2, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "HGET", borrow: true, min: 2, max: 2, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return bulkReply(st.HGetTx(tx, now, a.s[0], a.s[1]))
 		}},
 		{name: "HDEL", min: 2, max: -1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return intReply(st.HDelTx(tx, now, a.s[0], a.s[1:]...))
 		}},
-		{name: "HGETALL", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "HGETALL", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			pairs, err := st.HGetAllTx(tx, now, a.s[0])
 			elems := make([]resp.Value, 0, 2*len(pairs))
 			for _, p := range pairs {
@@ -176,7 +223,7 @@ func init() {
 			}
 			return resp.ArrayVal(elems...), err
 		}},
-		{name: "HLEN", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "HLEN", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return intReply(st.HLenTx(tx, now, a.s[0]))
 		}},
 		{name: "HINCRBY", min: 3, max: 3, parse: intArg(2), tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
@@ -187,10 +234,10 @@ func init() {
 		{name: "RPUSH", min: 2, max: -1, tx: cmdPush(false)},
 		{name: "LPOP", min: 1, max: 1, tx: cmdPop(true)},
 		{name: "RPOP", min: 1, max: 1, tx: cmdPop(false)},
-		{name: "LLEN", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "LLEN", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return intReply(st.LLenTx(tx, now, a.s[0]))
 		}},
-		{name: "LRANGE", min: 3, max: 3, parse: rankArgs, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "LRANGE", borrow: true, min: 3, max: 3, parse: rankArgs, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			items, err := st.LRangeTx(tx, now, a.s[0], int(a.i), int(a.j))
 			elems := make([]resp.Value, len(items))
 			for i, v := range items {
@@ -213,7 +260,7 @@ func init() {
 			}
 			return resp.IntVal(added), nil
 		}},
-		{name: "ZSCORE", min: 2, max: 2, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "ZSCORE", borrow: true, min: 2, max: 2, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			score, ok, err := st.ZScoreTx(tx, now, a.s[0], a.s[1])
 			if !ok {
 				return resp.NullVal(), err
@@ -223,11 +270,11 @@ func init() {
 		{name: "ZREM", min: 2, max: -1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return intReply(st.ZRemTx(tx, now, a.s[0], a.s[1:]...))
 		}},
-		{name: "ZCARD", min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "ZCARD", borrow: true, min: 1, max: 1, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			return intReply(st.ZCardTx(tx, now, a.s[0]))
 		}},
 		// ZRANGE key start stop [WITHSCORES]
-		{name: "ZRANGE", min: 3, max: 4, parse: parseZRange, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
+		{name: "ZRANGE", borrow: true, min: 3, max: 4, parse: parseZRange, tx: func(st *Store, tx *stm.Tx, now int64, a *args) (resp.Value, error) {
 			entries, err := st.ZRangeTx(tx, now, a.s[0], int(a.i), int(a.j))
 			elems := make([]resp.Value, 0, 2*len(entries))
 			for _, ze := range entries {
@@ -262,6 +309,9 @@ func init() {
 	}
 	commandsByName = make(map[string]*command, len(commandTable))
 	for i, cmd := range commandTable {
+		if len(cmd.name) > maxNameLen {
+			panic("kv: command name " + cmd.name + " is longer than maxNameLen")
+		}
 		cmd.idx = i
 		cmd.label = stm.InternLabel(cmd.name)
 		// Control commands have always reported their name lower-cased,

@@ -78,3 +78,28 @@ func TestCommandTableComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestInternName holds the handler's name lookup, which works on the
+// bytes off the wire, to the rule it replaces: upper-case the name with
+// strings.ToUpper and look that up. Non-ASCII spellings that Unicode
+// upper-cases to a table name keep resolving, and an ASCII name resolves
+// without allocating.
+func TestInternName(t *testing.T) {
+	names := []string{"", "x", "GETX", "ABORTLOGS", "abortlogabortlog", "ſet", "pıng", "dıſcard", "ſlowlog", "get\x00", "\xffGET"}
+	for _, cmd := range commandTable {
+		names = append(names, cmd.name, strings.ToLower(cmd.name), strings.ToLower(cmd.name[:1])+cmd.name[1:])
+	}
+	for _, name := range names {
+		want := lookupCommand(strings.ToUpper(name)).internedName()
+		if got := internName([]byte(name)); got != want {
+			t.Errorf("internName(%q) = %q, want %q", name, got, want)
+		}
+	}
+	if got := internName([]byte("dıſcard")); got != "DISCARD" {
+		t.Errorf(`internName("dıſcard") = %q, want "DISCARD"`, got)
+	}
+	b := []byte("hGetAll")
+	if n := testing.AllocsPerRun(100, func() { internName(b) }); n != 0 {
+		t.Errorf("internName(%q): %v allocs, want 0", b, n)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resp"
 )
@@ -78,17 +79,18 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return sm
 }
 
-// observe records one handled command; argv is the request with its
-// name upper-cased. reply errors count as command errors whether they
+// observe records one handled command; start is the metrics.Mono
+// reading taken when it was read, and argv the request with its name
+// upper-cased. reply errors count as command errors whether they
 // came from validation, execution, or state machinery (MULTI misuse) —
 // if the client saw "-ERR", it counts.
-func (srv *Server) observe(cmd *command, start time.Time, argv []string, reply resp.Value, cost txCost) {
+func (srv *Server) observe(cmd *command, start time.Duration, argv []string, reply resp.Value, cost txCost) {
 	m := &srv.sm.cmds[cmd.idx]
 	m.calls.Inc()
 	if reply.IsError() {
 		m.errors.Inc()
 	}
-	dur := time.Since(start)
+	dur := metrics.Mono() - start
 	m.lat.Observe(dur)
 	if !cmd.noSlowlog {
 		srv.slow.note(argv, dur, cost)
@@ -222,9 +224,11 @@ type slowlog struct {
 	*ring[slowEntry]
 }
 
-// note records a command that ran for dur. argv is kept, not copied:
-// the reader allocates one per request and the handler never writes to
-// it again.
+// note records a command that ran for dur. argv is copied, strings
+// included: the handler reuses the slice for its next request, and a
+// borrowing command's strings view the reader's arena (see
+// command.borrow). The wall-clock stamp is read only for a command
+// that is recorded.
 func (sl *slowlog) note(argv []string, dur time.Duration, cost txCost) {
 	if sl.threshold < 0 || dur < sl.threshold {
 		return
@@ -234,7 +238,7 @@ func (sl *slowlog) note(argv []string, dur time.Duration, cost txCost) {
 		dur:      dur,
 		attempts: cost.attempts,
 		waitNs:   cost.waitNs,
-		args:     argv,
+		args:     keepArgs(nil, argv, true),
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resp"
 	"repro/internal/stm"
@@ -187,9 +188,28 @@ type heldReply struct {
 	reply resp.Value
 	owed  pending
 	cmd   *command
-	start time.Time
+	start time.Duration // a metrics.Mono reading
 	argv  []string
 	cost  txCost
+}
+
+// maxHeldArgs bounds the argv backing a window slot keeps for its next
+// request: one that a long command grew is let go.
+const maxHeldArgs = 16
+
+// keepArgs appends to dst copies of args that outlive the next read:
+// the handler reuses its argv slice for every request, and a borrowing
+// command's strings view the reader's arena, so they are cloned too
+// when borrowed is set.
+func keepArgs(dst, args []string, borrowed bool) []string {
+	start := len(dst)
+	dst = append(dst, args...)
+	if borrowed {
+		for i := start; i < len(dst); i++ {
+			dst[i] = strings.Clone(dst[i])
+		}
+	}
+	return dst
 }
 
 // replyBatchCap is the size at which a batch of released replies goes
@@ -274,7 +294,12 @@ func (out *outbox) reply(h heldReply) error {
 			return err
 		}
 	}
-	out.win[(out.head+out.n)%replyWindow] = h
+	// The slot keeps the request's arguments in a backing of its own
+	// until the reply is released and observed.
+	slot := &out.win[(out.head+out.n)%replyWindow]
+	argv := keepArgs(slot.argv[:0], h.argv, h.cmd != nil && h.cmd.borrow)
+	*slot = h
+	slot.argv = argv
 	out.n++
 	return out.settle(false)
 }
@@ -298,7 +323,11 @@ func (out *outbox) settle(block bool) error {
 func (out *outbox) releaseHead() error {
 	h := &out.win[out.head]
 	err := out.release(h)
-	*h = heldReply{}
+	argv := h.argv
+	if clear(argv); cap(argv) > maxHeldArgs {
+		argv = nil
+	}
+	*h = heldReply{argv: argv[:0]}
 	out.head = (out.head + 1) % replyWindow
 	out.n--
 	if err != nil {
@@ -377,11 +406,16 @@ func (srv *Server) handle(conn net.Conn) {
 	out := &outbox{srv: srv, conn: conn}
 	r := resp.NewReader(out)
 	var (
-		c connState
-		a args
+		c    connState
+		a    args
+		argv []string
+		err  error
 	)
 	for !c.quit {
-		argv, err := r.ReadCommand()
+		// argv is the connection's, reused for every request; a known
+		// command's name in it is the table's string, and every other
+		// argument views the reader's arena until the next read.
+		argv, err = r.ReadArgs(argv, internName)
 		if err != nil {
 			// The frames before the bad one were executed; their replies
 			// come first.
@@ -401,11 +435,21 @@ func (srv *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		start := time.Now()
-		// The upper-cased spelling is the table key, the name error
-		// replies echo and the one SLOWLOG records.
-		argv[0] = strings.ToUpper(argv[0])
+		start := metrics.Mono()
 		cmd := lookupCommand(argv[0])
+		if !cmd.borrow {
+			// The command may keep its arguments — as a stored key or
+			// value, in a MULTI block, in a reply that echoes one — so
+			// they are cloned out of the arena before anything sees them.
+			for i := 1; i < len(argv); i++ {
+				argv[i] = strings.Clone(argv[i])
+			}
+		}
+		if cmd == unknownCommand {
+			// The upper-cased spelling is the name the error reply echoes
+			// and the one SLOWLOG records.
+			argv[0] = strings.ToUpper(strings.Clone(argv[0]))
+		}
 		a = args{s: argv[1:]}
 		c.cost, c.owed = txCost{}, pending{}
 		var invalid error
@@ -430,6 +474,7 @@ func (srv *Server) handle(conn net.Conn) {
 		case cmd.ctl != nil:
 			reply = cmd.ctl(srv, &c, &a)
 		case c.multi:
+			a.s = keepArgs(nil, a.s, cmd.borrow)
 			c.queue = append(c.queue, queuedCmd{cmd, a})
 			reply = resp.SimpleVal("QUEUED")
 		default:

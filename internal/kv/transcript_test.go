@@ -19,7 +19,7 @@ type step struct {
 	// frame, or raw bytes when it contains "\r\n".
 	send string
 	want string
-	// fix marks a row that pins a PR 12 bugfix: every other row passes
+	// fix marks a row that pins a bugfix: every other row passes
 	// unchanged against the pre-table server (commit c97675e), these do
 	// not.
 	fix bool
@@ -213,6 +213,9 @@ var transcript = []struct {
 		{send: "*0\r\n", want: "-ERR empty command\r\n"},
 		{send: "PING\r\n", want: "+PONG\r\n"},        // inline form
 		{send: "\r\nget k\r\n", want: "$1\r\nv\r\n"}, // bare CRLF keepalive skipped
+		// An echoed name cannot end the error line early and forge a
+		// second reply: CR and LF go out as spaces.
+		{send: "*1\r\n$6\r\nX\r\n+OK\r\n", want: "-ERR unknown command 'X  +OK'\r\n", fix: true},
 		{send: "quit", want: ok},
 	}},
 	{name: "control", steps: []step{

@@ -20,6 +20,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Wire limits. Generous for a benchmark workload, small enough that a
@@ -62,6 +65,9 @@ func IsProtoError(err error) bool {
 // Reader decodes a client's command stream.
 type Reader struct {
 	br *bufio.Reader
+	// arena holds the bytes of the arguments the last ReadArgs call
+	// returned: they view it, and the next call reclaims it.
+	arena []byte
 }
 
 // NewReader wraps r for command decoding. The buffer is sized to
@@ -71,33 +77,99 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, MaxInline+2)}
 }
 
+// minArena is the arena a Reader starts with: room for a few commands'
+// worth of keys and values, so a small command never grows it.
+const minArena = 512
+
+// poisonArena is the test hook behind SetArenaPoison.
+var poisonArena atomic.Bool
+
+// SetArenaPoison makes every Reader overwrite its arena with '#' bytes
+// whenever ReadArgs reclaims it, so that an argument kept past the call
+// that invalidates it reads as garbage rather than as a plausible stale
+// argument. It is for tests of code that borrows ReadArgs's arguments.
+func SetArenaPoison(on bool) { poisonArena.Store(on) }
+
 // ReadCommand reads one command: either an array of bulk strings
 // ("*2\r\n$3\r\nGET\r\n$1\r\nk\r\n") or an inline line ("GET k\r\n",
 // space-separated, the hand-telnet form). Empty inline lines are
 // skipped, matching Redis. io.EOF is returned only on a clean
 // connection close (no partial frame consumed); a frame cut short
-// yields io.ErrUnexpectedEOF.
+// yields io.ErrUnexpectedEOF. The slice and every string in it are
+// the caller's to keep.
 func (r *Reader) ReadCommand() ([]string, error) {
+	args, err := r.ReadArgs(nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range args {
+		args[i] = strings.Clone(a)
+	}
+	return args, nil
+}
+
+// ReadArgs reads one command as ReadCommand does, appending its
+// arguments to argv[:0], and returns the extended slice. An argument is
+// copied out of the read buffer into an arena the Reader owns and
+// returned as a string that views it: it stays valid until the next
+// ReadArgs or ReadCommand call, and must be cloned to be kept longer.
+//
+// intern, when set, is handed the raw bytes of the command name — the
+// first argument — before they are copied; a non-empty result stands
+// for the name in argv, which is then not copied at all, and "" has it
+// copied like any other argument. The bytes are valid only during the
+// call.
+func (r *Reader) ReadArgs(argv []string, intern func(name []byte) string) ([]string, error) {
+	if poisonArena.Load() {
+		full := r.arena[:cap(r.arena)]
+		for i := range full {
+			full[i] = '#'
+		}
+	}
+	if r.arena = r.arena[:0]; cap(r.arena) > maxRetained {
+		r.arena = nil
+	}
 	for {
 		first, err := r.br.ReadByte()
 		if err != nil {
-			return nil, err // io.EOF: clean close between commands
+			return argv[:0], err // io.EOF: clean close between commands
 		}
 		if first == '*' {
-			return r.readArray()
+			return r.readArray(argv[:0], intern)
 		}
 		if err := r.br.UnreadByte(); err != nil {
-			return nil, err
+			return argv[:0], err
 		}
-		args, err := r.readInline()
+		args, err := r.readInline(argv[:0], intern)
 		if err != nil {
-			return nil, err
+			return args, err
 		}
 		if len(args) == 0 {
 			continue // bare CRLF keepalive
 		}
 		return args, nil
 	}
+}
+
+// arg returns b as an argument: the interned name when b is the first
+// argument and intern knows it, otherwise a copy in the arena.
+func (r *Reader) arg(b []byte, first bool, intern func([]byte) string) string {
+	if first && intern != nil {
+		if s := intern(b); s != "" {
+			return s
+		}
+	}
+	if len(b) == 0 {
+		return ""
+	}
+	if r.arena == nil {
+		r.arena = make([]byte, 0, max(minArena, len(b)))
+	}
+	start := len(r.arena)
+	// A view taken before append moved the arena keeps the old array,
+	// which nothing writes to again.
+	r.arena = append(r.arena, b...)
+	return unsafe.String(&r.arena[start], len(b))
 }
 
 // readLine reads up to CRLF (or a bare LF, accepted leniently),
@@ -123,47 +195,54 @@ func (r *Reader) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// readInline splits one inline command line on spaces. Quoting is not
-// supported — this is the telnet/debug form, not a full shell lexer.
-func (r *Reader) readInline() ([]string, error) {
+// readInline splits one inline command line on spaces into argv, which
+// is empty.
+// Quoting is not supported — this is the telnet/debug form, not a full
+// shell lexer.
+func (r *Reader) readInline(argv []string, intern func([]byte) string) ([]string, error) {
 	line, err := r.readLine()
 	if err != nil {
-		return nil, err
+		return argv, err
 	}
 	fields := bytes.Fields(line)
 	if len(fields) > MaxArity {
-		return nil, protoErrf("inline command exceeds %d arguments", MaxArity)
+		return argv, protoErrf("inline command exceeds %d arguments", MaxArity)
 	}
-	args := make([]string, len(fields))
+	if cap(argv) < len(fields) {
+		argv = make([]string, 0, len(fields))
+	}
 	for i, f := range fields {
-		args[i] = string(f)
+		argv = append(argv, r.arg(f, i == 0, intern))
 	}
-	return args, nil
+	return argv, nil
 }
 
 // readArray reads the body of an array frame (the '*' marker already
-// consumed): a decimal arity line, then that many bulk strings.
-func (r *Reader) readArray() ([]string, error) {
+// consumed) into argv, which is empty: a decimal arity line, then that
+// many bulk strings.
+func (r *Reader) readArray(argv []string, intern func([]byte) string) ([]string, error) {
 	n, err := r.readInt()
 	if err != nil {
-		return nil, err
+		return argv, err
 	}
 	if n < 0 || n > MaxArity {
-		return nil, protoErrf("array arity %d out of range [0,%d]", n, MaxArity)
+		return argv, protoErrf("array arity %d out of range [0,%d]", n, MaxArity)
 	}
-	args := make([]string, 0, n)
+	if cap(argv) < int(n) {
+		argv = make([]string, 0, n)
+	}
 	total := int64(0)
 	for i := int64(0); i < n; i++ {
-		s, err := r.readBulk()
+		s, err := r.readBulk(i == 0, intern)
 		if err != nil {
-			return nil, err
+			return argv, err
 		}
 		if total += int64(len(s)); total > MaxFrame {
-			return nil, protoErrf("frame payload exceeds %d bytes", MaxFrame)
+			return argv, protoErrf("frame payload exceeds %d bytes", MaxFrame)
 		}
-		args = append(args, s)
+		argv = append(argv, s)
 	}
-	return args, nil
+	return argv, nil
 }
 
 // readInt parses the rest of a header line as a decimal integer.
@@ -172,15 +251,45 @@ func (r *Reader) readInt() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(string(line), 10, 64)
-	if err != nil {
+	n, ok := parseInt(line)
+	if !ok {
 		return 0, protoErrf("bad length %q", line)
 	}
 	return n, nil
 }
 
-// readBulk reads one "$<len>\r\n<len bytes>\r\n" bulk string.
-func (r *Reader) readBulk() (string, error) {
+// parseInt parses b as strconv.ParseInt(string(b), 10, 64) does —
+// an optional sign and at least one decimal digit, within int64 —
+// without making a string of it.
+func parseInt(b []byte) (int64, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg, b = b[0] == '-', b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	const limit = uint64(1) << 63 // the magnitude of math.MinInt64
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if !neg {
+		if n == limit {
+			return 0, false
+		}
+		return int64(n), true
+	}
+	return -int64(n), true // n == limit wraps to math.MinInt64, as it should
+}
+
+// readBulk reads one "$<len>\r\n<len bytes>\r\n" bulk string as an
+// argument (see arg; first marks the command name).
+func (r *Reader) readBulk(first bool, intern func([]byte) string) (string, error) {
 	marker, err := r.br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
@@ -198,15 +307,19 @@ func (r *Reader) readBulk() (string, error) {
 	if n < 0 || n > MaxBulk {
 		return "", protoErrf("bulk length %d out of range [0,%d]", n, MaxBulk)
 	}
-	return r.readPayload(int(n), "bulk string")
+	b, err := r.readPayload(int(n), "bulk string")
+	if err != nil {
+		return "", err
+	}
+	return r.arg(b, first, intern), nil
 }
 
 // readPayload reads a bulk payload of n bytes (already checked against
 // MaxBulk) and its CRLF terminator; what names the payload in the
 // missing-terminator error. A payload that fits the read buffer is
-// copied out of it once, into the string returned; a larger one goes
+// returned in place, valid until the next read; a larger one goes
 // through a buffer of its own.
-func (r *Reader) readPayload(n int, what string) (string, error) {
+func (r *Reader) readPayload(n int, what string) ([]byte, error) {
 	var buf []byte
 	var err error
 	inPlace := n+2 <= r.br.Size()
@@ -220,16 +333,16 @@ func (r *Reader) readPayload(n int, what string) (string, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return "", err
+		return nil, err
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return "", protoErrf("%s missing CRLF terminator", what)
+		return nil, protoErrf("%s missing CRLF terminator", what)
 	}
-	s := string(buf[:n])
 	if inPlace {
+		// Discarding moves no bytes, so buf stays valid until the next read.
 		_, err = r.br.Discard(n + 2) // cannot fail: Peek just returned these bytes
 	}
-	return s, err
+	return buf[:n], err
 }
 
 // Writer encodes values — a server's replies, a client's commands — by
@@ -304,10 +417,19 @@ func (w *Writer) Flush() error {
 // separately — no reply is first assembled as a string, and a bulk
 // payload is copied once, into the buffer.
 
-// appendLine appends a marker, a payload and CRLF.
+// appendLine appends a marker, a payload and CRLF. A CR or LF in the
+// payload would end the line early and let what follows it read as a
+// reply of its own — an error that echoes a client's argument could
+// then forge one — so each is sent as a space, as Redis does.
 func appendLine(b []byte, marker byte, s string) []byte {
 	b = append(b, marker)
+	start := len(b)
 	b = append(b, s...)
+	for i := start; i < len(b); i++ {
+		if b[i] == '\r' || b[i] == '\n' {
+			b[i] = ' '
+		}
+	}
 	return append(b, '\r', '\n')
 }
 

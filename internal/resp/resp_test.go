@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestReadCommandForms pins the accepted grammar: array frames, inline
@@ -141,9 +144,11 @@ func TestWriterReplies(t *testing.T) {
 // reply allocates nothing once the buffer it is appended to has grown
 // (marker, payload and terminator are appended separately, digits
 // formatted in place), through a Writer or straight into a caller's
-// buffer, and decoding a command allocates the argument slice plus one
-// string per argument — bulk payloads are copied out of the read
-// buffer once.
+// buffer. Decoding a command with ReadArgs into a reused argv allocates
+// nothing — the arguments are copied into the Reader's arena and the
+// headers parsed off the bytes — and ReadCommand, whose results are the
+// caller's to keep, allocates the argument slice plus one string per
+// argument.
 func TestCodecAllocs(t *testing.T) {
 	w := NewWriter(io.Discard)
 	reply := ArrayVal(SimpleVal("OK"), ErrVal("ERR boom"), IntVal(-1234567), BulkVal("hello"), NullVal())
@@ -174,6 +179,99 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); n != 4 {
 		t.Errorf("decode: %v allocs per 3-argument command, want 4 (the slice and one per argument)", n)
+	}
+	r = NewReader(strings.NewReader(strings.Repeat(frame, runs+1)))
+	var argv []string
+	if n := testing.AllocsPerRun(runs, func() {
+		var err error
+		if argv, err = r.ReadArgs(argv, nil); err != nil || len(argv) != 3 {
+			t.Fatalf("ReadArgs = %q, %v", argv, err)
+		}
+	}); n != 0 {
+		t.Errorf("decode into argv: %v allocs per 3-argument command, want 0", n)
+	}
+}
+
+// TestReadArgs pins ReadArgs's contract: argv's array is reused, a name
+// intern knows is intern's string, arguments are decoded as ReadCommand
+// decodes them, and an arena a large argument grew is let go at the
+// next call.
+func TestReadArgs(t *testing.T) {
+	in := "*2\r\n$3\r\nget\r\n$3\r\nabc\r\nPING x\r\n*2\r\n$3\r\nSET\r\n$3\r\nxyz\r\n" +
+		fmt.Sprintf("*2\r\n$3\r\nGET\r\n$%d\r\n%s\r\n", MaxBulk, strings.Repeat("b", MaxBulk)) +
+		"*1\r\n$4\r\nPING\r\n"
+	r := NewReader(strings.NewReader(in))
+	const interned = "GET"
+	intern := func(b []byte) string {
+		if strings.EqualFold(string(b), "get") {
+			return interned
+		}
+		return ""
+	}
+	argv := make([]string, 0, 4)
+	want := [][]string{{"GET", "abc"}, {"PING", "x"}, {"SET", "xyz"}, {"GET", strings.Repeat("b", MaxBulk)}, {"PING"}}
+	for i, w := range want {
+		got, err := r.ReadArgs(argv, intern)
+		if err != nil {
+			t.Fatalf("command %d: %v", i, err)
+		}
+		if !slices.Equal(got, w) {
+			t.Fatalf("command %d = %.20q, want %.20q", i, got, w)
+		}
+		if &got[:1][0] != &argv[:1][0] {
+			t.Fatalf("command %d: argv's array was not reused", i)
+		}
+		if w[0] == "GET" && unsafe.StringData(got[0]) != unsafe.StringData(interned) {
+			t.Fatalf("command %d: the name is a copy, not intern's string", i)
+		}
+		if i == 4 && cap(r.arena) > maxRetained {
+			t.Fatalf("kept a %d-byte arena after a %d-byte argument", cap(r.arena), MaxBulk)
+		}
+		argv = got
+	}
+}
+
+// TestParseInt holds the header parser to strconv.ParseInt's grammar
+// (base 10, 64 bits): an optional sign, at least one digit, no
+// underscores or spaces, and the int64 range exactly.
+func TestParseInt(t *testing.T) {
+	for _, s := range []string{
+		"", "0", "-0", "+0", "7", "007", "+5", "-5", "-", "+", "+-1", "--1", " 1", "1 ", "1_000", "0x10", "12a",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"18446744073709551616", "99999999999999999999", "1024", "1048576",
+	} {
+		got, ok := parseInt([]byte(s))
+		want, err := strconv.ParseInt(s, 10, 64)
+		if ok != (err == nil) || (ok && got != want) {
+			t.Errorf("parseInt(%q) = %d, %v; strconv.ParseInt = %d, %v", s, got, ok, want, err)
+		}
+	}
+}
+
+// TestLineRepliesSanitized pins the reply-injection fix: a CR or LF in
+// a simple string or error payload goes out as a space, so the reply
+// stays one line and one reply; a bulk string carries them verbatim.
+func TestLineRepliesSanitized(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Error("ERR unknown command 'X\r\n+OK'")
+	w.Simple("a\nb\rc")
+	w.Bulk("x\r\ny")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := "-ERR unknown command 'X  +OK'\r\n+a b c\r\n$4\r\nx\r\ny\r\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("encoded %q, want %q", got, want)
+	}
+	r := NewReader(&buf)
+	for _, kind := range []byte{'-', '+', '$'} {
+		if v, err := r.ReadReply(); err != nil || v.Kind != kind {
+			t.Fatalf("reply = %+v, %v; want kind %q", v, err, kind)
+		}
+	}
+	if v, err := r.ReadReply(); err != io.EOF {
+		t.Fatalf("a fourth reply %+v, %v; want io.EOF", v, err)
 	}
 }
 
@@ -253,9 +351,13 @@ func TestWriterBufferRetention(t *testing.T) {
 }
 
 // FuzzReadCommand is the protocol-fuzz contract: arbitrary bytes never
-// panic the reader, and every returned command is within the declared
-// limits. The seed corpus covers each frame family and each rejection
-// path.
+// panic the reader, every returned command is within the declared
+// limits, and the two decoders agree. ReadArgs into one reused argv,
+// with a name callback, returns what ReadCommand returns, or fails with
+// the same class of error and the same text; every ReadCommand result
+// is still intact when the stream ends; and the header parser accepts
+// exactly what strconv.ParseInt does. The seed corpus covers each frame
+// family and each rejection path.
 func FuzzReadCommand(f *testing.F) {
 	seeds := []string{
 		"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n",
@@ -274,19 +376,52 @@ func FuzzReadCommand(f *testing.F) {
 		"*2\r\n$3\r\nGET\r\njunk",
 		strings.Repeat("a", 9000),
 		"*1\r\n$0\r\n\r\n",
+		"*+2\r\n$03\r\nget\r\n$-0\r\n",
+		"*9223372036854775808\r\n",
+		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\nget k\r\n*1\r\n$3\r\nGET\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	intern := func(name []byte) string {
+		if string(name) == "GET" {
+			return "GET"
+		}
+		return ""
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		n, ok := parseInt(data)
+		if want, err := strconv.ParseInt(string(data), 10, 64); ok != (err == nil) || (ok && n != want) {
+			t.Fatalf("parseInt(%q) = %d, %v; strconv.ParseInt = %d, %v", data, n, ok, want, err)
+		}
 		r := NewReader(bytes.NewReader(data))
+		ra := NewReader(bytes.NewReader(data))
+		var argv []string
+		var kept, copies [][]string
+		defer func() {
+			for i := range kept {
+				if !slices.Equal(kept[i], copies[i]) {
+					t.Fatalf("ReadCommand result %d changed to %q, was %q", i, kept[i], copies[i])
+				}
+			}
+		}()
 		for i := 0; i < 64; i++ { // bounded: a stream yields many commands
 			args, err := r.ReadCommand()
+			var errArgs error
+			argv, errArgs = ra.ReadArgs(argv, intern)
+			if (err == nil) != (errArgs == nil) || (err != nil && (err.Error() != errArgs.Error() ||
+				IsProtoError(err) != IsProtoError(errArgs) || errors.Is(err, io.EOF) != errors.Is(errArgs, io.EOF) ||
+				errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(errArgs, io.ErrUnexpectedEOF))) {
+				t.Fatalf("command %d: ReadCommand error %v, ReadArgs error %v", i, err, errArgs)
+			}
 			if err != nil {
 				if !IsProtoError(err) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 				return
+			}
+			if !slices.Equal(args, argv) {
+				t.Fatalf("command %d: ReadCommand = %q, ReadArgs = %q", i, args, argv)
 			}
 			if len(args) > MaxArity {
 				t.Fatalf("command with %d args exceeds MaxArity", len(args))
@@ -296,6 +431,12 @@ func FuzzReadCommand(f *testing.F) {
 					t.Fatalf("argument of %d bytes exceeds MaxBulk", len(a))
 				}
 			}
+			kept = append(kept, args)
+			c := make([]string, len(args))
+			for j, a := range args {
+				c[j] = strings.Clone(a)
+			}
+			copies = append(copies, c)
 		}
 	})
 }

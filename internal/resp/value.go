@@ -47,8 +47,9 @@ func ArrayVal(elems ...Value) Value {
 func (v Value) IsError() bool { return v.Kind == '-' }
 
 // AppendValue appends v's wire form to b and returns the extended
-// buffer. A value of unknown kind is an error, and b then ends in a
-// partial encoding.
+// buffer. A simple string or error is one line, so a CR or LF in its
+// payload is sent as a space. A value of unknown kind is an error, and
+// b then ends in a partial encoding.
 func AppendValue(b []byte, v Value) ([]byte, error) {
 	switch v.Kind {
 	case '+', '-':
@@ -121,11 +122,11 @@ func (r *Reader) readReply(depth int) (Value, error) {
 		if n < 0 || n > MaxBulk {
 			return Value{}, protoErrf("bulk length %d out of range [0,%d]", n, MaxBulk)
 		}
-		s, err := r.readPayload(int(n), "bulk reply")
+		b, err := r.readPayload(int(n), "bulk reply")
 		if err != nil {
 			return Value{}, err
 		}
-		return BulkVal(s), nil
+		return BulkVal(string(b)), nil
 	case '*':
 		n, err := r.readInt()
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	rtrace "runtime/trace"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -250,18 +249,19 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 		task := sess.beginRuntimeTask()
 		defer sess.endRuntimeTask(task)
 	}
-	start := time.Now()
+	start := metrics.Mono()
 	err := sess.run(shared, fn)
+	elapsed := metrics.Mono() - start
 	if err == nil {
 		// Wall time of the whole logical transaction, retries included —
 		// the latency a caller of Atomically actually experienced.
-		sess.commitLat.ObserveSince(start)
+		sess.commitLat.Observe(elapsed)
 		sess.commitTries.ObserveN(shared.aborts.Load() + 1)
 	}
 	if sess.rec != nil {
 		// Deliver the sampled transaction: the stripes are released and
 		// the status frozen, so the sink observes a finished history.
-		sess.finishTrace(trc, shared, err == nil, int64(time.Since(start)))
+		sess.finishTrace(trc, shared, err == nil, int64(elapsed))
 	}
 	if !errors.Is(err, ErrHalted) {
 		// The logical transaction is over and frozen, so enemies never
