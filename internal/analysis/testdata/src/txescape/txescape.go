@@ -35,7 +35,7 @@ func goroutines() {
 	_ = s.Atomically(func(tx *stm.Tx) error {
 		go use(tx) // want `\*stm\.Tx passed to a spawned goroutine`
 		go func() {
-			_ = tx.ID() // want `\*stm\.Tx captured by a goroutine`
+			_ = tx.Timestamp() // want `\*stm\.Tx captured by a goroutine`
 		}()
 		return nil
 	})

@@ -49,10 +49,10 @@ type episode struct {
 }
 
 // next bumps and returns the attempt count for a conflict with the
-// given enemy logical-transaction id.
-func (e *episode) next(enemyID uint64) int {
-	if e.enemy != enemyID {
-		e.enemy = enemyID
+// enemy with the given timestamp (its logical transaction's identity).
+func (e *episode) next(enemyTS uint64) int {
+	if e.enemy != enemyTS {
+		e.enemy = enemyTS
 		e.attempts = 0
 	}
 	e.attempts++

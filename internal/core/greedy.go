@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/stm"
 )
 
@@ -81,10 +82,11 @@ func NewGreedyTimeoutWith(base time.Duration) *GreedyTimeout {
 
 // ResolveConflict implements the greedy rules with bounded waiting.
 func (g *GreedyTimeout) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	if enemy.Timestamp() > me.Timestamp() || enemy.Waiting() {
+	ts := enemy.Timestamp()
+	if ts > me.Timestamp() || enemy.Waiting() {
 		return stm.AbortOther
 	}
-	patience, ok := g.timeouts[enemy.ID()]
+	patience, ok := g.timeouts[ts]
 	if !ok {
 		patience = g.base
 		if len(g.timeouts) > 1<<12 {
@@ -92,19 +94,19 @@ func (g *GreedyTimeout) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 			// short-lived; prune it rather than grow without bound.
 			clear(g.timeouts)
 		}
-		g.timeouts[enemy.ID()] = patience
+		g.timeouts[ts] = patience
 	}
 	me.SetWaiting(true)
 	defer me.SetWaiting(false)
-	deadline := time.Now().Add(patience)
+	deadline := metrics.Mono() + patience
 	for spin := 0; enemy.Status() == stm.StatusActive && !enemy.Waiting(); spin++ {
 		if me.Status() != stm.StatusActive {
 			return stm.Wait
 		}
-		if time.Now().After(deadline) {
+		if metrics.Mono() > deadline {
 			// The enemy may have crashed: abort it and double our
 			// patience with it in case it was merely slow.
-			g.timeouts[enemy.ID()] = patience * 2
+			g.timeouts[ts] = patience * 2
 			return stm.AbortOther
 		}
 		stm.Backoff(spin)

@@ -42,7 +42,7 @@ func (k *Karma) Opened(tx *stm.Tx, write bool) {
 // ResolveConflict aborts the enemy when our investment plus
 // persistence exceeds its investment.
 func (k *Karma) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	attempts := k.ep.next(enemy.ID())
+	attempts := k.ep.next(enemy.Timestamp())
 	if me.Priority()+int64(attempts) > enemy.Priority() {
 		k.ep.reset()
 		return stm.AbortOther
@@ -75,7 +75,7 @@ func (e *Eruption) Opened(tx *stm.Tx, write bool) {
 // ResolveConflict transfers momentum to the blocking enemy, then
 // behaves like Karma.
 func (e *Eruption) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	attempts := e.ep.next(enemy.ID())
+	attempts := e.ep.next(enemy.Timestamp())
 	if attempts == 1 {
 		// New stand-off: push our momentum onto the transaction
 		// blocking us, once per episode.
@@ -120,7 +120,7 @@ func (p *Polka) Opened(tx *stm.Tx, write bool) {
 
 // ResolveConflict implements Karma's threshold with Polite's backoff.
 func (p *Polka) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	attempts := p.ep.next(enemy.ID())
+	attempts := p.ep.next(enemy.Timestamp())
 	if me.Priority()+int64(attempts) > enemy.Priority() {
 		p.ep.reset()
 		return stm.AbortOther

@@ -50,7 +50,7 @@ func NewPolite() *Polite {
 
 // ResolveConflict implements randomized exponential backoff.
 func (p *Polite) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	n := p.ep.next(enemy.ID())
+	n := p.ep.next(enemy.Timestamp())
 	if n > p.MaxTries {
 		p.ep.reset()
 		return stm.AbortOther

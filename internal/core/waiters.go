@@ -35,7 +35,7 @@ func (t *Timestamp) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 	if enemy.Timestamp() > me.Timestamp() {
 		return stm.AbortOther
 	}
-	if t.ep.next(enemy.ID()) > t.MaxWaits {
+	if t.ep.next(enemy.Timestamp()) > t.MaxWaits {
 		t.ep.reset()
 		return stm.AbortOther
 	}
@@ -70,7 +70,7 @@ func (k *KillBlocked) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 	}
 	me.SetWaiting(true)
 	defer me.SetWaiting(false)
-	if k.ep.next(enemy.ID()) > k.MaxWaits {
+	if k.ep.next(enemy.Timestamp()) > k.MaxWaits {
 		k.ep.reset()
 		return stm.AbortOther
 	}
@@ -101,7 +101,7 @@ func (q *QueueOnBlock) Opened(tx *stm.Tx, write bool) { q.ep.reset() }
 
 // ResolveConflict waits in line behind the enemy.
 func (q *QueueOnBlock) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	if q.MaxWaits > 0 && q.ep.next(enemy.ID()) > q.MaxWaits {
+	if q.MaxWaits > 0 && q.ep.next(enemy.Timestamp()) > q.MaxWaits {
 		q.ep.reset()
 		return stm.AbortOther
 	}
@@ -141,18 +141,18 @@ func NewKindergarten() *Kindergarten {
 // retries of the same one — forgetting past yields would defeat the
 // turn-taking).
 func (k *Kindergarten) Begin(tx *stm.Tx) {
-	if tx.ID() != k.lastTx {
-		k.lastTx = tx.ID()
+	if tx.Timestamp() != k.lastTx {
+		k.lastTx = tx.Timestamp()
 		clear(k.yielded)
 	}
 }
 
 // ResolveConflict gives way once per enemy, then kills.
 func (k *Kindergarten) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	if k.yielded[enemy.ID()] {
+	if k.yielded[enemy.Timestamp()] {
 		return stm.AbortOther
 	}
-	k.yielded[enemy.ID()] = true
+	k.yielded[enemy.Timestamp()] = true
 	stm.Backoff(1) // step aside briefly before restarting
 	return stm.AbortSelf
 }

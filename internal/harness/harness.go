@@ -155,15 +155,11 @@ type Point struct {
 	// threads waiting ~100 resolutions per abort.
 	WaitNs    int64
 	BackoffNs int64
-	// Latency is the distribution of per-transaction wall times
-	// (including retries — the paper's Theorem 1 is a statement about
-	// exactly this worst case).
+	// Latency is the distribution of per-transaction wall times: each
+	// worker's own reading around its Atomically call, retries
+	// included — the paper's Theorem 1 is a statement about exactly
+	// this worst case.
 	Latency metrics.Histogram
-	// CommitLatency is the engine-side distribution of successful
-	// Atomically calls (first attempt through commit), merged across
-	// the run's sessions. Unlike Latency it excludes the harness's
-	// draw bookkeeping — the two disagreeing is itself a signal.
-	CommitLatency metrics.Histogram
 	// HotVars and HotEdges are the flight recorder's attribution: the
 	// top-K most conflicted named variables and the hottest
 	// aggressor→victim decision edges, from the sampled conflict
@@ -287,7 +283,6 @@ func Run(cfg Config) (Point, error) {
 	for i := range latencies {
 		point.Latency.Merge(&latencies[i])
 	}
-	point.CommitLatency.Merge(s.CommitLatency())
 	if cfg.Audit {
 		if err := application.audit(s); err != nil {
 			return Point{}, err
@@ -332,11 +327,11 @@ func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Co
 		return nil
 	}
 	for !stop.Load() {
-		opStart := time.Now()
 		d = application.draw(rng)
 		if lb != nil {
 			lbl = lb.label(d)
 		}
+		opStart := metrics.Mono()
 		err := s.Atomically(fn)
 		if errors.Is(err, errStopped) {
 			return nil
@@ -344,7 +339,7 @@ func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Co
 		if err != nil {
 			return fmt.Errorf("harness: worker: %w", err)
 		}
-		lat.Observe(time.Since(opStart))
+		lat.Observe(metrics.Mono() - opStart)
 	}
 	return nil
 }

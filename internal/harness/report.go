@@ -36,8 +36,6 @@ type pointJSON struct {
 	LatP50Us         float64 `json:"lat_p50_us"`
 	LatP99Us         float64 `json:"lat_p99_us"`
 	LatMaxUs         float64 `json:"lat_max_us"`
-	CommitP50Us      float64 `json:"commit_p50_us,omitempty"`
-	CommitP99Us      float64 `json:"commit_p99_us,omitempty"`
 	// Flight-recorder attribution, present only on traced runs
 	// (Config.TxTrace > 0): top-K hot variables and decision edges.
 	HotVars  []obs.HotObject    `json:"hot_vars,omitempty"`
@@ -73,11 +71,9 @@ func WriteJSON(w io.Writer, points []Point) error {
 			HotVars:          p.HotVars,
 			HotEdges:         p.HotEdges,
 
-			LatP50Us:    float64(p.Latency.Quantile(0.50).Nanoseconds()) / 1e3,
-			LatP99Us:    float64(p.Latency.Quantile(0.99).Nanoseconds()) / 1e3,
-			LatMaxUs:    float64(p.Latency.Max().Nanoseconds()) / 1e3,
-			CommitP50Us: float64(p.CommitLatency.Quantile(0.50).Nanoseconds()) / 1e3,
-			CommitP99Us: float64(p.CommitLatency.Quantile(0.99).Nanoseconds()) / 1e3,
+			LatP50Us: float64(p.Latency.Quantile(0.50).Nanoseconds()) / 1e3,
+			LatP99Us: float64(p.Latency.Quantile(0.99).Nanoseconds()) / 1e3,
+			LatMaxUs: float64(p.Latency.Max().Nanoseconds()) / 1e3,
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/resp"
 	"repro/internal/stm"
+	"repro/internal/wal"
 )
 
 // memConn is a connection with no kernel under it: each Read hands the
@@ -188,64 +191,95 @@ func TestHandlerAllocBudget(t *testing.T) {
 	}
 }
 
-// borrowScript exercises every way a request's arguments can outlive
-// the read that decoded them: stored keys and values, borrowed reads
-// beside them, a MULTI block queued across reads, a reply that echoes
-// an argument, an unknown command's name, and — on a durable server —
-// replies held in the window while later requests are read.
-var borrowScript = []step{
-	{send: "SET k1 v1", want: ok},
-	{send: "SET k2 v2", want: ok},
-	{send: "GET k1", want: "$2\r\nv1\r\n"},
-	{send: "MGET k1 k2 nokey", want: "*3\r\n$2\r\nv1\r\n$2\r\nv2\r\n$-1\r\n"},
-	{send: "PING hello", want: "$5\r\nhello\r\n"},
-	{send: "nosuch arg", want: "-ERR unknown command 'NOSUCH'\r\n"},
-	{send: "NOSUCH arg", want: "-ERR unknown command 'NOSUCH'\r\n"},
-	{send: "MULTI", want: ok},
-	{send: "SET k3 v3", want: queued},
-	{send: "GET k3", want: queued},
-	{send: "INCR n", want: queued},
-	{send: "EXEC", want: "*3\r\n+OK\r\n$2\r\nv3\r\n:1\r\n"},
-	{send: "get k3", want: "$2\r\nv3\r\n"},
-	{send: "HSET h f1 x1", want: ":1\r\n"},
-	{send: "HGET h f1", want: "$2\r\nx1\r\n"},
-	{send: "HGETALL h", want: "*2\r\n$2\r\nf1\r\n$2\r\nx1\r\n"},
-	{send: "HLEN h", want: ":1\r\n"},
-	{send: "RPUSH l a b", want: ":2\r\n"},
-	{send: "LRANGE l 0 -1", want: "*2\r\n$1\r\na\r\n$1\r\nb\r\n"},
-	{send: "LLEN l", want: ":2\r\n"},
-	{send: "ZADD z 1.5 m", want: ":1\r\n"},
-	{send: "ZSCORE z m", want: "$3\r\n1.5\r\n"},
-	{send: "ZRANGE z 0 -1 WITHSCORES", want: "*2\r\n$1\r\nm\r\n$3\r\n1.5\r\n"},
-	{send: "ZCARD z", want: ":1\r\n"},
-	{send: "TTL k1", want: ":-1\r\n"},
-	{send: "PTTL k1", want: ":-1\r\n"},
-	{send: "TYPE h", want: "+hash\r\n"},
-	{send: "DBSIZE", want: ":7\r\n"}, // k1 k2 k3 n h l z
-	{send: "GET k2", want: "$2\r\nv2\r\n"},
+// borrowScript derives from commandTable a script that exercises every
+// way a request's arguments can outlive the read that decoded them:
+// stored keys and values, borrowed reads beside them, replies that echo
+// an argument, a MULTI block queued across reads, unknown and
+// lower-case command names, and — on a durable server — replies held in
+// the window while later requests are read. Every entry is sent with
+// arity-valid arguments (borrowArgs) on a key of its own, then on a
+// string key and a hash key, one of which holds the wrong type for
+// every typed command; every data command is then queued, spelled in
+// lower case, into one MULTI block. A command added to the table is in
+// the script without anyone editing it.
+func borrowScript() [][]string {
+	var script [][]string
+	add := func(words ...string) { script = append(script, words) }
+	var quit *command
+	for _, cmd := range commandTable {
+		if cmd.name == "QUIT" {
+			quit = cmd // it hangs up, so it goes last
+			continue
+		}
+		key := strings.ToLower(cmd.name)
+		keys := []string{key}
+		if cmd.tx != nil {
+			add("SET", key+":s", "v:"+key)
+			add("HSET", key+":h", "1", "x:"+key)
+			keys = append(keys, key+":s", key+":h")
+		}
+		for _, k := range keys {
+			add(append([]string{cmd.name}, borrowArgs(cmd, k)...)...)
+		}
+	}
+	add("nosuch", "arg")
+	add("NOSUCH", "arg")
+	add("MULTI")
+	for _, cmd := range commandTable {
+		if cmd.tx != nil {
+			add(append([]string{strings.ToLower(cmd.name)}, borrowArgs(cmd, strings.ToLower(cmd.name)+":m")...)...)
+		}
+	}
+	add("EXEC")
+	add(quit.name)
+	return script
 }
 
-// TestBorrowedArgsDoNotEscape runs borrowScript with the reader's
-// arena poisoned on every reclaim (resp.SetArenaPoison) and without,
-// and requires both runs to give the script's replies and a SLOWLOG of
-// exactly the commands sent: an argument kept anywhere past its read —
-// the store, a MULTI block, a held reply, a SLOWLOG entry — would read
-// as '#' bytes in the poisoned run. SLOWLOG records every command
-// (threshold 0) and the flight recorder samples every transaction, on a
-// memory-only and on a durable server, with the script sent in one
-// write and in 5-byte reads (which refill the read buffer mid-frame).
-func TestBorrowedArgsDoNotEscape(t *testing.T) {
-	var batch []byte
-	var replies strings.Builder
-	var logged [][]string
-	for _, s := range borrowScript {
-		words := strings.Fields(s.send)
-		batch = append(batch, frame(words...)...)
-		replies.WriteString(s.want)
-		words[0] = strings.ToUpper(words[0])
-		logged = append(logged, words)
+// borrowArgs returns arity-valid arguments for cmd: its fewest (at
+// least one where one is allowed, so PING echoes), the first being key
+// and the rest small integers, which parse as every count, rank, delta,
+// TTL and score the table takes.
+func borrowArgs(cmd *command, key string) []string {
+	n := cmd.min
+	if n == 0 && cmd.max != 0 {
+		n = 1
 	}
-	run := func(t *testing.T, poison, durable bool, chunk int) {
+	if n == 0 {
+		return nil
+	}
+	args := []string{key}
+	for i := 1; i < n; i++ {
+		args = append(args, strconv.Itoa(i))
+	}
+	return args
+}
+
+// TestBorrowedArgsDoNotEscape runs borrowScript with the reader's arena
+// poisoned on every reclaim (resp.SetArenaPoison) and without, and
+// requires both runs to give identical replies, a SLOWLOG of exactly
+// the commands sent (SLOWLOG itself exempt) and identical store
+// contents: an argument kept anywhere past its read — the store, a
+// MULTI block, a held reply, a SLOWLOG entry — would read as '#' bytes
+// in the poisoned run. SLOWLOG records every command (threshold 0) and
+// the flight recorder samples every transaction, on a memory-only and
+// on a durable server, with the script sent in one write and in 5-byte
+// reads (which refill the read buffer mid-frame).
+func TestBorrowedArgsDoNotEscape(t *testing.T) {
+	script := borrowScript()
+	var batch []byte
+	var logged [][]string
+	for _, words := range script {
+		batch = append(batch, frame(words...)...)
+		if cmd := lookupCommand(strings.ToUpper(words[0])); !cmd.noSlowlog {
+			logged = append(logged, append([]string{strings.ToUpper(words[0])}, words[1:]...))
+		}
+	}
+	type result struct {
+		replies string
+		slowlog [][]string
+		store   []wal.Op
+	}
+	run := func(t *testing.T, poison, durable bool, chunk int) result {
 		resp.SetArenaPoison(poison)
 		defer resp.SetArenaPoison(false)
 		var clk fakeClock
@@ -258,25 +292,36 @@ func TestBorrowedArgsDoNotEscape(t *testing.T) {
 		}
 		conn := newMemConn(chunk, true)
 		srv, stop := serveMem(t, st, conn, withSlowlog(0, 1024), WithAbortLog(abortlog))
-		conn.send(batch, len(borrowScript))
+		conn.send(batch, len(script))
 		stop()
-		if got := string(conn.out); got != replies.String() {
-			t.Errorf("poisoned %v: replies\n got %q\nwant %q", poison, got, replies.String())
-		}
-		var got [][]string
+		var res result
+		res.replies = string(conn.out)
 		for _, l := range srv.slow.get(-1) {
-			got = append(got, l.e.args)
+			res.slowlog = append(res.slowlog, l.e.args)
 		}
-		slices.Reverse(got) // the ring returns the newest first
-		if !slices.EqualFunc(got, logged, slices.Equal) {
-			t.Errorf("poisoned %v: SLOWLOG\n got %q\nwant %q", poison, got, logged)
+		slices.Reverse(res.slowlog) // the ring returns the newest first
+		ops, err := st.SnapshotOps()
+		if err != nil {
+			t.Fatal(err)
 		}
+		res.store = sortOps(ops)
+		return res
 	}
 	for _, durable := range []bool{false, true} {
 		for _, chunk := range []int{0, 5} {
 			t.Run(fmt.Sprintf("durable=%v/chunk=%d", durable, chunk), func(t *testing.T) {
-				run(t, false, durable, chunk)
-				run(t, true, durable, chunk)
+				clean, poisoned := run(t, false, durable, chunk), run(t, true, durable, chunk)
+				if poisoned.replies != clean.replies {
+					t.Errorf("replies differ when the arena is poisoned:\n got %q\nwant %q", poisoned.replies, clean.replies)
+				}
+				for _, res := range []result{clean, poisoned} {
+					if !slices.EqualFunc(res.slowlog, logged, slices.Equal) {
+						t.Errorf("SLOWLOG\n got %q\nwant %q", res.slowlog, logged)
+					}
+				}
+				if !reflect.DeepEqual(poisoned.store, clean.store) {
+					t.Errorf("store differs when the arena is poisoned:\n got %v\nwant %v", poisoned.store, clean.store)
+				}
 			})
 		}
 	}

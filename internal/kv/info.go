@@ -48,17 +48,28 @@ type serverMetrics struct {
 	// registration. The last slot is unknownCommand's.
 	cmds []cmdMetrics
 
+	// commitLat and commitTries are stm_commit_seconds and
+	// stm_commit_attempts: the latency and attempt count of every
+	// command transaction that committed (see observe).
+	commitLat   *obs.Histogram
+	commitTries *obs.Histogram
+
 	sweepFailures  *obs.Counter
 	sweepReaped    *obs.Counter
 	bgsaveFailures *obs.Counter
 	replyFlushes   *obs.Counter
 }
 
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
+func newServerMetrics(reg *obs.Registry, manager string) *serverMetrics {
+	lbl := obs.Labels{"manager": manager}
 	sm := &serverMetrics{
 		connections: reg.Counter("stmkv_connections_total", "Connections accepted.", nil),
 		clients:     reg.Gauge("stmkv_connected_clients", "Connections currently open.", nil),
 		cmds:        make([]cmdMetrics, len(commandTable)+1),
+		commitLat: reg.Histogram("stm_commit_seconds",
+			"Committed command transactions (sweeper and snapshot chunks excluded): read to commit, retries included.", lbl),
+		commitTries: reg.SizeHistogram("stm_commit_attempts",
+			"Attempts per committed command transaction (1 = first try).", lbl),
 		sweepFailures: reg.Counter("stmkv_sweeper_failures_total",
 			"Background TTL sweeper passes that failed.", nil),
 		sweepReaped: reg.Counter("stmkv_sweeper_reaped_total",
@@ -79,21 +90,33 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return sm
 }
 
-// observe records one handled command; start is the metrics.Mono
-// reading taken when it was read, and argv the request with its name
-// upper-cased. reply errors count as command errors whether they
-// came from validation, execution, or state machinery (MULTI misuse) —
-// if the client saw "-ERR", it counts.
-func (srv *Server) observe(cmd *command, start time.Duration, argv []string, reply resp.Value, cost txCost) {
-	m := &srv.sm.cmds[cmd.idx]
+// observe records one released command. reply errors count as command
+// errors whether they came from validation, execution, or state
+// machinery (MULTI misuse) — if the client saw "-ERR", it counts. A
+// command whose transaction committed also feeds the stm_commit_*
+// histograms, timed from its read to its commit: the release reading
+// stands for the commit's when the reply went straight out, and a
+// held reply carries the reading taken when it was held, so a wait
+// for the log is not counted.
+func (srv *Server) observe(h *heldReply) {
+	m := &srv.sm.cmds[h.cmd.idx]
 	m.calls.Inc()
-	if reply.IsError() {
+	if h.reply.IsError() {
 		m.errors.Inc()
 	}
-	dur := metrics.Mono() - start
+	now := metrics.Mono()
+	dur := now - h.start
 	m.lat.Observe(dur)
-	if !cmd.noSlowlog {
-		srv.slow.note(argv, dur, cost)
+	if h.cost.committed {
+		committed := now
+		if h.held != 0 {
+			committed = h.held
+		}
+		srv.sm.commitLat.Observe(committed - h.start)
+		srv.sm.commitTries.ObserveN(h.cost.attempts)
+	}
+	if !h.cmd.noSlowlog {
+		srv.slow.note(h.argv, dur, h.cost)
 	}
 }
 
@@ -149,12 +172,6 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 	reg.CounterFunc("stm_backoff_ns_total",
 		"Nanoseconds in engine-level backoff (CAS retries, installer waits).", lbl,
 		func() int64 { s := engine.TotalStats(); return s.BackoffNs })
-	reg.HistogramFunc("stm_commit_seconds",
-		"Wall time of committed logical transactions, retries included.", lbl,
-		engine.CommitLatency)
-	reg.SizeHistogramFunc("stm_commit_attempts",
-		"Attempts per committed transaction (1 = first try).", lbl,
-		engine.CommitAttempts)
 	reg.GaugeFunc("stmkv_keys", "Approximate live keys (expired excluded).", nil,
 		func() float64 { return float64(st.PeekLen()) })
 	reg.GaugeFunc("stmkv_expiry_armed_shards", "Shards that may hold a key with a TTL; the sweeper skips the rest.", nil,
@@ -391,10 +408,10 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		line("wait_ns", s.WaitNs)
 		line("backoff_ns", s.BackoffNs)
 		fmt.Fprintf(b, "abort_rate:%.4f\r\n", s.AbortRate())
-		lat := srv.store.STM().CommitLatency()
+		lat := srv.sm.commitLat.Snapshot()
 		line("commit_p50_usec", lat.Quantile(0.50).Microseconds())
 		line("commit_p99_usec", lat.Quantile(0.99).Microseconds())
-		tries := srv.store.STM().CommitAttempts()
+		tries := srv.sm.commitTries.Snapshot()
 		fmt.Fprintf(b, "attempts_per_commit:%.2f\r\n", meanOf(tries.Sum(), tries.Count()))
 	case "contention":
 		// The forensics section: Aborts split by cause. Validation and

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -325,6 +326,60 @@ func TestMetricsExposition(t *testing.T) {
 	pr.Body.Close()
 	if pr.StatusCode != 200 {
 		t.Fatalf("pprof status = %d", pr.StatusCode)
+	}
+}
+
+// TestCommitTelemetry: stm_commit_seconds and stm_commit_attempts count
+// the command transactions that committed, one sample each, whatever
+// else the connection sends. Here that is n SETs, a PING (its body
+// reads nothing, but it runs as a transaction like any data command)
+// and an EXEC of two commands, which is one transaction; an INCR that
+// fails on a wrong-type key commits nothing and is not counted. Every
+// transaction commits first try, so the attempts sum equals the count
+// and INFO's attempts_per_commit reads 1.00.
+func TestCommitTelemetry(t *testing.T) {
+	const n = 20
+	srv, addr, stop := startServerWith(t, New(stm.New()), WithManagerName("greedy"))
+	defer stop()
+	c := dialClient(t, addr)
+	defer c.close()
+	for i := range n {
+		c.mustDo(t, "SET", "k"+strconv.Itoa(i), "v")
+	}
+	c.mustDo(t, "MULTI")
+	c.mustDo(t, "RPUSH", "l", "a")
+	c.mustDo(t, "GET", "k0")
+	if v := c.mustDo(t, "EXEC"); len(v.Elems) != 2 {
+		t.Fatalf("EXEC = %+v, want two replies", v)
+	}
+	if v, _ := c.do("INCR", "l"); !strings.HasPrefix(v.Str, "WRONGTYPE") {
+		t.Fatalf("INCR on a list = %+v, want WRONGTYPE", v)
+	}
+	c.mustDo(t, "PING")
+
+	var body strings.Builder
+	if err := srv.Registry().WriteProm(&body); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.CheckExposition([]byte(body.String()))
+	if err != nil {
+		t.Fatalf("/metrics failed parse-back: %v\n%s", err, body.String())
+	}
+	const want = n + 2 // the SETs, the EXEC and the PING
+	for _, name := range []string{
+		`stm_commit_seconds_count{manager="greedy"}`,
+		`stm_commit_attempts_count{manager="greedy"}`,
+		`stm_commit_attempts_sum{manager="greedy"}`,
+	} {
+		if got := samples[name]; got != want {
+			t.Errorf("%s = %g, want %d", name, got, want)
+		}
+	}
+	info := c.mustDo(t, "INFO", "stm").Str
+	for _, line := range []string{"commit_p50_usec:", "commit_p99_usec:", "attempts_per_commit:1.00\r\n"} {
+		if !strings.Contains(info, line) {
+			t.Errorf("INFO stm lacks %q:\n%s", line, info)
+		}
 	}
 }
 

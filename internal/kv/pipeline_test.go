@@ -463,7 +463,9 @@ func TestDurablePipelineAbandon(t *testing.T) {
 // includes the wait for the flush — here one made to take 50 ms — for a
 // SET, and for a GET whose reply queues behind one, and on a memory-only
 // server it does not. (Half the flush is the line: the GET is read a
-// moment after the logger starts on the SET.)
+// moment after the logger starts on the SET.) The two transactions'
+// commit latency (stm_commit_seconds) ends at their commits, so it
+// excludes the flush either way.
 func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 	const window = 50 * time.Millisecond
 	check := func(t *testing.T, srv *Server, addr string, durable bool) {
@@ -486,6 +488,9 @@ func TestDurablePipelineLatencyIncludesWait(t *testing.T) {
 			if waited := lat.Sum() >= window/2; lat.Count() != 1 || waited != durable {
 				t.Errorf("%s histogram: %d samples, sum %v; a flush takes %v, durable %v", name, lat.Count(), lat.Sum(), window, durable)
 			}
+		}
+		if lat := srv.sm.commitLat.Snapshot(); lat.Count() != 2 || lat.Sum() >= window/2 {
+			t.Errorf("commit latency: %d samples, sum %v; want 2 that exclude a %v flush", lat.Count(), lat.Sum(), window)
 		}
 	}
 	t.Run("durable", func(t *testing.T) {

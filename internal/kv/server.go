@@ -74,7 +74,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(srv)
 	}
-	srv.sm = newServerMetrics(srv.reg)
+	srv.sm = newServerMetrics(srv.reg, srv.managerName)
 	registerStoreMetrics(srv.reg, store, srv.managerName)
 	return srv
 }
@@ -188,9 +188,13 @@ type heldReply struct {
 	reply resp.Value
 	owed  pending
 	cmd   *command
-	start time.Duration // a metrics.Mono reading
+	start time.Duration // a metrics.Mono reading taken when the request was read
 	argv  []string
 	cost  txCost
+	// held is the metrics.Mono reading taken when a committed request's
+	// reply went into the window, right after its commit returned; zero
+	// for a reply released straight out.
+	held time.Duration
 }
 
 // maxHeldArgs bounds the argv backing a window slot keeps for its next
@@ -286,6 +290,9 @@ func (out *outbox) reply(h heldReply) error {
 	if out.n == 0 && h.owed.ready() {
 		return out.release(&h)
 	}
+	if h.cost.committed {
+		h.held = metrics.Mono()
+	}
 	if out.win == nil {
 		out.win = make([]heldReply, replyWindow)
 	}
@@ -352,7 +359,7 @@ func (out *outbox) release(h *heldReply) error {
 		h.reply = commandError(err)
 	}
 	if h.cmd != nil {
-		out.srv.observe(h.cmd, h.start, h.argv, h.reply, h.cost)
+		out.srv.observe(h)
 	}
 	return out.add(h.reply)
 }
@@ -480,7 +487,7 @@ func (srv *Server) handle(conn net.Conn) {
 		default:
 			reply = srv.runSingle(&c, cmd, &a)
 		}
-		if out.reply(heldReply{reply, c.owed, cmd, start, argv, c.cost}) != nil {
+		if out.reply(heldReply{reply: reply, owed: c.owed, cmd: cmd, start: start, argv: argv, cost: c.cost}) != nil {
 			return
 		}
 	}
@@ -490,12 +497,14 @@ func (srv *Server) handle(conn net.Conn) {
 
 // txCost is what one transactional command cost in engine terms:
 // attempts executed (1 = first try) and nanoseconds spent inside the
-// contention manager. Zero for non-transactional commands. It feeds
-// the SLOWLOG, which can then tell a contention victim (many attempts,
-// large wait) from genuinely long work.
+// contention manager, and whether the transaction committed. Zero for
+// non-transactional commands. It feeds the SLOWLOG, which can then tell
+// a contention victim (many attempts, large wait) from genuinely long
+// work, and, for committed transactions, the stm_commit_* histograms.
 type txCost struct {
-	attempts int64
-	waitNs   int64
+	attempts  int64
+	waitNs    int64
+	committed bool
 }
 
 // noteTx captures the transaction's cost so far. Called inside the
@@ -521,6 +530,7 @@ func (srv *Server) runSingle(c *connState, cmd *command, a *args) resp.Value {
 	if err != nil {
 		return commandError(err)
 	}
+	c.cost.committed = true
 	return reply
 }
 
@@ -574,6 +584,7 @@ func (srv *Server) exec(c *connState, _ *args) resp.Value {
 	if err != nil {
 		return resp.ErrVal("EXECABORT Transaction aborted: " + commandError(err).Str)
 	}
+	c.cost.committed = true
 	return resp.ArrayVal(replies...)
 }
 

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -101,6 +102,44 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
+
+// Histogram is a concurrent collector over metrics.Histogram's bucket
+// layout: the same 64 log2 buckets, but each bucket is an atomic
+// counter so any goroutine can Observe without coordination. Observe
+// costs two uncontended atomic adds; Snapshot reconstructs a plain
+// metrics.Histogram (count, quantiles, approximate extrema) without
+// stopping writers. The zero value is ready to use.
+type Histogram struct {
+	buckets [metrics.NumBuckets]atomic.Uint64
+	sum     atomic.Int64
+}
+
+// Observe records one duration (clamped at zero).
+func (h *Histogram) Observe(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	h.buckets[metrics.BucketOf(d)].Add(1)
+	h.sum.Add(int64(d))
+}
+
+// ObserveSince records the time elapsed since t0.
+func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
+
+// ObserveN records a raw unit-less value (a batch size, an attempt
+// count) in the same bucket layout.
+func (h *Histogram) ObserveN(v int64) { h.Observe(time.Duration(v)) }
+
+// Snapshot returns a point-in-time histogram. Concurrent Observes may
+// be partially included (a bucket increment without its sum, or vice
+// versa); counts are never lost, only split across snapshots.
+func (h *Histogram) Snapshot() *metrics.Histogram {
+	var counts [metrics.NumBuckets]uint64
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+	}
+	return metrics.FromBuckets(counts[:], time.Duration(h.sum.Load()))
+}
 
 // series is one labeled instance within a family. Exactly one of the
 // value fields is set, matching the family kind.
@@ -291,8 +330,8 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 }
 
 // HistogramFunc registers a duration histogram whose snapshot is
-// produced by fn at exposition time — for subsystems that merge
-// per-worker metrics.Histograms on demand (stm commit latency).
+// produced by fn at exposition time — for subsystems that keep their
+// own histogram (the WAL's fsync latency).
 func (r *Registry) HistogramFunc(name, help string, labels Labels, fn func() *metrics.Histogram) {
 	if r == nil {
 		return

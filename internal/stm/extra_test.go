@@ -49,9 +49,6 @@ func TestTxStringAndAccessors(t *testing.T) {
 	s := stm.New()
 	obj := stm.NewVar(0)
 	err := s.Atomically(func(tx *stm.Tx) error {
-		if tx.ID() == 0 {
-			t.Error("ID() = 0, want positive")
-		}
 		if tx.Timestamp() == 0 {
 			t.Error("Timestamp() = 0, want positive")
 		}

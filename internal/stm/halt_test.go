@@ -48,7 +48,7 @@ func TestHaltOnPooledSession(t *testing.T) {
 	if sess := s.free[0]; sess.freeTx != nil || sess.freeShared != nil {
 		t.Fatal("session kept the corpse's descriptor or record for reuse")
 	}
-	corpseShared, corpseID := corpse.shared, corpse.ID()
+	corpseShared, corpseTS := corpse.shared, corpse.Timestamp()
 
 	// The only idle session is the corpse's, so the enemy runs on it.
 	var enemy *Tx
@@ -61,8 +61,8 @@ func TestHaltOnPooledSession(t *testing.T) {
 	if enemy == corpse || enemy.shared == corpseShared {
 		t.Fatal("the session's next transaction reused the corpse's descriptor or record")
 	}
-	if corpse.ID() != corpseID || corpse.Status() != StatusAborted {
-		t.Fatalf("corpse is now %v, want id %d aborted by the enemy", corpse, corpseID)
+	if corpse.Timestamp() != corpseTS || corpse.Status() != StatusAborted {
+		t.Fatalf("corpse is now %v, want ts %d aborted by the enemy", corpse, corpseTS)
 	}
 	if got := v.Peek(); got != 1 {
 		t.Fatalf("v = %d, want 1", got)

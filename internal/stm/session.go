@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	rtrace "runtime/trace"
-
-	"repro/internal/metrics"
 )
 
 // session is the unit of transaction execution: it binds a contention
@@ -23,14 +21,6 @@ type session struct {
 	// stats counters are written only by the session's current
 	// goroutine but read concurrently by TotalStats, hence atomic.
 	stats atomicStats
-
-	// commitLat and commitTries distribute the wall time and attempt
-	// count of committed logical transactions. Like stats they are
-	// written by the session's current goroutine and snapshotted
-	// concurrently (metrics.AtomicHistogram is atomic per bucket), so
-	// STM.CommitLatency needs no quiescence.
-	commitLat   metrics.AtomicHistogram
-	commitTries metrics.AtomicHistogram
 
 	// freeTx and freeShared cache a descriptor and a logical-transaction
 	// record for reuse (see recycle and atomically). They are
@@ -239,7 +229,6 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 	} else {
 		shared = &txShared{}
 	}
-	shared.id.Store(sess.stm.txIDs.Add(1))
 	shared.timestamp.Store(sess.stm.timestamps.Add(1))
 	trc := sess.stm.tracer
 	if trc != nil {
@@ -249,19 +238,11 @@ func (sess *session) atomically(fn func(tx *Tx) error) error {
 		task := sess.beginRuntimeTask()
 		defer sess.endRuntimeTask(task)
 	}
-	start := metrics.Mono()
 	err := sess.run(shared, fn)
-	elapsed := metrics.Mono() - start
-	if err == nil {
-		// Wall time of the whole logical transaction, retries included —
-		// the latency a caller of Atomically actually experienced.
-		sess.commitLat.Observe(elapsed)
-		sess.commitTries.ObserveN(shared.aborts.Load() + 1)
-	}
 	if sess.rec != nil {
 		// Deliver the sampled transaction: the stripes are released and
 		// the status frozen, so the sink observes a finished history.
-		sess.finishTrace(trc, shared, err == nil, int64(elapsed))
+		sess.finishTrace(trc, shared, err == nil)
 	}
 	if !errors.Is(err, ErrHalted) {
 		// The logical transaction is over and frozen, so enemies never

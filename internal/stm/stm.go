@@ -4,8 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // STM is a transactional-memory instance: the shared timestamp source,
@@ -20,7 +18,6 @@ import (
 // keeps its timestamp and its manager across retries, which is all the
 // paper's one-transaction-per-thread model asks of a thread.
 type STM struct {
-	txIDs       atomic.Uint64
 	timestamps  atomic.Uint64
 	commitClock atomic.Uint64
 
@@ -158,34 +155,6 @@ func (s *STM) TotalStats() Stats {
 		total.Add(snap)
 	}
 	return total
-}
-
-// CommitLatency merges every session's commit-latency histogram: the
-// wall-time distribution of committed logical transactions (retries
-// included). Like TotalStats it needs no quiescence — per-bucket
-// atomic snapshots are merged, so concurrent commits may be split
-// across successive calls but are never lost.
-func (s *STM) CommitLatency() *metrics.Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total metrics.Histogram
-	for _, sess := range s.sessions {
-		total.Merge(sess.commitLat.Snapshot())
-	}
-	return &total
-}
-
-// CommitAttempts merges every session's attempts-per-commit histogram
-// (1 = first-try commit). The values are counts, not durations; use
-// Quantile/Mean on the result as dimensionless numbers.
-func (s *STM) CommitAttempts() *metrics.Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total metrics.Histogram
-	for _, sess := range s.sessions {
-		total.Merge(sess.commitTries.Snapshot())
-	}
-	return &total
 }
 
 // CommitClock returns the number of commits observed so far plus one;

@@ -5,42 +5,6 @@ import (
 	"time"
 )
 
-// TestCommitTelemetry: every committed logical transaction contributes
-// one sample to the commit-latency and attempts-per-commit histograms,
-// and a first-try commit records exactly one attempt.
-func TestCommitTelemetry(t *testing.T) {
-	s := New()
-	v := NewVar(0)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := s.Atomically(func(tx *Tx) error {
-			return Update(tx, v, func(x int) int { return x + 1 })
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lat := s.CommitLatency()
-	if lat.Count() != n {
-		t.Fatalf("commit latency count = %d, want %d", lat.Count(), n)
-	}
-	if lat.Quantile(1) <= 0 {
-		t.Fatalf("commit latency p100 = %v, want positive", lat.Quantile(1))
-	}
-	tries := s.CommitAttempts()
-	if tries.Count() != n {
-		t.Fatalf("attempts count = %d, want %d", tries.Count(), n)
-	}
-	// Uncontended transactions commit on the first attempt: the mean is
-	// exactly 1 (the sum is tracked exactly; quantiles are bucket upper
-	// edges and may read as 2 for a value of 1).
-	if got := tries.Mean(); got != 1 {
-		t.Fatalf("uncontended attempts mean = %d, want 1", got)
-	}
-	if got := tries.Quantile(1); got > 2 {
-		t.Fatalf("uncontended attempts p100 = %d, want <= 2", got)
-	}
-}
-
 // sleepyManager waits a fixed interval inside ResolveConflict before
 // aborting the enemy, so tests can assert WaitNs accounting.
 type sleepyManager struct {

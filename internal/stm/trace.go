@@ -5,6 +5,9 @@ import (
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/metrics"
 )
 
 // The transaction flight recorder: a sampled, per-session event trace
@@ -271,7 +274,8 @@ const maxTraceEvents = 512
 type txRecorder struct {
 	events  []TraceEvent
 	attempt int32
-	cause   AbortCause // last abort's cause
+	cause   AbortCause    // last abort's cause
+	start   time.Duration // metrics.Mono reading when armTrace sampled the transaction
 }
 
 // event appends e if the buffer has room.
@@ -317,8 +321,9 @@ func (r *txRecorder) reset() {
 }
 
 // armTrace decides whether the next logical transaction is sampled
-// and, if so, arms the session's recorder. Called only when a tracer
-// is installed.
+// and, if so, arms the session's recorder and reads the clock, which
+// finishTrace measures the transaction's latency from: an unsampled
+// transaction reads none. Called only when a tracer is installed.
 func (sess *session) armTrace(trc *tracerConfig) {
 	sess.traceSkip++
 	if sess.traceSkip < trc.every {
@@ -329,15 +334,17 @@ func (sess *session) armTrace(trc *tracerConfig) {
 		sess.recBuf = &txRecorder{events: make([]TraceEvent, 0, 64)}
 	}
 	sess.rec = sess.recBuf
+	sess.rec.start = metrics.Mono()
 }
 
 // finishTrace delivers the sampled transaction to the sink and
 // disarms the recorder. Runs after the logical transaction ended —
 // stripes released, status frozen — but on the session's hot path, so
 // the sink contract (fast, non-blocking, no transactions) applies.
-func (sess *session) finishTrace(trc *tracerConfig, shared *txShared, committed bool, latNs int64) {
+func (sess *session) finishTrace(trc *tracerConfig, shared *txShared, committed bool) {
 	rec := sess.rec
 	sess.rec = nil
+	latNs := int64(metrics.Mono() - rec.start)
 	sum := TxSummary{
 		Label:     labelName(shared.label.Load()),
 		Committed: committed,

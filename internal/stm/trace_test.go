@@ -127,7 +127,8 @@ func TestAbortCausePartition(t *testing.T) {
 // TestTracerSamplingCadence pins the 1-in-N contract on a single
 // session: with sampleEvery 3, nine sequential transactions deliver
 // exactly three traces, and each trace carries the begin/open/commit
-// skeleton, the transaction's label, and a correct summary.
+// skeleton, the transaction's label, and a correct summary whose
+// latency — the recorder's own clock reading — is the commit event's.
 func TestTracerSamplingCadence(t *testing.T) {
 	sink := &recordingSink{}
 	world := stm.New(stm.WithTracer(sink, 3))
@@ -151,12 +152,20 @@ func TestTracerSamplingCadence(t *testing.T) {
 		if sum.Label != "cadence" {
 			t.Fatalf("trace %d label = %q, want %q", i, sum.Label, "cadence")
 		}
+		if sum.LatNs <= 0 {
+			t.Fatalf("trace %d LatNs = %d, want positive", i, sum.LatNs)
+		}
 		kinds := map[stm.TraceKind]int{}
 		for _, ev := range sink.events[i] {
 			kinds[ev.Kind]++
-			if ev.Kind == stm.TraceOpen {
+			switch ev.Kind {
+			case stm.TraceOpen:
 				if ev.Obj != "cadence:var" || !ev.Write {
 					t.Fatalf("trace %d open event = %+v, want named write open", i, ev)
+				}
+			case stm.TraceCommit:
+				if ev.Ns != sum.LatNs {
+					t.Fatalf("trace %d commit event Ns = %d, want the summary's LatNs %d", i, ev.Ns, sum.LatNs)
 				}
 			}
 		}

@@ -17,8 +17,7 @@ import (
 // still reads it — such a read can only influence a contention-manager
 // heuristic, never safety, but it must be race-free.
 type txShared struct {
-	id        atomic.Uint64 // unique logical transaction id
-	timestamp atomic.Uint64 // acquisition order; smaller = older = higher priority
+	timestamp atomic.Uint64 // identity and age; smaller = older = higher priority
 
 	priority atomic.Int64 // Karma/Eruption/Polka accumulated priority
 	aborts   atomic.Int64 // completed attempts that ended in abort
@@ -64,15 +63,14 @@ type Tx struct {
 	cause AbortCause
 }
 
-// ID returns the logical transaction id, stable across retries.
-func (tx *Tx) ID() uint64 { return tx.shared.id.Load() }
-
-// Timestamp returns the transaction's priority timestamp. Timestamps
-// are assigned from a global atomic counter when the logical
-// transaction first begins and retained across aborts and retries, so
-// there is a fixed bound on the number of transactions that ever run
-// with an earlier timestamp — the property the greedy manager's
-// Theorem 1 rests on. Smaller means older means higher priority.
+// Timestamp returns the logical transaction's timestamp: its identity
+// and its age. Timestamps are drawn from one global atomic counter
+// when the logical transaction first begins and retained across aborts
+// and retries, so no two logical transactions share one (managers key
+// per-enemy bookkeeping by it) and there is a fixed bound on the
+// number of transactions that ever run with an earlier timestamp — the
+// property the greedy manager's Theorem 1 rests on. Smaller means
+// older means higher priority.
 func (tx *Tx) Timestamp() uint64 { return tx.shared.timestamp.Load() }
 
 // Status returns the transaction's current status.
@@ -195,7 +193,7 @@ func (tx *Tx) fireOnCommit() {
 
 // String identifies the transaction for debugging.
 func (tx *Tx) String() string {
-	return fmt.Sprintf("tx(id=%d ts=%d %s)", tx.ID(), tx.Timestamp(), tx.Status())
+	return fmt.Sprintf("tx(ts=%d %s)", tx.Timestamp(), tx.Status())
 }
 
 // backoff is the engine-level Backoff with the time accounted to the
