@@ -271,3 +271,16 @@ func TestMapClassWalkSurvivesGrowth(t *testing.T) {
 		t.Fatal("EachIn accepted a class count that does not divide the bucket count")
 	}
 }
+
+// TestTableMintAllocs pins minting n buckets to n allocations plus a
+// constant: the bucket variables live in one slice (stm.MakeVars), so
+// each bucket costs only its birth cell. The constant is the Table,
+// the array variable and its cell, the contents slice and the slice
+// of bucket variables. A resize mints the same way.
+func TestTableMintAllocs(t *testing.T) {
+	const n = 1024
+	got := testing.AllocsPerRun(20, func() { _ = NewTable[*int](n) })
+	if want := float64(n + 5); got != want {
+		t.Errorf("NewTable(%d): %.0f allocs, want %.0f", n, got, want)
+	}
+}

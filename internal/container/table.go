@@ -31,25 +31,28 @@ type Table[E any] struct {
 	name string
 }
 
-// tableState is one committed version of the bucket array. The slice
-// is immutable after construction (a resize installs a brand-new
-// slice), so the Var's default shallow clone is a correct private copy.
+// tableState is one committed version of the bucket array. The bucket
+// variables live in the slice itself (stm.MakeVars), so n buckets cost
+// one slice and one birth cell each, and a bucket read goes from the
+// array straight to the bucket's locator. The slice is immutable after
+// construction (a resize installs a brand-new slice), so the Var's
+// default shallow clone is a correct private copy.
 type tableState[E any] struct {
-	buckets []*stm.Var[E]
+	buckets []stm.Var[E]
 }
 
 // Buckets is a transaction's view of a table's bucket array: a
 // consistent snapshot of the array variable (not of the buckets'
 // contents — reading those adds them to the read set one by one).
 type Buckets[E any] struct {
-	vars []*stm.Var[E]
+	vars []stm.Var[E]
 }
 
 // Len is the bucket count of this version of the array.
 func (b Buckets[E]) Len() int { return len(b.vars) }
 
 // At returns bucket i's variable.
-func (b Buckets[E]) At(i int) *stm.Var[E] { return b.vars[i] }
+func (b Buckets[E]) At(i int) *stm.Var[E] { return &b.vars[i] }
 
 // NewTable returns a table with n buckets (minimum 1), each holding
 // E's zero value.
@@ -59,17 +62,8 @@ func NewTable[E any](n int) *Table[E] { return newTable[E]("", n) }
 // the table creates (see the name field).
 func newTable[E any](name string, n int) *Table[E] {
 	t := &Table[E]{seed: maphash.MakeSeed(), name: name}
-	t.state = stm.NewNamedVar(name, tableState[E]{buckets: t.mint(make([]E, max(n, 1)))})
+	t.state = stm.NewNamedVar(name, tableState[E]{buckets: stm.MakeVars(name, make([]E, max(n, 1)))})
 	return t
-}
-
-// mint makes one fresh bucket variable per element of contents.
-func (t *Table[E]) mint(contents []E) []*stm.Var[E] {
-	vars := make([]*stm.Var[E], len(contents))
-	for i, c := range contents {
-		vars[i] = stm.NewNamedVar(t.name, c)
-	}
-	return vars
 }
 
 // Buckets reads the current bucket array inside tx. The array variable
@@ -95,5 +89,5 @@ func (t *Table[E]) peek() Buckets[E] { return Buckets[E]{vars: t.state.Peek().bu
 // rather than written to: they are unreachable until the array
 // variable's write commits, so they cost the transaction no opens.
 func (t *Table[E]) resize(tx *stm.Tx, contents []E) error {
-	return stm.Write(tx, t.state, tableState[E]{buckets: t.mint(contents)})
+	return stm.Write(tx, t.state, tableState[E]{buckets: stm.MakeVars(t.name, contents)})
 }

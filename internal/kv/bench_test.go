@@ -2,7 +2,10 @@ package kv
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -56,6 +59,35 @@ func BenchmarkStoreOps(b *testing.B) {
 			}
 		})
 	})
+	// A store too large for the cache, as the wire-pipelined workload
+	// has it: each operation's chain of loads (shard, bucket array,
+	// bucket cell, node, entry) misses, so this case shows the engine's
+	// memory layout where the 1024-key cases above cannot.
+	b.Run("large-get80-set20", func(b *testing.B) {
+		const n = 200_000
+		keys := makeKeys(n)
+		st := preloadStore(b, keys)
+		var seq atomic.Uint64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			rng := rand.New(rand.NewPCG(1, seq.Add(1)))
+			for pb.Next() {
+				k := keys[rng.IntN(n)]
+				set := rng.IntN(5) == 0
+				err := st.Atomically(func(tx *stm.Tx, now int64) error {
+					if set {
+						return st.SetTx(tx, now, k, "v", 0)
+					}
+					_, _, err := st.GetTx(tx, now, k)
+					return err
+				})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 	b.Run("transfer", func(b *testing.B) {
 		st, keys := newStore()
 		b.ResetTimer()
@@ -78,4 +110,61 @@ func BenchmarkStoreOps(b *testing.B) {
 			}
 		})
 	})
+}
+
+// makeKeys returns n distinct 11-byte keys.
+func makeKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%07d", i)
+	}
+	return keys
+}
+
+// preloadStore returns a default-shaped store holding keys, each with
+// its own 16-byte value, loaded in batches of 256.
+func preloadStore(tb testing.TB, keys []string) *Store {
+	st := New(stm.New())
+	batch := make([]KV, 0, 256)
+	for i, k := range keys {
+		batch = append(batch, KV{K: k, V: fmt.Sprintf("value:%010d", i)})
+		if len(batch) == cap(batch) || i == len(keys)-1 {
+			if err := st.MSet(batch...); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	return st
+}
+
+// TestHeapPerKey is the footprint gate: the heap a preloaded
+// 100k-key store holds per key — the store and everything it reaches,
+// value strings included, the keys made beforehand — after a
+// collection on either side. Each key costs its map node, its entry,
+// its cell in the bucket chain and its share of the bucket array; the
+// figure is pinned with slack for run-to-run spread, so a change that
+// adds an allocation or two words per key fails it.
+func TestHeapPerKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("preloads 100k keys")
+	}
+	// 131–142 B over 38 runs on linux/amd64.
+	const n, budget = 100_000, 150
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	keys := makeKeys(n)
+	before := heap()
+	st := preloadStore(t, keys)
+	perKey := float64(heap()-before) / n
+	runtime.KeepAlive(st)
+	t.Logf("%.1f B per key", perKey)
+	if perKey > budget {
+		t.Errorf("%.1f B per key, want <= %d", perKey, budget)
+	}
 }

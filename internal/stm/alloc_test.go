@@ -21,7 +21,8 @@ func TestTxDescriptorSize(t *testing.T) {
 // TestAttemptAllocBudget pins absolute allocation counts for the
 // attempt path on a pooled session in steady state: what DSTM's
 // protocol makes unavoidable (one descriptor per writer attempt, one
-// locator and one version per object written) and nothing else.
+// cell — a locator and its version — per object written) and nothing
+// else.
 func TestAttemptAllocBudget(t *testing.T) {
 	s := New()
 	counter := NewVar(0)
@@ -52,11 +53,11 @@ func TestAttemptAllocBudget(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		// descriptor + locator + box
-		{"typed Update", 3, update},
+		// descriptor + cell
+		{"typed Update", 2, update},
 		// the descriptor is recycled, the read set is the session's
 		{"24 reads", 0, run(readAll)},
-		{"24 reads + 1 write", 3, run(func(tx *Tx) error {
+		{"24 reads + 1 write", 2, run(func(tx *Tx) error {
 			if err := readAll(tx); err != nil {
 				return err
 			}
@@ -71,7 +72,8 @@ func TestAttemptAllocBudget(t *testing.T) {
 	}
 	_ = sink
 
-	// And in bytes: a 24 B descriptor, a 32 B locator, a 16 B box.
+	// And in bytes: a 24 B descriptor and a 48 B cell (a 32 B locator
+	// and a 16 B box).
 	const runs = 2000
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -100,6 +100,42 @@ func TestTwoObjectInvariant(t *testing.T) {
 	}
 }
 
+// TestOpacityBeforeClockBump: a writer's versions are visible from its
+// status CAS on, but the commit clock moves only afterwards. A reader
+// that read x before the writer committed x and y, and opens y inside
+// that window, must not go on with the mixed view x=0 y=1: validate's
+// clock shortcut would accept it, so the open itself has to notice the
+// unbumped commit and scan.
+func TestOpacityBeforeClockBump(t *testing.T) {
+	s := stm.New()
+	x, y := stm.NewVar(0), stm.NewVar(0)
+	attempt := 0
+	err := s.Atomically(func(tx *stm.Tx) error {
+		attempt++
+		xv, err := stm.Read(tx, x)
+		if err != nil {
+			return err
+		}
+		if attempt == 1 {
+			stm.CommitUnbumped(1, x, y)
+		}
+		yv, err := stm.Read(tx, y)
+		if attempt == 1 && err == nil {
+			t.Errorf("attempt 1 opened y with no error and saw x=%d y=%d", xv, yv)
+		}
+		if err == nil && xv != yv {
+			t.Errorf("attempt %d saw x=%d y=%d", attempt, xv, yv)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempt != 2 {
+		t.Errorf("%d attempts, want 2", attempt)
+	}
+}
+
 // TestReadersSeeConsistentSnapshots runs writers that keep x == y and
 // readers that assert it; any observed x != y inside a committed
 // read-only transaction is a serializability bug.

@@ -9,3 +9,19 @@ package stm
 func WithCommitHook(f func()) Option {
 	return func(s *STM) { s.commitHook = f }
 }
+
+// CommitUnbumped installs x on each of vars as the versions of one
+// committed writer frozen between its status CAS and its commit-clock
+// bump: the owner is committed, prev still points at the pre-image and
+// the clock has not moved. No real commit stops there for long, but a
+// reader that runs inside that window is what an opacity test needs to
+// hold still.
+func CommitUnbumped[T any](x T, vars ...*Var[T]) {
+	w := &Tx{}
+	w.status.Store(int32(StatusCommitted))
+	for _, v := range vars {
+		l := newCell(v, x, w)
+		l.prev.Store(v.obj.loc.Load().base())
+		v.obj.loc.Store(l)
+	}
+}

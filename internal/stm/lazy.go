@@ -38,18 +38,19 @@ func WithLazyConflicts() Option {
 func (s *STM) Lazy() bool { return s.lazy }
 
 // openWriteLazy buffers a private clone of the object's committed
-// version in the transaction's write buffer (or mk(), when the caller
-// replaces the whole value — see openWrite). The pre-image is
+// version in the transaction's write buffer, as an ownerless cell that
+// commit installs as it is (or mk(nil), when the caller replaces the
+// whole value — see openWrite). The pre-image is
 // recorded in the read set, which is what commit-time validation
 // checks: if any base version moved, the transaction aborts itself
 // and retries.
-func (o *tobj) openWriteLazy(tx *Tx, mk func() value) (value, error) {
+func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
 	sess := tx.sess
-	if v, ok := sess.lazyWrites[o]; ok {
-		return v, nil
+	if l, ok := sess.lazyWrites[o]; ok {
+		return l.newVal, nil
 	}
 	// Record the pre-image for commit-time validation. This is one
 	// write acquisition, not a read followed by a write: the manager
@@ -59,20 +60,21 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func() value) (value, error) {
 	// priorities and the opens count in lazy mode.)
 	base, ok := tx.lookupRead(o)
 	if !ok {
-		// Running lazy transactions install no locators, so no
-		// locator ever carries an active owner and the committed
-		// version is stable — no enemy-resolution loop is needed.
-		base = o.loc.Load().current()
+		// Running lazy transactions install no owned locators, so no
+		// locator carries an active owner and the committed version
+		// is stable — no enemy-resolution loop is needed.
+		l, _ := tx.openBase(o.loc.Load())
+		base = l.newVal
 		tx.recordRead(o, base)
 	}
-	var clone value
+	var clone *locator
 	if mk != nil {
-		clone = mk()
+		clone = mk(nil)
 	} else {
-		clone = base.Clone()
+		clone = base.cloneCell(nil)
 	}
 	if sess.lazyWrites == nil {
-		sess.lazyWrites = make(map[*tobj]value, 4)
+		sess.lazyWrites = make(map[*tobj]*locator, 4)
 	}
 	sess.lazyWrites[o] = clone
 	sess.writeStripes = append(sess.writeStripes, o.stripe)
@@ -86,7 +88,7 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func() value) (value, error) {
 	if !tx.validate() {
 		return nil, ErrAborted
 	}
-	return clone, nil
+	return clone.newVal, nil
 }
 
 // tryCommitReadOnly is the clock-stable read-only commit shared by the

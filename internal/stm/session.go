@@ -57,9 +57,10 @@ type session struct {
 	validClock uint64
 	// opens counts objects opened by the attempt (reads and writes).
 	opens int32
-	// lazyWrites buffers tentative versions in lazy-conflict mode
-	// (nil in eager mode and until a lazy transaction first writes).
-	lazyWrites map[*tobj]value
+	// lazyWrites buffers tentative versions in lazy-conflict mode,
+	// each an ownerless cell that commit installs as it is (nil in
+	// eager mode and until a lazy transaction first writes).
+	lazyWrites map[*tobj]*locator
 	// local is the attempt-scoped scratch slot for layers composed
 	// above the engine (the kv store parks its write-set capture
 	// here); onCommit is the attempt's commit hook (see Tx.OnCommit).

@@ -282,7 +282,7 @@ func (tx *Tx) tryCommit() bool {
 	// Publish — the one step in which the two modes differ. An eager
 	// writer's versions became current with the CAS (its locators are
 	// already installed), so it only drops the pre-images. A lazy writer
-	// installs its buffered versions now, object by object, with the
+	// installs its buffered cells now, object by object, with the
 	// installer count held non-zero so that clock-stable validations
 	// retry rather than accept a cut through a partial installation; the
 	// clock bump lands before the count drops back, so a validator that
@@ -290,8 +290,8 @@ func (tx *Tx) tryCommit() bool {
 	// clock and rescans.
 	if s.lazy {
 		s.installers.Add(1)
-		for obj, newVal := range sess.lazyWrites {
-			obj.loc.Store(&locator{newVal: newVal})
+		for obj, l := range sess.lazyWrites {
+			obj.loc.Store(l)
 		}
 		s.commitClock.Add(2)
 		s.installers.Add(-1)

@@ -9,16 +9,23 @@ import (
 // value is a committed or tentative version as the locator engine sees
 // it: untyped, so one read set and one locator layout serve every
 // Var[T]. Its only implementation is varBox[T]. Opening an object for
-// writing hands the transaction a private Clone, which becomes the
-// committed version if and only if the transaction commits.
+// writing hands the transaction a private copy in a new cell (see
+// cell), which becomes the committed version if and only if the
+// transaction commits.
 type value interface {
-	Clone() value
+	// cloneCell returns a new cell owned by owner (nil for a lazy
+	// write buffer) whose box holds a private copy of this version.
+	cloneCell(owner *Tx) *locator
 }
 
-// locator is the DSTM indirection record. The object's current
-// committed version is determined by the owner's frozen status:
+// locator is the DSTM indirection record. Every locator is the head of
+// a cell whose box is its newVal, so a version is one allocation and a
+// committed read touches the variable's slot and that cell only. The
+// object's current committed version is determined by prev first and
+// the owner's frozen status only when prev is set:
 //
-//	owner nil or committed -> newVal
+//	prev nil               -> newVal (owner nil, or committed and released)
+//	owner committed        -> newVal
 //	owner aborted          -> the pre-image, prev.newVal
 //	owner active           -> the pre-image (the tentative newVal is private)
 //
@@ -28,14 +35,19 @@ type value interface {
 // The pre-image is held as a pointer to the locator that committed it
 // (prev, whose newVal it is) and not as a second value, so that it can
 // be let go: a committed owner's pre-image is dead, and the owner
-// clears prev right after its status CAS (Tx.releasePreimages). Were
-// it kept — as DSTM's oldVal is — every written object would pin its
-// previous version until its next write, and a version that holds a
-// pointer pins whatever that reaches: in a Deque the popped
-// predecessor, whose own link pins its predecessor, so every node ever
-// popped (TestDequeBoundedHeap). prev always points at a locator whose
-// own owner is nil or committed, never through an aborted one, so the
-// chain it keeps alive is one locator long.
+// clears prev right after its status CAS and clock bump
+// (Tx.releasePreimages). Were it kept — as DSTM's oldVal is — every
+// written object would pin its previous version until its next write,
+// and a version that holds a pointer pins whatever that reaches: in a
+// Deque the popped predecessor, whose own link pins its predecessor,
+// so every node ever popped (TestDequeBoundedHeap). prev always points
+// at a locator whose own owner is nil or committed, never through an
+// aborted one, so the chain it keeps alive is one cell long.
+//
+// An eager install stores prev before the CAS that publishes the
+// locator, and prev is cleared only after the owner's status CAS has
+// succeeded, so a reader that loads prev nil knows the version is
+// committed without loading the owner's descriptor.
 type locator struct {
 	owner  *Tx
 	prev   atomic.Pointer[locator]
@@ -45,20 +57,37 @@ type locator struct {
 // base returns the locator whose newVal is the committed version this
 // locator records, which is stable provided the owner is not active.
 func (l *locator) base() *locator {
-	if l.owner == nil || l.owner.Status() == StatusCommitted {
+	p := l.prev.Load()
+	if p == nil || l.owner.Status() == StatusCommitted {
 		return l
 	}
-	if p := l.prev.Load(); p != nil {
-		return p
-	}
-	// prev is cleared only after the owner's commit CAS: the owner
-	// committed between the two loads.
-	return l
+	return p
 }
 
-// current returns the committed version recorded by this locator,
-// which is stable provided the owner is not active.
-func (l *locator) current() value { return l.base().newVal }
+// openBase is base for an open by tx, which also learns of an active
+// owner: it returns the locator holding l's committed version and, when
+// l's owner is still active, that owner as the enemy to resolve. A
+// locator whose owner has committed but not yet released prev belongs
+// to a writer that may not have bumped the commit clock, so validate's
+// clock shortcut cannot be trusted to see that writer's other objects:
+// reading this version next to an older read of one of them is a state
+// that never existed. Zeroing validClock makes the open's validation
+// scan, which finds the older read moved (DESIGN.md §1, *The
+// CAS-to-bump window*).
+func (tx *Tx) openBase(l *locator) (base *locator, enemy *Tx) {
+	p := l.prev.Load()
+	if p == nil {
+		return l, nil
+	}
+	switch l.owner.Status() {
+	case StatusActive:
+		return p, l.owner
+	case StatusCommitted:
+		tx.sess.validClock = 0
+		return l, nil
+	}
+	return p, nil
+}
 
 // tobj is the untyped core of a Var[T]: the locator slot, the commit
 // stripe and the debugging label. Var embeds it, so read sets, locators
@@ -101,7 +130,7 @@ func (o *tobj) String() string {
 // answer is the owner's pre-image, which is correct because an active
 // owner's tentative version is private.
 func (o *tobj) committed() value {
-	return o.loc.Load().current()
+	return o.loc.Load().base().newVal
 }
 
 // openWrite acquires the object for writing on behalf of tx and
@@ -110,12 +139,13 @@ func (o *tobj) committed() value {
 // manager chooses between aborting the enemy and waiting, and the STM
 // retries until the object is free or tx itself dies.
 //
-// A fresh acquisition installs a clone of the committed version, or
-// mk() when mk is non-nil: callers that overwrite the whole value (the
-// typed Write) use it to skip a clone they would immediately discard.
-// When the transaction already owns the object, the existing private
-// version is returned and the caller overwrites it in place.
-func (o *tobj) openWrite(tx *Tx, mk func() value) (value, error) {
+// A fresh acquisition installs a cell holding a clone of the committed
+// version, or mk(tx) when mk is non-nil: callers that overwrite the
+// whole value (the typed Write) use it to skip a clone they would
+// immediately discard. When the transaction already owns the object,
+// the existing private version is returned and the caller overwrites
+// it in place.
+func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 	if tx.sess.stm.lazy {
 		return o.openWriteLazy(tx, mk)
 	}
@@ -127,23 +157,22 @@ func (o *tobj) openWrite(tx *Tx, mk func() value) (value, error) {
 		if l.owner == tx {
 			return l.newVal, nil // already ours (write after write)
 		}
-		if enemy := l.owner; enemy != nil && enemy.Status() == StatusActive {
+		base, enemy := tx.openBase(l)
+		if enemy != nil {
 			if err := resolve(tx, enemy, o); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		// Owner is nil or frozen: l.base() is stable for as long as
-		// the locator stays installed, and our CAS fails if it does
-		// not.
-		base := l.base()
-		nl := &locator{owner: tx}
-		nl.prev.Store(base)
+		// Owner is nil or frozen: base is stable for as long as l
+		// stays installed, and our CAS fails if it does not.
+		var nl *locator
 		if mk != nil {
-			nl.newVal = mk()
+			nl = mk(tx)
 		} else {
-			nl.newVal = base.newVal.Clone()
+			nl = base.newVal.cloneCell(tx)
 		}
+		nl.prev.Store(base)
 		if !o.loc.CompareAndSwap(l, nl) {
 			tx.backoff(spin)
 			continue
@@ -175,8 +204,8 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 		return nil, err
 	}
 	// Read own write.
-	if v, ok := tx.sess.lazyWrites[o]; ok {
-		return v, nil
+	if l, ok := tx.sess.lazyWrites[o]; ok {
+		return l.newVal, nil
 	}
 	if l := o.loc.Load(); l.owner == tx {
 		return l.newVal, nil
@@ -193,13 +222,14 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 		if l.owner == tx {
 			return l.newVal, nil
 		}
-		if enemy := l.owner; enemy != nil && enemy.Status() == StatusActive {
+		base, enemy := tx.openBase(l)
+		if enemy != nil {
 			if err := resolve(tx, enemy, o); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		v := l.current()
+		v := base.newVal
 		tx.recordRead(o, v)
 		tx.sess.opens++
 		tx.sess.mgr.Opened(tx, false)

@@ -7,8 +7,8 @@ package stm
 // label) and its versions are varBox[T] values, so one read set, one
 // locator layout and one conflict protocol — everything the contention
 // managers see — serve every payload type. Opening for writing performs
-// exactly one clone allocation (the varBox) and reads allocate nothing
-// (TestAttemptAllocBudget).
+// exactly one allocation, a cell holding the new locator and its
+// varBox, and reads allocate nothing (TestAttemptAllocBudget).
 
 // Cloner is a pluggable deep-copy strategy for a Var's payload. The
 // returned value must not share mutable state with the argument:
@@ -17,21 +17,21 @@ package stm
 type Cloner[T any] func(T) T
 
 // varBox adapts a typed payload to the untyped locator engine. The
-// back-pointer carries the Var's clone strategy into Clone, which the
-// engine invokes without knowing the payload type.
+// back-pointer carries the Var's clone strategy into cloneCell, which
+// the engine invokes without knowing the payload type.
 type varBox[T any] struct {
 	va  *Var[T]
 	val T
 }
 
-// Clone implements value: a shallow copy of the payload, deepened by
-// the Var's Cloner when one is installed.
-func (b *varBox[T]) Clone() value {
-	c := &varBox[T]{va: b.va, val: b.val}
+// cloneCell implements value: a new cell holding a shallow copy of the
+// payload, deepened by the Var's Cloner when one is installed.
+func (b *varBox[T]) cloneCell(owner *Tx) *locator {
+	val := b.val
 	if cl := b.va.clone; cl != nil {
-		c.val = cl(c.val)
+		val = cl(val)
 	}
-	return c
+	return newCell(b.va, val, owner)
 }
 
 // Var is a transactional variable holding a T: a shared handle whose
@@ -39,7 +39,7 @@ func (b *varBox[T]) Clone() value {
 // and Update. Handles
 // are immutable and safe to share between threads and to embed in
 // other transactional payloads; the zero Var is not usable — create
-// variables with NewVar (or its variants).
+// variables with NewVar (or its variants) or MakeVars.
 //
 // By default a transaction's private copy is made by plain assignment
 // (a shallow copy): appropriate when T is plain data, or when
@@ -50,33 +50,62 @@ type Var[T any] struct {
 	clone Cloner[T]
 }
 
-// birthCell co-allocates a Var's initial locator with its initial box,
-// making NewVar two allocations instead of three. A locator may share
-// a cell with the version it carries as newVal, and with nothing else,
-// because the two are needed for exactly the same span: while the
-// locator is installed, and then as the next writer's pre-image (prev
-// points at the locator, whose newVal is the box) until that writer
-// commits and lets go. Folding the initial locator into the Var would
-// instead keep it — and the birth value it points at — alive as long
-// as the Var: in a Deque the birth value of a link is the neighbouring
-// node, whose own links pin their birth neighbours, i.e. every popped
-// node forever (TestDequeBoundedHeap; DESIGN.md §1). Only the initial
-// pair is co-allocated: later versions come from varBox.Clone, one
-// allocation each.
-type birthCell[T any] struct {
+// cell is one version of a Var: a locator and the box it carries as
+// newVal, in one allocation. Every version is made as a cell — the
+// birth value (NewVar, MakeVars), an eager writer's tentative version
+// and a lazy writer's buffered one (cloneCell, or Write's whole-value
+// constructor) — so writing an object costs one allocation, and a
+// committed read loads the Var's slot and this cell only. The two
+// halves can share a cell because they are needed for exactly the same
+// span: while the locator is installed, and then as the next writer's
+// pre-image (prev points at the locator, whose newVal is the box) until
+// that writer commits and lets go. A read set's seen version pins the
+// cell, and with it the locator's owner descriptor, only until the
+// attempt ends. Folding the initial locator into the Var would instead
+// keep it — and the birth value it points at — alive as long as the
+// Var: in a Deque the birth value of a link is the neighbouring node,
+// whose own links pin their birth neighbours, i.e. every popped node
+// forever (TestDequeBoundedHeap; DESIGN.md §1).
+type cell[T any] struct {
 	loc locator
 	box varBox[T]
+}
+
+// newCell allocates a version of va holding val, owned by owner (nil
+// for a birth value or a lazy write buffer), and returns its locator.
+func newCell[T any](va *Var[T], val T, owner *Tx) *locator {
+	c := &cell[T]{loc: locator{owner: owner}, box: varBox[T]{va: va, val: val}}
+	c.loc.newVal = &c.box
+	return &c.loc
 }
 
 // NewVar creates a transactional variable whose initial committed
 // value is v, with the shallow (assignment) clone strategy.
 func NewVar[T any](v T) *Var[T] {
 	va := &Var[T]{}
-	va.obj.stripe = nextStripe()
-	c := &birthCell[T]{box: varBox[T]{va: va, val: v}}
-	c.loc.newVal = &c.box
-	va.obj.loc.Store(&c.loc)
+	va.init(v)
 	return va
+}
+
+// MakeVars creates len(vals) transactional variables in one slice,
+// each labelled name (as NewNamedVar; "" for none) and holding its
+// element of vals, with the shallow clone strategy. The variables live
+// in the slice, so n of them cost one allocation for the slice and one
+// birth cell each, and a handle is &vars[i]; the slice must not be
+// copied element by element, since a Var's versions point back at it.
+func MakeVars[T any](name string, vals []T) []Var[T] {
+	vars := make([]Var[T], len(vals))
+	for i, v := range vals {
+		vars[i].obj.name = name
+		vars[i].init(v)
+	}
+	return vars
+}
+
+// init makes v's birth cell and deals its commit stripe.
+func (v *Var[T]) init(x T) {
+	v.obj.stripe = nextStripe()
+	v.obj.loc.Store(newCell(v, x, nil))
 }
 
 // NewVarCloner creates a transactional variable with a deep-copy
@@ -146,7 +175,7 @@ func Write[T any](tx *Tx, v *Var[T], x T) error {
 	if v.clone != nil {
 		x = v.clone(x)
 	}
-	val, err := v.obj.openWrite(tx, func() value { return &varBox[T]{va: v, val: x} })
+	val, err := v.obj.openWrite(tx, func(owner *Tx) *locator { return newCell(v, x, owner) })
 	if err != nil {
 		return err
 	}
