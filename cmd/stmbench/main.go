@@ -10,7 +10,6 @@
 //
 //	stmbench -figure 1                 # one figure
 //	stmbench -all                      # all figures (paper + extensions)
-//	stmbench -figure 6 -mix rangeheavy
 //	stmbench -all -json                # machine-readable output (JSON array)
 //	stmbench -all -audit -threads 1,4,64,128 -window 120ms -warmup 30ms
 //	stmbench -figure 2 -threads 1,4,8 -window 200ms -managers greedy,karma
@@ -28,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/plot"
 )
 
 func main() {
@@ -38,14 +36,10 @@ func main() {
 		window   = flag.Duration("window", 300*time.Millisecond, "measurement window per point")
 		warmup   = flag.Duration("warmup", 50*time.Millisecond, "warmup per point (runs before the window opens; not measured)")
 		txtrace  = flag.Int("txtrace", 0, "sample 1 in N transactions into the flight recorder: points gain abort-cause breakdown and top-K hot vars (0 disables)")
-		threads  = flag.String("threads", "", fmt.Sprintf("comma-separated positive thread counts (default: the figure's sweep, %v)", harness.DefaultThreads))
-		managers = flag.String("managers", "", "comma-separated manager names (default: the figure's five series)")
+		threads  = flag.String("threads", "", fmt.Sprintf("comma-separated positive thread counts (default: %v)", harness.DefaultThreads))
+		managers = flag.String("managers", "", fmt.Sprintf("comma-separated manager names (default: %s)", strings.Join(core.FigureManagers, ",")))
 		jsonOut  = flag.Bool("json", false, "emit a JSON array of per-point results instead of a table")
-		chart    = flag.Bool("plot", false, "render an ASCII chart of each figure (with the table)")
 		audit    = flag.Bool("audit", false, "verify structural integrity after every point")
-		keyDist  = flag.String("keys", "", "key distribution: uniform, zipf, zipf:<s> (default: the figure's own, uniform unless stated)")
-		mix      = flag.String("mix", "", "container op mix: update, readheavy, mixed, rangeheavy, w:l,i,d,r (containers only)")
-		binKeys  = flag.Bool("binkeys", false, "kv structures: use a binary-hostile key table (NULs, CRLFs, high bytes)")
 		seed     = flag.Uint64("seed", 0x5eed, "workload seed")
 		list     = flag.Bool("list", false, "list figures, structures and managers, then exit")
 	)
@@ -58,7 +52,6 @@ func main() {
 		}
 		fmt.Printf("structures: %s\n", strings.Join(harness.Structures(), ", "))
 		fmt.Printf("managers: %s\n", strings.Join(core.Names(), ", "))
-		fmt.Printf("mixes: update, readheavy, mixed, rangeheavy, w:<l>,<i>,<d>,<r>\n")
 		return
 	}
 
@@ -68,14 +61,11 @@ func main() {
 	}
 
 	opts := harness.FigureOptions{
-		Duration:   *window,
-		Warmup:     *warmup,
-		Seed:       *seed,
-		Audit:      *audit,
-		KeyDist:    *keyDist,
-		Mix:        *mix,
-		BinaryKeys: *binKeys,
-		TxTrace:    *txtrace,
+		Duration: *window,
+		Warmup:   *warmup,
+		Seed:     *seed,
+		Audit:    *audit,
+		TxTrace:  *txtrace,
 	}
 	if *threads != "" {
 		ts, err := parseInts(*threads)
@@ -118,12 +108,6 @@ func main() {
 		if err := harness.WriteTable(os.Stdout, title, points); err != nil {
 			fatal(err)
 		}
-		if *chart {
-			fmt.Println()
-			if err := renderChart(title, points); err != nil {
-				fatal(err)
-			}
-		}
 	}
 	if *jsonOut {
 		if err := harness.WriteJSON(os.Stdout, jsonPoints); err != nil {
@@ -149,33 +133,6 @@ func selectFigures(all bool, figureID int) ([]harness.Figure, error) {
 		return nil, err
 	}
 	return []harness.Figure{fig}, nil
-}
-
-// renderChart draws the figure's series as an ASCII line chart, the
-// terminal rendition of the paper's plots.
-func renderChart(title string, points []harness.Point) error {
-	order := []string{}
-	seen := map[string]bool{}
-	byMgr := map[string]*plot.Series{}
-	for _, p := range points {
-		if !seen[p.Manager] {
-			seen[p.Manager] = true
-			order = append(order, p.Manager)
-			byMgr[p.Manager] = &plot.Series{Name: p.Manager}
-		}
-		s := byMgr[p.Manager]
-		s.X = append(s.X, float64(p.Threads))
-		s.Y = append(s.Y, p.CommitsPerSec)
-	}
-	series := make([]plot.Series, 0, len(order))
-	for _, name := range order {
-		series = append(series, *byMgr[name])
-	}
-	return plot.Render(os.Stdout, series, plot.Options{
-		Title:  title,
-		XLabel: "threads",
-		YLabel: "committed tx/sec",
-	})
 }
 
 // parseInts parses -threads: a comma-separated list of thread counts,

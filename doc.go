@@ -32,8 +32,8 @@
 //
 // See DESIGN.md for the architecture (engine / sessions / Var[T] /
 // managers / containers / kv server / durability) and the
-// hardware substitutions; cmd/stmbench (figures 1-10, -mix, -keys,
-// -binkeys, -audit, tables and -json output), cmd/stmkv (the
+// hardware substitutions; cmd/stmbench (figures 1-10, -audit,
+// tables and -json output), cmd/stmkv (the
 // RESP-lite server — durable with -data — load generator, audit mode
 // and CI smoke harness; see cmd/stmkv/README.md) and cmd/makespan for
 // the experiment drivers;

@@ -378,24 +378,9 @@ const kvShards = 8
 func newKVApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) *kvApp {
 	names := make([]string, cfg.KeyRange)
 	for i := range names {
-		if cfg.BinaryKeys {
-			names[i] = binName(i)
-		} else {
-			names[i] = fmt.Sprintf("key:%06d", i)
-		}
+		names[i] = fmt.Sprintf("key:%06d", i)
 	}
 	return &kvApp{names: names, keys: keys, mix: mix, cfg: cfg}
-}
-
-// binName builds a binary-hostile key name — NULs, CRLFs, high bytes
-// plus the index — so a -binkeys sweep proves the whole measured path
-// (hashing, chains, WAL encoding) is length-prefixed, not
-// delimiter-based.
-func binName(i int) string {
-	return string([]byte{
-		0x00, 0xff, '\r', '\n', 0x80, 'k',
-		byte(i >> 16), byte(i >> 8), byte(i),
-	})
 }
 
 func (a *kvApp) seed(s *stm.STM, rng *rand.Rand) error {

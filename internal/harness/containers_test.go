@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/workload"
 )
@@ -98,15 +99,13 @@ func TestRunKVStructure(t *testing.T) {
 
 // TestRunKVWALStructure runs the durable kv application (Figure 9's
 // workload): every measured write is captured and logged to a real
-// write-ahead log in a scratch directory, with binary-hostile keys so
-// the whole measured path — hashing, chains, WAL framing — handles
-// arbitrary bytes, and the audit on. The closer hook removes the
-// scratch directory after the run.
+// write-ahead log in a scratch directory, with the audit on. The
+// closer hook closes the log and removes the scratch directory after
+// the run.
 func TestRunKVWALStructure(t *testing.T) {
 	cfg := quickCfg("kvwal", "greedy", 4)
 	cfg.Mix = "mixed"
 	cfg.KeyDist = "zipf"
-	cfg.BinaryKeys = true
 	cfg.Audit = true
 	point, err := harness.Run(cfg)
 	if err != nil {
@@ -176,41 +175,33 @@ func TestJobsFigureSweep(t *testing.T) {
 	}
 }
 
-// TestKVFigureDefaultsToSkew: figure 8 runs zipf unless the caller
-// overrides, and an explicit override wins.
+// TestKVFigureDefaultsToSkew: a figure is its definition. Figure 8
+// run with only a thread override plots every core.FigureManagers
+// series, in order, on the figure's own mixed op mix and zipf keys.
 func TestKVFigureDefaultsToSkew(t *testing.T) {
 	fig, err := harness.FigureByID(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Structure != "kv" || fig.KeyDist != "zipf" {
-		t.Fatalf("figure 8 = %+v, want kv/zipf", fig)
-	}
 	points, err := harness.RunFigure(fig, harness.FigureOptions{
 		Duration: 25 * time.Millisecond,
 		Warmup:   5 * time.Millisecond,
-		Threads:  []int{2},
-		Managers: []string{"greedy"},
+		Threads:  []int{1},
 		Audit:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 1 || points[0].KeyDist != "zipf(1.1)" {
-		t.Fatalf("figure 8 points = %+v, want one zipf(1.1) point", points)
+	if len(points) != len(core.FigureManagers) {
+		t.Fatalf("figure 8 produced %d points, want one per manager %v", len(points), core.FigureManagers)
 	}
-	points, err = harness.RunFigure(fig, harness.FigureOptions{
-		Duration: 25 * time.Millisecond,
-		Warmup:   5 * time.Millisecond,
-		Threads:  []int{2},
-		Managers: []string{"greedy"},
-		KeyDist:  "uniform",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 || points[0].KeyDist != "" {
-		t.Fatalf("override points = %+v, want one uniform point", points)
+	for i, p := range points {
+		if p.Manager != core.FigureManagers[i] || p.Threads != 1 || p.Structure != "kv" {
+			t.Fatalf("point %d = %s/%s x%d, want kv/%s x1", i, p.Structure, p.Manager, p.Threads, core.FigureManagers[i])
+		}
+		if p.Mix != "mixed" || p.KeyDist != "zipf(1.1)" {
+			t.Fatalf("point %d labelled %q/%q, want mixed/zipf(1.1)", i, p.Mix, p.KeyDist)
+		}
 	}
 }
 

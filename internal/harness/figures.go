@@ -8,8 +8,8 @@ import (
 )
 
 // Figure describes one evaluation figure: which benchmark
-// application, which contention scenario, and which manager series to
-// plot against the thread count.
+// application under which contention scenario. Every figure plots the
+// same series, core.FigureManagers, against DefaultThreads.
 type Figure struct {
 	// ID is the figure number: 1-4 are the paper's, 5-7 the container
 	// extensions, 8-10 the kv-store applications.
@@ -22,19 +22,14 @@ type Figure struct {
 	// default update mix, and the intset structures ignore it.
 	Mix string
 	// KeyDist is the figure's key distribution (see Config.KeyDist);
-	// empty selects uniform, the paper's workload. The kv figure runs
-	// skewed traffic by default — real key-value traffic concentrates
-	// on hot keys.
+	// empty selects uniform, the paper's workload. The kv figures run
+	// skewed traffic — real key-value traffic concentrates on hot keys.
 	KeyDist string
 	// TailWork is the uncontended in-transaction tail (Figure 3's low
 	// contention scenario); zero elsewhere.
 	TailWork int
 	// ForestAllProb applies to the forest only.
 	ForestAllProb float64
-	// Managers are the plotted series.
-	Managers []string
-	// Threads are the x-axis sample points.
-	Threads []int
 }
 
 // DefaultThreads samples the paper's 1..32 thread range, extended
@@ -57,55 +52,41 @@ var Figures = []Figure{
 		ID:        1,
 		Name:      "List application",
 		Structure: "list",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        2,
 		Name:      "Skiplist application",
 		Structure: "skiplist",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        3,
 		Name:      "Red-black application (low contention)",
 		Structure: "rbtree",
 		TailWork:  4000,
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:            4,
 		Name:          "Red-black forest application",
 		Structure:     "rbforest",
 		ForestAllProb: 0.1,
-		Managers:      core.FigureManagers,
-		Threads:       DefaultThreads,
 	},
 	{
 		ID:        5,
 		Name:      "Hash set application (disjoint buckets)",
 		Structure: "hashset",
 		Mix:       "update",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        6,
 		Name:      "FIFO queue application (head/tail hot spots)",
 		Structure: "queue",
 		Mix:       "update",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        7,
 		Name:      "Ordered map application (range scans vs point writes)",
 		Structure: "omap",
 		Mix:       "mixed",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        8,
@@ -113,8 +94,6 @@ var Figures = []Figure{
 		Structure: "kv",
 		Mix:       "mixed",
 		KeyDist:   "zipf",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        9,
@@ -122,15 +101,11 @@ var Figures = []Figure{
 		Structure: "kvwal",
 		Mix:       "mixed",
 		KeyDist:   "zipf",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 	{
 		ID:        10,
 		Name:      "Cross-type job pipeline (list, zset and hash in one transaction)",
 		Structure: "jobs",
-		Managers:  core.FigureManagers,
-		Threads:   DefaultThreads,
 	},
 }
 
@@ -151,23 +126,14 @@ type FigureOptions struct {
 	Duration time.Duration
 	// Warmup per point (default 50ms).
 	Warmup time.Duration
-	// Threads overrides the figure's thread samples when non-empty.
+	// Threads overrides DefaultThreads when non-empty.
 	Threads []int
-	// Managers overrides the figure's manager series when non-empty.
+	// Managers overrides core.FigureManagers when non-empty.
 	Managers []string
 	// Seed for workload reproducibility.
 	Seed uint64
 	// Audit structural integrity after every point.
 	Audit bool
-	// KeyDist overrides the figure's key distribution when non-empty
-	// (see Config.KeyDist).
-	KeyDist string
-	// Mix overrides the figure's container op mix when non-empty (see
-	// Config.Mix).
-	Mix string
-	// BinaryKeys switches the kv applications to a binary-hostile key
-	// table (see Config.BinaryKeys).
-	BinaryKeys bool
 	// TxTrace samples 1 in N transactions into the flight recorder's
 	// conflict matrix (see Config.TxTrace); zero disables tracing.
 	TxTrace int
@@ -178,21 +144,13 @@ type FigureOptions struct {
 // RunFigure measures every (manager, threads) point of the figure and
 // returns the points grouped in manager-major order.
 func RunFigure(fig Figure, opts FigureOptions) ([]Point, error) {
-	threads := fig.Threads
+	threads := DefaultThreads
 	if len(opts.Threads) > 0 {
 		threads = opts.Threads
 	}
-	managers := fig.Managers
+	managers := core.FigureManagers
 	if len(opts.Managers) > 0 {
 		managers = opts.Managers
-	}
-	mix := fig.Mix
-	if opts.Mix != "" {
-		mix = opts.Mix
-	}
-	keyDist := fig.KeyDist
-	if opts.KeyDist != "" {
-		keyDist = opts.KeyDist
 	}
 	var points []Point
 	for _, mgr := range managers {
@@ -207,9 +165,8 @@ func RunFigure(fig Figure, opts FigureOptions) ([]Point, error) {
 				ForestAllProb: fig.ForestAllProb,
 				Seed:          opts.Seed,
 				Audit:         opts.Audit,
-				KeyDist:       keyDist,
-				Mix:           mix,
-				BinaryKeys:    opts.BinaryKeys,
+				KeyDist:       fig.KeyDist,
+				Mix:           fig.Mix,
 				TxTrace:       opts.TxTrace,
 			}
 			point, err := Run(cfg)

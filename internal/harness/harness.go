@@ -62,11 +62,6 @@ type Config struct {
 	// operation updates all trees rather than one, producing the
 	// high-variance transaction lengths of Figure 4.
 	ForestAllProb float64
-	// BinaryKeys switches the kv applications' key table to
-	// binary-hostile names (NULs, CRLFs, high bytes) — an end-to-end
-	// check that nothing in the measured path is delimiter-based. The
-	// integer-keyed structures ignore it.
-	BinaryKeys bool
 	// Seed makes the workload reproducible.
 	Seed uint64
 	// Audit verifies structural integrity after the run.
@@ -90,6 +85,8 @@ const rangeSpan = 16
 const interleave = 4
 
 // withDefaults fills the zero fields with the paper's parameters.
+// ForestAllProb and Seed are taken as given: zero is a meaningful
+// value for both.
 func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 1
@@ -102,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KeyRange <= 0 {
 		c.KeyRange = 256
-	}
-	if c.ForestAllProb <= 0 {
-		c.ForestAllProb = 0.1
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x5eed
 	}
 	return c
 }
@@ -177,10 +168,6 @@ const pointTopK = 5
 // Run executes one benchmark configuration.
 func Run(cfg Config) (Point, error) {
 	cfg = cfg.withDefaults()
-	factory, err := core.Factory(cfg.Manager)
-	if err != nil {
-		return Point{}, err
-	}
 	keys, err := workload.NewKeyDist(cfg.KeyDist, cfg.KeyRange)
 	if err != nil {
 		return Point{}, err
@@ -193,10 +180,33 @@ func Run(cfg Config) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	// Apps holding external resources (the kvwal app's log and scratch
-	// directory) release them through the optional closer interface.
+	point, err := run(cfg, application)
+	if err != nil {
+		return Point{}, err
+	}
+	if name := keys.Name(); name != "uniform" { // the default stays empty
+		point.KeyDist = name
+	}
+	return point, nil
+}
+
+// run measures application under cfg, which withDefaults has filled.
+// Apps holding external resources (the kvwal app's log and scratch
+// directory) release them through the optional closer interface, and
+// a failed close fails the point: for kvwal it is the log's sticky
+// write or fsync error, which the unacknowledged appends never
+// surface themselves.
+func run(cfg Config, application app) (point Point, err error) {
 	if c, ok := application.(closer); ok {
-		defer func() { _ = c.close() }()
+		defer func() {
+			if cerr := c.close(); cerr != nil && err == nil {
+				point, err = Point{}, fmt.Errorf("harness: close: %w", cerr)
+			}
+		}()
+	}
+	factory, err := core.Factory(cfg.Manager)
+	if err != nil {
+		return Point{}, err
 	}
 	// The STM carries the contention-manager factory; workers are
 	// plain goroutines calling s.Atomically, each served by a pooled
@@ -251,16 +261,11 @@ func Run(cfg Config) (Point, error) {
 	}
 
 	total := s.TotalStats()
-	distName := keys.Name()
-	if distName == "uniform" {
-		distName = "" // the default; keep point records comparable
-	}
-	point := Point{
+	point = Point{
 		Structure:     cfg.Structure,
 		Manager:       cfg.Manager,
 		Threads:       cfg.Threads,
 		Mix:           application.mixName(),
-		KeyDist:       distName,
 		Commits:       after - before,
 		CommitsPerSec: float64(after-before) / elapsed.Seconds(),
 		Aborts:        total.Aborts,

@@ -128,9 +128,6 @@ func TestFigureByID(t *testing.T) {
 		if fig.ID != id {
 			t.Fatalf("FigureByID(%d).ID = %d", id, fig.ID)
 		}
-		if len(fig.Managers) != 5 {
-			t.Fatalf("figure %d has %d managers, want the paper's 5", id, len(fig.Managers))
-		}
 	}
 	if _, err := harness.FigureByID(len(harness.Figures) + 1); err == nil {
 		t.Fatal("FigureByID past the last figure should fail")
@@ -138,10 +135,11 @@ func TestFigureByID(t *testing.T) {
 }
 
 // TestFigureCoverage is the figure sweep's coverage contract: figures
-// 1-10 all exist, each plots the paper's five manager series, the
-// default thread sweep keeps the 1, 4, 64 and 128 points CI measures,
-// and every structure is the structure of exactly one figure — 10
-// figures x 5 managers x 4 thread counts, 200 points per sweep.
+// 1-10 all exist, the series every figure plots (core.FigureManagers)
+// are the paper's five, the default thread sweep keeps the 1, 4, 64
+// and 128 points CI measures, and every structure is the structure of
+// exactly one figure — 10 figures x 5 managers x 4 thread counts, 200
+// points per sweep.
 func TestFigureCoverage(t *testing.T) {
 	paperSeries := []string{"eruption", "greedy", "aggressive", "backoff", "karma"}
 	if !slices.Equal(core.FigureManagers, paperSeries) {
@@ -152,9 +150,6 @@ func TestFigureCoverage(t *testing.T) {
 	for _, fig := range harness.Figures {
 		ids[fig.ID] = true
 		figuresOf[fig.Structure]++
-		if !slices.Equal(fig.Managers, core.FigureManagers) {
-			t.Errorf("figure %d plots %v, want core.FigureManagers %v", fig.ID, fig.Managers, core.FigureManagers)
-		}
 	}
 	for id := 1; id <= 10; id++ {
 		if !ids[id] {

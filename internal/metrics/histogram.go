@@ -186,36 +186,3 @@ func (h *Histogram) String() string {
 		h.Quantile(0.99).Round(time.Microsecond),
 		h.max.Round(time.Microsecond))
 }
-
-// Welford is a streaming mean/variance accumulator (Welford's
-// algorithm), used for abort-count statistics.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe records one sample.
-func (w *Welford) Observe(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the sample mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -260,38 +260,3 @@ func TestFromBuckets(t *testing.T) {
 		t.Fatal("FromBuckets(nil) not empty")
 	}
 }
-
-func TestWelford(t *testing.T) {
-	var w metrics.Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Observe(x)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("count = %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %g, want 5", w.Mean())
-	}
-	// Population variance of this classic set is 4; unbiased sample
-	// variance is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Fatalf("variance = %g, want %g", w.Variance(), 32.0/7.0)
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("stddev = %g", w.StdDev())
-	}
-}
-
-func TestWelfordDegenerate(t *testing.T) {
-	var w metrics.Welford
-	if w.Variance() != 0 || w.StdDev() != 0 {
-		t.Fatal("empty accumulator variance not zero")
-	}
-	w.Observe(3)
-	if w.Variance() != 0 {
-		t.Fatal("single sample variance not zero")
-	}
-	if w.Mean() != 3 {
-		t.Fatalf("mean = %g", w.Mean())
-	}
-}

@@ -1,3 +1,7 @@
+// Package plot renders ASCII Gantt charts of scheduler traces: one row
+// per transaction, one glyph per tick of its running, aborted or
+// waiting intervals — the terminal rendition of the paper's Section 4
+// executions (see examples/adversary).
 package plot
 
 import (

@@ -7,69 +7,6 @@ import (
 	"repro/internal/plot"
 )
 
-func render(t *testing.T, series []plot.Series, opts plot.Options) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := plot.Render(&sb, series, opts); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-func TestRenderBasicChart(t *testing.T) {
-	out := render(t, []plot.Series{
-		{Name: "greedy", X: []float64{1, 2, 4}, Y: []float64{100, 80, 60}},
-		{Name: "karma", X: []float64{1, 2, 4}, Y: []float64{50, 55, 58}},
-	}, plot.Options{Title: "Figure 1: List", XLabel: "threads", YLabel: "commits/s"})
-
-	for _, want := range []string{"Figure 1: List", "greedy", "karma", "threads", "commits/s", "*", "o"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chart missing %q:\n%s", want, out)
-		}
-	}
-	// Axis labels: max Y and min Y appear.
-	if !strings.Contains(out, "100") {
-		t.Fatalf("chart missing max-Y label:\n%s", out)
-	}
-}
-
-func TestRenderHighestPointTopRow(t *testing.T) {
-	out := render(t, []plot.Series{
-		{Name: "s", X: []float64{0, 1}, Y: []float64{0, 100}},
-	}, plot.Options{Width: 20, Height: 5})
-	lines := strings.Split(out, "\n")
-	// First grid row must contain the marker for y=100 at the right
-	// edge.
-	if !strings.Contains(lines[0], "*") {
-		t.Fatalf("top row missing highest point:\n%s", out)
-	}
-	// Rows 0..4 are the grid (Height 5); the lowest point y=0 sits on
-	// the last grid row.
-	if !strings.Contains(lines[4], "*") {
-		t.Fatalf("bottom row missing lowest point:\n%s", out)
-	}
-}
-
-func TestRenderErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := plot.Render(&sb, nil, plot.Options{}); err == nil {
-		t.Error("no series accepted")
-	}
-	if err := plot.Render(&sb, []plot.Series{{Name: "bad", X: []float64{1}, Y: []float64{}}}, plot.Options{}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if err := plot.Render(&sb, []plot.Series{{Name: "empty"}}, plot.Options{}); err == nil {
-		t.Error("empty series accepted")
-	}
-	many := make([]plot.Series, 9)
-	for i := range many {
-		many[i] = plot.Series{Name: "s", X: []float64{1}, Y: []float64{1}}
-	}
-	if err := plot.Render(&sb, many, plot.Options{}); err == nil {
-		t.Error("9 series accepted; only 8 markers exist")
-	}
-}
-
 func TestGanttBasic(t *testing.T) {
 	var sb strings.Builder
 	err := plot.Gantt(&sb, "trace", []plot.Span{
@@ -114,16 +51,5 @@ func TestGanttSkipsEmptySpans(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "T0") {
 		t.Fatalf("empty-span row rendered:\n%s", sb.String())
-	}
-}
-
-func TestRenderConstantSeries(t *testing.T) {
-	// Degenerate ranges (single x, constant y) must not divide by
-	// zero.
-	out := render(t, []plot.Series{
-		{Name: "flat", X: []float64{5}, Y: []float64{42}},
-	}, plot.Options{Width: 10, Height: 4})
-	if !strings.Contains(out, "*") {
-		t.Fatalf("flat chart missing its point:\n%s", out)
 	}
 }

@@ -200,27 +200,27 @@ func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 // a conflict for the reader (as in DSTM): the contention manager
 // arbitrates before the read can proceed.
 func (o *tobj) openRead(tx *Tx) (value, error) {
-	if err := tx.step(); err != nil {
-		return nil, err
-	}
-	// Read own write.
-	if l, ok := tx.sess.lazyWrites[o]; ok {
-		return l.newVal, nil
-	}
-	if l := o.loc.Load(); l.owner == tx {
-		return l.newVal, nil
-	}
-	// Repeated read: return the recorded version for a stable view.
-	if v, ok := tx.lookupRead(o); ok {
-		return v, nil
-	}
 	for {
+		// The status check follows the locator load, as in checkOpaque.
+		// An enemy takes an object this attempt wrote only after
+		// aborting the attempt, so a still-active attempt that finds
+		// another owner here never wrote the object, and the repeated
+		// read below cannot hand back the version from before the
+		// attempt's own write.
+		l := o.loc.Load()
 		if err := tx.step(); err != nil {
 			return nil, err
 		}
-		l := o.loc.Load()
+		// Read own write.
+		if lw, ok := tx.sess.lazyWrites[o]; ok {
+			return lw.newVal, nil
+		}
 		if l.owner == tx {
 			return l.newVal, nil
+		}
+		// Repeated read: return the recorded version for a stable view.
+		if v, ok := tx.lookupRead(o); ok {
+			return v, nil
 		}
 		base, enemy := tx.openBase(l)
 		if enemy != nil {
