@@ -170,7 +170,7 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 		"Nanoseconds inside the contention manager's ResolveConflict (policy waiting).", lbl,
 		func() int64 { s := engine.TotalStats(); return s.WaitNs })
 	reg.CounterFunc("stm_backoff_ns_total",
-		"Nanoseconds in engine-level backoff (CAS retries, installer waits).", lbl,
+		"Nanoseconds in engine-level backoff (acquisition CAS retries).", lbl,
 		func() int64 { s := engine.TotalStats(); return s.BackoffNs })
 	reg.GaugeFunc("stmkv_keys", "Approximate live keys (expired excluded).", nil,
 		func() float64 { return float64(st.PeekLen()) })

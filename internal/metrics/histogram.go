@@ -1,11 +1,11 @@
 // Package metrics provides the small measurement utilities the
 // benchmark harness uses: a log-bucketed duration histogram for
-// commit-latency percentiles and a streaming mean/variance
-// accumulator. The histogram is the piece that turns the paper's
-// throughput figures into latency distributions, which is where
-// contention-manager differences (fairness, worst case) show up even
-// when mean throughput ties — the paper's Theorem 1 is precisely a
-// worst-case latency statement.
+// commit-latency percentiles and Mono, a one-read monotonic clock. The
+// histogram is the piece that turns the paper's throughput figures
+// into latency distributions, which is where contention-manager
+// differences (fairness, worst case) show up even when mean throughput
+// ties — the paper's Theorem 1 is precisely a worst-case latency
+// statement.
 package metrics
 
 import (

@@ -1,7 +1,8 @@
 package stm
 
 // WithCommitHook installs a function that runs inside every writer
-// commit between read-set validation and the status CAS. Compiled
+// commit between read-set validation (and a lazy writer's acquisition)
+// and the status CAS. Compiled
 // into the test binary only: it lets serializability tests
 // deterministically park one committing writer inside the window the
 // striped commit protocol must keep exclusive, which on a single-CPU

@@ -17,12 +17,14 @@ package stm
 // work that motivates eager detection plus contention management, and
 // the comparison BenchmarkLazyVsEager measures.
 //
-// Commit is the one stripe-held writer commit (tryCommit); only its
-// publish step differs: each written object's new version is installed
-// in place, bracketed by the STM's installer count (the seqlock
-// generalizing the old odd/even commit-clock window to concurrent,
-// stripe-disjoint installers), so concurrent readers never accept a cut
-// that spans a partial installation.
+// Commit is the one stripe-held writer commit (tryCommit). A lazy
+// writer acquires there: with its write set's stripes held and its
+// reads validated, it installs each buffered cell as a locator it owns,
+// and its status CAS then publishes them all at once, exactly as it
+// publishes an eager writer's. The only active owner a lazy transaction
+// can meet is such a writer, between its acquisition and its CAS; its
+// pre-image is the committed version, so opens take it without
+// consulting the manager, and validation catches the CAS if it lands.
 
 import "slices"
 
@@ -34,12 +36,9 @@ func WithLazyConflicts() Option {
 	return func(s *STM) { s.lazy = true }
 }
 
-// Lazy reports whether the STM uses commit-time conflict detection.
-func (s *STM) Lazy() bool { return s.lazy }
-
 // openWriteLazy buffers a private clone of the object's committed
-// version in the transaction's write buffer, as an ownerless cell that
-// commit installs as it is (or mk(nil), when the caller replaces the
+// version in the transaction's write buffer, as a cell owned by tx that
+// commit installs as it is (or mk(tx), when the caller replaces the
 // whole value — see openWrite). The pre-image is
 // recorded in the read set, which is what commit-time validation
 // checks: if any base version moved, the transaction aborts itself
@@ -60,18 +59,18 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error)
 	// priorities and the opens count in lazy mode.)
 	base, ok := tx.lookupRead(o)
 	if !ok {
-		// Running lazy transactions install no owned locators, so no
-		// locator carries an active owner and the committed version
-		// is stable — no enemy-resolution loop is needed.
+		// An active owner is a lazy writer inside its commit, whose
+		// pre-image is the committed version: take it, with no
+		// enemy-resolution loop; validation catches the writer's CAS.
 		l, _ := tx.openBase(o.loc.Load())
 		base = l.newVal
 		tx.recordRead(o, base)
 	}
 	var clone *locator
 	if mk != nil {
-		clone = mk(nil)
+		clone = mk(tx)
 	} else {
-		clone = base.cloneCell(nil)
+		clone = base.cloneCell(tx)
 	}
 	if sess.lazyWrites == nil {
 		sess.lazyWrites = make(map[*tobj]*locator, 4)
@@ -93,22 +92,17 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error)
 
 // tryCommitReadOnly is the clock-stable read-only commit shared by the
 // eager and lazy paths. It takes no stripe locks: the scan plus the
-// stability check (installer count still zero, clock unmoved across
-// the scan) prove every read was simultaneously valid at the scan's
-// start, which is the serialization point. An attempt that registered
-// a commit hook is the exception: its hook must be ordered against the
-// hooks of the writers it read from, which only the stripes can do.
+// stability check (clock unmoved across the scan) prove every read was
+// simultaneously valid at the scan's start, which is the serialization
+// point. An attempt that registered a commit hook is the exception: its
+// hook must be ordered against the hooks of the writers it read from,
+// which only the stripes can do.
 func (tx *Tx) tryCommitReadOnly() bool {
 	if tx.sess.onCommit != nil {
 		return tx.tryCommitReadOnlyHooked()
 	}
 	s := tx.sess.stm
-	for attempt := 0; ; attempt++ {
-		if s.installers.Load() != 0 {
-			// An installation is in progress; wait it out.
-			tx.backoff(attempt)
-			continue
-		}
+	for {
 		c0 := s.commitClock.Load()
 		if !tx.readsStillCommitted() {
 			tx.setCause(CauseValidation)
@@ -116,7 +110,7 @@ func (tx *Tx) tryCommitReadOnly() bool {
 			tx.Abort()
 			return false
 		}
-		if s.installers.Load() == 0 && s.commitClock.Load() == c0 {
+		if s.commitClock.Load() == c0 {
 			if !tx.commit() {
 				tx.setCause(CauseCASRace)
 				return false
@@ -137,10 +131,9 @@ func (tx *Tx) tryCommitReadOnly() bool {
 // the clock-stable scan above cannot promise (a writer's values are
 // visible from its status CAS on, before its clock bump and its hook).
 // With the stripes held nothing in the read set can change, so the
-// plain scan is exact and the installer count needs no watching. The
-// stripes are locked but not owned: this attempt writes nothing, so a
-// writer that merely read one of these objects has no reason to fail
-// its lock-aware validation on it.
+// plain scan is exact. The stripes are locked but not owned: this
+// attempt writes nothing, so a writer that merely read one of these
+// objects has no reason to fail its lock-aware validation on it.
 func (tx *Tx) tryCommitReadOnlyHooked() bool {
 	sess := tx.sess
 	// writeStripes is empty (this is the read-only commit); borrow its

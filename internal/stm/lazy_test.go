@@ -3,6 +3,7 @@ package stm_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stm"
 )
@@ -15,9 +16,6 @@ func TestLazyBasicCommit(t *testing.T) {
 	}
 	if got := obj.Peek(); got != 1 {
 		t.Fatalf("counter = %d, want 1", got)
-	}
-	if !s.Lazy() {
-		t.Fatal("Lazy() = false on a lazy STM")
 	}
 }
 
@@ -175,8 +173,8 @@ func TestLazyCounterStress(t *testing.T) {
 
 func TestLazySnapshotConsistency(t *testing.T) {
 	// Writers keep x == y; readers must never commit a view with
-	// x != y even though installation is multi-object (the seqlock
-	// protects the cut).
+	// x != y even though each commit writes two objects (the status
+	// CAS publishes both at once).
 	s := stm.New(stm.WithLazyConflicts(), stm.WithInterleavePeriod(2))
 	x := stm.NewVar(0)
 	y := stm.NewVar(0)
@@ -266,4 +264,68 @@ type countingManager struct {
 func (m countingManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 	m.t.Errorf("ResolveConflict called in lazy mode")
 	return stm.AbortOther
+}
+
+// TestLazyCommitWindowReadsPreImage parks a lazy writer of x and y
+// inside its commit, after it has acquired both objects and before its
+// status CAS, so both carry it as their active owner. A lazy reader
+// that meets it there takes both pre-images without consulting its
+// manager and commits at once; after the writer's CAS it reads both
+// new values.
+func TestLazyCommitWindowReadsPreImage(t *testing.T) {
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	s := worldOf(countingManager{t: t}, stm.WithLazyConflicts(), stm.WithCommitHook(func() {
+		close(parked)
+		<-release
+	}))
+	x := stm.NewVar(0)
+	y := stm.NewVar(0)
+	read := func() (pair [2]int, attempts int, err error) {
+		err = s.Atomically(func(tx *stm.Tx) error {
+			attempts++
+			var err error
+			if pair[0], err = stm.Read(tx, x); err != nil {
+				return err
+			}
+			pair[1], err = stm.Read(tx, y)
+			return err
+		})
+		return pair, attempts, err
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		wrote <- s.Atomically(func(tx *stm.Tx) error {
+			if err := stm.Write(tx, x, 1); err != nil {
+				return err
+			}
+			return stm.Write(tx, y, 1)
+		})
+	}()
+	<-parked
+	type result struct {
+		pair     [2]int
+		attempts int
+		err      error
+	}
+	got := make(chan result, 1)
+	go func() {
+		pair, attempts, err := read()
+		got <- result{pair, attempts, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil || r.pair != [2]int{0, 0} || r.attempts != 1 {
+			t.Errorf("reader in the commit window: %v after %d attempts, err %v; want [0 0] after 1", r.pair, r.attempts, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reader blocked on a lazy writer parked before its status CAS")
+	}
+	close(release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if pair, _, err := read(); err != nil || pair != [2]int{1, 1} {
+		t.Fatalf("after the writer's commit the reader saw %v, err %v; want [1 1]", pair, err)
+	}
 }

@@ -47,8 +47,9 @@ type session struct {
 	// attempt has open for writing, in open order — what commit needs
 	// of the write set to lock it (and to know there is one);
 	// Tx.lockStripes sorts and dedupes it in place. installed holds
-	// the locators an eager attempt installed, whose pre-images its
-	// commit releases (see locator).
+	// the locators the attempt installed, whose pre-images its commit
+	// releases (see locator): an eager attempt's from its opens, a lazy
+	// one's from its commit.
 	writeStripes []uint32
 	installed    []*locator
 	// validClock is the commit-clock value at which the read set was
@@ -58,8 +59,8 @@ type session struct {
 	// opens counts objects opened by the attempt (reads and writes).
 	opens int32
 	// lazyWrites buffers tentative versions in lazy-conflict mode,
-	// each an ownerless cell that commit installs as it is (nil in
-	// eager mode and until a lazy transaction first writes).
+	// each a cell owned by the attempt that commit installs as it is
+	// (nil in eager mode and until a lazy transaction first writes).
 	lazyWrites map[*tobj]*locator
 	// local is the attempt-scoped scratch slot for layers composed
 	// above the engine (the kv store parks its write-set capture
@@ -291,6 +292,11 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 			return ErrHalted
 		case errors.Is(err, ErrAborted):
 			// Enemy abort: fall through to retry.
+		case errors.Is(tx.checkOpaque(), ErrAborted):
+			// A zombie: fn's error rests on reads that no longer
+			// validate, or on an attempt an enemy aborted, so it may
+			// describe a state that never existed. Retry it as the
+			// abort it is; checkOpaque has classified the cause.
 		default:
 			// User error: abort the transaction, surface the error.
 			// Tracked apart from contention aborts (AbortsUser): the
@@ -348,14 +354,14 @@ func (sess *session) newAttempt(shared *txShared) *Tx {
 // recycle ends a frozen attempt: it keeps the descriptor for reuse
 // when that is safe and empties the session's attempt state. A
 // descriptor may be reused only if it never appeared as an owner in
-// any locator — that is, it opened nothing for eager writing: enemies
-// that reached a descriptor through a stale locator interrogate its
-// status forever, and resetting a referenced descriptor to active
-// would rewrite committed history. Read-only attempts and lazy-mode
-// attempts (whose commit installs ownerless locators) are never
-// referenced.
+// any locator — that is, the attempt installed nothing: enemies that
+// reached a descriptor through a stale locator interrogate its status
+// forever, and resetting a referenced descriptor to active would
+// rewrite committed history. A lazy writer that failed its commit-time
+// validation installed nothing either; its buffered cells name it as
+// owner, but they were never published.
 func (sess *session) recycle(tx *Tx) {
-	if sess.stm.lazy || len(sess.writeStripes) == 0 {
+	if len(sess.installed) == 0 {
 		sess.freeTx = tx
 	}
 	sess.resetAttempt()

@@ -141,6 +141,41 @@ func TestUserErrorAbortsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestZombieUserErrorRetries: an attempt whose read went stale before
+// fn returned a user error is a zombie — the error was computed from a
+// state that no longer exists — so the attempt is retried as a
+// validation abort, not returned.
+func TestZombieUserErrorRetries(t *testing.T) {
+	s := stm.New()
+	x := stm.NewVar(0)
+	stale := errors.New("stale")
+	attempts := 0
+	err := s.Atomically(func(tx *stm.Tx) error {
+		attempts++
+		v, err := stm.Read(tx, x)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			wrote := make(chan error)
+			go func() { wrote <- s.Atomically(func(tx *stm.Tx) error { return stm.Write(tx, x, 1) }) }()
+			if err := <-wrote; err != nil {
+				return err
+			}
+		}
+		if v == 0 {
+			return stale
+		}
+		return nil
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("err = %v after %d attempts, want nil after 2", err, attempts)
+	}
+	if st := s.TotalStats(); st.AbortsUser != 0 || st.AbortsValidation != 1 {
+		t.Fatalf("AbortsUser = %d, AbortsValidation = %d; want 0 and 1", st.AbortsUser, st.AbortsValidation)
+	}
+}
+
 // TestWrappedUserErrorSurfaces: a user error wrapping context still
 // surfaces (errors.Is-compatible), while wrapped ErrAborted retries.
 func TestWrappedUserErrorSurfaces(t *testing.T) {

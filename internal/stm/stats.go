@@ -44,9 +44,10 @@ type Stats struct {
 	// WaitNs explosion, invisible in Commits/Aborts alone). Lazy mode
 	// never consults the manager at open time, so it accrues none.
 	WaitNs int64
-	// BackoffNs is total nanoseconds spent in engine-level backoff:
-	// acquisition CAS retries and installer-wait loops. Unlike WaitNs
-	// this is mechanism, not policy — every manager pays it equally.
+	// BackoffNs is total nanoseconds spent in engine-level backoff
+	// between eager acquisition CAS retries (zero in lazy mode, which
+	// acquires under the commit stripes). Unlike WaitNs this is
+	// mechanism, not policy — every manager pays it equally.
 	BackoffNs int64
 }
 

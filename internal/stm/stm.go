@@ -54,15 +54,6 @@ type STM struct {
 	// DESIGN.md).
 	stripes [commitStripes]commitStripe
 
-	// installers counts lazy-mode locator installations in flight. A
-	// lazy commit publishes its buffered writes object by object, so
-	// the window is non-atomic; validators treat installers != 0 the
-	// way a seqlock reader treats an odd sequence (the generalization
-	// of the old odd/even commit-clock parity to concurrent,
-	// stripe-disjoint installers) and wait it out rather than accept a
-	// cut through a partial installation.
-	installers atomic.Int64
-
 	// factory builds the per-session contention manager for sessions
 	// created by STM.Atomically (see WithManagerFactory).
 	factory ManagerFactory
@@ -73,12 +64,13 @@ type STM struct {
 	tracer *tracerConfig
 
 	// commitHook, when non-nil, runs inside every writer commit after
-	// read-set validation succeeds and before the status CAS — the
-	// window the striped protocol must keep exclusive between
-	// conflicting writers. Only tests install it (via the export_test
-	// option), to schedule two commits into the window
-	// deterministically on hosts without real parallelism; nil in
-	// production, costing one predictable branch per writer commit.
+	// read-set validation succeeds (and a lazy writer has acquired its
+	// writes) and before the status CAS — the window the striped
+	// protocol must keep exclusive between conflicting writers. Only
+	// tests install it (via the export_test option), to schedule two
+	// commits into the window deterministically on hosts without real
+	// parallelism; nil in production, costing one predictable branch
+	// per writer commit.
 	commitHook func()
 
 	// free is the LIFO pool of idle sessions behind STM.Atomically,
@@ -272,6 +264,16 @@ func (tx *Tx) tryCommit() bool {
 		tx.Abort()
 		return false
 	}
+	// Lazy acquisition: each buffered cell, already owned by tx, is
+	// installed with the committed version as its pre-image, as an eager
+	// open would have installed it. The held stripes make the plain
+	// store safe: in lazy mode only a committing writer installs, and it
+	// holds the object's stripe while it does.
+	for obj, l := range sess.lazyWrites {
+		l.prev.Store(obj.loc.Load().base())
+		obj.loc.Store(l)
+		sess.installed = append(sess.installed, l)
+	}
 	if h := s.commitHook; h != nil {
 		h()
 	}
@@ -279,26 +281,8 @@ func (tx *Tx) tryCommit() bool {
 		tx.setCause(CauseCASRace)
 		return false
 	}
-	// Publish — the one step in which the two modes differ. An eager
-	// writer's versions became current with the CAS (its locators are
-	// already installed), so it only drops the pre-images. A lazy writer
-	// installs its buffered cells now, object by object, with the
-	// installer count held non-zero so that clock-stable validations
-	// retry rather than accept a cut through a partial installation; the
-	// clock bump lands before the count drops back, so a validator that
-	// finds the count at zero afterwards necessarily re-reads a moved
-	// clock and rescans.
-	if s.lazy {
-		s.installers.Add(1)
-		for obj, l := range sess.lazyWrites {
-			obj.loc.Store(l)
-		}
-		s.commitClock.Add(2)
-		s.installers.Add(-1)
-	} else {
-		s.commitClock.Add(2)
-		tx.releasePreimages()
-	}
+	s.commitClock.Add(2)
+	tx.releasePreimages()
 	// The deferred unlockStripes has not run yet: the hook fires with
 	// the write set's stripes still held, so the hooks of two writers
 	// that touched the same object run in their commit order.

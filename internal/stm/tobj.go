@@ -13,8 +13,8 @@ import (
 // cell), which becomes the committed version if and only if the
 // transaction commits.
 type value interface {
-	// cloneCell returns a new cell owned by owner (nil for a lazy
-	// write buffer) whose box holds a private copy of this version.
+	// cloneCell returns a new cell owned by owner whose box holds a
+	// private copy of this version.
 	cloneCell(owner *Tx) *locator
 }
 
@@ -44,7 +44,7 @@ type value interface {
 // at a locator whose own owner is nil or committed, never through an
 // aborted one, so the chain it keeps alive is one cell long.
 //
-// An eager install stores prev before the CAS that publishes the
+// An install stores prev before the store or CAS that publishes the
 // locator, and prev is cleared only after the owner's status CAS has
 // succeeded, so a reader that loads prev nil knows the version is
 // committed without loading the owner's descriptor.
@@ -222,8 +222,10 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 		if v, ok := tx.lookupRead(o); ok {
 			return v, nil
 		}
+		// A lazy enemy is a writer inside its commit (see lazy.go): its
+		// pre-image is read without consulting the manager.
 		base, enemy := tx.openBase(l)
-		if enemy != nil {
+		if enemy != nil && !tx.sess.stm.lazy {
 			if err := resolve(tx, enemy, o); err != nil {
 				return nil, err
 			}

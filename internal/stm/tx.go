@@ -197,8 +197,8 @@ func (tx *Tx) String() string {
 }
 
 // backoff is the engine-level Backoff with the time accounted to the
-// session's BackoffNs — acquisition CAS retries and installer waits,
-// the mechanism-side counterpart of the manager's policy-side WaitNs.
+// session's BackoffNs — eager acquisition CAS retries, the
+// mechanism-side counterpart of the manager's policy-side WaitNs.
 func (tx *Tx) backoff(spin int) {
 	t0 := time.Now()
 	Backoff(spin)
@@ -238,20 +238,10 @@ func (tx *Tx) step() error {
 // On failure the transaction aborts itself and validate returns false.
 func (tx *Tx) validate() bool {
 	// The commit clock starts at 2, so the zero value of validClock
-	// means "never validated" and forces the first scan. A non-zero
-	// installer count marks an in-progress lazy installation: retry
-	// (bounded) so neither the shortcut nor the scan accepts a cut
-	// through a partial commit. The installer count must be loaded
-	// before the clock: an installation that finished before the count
-	// read zero bumped the clock first, so the subsequent clock load
-	// cannot match a pre-installation validClock.
+	// means "never validated" and forces the first scan.
 	sess := tx.sess
 	s := sess.stm
 	for attempt := 0; ; attempt++ {
-		if s.installers.Load() != 0 {
-			tx.backoff(attempt)
-			continue
-		}
 		clock := s.commitClock.Load()
 		if clock == sess.validClock && !s.fullValidation {
 			return true
@@ -261,7 +251,7 @@ func (tx *Tx) validate() bool {
 			tx.Abort()
 			return false
 		}
-		if s.installers.Load() == 0 && s.commitClock.Load() == clock {
+		if s.commitClock.Load() == clock {
 			// Stable scan: cache it.
 			sess.validClock = clock
 			return true

@@ -72,7 +72,7 @@ type cell[T any] struct {
 }
 
 // newCell allocates a version of va holding val, owned by owner (nil
-// for a birth value or a lazy write buffer), and returns its locator.
+// for a birth value), and returns its locator.
 func newCell[T any](va *Var[T], val T, owner *Tx) *locator {
 	c := &cell[T]{loc: locator{owner: owner}, box: varBox[T]{va: va, val: val}}
 	c.loc.newVal = &c.box
