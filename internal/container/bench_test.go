@@ -1,6 +1,7 @@
 package container
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,68 @@ func BenchmarkOMapRange(b *testing.B) {
 			}
 			if len(pairs) != 32 {
 				b.Fatalf("range returned %d pairs, want 32", len(pairs))
+			}
+		}
+	})
+}
+
+// BenchmarkDeque measures the deque's operations at the sizes the run
+// length B (runCap) trades between: a push-back/pop-front pair in one
+// transaction on a 64-element and a 100k-element deque, a 100-element
+// prefix peek, and a whole-deque Items on 100k elements. Run it with
+// -benchmem; the table beside runCap comes from it.
+func BenchmarkDeque(b *testing.B) {
+	s := benchSTM()
+	filled := func(n int) *Deque[int] {
+		d := NewDeque[int]()
+		for i := 0; i < n; i += 250 {
+			err := s.Atomically(func(tx *stm.Tx) error {
+				for j := i; j < min(i+250, n); j++ {
+					if err := d.PushBack(tx, j); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return d
+	}
+	for _, n := range []int{64, 100_000} {
+		b.Run(fmt.Sprintf("pushpop/%d", n), func(b *testing.B) {
+			d := filled(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := s.Atomically(func(tx *stm.Tx) error {
+					if err := d.PushBack(tx, i); err != nil {
+						return err
+					}
+					_, _, err := d.PopFront(tx)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("peekfrontn/100", func(b *testing.B) {
+		d := filled(100_000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := stm.Atomic(s, func(tx *stm.Tx) ([]int, error) { return d.PeekFrontN(tx, 100) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("items/100000", func(b *testing.B) {
+		d := filled(100_000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := stm.Atomic(s, d.Items); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

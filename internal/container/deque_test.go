@@ -3,7 +3,9 @@ package container
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,6 +79,201 @@ func TestDequeBasic(t *testing.T) {
 	}
 	if err := s.Atomically(d.CheckInvariants); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDequeModel runs random pushes, pops and peeks at both ends
+// against a slice model, holding the length in turn around 0, 1,
+// runCap-1, runCap, runCap+1 and 2*runCap so runs fill, split, empty
+// and unlink at both ends. After every operation Items, Len and
+// CheckInvariants must agree with the model. A transaction that pushes
+// and pops several elements and then fails must leave Items as it was.
+func TestDequeModel(t *testing.T) {
+	s := stm.New()
+	d := NewDeque[int]()
+	var model []int
+	rng := rand.New(rand.NewPCG(1, 2))
+	check := func(op string) {
+		t.Helper()
+		items, err := stm.Atomic(s, d.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(items, model) {
+			t.Fatalf("after %s: Items = %v, model %v", op, items, model)
+		}
+		if n, err := stm.Atomic(s, d.Len); err != nil || n != len(model) {
+			t.Fatalf("after %s: Len = %d, %v; model has %d", op, n, err, len(model))
+		}
+		if err := s.Atomically(d.CheckInvariants); err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
+	}
+	next := 0
+	for _, target := range []int{0, 1, runCap - 1, runCap, runCap + 1, 2 * runCap, 1, 0} {
+		for i := 0; i < 40*runCap; i++ {
+			// Drift toward target, then wander around it.
+			push := rng.IntN(2) == 0
+			if len(model) < target {
+				push = rng.IntN(4) != 0
+			} else if len(model) > target {
+				push = rng.IntN(4) == 0
+			}
+			front := rng.IntN(2) == 0
+			var op string
+			switch {
+			case rng.IntN(5) == 0:
+				op = peekModel(t, s, d, model, rng)
+			case push:
+				next++
+				v := next
+				op = fmt.Sprintf("push(front=%v, %d)", front, v)
+				pushFn := d.PushBack
+				if front {
+					pushFn = d.PushFront
+				}
+				if err := s.Atomically(func(tx *stm.Tx) error { return pushFn(tx, v) }); err != nil {
+					t.Fatal(err)
+				}
+				if front {
+					model = slices.Insert(model, 0, v)
+				} else {
+					model = append(model, v)
+				}
+			default:
+				op = fmt.Sprintf("pop(front=%v)", front)
+				pop := d.PopBack
+				if front {
+					pop = d.PopFront
+				}
+				v, ok, err := stm.Atomic2(s, pop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != (len(model) > 0) {
+					t.Fatalf("%s: ok = %v with %d elements", op, ok, len(model))
+				}
+				if ok {
+					want := model[len(model)-1]
+					if front {
+						want, model = model[0], model[1:]
+					} else {
+						model = model[:len(model)-1]
+					}
+					if v != want {
+						t.Fatalf("%s = %d, want %d", op, v, want)
+					}
+				}
+			}
+			check(op)
+		}
+	}
+
+	// A failed transaction leaves no trace, however many runs its
+	// pushes and pops split and unlinked.
+	for i := 0; i < runCap+3; i++ {
+		next++
+		v := next
+		if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, v) }); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, v)
+	}
+	check("refill")
+	errUser := errors.New("user error")
+	err := s.Atomically(func(tx *stm.Tx) error {
+		for i := 0; i < 2*runCap; i++ {
+			if err := d.PushFront(tx, -i); err != nil {
+				return err
+			}
+			if err := d.PushBack(tx, -i); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 3*runCap; i++ {
+			if _, _, err := d.PopFront(tx); err != nil {
+				return err
+			}
+			if _, _, err := d.PopBack(tx); err != nil {
+				return err
+			}
+		}
+		return errUser
+	})
+	if !errors.Is(err, errUser) {
+		t.Fatalf("Atomically = %v, want the user error", err)
+	}
+	check("a failed transaction")
+}
+
+// peekModel runs one random peek against the deque and the model.
+func peekModel(t *testing.T, s *stm.STM, d *Deque[int], model []int, rng *rand.Rand) string {
+	t.Helper()
+	switch rng.IntN(3) {
+	case 0:
+		v, ok, err := stm.Atomic2(s, d.PeekFront)
+		if err != nil || ok != (len(model) > 0) || ok && v != model[0] {
+			t.Fatalf("PeekFront = %d, %v, %v; model %v", v, ok, err, model)
+		}
+		return "PeekFront"
+	case 1:
+		v, ok, err := stm.Atomic2(s, d.PeekBack)
+		if err != nil || ok != (len(model) > 0) || ok && v != model[len(model)-1] {
+			t.Fatalf("PeekBack = %d, %v, %v; model %v", v, ok, err, model)
+		}
+		return "PeekBack"
+	default:
+		n := rng.IntN(3*runCap) - 1
+		got, err := stm.Atomic(s, func(tx *stm.Tx) ([]int, error) { return d.PeekFrontN(tx, n) })
+		want := model[:max(0, min(n, len(model)))]
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("PeekFrontN(%d) = %v, %v; want %v", n, got, err, want)
+		}
+		return fmt.Sprintf("PeekFrontN(%d)", n)
+	}
+}
+
+// TestDequeEndsIndependent pins the push rule: a push never grows the
+// run the other end is using. Each round starts from a two-element
+// deque (which the rule lays out as two one-element runs) and runs one
+// front-pusher against one back-pusher, yielding at every open so
+// their transactions overlap. The two ends then read and write
+// disjoint Vars, so not one conflict or abort may occur; if a push
+// could grow the other end's run, both ends would write the one run
+// the two elements share.
+func TestDequeEndsIndependent(t *testing.T) {
+	s := stm.New(stm.WithInterleavePeriod(1))
+	for round := 0; round < 50; round++ {
+		d := NewDeque[int]()
+		for i := 0; i < 2; i++ {
+			if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, i) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make([]error, 2)
+		for g, push := range []func(*stm.Tx, int) error{d.PushFront, d.PushBack} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < runCap && errs[g] == nil; i++ {
+					errs[g] = s.Atomically(func(tx *stm.Tx) error { return push(tx, i) })
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Atomically(d.CheckInvariants); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.TotalStats(); st.Conflicts != 0 || st.Aborts != 0 {
+		t.Fatalf("front and back pushers: %d conflicts, %d aborts; want 0 and 0", st.Conflicts, st.Aborts)
 	}
 }
 
@@ -210,13 +407,16 @@ func TestDequeHammer(t *testing.T) {
 
 // TestDequeBoundedHeap cycles push-back/pop-front pairs through a
 // deque held at 64 elements and requires the live heap to stay flat. A
-// link variable's committed value is the neighbouring node, so anything
+// link variable's committed value is the neighbouring run, so anything
 // in the engine that keeps a superseded version of a link reachable —
 // a committed locator holding on to its pre-image, an initial locator
-// co-allocated with its Var — pins the node that was the neighbour at
+// co-allocated with its Var — pins the run that was the neighbour at
 // that moment, which pins its own neighbour of the time, and so on:
-// every popped node, forever. This is the guard on the locator's
-// pre-image release and on stm.NewVar's co-allocation rule.
+// every popped run, forever. This is the guard on the locator's
+// pre-image release and on stm.NewVar's co-allocation rule. A popped
+// element itself may stay reachable from its run's array until the run
+// is copied by a push or unlinked, but that is at most runCap elements
+// per end, not a growing amount.
 func TestDequeBoundedHeap(t *testing.T) {
 	pairs := 1_000_000
 	if testing.Short() {
@@ -249,8 +449,8 @@ func TestDequeBoundedHeap(t *testing.T) {
 	before := live()
 	run(pairs - pairs/10)
 	after := live()
-	// A pinned node is a few hundred bytes: a leak of one per pair is
-	// tens of megabytes even in -short.
+	// A pinned run is a few hundred bytes per runCap pairs: a leak of
+	// one per run is megabytes even in -short.
 	const slack = 1 << 20
 	if after > before+slack {
 		t.Fatalf("live heap grew %d B over %d push/pop pairs on a 64-element deque", after-before, pairs-pairs/10)

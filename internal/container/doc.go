@@ -17,11 +17,12 @@
 //     tail are permanent hot spots — every producer conflicts with
 //     every producer and every consumer with every consumer, the
 //     adversarial inverse of the hash set;
-//   - Deque[T]: the Queue generalized to push and pop at both ends
-//     (two sentinels, per-node prev/next Vars, per-end net-push
-//     counters giving an O(1) Len that does not re-couple the ends) —
-//     the kv store's list kind, so LPUSH and RPUSH on one hot key
-//     commit in parallel;
+//   - Deque[T]: the Queue generalized to push and pop at both ends,
+//     as a chain of runs of up to 32 elements behind one Var each
+//     (two sentinels, per-run prev/next Vars, per-end net-push
+//     counters giving an O(1) Len that does not re-couple the ends; a
+//     push never grows the other end's run) — the kv store's list
+//     kind, so LPUSH and RPUSH on one hot key commit in parallel;
 //   - OMap[K, V]: an ordered map over a transactional skip list (the
 //     repository's only one: intset.SkipList is an OMap[int, struct{}]),
 //     whose Range runs as a consistent multi-variable read —

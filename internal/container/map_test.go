@@ -257,7 +257,16 @@ func TestMapClassWalkSurvivesGrowth(t *testing.T) {
 			}
 			seen[k]++
 		}
-		put(1000*(r+1), 1000*(r+1)+150) // at least one doubling before the next class
+		// At least one doubling before the next class. The map's hash
+		// seed is random, so how many inserts leave a chain longer than
+		// GrowChain varies: insert until the array has doubled.
+		lo, n := 100_000*(r+1), m.Buckets()
+		for k := lo; m.Buckets() < 2*n; k++ {
+			if k-lo == 10_000 {
+				t.Fatalf("%d inserts did not grow %d buckets", k-lo, n)
+			}
+			put(k, k+1)
+		}
 	}
 	if m.Buckets() < 8*start {
 		t.Fatalf("buckets %d → %d across the walk, want three doublings", start, m.Buckets())

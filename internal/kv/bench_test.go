@@ -151,20 +151,55 @@ func TestHeapPerKey(t *testing.T) {
 	}
 	// 131–142 B over 38 runs on linux/amd64.
 	const n, budget = 100_000, 150
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	keys := makeKeys(n)
-	before := heap()
+	before := liveHeap()
 	st := preloadStore(t, keys)
-	perKey := float64(heap()-before) / n
+	perKey := float64(liveHeap()-before) / n
 	runtime.KeepAlive(st)
 	t.Logf("%.1f B per key", perKey)
 	if perKey > budget {
 		t.Errorf("%.1f B per key, want <= %d", perKey, budget)
 	}
+}
+
+// TestListHeapPerElement is the list's footprint gate: the heap a
+// 200k-element list holds per element, the values made beforehand,
+// after a collection on either side. The list is built by RPushTx in
+// batches of 250, as a preload would. An element costs its string
+// header in its run's slice and a 1/runCap share of the run: the run,
+// its three Vars and their cells.
+func TestListHeapPerElement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 200k-element list")
+	}
+	// 26.4 B in each of 12 runs on linux/amd64 (runCap 32).
+	const n, batch, budget = 200_000, 250, 30
+	vals := makeKeys(n)
+	st := New(stm.New())
+	before := liveHeap()
+	for i := 0; i < n; i += batch {
+		err := st.Atomically(func(tx *stm.Tx, now int64) error {
+			_, err := st.RPushTx(tx, now, "list", vals[i:i+batch]...)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	perElem := float64(liveHeap()-before) / n
+	runtime.KeepAlive(st)
+	runtime.KeepAlive(vals)
+	t.Logf("%.1f B per element", perElem)
+	if perElem > budget {
+		t.Errorf("%.1f B per element, want <= %d", perElem, budget)
+	}
+}
+
+// liveHeap returns the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -5,12 +5,14 @@ import (
 	"repro/internal/wal"
 )
 
-// Lists are container.Deque[string] values inside entries: pushes and
-// pops touch the deque's end links and counters only, so front and
-// back traffic on the same key are independent hot spots and neither
-// rewrites the bucket chain. The WAL sees one op per element moved
-// (push = value + end flag, pop = tombstone + end flag); replay
-// re-runs the same deque operations in commit order.
+// Lists are container.Deque[string] values inside entries: a chain of
+// runs of up to 32 elements each. Pushes and pops touch only their end
+// run, its links and the end counter, so front and back traffic on the
+// same key are independent hot spots and neither rewrites the bucket
+// chain. The WAL sees one op per element moved (push = value + end
+// flag, pop = tombstone + end flag); replay re-runs the same deque
+// operations in commit order, so how elements fall into runs is not
+// part of the log or the snapshot.
 
 // LPushTx pushes vals onto the front of the list at key, left to
 // right (so the last val ends up frontmost, as in Redis), creating

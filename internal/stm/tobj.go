@@ -39,10 +39,11 @@ type value interface {
 // (Tx.releasePreimages). Were it kept — as DSTM's oldVal is — every
 // written object would pin its previous version until its next write,
 // and a version that holds a pointer pins whatever that reaches: in a
-// Deque the popped predecessor, whose own link pins its predecessor,
-// so every node ever popped (TestDequeBoundedHeap). prev always points
-// at a locator whose own owner is nil or committed, never through an
-// aborted one, so the chain it keeps alive is one cell long.
+// Deque the popped predecessor run, whose own link pins its
+// predecessor, so every run ever popped (TestDequeBoundedHeap). prev
+// always points at a locator whose own owner is nil or committed,
+// never through an aborted one, so the chain it keeps alive is one
+// cell long.
 //
 // An install stores prev before the store or CAS that publishes the
 // locator, and prev is cleared only after the owner's status CAS has

@@ -63,8 +63,8 @@ type Var[T any] struct {
 // cell, and with it the locator's owner descriptor, only until the
 // attempt ends. Folding the initial locator into the Var would instead
 // keep it — and the birth value it points at — alive as long as the
-// Var: in a Deque the birth value of a link is the neighbouring node,
-// whose own links pin their birth neighbours, i.e. every popped node
+// Var: in a Deque the birth value of a link is the neighbouring run,
+// whose own links pin their birth neighbours, i.e. every popped run
 // forever (TestDequeBoundedHeap; DESIGN.md §1).
 type cell[T any] struct {
 	loc locator
