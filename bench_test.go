@@ -176,7 +176,7 @@ func BenchmarkAdversarialMakespan(b *testing.B) {
 	ins := sched.Adversary(8, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

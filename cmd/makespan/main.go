@@ -23,6 +23,11 @@
 //	trace     — event trace of the adversary under greedy (debugging
 //	            aid and a readable rendition of the paper's cascade).
 //
+// The simulated experiments run internal/core's managers, the ones the
+// STM runs. The command exits non-zero when one of greedy's claims
+// fails: the adversary's s+1 units, Theorem 9's bound, completion with
+// the pending-commit property, or greedy-timeout's recovery.
+//
 // Usage:
 //
 //	makespan -exp adversary -s 8
@@ -36,10 +41,24 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/liveness"
 	"repro/internal/sched"
+	"repro/internal/stm"
 )
+
+// timid is the always-wait manager: queue-on-block with its timeout
+// off.
+func timid() stm.Manager { return &core.QueueOnBlock{} }
+
+// simulated is one manager the simulator runs, under its table name.
+type simulated struct {
+	name string
+	mgr  stm.ManagerFactory
+}
+
+func registry(name string) simulated { return simulated{name, core.MustFactory(name)} }
 
 func main() {
 	var (
@@ -80,7 +99,7 @@ func adversary(s, m int) error {
 	fmt.Printf("%-6s %-10s %-10s %-8s %-8s\n", "s", "greedy", "optimal", "ratio", "bound")
 	for _, si := range []int{1, 2, 4, s} {
 		ins := sched.Adversary(si, m)
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 		if err != nil {
 			return err
 		}
@@ -97,6 +116,9 @@ func adversary(s, m int) error {
 			ratio, sched.Bound(si))
 		if err := sched.VerifyPendingCommit(res); err != nil {
 			return err
+		}
+		if !res.Completed || res.Makespan != (si+1)*m {
+			return fmt.Errorf("greedy's makespan at s=%d is %d ticks, want s+1 = %d units", si, res.Makespan, si+1)
 		}
 	}
 	fmt.Println("greedy = s+1 units, optimal = 2 units: the paper's separation, linear in s.")
@@ -140,13 +162,12 @@ func bounded(n int, seed uint64) error {
 }
 
 func pending(m int) error {
-	policies := func() []sched.Policy {
-		return []sched.Policy{sched.GreedyPolicy{}, sched.TimidPolicy{}, sched.AggressivePolicy{}, sched.NewKarmaPolicy()}
-	}
-	report := func(title string, ins *sched.Instance) error {
+	managers := []simulated{registry("greedy"), {"timid", timid}, registry("aggressive"), registry("karma")}
+	var failed []string
+	report := func(instance, title string, ins *sched.Instance) error {
 		fmt.Println(title)
-		for _, p := range policies() {
-			res, err := sched.Simulate(ins, p, 500)
+		for _, sm := range managers {
+			res, err := sched.Simulate(ins, sm.mgr, 500)
 			if err != nil {
 				return err
 			}
@@ -155,17 +176,27 @@ func pending(m int) error {
 				status = "DID NOT COMPLETE (deadlock/livelock)"
 			}
 			pc := "holds"
-			if t := sched.CheckPendingCommit(res); t >= 0 {
+			t := sched.CheckPendingCommit(res)
+			if t >= 0 {
 				pc = fmt.Sprintf("violated at tick %d", t)
 			}
-			fmt.Printf("  %-12s %-36s pending-commit: %s\n", p.Name(), status, pc)
+			fmt.Printf("  %-12s %-36s pending-commit: %s\n", sm.name, status, pc)
+			if sm.name == "greedy" && (!res.Completed || t >= 0) {
+				failed = append(failed, instance)
+			}
 		}
 		return nil
 	}
-	if err := report("cyclic-conflict instance (deadlocks always-wait):", sched.CycleInstance(m)); err != nil {
+	if err := report("cyclic-conflict", "cyclic-conflict instance (deadlocks always-wait):", sched.CycleInstance(m)); err != nil {
 		return err
 	}
-	return report("same-object instance (livelocks always-abort):", sched.LivelockInstance(m))
+	if err := report("same-object", "same-object instance (livelocks always-abort):", sched.LivelockInstance(m)); err != nil {
+		return err
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("greedy failed to complete with the pending-commit property on the %v instance(s)", failed)
+	}
+	return nil
 }
 
 func lemma7(seed uint64, trials int) error {
@@ -218,6 +249,7 @@ func randomPartition(g *graph.Graph, k int, seed uint64) []*graph.Graph {
 func halted() error {
 	fmt.Println("Section 6: recovery from a halted (crashed) high-priority transaction")
 	fmt.Printf("%-16s %-10s %-12s %s\n", "manager", "recovered", "elapsed", "survivor commits")
+	recovered := false
 	for _, mgr := range []string{"greedy-timeout", "aggressive", "karma", "greedy"} {
 		deadline := 3 * time.Second
 		if mgr == "greedy" {
@@ -228,8 +260,14 @@ func halted() error {
 			return err
 		}
 		fmt.Printf("%-16s %-10v %-12s %d\n", mgr, res.Recovered, res.Elapsed.Round(time.Millisecond), res.SurvivorCommits)
+		if mgr == "greedy-timeout" {
+			recovered = res.Recovered
+		}
 	}
 	fmt.Println("plain greedy waits on the corpse forever (Rule 2); the timeout extension recovers.")
+	if !recovered {
+		return fmt.Errorf("greedy-timeout did not recover from the halted transaction")
+	}
 	return nil
 }
 
@@ -238,8 +276,8 @@ func sequences() error {
 	fmt.Printf("%-12s %-8s %-10s %-10s %-10s %-8s\n", "policy", "threads", "per-thread", "makespan", "lower-bd", "ratio")
 	for _, shape := range []struct{ threads, per, s int }{{2, 4, 3}, {4, 4, 4}, {8, 3, 4}} {
 		ins := sched.SequenceInstance(shape.threads, shape.per, shape.s, 3, 2)
-		for _, p := range []sched.Policy{sched.GreedyPolicy{}, sched.NewKarmaPolicy(), sched.AggressivePolicy{}} {
-			report, err := sched.MeasureSequences(ins, p)
+		for _, sm := range []simulated{registry("greedy"), registry("karma"), registry("aggressive")} {
+			report, err := sched.MeasureSequences(ins, sm.mgr)
 			if err != nil {
 				return err
 			}
@@ -248,7 +286,7 @@ func sequences() error {
 				status = "stuck"
 			}
 			fmt.Printf("%-12s %-8d %-10d %-10d %-10d %-8s\n",
-				report.Policy, shape.threads, shape.per, report.Makespan, report.LowerBound, status)
+				sm.name, shape.threads, shape.per, report.Makespan, report.LowerBound, status)
 		}
 	}
 	fmt.Println("ratios are against a resource-work lower bound; a tight analysis remains open.")
@@ -284,7 +322,7 @@ func trace(s, m int) error {
 	}
 	fmt.Printf("greedy on the adversary, s=%d, m=%d — the paper's cascade, event by event\n", s, m)
 	ins := sched.Adversary(s, m)
-	res, err := sched.SimulateObserved(ins, sched.GreedyPolicy{}, 0, func(tick int, event string, tx, other int) {
+	res, err := sched.SimulateObserved(ins, core.MustFactory("greedy"), 0, func(tick int, event string, tx, other int) {
 		if other >= 0 {
 			fmt.Printf("  tick %2d: T%d %s (object/enemy %d)\n", tick, tx, event, other)
 			return

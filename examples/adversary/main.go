@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/plot"
 	"repro/internal/sched"
 )
@@ -43,7 +44,7 @@ func main() {
 			fmt.Println()
 		}
 	}
-	res, err := sched.SimulateObserved(ins, sched.GreedyPolicy{}, 0, obs)
+	res, err := sched.SimulateObserved(ins, core.MustFactory("greedy"), 0, obs)
 	if err != nil {
 		log.Fatal(err)
 	}

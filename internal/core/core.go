@@ -11,7 +11,9 @@
 // access that conflicts with an active transaction B, A's manager
 // decides whether to abort B or to pause and give B a chance to
 // finish. Managers are per-thread and strictly decentralized — they
-// decide using only the two transactions' public state.
+// decide using only the two transactions' public state (stm.Contender).
+// A manager only rules; the STM performs every wait, and the
+// scheduling simulator (internal/sched) runs the same managers.
 //
 // The managers comparable in the paper's figures are available through
 // the registry (New, Factories, Names).
@@ -23,10 +25,11 @@ import (
 	"time"
 )
 
-// quantum is the basic waiting interval used by managers that wait in
-// fixed slices (Karma, Timestamp, KillBlocked, QueueOnBlock). Small
-// enough that a waiting episode costs little, large enough to actually
-// yield the processor on a loaded host.
+// quantum bounds one wait of the managers that wait in fixed slices
+// (Karma, Eruption, Timestamp, KillBlocked, QueueOnBlock,
+// Kindergarten) and counts their patience: each ruling is asked again
+// once its slice has passed. The wait also ends early on the enemy's
+// outcome, so a slice costs little when the enemy finishes.
 const quantum = 5 * time.Microsecond
 
 var rngSeq atomic.Uint64
@@ -37,6 +40,14 @@ var rngSeq atomic.Uint64
 func newRNG() *rand.Rand {
 	n := rngSeq.Add(1)
 	return rand.New(rand.NewPCG(n, n^0x9e3779b97f4a7c15))
+}
+
+// upTo returns a uniformly random duration in (0, max].
+func upTo(rng *rand.Rand, max time.Duration) time.Duration {
+	if max <= 0 {
+		max = time.Microsecond
+	}
+	return time.Duration(1 + rng.Int64N(int64(max)))
 }
 
 // episode tracks consecutive ResolveConflict calls against the same

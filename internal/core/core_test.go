@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,379 +11,272 @@ import (
 	"repro/internal/stm"
 )
 
-// parked starts a transaction on its own goroutine and parks it
-// holding obj open for writing, returning the live *stm.Tx — handed out
-// of the blocked fn, so valid until release — for direct
-// ResolveConflict experiments. release unparks it (it then tries to
-// commit); wait joins the goroutine. The parked transaction is alone on
-// its object, so its own manager is never consulted.
-func parked(t *testing.T, s *stm.STM, obj *stm.Var[int]) (tx *stm.Tx, release, wait func()) {
-	t.Helper()
-	held := make(chan *stm.Tx, 1)
-	releaseCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = s.Atomically(func(tx *stm.Tx) error {
-			if err := stm.Update(tx, obj, func(v int) int { return v + 1 }); err != nil {
-				return err
-			}
-			select {
-			case held <- tx:
-			default:
-			}
-			<-releaseCh
-			return nil
-		})
-	}()
-	var once sync.Once
-	return <-held, func() { once.Do(func() { close(releaseCh) }) }, func() { <-done }
+// view is a fake stm.Contender: the public state of a transaction, set
+// directly. Managers only rule, so each test is a decision table over
+// views; how the engine carries a ruling out is tested in internal/stm.
+type view struct {
+	ts       uint64
+	waiting  bool
+	priority int64
 }
 
-// twoParked gives two live transactions in timestamp order (older
-// first).
-func twoParked(t *testing.T) (older, younger *stm.Tx, cleanup func()) {
+func (v *view) Timestamp() uint64   { return v.ts }
+func (v *view) Waiting() bool       { return v.waiting }
+func (v *view) Priority() int64     { return v.priority }
+func (v *view) AddPriority(d int64) { v.priority += d }
+func (v *view) Halted() bool        { return false }
+
+// pair returns two running transactions, older first.
+func pair() (older, younger *view) { return &view{ts: 1}, &view{ts: 2} }
+
+// rule asks m to rule on me against enemy, fails the test unless the
+// decision is want, and returns the wait bound.
+func rule(t *testing.T, m stm.Manager, me, enemy *view, want stm.Decision) time.Duration {
 	t.Helper()
-	s := stm.New()
-	o1 := stm.NewVar(0)
-	o2 := stm.NewVar(0)
-	tx1, rel1, wait1 := parked(t, s, o1)
-	tx2, rel2, wait2 := parked(t, s, o2)
-	if tx1.Timestamp() >= tx2.Timestamp() {
-		t.Fatalf("timestamps not monotone: %d then %d", tx1.Timestamp(), tx2.Timestamp())
+	d, bound := m.ResolveConflict(me, enemy)
+	if d != want {
+		t.Fatalf("ruling = %v, want %v", d, want)
 	}
-	return tx1, tx2, func() { rel1(); rel2(); wait1(); wait2() }
+	return bound
+}
+
+// rules asks m n times, expecting want each time.
+func rules(t *testing.T, m stm.Manager, me, enemy *view, want stm.Decision, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		rule(t, m, me, enemy, want)
+	}
 }
 
 func TestGreedyAbortsYoungerEnemy(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	g := core.NewGreedy()
-	if d := g.ResolveConflict(older, younger); d != stm.AbortOther {
-		t.Fatalf("greedy vs younger enemy = %v, want abort-other (Rule 1)", d)
-	}
+	older, younger := pair()
+	rule(t, core.NewGreedy(), older, younger, stm.AbortOther) // Rule 1
 }
 
 func TestGreedyAbortsWaitingEnemy(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	older.SetWaiting(true)
-	g := core.NewGreedy()
-	if d := g.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("greedy vs waiting older enemy = %v, want abort-other (Rule 1)", d)
-	}
+	older, younger := pair()
+	older.waiting = true
+	rule(t, core.NewGreedy(), younger, older, stm.AbortOther) // Rule 1
 }
 
 func TestGreedyWaitsForOlderRunningEnemy(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	g := core.NewGreedy()
-	// Flip the enemy to waiting shortly, so Rule 2's wait terminates.
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		older.SetWaiting(true)
-	}()
-	if d := g.ResolveConflict(younger, older); d != stm.Wait {
-		t.Fatalf("greedy vs older running enemy = %v, want wait (Rule 2)", d)
+	// Rule 2: wait, for as long as the enemy runs and does not wait.
+	if bound := rule(t, g, younger, older, stm.Wait); bound != 0 {
+		t.Fatalf("Rule 2 wait bounded by %v, want unbounded", bound)
 	}
-	if younger.Waiting() {
-		t.Fatal("waiting flag not cleared after Rule 2 wait returned")
-	}
-	if older.Status() != stm.StatusActive {
-		t.Fatal("greedy aborted a higher-priority enemy")
-	}
-}
-
-func TestGreedyWaitEndsWhenEnemyCommits(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	g := core.NewGreedy()
-	start := make(chan struct{})
-	decided := make(chan stm.Decision, 1)
-	go func() {
-		close(start)
-		decided <- g.ResolveConflict(younger, older)
-	}()
-	<-start
-	// Let the waiter spin briefly, then commit the enemy by releasing
-	// its parked transaction.
-	time.Sleep(time.Millisecond)
-	cleanup()
-	select {
-	case d := <-decided:
-		if d != stm.Wait {
-			t.Fatalf("decision = %v, want wait", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("greedy Rule 2 wait did not terminate after enemy committed")
-	}
+	// A waiting caller rules the same way: its own flag is not part
+	// of the rules.
+	younger.waiting = true
+	rule(t, g, younger, older, stm.Wait)
 }
 
 func TestGreedyTimeoutAbortsHaltedOlderEnemy(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	g := core.NewGreedyTimeoutWith(time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d := g.ResolveConflict(younger, older)
-		if d == stm.AbortOther {
-			return // recovered from the halted high-priority enemy
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("greedy-timeout never gave up on a halted older enemy")
-		}
-		runtime.Gosched()
+	if bound := rule(t, g, younger, older, stm.Wait); bound != time.Millisecond {
+		t.Fatalf("first wait bounded by %v, want 1ms", bound)
 	}
+	// Asked again about the same enemy, still older and running: the
+	// bound ran out, so the enemy is presumed halted.
+	rule(t, g, younger, older, stm.AbortOther)
+	// A later stand-off with the same logical transaction waits twice
+	// as long: a slow enemy is aborted only finitely often.
+	g.Begin(younger)
+	if bound := rule(t, g, younger, older, stm.Wait); bound != 2*time.Millisecond {
+		t.Fatalf("wait after a timeout bounded by %v, want 2ms", bound)
+	}
+	// A successful open ends the stand-off: the next ruling waits.
+	g.Opened(younger, true)
+	rule(t, g, younger, older, stm.Wait)
 }
 
 func TestGreedyTimeoutStillAbortsYounger(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	g := core.NewGreedyTimeout()
-	if d := g.ResolveConflict(older, younger); d != stm.AbortOther {
-		t.Fatalf("greedy-timeout vs younger = %v, want abort-other", d)
-	}
+	rule(t, g, older, younger, stm.AbortOther)
+	older.waiting = true
+	rule(t, g, younger, older, stm.AbortOther)
 }
 
 func TestAggressiveAlwaysAborts(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	a := core.NewAggressive()
-	if d := a.ResolveConflict(older, younger); d != stm.AbortOther {
-		t.Fatalf("aggressive (older) = %v, want abort-other", d)
-	}
-	if d := a.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("aggressive (younger) = %v, want abort-other", d)
-	}
+	rule(t, a, older, younger, stm.AbortOther)
+	rule(t, a, younger, older, stm.AbortOther)
 }
 
 func TestPoliteBacksOffThenAborts(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	p := core.NewPolite()
 	p.MaxTries = 3
 	p.Base = time.Microsecond
-	for i := 0; i < 3; i++ {
-		if d := p.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("polite attempt %d = %v, want wait", i+1, d)
+	for n := 1; n <= 3; n++ {
+		// The window doubles per attempt.
+		if bound := rule(t, p, younger, older, stm.Wait); bound <= 0 || bound > p.Base<<n {
+			t.Fatalf("attempt %d waits %v, want (0, %v]", n, bound, p.Base<<n)
 		}
 	}
-	if d := p.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("polite after MaxTries = %v, want abort-other", d)
-	}
+	rule(t, p, younger, older, stm.AbortOther)
 }
 
 func TestPoliteEpisodeResetsOnOpen(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	p := core.NewPolite()
 	p.MaxTries = 2
 	p.Base = time.Microsecond
-	p.ResolveConflict(younger, older)
+	rule(t, p, younger, older, stm.Wait)
 	p.Opened(younger, true) // conflict resolved; episode over
-	for i := 0; i < 2; i++ {
-		if d := p.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("post-reset attempt %d = %v, want wait", i+1, d)
-		}
-	}
+	rules(t, p, younger, older, stm.Wait, 2)
 }
 
 func TestRandomizedExtremes(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	always := core.NewRandomized()
 	always.P = 1.0
-	if d := always.ResolveConflict(older, younger); d != stm.AbortOther {
-		t.Fatalf("randomized P=1 = %v, want abort-other", d)
-	}
+	rule(t, always, older, younger, stm.AbortOther)
 	never := core.NewRandomized()
 	never.P = 0.0
-	if d := never.ResolveConflict(older, younger); d != stm.Wait {
-		t.Fatalf("randomized P=0 = %v, want wait", d)
-	}
+	rule(t, never, older, younger, stm.Wait)
 }
 
 func TestRandomizedMixes(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	r := core.NewRandomized()
-	aborts := 0
-	const n = 200
-	for i := 0; i < n; i++ {
-		if r.ResolveConflict(older, younger) == stm.AbortOther {
-			aborts++
+	older, younger := pair()
+	flips := func(r *core.Randomized) (seq []stm.Decision, aborts int) {
+		for i := 0; i < 200; i++ {
+			d, _ := r.ResolveConflict(older, younger)
+			seq = append(seq, d)
+			if d == stm.AbortOther {
+				aborts++
+			}
 		}
+		return seq, aborts
 	}
-	if aborts == 0 || aborts == n {
-		t.Fatalf("randomized made %d/%d aborts; expected a mixture", aborts, n)
+	a, b := core.NewRandomized(), core.NewRandomized()
+	a.Seed(7)
+	b.Seed(7)
+	seqA, aborts := flips(a)
+	if aborts == 0 || aborts == len(seqA) {
+		t.Fatalf("randomized made %d/%d aborts; expected a mixture", aborts, len(seqA))
+	}
+	if seqB, _ := flips(b); !slices.Equal(seqA, seqB) {
+		t.Fatal("two managers seeded alike flipped different coins")
 	}
 }
 
 func TestKarmaThreshold(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
+	older.priority = 3
 	k := core.NewKarma()
-	younger.SetPriority(0)
-	older.SetPriority(3)
-	// me=younger (karma 0) vs enemy karma 3: attempts 1..3 wait, the
-	// 4th attempt (0+4 > 3) kills.
-	for i := 1; i <= 3; i++ {
-		if d := k.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("karma attempt %d = %v, want wait", i, d)
-		}
-	}
-	if d := k.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("karma attempt 4 = %v, want abort-other", d)
-	}
+	// me=younger (karma 0) vs enemy karma 3: attempts 1..3 wait a
+	// quantum each, the 4th attempt (0+4 > 3) kills.
+	rules(t, k, younger, older, stm.Wait, 3)
+	rule(t, k, younger, older, stm.AbortOther)
 }
 
 func TestKarmaRichBeatsPoorImmediately(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	k := core.NewKarma()
-	younger.SetPriority(10)
-	older.SetPriority(2)
-	if d := k.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("rich karma vs poor = %v, want abort-other", d)
-	}
+	older, younger := pair()
+	younger.priority, older.priority = 10, 2
+	rule(t, core.NewKarma(), younger, older, stm.AbortOther)
 }
 
 func TestKarmaOpenedAccumulatesPriority(t *testing.T) {
-	older, _, cleanup := twoParked(t)
-	defer cleanup()
+	older, _ := pair()
 	k := core.NewKarma()
-	before := older.Priority()
 	k.Opened(older, true)
 	k.Opened(older, false)
-	if got := older.Priority(); got != before+2 {
-		t.Fatalf("priority after 2 opens = %d, want %d", got, before+2)
+	if older.priority != 2 {
+		t.Fatalf("priority after 2 opens = %d, want 2", older.priority)
 	}
 }
 
 func TestEruptionTransfersMomentum(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
+	younger.priority, older.priority = 4, 10
 	e := core.NewEruption()
-	younger.SetPriority(4)
-	older.SetPriority(10)
-	if d := e.ResolveConflict(younger, older); d != stm.Wait {
-		t.Fatalf("eruption first conflict = %v, want wait", d)
-	}
-	if got := older.Priority(); got != 14 {
-		t.Fatalf("enemy priority after transfer = %d, want 14", got)
+	rule(t, e, younger, older, stm.Wait)
+	if older.priority != 14 {
+		t.Fatalf("enemy priority after transfer = %d, want 14", older.priority)
 	}
 	// Second call in the same episode must not transfer again.
-	e.ResolveConflict(younger, older)
-	if got := older.Priority(); got != 14 {
-		t.Fatalf("enemy priority after repeat conflict = %d, want 14 (single transfer per episode)", got)
+	rule(t, e, younger, older, stm.Wait)
+	if older.priority != 14 {
+		t.Fatalf("enemy priority after repeat conflict = %d, want 14 (single transfer per episode)", older.priority)
 	}
 }
 
 func TestPolkaThresholdWithBackoff(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
+	older.priority = 2
 	p := core.NewPolka()
 	p.Base = time.Microsecond
-	younger.SetPriority(0)
-	older.SetPriority(2)
-	for i := 1; i <= 2; i++ {
-		if d := p.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("polka attempt %d = %v, want wait", i, d)
+	for n := 1; n <= 2; n++ {
+		if bound := rule(t, p, younger, older, stm.Wait); bound <= 0 || bound > p.Base<<n {
+			t.Fatalf("polka attempt %d waits %v, want (0, %v]", n, bound, p.Base<<n)
 		}
 	}
-	if d := p.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("polka attempt 3 = %v, want abort-other", d)
-	}
+	rule(t, p, younger, older, stm.AbortOther)
 }
 
 func TestTimestampKillsYounger(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	ts := core.NewTimestamp()
-	if d := ts.ResolveConflict(older, younger); d != stm.AbortOther {
-		t.Fatalf("timestamp older-vs-younger = %v, want abort-other", d)
-	}
+	older, younger := pair()
+	rule(t, core.NewTimestamp(), older, younger, stm.AbortOther)
 }
 
 func TestTimestampPresumesOlderDeadEventually(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	ts := core.NewTimestamp()
 	ts.MaxWaits = 3
-	for i := 0; i < 3; i++ {
-		if d := ts.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("timestamp wait %d = %v, want wait", i+1, d)
-		}
-	}
-	if d := ts.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("timestamp after MaxWaits = %v, want abort-other", d)
-	}
+	rules(t, ts, younger, older, stm.Wait, 3)
+	rule(t, ts, younger, older, stm.AbortOther)
 }
 
 func TestKillBlockedKillsWaitingEnemy(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
-	kb := core.NewKillBlocked()
-	older.SetWaiting(true)
-	if d := kb.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("killblocked vs waiting enemy = %v, want abort-other", d)
-	}
+	older, younger := pair()
+	older.waiting = true
+	rule(t, core.NewKillBlocked(), younger, older, stm.AbortOther)
 }
 
 func TestKillBlockedPatienceBound(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	kb := core.NewKillBlocked()
 	kb.MaxWaits = 2
-	for i := 0; i < 2; i++ {
-		if d := kb.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("killblocked wait %d = %v, want wait", i+1, d)
-		}
-	}
-	if d := kb.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("killblocked after patience = %v, want abort-other", d)
-	}
+	rules(t, kb, younger, older, stm.Wait, 2)
+	rule(t, kb, younger, older, stm.AbortOther)
 }
 
 func TestQueueOnBlockTimesOut(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	q := core.NewQueueOnBlock()
 	q.MaxWaits = 2
-	for i := 0; i < 2; i++ {
-		if d := q.ResolveConflict(younger, older); d != stm.Wait {
-			t.Fatalf("queueonblock wait %d = %v, want wait", i+1, d)
-		}
-	}
-	if d := q.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("queueonblock after timeout = %v, want abort-other", d)
+	rules(t, q, younger, older, stm.Wait, 2)
+	rule(t, q, younger, older, stm.AbortOther)
+	// With the timeout off it is the always-wait manager.
+	q.MaxWaits = 0
+	if bound := rule(t, q, younger, older, stm.Wait); bound != 0 {
+		t.Fatalf("timeout-free wait bounded by %v, want unbounded", bound)
 	}
 }
 
 func TestKindergartenTakesTurns(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	k := core.NewKindergarten()
 	k.Begin(younger)
-	if d := k.ResolveConflict(younger, older); d != stm.AbortSelf {
-		t.Fatalf("kindergarten first clash = %v, want abort-self (give way)", d)
-	}
-	k.Begin(younger) // retry of the same logical transaction
-	if d := k.ResolveConflict(younger, older); d != stm.AbortOther {
-		t.Fatalf("kindergarten second clash = %v, want abort-other (my turn)", d)
-	}
+	rule(t, k, younger, older, stm.Wait)       // step aside for a new enemy
+	rule(t, k, younger, older, stm.AbortSelf)  // it is still there: give way
+	k.Begin(younger)                           // retry of the same logical transaction
+	rule(t, k, younger, older, stm.AbortOther) // my turn
 }
 
 func TestKindergartenResetsPerTransaction(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
+	older, younger := pair()
 	k := core.NewKindergarten()
 	k.Begin(younger)
-	k.ResolveConflict(younger, older) // yield to older
-	k.Begin(older)                    // a different logical transaction begins
-	if d := k.ResolveConflict(older, younger); d != stm.AbortSelf {
-		t.Fatalf("kindergarten after new transaction = %v, want abort-self (list reset)", d)
-	}
+	rule(t, k, younger, older, stm.Wait)
+	rule(t, k, younger, older, stm.AbortSelf) // yield to older
+	k.Begin(older)                            // a different logical transaction begins
+	rule(t, k, older, younger, stm.Wait)      // list reset: step aside again
 }
 
 func TestRegistryNames(t *testing.T) {
@@ -411,34 +304,24 @@ func TestRegistryNames(t *testing.T) {
 }
 
 // TestQuickGreedyRules is the property-test form of the two greedy
-// rules: for arbitrary waiting-flag states, the decision is AbortOther
-// exactly when the enemy is younger or waiting, and Wait otherwise
-// (the enemy being flipped to waiting so Rule 2's wait terminates).
+// rules: for arbitrary ages and waiting flags, the ruling is
+// AbortOther exactly when the enemy is younger or waiting, and an
+// unbounded Wait otherwise.
 func TestQuickGreedyRules(t *testing.T) {
-	older, younger, cleanup := twoParked(t)
-	defer cleanup()
 	g := core.NewGreedy()
-	property := func(meIsOlder, enemyWaiting bool) bool {
-		me, enemy := older, younger
-		if !meIsOlder {
-			me, enemy = younger, older
+	property := func(meTS, enemyTS uint64, meWaiting, enemyWaiting bool) bool {
+		if meTS == enemyTS {
+			enemyTS++ // timestamps are identities
 		}
-		enemy.SetWaiting(enemyWaiting)
-		defer enemy.SetWaiting(false)
-		if meIsOlder || enemyWaiting {
-			return g.ResolveConflict(me, enemy) == stm.AbortOther
+		me := &view{ts: meTS, waiting: meWaiting}
+		enemy := &view{ts: enemyTS, waiting: enemyWaiting}
+		d, bound := g.ResolveConflict(me, enemy)
+		if enemyTS > meTS || enemyWaiting {
+			return d == stm.AbortOther
 		}
-		// Rule 2 would block until the enemy stops running; flip the
-		// enemy's flag from another goroutine to terminate the wait.
-		done := make(chan stm.Decision, 1)
-		go func() { done <- g.ResolveConflict(me, enemy) }()
-		time.Sleep(500 * time.Microsecond)
-		enemy.SetWaiting(true)
-		d := <-done
-		enemy.SetWaiting(false)
-		return d == stm.Wait
+		return d == stm.Wait && bound == 0
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(property, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/stm"
 )
 
@@ -31,23 +30,14 @@ type Greedy struct {
 // NewGreedy returns a per-thread greedy manager.
 func NewGreedy() *Greedy { return &Greedy{} }
 
-// ResolveConflict implements the two greedy rules.
-func (g *Greedy) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+// ResolveConflict implements the two greedy rules. Rule 2's wait is
+// unbounded: it is finite in the paper's model because transaction
+// delays are finite.
+func (g *Greedy) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	if enemy.Timestamp() > me.Timestamp() || enemy.Waiting() {
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	// Rule 2: enemy is older (higher priority) and running; wait until
-	// it commits, aborts or starts waiting. The wait is finite in the
-	// paper's model because transaction delays are finite.
-	me.SetWaiting(true)
-	defer me.SetWaiting(false)
-	for spin := 0; enemy.Status() == stm.StatusActive && !enemy.Waiting(); spin++ {
-		if me.Status() != stm.StatusActive {
-			break // an enemy of ours aborted us while we waited
-		}
-		stm.Backoff(spin)
-	}
-	return stm.Wait
+	return stm.Wait, 0
 }
 
 // GreedyTimeout is the Section 6 extension of Greedy for a model where
@@ -62,6 +52,7 @@ type GreedyTimeout struct {
 	stm.BaseManager
 	base     time.Duration
 	timeouts map[uint64]time.Duration
+	ep       episode
 }
 
 // DefaultGreedyTimeout is the initial per-enemy patience of
@@ -80,11 +71,21 @@ func NewGreedyTimeoutWith(base time.Duration) *GreedyTimeout {
 	return &GreedyTimeout{base: base, timeouts: make(map[uint64]time.Duration)}
 }
 
-// ResolveConflict implements the greedy rules with bounded waiting.
-func (g *GreedyTimeout) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+// Begin implements Manager: a new attempt starts a new stand-off.
+func (g *GreedyTimeout) Begin(stm.Contender) { g.ep.reset() }
+
+// Opened implements Manager; a successful open ends the stand-off.
+func (g *GreedyTimeout) Opened(stm.Contender, bool) { g.ep.reset() }
+
+// ResolveConflict implements the greedy rules with bounded waiting. A
+// wait on a running enemy ends early only when the enemy commits,
+// aborts or starts waiting, so being asked again about the same enemy,
+// still older and running, means the timeout expired.
+func (g *GreedyTimeout) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	ts := enemy.Timestamp()
 	if ts > me.Timestamp() || enemy.Waiting() {
-		return stm.AbortOther
+		g.ep.reset()
+		return stm.AbortOther, 0
 	}
 	patience, ok := g.timeouts[ts]
 	if !ok {
@@ -96,20 +97,12 @@ func (g *GreedyTimeout) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 		}
 		g.timeouts[ts] = patience
 	}
-	me.SetWaiting(true)
-	defer me.SetWaiting(false)
-	deadline := metrics.Mono() + patience
-	for spin := 0; enemy.Status() == stm.StatusActive && !enemy.Waiting(); spin++ {
-		if me.Status() != stm.StatusActive {
-			return stm.Wait
-		}
-		if metrics.Mono() > deadline {
-			// The enemy may have crashed: abort it and double our
-			// patience with it in case it was merely slow.
-			g.timeouts[ts] = patience * 2
-			return stm.AbortOther
-		}
-		stm.Backoff(spin)
+	if g.ep.next(ts) > 1 {
+		// The enemy may have crashed: abort it and double our patience
+		// with it in case it was merely slow.
+		g.ep.reset()
+		g.timeouts[ts] = patience * 2
+		return stm.AbortOther, 0
 	}
-	return stm.Wait
+	return stm.Wait, patience
 }

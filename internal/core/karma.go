@@ -13,7 +13,7 @@ import (
 // conflicting transaction A aborts enemy B once A's priority plus the
 // number of attempts A has spent on this conflict exceeds B's
 // priority, so even a low-priority transaction eventually wins by
-// persistence. Between attempts it waits one quantum.
+// persistence. Between attempts it waits up to one quantum.
 //
 // The paper's Section 6 notes the theoretical weakness: a transaction
 // can be starved by a stream of newcomers that each accumulate more
@@ -27,28 +27,24 @@ type Karma struct {
 // NewKarma returns a per-thread karma manager.
 func NewKarma() *Karma { return &Karma{} }
 
-// Begin implements Manager. Karma intentionally does not reset
-// priority here: accumulated karma survives aborts (that is the whole
-// point) and dies with the logical transaction on commit.
-func (k *Karma) Begin(tx *stm.Tx) {}
-
 // Opened implements Manager: each opened object is one unit of
-// invested work.
-func (k *Karma) Opened(tx *stm.Tx, write bool) {
+// invested work. Karma intentionally does not reset priority in
+// Begin: accumulated karma survives aborts (that is the whole point)
+// and dies with the logical transaction on commit.
+func (k *Karma) Opened(tx stm.Contender, write bool) {
 	tx.AddPriority(1)
 	k.ep.reset()
 }
 
 // ResolveConflict aborts the enemy when our investment plus
 // persistence exceeds its investment.
-func (k *Karma) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (k *Karma) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	attempts := k.ep.next(enemy.Timestamp())
 	if me.Priority()+int64(attempts) > enemy.Priority() {
 		k.ep.reset()
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	time.Sleep(quantum)
-	return stm.Wait
+	return stm.Wait, quantum
 }
 
 // Eruption is Karma with pressure transfer: when a transaction blocks
@@ -58,42 +54,37 @@ func (k *Karma) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
 // behind it.
 type Eruption struct {
 	stm.BaseManager
-	ep          episode
-	transferred int64 // momentum already given to the current enemy
+	ep episode
 }
 
 // NewEruption returns a per-thread eruption manager.
 func NewEruption() *Eruption { return &Eruption{} }
 
 // Opened implements Manager: opening gains momentum.
-func (e *Eruption) Opened(tx *stm.Tx, write bool) {
+func (e *Eruption) Opened(tx stm.Contender, write bool) {
 	tx.AddPriority(1)
 	e.ep.reset()
-	e.transferred = 0
 }
 
 // ResolveConflict transfers momentum to the blocking enemy, then
 // behaves like Karma.
-func (e *Eruption) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (e *Eruption) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	attempts := e.ep.next(enemy.Timestamp())
 	if attempts == 1 {
 		// New stand-off: push our momentum onto the transaction
 		// blocking us, once per episode.
-		e.transferred = me.Priority()
-		enemy.AddPriority(e.transferred)
+		enemy.AddPriority(me.Priority())
 	}
 	if me.Priority()+int64(attempts) > enemy.Priority() {
 		e.ep.reset()
-		e.transferred = 0
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	time.Sleep(quantum)
-	return stm.Wait
+	return stm.Wait, quantum
 }
 
 // Polka combines Polka's namesakes: POLite + KArma. Priorities are
 // Karma's cumulative-opens investment, but instead of fixed quanta the
-// loser backs off for randomized exponentially growing intervals, and
+// loser waits for randomized exponentially growing intervals, and
 // aborts the enemy once its attempts exceed the priority gap.
 type Polka struct {
 	stm.BaseManager
@@ -113,22 +104,17 @@ func NewPolka() *Polka {
 
 // Opened implements Manager: each opened object is one unit of
 // invested work.
-func (p *Polka) Opened(tx *stm.Tx, write bool) {
+func (p *Polka) Opened(tx stm.Contender, write bool) {
 	tx.AddPriority(1)
 	p.ep.reset()
 }
 
 // ResolveConflict implements Karma's threshold with Polite's backoff.
-func (p *Polka) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (p *Polka) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	attempts := p.ep.next(enemy.Timestamp())
 	if me.Priority()+int64(attempts) > enemy.Priority() {
 		p.ep.reset()
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	exp := attempts
-	if exp > p.MaxExp {
-		exp = p.MaxExp
-	}
-	sleepUpTo(p.rng, p.Base<<uint(exp))
-	return stm.Wait
+	return stm.Wait, upTo(p.rng, p.Base<<uint(min(attempts, p.MaxExp)))
 }

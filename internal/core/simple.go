@@ -20,12 +20,12 @@ type Aggressive struct {
 func NewAggressive() *Aggressive { return &Aggressive{} }
 
 // ResolveConflict implements Manager by always killing the enemy.
-func (a *Aggressive) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	return stm.AbortOther
+func (a *Aggressive) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	return stm.AbortOther, 0
 }
 
 // Polite is the exponential-backoff manager (the "Backoff" series of
-// the paper's figures). On conflict it spins for a randomized interval
+// the paper's figures). On conflict it waits for a randomized interval
 // that doubles with each consecutive clash with the same enemy; after
 // a bounded number of backoffs it aborts the enemy. Probabilistically
 // well-behaved when transactions have similar lengths, but offers no
@@ -49,24 +49,22 @@ func NewPolite() *Polite {
 }
 
 // ResolveConflict implements randomized exponential backoff.
-func (p *Polite) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (p *Polite) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	n := p.ep.next(enemy.Timestamp())
 	if n > p.MaxTries {
 		p.ep.reset()
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	window := p.Base << uint(n)
-	sleepUpTo(p.rng, window)
-	return stm.Wait
+	return stm.Wait, upTo(p.rng, p.Base<<uint(n))
 }
 
 // Opened implements Manager; a successful open ends the episode.
-func (p *Polite) Opened(tx *stm.Tx, write bool) { p.ep.reset() }
+func (p *Polite) Opened(tx stm.Contender, write bool) { p.ep.reset() }
 
 // Randomized flips a coin on every conflict: abort the enemy with
-// probability 1/2, otherwise pause briefly. Simple and livelock-free
-// with probability 1, but with no deterministic guarantee and poor
-// worst-case behaviour.
+// probability P, otherwise wait up to a random fraction of a quantum.
+// Simple and livelock-free with probability 1, but with no
+// deterministic guarantee and poor worst-case behaviour.
 type Randomized struct {
 	stm.BaseManager
 	rng *rand.Rand
@@ -78,20 +76,14 @@ type Randomized struct {
 // probability 1/2.
 func NewRandomized() *Randomized { return &Randomized{rng: newRNG(), P: 0.5} }
 
-// ResolveConflict implements the coin flip.
-func (r *Randomized) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	if r.rng.Float64() < r.P {
-		return stm.AbortOther
-	}
-	sleepUpTo(r.rng, quantum)
-	return stm.Wait
-}
+// Seed restarts the coin's pseudo-random stream at seed, so that a run
+// can be reproduced (the scheduling simulator's randomized study).
+func (r *Randomized) Seed(seed uint64) { r.rng = rand.New(rand.NewPCG(seed, seed^0xdeadbeef)) }
 
-// sleepUpTo sleeps a uniformly random duration in (0, max], always
-// yielding the processor at least once.
-func sleepUpTo(rng *rand.Rand, max time.Duration) {
-	if max <= 0 {
-		max = time.Microsecond
+// ResolveConflict implements the coin flip.
+func (r *Randomized) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	if r.rng.Float64() < r.P {
+		return stm.AbortOther, 0
 	}
-	time.Sleep(time.Duration(1 + rng.Int64N(int64(max))))
+	return stm.Wait, upTo(r.rng, quantum)
 }

@@ -167,7 +167,7 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 		"Transactions ended by a non-retryable user error.", lbl,
 		func() int64 { s := engine.TotalStats(); return s.AbortsUser })
 	reg.CounterFunc("stm_wait_ns_total",
-		"Nanoseconds inside the contention manager's ResolveConflict (policy waiting).", lbl,
+		"Nanoseconds in the engine's wait on a contention manager's ruling (policy waiting).", lbl,
 		func() int64 { s := engine.TotalStats(); return s.WaitNs })
 	reg.CounterFunc("stm_backoff_ns_total",
 		"Nanoseconds in engine-level backoff (acquisition CAS retries).", lbl,

@@ -110,7 +110,7 @@ func EvenOddOrder(n int) []int {
 }
 
 // LivelockInstance is the two-transaction instance that livelocks an
-// always-abort policy: both transactions open the same object at the
+// always-abort manager: both transactions open the same object at the
 // start of an attempt of length m >= 2, so whichever transaction is
 // mid-flight is aborted by the other's restart before it can commit,
 // forever ("if a contention manager always advises transactions to
@@ -135,7 +135,7 @@ func LivelockInstance(m int) *Instance {
 }
 
 // CycleInstance is the two-transaction cyclic-conflict instance that
-// deadlocks an always-wait policy and livelocks an always-abort one:
+// deadlocks an always-wait manager and livelocks an always-abort one:
 // T0 opens A then B, T1 opens B then A, at mirrored offsets.
 func CycleInstance(m int) *Instance {
 	if m < 2 {

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 )
 
@@ -10,7 +11,7 @@ func ExampleSimulate() {
 	// The paper's Section 4 adversary with s=2 objects: greedy commits
 	// one transaction per round, for a makespan of s+1 = 3 time units.
 	ins := sched.Adversary(2, 2)
-	res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+	res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

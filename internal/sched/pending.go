@@ -44,7 +44,7 @@ func firstUncovered(res *Result, horizon int) int {
 // error.
 func VerifyPendingCommit(res *Result) error {
 	if t := CheckPendingCommit(res); t >= 0 {
-		return fmt.Errorf("sched: pending-commit property violated at tick %d under %s", t, res.Policy)
+		return fmt.Errorf("sched: pending-commit property violated at tick %d", t)
 	}
 	return nil
 }

@@ -1,16 +1,21 @@
 package sched
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/stm"
+)
 
 // The paper's closing open problems ask whether randomization can give
 // a contention manager that behaves well with high probability. This
 // study measures the empirical side: the distribution of completion
-// times of the coin-flip policy on instances that defeat both
+// times of the coin-flip manager on instances that defeat both
 // deterministic extremes (always-wait deadlocks on the cycle,
 // always-abort livelocks on the same-object clash).
 
 // RandomizedStudy is the empirical completion-time distribution of the
-// coin-flip policy over independent runs of one instance.
+// coin-flip manager over independent runs of one instance.
 type RandomizedStudy struct {
 	// Trials is the number of independent runs.
 	Trials int
@@ -25,8 +30,9 @@ type RandomizedStudy struct {
 }
 
 // StudyRandomized runs the instance `trials` times under the coin-flip
-// policy with abort probability p and independent seeds, returning the
-// completion-time distribution. A budget of maxTicks bounds each run.
+// manager (core.Randomized) with abort probability p and independent
+// seeds, returning the completion-time distribution. A budget of
+// maxTicks bounds each run.
 func StudyRandomized(ins *Instance, p float64, trials, maxTicks uint) (*RandomizedStudy, error) {
 	if trials == 0 {
 		trials = 1
@@ -34,8 +40,17 @@ func StudyRandomized(ins *Instance, p float64, trials, maxTicks uint) (*Randomiz
 	var times []int
 	completed := 0
 	for trial := uint(0); trial < trials; trial++ {
-		policy := NewRandomizedPolicy(p, uint64(trial)+1)
-		res, err := Simulate(ins, policy, int(maxTicks))
+		// Each transaction flips its own coin, seeded by the trial and
+		// its place in the instance.
+		seed := uint64(trial+1) << 32
+		coin := func() stm.Manager {
+			seed++
+			r := core.NewRandomized()
+			r.P = p
+			r.Seed(seed)
+			return r
+		}
+		res, err := Simulate(ins, coin, int(maxTicks))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // Bound returns the paper's Theorem 9 competitive bound s(s+1)+2 for
@@ -79,7 +81,7 @@ func RandomInstance(rng *rand.Rand, n, s, maxLen, maxAccess int) *Instance {
 // MeasureRatio simulates the instance under greedy, computes the exact
 // optimal task-system makespan, and returns the comparison.
 func MeasureRatio(ins *Instance) (*RatioReport, error) {
-	res, err := Simulate(ins, GreedyPolicy{}, 0)
+	res, err := Simulate(ins, core.MustFactory("greedy"), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/stm"
+)
+
+// The simulator runs internal/core's managers. timid is the
+// always-wait manager: queue-on-block with its timeout off.
+var (
+	greedy     = core.MustFactory("greedy")
+	aggressive = core.MustFactory("aggressive")
+	karma      = core.MustFactory("karma")
+	timid      = func() stm.Manager { return &core.QueueOnBlock{} }
 )
 
 func unit(id, length int, objects ...int) sched.Task {
@@ -180,7 +191,7 @@ func TestAdversaryGreedyMakespanIsSPlusOne(t *testing.T) {
 	for _, s := range []int{1, 2, 3, 5, 8} {
 		const m = 2
 		ins := sched.Adversary(s, m)
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, greedy, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +247,7 @@ func TestTheorem1BoundedAborts(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + int(rng.Int64N(4))
 		ins := sched.RandomInstance(rng, n, 3, 3, 2)
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, greedy, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,23 +277,23 @@ func TestTheorem1BoundedAborts(t *testing.T) {
 
 func TestTimidDeadlocksOnCycle(t *testing.T) {
 	ins := sched.CycleInstance(2)
-	res, err := sched.Simulate(ins, sched.TimidPolicy{}, 200)
+	res, err := sched.Simulate(ins, timid, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed {
-		t.Fatal("always-wait policy completed a cyclic conflict; expected deadlock")
+		t.Fatal("always-wait manager completed a cyclic conflict; expected deadlock")
 	}
 }
 
 func TestAggressiveLivelocksOnSameObject(t *testing.T) {
 	ins := sched.LivelockInstance(2)
-	res, err := sched.Simulate(ins, sched.AggressivePolicy{}, 400)
+	res, err := sched.Simulate(ins, aggressive, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed {
-		t.Fatal("always-abort policy completed the same-object instance; expected livelock")
+		t.Fatal("always-abort manager completed the same-object instance; expected livelock")
 	}
 	if tVio := sched.CheckPendingCommit(res); tVio < 0 {
 		t.Fatal("livelocked run reported pending-commit as holding")
@@ -291,7 +302,7 @@ func TestAggressiveLivelocksOnSameObject(t *testing.T) {
 
 func TestGreedyResolvesLivelockInstance(t *testing.T) {
 	ins := sched.LivelockInstance(2)
-	res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 400)
+	res, err := sched.Simulate(ins, greedy, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +316,7 @@ func TestGreedyResolvesLivelockInstance(t *testing.T) {
 
 func TestGreedyResolvesCycle(t *testing.T) {
 	ins := sched.CycleInstance(2)
-	res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 200)
+	res, err := sched.Simulate(ins, greedy, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +330,7 @@ func TestGreedyResolvesCycle(t *testing.T) {
 
 func TestKarmaCompletesCycle(t *testing.T) {
 	ins := sched.CycleInstance(2)
-	res, err := sched.Simulate(ins, sched.NewKarmaPolicy(), 500)
+	res, err := sched.Simulate(ins, karma, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +341,41 @@ func TestKarmaCompletesCycle(t *testing.T) {
 
 func TestRandomizedUsuallyCompletes(t *testing.T) {
 	ins := sched.CycleInstance(2)
-	res, err := sched.Simulate(ins, sched.NewRandomizedPolicy(0.5, 42), 10_000)
+	seed := uint64(42)
+	coin := func() stm.Manager {
+		seed++
+		r := core.NewRandomized()
+		r.Seed(seed)
+		return r
+	}
+	res, err := sched.Simulate(ins, coin, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatal("randomized policy failed on the cyclic conflict within a generous budget")
+		t.Fatal("randomized manager failed on the cyclic conflict within a generous budget")
+	}
+}
+
+// TestEveryManagerTerminates runs every registry manager on the two
+// instances that defeat the deterministic extremes: each run must end
+// within its tick budget. Aggressive is the exception the paper cites,
+// livelocking on the same-object instance.
+func TestEveryManagerTerminates(t *testing.T) {
+	for _, name := range core.Names() {
+		for instance, ins := range map[string]*sched.Instance{
+			"cycle":       sched.CycleInstance(2),
+			"same-object": sched.LivelockInstance(2),
+		} {
+			res, err := sched.Simulate(ins, core.MustFactory(name), 1_000)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, instance, err)
+			}
+			livelocks := name == "aggressive" && instance == "same-object"
+			if res.Completed == livelocks {
+				t.Errorf("%s on %s: completed = %v after %d ticks, want %v", name, instance, res.Completed, res.Makespan, !livelocks)
+			}
+		}
 	}
 }
 
@@ -345,7 +385,7 @@ func TestGreedyAlwaysCompletes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	for trial := 0; trial < 60; trial++ {
 		ins := sched.RandomInstance(rng, 2+int(rng.Int64N(6)), 2+int(rng.Int64N(3)), 4, 3)
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, greedy, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +444,7 @@ func TestSimulateValidation(t *testing.T) {
 		Objects: 1,
 		Specs:   []sched.TxSpec{{ID: 0, Length: 1, Accesses: []sched.Access{{Offset: 5, Object: 0}}}},
 	}
-	if _, err := sched.Simulate(bad, sched.GreedyPolicy{}, 0); err == nil {
+	if _, err := sched.Simulate(bad, greedy, 0); err == nil {
 		t.Fatal("Simulate accepted an access offset beyond the length")
 	}
 }

@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stm"
+)
 
 // The paper's closing open problem asks for a makespan analysis of
 // threads that execute a sequence of transactions instead of just one.
@@ -78,11 +82,10 @@ func dedupeAccesses(accesses []Access) []Access {
 	return out
 }
 
-// SequenceReport compares a policy's makespan on a sequence instance
-// against the trivial resource-work lower bound (no policy can beat
+// SequenceReport compares a manager's makespan on a sequence instance
+// against the trivial resource-work lower bound (no manager can beat
 // the busiest object's total demand).
 type SequenceReport struct {
-	Policy     string
 	Threads    int
 	PerThread  int
 	Objects    int
@@ -95,10 +98,10 @@ type SequenceReport struct {
 	Completed bool
 }
 
-// MeasureSequences simulates the instance under the policy and
+// MeasureSequences simulates the instance under the manager and
 // reports the makespan against the resource-work lower bound.
-func MeasureSequences(ins *Instance, policy Policy) (*SequenceReport, error) {
-	res, err := Simulate(ins, policy, 0)
+func MeasureSequences(ins *Instance, mgr stm.ManagerFactory) (*SequenceReport, error) {
+	res, err := Simulate(ins, mgr, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +132,6 @@ func MeasureSequences(ins *Instance, policy Policy) (*SequenceReport, error) {
 		lower = 1
 	}
 	report := &SequenceReport{
-		Policy:     res.Policy,
 		Threads:    len(ins.Sequences),
 		Objects:    ins.Objects,
 		Makespan:   res.Makespan,

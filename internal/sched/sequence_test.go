@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/stm"
 )
 
 func TestSequenceInstanceValidates(t *testing.T) {
@@ -26,7 +27,7 @@ func TestSequenceInstanceValidates(t *testing.T) {
 
 func TestSequencesRespectOrder(t *testing.T) {
 	ins := sched.SequenceInstance(2, 3, 3, 2, 1)
-	res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+	res, err := sched.Simulate(ins, greedy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSequenceValidationRejects(t *testing.T) {
 func TestDynamicTimestampsAssignedInStartOrder(t *testing.T) {
 	ins := sched.SequenceInstance(2, 2, 2, 2, 1)
 	var starts []int
-	_, err := sched.SimulateObserved(ins, sched.GreedyPolicy{}, 0, func(tick int, event string, tx, other int) {
+	_, err := sched.SimulateObserved(ins, greedy, 0, func(tick int, event string, tx, other int) {
 		if event == "start" {
 			starts = append(starts, tx)
 		}
@@ -95,16 +96,16 @@ func TestDynamicTimestampsAssignedInStartOrder(t *testing.T) {
 
 func TestMeasureSequencesGreedyVsKarma(t *testing.T) {
 	ins := sched.SequenceInstance(4, 3, 4, 3, 2)
-	for _, policy := range []sched.Policy{sched.GreedyPolicy{}, sched.NewKarmaPolicy()} {
-		report, err := sched.MeasureSequences(ins, policy)
+	for name, mgr := range map[string]stm.ManagerFactory{"greedy": greedy, "karma": karma} {
+		report, err := sched.MeasureSequences(ins, mgr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !report.Completed {
-			t.Fatalf("%s did not complete the sequence workload", policy.Name())
+			t.Fatalf("%s did not complete the sequence workload", name)
 		}
 		if report.Ratio < 1 {
-			t.Fatalf("%s beat the lower bound: %+v", policy.Name(), report)
+			t.Fatalf("%s beat the lower bound: %+v", name, report)
 		}
 		if report.Makespan < report.LowerBound {
 			t.Fatalf("makespan below lower bound: %+v", report)
@@ -131,7 +132,7 @@ func TestStudyRandomizedCompletesHardInstances(t *testing.T) {
 }
 
 func TestStudyRandomizedDegenerateP(t *testing.T) {
-	// p=0 is the always-wait policy: the cycle instance must fail.
+	// p=0 is the always-wait manager: the cycle instance must fail.
 	study, err := sched.StudyRandomized(sched.CycleInstance(2), 0, 5, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestSequencesBackwardCompatibleNil(t *testing.T) {
 	if ins.Sequences != nil {
 		t.Fatal("adversary should not define sequences")
 	}
-	res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+	res, err := sched.Simulate(ins, greedy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

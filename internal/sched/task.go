@@ -1,8 +1,8 @@
 // Package sched implements the scheduling-theory half of the paper:
 // the Garey–Graham model of tasks sharing limited resources, list
 // schedulers, an exact optimal scheduler for small instances, and a
-// discrete-time simulator of transactions under on-line contention-
-// management policies. Together they reproduce the Section 4 results:
+// discrete-time simulator of transactions under the on-line contention
+// managers of internal/core. Together they reproduce the Section 4 results:
 // the adversarial instance on which greedy needs makespan s+1 while an
 // optimal (list) schedule needs 2, the pending-commit property, and
 // the competitive bound makespan(greedy) <= (s(s+1)+2) * optimal

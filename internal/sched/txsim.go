@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/stm"
 )
 
 // Access is one object acquisition in a transaction's script: at
@@ -98,13 +100,13 @@ func (ins *Instance) Validate() error {
 	return nil
 }
 
-// SimTx is the live state of one scripted transaction, exposed to
-// policies. Policies must treat it as read-only except through the
-// documented mutators.
+// SimTx is the live state of one scripted transaction. It is the
+// stm.Contender its own manager and its enemies' managers see.
 type SimTx struct {
 	Spec TxSpec
 
-	timestamp int // resolved (possibly dynamic) priority stamp
+	mgr       stm.Manager // this transaction's own manager instance
+	timestamp int         // resolved (possibly dynamic) priority stamp
 	started   bool
 	pred      *SimTx // sequence predecessor, nil if none
 
@@ -117,8 +119,7 @@ type SimTx struct {
 	restartAt int
 	commitAt  int
 	aborts    int
-	opens     int   // cumulative acquisitions (Karma's currency)
-	priority  int64 // policy-maintained priority
+	priority  int64 // manager-maintained priority
 	// attempt bookkeeping for the pending-commit checker
 	actionStart int
 }
@@ -126,47 +127,19 @@ type SimTx struct {
 // Timestamp returns the retained priority stamp (smaller = older).
 // For DynamicTimestamp specs it is meaningful only once the
 // transaction has started.
-func (tx *SimTx) Timestamp() int { return tx.timestamp }
+func (tx *SimTx) Timestamp() uint64 { return uint64(tx.timestamp) }
 
 // Waiting reports whether the transaction is currently waiting.
 func (tx *SimTx) Waiting() bool { return tx.waiting }
 
-// Committed reports whether the transaction has committed.
-func (tx *SimTx) Committed() bool { return tx.committed }
-
-// Aborts returns how many times the transaction has been aborted.
-func (tx *SimTx) Aborts() int { return tx.aborts }
-
-// Opens returns the cumulative number of acquisitions across attempts.
-func (tx *SimTx) Opens() int { return tx.opens }
-
-// Priority returns the policy-maintained priority accumulator.
+// Priority returns the manager-maintained priority accumulator.
 func (tx *SimTx) Priority() int64 { return tx.priority }
 
-// AddPriority adjusts the policy-maintained priority accumulator.
+// AddPriority adjusts the manager-maintained priority accumulator.
 func (tx *SimTx) AddPriority(d int64) { tx.priority += d }
 
-// SimDecision is a policy's verdict on a simulated conflict.
-type SimDecision int
-
-const (
-	// SimWait stalls the attacker for this tick.
-	SimWait SimDecision = iota
-	// SimAbortHolder aborts the transaction holding the object.
-	SimAbortHolder
-	// SimAbortAttacker aborts the transaction requesting the object.
-	SimAbortAttacker
-)
-
-// Policy is a contention-management policy for the simulator.
-type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// OnConflict decides a conflict between the attacker, which wants
-	// an object, and the holder, which has it. Called once per tick
-	// per unresolved conflict.
-	OnConflict(attacker, holder *SimTx) SimDecision
-}
+// Halted reports false: a scripted transaction never halts.
+func (tx *SimTx) Halted() bool { return false }
 
 // ActionKind classifies how a continuous running interval of a
 // transaction ended.
@@ -194,8 +167,6 @@ type Action struct {
 
 // Result is a completed simulation.
 type Result struct {
-	// Policy is the policy's name.
-	Policy string
 	// Makespan is the tick at which the last commit happened, or the
 	// tick limit when the run did not complete.
 	Makespan int
@@ -216,16 +187,21 @@ type Result struct {
 // conflict events and -1 otherwise.
 type Observer func(tick int, event string, tx, other int)
 
-// Simulate runs the instance under the policy. maxTicks bounds the
+// Simulate runs the instance with every transaction under its own
+// instance of the contention manager mgr builds, as the paper's
+// per-thread managers are. The manager hears Begin at each attempt's
+// start, Opened at each acquisition, Committed and Aborted, and rules
+// once per tick on each unresolved conflict: a Wait ruling stalls the
+// transaction for that tick, whatever its bound. maxTicks bounds the
 // run; a run that exceeds it reports Completed=false (the signature of
-// deadlock with always-wait policies or livelock with always-abort
+// deadlock with always-wait managers or livelock with always-abort
 // ones).
-func Simulate(ins *Instance, policy Policy, maxTicks int) (*Result, error) {
-	return SimulateObserved(ins, policy, maxTicks, nil)
+func Simulate(ins *Instance, mgr stm.ManagerFactory, maxTicks int) (*Result, error) {
+	return SimulateObserved(ins, mgr, maxTicks, nil)
 }
 
 // SimulateObserved is Simulate with an event observer.
-func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) (*Result, error) {
+func SimulateObserved(ins *Instance, mgr stm.ManagerFactory, maxTicks int, obs Observer) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
@@ -235,7 +211,7 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 	n := len(ins.Specs)
 	txs := make([]*SimTx, n)
 	for i := range txs {
-		txs[i] = &SimTx{Spec: ins.Specs[i], timestamp: ins.Specs[i].Timestamp, holds: make(map[int]bool), commitAt: -1}
+		txs[i] = &SimTx{Spec: ins.Specs[i], mgr: mgr(), timestamp: ins.Specs[i].Timestamp, holds: make(map[int]bool), commitAt: -1}
 	}
 	for _, seq := range ins.Sequences {
 		for k := 1; k < len(seq); k++ {
@@ -252,7 +228,6 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 	}
 	owner := make([]*SimTx, ins.Objects)
 	res := &Result{
-		Policy:     policy.Name(),
 		CommitTick: make([]int, n),
 		AbortCount: make([]int, n),
 	}
@@ -285,6 +260,7 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 			owner[obj] = nil
 			delete(victim.holds, obj)
 		}
+		victim.mgr.Aborted(victim)
 	}
 
 	remaining := n
@@ -336,6 +312,7 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 					nextStamp++
 				}
 				note(tick, "start", tx.Spec.ID, -1)
+				tx.mgr.Begin(tx)
 			}
 			if tx.aborted {
 				if tick < tx.restartAt {
@@ -347,6 +324,7 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 				tx.waiting = false
 				tx.progress = 0
 				tx.actionStart = tick
+				tx.mgr.Begin(tx)
 			}
 			for _, acc := range tx.Spec.Accesses {
 				if acc.Offset != tx.progress || tx.holds[acc.Object] {
@@ -354,12 +332,12 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 				}
 				holder := owner[acc.Object]
 				if holder != nil && holder != tx && !holder.committed && !holder.aborted {
-					switch policy.OnConflict(tx, holder) {
-					case SimAbortHolder:
+					switch d, _ := tx.mgr.ResolveConflict(tx, holder); d {
+					case stm.AbortOther:
 						abort(holder, tick)
-					case SimAbortAttacker:
+					case stm.AbortSelf:
 						abort(tx, tick)
-					case SimWait:
+					case stm.Wait:
 						note(tick, "wait", tx.Spec.ID, holder.Spec.ID)
 						if !tx.waiting {
 							// The running interval pauses here.
@@ -378,8 +356,8 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 				if h := owner[acc.Object]; h == nil || h.committed || h.aborted {
 					owner[acc.Object] = tx
 					tx.holds[acc.Object] = true
-					tx.opens++
 					note(tick, "acquire", tx.Spec.ID, acc.Object)
+					tx.mgr.Opened(tx, true)
 				}
 			}
 			// A transaction whose due acquisitions all succeeded is no
@@ -427,6 +405,7 @@ func SimulateObserved(ins *Instance, policy Policy, maxTicks int, obs Observer) 
 					owner[obj] = nil
 					delete(tx.holds, obj)
 				}
+				tx.mgr.Committed(tx)
 				remaining--
 			}
 		}
@@ -447,7 +426,7 @@ func defaultMaxTicks(ins *Instance) int {
 		total += spec.Length
 	}
 	// Quadratic headroom over the serial schedule: ample for any
-	// progress-making policy, finite for livelocking ones.
+	// progress-making manager, finite for livelocking ones.
 	if total > math.MaxInt32/total {
 		return math.MaxInt32
 	}

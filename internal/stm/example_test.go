@@ -3,6 +3,7 @@ package stm_test
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/stm"
 )
@@ -11,12 +12,11 @@ import (
 // managers live in internal/core and would import-cycle here).
 type greedyLike struct{ stm.BaseManager }
 
-func (greedyLike) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (greedyLike) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	if enemy.Timestamp() > me.Timestamp() || enemy.Waiting() {
-		return stm.AbortOther
+		return stm.AbortOther, 0
 	}
-	stm.Backoff(1)
-	return stm.Wait
+	return stm.Wait, 0
 }
 
 // The API in one screen: configure the STM with a manager factory

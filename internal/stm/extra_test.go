@@ -67,7 +67,7 @@ func TestTxStringAndAccessors(t *testing.T) {
 		if !strings.Contains(tx.String(), "active") {
 			t.Errorf("String() = %q", tx.String())
 		}
-		tx.SetPriority(5)
+		tx.AddPriority(5)
 		tx.AddPriority(2)
 		if tx.Priority() != 7 {
 			t.Errorf("Priority() = %d, want 7", tx.Priority())

@@ -173,7 +173,7 @@ type openCounter struct {
 	opened int
 }
 
-func (m *openCounter) Opened(tx *stm.Tx, _ bool) {
+func (m *openCounter) Opened(tx stm.Contender, _ bool) {
 	if tx == m.watch {
 		m.opened++
 	}

@@ -261,9 +261,9 @@ type countingManager struct {
 	t *testing.T
 }
 
-func (m countingManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
+func (m countingManager) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
 	m.t.Errorf("ResolveConflict called in lazy mode")
-	return stm.AbortOther
+	return stm.AbortOther, 0
 }
 
 // TestLazyCommitWindowReadsPreImage parks a lazy writer of x and y

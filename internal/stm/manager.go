@@ -9,15 +9,14 @@ import (
 type Decision int32
 
 const (
-	// Wait tells the STM to re-examine the object: the manager has
-	// already performed whatever waiting or backoff its policy calls
-	// for before returning.
+	// Wait tells the STM to wait for the enemy (see Manager) and then
+	// re-examine the object.
 	Wait Decision = iota
 	// AbortOther tells the STM to abort the enemy transaction.
 	AbortOther
-	// AbortSelf tells the STM to abort the calling transaction. Used by
-	// managers that prefer suicide to waiting (none of the classical
-	// managers do, but the interface supports it for experimentation).
+	// AbortSelf tells the STM to abort the calling transaction, which
+	// then retries. Kindergarten rules it to give way to an enemy it
+	// has not yet yielded to.
 	AbortSelf
 )
 
@@ -35,21 +34,42 @@ func (d Decision) String() string {
 	}
 }
 
+// Contender is all a contention manager sees of a transaction: the
+// public state the paper's decentralized managers decide from. *Tx
+// satisfies it, and so does the scheduling simulator's transaction, so
+// one manager runs in both.
+type Contender interface {
+	// Timestamp is the logical transaction's identity and age: smaller
+	// is older is higher priority.
+	Timestamp() uint64
+	// Waiting reports whether the transaction is waiting for an enemy.
+	Waiting() bool
+	// Priority is the manager-maintained priority, which persists
+	// across retries.
+	Priority() int64
+	// AddPriority adds to Priority; it may be called on an enemy.
+	AddPriority(delta int64)
+	// Halted reports whether failure injection has halted the
+	// transaction.
+	Halted() bool
+}
+
 // Manager is the contention-manager interface, the module the paper
 // holds responsible for progress. One Manager instance serves one
 // pooled session (see WithManagerFactory), one transaction at a time,
 // mirroring the per-thread managers of DSTM and SXM: managers are
 // highly decentralized and decide conflicts by comparing only the
-// two transactions' public states (timestamp, status, waiting flag,
+// two transactions' public states (timestamp, waiting flag,
 // priority), never by coordinating with third parties.
 //
 // ResolveConflict is called when transaction me is about to open an
 // object that enemy, a distinct active transaction, has open for
-// writing. The manager may block inside ResolveConflict (that is what
-// "waiting" means); it should poll enemy.Status and me.Status while it
-// does, and it must eventually return in the model where transaction
-// delays are finite. Whatever it returns, the STM re-reads the object
-// and, if the conflict persists, asks again.
+// writing. It only decides: it never blocks, polls a status or sets a
+// flag. On a Wait ruling the STM raises me's waiting flag and waits
+// until the enemy is no longer active, the enemy starts waiting, me is
+// aborted, or bound (if positive) has elapsed; bound is ignored for
+// the other rulings. Whatever the ruling, the STM then re-reads the
+// object and, if the conflict persists, asks again.
 //
 // The notification methods (Begin, Opened, Committed, Aborted) let
 // managers such as Karma and Eruption maintain priority estimates.
@@ -57,19 +77,19 @@ func (d Decision) String() string {
 type Manager interface {
 	// Begin is called when an attempt of a logical transaction starts,
 	// including each retry after an abort.
-	Begin(tx *Tx)
+	Begin(tx Contender)
 	// Opened is called after tx successfully opens an object; write
 	// reports whether the open was for writing.
-	Opened(tx *Tx, write bool)
-	// ResolveConflict decides what to do about an open-time conflict
-	// between me (the caller's transaction) and enemy (an active
-	// transaction holding the object).
-	ResolveConflict(me, enemy *Tx) Decision
+	Opened(tx Contender, write bool)
+	// ResolveConflict rules on an open-time conflict between me (the
+	// caller's transaction) and enemy (an active transaction holding
+	// the object).
+	ResolveConflict(me, enemy Contender) (d Decision, bound time.Duration)
 	// Committed is called after tx commits.
-	Committed(tx *Tx)
+	Committed(tx Contender)
 	// Aborted is called after an attempt of tx aborts, before the retry
 	// (if any) begins.
-	Aborted(tx *Tx)
+	Aborted(tx Contender)
 }
 
 // ManagerFactory constructs a fresh Manager instance. The STM calls it
@@ -80,8 +100,8 @@ type Manager interface {
 type ManagerFactory func() Manager
 
 // defaultManager backs STM.Atomically when no WithManagerFactory is
-// configured: wait politely with growing backoff, but give up on an
-// enemy after a bounded number of rounds and abort it, so a halted or
+// configured: wait politely in growing slices, but give up on an enemy
+// after a bounded number of rounds and abort it, so a halted or
 // descheduled enemy cannot obstruct forever. The registry managers in
 // internal/core implement the paper's actual policies; this one only
 // has to be safe and live for casual use of the pooled API.
@@ -92,19 +112,18 @@ type defaultManager struct {
 
 // Opened implements Manager: a successful open ends the conflict
 // episode, so patience resets.
-func (m *defaultManager) Opened(*Tx, bool) { m.spin = 0 }
+func (m *defaultManager) Opened(Contender, bool) { m.spin = 0 }
 
 // ResolveConflict implements bounded politeness.
-func (m *defaultManager) ResolveConflict(me, enemy *Tx) Decision {
+func (m *defaultManager) ResolveConflict(me, enemy Contender) (Decision, time.Duration) {
 	if enemy.Halted() {
-		return AbortOther
+		return AbortOther, 0
 	}
 	if m.spin++; m.spin > 48 {
 		m.spin = 0
-		return AbortOther
+		return AbortOther, 0
 	}
-	Backoff(m.spin)
-	return Wait
+	return Wait, time.Duration(min(m.spin, 16)) * time.Microsecond
 }
 
 // BaseManager is a no-op implementation of the notification methods of
@@ -113,26 +132,27 @@ func (m *defaultManager) ResolveConflict(me, enemy *Tx) Decision {
 type BaseManager struct{}
 
 // Begin implements Manager.
-func (BaseManager) Begin(*Tx) {}
+func (BaseManager) Begin(Contender) {}
 
 // Opened implements Manager.
-func (BaseManager) Opened(*Tx, bool) {}
+func (BaseManager) Opened(Contender, bool) {}
 
 // Committed implements Manager.
-func (BaseManager) Committed(*Tx) {}
+func (BaseManager) Committed(Contender) {}
 
 // Aborted implements Manager.
-func (BaseManager) Aborted(*Tx) {}
+func (BaseManager) Aborted(Contender) {}
 
-// Backoff yields the processor and, past the first few spins, sleeps
-// for short, linearly growing intervals. It is the waiting primitive
-// shared by the contention managers; spin is the number of times the
-// caller has already backed off in the current episode.
+// backoff yields the processor and, past the first few spins, sleeps
+// for short, linearly growing intervals. It paces the engine's polling
+// loops: the wait on a Wait ruling and the acquisition CAS retry; spin
+// is the number of times the caller has already backed off in the
+// current episode.
 //
 // On a single-CPU host a pure spin loop would starve the enemy
 // transaction of the processor, so yielding is load-bearing here, not
 // just polite.
-func Backoff(spin int) {
+func backoff(spin int) {
 	switch {
 	case spin < 4:
 		runtime.Gosched()

@@ -38,8 +38,8 @@ type Stats struct {
 	Opens int64
 	// Halted counts attempts abandoned by failure injection.
 	Halted int64
-	// WaitNs is total nanoseconds spent inside the contention
-	// manager's ResolveConflict — the policy-chosen waiting the paper
+	// WaitNs is total nanoseconds spent in the engine's wait on a
+	// contention manager's ruling — the policy-chosen waiting the paper
 	// holds against wait-based managers (karma's Figure 10 convoy is a
 	// WaitNs explosion, invisible in Commits/Aborts alone). Lazy mode
 	// never consults the manager at open time, so it accrues none.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stm"
 )
@@ -14,23 +15,23 @@ import (
 // aggressiveManager is a minimal test manager: always abort the enemy.
 type aggressiveManager struct{ stm.BaseManager }
 
-func (aggressiveManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	return stm.AbortOther
+func (aggressiveManager) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	return stm.AbortOther, 0
 }
 
-// politeManager is a minimal test manager: always wait (with a yield).
+// politeManager is a minimal test manager: always wait, a few
+// microseconds at a time.
 type politeManager struct{ stm.BaseManager }
 
-func (politeManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	stm.Backoff(1)
-	return stm.Wait
+func (politeManager) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	return stm.Wait, 2 * time.Microsecond
 }
 
 // suicidalManager aborts itself on every conflict.
 type suicidalManager struct{ stm.BaseManager }
 
-func (suicidalManager) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	return stm.AbortSelf
+func (suicidalManager) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	return stm.AbortSelf, 0
 }
 
 // worldOf returns an STM whose every session runs mgr. The test

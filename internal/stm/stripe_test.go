@@ -267,7 +267,7 @@ type openRecorder struct {
 	reads, writes int
 }
 
-func (m *openRecorder) Opened(_ *stm.Tx, write bool) {
+func (m *openRecorder) Opened(_ stm.Contender, write bool) {
 	if write {
 		m.writes++
 	} else {
@@ -277,8 +277,8 @@ func (m *openRecorder) Opened(_ *stm.Tx, write bool) {
 
 // ResolveConflict is never reached in lazy mode (transactions are
 // mutually invisible until commit).
-func (m *openRecorder) ResolveConflict(me, enemy *stm.Tx) stm.Decision {
-	return stm.Wait
+func (m *openRecorder) ResolveConflict(me, enemy stm.Contender) (stm.Decision, time.Duration) {
+	return stm.Wait, 0
 }
 
 // TestLazyWriteNotifiesManagerOnce pins the openWriteLazy accounting

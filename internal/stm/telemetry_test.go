@@ -5,20 +5,24 @@ import (
 	"time"
 )
 
-// sleepyManager waits a fixed interval inside ResolveConflict before
-// aborting the enemy, so tests can assert WaitNs accounting.
+// sleepyManager rules one wait bounded by naps, then aborts the enemy,
+// so tests can assert WaitNs accounting.
 type sleepyManager struct {
 	BaseManager
-	naps time.Duration
+	naps   time.Duration
+	waited bool
 }
 
-func (m *sleepyManager) ResolveConflict(me, enemy *Tx) Decision {
-	time.Sleep(m.naps)
-	return AbortOther
+func (m *sleepyManager) ResolveConflict(me, enemy Contender) (Decision, time.Duration) {
+	if m.waited {
+		return AbortOther, 0
+	}
+	m.waited = true
+	return Wait, m.naps
 }
 
-// TestWaitTimeAccounting: time spent inside the contention manager's
-// ResolveConflict lands in Stats.WaitNs. The enemy is a halted
+// TestWaitTimeAccounting: time spent in the engine's wait on a ruling
+// lands in Stats.WaitNs. The enemy is a halted
 // transaction left obstructing the object, the deterministic way to
 // force exactly one conflict episode.
 func TestWaitTimeAccounting(t *testing.T) {

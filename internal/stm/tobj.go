@@ -262,24 +262,18 @@ func (tx *Tx) checkOpaque() error {
 func (tx *Tx) noteConflict() { tx.sess.stats.conflicts.Add(1) }
 
 // resolve runs one round of the contention-management protocol between
-// tx and enemy over object o, translating the manager's decision into
-// an abort of one side or an (already-performed) wait. The manager
-// consultation is timed into WaitNs: a Wait decision has already slept
-// inside ResolveConflict, so this one measurement captures exactly the
-// policy-chosen waiting that distinguishes managers with and without
-// progress guarantees. The same measurement accrues to the logical
-// transaction's own counter (Tx.WaitNs) and, on sampled transactions,
-// to a conflict event naming the enemy and the ruling.
+// tx and enemy over object o: the manager rules, and the engine carries
+// the ruling out, aborting one side or waiting (wait). The ruling and
+// the wait are timed together into WaitNs, the policy-chosen waiting
+// that distinguishes managers with and without progress guarantees.
+// The same measurement accrues to the logical transaction's own
+// counter (Tx.WaitNs) and, on sampled transactions, to a conflict
+// event naming the enemy and the ruling.
 func resolve(tx, enemy *Tx, o *tobj) error {
 	tx.noteConflict()
 	t0 := time.Now()
-	d := tx.sess.mgr.ResolveConflict(tx, enemy)
-	dt := int64(time.Since(t0))
-	tx.sess.stats.waitNs.Add(dt)
-	tx.shared.waitNs.Add(dt)
-	if rec := tx.sess.rec; rec != nil {
-		rec.conflict(o, enemy, d, dt)
-	}
+	enemyWaiting := enemy.Waiting()
+	d, bound := tx.sess.mgr.ResolveConflict(tx, enemy)
 	switch d {
 	case AbortOther:
 		enemy.Abort()
@@ -287,11 +281,37 @@ func resolve(tx, enemy *Tx, o *tobj) error {
 	case AbortSelf:
 		tx.setCause(CauseEnemyAbort)
 		tx.Abort()
-		return ErrAborted
 	case Wait:
-		// The manager has already waited/backed off per its policy.
+		tx.wait(enemy, enemyWaiting, t0, bound)
 	default:
 		return fmt.Errorf("stm: contention manager returned invalid decision %d", d)
 	}
+	dt := int64(time.Since(t0))
+	tx.sess.stats.waitNs.Add(dt)
+	tx.shared.waitNs.Add(dt)
+	if rec := tx.sess.rec; rec != nil {
+		rec.conflict(o, enemy, d, dt)
+	}
 	return tx.step()
+}
+
+// wait is the engine's one wait on a Wait ruling. With tx's waiting
+// flag raised it polls, paced by backoff, until the enemy is no longer
+// active, the enemy starts waiting (enemyWaiting is the flag as it
+// stood before the ruling, so a start in between counts), tx itself is
+// aborted, or bound, if positive, has elapsed since t0.
+func (tx *Tx) wait(enemy *Tx, enemyWaiting bool, t0 time.Time, bound time.Duration) {
+	tx.waiting.Store(true)
+	for spin := 0; enemy.Status() == StatusActive && tx.Status() == StatusActive; spin++ {
+		w := enemy.Waiting()
+		if w && !enemyWaiting {
+			break
+		}
+		enemyWaiting = w
+		if bound > 0 && time.Since(t0) >= bound {
+			break
+		}
+		backoff(spin)
+	}
+	tx.waiting.Store(false)
 }

@@ -78,8 +78,8 @@ const (
 	TraceBegin TraceKind = iota
 	// TraceOpen records an object acquisition (Obj, Stripe, Write).
 	TraceOpen
-	// TraceConflict records one contention-manager consultation (Obj,
-	// Enemy, Decision, Ns = time inside ResolveConflict).
+	// TraceConflict records one contention-manager ruling (Obj, Enemy,
+	// Decision, Ns = time of the ruling and the engine's wait on it).
 	TraceConflict
 	// TraceAbort closes an attempt that died (Cause).
 	TraceAbort
@@ -116,7 +116,7 @@ type TraceEvent struct {
 	Write    bool       // open: write (vs read) acquisition
 	Enemy    string     // conflict: the enemy transaction's label ("" if unlabelled)
 	Decision Decision   // conflict: the manager's ruling
-	Ns       int64      // conflict: ns inside ResolveConflict; commit: whole-tx latency ns
+	Ns       int64      // conflict: ns of the ruling and its wait; commit: whole-tx latency ns
 	Cause    AbortCause // abort: why the attempt died
 }
 
@@ -136,8 +136,8 @@ type TxSummary struct {
 	Attempts int64
 	// LatNs is the wall time of the whole logical transaction.
 	LatNs int64
-	// WaitNs is the total time spent inside ResolveConflict across
-	// every attempt.
+	// WaitNs is the total time spent in the engine's wait on a ruling
+	// across every attempt.
 	WaitNs int64
 }
 
@@ -256,9 +256,9 @@ func (tx *Tx) SetLabel(l Label) { tx.shared.label.Store(l.id) }
 func (tx *Tx) Label() string { return labelName(tx.shared.label.Load()) }
 
 // WaitNs returns the total nanoseconds this logical transaction has
-// spent inside ResolveConflict so far, across all attempts. Layers
-// above the engine use it to tell contention victims from genuinely
-// slow work (the kv SLOWLOG records it per command).
+// spent in the engine's wait on a ruling so far, across all attempts.
+// Layers above the engine use it to tell contention victims from
+// genuinely slow work (the kv SLOWLOG records it per command).
 func (tx *Tx) WaitNs() int64 { return tx.shared.waitNs.Load() }
 
 // maxTraceEvents bounds one sampled transaction's event buffer, so a

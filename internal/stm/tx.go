@@ -24,7 +24,8 @@ type txShared struct {
 
 	// label is the interned SetLabel id, read by enemies when the
 	// flight recorder names a conflict's aggressor; waitNs accumulates
-	// ResolveConflict time across the logical transaction's attempts
+	// the time of conflict rulings and the engine's waits on them
+	// across the logical transaction's attempts
 	// (Tx.WaitNs — the per-transaction counterpart of Stats.WaitNs).
 	// A straggling enemy reading a reused record can misattribute a
 	// label, which — like the other heuristic fields here — affects
@@ -77,14 +78,10 @@ func (tx *Tx) Timestamp() uint64 { return tx.shared.timestamp.Load() }
 func (tx *Tx) Status() Status { return Status(tx.status.Load()) }
 
 // Waiting reports whether the transaction is currently waiting for an
-// enemy, as published by its own contention manager via SetWaiting.
-// The greedy manager's Rule 1 aborts enemies that are waiting.
+// enemy: the engine raises the flag for the length of its wait on a
+// Wait ruling. The greedy manager's Rule 1 aborts enemies that are
+// waiting.
 func (tx *Tx) Waiting() bool { return tx.waiting.Load() }
-
-// SetWaiting publishes whether the transaction is waiting for an
-// enemy. Contention managers set it around their waiting loops; it has
-// no effect on the STM itself.
-func (tx *Tx) SetWaiting(w bool) { tx.waiting.Store(w) }
 
 // Priority returns the accumulated manager-defined priority of the
 // logical transaction (used by Karma, Eruption and Polka; zero for
@@ -96,9 +93,6 @@ func (tx *Tx) Priority() int64 { return tx.shared.priority.Load() }
 // priority. Eruption calls it on enemy transactions to transfer
 // pressure, so it must be (and is) safe for concurrent use.
 func (tx *Tx) AddPriority(delta int64) { tx.shared.priority.Add(delta) }
-
-// SetPriority stores the logical transaction's accumulated priority.
-func (tx *Tx) SetPriority(p int64) { tx.shared.priority.Store(p) }
 
 // Aborts returns how many attempts of this logical transaction have
 // aborted so far.
@@ -196,12 +190,12 @@ func (tx *Tx) String() string {
 	return fmt.Sprintf("tx(ts=%d %s)", tx.Timestamp(), tx.Status())
 }
 
-// backoff is the engine-level Backoff with the time accounted to the
+// backoff is the package's backoff with the time accounted to the
 // session's BackoffNs — eager acquisition CAS retries, the
 // mechanism-side counterpart of the manager's policy-side WaitNs.
 func (tx *Tx) backoff(spin int) {
 	t0 := time.Now()
-	Backoff(spin)
+	backoff(spin)
 	tx.sess.stats.backoffNs.Add(int64(time.Since(t0)))
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -194,7 +195,7 @@ func TestQuickSpecInstancesSimulate(t *testing.T) {
 		if ins.Validate() != nil {
 			return false
 		}
-		res, err := sched.Simulate(ins, sched.GreedyPolicy{}, 0)
+		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 		if err != nil || !res.Completed {
 			return false
 		}
