@@ -137,23 +137,21 @@ func BenchmarkOMapRange(b *testing.B) {
 
 // BenchmarkDeque measures the deque's operations at the sizes the run
 // length B (runCap) trades between: a push-back/pop-front pair in one
-// transaction on a 64-element and a 100k-element deque, a 100-element
-// prefix peek, and a whole-deque Items on 100k elements. Run it with
-// -benchmem; the table beside runCap comes from it.
+// transaction on a 64-element and a 100k-element deque, a 250-value
+// push-back in one transaction, a 100-element prefix peek, and a
+// whole-deque Items on 100k elements. Run it with -benchmem; the table
+// beside runCap comes from it.
 func BenchmarkDeque(b *testing.B) {
 	s := benchSTM()
+	const batch = 250
+	vals := make([]int, batch)
+	for i := range vals {
+		vals[i] = i
+	}
 	filled := func(n int) *Deque[int] {
 		d := NewDeque[int]()
-		for i := 0; i < n; i += 250 {
-			err := s.Atomically(func(tx *stm.Tx) error {
-				for j := i; j < min(i+250, n); j++ {
-					if err := d.PushBack(tx, j); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
+		for i := 0; i < n; i += batch {
+			if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, vals[:min(batch, n-i)]...) }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -177,6 +175,20 @@ func BenchmarkDeque(b *testing.B) {
 			}
 		})
 	}
+	b.Run(fmt.Sprintf("pushn/%d", batch), func(b *testing.B) {
+		var d *Deque[int]
+		for i := 0; i < b.N; i++ {
+			// A fresh 64-element deque every 1000 pushes bounds the heap.
+			if i%1000 == 0 {
+				b.StopTimer()
+				d = filled(64)
+				b.StartTimer()
+			}
+			if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, vals...) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("peekfrontn/100", func(b *testing.B) {
 		d := filled(100_000)
 		b.ResetTimer()

@@ -82,12 +82,40 @@ func TestDequeBasic(t *testing.T) {
 	}
 }
 
-// TestDequeModel runs random pushes, pops and peeks at both ends
-// against a slice model, holding the length in turn around 0, 1,
-// runCap-1, runCap, runCap+1 and 2*runCap so runs fill, split, empty
-// and unlink at both ends. After every operation Items, Len and
-// CheckInvariants must agree with the model. A transaction that pushes
-// and pops several elements and then fails must leave Items as it was.
+// pushSizes are the n-value push sizes the deque tests use: empty, a
+// single value, and batches around and beyond one run.
+var pushSizes = []int{0, 1, 2, runCap - 1, runCap, runCap + 1, 3*runCap + 5}
+
+// pushModel pushes vals at the front end if front, else at the back,
+// in one transaction, and returns the model after the same pushes made
+// one value at a time.
+func pushModel(t *testing.T, s *stm.STM, d *Deque[int], model []int, front bool, vals []int) []int {
+	t.Helper()
+	push := d.PushBack
+	if front {
+		push = d.PushFront
+	}
+	if err := s.Atomically(func(tx *stm.Tx) error { return push(tx, vals...) }); err != nil {
+		t.Fatal(err)
+	}
+	if !front {
+		return append(model, vals...)
+	}
+	for _, v := range vals {
+		model = slices.Insert(model, 0, v)
+	}
+	return model
+}
+
+// TestDequeModel runs random pushes of one or more values, pops and
+// peeks at both ends against a slice model, holding the length in turn
+// around 0, 1, runCap-1, runCap, runCap+1 and 2*runCap so runs fill,
+// split, empty and unlink at both ends. After every operation Items,
+// Len and CheckInvariants must agree with the model. Every push size
+// in pushSizes then goes, at each end, into an empty deque, into
+// one-run deques and into a deque of several runs. A transaction that
+// pushes and pops several elements and then fails must leave Items as
+// it was.
 func TestDequeModel(t *testing.T) {
 	s := stm.New()
 	d := NewDeque[int]()
@@ -110,6 +138,14 @@ func TestDequeModel(t *testing.T) {
 		}
 	}
 	next := 0
+	values := func(n int) []int {
+		vals := make([]int, n)
+		for i := range vals {
+			next++
+			vals[i] = next
+		}
+		return vals
+	}
 	for _, target := range []int{0, 1, runCap - 1, runCap, runCap + 1, 2 * runCap, 1, 0} {
 		for i := 0; i < 40*runCap; i++ {
 			// Drift toward target, then wander around it.
@@ -125,21 +161,13 @@ func TestDequeModel(t *testing.T) {
 			case rng.IntN(5) == 0:
 				op = peekModel(t, s, d, model, rng)
 			case push:
-				next++
-				v := next
-				op = fmt.Sprintf("push(front=%v, %d)", front, v)
-				pushFn := d.PushBack
-				if front {
-					pushFn = d.PushFront
+				n := 1
+				if rng.IntN(8) == 0 {
+					n = pushSizes[rng.IntN(len(pushSizes))]
 				}
-				if err := s.Atomically(func(tx *stm.Tx) error { return pushFn(tx, v) }); err != nil {
-					t.Fatal(err)
-				}
-				if front {
-					model = slices.Insert(model, 0, v)
-				} else {
-					model = append(model, v)
-				}
+				vals := values(n)
+				op = fmt.Sprintf("push(front=%v, %v)", front, vals)
+				model = pushModel(t, s, d, model, front, vals)
 			default:
 				op = fmt.Sprintf("pop(front=%v)", front)
 				pop := d.PopBack
@@ -169,19 +197,54 @@ func TestDequeModel(t *testing.T) {
 		}
 	}
 
+	// Every push size at each end, into an empty deque, into a
+	// one-element and a full one-run deque, and into a deque of
+	// several runs; then single pushes at both ends and a pop at each
+	// must still agree with the model.
+	for _, start := range []int{0, 1, runCap, 3*runCap + 2} {
+		for _, n := range pushSizes {
+			for _, front := range []bool{true, false} {
+				d, model = NewDeque[int](), nil
+				model = pushModel(t, s, d, model, false, values(start))
+				check(fmt.Sprintf("a deque of %d", start))
+				op := fmt.Sprintf("push of %d (front=%v) onto %d", n, front, start)
+				model = pushModel(t, s, d, model, front, values(n))
+				check(op)
+				model = pushModel(t, s, d, model, true, values(1))
+				model = pushModel(t, s, d, model, false, values(1))
+				check(op + ", then one push at each end")
+				for _, popFront := range []bool{true, false} {
+					pop := d.PopBack
+					want := model[len(model)-1]
+					if popFront {
+						pop, want = d.PopFront, model[0]
+					}
+					if v, ok, err := stm.Atomic2(s, pop); err != nil || !ok || v != want {
+						t.Fatalf("%s: pop(front=%v) = %d, %v, %v; want %d", op, popFront, v, ok, err, want)
+					}
+					if popFront {
+						model = model[1:]
+					} else {
+						model = model[:len(model)-1]
+					}
+					check(fmt.Sprintf("%s, then pop(front=%v)", op, popFront))
+				}
+			}
+		}
+	}
+
 	// A failed transaction leaves no trace, however many runs its
 	// pushes and pops split and unlinked.
-	for i := 0; i < runCap+3; i++ {
-		next++
-		v := next
-		if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, v) }); err != nil {
-			t.Fatal(err)
-		}
-		model = append(model, v)
-	}
+	model = pushModel(t, s, d, model, false, values(runCap+3))
 	check("refill")
 	errUser := errors.New("user error")
 	err := s.Atomically(func(tx *stm.Tx) error {
+		if err := d.PushFront(tx, values(3*runCap+5)...); err != nil {
+			return err
+		}
+		if err := d.PushBack(tx, values(runCap+1)...); err != nil {
+			return err
+		}
 		for i := 0; i < 2*runCap; i++ {
 			if err := d.PushFront(tx, -i); err != nil {
 				return err
@@ -234,46 +297,66 @@ func peekModel(t *testing.T, s *stm.STM, d *Deque[int], model []int, rng *rand.R
 }
 
 // TestDequeEndsIndependent pins the push rule: a push never grows the
-// run the other end is using. Each round starts from a two-element
-// deque (which the rule lays out as two one-element runs) and runs one
-// front-pusher against one back-pusher, yielding at every open so
-// their transactions overlap. The two ends then read and write
-// disjoint Vars, so not one conflict or abort may occur; if a push
-// could grow the other end's run, both ends would write the one run
-// the two elements share.
+// run the other end is using. Each round starts from a deque of two or
+// more runs (two elements, which the rule lays out as two one-element
+// runs, or 2*runCap+3 pushed one at a time) and runs one front-pusher
+// against one back-pusher, yielding at every open so their
+// transactions overlap. Each pusher pushes one value per transaction,
+// or, at one end, values in batches of the sizes in pushSizes. The two
+// ends then read and write disjoint Vars, so not one conflict or abort
+// may occur; if a push could grow the other end's run, both ends would
+// write the one run the two elements share.
 func TestDequeEndsIndependent(t *testing.T) {
 	s := stm.New(stm.WithInterleavePeriod(1))
-	for round := 0; round < 50; round++ {
-		d := NewDeque[int]()
-		for i := 0; i < 2; i++ {
-			if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, i) }); err != nil {
+	for _, c := range []struct {
+		name            string
+		batched         [2]bool // front, back
+		startLen, round int
+	}{
+		{"singles", [2]bool{false, false}, 2, 50},
+		{"singles on runs", [2]bool{false, false}, 2*runCap + 3, 10},
+		{"front batches", [2]bool{true, false}, 2, 10},
+		{"back batches", [2]bool{false, true}, 2, 10},
+		{"front batches on runs", [2]bool{true, false}, 2*runCap + 3, 10},
+		{"back batches on runs", [2]bool{false, true}, 2*runCap + 3, 10},
+	} {
+		for round := 0; round < c.round; round++ {
+			d := NewDeque[int]()
+			for i := 0; i < c.startLen; i++ {
+				if err := s.Atomically(func(tx *stm.Tx) error { return d.PushBack(tx, i) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			errs := make([]error, 2)
+			for g, push := range []func(*stm.Tx, ...int) error{d.PushFront, d.PushBack} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < runCap && errs[g] == nil; i++ {
+						n := 1
+						if c.batched[g] {
+							n = pushSizes[i%len(pushSizes)]
+						}
+						vals := make([]int, n)
+						errs[g] = s.Atomically(func(tx *stm.Tx) error { return push(tx, vals...) })
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Atomically(d.CheckInvariants); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		errs := make([]error, 2)
-		for g, push := range []func(*stm.Tx, int) error{d.PushFront, d.PushBack} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for i := 0; i < runCap && errs[g] == nil; i++ {
-					errs[g] = s.Atomically(func(tx *stm.Tx) error { return push(tx, i) })
-				}
-			}()
+		if st := s.TotalStats(); st.Conflicts != 0 || st.Aborts != 0 {
+			t.Fatalf("%s: front and back pushers: %d conflicts, %d aborts; want 0 and 0", c.name, st.Conflicts, st.Aborts)
 		}
-		close(start)
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Atomically(d.CheckInvariants); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.TotalStats(); st.Conflicts != 0 || st.Aborts != 0 {
-		t.Fatalf("front and back pushers: %d conflicts, %d aborts; want 0 and 0", st.Conflicts, st.Aborts)
 	}
 }
 

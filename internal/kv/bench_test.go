@@ -195,6 +195,36 @@ func TestListHeapPerElement(t *testing.T) {
 	}
 }
 
+// TestRPushAllocBudget pins the allocations of one RPushTx of 250
+// values onto an existing list: the engine's few, the copy of the end
+// run and, for each of the 7 or 8 new runs, its array, the run and its
+// three variables.
+func TestRPushAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled sessions at random")
+	}
+	// 68.0 in each of 12 runs on linux/amd64 (runCap 32).
+	const batch, budget = 250, 68
+	vals := makeKeys(batch)
+	st := New(stm.New())
+	if _, err := st.RPush("list", vals[:40]...); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		err := st.Atomically(func(tx *stm.Tx, now int64) error {
+			_, err := st.RPushTx(tx, now, "list", vals...)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per %d-value RPushTx", got, batch)
+	if got > budget {
+		t.Errorf("RPushTx of %d values: %.1f allocs, want <= %d", batch, got, budget)
+	}
+}
+
 // liveHeap returns the heap in use after two collections.
 func liveHeap() uint64 {
 	runtime.GC()

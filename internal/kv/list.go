@@ -9,10 +9,14 @@ import (
 // runs of up to 32 elements each. Pushes and pops touch only their end
 // run, its links and the end counter, so front and back traffic on the
 // same key are independent hot spots and neither rewrites the bucket
-// chain. The WAL sees one op per element moved (push = value + end
-// flag, pop = tombstone + end flag); replay re-runs the same deque
-// operations in commit order, so how elements fall into runs is not
-// part of the log or the snapshot.
+// chain. A push command is one deque push of all its values: the end
+// run is copied once, filled up to 32, and the rest are born in new
+// runs, full but for the outermost, so an LPUSH or RPUSH of n values
+// costs about n/32 new runs, not n copies of the end run. The WAL sees one op per element moved
+// (push = value + end flag, pop = tombstone + end flag); replay
+// re-runs the same deque operations in commit order, merging a stretch
+// of pushes at one end of one key into one push, so how elements fall
+// into runs is not part of the log or the snapshot.
 
 // LPushTx pushes vals onto the front of the list at key, left to
 // right (so the last val ends up frontmost, as in Redis), creating
@@ -31,15 +35,15 @@ func (st *Store) pushTx(tx *stm.Tx, now int64, key string, front bool, vals []st
 	if err != nil {
 		return 0, err
 	}
+	if front {
+		err = e.list.PushFront(tx, vals...)
+	} else {
+		err = e.list.PushBack(tx, vals...)
+	}
+	if err != nil {
+		return 0, err
+	}
 	for _, v := range vals {
-		if front {
-			err = e.list.PushFront(tx, v)
-		} else {
-			err = e.list.PushBack(tx, v)
-		}
-		if err != nil {
-			return 0, err
-		}
 		capture(tx, wal.Op{Kind: wal.KindList, Key: key, Val: v, Front: front})
 	}
 	return e.list.Len(tx)

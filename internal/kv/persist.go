@@ -342,10 +342,16 @@ func (st *Store) cutChunk(sh *container.Map[string, entry], c class, buf []wal.O
 func (st *Store) Apply(ops []wal.Op) error {
 	now := st.now()
 	err := st.s.Atomically(func(tx *stm.Tx) error {
-		for _, op := range ops {
-			if err := st.applyOp(tx, now, op); err != nil {
+		for i := 0; i < len(ops); {
+			j := i + 1
+			for listPush(ops[i]) && j < len(ops) && listPush(ops[j]) &&
+				ops[j].Key == ops[i].Key && ops[j].Front == ops[i].Front {
+				j++
+			}
+			if err := st.applyOp(tx, now, ops[i:j]); err != nil {
 				return err
 			}
+			i = j
 		}
 		return nil
 	})
@@ -355,11 +361,18 @@ func (st *Store) Apply(ops []wal.Op) error {
 	return nil
 }
 
-// applyOp replays one op through the same typed mutation the live
-// store ran. A kind mismatch (a hash op against a list key, say)
-// surfaces as ErrWrongType: a log the store wrote cannot contain one,
-// so hitting it means the log is lying and replay must not guess.
-func (st *Store) applyOp(tx *stm.Tx, now int64, op wal.Op) error {
+// listPush reports whether op pushes a list element.
+func listPush(op wal.Op) bool { return op.Kind == wal.KindList && !op.Del && !op.Touch }
+
+// applyOp replays ops[0] through the same typed mutation the live
+// store ran. ops is longer only for a stretch of pushes at one end of
+// one list, which it replays as one push, as the LPUSH or RPUSH that
+// logged them (or the snapshot's back-pushes) would. A kind mismatch
+// (a hash op against a list key, say) surfaces as ErrWrongType: a log
+// the store wrote cannot contain one, so hitting it means the log is
+// lying and replay must not guess.
+func (st *Store) applyOp(tx *stm.Tx, now int64, ops []wal.Op) error {
+	op := ops[0]
 	var err error
 	switch {
 	case op.Touch:
@@ -374,7 +387,11 @@ func (st *Store) applyOp(tx *stm.Tx, now int64, op wal.Op) error {
 		if op.Del {
 			_, _, err = st.popTx(tx, now, op.Key, op.Front)
 		} else {
-			_, err = st.pushTx(tx, now, op.Key, op.Front, []string{op.Val})
+			vals := make([]string, len(ops))
+			for i, o := range ops {
+				vals[i] = o.Val
+			}
+			_, err = st.pushTx(tx, now, op.Key, op.Front, vals)
 		}
 	case op.Kind == wal.KindZSet:
 		if op.Del {

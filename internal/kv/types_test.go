@@ -147,6 +147,114 @@ func TestListOps(t *testing.T) {
 	}
 }
 
+// TestListPushBatchMatchesSingles checks that one LPUSH or RPUSH of
+// 70 values, which the deque lays out as whole runs, leaves the list
+// LRANGE reads as 70 one-value pushes do, into a list of 1 element and
+// into one of 40.
+func TestListPushBatchMatchesSingles(t *testing.T) {
+	vals := make([]string, 70)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%02d", i)
+	}
+	lrange := func(st *Store) []string {
+		t.Helper()
+		items, err := do(st, func(tx *stm.Tx, now int64) ([]string, error) { return st.LRangeTx(tx, now, "l", 0, -1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return items
+	}
+	for _, base := range []int{1, 40} {
+		for _, front := range []bool{true, false} {
+			push := func(st *Store, vals ...string) {
+				t.Helper()
+				_, err := do(st, func(tx *stm.Tx, now int64) (int, error) {
+					if front {
+						return st.LPushTx(tx, now, "l", vals...)
+					}
+					return st.RPushTx(tx, now, "l", vals...)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			batched, single := New(stm.New()), New(stm.New())
+			for _, st := range []*Store{batched, single} {
+				if _, err := st.RPush("l", makeKeys(base)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			push(batched, vals...)
+			for _, v := range vals {
+				push(single, v)
+			}
+			got, want := lrange(batched), lrange(single)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("front=%v onto %d: one push of 70 gives\n%v\n70 pushes give\n%v", front, base, got, want)
+			}
+		}
+	}
+}
+
+// TestApplyMergesListPushes replays a log in which list pushes come in
+// stretches (a snapshot's back-pushes, LPUSH and RPUSH records) broken
+// by other keys, by the other end, by pops and by a touch, once as one
+// write set, where Apply merges each stretch into one push, and once op
+// by op, where it cannot. The two stores must hold the same state.
+func TestApplyMergesListPushes(t *testing.T) {
+	push := func(key string, front bool, vals ...string) []wal.Op {
+		var ops []wal.Op
+		for _, v := range vals {
+			ops = append(ops, wal.Op{Kind: wal.KindList, Key: key, Val: v, Front: front})
+		}
+		return ops
+	}
+	var ops []wal.Op
+	ops = append(ops, push("a", false, makeKeys(300)...)...)
+	ops = append(ops, push("a", true, "f1", "f2", "f3")...)
+	ops = append(ops, push("b", true, makeKeys(70)...)...)
+	ops = append(ops, push("a", true, "f4")...)
+	ops = append(ops, wal.Op{Kind: wal.KindList, Key: "a", Del: true, Front: true})
+	ops = append(ops, push("a", true, "f5", "f6")...)
+	ops = append(ops, wal.Op{Kind: wal.KindList, Key: "b", Del: true})
+	ops = append(ops, push("b", false, "b1", "b2")...)
+	ops = append(ops, wal.Op{Key: "a", Touch: true, ExpireAt: int64(time.Hour)})
+	ops = append(ops, push("a", false, "tail")...)
+	ops = append(ops, wal.Op{Key: "s", Val: "string"})
+
+	merged, single := New(stm.New()), New(stm.New())
+	if err := merged.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if err := single.Apply([]wal.Op{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range []*Store{merged, single} {
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := merged.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := single.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(sortOps(got)) != fmt.Sprint(sortOps(want)) {
+		t.Fatalf("merged replay:\n%+v\nop-by-op replay:\n%+v", got, want)
+	}
+	if n, err := do(merged, func(tx *stm.Tx, now int64) (int, error) { return merged.LLenTx(tx, now, "a") }); err != nil || n != 300+3+1-1+2+1 {
+		t.Fatalf("LLen(a) = %d, %v; want %d", n, err, 300+3+1-1+2+1)
+	}
+}
+
 // TestZSetOps exercises the sorted-set contract: score order with
 // member tie-break, relocation on re-add, same-score no-op, negative
 // and infinite scores, ZRANGE ranks, and auto-delete.
