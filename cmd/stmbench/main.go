@@ -75,7 +75,11 @@ func main() {
 		opts.Threads = ts
 	}
 	if *managers != "" {
-		opts.Managers = strings.Split(*managers, ",")
+		ms, err := parseManagers(*managers)
+		if err != nil {
+			usage(err.Error())
+		}
+		opts.Managers = ms
 	}
 	if !*jsonOut {
 		opts.Progress = func(p harness.Point) {
@@ -151,6 +155,20 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// parseManagers parses -managers: a comma-separated list of contention
+// manager names, each of which must be registered, so a typo is a usage
+// error before any point runs.
+func parseManagers(s string) ([]string, error) {
+	names := strings.Split(s, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if _, err := core.Factory(names[i]); err != nil {
+			return nil, err
+		}
+	}
+	return names, nil
 }
 
 // usage reports a bad invocation: the error, then the flag summary,

@@ -86,3 +86,39 @@ func TestParseInts(t *testing.T) {
 		})
 	}
 }
+
+// TestParseManagers pins -managers parsing: every name must be a
+// registered manager, so a typo or an empty element is a usage error
+// before anything runs, not a failure after the other managers' points.
+func TestParseManagers(t *testing.T) {
+	tests := []struct {
+		name string
+		in   string
+		want []string // nil = must be rejected
+	}{
+		{name: "one", in: "greedy", want: []string{"greedy"}},
+		{name: "several", in: "greedy,karma,polka", want: []string{"greedy", "karma", "polka"}},
+		{name: "spaces", in: " greedy, karma", want: []string{"greedy", "karma"}},
+		{name: "unknown", in: "greedy,karmaa"},
+		{name: "trailing comma", in: "greedy,"},
+		{name: "empty element", in: "greedy,,karma"},
+		{name: "blank", in: " "},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := parseManagers(tt.in)
+			if tt.want == nil {
+				if err == nil {
+					t.Fatalf("parseManagers(%q) = %v; want error", tt.in, got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseManagers(%q): %v", tt.in, err)
+			}
+			if !slices.Equal(got, tt.want) {
+				t.Fatalf("parseManagers(%q) = %v, want %v", tt.in, got, tt.want)
+			}
+		})
+	}
+}

@@ -23,12 +23,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -36,7 +34,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -193,118 +190,29 @@ func openStore(manager, data string, txtrace int) (*kv.Store, *wal.Log, *traceSt
 	return store, l, tr, nil
 }
 
-// startSweeper launches the background TTL sweeper: one shard per
-// tick, with the tick jittered around cadence/shards so a full pass
-// takes roughly cadence without phase-locking against client traffic.
-// Sweeps run through Store.SweepShard, so reaped keys are tombstoned
-// in the WAL and replay agrees with the reap. Failures and reaped-key
-// counts feed the server's registry (INFO stats, /metrics) as well as
-// stderr.
-func startSweeper(srv *kv.Server, store *kv.Store, cadence time.Duration) (stop func()) {
-	if cadence <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewPCG(0x51eeb, 0x5ee9))
-		per := cadence / time.Duration(store.Shards())
-		if per < time.Millisecond {
-			per = time.Millisecond
-		}
-		timer := time.NewTimer(per)
-		defer timer.Stop()
-		shard := 0
-		for {
-			select {
-			case <-done:
-				return
-			case <-timer.C:
-			}
-			if reaped, err := store.SweepShard(shard); err != nil {
-				srv.NoteSweepFailure()
-				fmt.Fprintf(os.Stderr, "stmkv: sweep shard %d: %v\n", shard, err)
-			} else if reaped > 0 {
-				srv.NoteSweepReaped(reaped)
-			}
-			shard = (shard + 1) % store.Shards()
-			timer.Reset(time.Duration(float64(per) * (0.75 + 0.5*rng.Float64())))
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
-// startBgsave schedules background snapshots on a cadence given as
-// either a duration ("30s": wall-clock ticker) or a record count
-// ("500ops": a snapshot once at least that many new records reached
-// the log since the last cut, polled coarsely). Each trigger runs
-// Store.Save — the same rotate → cut → roll forward → rename → reap
-// path as an explicit BGSAVE — so the log is continuously truncated
-// and a restart replays a bounded suffix, whatever the write load: the
-// cut is a walk of short transactions that writers cannot starve.
-// Failures are counted in the server's registry and logged, and the
-// schedule keeps running. stop cancels a save in progress at its next
-// chunk and waits for it.
-func startBgsave(srv *kv.Server, store *kv.Store, spec string) (stop func(), err error) {
+// saveSchedule turns -bgsave-every into the server's snapshot schedule:
+// a duration ("30s") is a wall-clock cadence, a record count ("500ops")
+// a snapshot once at least that many new records reached the log since
+// the last. Empty runs no schedule.
+func saveSchedule(spec, data string) (kv.ServerOption, error) {
 	if spec == "" {
-		return func() {}, nil
+		return kv.WithSaveSchedule(0, 0), nil
 	}
-	if !store.Durable() {
+	if data == "" {
 		return nil, fmt.Errorf("-bgsave-every requires -data")
 	}
-	var (
-		every   time.Duration
-		everyN  int64
-		lastN   = store.WAL().Stats().Records()
-		trigger func() bool
-	)
 	if n, ok := strings.CutSuffix(spec, "ops"); ok {
-		parsed, perr := strconv.ParseInt(strings.TrimSpace(n), 10, 64)
-		if perr != nil || parsed <= 0 {
+		records, err := strconv.ParseInt(strings.TrimSpace(n), 10, 64)
+		if err != nil || records <= 0 {
 			return nil, fmt.Errorf("-bgsave-every %q: want a positive count before \"ops\"", spec)
 		}
-		everyN = parsed
-		every = 100 * time.Millisecond // poll cadence, not save cadence
-		trigger = func() bool {
-			records := store.WAL().Stats().Records()
-			if records-lastN < everyN {
-				return false
-			}
-			lastN = records
-			return true
-		}
-	} else {
-		every, err = time.ParseDuration(spec)
-		if err != nil || every <= 0 {
-			return nil, fmt.Errorf("-bgsave-every %q: want a positive duration or \"<n>ops\"", spec)
-		}
-		trigger = func() bool { return true }
+		return kv.WithSaveSchedule(0, records), nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			if !trigger() {
-				continue
-			}
-			if err := store.Save(ctx); err != nil && ctx.Err() == nil {
-				srv.NoteBgsaveFailure()
-				fmt.Fprintf(os.Stderr, "stmkv: bgsave: %v\n", err)
-			}
-		}
-	}()
-	return func() { cancel(); wg.Wait() }, nil
+	every, err := time.ParseDuration(spec)
+	if err != nil || every <= 0 {
+		return nil, fmt.Errorf("-bgsave-every %q: want a positive duration or \"<n>ops\"", spec)
+	}
+	return kv.WithSaveSchedule(every, 0), nil
 }
 
 // startMetrics serves the observability endpoints — Prometheus
@@ -342,24 +250,26 @@ type instance struct {
 	ln          net.Listener
 	metricsAddr string     // "" when the metrics listener is off
 	done        chan error // receives Serve's result
-	stopWorkers func()     // sweeper, snapshot schedule, metrics listener; idempotent
+	stopMetrics func()
 }
 
 // start is the one start-up sequence both serving and -smoke run: open
 // (and in durable mode recover) the store, build the server, start the
-// snapshot schedule, the metrics listener and the socket listener,
-// print the boot line, start the sweeper, and serve in the background.
-// A failed start leaves workers running; the caller exits.
+// metrics listener and the socket listener, print the boot line, and
+// serve in the background — which starts the sweeper and the snapshot
+// schedule. A failed start leaves the metrics listener running; the
+// caller exits.
 func start(cfg serverConfig) (*instance, error) {
+	save, err := saveSchedule(cfg.bgsave, cfg.data)
+	if err != nil {
+		return nil, err
+	}
 	store, l, tr, err := openStore(cfg.manager, cfg.data, cfg.txtrace)
 	if err != nil {
 		return nil, err
 	}
-	srv := kv.NewServer(store, append([]kv.ServerOption{kv.WithManagerName(cfg.manager)}, tr.serverOpts()...)...)
-	stopSave, err := startBgsave(srv, store, cfg.bgsave)
-	if err != nil {
-		return nil, err
-	}
+	opts := append([]kv.ServerOption{kv.WithManagerName(cfg.manager), kv.WithSweep(cfg.sweep), save}, tr.serverOpts()...)
+	srv := kv.NewServer(store, opts...)
 	maddr, stopMetrics, err := startMetrics(cfg.metrics, srv, store, tr)
 	if err != nil {
 		return nil, err
@@ -370,7 +280,6 @@ func start(cfg serverConfig) (*instance, error) {
 	}
 	fmt.Fprintf(os.Stderr, "stmkv: serving on %s (manager=%s shards=%d durable=%v bgsave=%q metrics=%q)\n",
 		ln.Addr(), cfg.manager, store.Shards(), store.Durable(), cfg.bgsave, maddr)
-	stopSweep := startSweeper(srv, store, cfg.sweep)
 	inst := &instance{
 		store:       store,
 		log:         l,
@@ -378,19 +287,15 @@ func start(cfg serverConfig) (*instance, error) {
 		ln:          ln,
 		metricsAddr: maddr,
 		done:        make(chan error, 1),
-		stopWorkers: sync.OnceFunc(func() {
-			stopSweep()
-			stopSave()
-			stopMetrics()
-		}),
+		stopMetrics: stopMetrics,
 	}
 	go func() { inst.done <- srv.Serve(ln) }()
 	return inst, nil
 }
 
 // serve runs the server until SIGINT/SIGTERM, then shuts down cleanly:
-// listener and connections first, then the sweeper, the snapshot
-// schedule and the metrics listener, then the log.
+// listener, connections, sweeper and snapshot schedule first, then the
+// metrics listener, then the log.
 func serve(cfg serverConfig) error {
 	inst, err := start(cfg)
 	if err != nil {
@@ -405,8 +310,11 @@ func serve(cfg serverConfig) error {
 			err = <-inst.done
 		}
 	case err = <-inst.done:
+		// Serve failed; Close still stops the sweeper and the snapshot
+		// schedule before the log closes under them.
+		inst.srv.Close()
 	}
-	inst.stopWorkers()
+	inst.stopMetrics()
 	if inst.log != nil {
 		if cerr := inst.log.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("wal close: %w", cerr)
@@ -435,7 +343,7 @@ func runSmoke(cfg serverConfig, lcfg loadConfig) error {
 	if err != nil {
 		return err
 	}
-	defer inst.stopWorkers()
+	defer inst.stopMetrics()
 	store, l, srv, ln := inst.store, inst.log, inst.srv, inst.ln
 
 	report, err := runLoadgen(ln.Addr().String(), lcfg)
@@ -472,24 +380,16 @@ func runSmoke(cfg serverConfig, lcfg loadConfig) error {
 	fmt.Printf("smoke: ok — %d live keys, %d reaped, shard buckets %v, %d commits (abort rate %.2f)\n",
 		n, reaped, store.BucketsPerShard(), stats.Commits, stats.AbortRate())
 
-	if l != nil {
-		// Quiesce the background writers first: a scheduled BGSAVE
-		// rotating and reaping segments — or a sweeper pass appending
-		// tombstones — while Recover scans the directory hands the
-		// comparison a torn view of the log.
-		inst.stopWorkers()
-		if err := smokeDurability(store, l, lcfg); err != nil {
-			return err
-		}
-	}
-
+	// Close quiesces every background writer as well as the clients: a
+	// scheduled BGSAVE rotating and reaping segments — or a sweeper pass
+	// appending tombstones — while Recover scans the directory would
+	// hand the comparison below a torn view of the log.
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("smoke: close: %w", err)
 	}
 	if err := <-inst.done; err != nil {
 		return fmt.Errorf("smoke: serve returned: %w", err)
 	}
-	inst.stopWorkers()
 	// A second Close must be a no-op, and the port must be free again.
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("smoke: double close: %w", err)
@@ -500,6 +400,9 @@ func runSmoke(cfg serverConfig, lcfg loadConfig) error {
 	}
 	probe.Close()
 	if l != nil {
+		if err := smokeDurability(store, l, lcfg); err != nil {
+			return err
+		}
 		if err := l.Close(); err != nil {
 			return fmt.Errorf("smoke: wal close: %w", err)
 		}

@@ -84,7 +84,7 @@ var ContainerStructures = []string{"hashset", "queue", "omap"}
 
 // KVStructures are the structure names served by internal/kv: the
 // sharded string-keyed store behind cmd/stmkv, in-memory ("kv"), with
-// write-ahead logging attached ("kvwal"), and the cross-type job
+// a write-ahead log attached ("kvwal"), and the cross-type job
 // pipeline over the container kinds ("jobs").
 var KVStructures = []string{"kv", "kvwal", "jobs"}
 
@@ -109,7 +109,9 @@ func newApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) (app, error) 
 	case "kv":
 		return newKVApp(cfg, keys, mix), nil
 	case "kvwal":
-		return &kvwalApp{kvApp: newKVApp(cfg, keys, mix)}, nil
+		a := newKVApp(cfg, keys, mix)
+		a.logged = true
+		return a, nil
 	case "jobs":
 		return &jobsApp{keys: keys, cfg: cfg}, nil
 	default:
@@ -362,12 +364,24 @@ func (a *omapApp) audit(s *stm.STM) error {
 // rangeSpan consecutive names. The store's shards grow under load
 // inside the inserting transaction — a resize races the measured
 // traffic, exactly as in cmd/stmkv.
+//
+// With logged set (Figure 9, "kvwal") a write-ahead log is attached
+// after seeding, so every measured write transaction also captures its
+// write set and enqueues it from its commit hook: the figure prices the
+// logging path — capture, stripe-held enqueue, group-commit handoff —
+// against Figure 8's in-memory baseline. The store arms the capture
+// itself and does not wait for the record to reach disk: workers
+// measure logging overhead, not the disk's fsync latency, which the
+// group commit amortizes off the commit path anyway.
 type kvApp struct {
-	store *kv.Store
-	names []string
-	keys  workload.KeyDist
-	mix   workload.OpMix
-	cfg   Config
+	store  *kv.Store
+	names  []string
+	keys   workload.KeyDist
+	mix    workload.OpMix
+	cfg    Config
+	logged bool
+	walDir string
+	log    *wal.Log
 }
 
 // kvShards is the shard count of the harness's kv store: small enough
@@ -396,7 +410,36 @@ func (a *kvApp) seed(s *stm.STM, rng *rand.Rand) error {
 			return err
 		}
 	}
+	if !a.logged {
+		return nil
+	}
+	// The log is attached after seeding: the figure measures
+	// steady-state logging, not the seeding burst.
+	dir, err := os.MkdirTemp("", "stmbench-wal-")
+	if err != nil {
+		return fmt.Errorf("harness: wal dir: %w", err)
+	}
+	a.walDir = dir
+	if a.log, err = wal.Open(dir, wal.Options{}); err != nil {
+		return fmt.Errorf("harness: wal open: %w", err)
+	}
+	a.store.AttachWAL(a.log)
 	return nil
+}
+
+// close releases a logged run's log and scratch directory; the harness
+// calls it through the optional closer interface after the run.
+func (a *kvApp) close() error {
+	var err error
+	if a.log != nil {
+		err = a.log.Close()
+	}
+	if a.walDir != "" {
+		if rerr := os.RemoveAll(a.walDir); err == nil {
+			err = rerr
+		}
+	}
+	return err
 }
 
 func (a *kvApp) mixName() string { return a.mix.Name() }
@@ -642,62 +685,4 @@ func (a *jobsApp) audit(s *stm.STM) error {
 		return fmt.Errorf("harness: audit jobs: %w", err)
 	}
 	return nil
-}
-
-// kvwalApp is the kv application with a write-ahead log attached
-// (Figure 9): every measured write transaction additionally captures
-// its write set and enqueues it from the commit hook, so the figure
-// prices the logging path — capture, stripe-held enqueue, group-commit
-// handoff — against Figure 8's in-memory baseline. Records are logged
-// without a durability ack (kv.Store.SealLogAsync): workers measure
-// logging overhead, not the disk's fsync latency, which the group
-// commit amortizes off the commit path anyway.
-type kvwalApp struct {
-	*kvApp
-	walDir string
-	log    *wal.Log
-}
-
-func (a *kvwalApp) seed(s *stm.STM, rng *rand.Rand) error {
-	dir, err := os.MkdirTemp("", "stmbench-wal-")
-	if err != nil {
-		return fmt.Errorf("harness: wal dir: %w", err)
-	}
-	a.walDir = dir
-	// Seeding runs without the log attached: the figure measures
-	// steady-state logging, not the seeding burst.
-	if err := a.kvApp.seed(s, rng); err != nil {
-		return err
-	}
-	l, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		return fmt.Errorf("harness: wal open: %w", err)
-	}
-	a.log = l
-	a.store.AttachWAL(l)
-	return nil
-}
-
-func (a *kvwalApp) step(tx *stm.Tx, d opDesc) error {
-	a.store.ArmLog(tx)
-	if err := a.kvApp.step(tx, d); err != nil {
-		return err
-	}
-	a.store.SealLogAsync(tx)
-	return nil
-}
-
-// close releases the run's log and scratch directory; the harness
-// calls it through the optional closer interface after the run.
-func (a *kvwalApp) close() error {
-	var err error
-	if a.log != nil {
-		err = a.log.Close()
-	}
-	if a.walDir != "" {
-		if rerr := os.RemoveAll(a.walDir); err == nil {
-			err = rerr
-		}
-	}
-	return err
 }

@@ -64,3 +64,39 @@ func TestRunReturnsCloseError(t *testing.T) {
 		t.Fatalf("run error = %v, want the close error %v", err, errLogDied)
 	}
 }
+
+// TestKVWALLogsWrites: Figure 9's app logs each write transaction the
+// worker loop runs on the engine directly, and nothing else — the
+// store arms the capture, so the app has no logging step to forget.
+func TestKVWALLogsWrites(t *testing.T) {
+	cfg := Config{Structure: "kvwal", KeyRange: 64}.withDefaults()
+	keys, err := workload.NewKeyDist(cfg.KeyDist, cfg.KeyRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	application, err := newApp(cfg, keys, workload.UpdateMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := application.(*kvApp)
+	defer a.close()
+	s := stm.New()
+	if err := a.seed(s, rand.New(rand.NewPCG(1, 2))); err != nil {
+		t.Fatal(err)
+	}
+	const writes = 10
+	for i := 0; i < writes; i++ {
+		for _, op := range []workload.Op{workload.OpInsert, workload.OpLookup} {
+			d := opDesc{op: op, key: i, now: a.store.Now()}
+			if err := s.Atomically(func(tx *stm.Tx) error { return a.step(tx, d) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.log.Stats().Records(); got != writes {
+		t.Fatalf("%d records logged, want one per write transaction (%d)", got, writes)
+	}
+}

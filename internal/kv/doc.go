@@ -34,7 +34,8 @@
 //
 // Expiry is lazy: a read treats a dead entry as absent without
 // writing, a write replaces or removes only the key it names, and
-// Sweep reaps shard by shard, one transaction each. A transactional
+// Sweep reaps shard by shard, one transaction each (the server runs
+// one shard per tick in the background: WithSweep). A transactional
 // flag per shard, set by every write of a deadline and cleared by the
 // sweep that keeps none, lets a sweep of a shard without TTLs end
 // after one read instead of walking every bucket. Time comes from the

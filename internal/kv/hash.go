@@ -53,7 +53,7 @@ func (st *Store) HSetTx(tx *stm.Tx, now int64, key, name, val string) (bool, err
 	if err != nil {
 		return false, err
 	}
-	capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})
+	st.capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})
 	return !existed, nil
 }
 
@@ -83,7 +83,7 @@ func (st *Store) HDelTx(tx *stm.Tx, now int64, key string, names ...string) (int
 			continue
 		}
 		removed++
-		capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Del: true})
+		st.capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Del: true})
 	}
 	if removed > 0 {
 		n, err := e.hash.Len(tx)
@@ -142,6 +142,6 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 	if _, _, err := e.hash.Put(tx, name, val); err != nil {
 		return 0, err
 	}
-	capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})
+	st.capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})
 	return n, nil
 }

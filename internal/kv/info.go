@@ -120,18 +120,6 @@ func (srv *Server) observe(h *heldReply) {
 	}
 }
 
-// NoteSweepFailure counts a failed background sweeper pass; the
-// sweeper goroutine lives in cmd/stmkv, the count surfaces in INFO
-// stats and /metrics.
-func (srv *Server) NoteSweepFailure() { srv.sm.sweepFailures.Inc() }
-
-// NoteSweepReaped counts keys removed by the background sweeper.
-func (srv *Server) NoteSweepReaped(n int) { srv.sm.sweepReaped.Add(int64(n)) }
-
-// NoteBgsaveFailure counts a failed background save (scheduled
-// -bgsave-every runs and BGSAVE commands alike).
-func (srv *Server) NoteBgsaveFailure() { srv.sm.bgsaveFailures.Inc() }
-
 // replyFlushes is how many batches of replies the server has sent —
 // one writev(2) each on a TCP connection.
 func (srv *Server) replyFlushes() int64 { return srv.sm.replyFlushes.Value() }

@@ -256,8 +256,8 @@ func TestMetricsExposition(t *testing.T) {
 	if v, _ := c.do("GET"); !v.IsError() {
 		t.Fatalf("GET with no key = %+v, want arity error", v)
 	}
-	srv.NoteSweepFailure()
-	srv.NoteBgsaveFailure()
+	srv.sm.sweepFailures.Inc()
+	srv.sm.bgsaveFailures.Inc()
 
 	mux := obs.Mux(reg, nil)
 	hs := httptest.NewServer(mux)

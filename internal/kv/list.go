@@ -44,7 +44,7 @@ func (st *Store) pushTx(tx *stm.Tx, now int64, key string, front bool, vals []st
 		return 0, err
 	}
 	for _, v := range vals {
-		capture(tx, wal.Op{Kind: wal.KindList, Key: key, Val: v, Front: front})
+		st.capture(tx, wal.Op{Kind: wal.KindList, Key: key, Val: v, Front: front})
 	}
 	return e.list.Len(tx)
 }
@@ -74,7 +74,7 @@ func (st *Store) popTx(tx *stm.Tx, now int64, key string, front bool) (string, b
 	if err != nil || !ok {
 		return "", false, err // empty lists are unrepresentable, but stay safe
 	}
-	capture(tx, wal.Op{Kind: wal.KindList, Key: key, Del: true, Front: front})
+	st.capture(tx, wal.Op{Kind: wal.KindList, Key: key, Del: true, Front: front})
 	n, err := e.list.Len(tx)
 	if err != nil {
 		return "", false, err

@@ -59,7 +59,7 @@ func (st *Store) putTx(tx *stm.Tx, key, val string, expireAt int64) error {
 	if err := st.putEntry(tx, key, entry{val: val, expireAt: expireAt}); err != nil {
 		return err
 	}
-	capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
+	st.capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
 	return nil
 }
 
@@ -72,7 +72,7 @@ func (st *Store) DelTx(tx *stm.Tx, now int64, key string) (bool, error) {
 		// reproduces by expiry alone: not logged, not counted.
 		return false, err
 	}
-	capture(tx, wal.Op{Key: key, Del: true})
+	st.capture(tx, wal.Op{Key: key, Del: true})
 	return true, nil
 }
 
@@ -116,7 +116,7 @@ func (st *Store) ExpireTx(tx *stm.Tx, now int64, key string, ttl time.Duration) 
 	if err != nil || !ok {
 		return false, err
 	}
-	capture(tx, wal.Op{Key: key, Touch: true, ExpireAt: expireAt})
+	st.capture(tx, wal.Op{Key: key, Touch: true, ExpireAt: expireAt})
 	return true, nil
 }
 

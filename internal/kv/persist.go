@@ -2,21 +2,26 @@ package kv
 
 // Durability plumbing: the store's bridge to internal/wal.
 //
-// Capture. When a WAL is attached, Store.commit parks a writeCapture
-// in the transaction's local slot; putTx and DelTx append each
-// mutation to it as an absolute wal.Op (value or tombstone, with the
-// expiry deadline). If the transaction ends up writing anything, a
-// commit hook appends the captured ops to the log while the commit still
-// holds its write set's commit stripes — so the log's LSN order equals
-// the per-key commit order (see Tx.OnCommit and DESIGN.md §Durability) —
-// and the durability wait happens after the stripes are released, in
+// Capture. When a WAL is attached, every mutation appends itself to the
+// transaction's writeCapture as an absolute wal.Op (value or tombstone,
+// with the expiry deadline), and the store arms that capture itself:
+// Store.commit parks a pooled one in the transaction's local slot before
+// the body runs, and capture arms one on the first write of any other
+// transaction. If the transaction ends up writing anything, a commit
+// hook appends the captured ops to the log while the commit still holds
+// its write set's commit stripes — so the log's LSN order equals the
+// per-key commit order (see Tx.OnCommit and DESIGN.md §Durability) — and
+// the durability wait happens after the stripes are released, in
 // pending.wait: at once for Store.Atomically's callers, when the reply
-// is released for the server's (see outbox in server.go).
+// is released for the server's (see outbox in server.go). A transaction
+// the caller runs on the STM directly is logged without a wait.
 //
-// Restore. Recovery applies the snapshot and log through Apply,
-// which replays write sets without capture (the WAL is attached only
-// after recovery, and Apply goes through the raw STM surface), so
-// replayed history is not re-logged.
+// Snapshots. Save cuts a checkpoint that truncates the log; the server
+// runs it for SAVE, for BGSAVE and on its schedule (WithSaveSchedule).
+//
+// Restore. Recovery applies the snapshot and log through Apply before
+// the WAL is attached, so nothing is captured and replayed history is
+// not re-logged.
 
 import (
 	"context"
@@ -58,44 +63,28 @@ func (st *Store) WAL() *wal.Log { return st.log }
 // Durable reports whether a WAL is attached.
 func (st *Store) Durable() bool { return st.log != nil }
 
-// capture appends op to the transaction's write capture, if one is
-// armed. Mutating operations call it after their bucket write
-// succeeds; transactions without a capture (recovery replay, stores
-// without a WAL, read paths) log nothing.
-func capture(tx *stm.Tx, op wal.Op) {
-	if c, ok := tx.Local().(*writeCapture); ok {
-		c.ops = append(c.ops, op)
-	}
-}
-
-// ArmLog arms write-set capture on a transaction driven by an
-// external Atomically loop (the benchmark harness drives the *Tx
-// forms directly). Call it at the top of the transactional function —
-// attempts do not inherit the previous attempt's capture — and pair
-// it with SealLogAsync after the last mutation. No-op without a WAL.
-func (st *Store) ArmLog(tx *stm.Tx) {
-	if st.log == nil {
-		return
-	}
-	if c, ok := tx.Local().(*writeCapture); ok {
-		c.ops = c.ops[:0]
-		return
-	}
-	tx.SetLocal(&writeCapture{})
-}
-
-// SealLogAsync registers a commit hook that logs the captured write
-// set without a durability ack: the record reaches disk with the
-// next group commit, but the caller does not wait for it. This is
-// the harness's mode — it measures logging overhead, not fsync
-// latency; the server path waits via Store.Atomically instead.
-func (st *Store) SealLogAsync(tx *stm.Tx) {
-	if st.log == nil {
-		return
-	}
-	if c, ok := tx.Local().(*writeCapture); ok && len(c.ops) > 0 {
+// capture appends op to the transaction's write capture. Mutating
+// operations call it after their bucket write succeeds. Store.commit
+// arms a pooled capture before the transaction body runs; any other
+// transaction that writes to a store with a log — a caller's own
+// stm.Atomically over the *Tx forms — gets one armed here, on its first
+// write, with a commit hook that appends the write set to the log
+// without waiting for it to reach disk. So every write set of a durable
+// store is logged, whoever runs the transaction; such a transaction must
+// not register a commit hook of its own (there is one per attempt).
+// Without a log (recovery replay, memory-only stores) nothing is
+// captured.
+func (st *Store) capture(tx *stm.Tx, op wal.Op) {
+	c, ok := tx.Local().(*writeCapture)
+	if !ok {
+		if st.log == nil {
+			return
+		}
+		c = &writeCapture{}
+		tx.SetLocal(c)
 		tx.OnCommit(func() { st.log.AppendAsync(c.ops) })
 	}
+	c.ops = append(c.ops, op)
 }
 
 // SnapshotOps dumps every live entry as a canonical absolute op
@@ -333,12 +322,13 @@ func (st *Store) cutChunk(sh *container.Map[string, entry], c class, buf []wal.O
 }
 
 // Apply replays one recovered write set (or snapshot batch) in a
-// single transaction, in record order. It bypasses capture — wire it
-// to wal.Recover before AttachWAL — and carries absolute values, so
-// replay over a snapshot is idempotent. Entries already past their
-// deadline load as dead and read as absent, preserving TTL semantics
-// across a restart as long as the store clock survives one (the
-// server anchors it to the unix epoch when running durable).
+// single transaction, in record order. Wire it to wal.Recover before
+// AttachWAL, so that nothing it replays is logged again. Ops carry
+// absolute values, so replay over a snapshot is idempotent. Entries
+// already past their deadline load as dead and read as absent,
+// preserving TTL semantics across a restart as long as the store clock
+// survives one (the server anchors it to the unix epoch when running
+// durable).
 func (st *Store) Apply(ops []wal.Op) error {
 	now := st.now()
 	err := st.s.Atomically(func(tx *stm.Tx) error {

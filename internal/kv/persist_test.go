@@ -133,6 +133,56 @@ func TestWALRestoreEqualsPreCrashState(t *testing.T) {
 	}
 }
 
+// TestRawTransactionIsLogged: a write set committed through the STM
+// directly — the *Tx forms under the caller's own Atomically, as the
+// benchmark harness runs them — is logged like one through the store's
+// Atomically, so it recovers from the directory.
+func TestRawTransactionIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	st := New(stm.New())
+	l := openTestWAL(t, dir)
+	st.AttachWAL(l)
+	err := st.STM().Atomically(func(tx *stm.Tx) error {
+		now := st.Now()
+		if err := st.SetTx(tx, now, "k", "v", 0); err != nil {
+			return err
+		}
+		_, err := st.HSetTx(tx, now, "h", "f", "1")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A read-only transaction arms nothing and logs nothing.
+	if err := st.STM().Atomically(func(tx *stm.Tx) error {
+		_, _, err := st.GetTx(tx, st.Now(), "k")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Records(); got != 1 {
+		t.Fatalf("%d records logged, want the one write set", got)
+	}
+	fresh := New(stm.New())
+	if _, err := wal.Recover(dir, fresh.Apply); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := fresh.Get("k"); err != nil || !ok || v != "v" {
+		t.Fatalf("recovered k = %q, %v, %v; want v", v, ok, err)
+	}
+	var f string
+	err = fresh.Atomically(func(tx *stm.Tx, now int64) (err error) {
+		f, _, err = fresh.HGetTx(tx, now, "h", "f")
+		return err
+	})
+	if err != nil || f != "1" {
+		t.Fatalf("recovered h.f = %q, %v; want 1", f, err)
+	}
+}
+
 // TestWALConcurrentTransfersConserve hammers the durable store with
 // concurrent cross-key transfers, then recovers the directory
 // as-is — no clean Close, as a crash would leave it — and checks the

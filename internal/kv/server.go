@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
@@ -43,16 +44,52 @@ type Server struct {
 	managerName string
 	started     time.Time
 
+	// The server's own transaction streams, run from Serve to Close
+	// (see WithSweep and WithSaveSchedule); zero runs none.
+	sweep       time.Duration
+	saveEvery   time.Duration
+	saveRecords int64
+
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
-	// ctx ends at Close: it stops a SAVE or BGSAVE between two chunks
-	// (background saves are in wg, so Close waits them out).
+	// wg holds the connection handlers, the sweeper, the snapshot
+	// schedule and any background save, so Close waits them all out.
+	wg sync.WaitGroup
+	// ctx ends at Close: it stops the sweeper and the snapshot schedule
+	// at their next tick, and a SAVE or BGSAVE between two chunks.
 	ctx  context.Context
 	stop context.CancelFunc
 }
+
+// WithSweep has the server run the background TTL sweeper while it
+// serves: one Store.SweepShard per tick, the shards in turn, with the
+// tick jittered around cadence/shards (at least 1 ms), so that a full
+// pass takes about cadence without phase-locking against client
+// traffic. Reaped keys are tombstoned in the log, so replay agrees with
+// the reap. Zero, the default, runs no sweeper.
+func WithSweep(cadence time.Duration) ServerOption {
+	return func(srv *Server) { srv.sweep = cadence }
+}
+
+// WithSaveSchedule has a durable server cut snapshots while it serves:
+// one every interval, or one whenever at least records new records have
+// reached the log since the last (checked every savePoll). Give one of
+// the two and leave the other zero; both nonzero panics. Each snapshot
+// is the same Store.Save as a BGSAVE, so the log is truncated
+// continuously and a restart replays a bounded suffix whatever the
+// write load. Both zero, the default, runs no schedule; a memory-only
+// server runs none either.
+func WithSaveSchedule(every time.Duration, records int64) ServerOption {
+	if every != 0 && records != 0 {
+		panic("kv: WithSaveSchedule takes a duration or a record count, not both")
+	}
+	return func(srv *Server) { srv.saveEvery, srv.saveRecords = every, records }
+}
+
+// savePoll is how often a record-count schedule reads the log's count.
+const savePoll = 100 * time.Millisecond
 
 // NewServer returns a server for the store. It keeps its metrics in
 // a registry of its own (see Registry), which INFO reads and an HTTP
@@ -79,7 +116,8 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	return srv
 }
 
-// Serve accepts connections on ln until Close. It returns nil after a
+// Serve accepts connections on ln until Close, and runs the sweeper and
+// the snapshot schedule the options asked for. It returns nil after a
 // clean shutdown, or the first accept error otherwise.
 func (srv *Server) Serve(ln net.Listener) error {
 	srv.mu.Lock()
@@ -89,6 +127,12 @@ func (srv *Server) Serve(ln net.Listener) error {
 		return errors.New("kv: server already closed")
 	}
 	srv.ln = ln
+	if srv.sweep > 0 {
+		srv.spawn(srv.sweepLoop)
+	}
+	if (srv.saveEvery > 0 || srv.saveRecords > 0) && srv.store.Durable() {
+		srv.spawn(srv.saveLoop)
+	}
 	srv.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
@@ -114,8 +158,9 @@ func (srv *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes every live connection and waits for
-// their handlers to drain — the clean-shutdown contract the smoke mode
+// Close stops accepting, closes every live connection, stops the
+// sweeper, the snapshot schedule and any save in progress, and waits
+// for all of them to drain — the clean-shutdown contract the smoke mode
 // asserts.
 func (srv *Server) Close() error {
 	srv.mu.Lock()
@@ -136,6 +181,77 @@ func (srv *Server) Close() error {
 	}
 	srv.wg.Wait()
 	return err
+}
+
+// spawn runs fn in the background until it returns; Close waits for it.
+// The caller holds mu, or is a handler, which Close waits for too.
+func (srv *Server) spawn(fn func()) {
+	srv.wg.Add(1)
+	go func() {
+		defer srv.wg.Done()
+		fn()
+	}()
+}
+
+// sweepLoop is the TTL sweeper WithSweep asks for. The jitter is seeded,
+// so every run sweeps on the same schedule.
+func (srv *Server) sweepLoop() {
+	st := srv.store
+	rng := rand.New(rand.NewPCG(0x51eeb, 0x5ee9))
+	per := max(srv.sweep/time.Duration(st.Shards()), time.Millisecond)
+	timer := time.NewTimer(per)
+	defer timer.Stop()
+	for shard := 0; ; shard = (shard + 1) % st.Shards() {
+		select {
+		case <-srv.ctx.Done():
+			return
+		case <-timer.C:
+		}
+		if reaped, err := st.SweepShard(shard); err != nil {
+			srv.sm.sweepFailures.Inc()
+			log.Printf("kv: sweep shard %d: %v", shard, err)
+		} else {
+			srv.sm.sweepReaped.Add(int64(reaped))
+		}
+		timer.Reset(time.Duration(float64(per) * (0.75 + 0.5*rng.Float64())))
+	}
+}
+
+// saveLoop is the snapshot schedule WithSaveSchedule asks for.
+func (srv *Server) saveLoop() {
+	tick := srv.saveEvery
+	if srv.saveRecords > 0 {
+		tick = savePoll
+	}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	last := srv.store.WAL().Stats().Records()
+	for {
+		select {
+		case <-srv.ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		if srv.saveRecords > 0 {
+			records := srv.store.WAL().Stats().Records()
+			if records-last < srv.saveRecords {
+				continue
+			}
+			last = records
+		}
+		srv.backgroundSave()
+	}
+}
+
+// backgroundSave cuts a snapshot for BGSAVE or the schedule. A save that
+// Close cancelled, or that found another one running, has not failed;
+// any other error is counted (INFO stats, /metrics) and logged.
+func (srv *Server) backgroundSave() {
+	err := srv.store.Save(srv.ctx)
+	if err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) && srv.ctx.Err() == nil {
+		srv.sm.bgsaveFailures.Inc()
+		log.Printf("kv: background save: %v", err)
+	}
 }
 
 // drop unregisters and closes a finished connection.
@@ -610,14 +726,7 @@ func (srv *Server) bgsave(_ *connState, _ *args) resp.Value {
 	if !srv.store.Durable() {
 		return resp.ErrVal(errNotDurable)
 	}
-	srv.wg.Add(1) // from a handler, which Close is still waiting for
-	go func() {
-		defer srv.wg.Done()
-		if err := srv.store.Save(srv.ctx); err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) && !errors.Is(err, context.Canceled) {
-			srv.NoteBgsaveFailure()
-			log.Printf("kv: background save: %v", err)
-		}
-	}()
+	srv.spawn(srv.backgroundSave)
 	return resp.SimpleVal("Background saving started")
 }
 

@@ -3,9 +3,12 @@ package kv
 import (
 	"fmt"
 	"net"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -593,4 +596,163 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	if _, err := c.do("PING"); err == nil {
 		t.Fatal("connection survived server Close")
 	}
+}
+
+// TestServerSurface pins the exported *Server methods. The server runs
+// its own background work (WithSweep, WithSaveSchedule) and keeps its
+// own counters, so a method that lets an outside caller report into
+// it does not belong here.
+func TestServerSurface(t *testing.T) {
+	want := []string{"Close", "Registry", "Serve"}
+	typ := reflect.TypeOf((*Server)(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Server methods:\n got  %v\n want %v", got, want)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestCloseStopsBackgroundLoops pins the server's ownership of its two
+// background transaction streams: Serve starts the TTL sweeper and the
+// snapshot schedule, and once Close returns neither runs again. A
+// snapshot in progress at Close stops at its next chunk and publishes
+// nothing, and the cancelled save is not counted as a failure.
+func TestCloseStopsBackgroundLoops(t *testing.T) {
+	var clk fakeClock
+	st := New(stm.New(), WithClock(clk.now))
+	l := openTestWAL(t, t.TempDir())
+	defer l.Close()
+	st.AttachWAL(l)
+	srv := NewServer(st, WithSweep(16*time.Millisecond), WithSaveSchedule(time.Millisecond, 0))
+	// The hook parks the first chunk cut after park is set until Close
+	// cancels the server's context.
+	var park atomic.Bool
+	var chunks atomic.Int64
+	parked := make(chan struct{})
+	st.chunkCut = func(int) {
+		chunks.Add(1)
+		if park.CompareAndSwap(true, false) {
+			close(parked)
+			<-srv.ctx.Done()
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	// Both loops run: the sweeper reaps a dead key, the schedule
+	// publishes snapshots.
+	if err := st.SetTTL("early", "v", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second)
+	waitFor(t, "the sweeper to reap", func() bool { return srv.sm.sweepReaped.Value() == 1 })
+	waitFor(t, "two scheduled snapshots", func() bool { return l.Stats().Snapshots >= 2 })
+
+	park.Store(true)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no snapshot chunk was cut after the schedule was parked")
+	}
+	snaps := l.Stats().Snapshots
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned: %v", err)
+	}
+	if got := l.Stats().Snapshots; got != snaps {
+		t.Fatalf("the save parked at Close published: %d snapshots, want %d", got, snaps)
+	}
+	cut, reaped := chunks.Load(), srv.sm.sweepReaped.Value()
+
+	// A dead key written now arms its shard, which a running sweeper
+	// would reap and disarm; a running schedule would cut chunks. Many
+	// sweeper passes and schedule ticks later, neither has happened.
+	if err := st.SetTTL("late", "v", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second)
+	time.Sleep(100 * time.Millisecond)
+	if got := srv.sm.sweepReaped.Value(); got != reaped {
+		t.Fatalf("sweeper reaped %d keys after Close", got-reaped)
+	}
+	if got := st.armedShards(); got != 1 {
+		t.Fatalf("%d shards armed after Close, want the late key's 1", got)
+	}
+	if got := chunks.Load(); got != cut {
+		t.Fatalf("%d snapshot chunks cut after Close", got-cut)
+	}
+	if got := l.Stats().Snapshots; got != snaps {
+		t.Fatalf("%d snapshots published after Close", got-snaps)
+	}
+	if got := srv.sm.bgsaveFailures.Value(); got != 0 {
+		t.Fatalf("%d background saves counted as failed; a cancelled one is not", got)
+	}
+}
+
+// TestSaveScheduleCountsRecords pins the record-count schedule
+// (-bgsave-every <n>ops): no snapshot while fewer than n records have
+// reached the log since the last, one soon after the n-th.
+func TestSaveScheduleCountsRecords(t *testing.T) {
+	st := New(stm.New())
+	l := openTestWAL(t, t.TempDir())
+	defer l.Close()
+	st.AttachWAL(l)
+	const n = 20
+	srv := NewServer(st, WithSaveSchedule(0, n))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve returned: %v", err)
+		}
+	}()
+
+	set := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := st.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set(0, n-1)
+	time.Sleep(3*savePoll + savePoll/2)
+	if got := l.Stats().Snapshots; got != 0 {
+		t.Fatalf("%d snapshots after %d of %d records", got, n-1, n)
+	}
+	set(n-1, n)
+	waitFor(t, "a snapshot after the n-th record", func() bool { return l.Stats().Snapshots == 1 })
+
+	set(n, 2*n-1)
+	time.Sleep(3*savePoll + savePoll/2)
+	if got := l.Stats().Snapshots; got != 1 {
+		t.Fatalf("%d snapshots after %d more records, want still 1", got, n-1)
+	}
+	set(2*n-1, 2*n)
+	waitFor(t, "a second snapshot after n more records", func() bool { return l.Stats().Snapshots == 2 })
 }

@@ -316,7 +316,7 @@ func (st *Store) SweepShard(i int) (n int, err error) {
 			return err
 		}
 		for _, key := range reaped {
-			capture(tx, wal.Op{Key: key, Del: true})
+			st.capture(tx, wal.Op{Key: key, Del: true})
 		}
 		n = len(reaped)
 		if !keptDeadline {

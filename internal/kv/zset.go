@@ -121,7 +121,7 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 	if _, _, err := e.zset.index.Put(tx, member, scoreStr); err != nil {
 		return false, err
 	}
-	capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: scoreStr})
+	st.capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: scoreStr})
 	return !ok, nil
 }
 
@@ -169,7 +169,7 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 			return 0, err
 		}
 		removed++
-		capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Del: true})
+		st.capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Del: true})
 	}
 	if removed > 0 {
 		// Emptiness is the skip list's to answer — one read past its head

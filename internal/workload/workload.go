@@ -1,10 +1,6 @@
-// Package workload provides the random-workload generators shared by
-// the benchmark harness and the scheduling simulator: key
-// distributions (uniform and Zipf — contention in real systems is
-// rarely uniform), transaction-length distributions (fixed, uniform,
-// and the bimodal one-or-all mix that the red-black forest induces),
-// and a generator turning a workload description into a simulator
-// instance.
+// Package workload provides the benchmark harness's random-workload
+// generators: key distributions (uniform and Zipf — contention in real
+// systems is rarely uniform) and operation mixes.
 package workload
 
 import (
@@ -12,8 +8,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-
-	"repro/internal/sched"
 )
 
 // KeyDist samples keys in [0, N).
@@ -109,135 +103,4 @@ func NewKeyDist(name string, n int) (KeyDist, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown key distribution %q", name)
 	}
-}
-
-// LengthDist samples transaction lengths in ticks.
-type LengthDist interface {
-	// Sample draws one length (>= 1).
-	Sample(rng *rand.Rand) int
-	// Name identifies the distribution in reports.
-	Name() string
-}
-
-// Fixed always returns the same length (the paper's "constant size
-// transactions").
-type Fixed struct {
-	// L is the length.
-	L int
-}
-
-// Sample implements LengthDist.
-func (f Fixed) Sample(*rand.Rand) int {
-	if f.L < 1 {
-		return 1
-	}
-	return f.L
-}
-
-// Name implements LengthDist.
-func (f Fixed) Name() string { return fmt.Sprintf("fixed(%d)", f.L) }
-
-// UniformLength draws lengths uniformly from [Min, Max].
-type UniformLength struct {
-	Min, Max int
-}
-
-// Sample implements LengthDist.
-func (u UniformLength) Sample(rng *rand.Rand) int {
-	lo, hi := u.Min, u.Max
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo + int(rng.Int64N(int64(hi-lo+1)))
-}
-
-// Name implements LengthDist.
-func (u UniformLength) Name() string { return fmt.Sprintf("uniform[%d,%d]", u.Min, u.Max) }
-
-// Bimodal mixes short and long transactions — the red-black forest's
-// one-or-all profile, and the regime where the paper observes backoff
-// struggling ("less effective if long transactions must compete with
-// shorter transactions").
-type Bimodal struct {
-	Short, Long int
-	// PLong is the probability of a long transaction.
-	PLong float64
-}
-
-// Sample implements LengthDist.
-func (b Bimodal) Sample(rng *rand.Rand) int {
-	short, long := b.Short, b.Long
-	if short < 1 {
-		short = 1
-	}
-	if long < short {
-		long = short
-	}
-	if rng.Float64() < b.PLong {
-		return long
-	}
-	return short
-}
-
-// Name implements LengthDist.
-func (b Bimodal) Name() string {
-	return fmt.Sprintf("bimodal(%d/%d,p=%.2f)", b.Short, b.Long, b.PLong)
-}
-
-// Spec describes a random simulator workload.
-type Spec struct {
-	// Transactions is n.
-	Transactions int
-	// Objects is s.
-	Objects int
-	// Keys selects which objects a transaction touches (sampled with
-	// rejection until distinct).
-	Keys KeyDist
-	// Lengths draws transaction lengths in ticks.
-	Lengths LengthDist
-	// AccessesPer bounds the objects touched per transaction.
-	AccessesPer int
-}
-
-// Instance draws a simulator instance from the spec. Timestamps are a
-// random permutation of arrival ranks.
-func (sp Spec) Instance(rng *rand.Rand) (*sched.Instance, error) {
-	if sp.Transactions <= 0 || sp.Objects <= 0 {
-		return nil, fmt.Errorf("workload: need positive transactions and objects, got %d and %d", sp.Transactions, sp.Objects)
-	}
-	if sp.Keys == nil || sp.Keys.N() != sp.Objects {
-		return nil, fmt.Errorf("workload: key distribution must cover exactly the object universe")
-	}
-	if sp.Lengths == nil {
-		return nil, fmt.Errorf("workload: nil length distribution")
-	}
-	per := sp.AccessesPer
-	if per <= 0 || per > sp.Objects {
-		per = sp.Objects
-	}
-	stamps := rng.Perm(sp.Transactions)
-	specs := make([]sched.TxSpec, sp.Transactions)
-	for i := range specs {
-		length := sp.Lengths.Sample(rng)
-		k := 1 + int(rng.Int64N(int64(per)))
-		seen := make(map[int]bool, k)
-		accesses := make([]sched.Access, 0, k)
-		for len(accesses) < k && len(seen) < sp.Objects {
-			obj := sp.Keys.Sample(rng)
-			if seen[obj] {
-				continue
-			}
-			seen[obj] = true
-			accesses = append(accesses, sched.Access{
-				Offset: int(rng.Int64N(int64(length))),
-				Object: obj,
-			})
-		}
-		sort.Slice(accesses, func(a, b int) bool { return accesses[a].Offset < accesses[b].Offset })
-		specs[i] = sched.TxSpec{ID: i, Length: length, Timestamp: stamps[i], Accesses: accesses}
-	}
-	return &sched.Instance{Specs: specs, Objects: sp.Objects}, nil
 }

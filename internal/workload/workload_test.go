@@ -4,10 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -87,121 +84,5 @@ func TestNewKeyDist(t *testing.T) {
 	}
 	if _, err := workload.NewKeyDist("zipf:x", 8); err == nil {
 		t.Fatal("bad zipf exponent accepted")
-	}
-}
-
-func TestLengthDistributions(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 8))
-	if got := (workload.Fixed{L: 3}).Sample(rng); got != 3 {
-		t.Fatalf("fixed = %d", got)
-	}
-	if got := (workload.Fixed{L: 0}).Sample(rng); got != 1 {
-		t.Fatalf("fixed floor = %d, want 1", got)
-	}
-	for i := 0; i < 200; i++ {
-		got := (workload.UniformLength{Min: 2, Max: 5}).Sample(rng)
-		if got < 2 || got > 5 {
-			t.Fatalf("uniform length %d outside [2,5]", got)
-		}
-	}
-	shorts, longs := 0, 0
-	bi := workload.Bimodal{Short: 1, Long: 10, PLong: 0.3}
-	for i := 0; i < 2000; i++ {
-		switch bi.Sample(rng) {
-		case 1:
-			shorts++
-		case 10:
-			longs++
-		default:
-			t.Fatal("bimodal produced a third value")
-		}
-	}
-	if longs == 0 || shorts == 0 {
-		t.Fatalf("bimodal degenerate: %d/%d", shorts, longs)
-	}
-	if longs > shorts {
-		t.Fatalf("p=0.3 produced more longs (%d) than shorts (%d)", longs, shorts)
-	}
-}
-
-func TestSpecInstanceValid(t *testing.T) {
-	keys, err := workload.NewZipf(5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := workload.Spec{
-		Transactions: 6,
-		Objects:      5,
-		Keys:         keys,
-		Lengths:      workload.UniformLength{Min: 1, Max: 4},
-		AccessesPer:  3,
-	}
-	rng := rand.New(rand.NewPCG(9, 4))
-	ins, err := spec.Instance(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ins.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ins.Specs) != 6 || ins.Objects != 5 {
-		t.Fatalf("instance shape wrong: %d specs, %d objects", len(ins.Specs), ins.Objects)
-	}
-	// Timestamps are a permutation of 0..n-1.
-	seen := make(map[int]bool)
-	for _, sp := range ins.Specs {
-		if seen[sp.Timestamp] {
-			t.Fatalf("duplicate timestamp %d", sp.Timestamp)
-		}
-		seen[sp.Timestamp] = true
-	}
-}
-
-func TestSpecInstanceRejectsBadSpecs(t *testing.T) {
-	keys, _ := workload.NewUniform(4)
-	rng := rand.New(rand.NewPCG(1, 1))
-	bad := []workload.Spec{
-		{Transactions: 0, Objects: 4, Keys: keys, Lengths: workload.Fixed{L: 1}},
-		{Transactions: 2, Objects: 5, Keys: keys, Lengths: workload.Fixed{L: 1}}, // N mismatch
-		{Transactions: 2, Objects: 4, Keys: keys},                                // nil lengths
-	}
-	for i, sp := range bad {
-		if _, err := sp.Instance(rng); err == nil {
-			t.Errorf("spec %d accepted", i)
-		}
-	}
-}
-
-// TestQuickSpecInstancesSimulate: arbitrary workload instances
-// validate and complete under greedy, satisfying pending-commit.
-func TestQuickSpecInstancesSimulate(t *testing.T) {
-	property := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed^0xf00d))
-		keys, err := workload.NewZipf(3+int(rng.Int64N(3)), 0.5+rng.Float64())
-		if err != nil {
-			return false
-		}
-		spec := workload.Spec{
-			Transactions: 2 + int(rng.Int64N(5)),
-			Objects:      keys.N(),
-			Keys:         keys,
-			Lengths:      workload.Bimodal{Short: 1, Long: 5, PLong: 0.3},
-			AccessesPer:  2,
-		}
-		ins, err := spec.Instance(rng)
-		if err != nil {
-			return false
-		}
-		if ins.Validate() != nil {
-			return false
-		}
-		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
-		if err != nil || !res.Completed {
-			return false
-		}
-		return sched.CheckPendingCommit(res) < 0
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
