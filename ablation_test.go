@@ -89,10 +89,13 @@ func seedList(b *testing.B, world *stm.STM, list *intset.List) {
 	}
 }
 
-// BenchmarkAblationInterleave quantifies the cooperative-interleaving
-// substitution (DESIGN.md): the yield period trades single-thread
-// speed for cross-transaction overlap. Contention (aborts/commit,
-// reported) rises as the period shrinks.
+// BenchmarkAblationInterleave is an engine ablation of
+// stm.WithInterleavePeriod, the yield every n-th open that tests use
+// to force attempts to overlap: the period trades single-thread speed
+// for cross-transaction overlap, and contention (aborts/commit,
+// reported) rises as it shrinks. It is not the figures' setting: they
+// run under the harness's context model, which never yields inside an
+// attempt (DESIGN.md §Substitutions).
 func BenchmarkAblationInterleave(b *testing.B) {
 	for _, period := range []int{0, 16, 4, 1} {
 		period := period

@@ -22,9 +22,10 @@ import (
 const benchThreads = 8
 
 // runFixedOps measures b.N set operations spread across benchThreads
-// workers on the given structure under the given manager — the
-// fixed-work (rather than fixed-time) form of the harness used by the
-// figures, so ns/op is comparable across managers.
+// workers on the given structure under the given manager — a
+// fixed-work (rather than fixed-time) form of a figure point, so ns/op
+// is comparable across managers. It keeps its own schedule, a yield
+// every 4 opens, not the figures' context model.
 func runFixedOps(b *testing.B, structure, manager string, tailWork int, forestAllProb float64) {
 	b.Helper()
 	factory, err := core.Factory(manager)

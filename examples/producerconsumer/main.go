@@ -1,8 +1,9 @@
-// Producer/consumer: N producers feed a transactional FIFO, M
+// Producer/consumer: N producers feed a transactional FIFO (a
+// container.Deque pushed at the back and popped at the front), M
 // consumers drain it, and the run verifies exactly-once delivery in
 // FIFO order.
 //
-// The queue's head and tail variables are permanent hot spots — every
+// The deque's two end runs are permanent hot spots — every
 // producer conflicts with every producer, every consumer with every
 // consumer — so the contention manager is on the critical path of
 // every operation. The invariants checked at the end (and the exit
@@ -12,7 +13,7 @@
 //     nothing else is consumed;
 //   - per-producer FIFO: for any single producer, consumers observe
 //     that producer's items in production order (a property single
-//     global serialization of enqueues and dequeues must preserve).
+//     global serialization of pushes and pops must preserve).
 //
 // Run it with different managers to compare how they handle the
 // symmetric hot-spot load:
@@ -54,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	world := stm.New(stm.WithManagerFactory(factory))
-	queue := container.NewQueue[item]()
+	queue := container.NewDeque[item]()
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -64,7 +65,7 @@ func main() {
 			defer wg.Done()
 			for seq := 0; seq < *items; seq++ {
 				err := world.Atomically(func(tx *stm.Tx) error {
-					return queue.Enqueue(tx, item{producer: p, seq: seq})
+					return queue.PushBack(tx, item{producer: p, seq: seq})
 				})
 				if err != nil {
 					log.Fatalf("produce: %v", err)
@@ -74,7 +75,7 @@ func main() {
 	}
 
 	// Consumers drain until they have collectively consumed everything:
-	// an empty dequeue is a committed no-op, retried until the total is
+	// an empty pop is a committed no-op, retried until the total is
 	// reached (producers may still be running).
 	total := *producers * *items
 	var mu sync.Mutex
@@ -91,7 +92,7 @@ func main() {
 					return
 				}
 				mu.Unlock()
-				v, ok, err := stm.Atomic2(world, queue.Dequeue)
+				v, ok, err := stm.Atomic2(world, queue.PopFront)
 				if err != nil {
 					log.Fatalf("consume: %v", err)
 				}
@@ -134,10 +135,10 @@ func main() {
 
 	// Invariant 2: per-producer FIFO — within one consumer's stream,
 	// each producer's sequence numbers must be increasing; and because
-	// dequeues are serialized transactions, stitching the consumer
-	// streams by dequeue order would likewise be increasing. The
+	// pops are serialized transactions, stitching the consumer
+	// streams by pop order would likewise be increasing. The
 	// per-consumer check is the strongest one expressible without
-	// recording global dequeue order, and it catches any reordering a
+	// recording global pop order, and it catches any reordering a
 	// broken queue produces within a stream.
 	for c, batch := range got {
 		last := make(map[int]int)
@@ -151,7 +152,7 @@ func main() {
 	}
 
 	// The queue must be empty now.
-	left, err := stm.Atomic(world, func(tx *stm.Tx) (int, error) { return queue.Len(tx) })
+	left, err := stm.Atomic(world, queue.Len)
 	if err != nil {
 		log.Fatalf("final len: %v", err)
 	}

@@ -62,28 +62,6 @@ func BenchmarkHashSetContains(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueEnqueueDequeue measures the head/tail hot spots: every
-// parallel worker alternates an enqueue and a dequeue.
-func BenchmarkQueueEnqueueDequeue(b *testing.B) {
-	s := benchSTM()
-	q := NewQueue[int]()
-	var seq atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i++; i%2 == 1 {
-				if err := s.Atomically(func(tx *stm.Tx) error { return q.Enqueue(tx, int(seq.Add(1))) }); err != nil {
-					b.Fatal(err)
-				}
-				continue
-			}
-			if _, _, err := stm.Atomic2(s, q.Dequeue); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkOMapPut measures put/delete churn on the skip-list towers.
 func BenchmarkOMapPut(b *testing.B) {
 	s := benchSTM()

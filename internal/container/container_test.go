@@ -148,36 +148,6 @@ func TestHashSetGrowUnderWriters(t *testing.T) {
 	}
 }
 
-// TestQueueBasic exercises FIFO order, empty dequeues, Peek and the
-// structural invariants.
-func TestQueueBasic(t *testing.T) {
-	s := stm.New()
-	q := NewQueue[string]()
-	if _, ok, err := stm.Atomic2(s, q.Dequeue); err != nil || ok {
-		t.Fatalf("dequeue on empty = ok=%v, err=%v; want false, nil", ok, err)
-	}
-	for _, v := range []string{"a", "b", "c"} {
-		if err := s.Atomically(func(tx *stm.Tx) error { return q.Enqueue(tx, v) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, ok, err := stm.Atomic2(s, q.Peek); err != nil || !ok || v != "a" {
-		t.Fatalf("Peek = %q, %v, %v; want \"a\", true, nil", v, ok, err)
-	}
-	for _, want := range []string{"a", "b", "c"} {
-		v, ok, err := stm.Atomic2(s, q.Dequeue)
-		if err != nil || !ok || v != want {
-			t.Fatalf("Dequeue = %q, %v, %v; want %q, true, nil", v, ok, err, want)
-		}
-	}
-	if _, ok, _ := stm.Atomic2(s, q.Dequeue); ok {
-		t.Fatal("dequeue on drained queue succeeded")
-	}
-	if err := s.Atomically(q.CheckInvariants); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOMapBasic exercises get/put/delete/range and the skip-list
 // invariants on a permuted key load.
 func TestOMapBasic(t *testing.T) {
@@ -328,37 +298,74 @@ func TestHashSetHammer(t *testing.T) {
 	}
 }
 
-// TestQueueHammer drives 16 producers and 16 consumers through the
-// queue's head/tail hot spots under every registry manager, checking
-// conservation: everything dequeued was enqueued exactly once, and the
-// leftovers match.
+// TestQueueHammer drives a Deque as Figure 6's FIFO: 16 producers
+// push at the back and 16 consumers pop at the front, under every
+// registry manager. Conservation: every popped value was pushed exactly
+// once, and the leftovers are exactly the never-popped pushes. Order:
+// a producer's values leave in the order it pushed them, so each
+// consumer sees every producer's values in increasing order. Every
+// operation carries the livelock fuse (see TestDequeHammer: on a
+// ≤1-element deque the two ends splice against opposite sentinels); a
+// fused push or pop never happened, so both checks stay exact.
 func TestQueueHammer(t *testing.T) {
 	const producers, consumers = 16, 16
 	ops := hammerOps(t)
 	for _, mgr := range core.Names() {
 		t.Run(mgr, func(t *testing.T) {
-			q := NewQueue[int]()
+			q := NewDeque[int]()
 			var mu sync.Mutex
+			pushed := make(map[int]bool)
 			consumed := make(map[int]int)
-			fn := func(s *stm.STM, g, i int, rng *rand.Rand) error {
-				if g < producers {
-					return s.Atomically(func(tx *stm.Tx) error {
-						return q.Enqueue(tx, g*1_000_000+i)
-					})
+			last := make([][producers]int, consumers) // per consumer, the last i seen from each producer
+			for c := range last {
+				for p := range last[c] {
+					last[c][p] = -1
 				}
-				v, ok, err := stm.Atomic2(s, q.Dequeue)
-				if err != nil {
+			}
+			fn := func(s *stm.STM, g, i int, rng *rand.Rand) error {
+				fuse := newFuse()
+				if g < producers {
+					v := g*1_000_000 + i
+					err := s.Atomically(func(tx *stm.Tx) error {
+						if err := fuse(); err != nil {
+							return err
+						}
+						return q.PushBack(tx, v)
+					})
+					if err == nil {
+						mu.Lock()
+						pushed[v] = true
+						mu.Unlock()
+					}
+					if errors.Is(err, errHammerFuse) {
+						return nil
+					}
 					return err
 				}
-				if ok {
-					mu.Lock()
-					consumed[v]++
-					mu.Unlock()
+				v, ok, err := stm.Atomic2(s, func(tx *stm.Tx) (int, bool, error) {
+					if err := fuse(); err != nil {
+						return 0, false, err
+					}
+					return q.PopFront(tx)
+				})
+				if err != nil || !ok {
+					if errors.Is(err, errHammerFuse) {
+						return nil
+					}
+					return err
 				}
+				p, n, c := v/1_000_000, v%1_000_000, g-producers
+				if n <= last[c][p] {
+					return fmt.Errorf("consumer %d popped producer %d's value %d after its value %d", c, p, n, last[c][p])
+				}
+				last[c][p] = n
+				mu.Lock()
+				consumed[v]++
+				mu.Unlock()
 				return nil
 			}
 			hammer(t, mgr, producers+consumers, ops, fn, func(s *stm.STM) error {
-				left, err := stm.Atomic(s, func(tx *stm.Tx) ([]int, error) { return q.Items(tx) })
+				left, err := stm.Atomic(s, q.Items)
 				if err != nil {
 					return err
 				}
@@ -366,15 +373,21 @@ func TestQueueHammer(t *testing.T) {
 					if n != 1 {
 						return fmt.Errorf("value %d consumed %d times", v, n)
 					}
+					if !pushed[v] {
+						return fmt.Errorf("value %d consumed but never pushed", v)
+					}
 				}
 				for _, v := range left {
 					if consumed[v] != 0 {
 						return fmt.Errorf("value %d both consumed and still queued", v)
 					}
+					if !pushed[v] {
+						return fmt.Errorf("value %d queued but never pushed", v)
+					}
 				}
-				if got := len(consumed) + len(left); got != producers*ops {
-					return fmt.Errorf("conservation broken: %d consumed + %d queued != %d produced",
-						len(consumed), len(left), producers*ops)
+				if got := len(consumed) + len(left); got != len(pushed) {
+					return fmt.Errorf("conservation broken: %d consumed + %d queued != %d pushed",
+						len(consumed), len(left), len(pushed))
 				}
 				return s.Atomically(q.CheckInvariants)
 			})
@@ -437,9 +450,9 @@ func TestOMapHammer(t *testing.T) {
 	}
 }
 
-// TestComposedCrossContainer moves items from a queue into an ordered
-// map and a hash set inside single transactions — the dequeue-then-put
-// composition — while a concurrent auditor takes consistent
+// TestComposedCrossContainer moves items from a FIFO deque into an
+// ordered map and a hash set inside single transactions — the
+// pop-then-put composition — while a concurrent auditor takes consistent
 // multi-container reads. The invariant: each item is in exactly one
 // container at every serialization point, so the three sizes always
 // sum to the initial load.
@@ -453,11 +466,11 @@ func TestComposedCrossContainer(t *testing.T) {
 	// Section 6, pathological under the race detector. Greedy's
 	// timestamp order guarantees progress.
 	s := stm.New(stm.WithManagerFactory(core.MustFactory("greedy")), stm.WithInterleavePeriod(4))
-	q := NewQueue[int]()
+	q := NewDeque[int]()
 	m := NewOMap[int, int]()
 	h := NewHashSet[int](8)
 	for i := 0; i < items; i++ {
-		if err := s.Atomically(func(tx *stm.Tx) error { return q.Enqueue(tx, i) }); err != nil {
+		if err := s.Atomically(func(tx *stm.Tx) error { return q.PushBack(tx, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -483,10 +496,10 @@ func TestComposedCrossContainer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < items/movers*2; i++ {
-				// One transaction: dequeue, then place the item in the
-				// map (even) or the set (odd). Empty queue is a no-op.
+				// One transaction: pop, then place the item in the
+				// map (even) or the set (odd). Empty deque is a no-op.
 				errs[g] = s.Atomically(func(tx *stm.Tx) error {
-					v, ok, err := q.Dequeue(tx)
+					v, ok, err := q.PopFront(tx)
 					if err != nil || !ok {
 						return err
 					}
@@ -533,12 +546,12 @@ func TestComposedCrossContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qn, err := stm.Atomic(s, func(tx *stm.Tx) (int, error) { return q.Len(tx) })
+	qn, err := stm.Atomic(s, q.Len)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qn != 0 {
-		t.Fatalf("queue still holds %d items", qn)
+		t.Fatalf("deque still holds %d items", qn)
 	}
 	got := append(append([]int{}, keys...), elems...)
 	sort.Ints(got)

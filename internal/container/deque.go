@@ -49,13 +49,14 @@ func (r *dRun[T]) link(front bool) *stm.Var[*dRun[T]] {
 	return r.next
 }
 
-// Deque is a transactional double-ended queue: Queue[T] generalized so
-// both ends push and pop. The elements live in a doubly linked chain of
-// runs, each holding up to runCap of them behind one Var, so an
-// element costs a slot in its run's slice and a share of the run's
-// objects. Two permanent sentinel runs bracket the chain (left.next is
-// the front run, right.prev the back run), so linking or unlinking a
-// run is the same two link writes whether the deque is empty or not.
+// Deque is a transactional double-ended queue: both ends push and pop,
+// and pushed at the back and popped at the front it is a FIFO. The
+// elements live in a doubly linked chain of runs, each holding up to
+// runCap of them behind one Var, so an element costs a slot in its
+// run's slice and a share of the run's objects. Two permanent sentinel
+// runs bracket the chain (left.next is the front run, right.prev the
+// back run), so linking or unlinking a run is the same two link writes
+// whether the deque is empty or not.
 //
 // A push of n values at one end writes one copy of that end's run
 // filled with as many of them as fit, and links the rest in as new

@@ -103,7 +103,7 @@ func newApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) (app, error) 
 	case "hashset":
 		return &hashsetApp{set: container.NewHashSet[int](hashsetBuckets), keys: keys, mix: mix, cfg: cfg}, nil
 	case "queue":
-		return &queueApp{q: container.NewQueue[int](), keys: keys, mix: mix, cfg: cfg}, nil
+		return &queueApp{q: container.NewDeque[int](), keys: keys, mix: mix, cfg: cfg}, nil
 	case "omap":
 		return &omapApp{m: container.NewOMap[int, int](), keys: keys, mix: mix, cfg: cfg}, nil
 	case "kv":
@@ -255,19 +255,19 @@ func (a *hashsetApp) audit(s *stm.STM) error {
 	return nil
 }
 
-// queueApp drives container.Queue: inserts enqueue, deletes dequeue,
-// lookups peek, and the mix's range op snapshots the first rangeSpan
-// items. A dequeue that finds the queue empty enqueues the drawn key
-// instead: under a symmetric mix the queue length is a random walk
-// whose excursions exceed any fixed seed within a measurement window,
-// and without the fallback a drained queue turns half the measured
-// commits into cheap two-read no-ops, inflating throughput. With it,
-// every committed operation does real queue work. Every producer
-// conflicts with every producer at the tail and every consumer with
-// every consumer at the head, whatever the key distribution — the
-// keys only supply the enqueued values.
+// queueApp drives a container.Deque as a FIFO: inserts push at the
+// back, deletes pop at the front, lookups peek at the front, and the
+// mix's range op snapshots the first rangeSpan items. A pop that finds
+// the queue empty pushes the drawn key instead: under a symmetric mix
+// the queue length is a random walk whose excursions exceed any fixed
+// seed within a measurement window, and without the fallback a drained
+// queue turns half the measured commits into cheap no-ops, inflating
+// throughput. With it, every committed operation does real queue work.
+// Every producer conflicts with every producer at the back run and
+// every consumer with every consumer at the front run, whatever the
+// key distribution — the keys only supply the pushed values.
 type queueApp struct {
-	q    *container.Queue[int]
+	q    *container.Deque[int]
 	keys workload.KeyDist
 	mix  workload.OpMix
 	cfg  Config
@@ -275,7 +275,7 @@ type queueApp struct {
 
 func (a *queueApp) seed(s *stm.STM, rng *rand.Rand) error {
 	return seedHalf(s, a.cfg, a.keys, rng, func(tx *stm.Tx, key int) error {
-		return a.q.Enqueue(tx, key)
+		return a.q.PushBack(tx, key)
 	})
 }
 
@@ -289,17 +289,17 @@ func (a *queueApp) step(tx *stm.Tx, d opDesc) error {
 	var err error
 	switch d.op {
 	case workload.OpInsert:
-		err = a.q.Enqueue(tx, d.key)
+		err = a.q.PushBack(tx, d.key)
 	case workload.OpDelete:
 		var ok bool
-		_, ok, err = a.q.Dequeue(tx)
+		_, ok, err = a.q.PopFront(tx)
 		if err == nil && !ok {
-			err = a.q.Enqueue(tx, d.key) // empty: refill instead of no-op
+			err = a.q.PushBack(tx, d.key) // empty: refill instead of no-op
 		}
 	case workload.OpRange:
-		_, err = a.q.PeekN(tx, rangeSpan)
+		_, err = a.q.PeekFrontN(tx, rangeSpan)
 	default:
-		_, _, err = a.q.Peek(tx)
+		_, _, err = a.q.PeekFront(tx)
 	}
 	return err
 }

@@ -42,7 +42,7 @@ var DefaultThreads = []int{1, 2, 4, 8, 16, 24, 32, 64, 128}
 // container-subsystem extensions (5-7) and the kv-store applications
 // (8-10): the same manager series over the contention profiles the
 // paper's structures cannot produce — disjoint hash buckets, a
-// two-variable FIFO hot spot, skip-list range scans competing with
+// FIFO whose two ends are hot spots, skip-list range scans competing with
 // point writers, skewed string keys, a logged store and a cross-type
 // job pipeline. Every structure is the structure of exactly one
 // figure; TestFigureCoverage pins that and the rest of what a sweep

@@ -79,10 +79,14 @@ type Config struct {
 // operation covers.
 const rangeSpan = 16
 
-// interleave is the STM's yield period in object opens: on hosts with
-// fewer cores than workers it makes transactions genuinely overlap
-// (see stm.WithInterleavePeriod).
-const interleave = 4
+// contexts is the figure model's processor count, the paper's
+// 8-context testbed: at most contexts attempts run at once, and a
+// worker beyond them queues at an attempt boundary, as an OS thread
+// queues for a CPU. An attempt takes a context when it starts and holds
+// it through its commit; a retry gives it back and queues again. The
+// harness never suspends an attempt that has started, so it never parks
+// an owner (DESIGN.md §Substitutions).
+const contexts = 8
 
 // withDefaults fills the zero fields with the paper's parameters.
 // ForestAllProb and Seed are taken as given: zero is a meaningful
@@ -214,7 +218,7 @@ func run(cfg Config, application app) (point Point, err error) {
 	// in flight the pool holds cfg.Threads sessions, so the
 	// manager-per-concurrent-transaction model of the paper's sweeps
 	// is preserved without pinning.
-	stmOpts := []stm.Option{stm.WithInterleavePeriod(interleave), stm.WithManagerFactory(factory)}
+	stmOpts := []stm.Option{stm.WithManagerFactory(factory)}
 	// The flight recorder is opt-in per run: without it the hook sites
 	// stay nil-gated, so an untraced sweep measures exactly what it
 	// measured before the recorder existed.
@@ -233,13 +237,14 @@ func run(cfg Config, application app) (point Point, err error) {
 	var stop atomic.Bool
 	workerErrs := make([]error, cfg.Threads)
 	latencies := make([]metrics.Histogram, cfg.Threads)
+	procs := make(chan struct{}, contexts)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Threads; w++ {
 		rng := rand.New(rand.NewPCG(cfg.Seed+uint64(w)+1, uint64(w)*0x9e37+1))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = work(&stop, s, application, rng, cfg, &latencies[w])
+			workerErrs[w] = work(&stop, s, procs, application, rng, cfg, &latencies[w])
 		}(w)
 	}
 
@@ -306,12 +311,13 @@ var errStopped = errors.New("harness: measurement window closed")
 
 // work is one worker's loop: draw an operation outside the
 // transaction (transactional functions must be retry-safe), run it
-// through the goroutine-agnostic entry point, record the latency. One
-// transactional closure serves the whole run — the drawn operation is
-// passed through a captured variable — so the measured loop allocates
-// nothing of its own per transaction.
-func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Config, lat *metrics.Histogram) error {
+// through the goroutine-agnostic entry point on one of procs' contexts,
+// record the latency. One transactional closure serves the whole run —
+// the drawn operation is passed through a captured variable — so the
+// measured loop allocates nothing of its own per transaction.
+func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, rng *rand.Rand, cfg Config, lat *metrics.Histogram) error {
 	var d opDesc
+	held := false // the current attempt holds a context
 	// Apps that can name their operations (the jobs pipeline's verbs)
 	// label each transaction so the conflict matrix's decision edges
 	// read "promote waits on complete" instead of two anonymous rows.
@@ -319,9 +325,15 @@ func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Co
 	lb, _ := application.(labeler)
 	var lbl stm.Label
 	fn := func(tx *stm.Tx) error {
+		if held {
+			<-procs //stm:impure(the figure model: a retry gives its context back at the attempt boundary)
+		}
+		held = false
 		if stop.Load() {
 			return errStopped
 		}
+		procs <- struct{}{} //stm:impure(the figure model: an attempt queues for a context before it opens anything)
+		held = true
 		if lb != nil {
 			tx.SetLabel(lbl)
 		}
@@ -338,6 +350,10 @@ func work(stop *atomic.Bool, s *stm.STM, application app, rng *rand.Rand, cfg Co
 		}
 		opStart := metrics.Mono()
 		err := s.Atomically(fn)
+		if held {
+			<-procs
+			held = false
+		}
 		if errors.Is(err, errStopped) {
 			return nil
 		}

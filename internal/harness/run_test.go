@@ -3,6 +3,9 @@ package harness
 import (
 	"errors"
 	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,5 +101,85 @@ func TestKVWALLogsWrites(t *testing.T) {
 	}
 	if got := a.log.Stats().Records(); got != writes {
 		t.Fatalf("%d records logged, want one per write transaction (%d)", got, writes)
+	}
+}
+
+// contextProbe is a workload that watches the harness's schedule from
+// inside its attempts. An attempt yields once before it opens anything,
+// so every attempt that holds a context gets into step together; then
+// it writes probeOpens fresh Vars, owning the first from its first
+// write, without yielding again. Fresh Vars conflict with nothing, so
+// no manager ever makes an attempt wait. busy counts the attempts
+// inside step. ticks counts every write of every attempt: on one
+// processor, an owner that sees ticks move between two of its own
+// writes was suspended while it owned an object, and another attempt
+// ran meanwhile.
+type contextProbe struct {
+	busy, maxBusy atomic.Int64
+	ticks, parked atomic.Int64
+}
+
+const probeOpens = 8
+
+func (a *contextProbe) seed(*stm.STM, *rand.Rand) error { return nil }
+func (a *contextProbe) draw(*rand.Rand) opDesc          { return opDesc{} }
+func (a *contextProbe) mixName() string                 { return "" }
+func (a *contextProbe) audit(*stm.STM) error            { return nil }
+
+func (a *contextProbe) step(tx *stm.Tx, _ opDesc) error {
+	n := a.busy.Add(1)
+	defer a.busy.Add(-1)
+	for m := a.maxBusy.Load(); n > m && !a.maxBusy.CompareAndSwap(m, n); m = a.maxBusy.Load() {
+	}
+	runtime.Gosched() // owning nothing yet
+	var last int64
+	for i := 0; i < probeOpens; i++ {
+		if err := stm.Write(tx, stm.NewVar(0), i); err != nil {
+			return err
+		}
+		tick := a.ticks.Add(1)
+		if i > 0 && tick != last+1 {
+			a.parked.Add(1)
+		}
+		last = tick
+	}
+	return nil
+}
+
+// TestContextModel pins the figures' model (DESIGN.md §Substitutions):
+// with 64 workers, at most contexts attempts are in flight at once, and
+// the harness never suspends an attempt that owns an object. One
+// processor and no collector make any suspension inside step visible:
+// the goroutine switches left are the probe's own yield, taken before
+// its first open, the harness's queue for a context, and Go's own
+// preemption of a goroutine that has held the processor for 10 ms (a
+// loaded host can stretch one step that long). The model keeps that
+// timeslice, so the test allows one suspension per 10 ms of the run; a
+// harness that yields by open count suspends owners thousands of times.
+func TestContextModel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := Config{
+		Structure: "probe",
+		Manager:   "greedy",
+		Threads:   64,
+		Duration:  40 * time.Millisecond,
+		Warmup:    10 * time.Millisecond,
+	}.withDefaults()
+	a := &contextProbe{}
+	start := time.Now()
+	point, err := run(cfg, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeslices := int64(time.Since(start)/(10*time.Millisecond)) + 1
+	if point.Commits == 0 {
+		t.Fatal("no attempt committed inside the window")
+	}
+	if got := a.maxBusy.Load(); got != contexts {
+		t.Errorf("%d attempts in flight at most, want the model's %d contexts", got, contexts)
+	}
+	if got := a.parked.Load(); got > timeslices {
+		t.Errorf("%d attempts were suspended while they owned an object; Go's timeslice allows %d", got, timeslices)
 	}
 }

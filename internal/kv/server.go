@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -49,6 +50,10 @@ type Server struct {
 	sweep       time.Duration
 	saveEvery   time.Duration
 	saveRecords int64
+	// saving is the server's one save slot: SAVE, BGSAVE and a
+	// scheduled save take it before they cut, so a save that finds it
+	// taken is refused at once instead of failing in the background.
+	saving atomic.Bool
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -239,14 +244,19 @@ func (srv *Server) saveLoop() {
 			}
 			last = records
 		}
-		srv.backgroundSave()
+		if srv.saving.CompareAndSwap(false, true) { // else a save is running: skip the tick
+			srv.backgroundSave()
+		}
 	}
 }
 
-// backgroundSave cuts a snapshot for BGSAVE or the schedule. A save that
-// Close cancelled, or that found another one running, has not failed;
-// any other error is counted (INFO stats, /metrics) and logged.
+// backgroundSave cuts a snapshot for BGSAVE or the schedule, which hold
+// the save slot, and gives the slot back. A save that Close cancelled,
+// or that found a snapshot running that the server did not start, has
+// not failed; any other error is counted (INFO stats, /metrics) and
+// logged.
 func (srv *Server) backgroundSave() {
+	defer srv.saving.Store(false)
 	err := srv.store.Save(srv.ctx)
 	if err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) && srv.ctx.Err() == nil {
 		srv.sm.bgsaveFailures.Inc()
@@ -711,6 +721,10 @@ func (srv *Server) save(_ *connState, _ *args) resp.Value {
 	if !srv.store.Durable() {
 		return resp.ErrVal(errNotDurable)
 	}
+	if !srv.saving.CompareAndSwap(false, true) {
+		return resp.ErrVal("ERR save already in progress")
+	}
+	defer srv.saving.Store(false)
 	switch err := srv.store.Save(srv.ctx); {
 	case errors.Is(err, wal.ErrSnapshotInProgress):
 		return resp.ErrVal("ERR save already in progress")
@@ -721,10 +735,13 @@ func (srv *Server) save(_ *connState, _ *args) resp.Value {
 }
 
 // bgsave starts a snapshot and replies at once: fire and forget,
-// Redis-style.
+// Redis-style. As in Redis, a BGSAVE while a save runs is refused.
 func (srv *Server) bgsave(_ *connState, _ *args) resp.Value {
 	if !srv.store.Durable() {
 		return resp.ErrVal(errNotDurable)
+	}
+	if !srv.saving.CompareAndSwap(false, true) {
+		return resp.ErrVal("ERR Background save already in progress")
 	}
 	srv.spawn(srv.backgroundSave)
 	return resp.SimpleVal("Background saving started")

@@ -756,3 +756,66 @@ func TestSaveScheduleCountsRecords(t *testing.T) {
 	set(2*n-1, 2*n)
 	waitFor(t, "a second snapshot after n more records", func() bool { return l.Stats().Snapshots == 2 })
 }
+
+// TestBgsaveDuringSave: a BGSAVE while a save runs is refused at once
+// (Redis's "Background save already in progress"), not acknowledged
+// and then dropped, and only the running save publishes. The first
+// save is parked in its first chunk, so the second BGSAVE meets it
+// mid-cut; SAVE gets its own refusal.
+func TestBgsaveDuringSave(t *testing.T) {
+	st := New(stm.New())
+	l := openTestWAL(t, t.TempDir())
+	defer l.Close()
+	st.AttachWAL(l)
+	if err := st.Set("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	var first atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	st.chunkCut = func(int) {
+		if first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	addr, stop := startServer(t, st)
+	var freed sync.Once
+	free := func() { freed.Do(func() { close(release) }) }
+	stopped := false
+	defer func() {
+		free()
+		if !stopped {
+			stop()
+		}
+	}()
+	c := dialClient(t, addr)
+	defer c.close()
+
+	if v := c.mustDo(t, "BGSAVE"); v.Str != "Background saving started" {
+		t.Fatalf("first BGSAVE = %q", v.Str)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first save cut no chunk")
+	}
+	for _, cmd := range []struct{ name, want string }{
+		{"BGSAVE", "ERR Background save already in progress"},
+		{"SAVE", "ERR save already in progress"},
+	} {
+		v, err := c.do(cmd.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.IsError() || v.Str != cmd.want {
+			t.Fatalf("%s during a save = %q (error %v), want -%s", cmd.name, v.Str, v.IsError(), cmd.want)
+		}
+	}
+	free()
+	waitFor(t, "the first save to publish", func() bool { return l.Stats().Snapshots == 1 })
+	stop()
+	stopped = true
+	if got := l.Stats().Snapshots; got != 1 {
+		t.Fatalf("%d snapshots published, want the first save's 1", got)
+	}
+}

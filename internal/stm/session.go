@@ -175,7 +175,7 @@ func Atomic[T any](s *STM, fn func(tx *Tx) (T, error)) (T, error) {
 // shape of container lookups and conditional removals, whose methods
 // return (value, ok, error) and so plug in directly:
 //
-//	v, ok, err := stm.Atomic2(s, queue.Dequeue)
+//	v, ok, err := stm.Atomic2(s, deque.PopFront)
 //
 // On error the zero A and B are returned; only the committed attempt's
 // results are returned.

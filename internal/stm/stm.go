@@ -22,11 +22,7 @@ type STM struct {
 	commitClock atomic.Uint64
 
 	// interleave, when positive, yields the processor every
-	// interleave-th object open. On a host with fewer cores than
-	// worker threads, transactions otherwise run to completion
-	// between preemptions and almost never overlap; the yield points
-	// simulate the concurrent interleaving of the paper's 8-context
-	// testbed (see DESIGN.md, substitutions).
+	// interleave-th object open (see WithInterleavePeriod).
 	interleave int
 
 	// lazy switches conflict detection from open time to commit time
@@ -92,9 +88,10 @@ type Option func(*STM)
 
 // WithInterleavePeriod makes every transaction yield the processor
 // after each n-th object open. Zero or negative disables yielding.
-// Use it on hosts with fewer cores than workers to reproduce the
-// transaction overlap (and hence the contention) of a real
-// multiprocessor; the benchmark harness enables it by default.
+// Tests use it on hosts with fewer cores than workers to force
+// transactions to overlap mid-attempt. The figures do not: a yield
+// inside an attempt can park an owner behind every other worker (see
+// DESIGN.md §Substitutions for the figures' model).
 func WithInterleavePeriod(n int) Option {
 	return func(s *STM) { s.interleave = n }
 }
