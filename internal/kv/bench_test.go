@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/stm"
@@ -141,16 +143,18 @@ func preloadStore(tb testing.TB, keys []string) *Store {
 // TestHeapPerKey is the footprint gate: the heap a preloaded
 // 100k-key store holds per key — the store and everything it reaches,
 // value strings included, the keys made beforehand — after a
-// collection on either side. Each key costs its map node, its entry,
-// its cell in the bucket chain and its share of the bucket array; the
+// collection on either side. Each key costs its 48-byte map node (key,
+// entry, link), its value string, its share of the bucket chain's cell
+// and of the bucket array; the
 // figure is pinned with slack for run-to-run spread, so a change that
 // adds an allocation or two words per key fails it.
 func TestHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads 100k keys")
 	}
-	// 131–142 B over 38 runs on linux/amd64.
-	const n, budget = 100_000, 150
+	// 97–106 B over 13 runs on linux/amd64 (131–142 over 38 runs
+	// while the node held the entry's kind, containers and deadline).
+	const n, budget = 100_000, 115
 	keys := makeKeys(n)
 	before := liveHeap()
 	st := preloadStore(t, keys)
@@ -159,6 +163,88 @@ func TestHeapPerKey(t *testing.T) {
 	t.Logf("%.1f B per key", perKey)
 	if perKey > budget {
 		t.Errorf("%.1f B per key, want <= %d", perKey, budget)
+	}
+}
+
+// TestEntrySize pins the shard entry to two words, so a string key's
+// chain node (a 16-byte key, the entry, an 8-byte next) is 48 bytes,
+// and its meta to the 24-byte size class, so a key with a TTL or a
+// container pays 72 bytes for node and meta where one 80-byte node
+// carried all of it before.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 24 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 24", n)
+	}
+	if n := unsafe.Sizeof(meta{}); n > 24 {
+		t.Errorf("unsafe.Sizeof(meta{}) = %d, want <= 24", n)
+	}
+}
+
+// TestHeapPerKeyByKind is the footprint gate of a key of each kind
+// that TestHeapPerKey's plain string is not: a string with a TTL, and
+// a hash, a list and a zset of one element each. It holds 20k keys of
+// one kind, each made in batches of 256 by its *Tx form, the keys and
+// values made beforehand, and measures the live heap per key after a
+// collection on either side. A container key pays its node, its meta,
+// its label and the empty container's own structure.
+func TestHeapPerKeyByKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("preloads 20k keys per kind")
+	}
+	// Over 12 runs on linux/amd64: string-ttl 115–122 B, hash
+	// 697–708, list 961–968, zset 1 508–1 522 (123–132, 707–712,
+	// 970–978 and 1 515–1 523 with the entry inline in the node).
+	const n, batch = 20_000, 256
+	kinds := []struct {
+		name   string
+		budget float64
+		put    func(st *Store, tx *stm.Tx, now int64, key, val string) error
+	}{
+		{"string-ttl", 130, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+			return st.SetTx(tx, now, key, val, time.Hour)
+		}},
+		{"hash", 725, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+			_, err := st.HSetTx(tx, now, key, "field", val)
+			return err
+		}},
+		{"list", 985, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+			_, err := st.RPushTx(tx, now, key, val)
+			return err
+		}},
+		{"zset", 1545, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+			_, err := st.ZAddTx(tx, now, key, val, 1)
+			return err
+		}},
+	}
+	keys := makeKeys(n)
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("value:%010d", i)
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			before := liveHeap()
+			st := New(stm.New())
+			for i := 0; i < n; i += batch {
+				err := st.Atomically(func(tx *stm.Tx, now int64) error {
+					for j := i; j < min(i+batch, n); j++ {
+						if err := k.put(st, tx, now, keys[j], vals[j]); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			perKey := float64(liveHeap()-before) / n
+			runtime.KeepAlive(st)
+			t.Logf("%.1f B per key", perKey)
+			if perKey > k.budget {
+				t.Errorf("%.1f B per key, want <= %.0f", perKey, k.budget)
+			}
+		})
 	}
 }
 

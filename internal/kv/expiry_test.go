@@ -248,7 +248,7 @@ func testSweepRacesTTLWriters(t *testing.T, opts ...stm.Option) {
 	}
 	for i, sh := range st.shards {
 		sh.Peek(func(key string, e entry) {
-			if e.expireAt != 0 {
+			if e.deadline() != 0 {
 				t.Errorf("shard %d: %q still has a deadline after the final sweep", i, key)
 			}
 		})

@@ -49,7 +49,7 @@ func (st *Store) HSetTx(tx *stm.Tx, now int64, key, name, val string) (bool, err
 	if err != nil {
 		return false, err
 	}
-	_, existed, err := e.hash.Put(tx, name, val)
+	_, existed, err := e.hash().Put(tx, name, val)
 	if err != nil {
 		return false, err
 	}
@@ -63,7 +63,7 @@ func (st *Store) HGetTx(tx *stm.Tx, now int64, key, name string) (string, bool, 
 	if err != nil || !ok {
 		return "", false, err
 	}
-	return e.hash.Get(tx, name)
+	return e.hash().Get(tx, name)
 }
 
 // HDelTx removes the named fields from the hash at key, returning how
@@ -75,7 +75,7 @@ func (st *Store) HDelTx(tx *stm.Tx, now int64, key string, names ...string) (int
 	}
 	removed := 0
 	for _, name := range names {
-		_, ok, err := e.hash.Delete(tx, name)
+		_, ok, err := e.hash().Delete(tx, name)
 		if err != nil {
 			return 0, err
 		}
@@ -86,7 +86,7 @@ func (st *Store) HDelTx(tx *stm.Tx, now int64, key string, names ...string) (int
 		st.capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Del: true})
 	}
 	if removed > 0 {
-		n, err := e.hash.Len(tx)
+		n, err := e.hash().Len(tx)
 		if err != nil {
 			return 0, err
 		}
@@ -106,7 +106,7 @@ func (st *Store) HGetAllTx(tx *stm.Tx, now int64, key string) ([]KV, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
-	return fieldAll(tx, e.hash)
+	return fieldAll(tx, e.hash())
 }
 
 // HLenTx counts the fields of the hash at key.
@@ -115,7 +115,7 @@ func (st *Store) HLenTx(tx *stm.Tx, now int64, key string) (int, error) {
 	if err != nil || !ok {
 		return 0, err
 	}
-	return e.hash.Len(tx)
+	return e.hash().Len(tx)
 }
 
 // HIncrTx adds delta to the integer at field name of the hash at key,
@@ -126,7 +126,7 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 	if err != nil {
 		return 0, err
 	}
-	cur, ok, err := e.hash.Get(tx, name)
+	cur, ok, err := e.hash().Get(tx, name)
 	if err != nil {
 		return 0, err
 	}
@@ -139,7 +139,7 @@ func (st *Store) HIncrTx(tx *stm.Tx, now int64, key, name string, delta int64) (
 	}
 	n += delta
 	val := strconv.FormatInt(n, 10)
-	if _, _, err := e.hash.Put(tx, name, val); err != nil {
+	if _, _, err := e.hash().Put(tx, name, val); err != nil {
 		return 0, err
 	}
 	st.capture(tx, wal.Op{Kind: wal.KindHash, Key: key, Field: name, Val: val})

@@ -148,6 +148,9 @@ func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
 	reg.CounterFunc("stm_aborts_validation_total",
 		"Aborts from read-set validation failure.", lbl,
 		func() int64 { s := engine.TotalStats(); return s.AbortsValidation })
+	reg.CounterFunc("stm_aborts_validation_held_total",
+		"Validation aborts where a read's commit stripe was held by another committing writer (a subset of stm_aborts_validation_total).", lbl,
+		func() int64 { s := engine.TotalStats(); return s.AbortsValidationHeld })
 	reg.CounterFunc("stm_aborts_cas_race_total",
 		"Aborts from losing the commit status CAS after validation.", lbl,
 		func() int64 { s := engine.TotalStats(); return s.AbortsCASRace })
@@ -410,6 +413,7 @@ func (srv *Server) infoSection(b *strings.Builder, section string) {
 		s := srv.store.STM().TotalStats()
 		line("aborts_enemy", s.AbortsEnemy)
 		line("aborts_validation", s.AbortsValidation)
+		line("aborts_validation_held", s.AbortsValidationHeld)
 		line("aborts_cas_race", s.AbortsCASRace)
 		line("aborts_user_error", s.AbortsUser)
 		line("wait_ns", s.WaitNs)

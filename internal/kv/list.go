@@ -36,9 +36,9 @@ func (st *Store) pushTx(tx *stm.Tx, now int64, key string, front bool, vals []st
 		return 0, err
 	}
 	if front {
-		err = e.list.PushFront(tx, vals...)
+		err = e.list().PushFront(tx, vals...)
 	} else {
-		err = e.list.PushBack(tx, vals...)
+		err = e.list().PushBack(tx, vals...)
 	}
 	if err != nil {
 		return 0, err
@@ -46,7 +46,7 @@ func (st *Store) pushTx(tx *stm.Tx, now int64, key string, front bool, vals []st
 	for _, v := range vals {
 		st.capture(tx, wal.Op{Kind: wal.KindList, Key: key, Val: v, Front: front})
 	}
-	return e.list.Len(tx)
+	return e.list().Len(tx)
 }
 
 // LPopTx pops the front element of the list at key; ok is false when
@@ -67,15 +67,15 @@ func (st *Store) popTx(tx *stm.Tx, now int64, key string, front bool) (string, b
 	}
 	var v string
 	if front {
-		v, ok, err = e.list.PopFront(tx)
+		v, ok, err = e.list().PopFront(tx)
 	} else {
-		v, ok, err = e.list.PopBack(tx)
+		v, ok, err = e.list().PopBack(tx)
 	}
 	if err != nil || !ok {
 		return "", false, err // empty lists are unrepresentable, but stay safe
 	}
 	st.capture(tx, wal.Op{Kind: wal.KindList, Key: key, Del: true, Front: front})
-	n, err := e.list.Len(tx)
+	n, err := e.list().Len(tx)
 	if err != nil {
 		return "", false, err
 	}
@@ -94,7 +94,7 @@ func (st *Store) LLenTx(tx *stm.Tx, now int64, key string) (int, error) {
 	if err != nil || !ok {
 		return 0, err
 	}
-	return e.list.Len(tx)
+	return e.list().Len(tx)
 }
 
 // LRangeTx returns the elements of the list at key between ranks
@@ -110,13 +110,13 @@ func (st *Store) LRangeTx(tx *stm.Tx, now int64, key string, start, stop int) ([
 		if stop < start {
 			return nil, nil
 		}
-		items, err := e.list.PeekFrontN(tx, stop+1)
+		items, err := e.list().PeekFrontN(tx, stop+1)
 		if err != nil || start >= len(items) {
 			return nil, err
 		}
 		return items[start:], nil
 	}
-	items, err := e.list.Items(tx)
+	items, err := e.list().Items(tx)
 	if err != nil {
 		return nil, err
 	}

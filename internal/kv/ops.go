@@ -49,17 +49,17 @@ func (st *Store) SetTx(tx *stm.Tx, now int64, key, val string, ttl time.Duration
 			expireAt = math.MaxInt64 // deadline past the clock's range: lives forever
 		}
 	}
-	return st.putTx(tx, key, val, expireAt)
+	return st.putTx(tx, key, entry{val: val}.withDeadline(expireAt))
 }
 
-// putTx writes key=val with an explicit expiry deadline (0 = none) —
-// the write under Set and Incr. Like Redis SET, it overwrites a
-// container entry wholesale. A deadline arms the shard's sweep.
-func (st *Store) putTx(tx *stm.Tx, key, val string, expireAt int64) error {
-	if err := st.putEntry(tx, key, entry{val: val, expireAt: expireAt}); err != nil {
+// putTx binds key to the string entry e and logs it — the write under
+// Set, Incr and replay. Like Redis SET, it overwrites a container entry
+// wholesale. A deadline arms the shard's sweep.
+func (st *Store) putTx(tx *stm.Tx, key string, e entry) error {
+	if err := st.putEntry(tx, key, e); err != nil {
 		return err
 	}
-	st.capture(tx, wal.Op{Key: key, Val: val, ExpireAt: expireAt})
+	st.capture(tx, wal.Op{Key: key, Val: e.val, ExpireAt: e.deadline()})
 	return nil
 }
 
@@ -86,16 +86,17 @@ func (st *Store) IncrTx(tx *stm.Tx, now int64, key string, delta int64) (int64, 
 		return 0, err
 	}
 	n := int64(0)
-	var expireAt int64
 	if ok {
 		n, err = strconv.ParseInt(e.val, 10, 64)
 		if err != nil {
 			return 0, ErrNotInteger
 		}
-		expireAt = e.expireAt
 	}
 	n += delta
-	if err := st.putTx(tx, key, strconv.FormatInt(n, 10), expireAt); err != nil {
+	// e is the zero entry when the key was absent; a live one's meta
+	// (its deadline) is shared, not copied.
+	e.val = strconv.FormatInt(n, 10)
+	if err := st.putTx(tx, key, e); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -129,8 +130,7 @@ func (st *Store) touchTx(tx *stm.Tx, now int64, key string, expireAt int64) (boo
 	if err != nil || !ok {
 		return false, err
 	}
-	e.expireAt = expireAt
-	return true, st.putEntry(tx, key, e)
+	return true, st.putEntry(tx, key, e.withDeadline(expireAt))
 }
 
 // putEntry binds key to e — the one write of an entry that may carry a
@@ -139,7 +139,7 @@ func (st *Store) touchTx(tx *stm.Tx, now int64, key string, expireAt int64) (boo
 // armed shard do not conflict over it.
 func (st *Store) putEntry(tx *stm.Tx, key string, e entry) error {
 	i := st.shardIndex(key)
-	if e.expireAt != 0 {
+	if e.deadline() != 0 {
 		if _, err := stm.CompareAndSwap(tx, st.expiring[i], false, true); err != nil {
 			return err
 		}
@@ -156,10 +156,11 @@ func (st *Store) TTLTx(tx *stm.Tx, now int64, key string) (time.Duration, bool, 
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	if e.expireAt == 0 {
+	at := e.deadline()
+	if at == 0 {
 		return NoTTL, true, nil
 	}
-	return time.Duration(e.expireAt - now), true, nil
+	return time.Duration(at - now), true, nil
 }
 
 // Get reads key's value in one atomic transaction. Kept only because

@@ -118,11 +118,11 @@ func (st *Store) SnapshotOps() ([]wal.Op, error) {
 // appendEntryOps appends the canonical op sequence of key's entry e to
 // out.
 func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, error) {
-	switch e.kind {
+	switch e.kind() {
 	case kindString:
-		return append(out, wal.Op{Key: key, Val: e.val, ExpireAt: e.expireAt}), nil
+		return append(out, wal.Op{Key: key, Val: e.val, ExpireAt: e.deadline()}), nil
 	case kindHash:
-		pairs, err := sortedFields(tx, e.hash)
+		pairs, err := sortedFields(tx, e.hash())
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +130,7 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, er
 			out = append(out, wal.Op{Kind: wal.KindHash, Key: key, Field: p.K, Val: p.V})
 		}
 	case kindList:
-		items, err := e.list.Items(tx)
+		items, err := e.list().Items(tx)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, er
 			out = append(out, wal.Op{Kind: wal.KindList, Key: key, Val: v})
 		}
 	case kindZSet:
-		keys, err := e.zset.byScore.Keys(tx)
+		keys, err := e.zset().byScore.Keys(tx)
 		if err != nil {
 			return nil, err
 		}
@@ -147,8 +147,8 @@ func appendEntryOps(tx *stm.Tx, out []wal.Op, key string, e entry) ([]wal.Op, er
 			out = append(out, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: formatScore(score)})
 		}
 	}
-	if e.expireAt != 0 {
-		out = append(out, wal.Op{Key: key, Touch: true, ExpireAt: e.expireAt})
+	if at := e.deadline(); at != 0 {
+		out = append(out, wal.Op{Key: key, Touch: true, ExpireAt: at})
 	}
 	return out, nil
 }
@@ -397,7 +397,7 @@ func (st *Store) applyOp(tx *stm.Tx, now int64, ops []wal.Op) error {
 	case op.Del:
 		_, err = st.DelTx(tx, now, op.Key)
 	default:
-		err = st.putTx(tx, op.Key, op.Val, op.ExpireAt)
+		err = st.putTx(tx, op.Key, entry{val: op.Val}.withDeadline(op.ExpireAt))
 	}
 	return err
 }

@@ -12,26 +12,59 @@ import (
 )
 
 // entry is one key's record: the value a shard (a container.Map) binds
-// the key to, copied whole when the map rebuilds a chain. kind
-// discriminates the value: val for strings, exactly one of the
-// container pointers otherwise (see types.go). The container pointers
-// themselves are immutable; their *contents* live behind the
-// containers' own stm.Vars, so an entry copied across chain rebuilds
-// keeps one transactional value.
+// the key to, copied whole when the map rebuilds a chain. It is two
+// words so that a string key's chain node is 48 bytes (key, entry,
+// next): val is a string's value, and m is everything a key may carry
+// beyond it — a deadline, a container — or nil for a string without a
+// TTL, which is most keys (see types.go for the kinds).
 type entry struct {
-	kind kind
-	val  string
-	hash *container.Map[string, string]
-	list *container.Deque[string]
-	zset *zset
+	val string
+	m   *meta
+}
+
+// meta is an entry's deadline and container, shared by every copy of
+// the entry and never mutated: a write that changes either builds a
+// new one (touchTx), a write that keeps both reuses it (IncrTx). The
+// container pointers themselves are immutable too; their *contents*
+// live behind the containers' own stm.Vars, so an entry copied across
+// chain rebuilds keeps one transactional value. 24 bytes: a TTL'd
+// string costs its 48-byte node plus this.
+type meta struct {
 	// expireAt is the store-clock instant the entry dies, in
 	// nanoseconds; zero means no expiry.
 	expireAt int64
+	// c is the key's container — a *container.Map[string, string]
+	// (hash), *container.Deque[string] (list) or *zset — whose dynamic
+	// type is the key's kind; nil for a string.
+	c any
+}
+
+// deadline returns the entry's expiry instant, zero for none.
+func (e entry) deadline() int64 {
+	if e.m == nil {
+		return 0
+	}
+	return e.m.expireAt
 }
 
 // dead reports whether the entry has expired at instant now.
 func (e entry) dead(now int64) bool {
-	return e.expireAt != 0 && e.expireAt <= now
+	at := e.deadline()
+	return at != 0 && at <= now
+}
+
+// withDeadline returns e expiring at at (zero: never), its container
+// kept. The meta is rebuilt, never edited: an older copy of e may
+// still sit in a chain another transaction reads.
+func (e entry) withDeadline(at int64) entry {
+	var c any
+	if e.m != nil {
+		c = e.m.c
+	}
+	if at == 0 && c == nil {
+		return entry{val: e.val}
+	}
+	return entry{val: e.val, m: &meta{expireAt: at, c: c}}
 }
 
 // NoTTL is the TTL reported for a live key with no expiry set.
@@ -307,7 +340,7 @@ func (st *Store) SweepShard(i int) (n int, err error) {
 			if e.dead(now) {
 				return true
 			}
-			if e.expireAt != 0 {
+			if e.deadline() != 0 {
 				keptDeadline = true
 			}
 			return false
@@ -349,7 +382,7 @@ func (st *Store) CheckInvariants() error {
 				if st.shard(key) != sh {
 					return fmt.Errorf("kv: key %q in shard %d, hashes elsewhere", key, si)
 				}
-				if e.expireAt != 0 && !armed {
+				if e.deadline() != 0 && !armed {
 					return fmt.Errorf("kv: key %q has a deadline, shard %d's expiring flag is clear", key, si)
 				}
 				if err := e.checkValue(tx); err != nil {

@@ -1,12 +1,15 @@
 package kv
 
 // Typed values. An entry holds one of four value kinds — string,
-// hash, list, zset — discriminated by entry.kind. The containers live
-// *inside* the entry: mutating a hash field, list end or zset member
-// goes through the container's own stm.Vars and never rewrites the
-// key's binding in its shard, so two transactions touching different
-// fields of the same key do not conflict on the key. Only creation,
-// whole-key deletion and expiry updates write the shard.
+// hash, list, zset. A string is the entry's val; the other three are a
+// container in the entry's meta, whose dynamic type is the kind
+// (entry.kind), so a string key carries no container words at all.
+// The containers live *inside* the entry: mutating a hash field, list
+// end or zset member goes through the container's own stm.Vars and
+// never rewrites the key's binding in its shard, so two transactions
+// touching different fields of the same key do not conflict on the
+// key. Only creation, whole-key deletion and expiry updates write the
+// shard.
 //
 // Semantics follow Redis: a typed command against a key of another
 // kind fails with ErrWrongType (SET is the exception — it overwrites
@@ -57,6 +60,45 @@ func (k kind) String() string {
 	}
 }
 
+// kind returns the entry's value kind: the type of its container, a
+// string when it has none.
+func (e entry) kind() kind {
+	switch e.container().(type) {
+	case *container.Map[string, string]:
+		return kindHash
+	case *container.Deque[string]:
+		return kindList
+	case *zset:
+		return kindZSet
+	}
+	return kindString
+}
+
+// hash, list and zset return the entry's container of that kind; nil
+// when the entry is of another kind.
+func (e entry) hash() *container.Map[string, string] {
+	h, _ := e.container().(*container.Map[string, string])
+	return h
+}
+
+func (e entry) list() *container.Deque[string] {
+	l, _ := e.container().(*container.Deque[string])
+	return l
+}
+
+func (e entry) zset() *zset {
+	z, _ := e.container().(*zset)
+	return z
+}
+
+// container returns the entry's container, nil for a string.
+func (e entry) container() any {
+	if e.m == nil {
+		return nil
+	}
+	return e.m.c
+}
+
 // typedEntry reads key's live entry of kind k; ok is false when the
 // key is absent or expired — the lookup under every read-mostly typed
 // operation. A live entry of another kind yields ErrWrongType.
@@ -65,7 +107,7 @@ func (st *Store) typedEntry(tx *stm.Tx, now int64, key string, k kind) (entry, b
 	if err != nil || !ok {
 		return entry{}, false, err
 	}
-	if e.kind != k {
+	if e.kind() != k {
 		return entry{}, false, ErrWrongType
 	}
 	return e, true, nil
@@ -81,20 +123,21 @@ func (st *Store) containerEntry(tx *stm.Tx, now int64, key string, k kind) (entr
 	if err != nil || ok {
 		return e, err
 	}
-	e = entry{kind: k}
 	// Containers are named after their key so the STM flight recorder
 	// attributes conflicts to "list(jobs)" rather than an anonymous
 	// commit stripe. The label is a plain string on the container's
 	// variables (not an interned transaction label), so per-key
 	// cardinality costs only the string.
+	var c any
 	switch k {
 	case kindHash:
-		e.hash = newFieldMap("hash(" + key + ")")
+		c = newFieldMap("hash(" + key + ")")
 	case kindList:
-		e.list = container.NewNamedDeque[string]("list(" + key + ")")
+		c = container.NewNamedDeque[string]("list(" + key + ")")
 	case kindZSet:
-		e.zset = newZSet("zset(" + key + ")")
+		c = newZSet("zset(" + key + ")")
 	}
+	e = entry{m: &meta{c: c}}
 	_, _, err = st.shard(key).Put(tx, key, e)
 	return e, err
 }
@@ -115,24 +158,24 @@ func (st *Store) TypeTx(tx *stm.Tx, now int64, key string) (string, bool, error)
 	if err != nil || !ok {
 		return "", false, err
 	}
-	return e.kind.String(), true, nil
+	return e.kind().String(), true, nil
 }
 
 // checkValue verifies the entry's typed payload inside tx — the
 // per-kind extension of Store.CheckInvariants. Containers must be
 // internally consistent and non-empty (an empty container would mean
-// an auto-delete was missed).
+// an auto-delete was missed), and a meta must carry something: a
+// string without a TTL keeps none.
 func (e entry) checkValue(tx *stm.Tx) error {
-	switch e.kind {
-	case kindString:
-		if e.hash != nil || e.list != nil || e.zset != nil {
-			return errors.New("string entry carries a container")
-		}
+	if e.m != nil && e.m.expireAt == 0 && e.m.c == nil {
+		return errors.New("entry carries an empty meta")
+	}
+	switch e.kind() {
 	case kindHash:
-		if err := e.hash.CheckInvariants(tx); err != nil {
+		if err := e.hash().CheckInvariants(tx); err != nil {
 			return err
 		}
-		n, err := e.hash.Len(tx)
+		n, err := e.hash().Len(tx)
 		if err != nil {
 			return err
 		}
@@ -140,10 +183,10 @@ func (e entry) checkValue(tx *stm.Tx) error {
 			return errors.New("empty hash not auto-deleted")
 		}
 	case kindList:
-		if err := e.list.CheckInvariants(tx); err != nil {
+		if err := e.list().CheckInvariants(tx); err != nil {
 			return err
 		}
-		n, err := e.list.Len(tx)
+		n, err := e.list().Len(tx)
 		if err != nil {
 			return err
 		}
@@ -151,7 +194,7 @@ func (e entry) checkValue(tx *stm.Tx) error {
 			return errors.New("empty list not auto-deleted")
 		}
 	case kindZSet:
-		if err := e.zset.checkInvariants(tx); err != nil {
+		if err := e.zset().checkInvariants(tx); err != nil {
 			return err
 		}
 	}

@@ -99,7 +99,7 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 		return false, err
 	}
 	scoreStr := formatScore(score)
-	old, ok, err := e.zset.index.Get(tx, member)
+	old, ok, err := e.zset().index.Get(tx, member)
 	if err != nil {
 		return false, err
 	}
@@ -111,14 +111,14 @@ func (st *Store) ZAddTx(tx *stm.Tx, now int64, key, member string, score float64
 		if err != nil {
 			return false, err // index corrupt: scores are written canonical
 		}
-		if _, _, err := e.zset.byScore.Delete(tx, zkey(oldScore, member)); err != nil {
+		if _, _, err := e.zset().byScore.Delete(tx, zkey(oldScore, member)); err != nil {
 			return false, err
 		}
 	}
-	if _, _, err := e.zset.byScore.Put(tx, zkey(score, member), member); err != nil {
+	if _, _, err := e.zset().byScore.Put(tx, zkey(score, member), member); err != nil {
 		return false, err
 	}
-	if _, _, err := e.zset.index.Put(tx, member, scoreStr); err != nil {
+	if _, _, err := e.zset().index.Put(tx, member, scoreStr); err != nil {
 		return false, err
 	}
 	st.capture(tx, wal.Op{Kind: wal.KindZSet, Key: key, Field: member, Val: scoreStr})
@@ -131,7 +131,7 @@ func (st *Store) ZScoreTx(tx *stm.Tx, now int64, key, member string) (float64, b
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	s, ok, err := e.zset.index.Get(tx, member)
+	s, ok, err := e.zset().index.Get(tx, member)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -151,7 +151,7 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 	}
 	removed := 0
 	for _, member := range members {
-		old, ok, err := e.zset.index.Get(tx, member)
+		old, ok, err := e.zset().index.Get(tx, member)
 		if err != nil {
 			return 0, err
 		}
@@ -162,10 +162,10 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 		if err != nil {
 			return 0, err
 		}
-		if _, _, err := e.zset.index.Delete(tx, member); err != nil {
+		if _, _, err := e.zset().index.Delete(tx, member); err != nil {
 			return 0, err
 		}
-		if _, _, err := e.zset.byScore.Delete(tx, zkey(oldScore, member)); err != nil {
+		if _, _, err := e.zset().byScore.Delete(tx, zkey(oldScore, member)); err != nil {
 			return 0, err
 		}
 		removed++
@@ -175,7 +175,7 @@ func (st *Store) ZRemTx(tx *stm.Tx, now int64, key string, members ...string) (i
 		// Emptiness is the skip list's to answer — one read past its head
 		// — not the member index's, which would have to count every
 		// bucket.
-		empty, err := e.zset.byScore.Empty(tx)
+		empty, err := e.zset().byScore.Empty(tx)
 		if err != nil {
 			return 0, err
 		}
@@ -195,7 +195,7 @@ func (st *Store) ZCardTx(tx *stm.Tx, now int64, key string) (int, error) {
 	if err != nil || !ok {
 		return 0, err
 	}
-	return e.zset.index.Len(tx)
+	return e.zset().index.Len(tx)
 }
 
 // ZRangeTx returns the members of the sorted set at key between ranks
@@ -206,7 +206,7 @@ func (st *Store) ZRangeTx(tx *stm.Tx, now int64, key string, start, stop int) ([
 	if err != nil || !ok {
 		return nil, err
 	}
-	keys, err := e.zset.byScore.Keys(tx)
+	keys, err := e.zset().byScore.Keys(tx)
 	if err != nil {
 		return nil, err
 	}

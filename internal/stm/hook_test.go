@@ -2,8 +2,10 @@ package stm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestOnCommitFiresOnceOnCommit pins the hook's basic contract: it
@@ -155,5 +157,71 @@ func TestOnCommitOrderPerObject(t *testing.T) {
 	}
 	if got := v.Peek(); got != goroutines*perG {
 		t.Fatalf("final value %d, want %d", got, goroutines*perG)
+	}
+}
+
+// TestAbortsValidationHeld parks a writer A in the commit window, its
+// write stripe held, while a writer B that read a different object on
+// that stripe commits. B's version of the object is still the committed
+// one, so its lock-aware scan fails only on the held stripe: the abort
+// counts in AbortsValidation and in its AbortsValidationHeld subset,
+// and B commits once A is let go.
+func TestAbortsValidationHeld(t *testing.T) {
+	x := NewVar(0)
+	z := NewVar(0)
+	for z.obj.stripe != x.obj.stripe {
+		z = NewVar(0)
+	}
+	y := NewVar(0)
+	for y.obj.stripe == x.obj.stripe {
+		y = NewVar(0)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s := New(WithCommitHook(func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}))
+	incr := func(tx *Tx, v *Var[int]) error {
+		n, err := Read(tx, v)
+		if err != nil {
+			return err
+		}
+		return Write(tx, v, n+1)
+	}
+	done := make(chan error, 2)
+	go func() { done <- s.Atomically(func(tx *Tx) error { return incr(tx, x) }) }()
+	<-parked
+	go func() {
+		done <- s.Atomically(func(tx *Tx) error {
+			if _, err := Read(tx, z); err != nil {
+				return err
+			}
+			return incr(tx, y)
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.TotalStats().AbortsValidationHeld == 0 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("no held-stripe abort while A sat in its commit window: %+v", s.TotalStats())
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.TotalStats()
+	if st.AbortsValidationHeld == 0 || st.AbortsValidationHeld > st.AbortsValidation {
+		t.Fatalf("AbortsValidationHeld %d, AbortsValidation %d: want 0 < held <= validation",
+			st.AbortsValidationHeld, st.AbortsValidation)
+	}
+	if st.Commits != 2 {
+		t.Fatalf("%d commits, want 2", st.Commits)
 	}
 }

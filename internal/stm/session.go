@@ -58,6 +58,10 @@ type session struct {
 	validClock uint64
 	// opens counts objects opened by the attempt (reads and writes).
 	opens int32
+	// stripeHeld is set when the writer commit's lock-aware scan
+	// failed on a read whose stripe another committer held (see
+	// Stats.AbortsValidationHeld).
+	stripeHeld bool
 	// lazyWrites buffers tentative versions in lazy-conflict mode,
 	// each a cell owned by the attempt that commit installs as it is
 	// (nil in eager mode and until a lazy transaction first writes).
@@ -322,7 +326,7 @@ func (sess *session) run(shared *txShared, fn func(tx *Tx) error) error {
 			cause = CauseEnemyAbort
 		}
 		shared.aborts.Add(1)
-		sess.stats.noteAbort(cause)
+		sess.stats.noteAbort(cause, sess.stripeHeld)
 		if rec := sess.rec; rec != nil {
 			rec.abort(cause)
 		}
@@ -392,6 +396,7 @@ func (sess *session) resetAttempt() {
 	sess.installed = sess.installed[:0]
 	sess.validClock = 0
 	sess.opens = 0
+	sess.stripeHeld = false
 	clear(sess.lazyWrites)
 	sess.local = nil
 	sess.onCommit = nil

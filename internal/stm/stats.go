@@ -21,6 +21,12 @@ type Stats struct {
 	AbortsEnemy      int64
 	AbortsValidation int64
 	AbortsCASRace    int64
+	// AbortsValidationHeld counts the subset of AbortsValidation where
+	// the writer commit's lock-aware scan found a read's commit stripe
+	// held by another committing writer — possibly a writer of another
+	// object on the same stripe — rather than a read whose committed
+	// version had moved on.
+	AbortsValidationHeld int64
 	// AbortsUser counts attempts ended by a non-retryable user error.
 	// Not part of Aborts (which has always counted only retried
 	// attempts), and tracked so INFO can separate command failures
@@ -57,6 +63,7 @@ func (s *Stats) Add(other Stats) {
 	s.Aborts += other.Aborts
 	s.AbortsEnemy += other.AbortsEnemy
 	s.AbortsValidation += other.AbortsValidation
+	s.AbortsValidationHeld += other.AbortsValidationHeld
 	s.AbortsCASRace += other.AbortsCASRace
 	s.AbortsUser += other.AbortsUser
 	s.Conflicts += other.Conflicts
@@ -76,6 +83,7 @@ type atomicStats struct {
 	aborts           atomic.Int64
 	abortsEnemy      atomic.Int64
 	abortsValidation atomic.Int64
+	abortsHeld       atomic.Int64
 	abortsCASRace    atomic.Int64
 	abortsUser       atomic.Int64
 	conflicts        atomic.Int64
@@ -90,12 +98,16 @@ type atomicStats struct {
 // (the transactional function surfaced ErrAborted without any engine
 // site classifying the death — only possible when user code returns
 // ErrAborted itself) is charged to the enemy bucket, so the partition
-// invariant sum(per-cause) == Aborts holds unconditionally.
-func (a *atomicStats) noteAbort(c AbortCause) {
+// invariant sum(per-cause) == Aborts holds unconditionally. held
+// charges a validation abort to AbortsValidationHeld as well.
+func (a *atomicStats) noteAbort(c AbortCause, held bool) {
 	a.aborts.Add(1)
 	switch c {
 	case CauseValidation:
 		a.abortsValidation.Add(1)
+		if held {
+			a.abortsHeld.Add(1)
+		}
 	case CauseCASRace:
 		a.abortsCASRace.Add(1)
 	default:
@@ -106,18 +118,19 @@ func (a *atomicStats) noteAbort(c AbortCause) {
 // snapshot captures the counters as a plain Stats value.
 func (a *atomicStats) snapshot() Stats {
 	return Stats{
-		Commits:          a.commits.Load(),
-		Aborts:           a.aborts.Load(),
-		AbortsEnemy:      a.abortsEnemy.Load(),
-		AbortsValidation: a.abortsValidation.Load(),
-		AbortsCASRace:    a.abortsCASRace.Load(),
-		AbortsUser:       a.abortsUser.Load(),
-		Conflicts:        a.conflicts.Load(),
-		EnemyAborts:      a.enemyAborts.Load(),
-		Opens:            a.opens.Load(),
-		Halted:           a.halted.Load(),
-		WaitNs:           a.waitNs.Load(),
-		BackoffNs:        a.backoffNs.Load(),
+		Commits:              a.commits.Load(),
+		Aborts:               a.aborts.Load(),
+		AbortsEnemy:          a.abortsEnemy.Load(),
+		AbortsValidation:     a.abortsValidation.Load(),
+		AbortsValidationHeld: a.abortsHeld.Load(),
+		AbortsCASRace:        a.abortsCASRace.Load(),
+		AbortsUser:           a.abortsUser.Load(),
+		Conflicts:            a.conflicts.Load(),
+		EnemyAborts:          a.enemyAborts.Load(),
+		Opens:                a.opens.Load(),
+		Halted:               a.halted.Load(),
+		WaitNs:               a.waitNs.Load(),
+		BackoffNs:            a.backoffNs.Load(),
 	}
 }
 

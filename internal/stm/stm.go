@@ -255,7 +255,8 @@ func (tx *Tx) tryCommit() bool {
 	}
 	held := tx.lockStripes()
 	defer tx.unlockStripes(held)
-	if !tx.readsCommittedAndUnowned() {
+	if f := tx.readsCommittedAndUnowned(); f != readsValid {
+		sess.stripeHeld = f == readHeld
 		tx.setCause(CauseValidation)
 		tx.noteConflict()
 		tx.Abort()

@@ -337,12 +337,25 @@ func (tx *Tx) recordRead(obj *tobj, v value) {
 	sess.overflow[obj] = v
 }
 
+// readFault is the verdict of a read-set scan: every read valid, or
+// why the first failing one failed.
+type readFault uint8
+
+const (
+	readsValid readFault = iota
+	// readStale: the object's committed version moved on.
+	readStale
+	// readHeld (lock-aware scan only): another committing writer
+	// holds the read's commit stripe.
+	readHeld
+)
+
 // readsStillCommitted re-checks every recorded read — slice entries
 // and overflow map — against the object's current committed version.
 // This is the plain (open-time and read-only-commit) scan; writer
 // commits use the lock-aware readsCommittedAndUnowned.
 func (tx *Tx) readsStillCommitted() bool {
-	return tx.validateReads(false)
+	return tx.validateReads(false) == readsValid
 }
 
 // readsCommittedAndUnowned is the writer commit's read-set scan, run
@@ -351,22 +364,22 @@ func (tx *Tx) readsStillCommitted() bool {
 // committing writer. Treating a foreign stripe lock as a conflict is
 // what preserves the old global commitMu's invariant — see
 // readStillValid for the ordering argument.
-func (tx *Tx) readsCommittedAndUnowned() bool {
+func (tx *Tx) readsCommittedAndUnowned() readFault {
 	return tx.validateReads(true)
 }
 
-func (tx *Tx) validateReads(lockAware bool) bool {
+func (tx *Tx) validateReads(lockAware bool) readFault {
 	for _, r := range tx.sess.reads {
-		if !tx.readStillValid(r.obj, r.seen, lockAware) {
-			return false
+		if f := tx.readStillValid(r.obj, r.seen, lockAware); f != readsValid {
+			return f
 		}
 	}
 	for obj, seen := range tx.sess.overflow {
-		if !tx.readStillValid(obj, seen, lockAware) {
-			return false
+		if f := tx.readStillValid(obj, seen, lockAware); f != readsValid {
+			return f
 		}
 	}
-	return true
+	return readsValid
 }
 
 // readStillValid checks one read-set entry. In lock-aware mode the
@@ -380,11 +393,14 @@ func (tx *Tx) validateReads(lockAware bool) bool {
 // other's acquisition, which is impossible, so at least one fails.
 // (Checked the other way around, a stale version read could pair with
 // a post-release owner read and let both commit.)
-func (tx *Tx) readStillValid(obj *tobj, seen value, lockAware bool) bool {
+func (tx *Tx) readStillValid(obj *tobj, seen value, lockAware bool) readFault {
 	if lockAware {
 		if owner := tx.sess.stm.stripes[obj.stripe].owner.Load(); owner != nil && owner != tx {
-			return false
+			return readHeld
 		}
 	}
-	return obj.committed() == seen
+	if obj.committed() != seen {
+		return readStale
+	}
+	return readsValid
 }
