@@ -1,37 +1,29 @@
 // Command stmkv serves the transactional key-value store over a
-// RESP-lite protocol (see README.md for usage and the wire surface),
-// and doubles as its own closed-loop load generator and CI smoke
-// harness.
-//
-// Modes:
+// RESP-lite protocol (see README.md for usage and the wire surface).
 //
 //	stmkv                          # serve on -addr (default :6399)
 //	stmkv -data DIR                # serve durably: recover, then log + snapshot
-//	stmkv -loadgen -addr HOST:PORT # drive an already-running server
-//	stmkv -audit check ...         # one-shot invariant probe of a live server
-//	stmkv -smoke                   # in-process server + loadgen + invariants
 //
 // The server runs one goroutine per connection; every command borrows
 // a pooled STM session, so concurrent clients commit in parallel under
 // the striped commit protocol, arbitrated by the contention manager
 // named with -manager. With -data, committed write sets are
 // group-committed to a write-ahead log and SAVE/BGSAVE cut snapshots
-// that truncate it (DESIGN.md §Durability). Serving and -smoke start
-// the server the same way (start); the store's shape (16 shards of 8
-// initial buckets) and the load generator's workload (see loadgen.go)
-// are fixed, so every run exercises the same program.
+// that truncate it (DESIGN.md §Durability). The store's shape (16
+// shards of 8 initial buckets) is fixed.
+//
+// The tests start the server the way main does (start): TestSmoke in
+// process under internal/kvclient's load, TestCrashRestart as a built
+// binary killed with SIGKILL five times.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -45,67 +37,26 @@ import (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":6399", "listen address (serve) or target address (-loadgen/-audit)")
-		manager = flag.String("manager", "greedy", "contention manager registry name (see stmbench -list)")
-
-		metrics = flag.String("metrics", "", "observability HTTP listener serving /metrics, /healthz and /debug/pprof (empty disables)")
-		txtrace = flag.Int("txtrace", 0, "transaction flight recorder: sample 1 in N transactions into ABORTLOG and /debug/stm/conflicts (0 disables)")
-		data    = flag.String("data", "", "durability directory: recover on boot, then write-ahead log every commit (empty = memory only)")
-		sweep   = flag.Duration("sweep", 500*time.Millisecond, "background TTL sweep cadence for a full pass over all shards; shards holding no TTL are skipped (0 disables)")
-		bgsave  = flag.String("bgsave-every", "", "scheduled BGSAVE cadence: a duration (\"30s\") or a logged-record count (\"500ops\"); empty disables (durable mode only)")
-
-		loadgen = flag.Bool("loadgen", false, "run the closed-loop load generator against -addr instead of serving")
-		smoke   = flag.Bool("smoke", false, "start an in-process server on an ephemeral port, run the load generator against it, verify invariants, shut down")
-		clients = flag.Int("clients", 8, "load generator: concurrent connections")
-		ops     = flag.Int("ops", 2000, "load generator: operations per connection")
-		binKeys = flag.Bool("binkeys", false, "load generator: use a binary-hostile key table (NULs, CRLFs, high bytes)")
-		typed   = flag.Bool("typed", false, "load generator: mix in typed-container traffic (hash-ledger transfers, FIFO lists, zset round-trips)")
-
-		audit = flag.String("audit", "", "audit a live server at -addr: sum (conservation), set (plant TTL probes too), check (verify probes too)")
-		save  = flag.Bool("save", false, "audit: issue SAVE before exiting")
-	)
+	cfg := serverFlags(flag.CommandLine)
 	flag.Parse()
-	modes := 0
-	for _, on := range []bool{*loadgen, *smoke, *audit != ""} {
-		if on {
-			modes++
-		}
+	if err := serve(*cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "stmkv:", err)
+		os.Exit(1)
 	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "stmkv: -loadgen, -smoke and -audit are mutually exclusive")
-		os.Exit(2)
-	}
-	lcfg := loadConfig{clients: *clients, ops: *ops, binKeys: *binKeys, typed: *typed}
-	scfg := serverConfig{
-		addr:    *addr,
-		metrics: *metrics,
-		manager: *manager,
-		data:    *data,
-		sweep:   *sweep,
-		bgsave:  *bgsave,
-		txtrace: *txtrace,
-	}
-	switch {
-	case *loadgen:
-		report, err := runLoadgen(*addr, lcfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(report)
-	case *audit != "":
-		if err := runAudit(*addr, *audit, *save); err != nil {
-			fatal(err)
-		}
-	case *smoke:
-		if err := runSmoke(scfg, lcfg); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := serve(scfg); err != nil {
-			fatal(err)
-		}
-	}
+}
+
+// serverFlags defines the server's flags on fs and returns the config
+// they fill in when fs is parsed.
+func serverFlags(fs *flag.FlagSet) *serverConfig {
+	cfg := new(serverConfig)
+	fs.StringVar(&cfg.addr, "addr", ":6399", "listen address")
+	fs.StringVar(&cfg.manager, "manager", "greedy", "contention manager registry name (see stmbench -list)")
+	fs.StringVar(&cfg.metrics, "metrics", "", "observability HTTP listener serving /metrics, /healthz and /debug/pprof (empty disables)")
+	fs.IntVar(&cfg.txtrace, "txtrace", 0, "transaction flight recorder: sample 1 in N transactions into ABORTLOG and /debug/stm/conflicts (0 disables)")
+	fs.StringVar(&cfg.data, "data", "", "durability directory: recover on boot, then write-ahead log every commit (empty = memory only)")
+	fs.DurationVar(&cfg.sweep, "sweep", 500*time.Millisecond, "background TTL sweep cadence for a full pass over all shards; shards holding no TTL are skipped (0 disables)")
+	fs.StringVar(&cfg.bgsave, "bgsave-every", "", "scheduled BGSAVE cadence: a duration (\"30s\") or a logged-record count (\"500ops\"); empty disables (durable mode only)")
+	return cfg
 }
 
 // serverConfig is what the serving flags set: where to listen, which
@@ -253,7 +204,7 @@ type instance struct {
 	stopMetrics func()
 }
 
-// start is the one start-up sequence both serving and -smoke run: open
+// start is the one start-up sequence, for main and the tests: open
 // (and in durable mode recover) the store, build the server, start the
 // metrics listener and the socket listener, print the boot line, and
 // serve in the background — which starts the sweeper and the snapshot
@@ -322,322 +273,3 @@ func serve(cfg serverConfig) error {
 	}
 	return err
 }
-
-// runSmoke is the CI path: a real server on an ephemeral port, the
-// load generator driving it over real sockets, then invariant checks
-// and a clean shutdown. With -data it additionally gates the log's
-// counters (consistent, and at rest everything appended is durable) and
-// proves the restore path: the directory is recovered — without
-// closing the log, as a crash would leave it — into a fresh store
-// that must match the pre-shutdown state exactly. Any violation exits
-// non-zero through main.
-func runSmoke(cfg serverConfig, lcfg loadConfig) error {
-	// The smoke gates the metrics listener and the flight recorder end
-	// to end, so both are always on here, on ephemeral ports; a dense
-	// sampling period makes the loadgen storm fill the recorder.
-	cfg.addr, cfg.metrics = "127.0.0.1:0", "127.0.0.1:0"
-	if cfg.txtrace <= 0 {
-		cfg.txtrace = 4
-	}
-	inst, err := start(cfg)
-	if err != nil {
-		return err
-	}
-	defer inst.stopMetrics()
-	store, l, srv, ln := inst.store, inst.log, inst.srv, inst.ln
-
-	report, err := runLoadgen(ln.Addr().String(), lcfg)
-	if err != nil {
-		return fmt.Errorf("smoke: loadgen: %w", err)
-	}
-	fmt.Println(report)
-
-	// The observability surface is a smoke gate too: the exposition
-	// must parse back, the storm must be visible in the command
-	// counters, and health and pprof must answer.
-	if err := smokeMetrics("http://" + inst.metricsAddr); err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-
-	// And so is the flight recorder: the conflict matrix must serve
-	// parseable JSON that saw the storm, and ABORTLOG must answer over
-	// RESP.
-	if err := smokeTrace("http://"+inst.metricsAddr, ln.Addr().String()); err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-
-	// The store must be structurally sound after the storm, and the
-	// expiry backstop must run clean.
-	if err := store.CheckInvariants(); err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	reaped, err := store.Sweep()
-	if err != nil {
-		return fmt.Errorf("smoke: sweep: %w", err)
-	}
-	n := store.PeekLen()
-	stats := store.STM().TotalStats()
-	fmt.Printf("smoke: ok — %d live keys, %d reaped, shard buckets %v, %d commits (abort rate %.2f)\n",
-		n, reaped, store.BucketsPerShard(), stats.Commits, stats.AbortRate())
-
-	// Close quiesces every background writer as well as the clients: a
-	// scheduled BGSAVE rotating and reaping segments — or a sweeper pass
-	// appending tombstones — while Recover scans the directory would
-	// hand the comparison below a torn view of the log.
-	if err := srv.Close(); err != nil {
-		return fmt.Errorf("smoke: close: %w", err)
-	}
-	if err := <-inst.done; err != nil {
-		return fmt.Errorf("smoke: serve returned: %w", err)
-	}
-	// A second Close must be a no-op, and the port must be free again.
-	if err := srv.Close(); err != nil {
-		return fmt.Errorf("smoke: double close: %w", err)
-	}
-	probe, err := net.Listen("tcp", ln.Addr().String())
-	if err != nil {
-		return fmt.Errorf("smoke: port not released: %w", err)
-	}
-	probe.Close()
-	if l != nil {
-		if err := smokeDurability(store, l, lcfg); err != nil {
-			return err
-		}
-		if err := l.Close(); err != nil {
-			return fmt.Errorf("smoke: wal close: %w", err)
-		}
-	}
-	return nil
-}
-
-// smokeMetrics gates the observability surface under -smoke: /metrics
-// must serve a well-formed exposition that records the loadgen storm
-// (nonzero stmkv_commands_total across commands), /healthz must be
-// green, and pprof must be reachable. Runs against the in-process
-// metrics listener over a real HTTP round trip, same as a scraper.
-func smokeMetrics(base string) error {
-	get := func(path string) ([]byte, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: GET %s: %w", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: read %s: %w", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("metrics: GET %s: status %d (%s)", path, resp.StatusCode, body)
-		}
-		return body, nil
-	}
-	body, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	samples, err := obs.CheckExposition(body)
-	if err != nil {
-		return fmt.Errorf("metrics: exposition malformed: %w", err)
-	}
-	var commands float64
-	for name, v := range samples {
-		if strings.HasPrefix(name, "stmkv_commands_total{") {
-			commands += v
-		}
-	}
-	if commands == 0 {
-		return fmt.Errorf("metrics: stmkv_commands_total is zero after the loadgen storm")
-	}
-	if _, err := get("/healthz"); err != nil {
-		return err
-	}
-	if _, err := get("/debug/pprof/cmdline"); err != nil {
-		return err
-	}
-	fmt.Printf("smoke: metrics ok — %d samples parsed back, %.0f commands counted, healthz and pprof answering\n",
-		len(samples), commands)
-	return nil
-}
-
-// smokeTrace gates the transaction flight recorder end to end: the
-// conflict matrix at /debug/stm/conflicts must parse as JSON and have
-// sampled the loadgen storm (the smoke always arms -txtrace), the text
-// form must answer, and ABORTLOG must answer LEN with an integer and
-// GET with a well-formed array over RESP.
-func smokeTrace(base, addr string) error {
-	resp, err := http.Get(base + "/debug/stm/conflicts")
-	if err != nil {
-		return fmt.Errorf("trace: GET conflicts: %w", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace: GET conflicts: status %d (%v)", resp.StatusCode, err)
-	}
-	var snap struct {
-		Manager    string           `json:"manager"`
-		SampledTxs int64            `json:"sampled_txs"`
-		Causes     map[string]int64 `json:"abort_causes"`
-		HotObjects []struct {
-			Obj   string `json:"obj"`
-			Opens int64  `json:"opens"`
-		} `json:"hot_objects"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return fmt.Errorf("trace: conflicts not parseable JSON: %w", err)
-	}
-	if snap.Manager == "" {
-		return fmt.Errorf("trace: conflicts snapshot names no manager")
-	}
-	if snap.SampledTxs == 0 {
-		return fmt.Errorf("trace: no transactions sampled during the storm")
-	}
-	if len(snap.HotObjects) == 0 {
-		return fmt.Errorf("trace: no hot objects attributed during the storm")
-	}
-	if resp, err = http.Get(base + "/debug/stm/conflicts?format=text&top=5"); err != nil {
-		return fmt.Errorf("trace: GET conflicts text: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace: GET conflicts text: status %d", resp.StatusCode)
-	}
-
-	c, err := dial(addr)
-	if err != nil {
-		return fmt.Errorf("trace: dial: %w", err)
-	}
-	defer c.conn.Close()
-	v, err := c.must("ABORTLOG", "LEN")
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	held := v.Int
-	if v, err = c.must("ABORTLOG", "GET", "5"); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	for _, e := range v.Elems {
-		if len(e.Elems) != 9 {
-			return fmt.Errorf("trace: ABORTLOG entry has %d fields, want 9", len(e.Elems))
-		}
-	}
-	fmt.Printf("smoke: trace ok — %d txs sampled (hot: %s), %d abort causes, abortlog holds %d\n",
-		snap.SampledTxs, snap.HotObjects[0].Obj, len(snap.Causes), held)
-	return nil
-}
-
-// smokeDurability checks the two durable-mode acceptance gates after
-// the loadgen storm: the log's counters must be consistent — one fsync
-// per batch, no batch without a record, nothing dropped, and at rest
-// nothing appended that is not durable — and recovering the directory
-// as-is (no clean shutdown of the log) must reproduce the live state.
-// How many records share an fsync is printed, not gated: it is the
-// device's speed over the arrival rate, not a property of the code
-// (internal/wal's TestFlushDrainsQueue proves the sharing).
-func smokeDurability(store *kv.Store, l *wal.Log, lcfg loadConfig) error {
-	st := l.Stats()
-	if st.Records() == 0 {
-		return fmt.Errorf("smoke: wal: no records logged under load")
-	}
-	fmt.Printf("smoke: wal — %d records in %d batches, %d fsyncs (%.4f fsyncs/record), %d dropped, lsn %d/%d durable\n",
-		st.Records(), st.Batches, st.Fsyncs, float64(st.Fsyncs)/float64(st.Records()), st.Dropped, st.Durable, st.Enqueued)
-	if st.Batches != st.Fsyncs || st.Fsyncs > st.Records() || st.Dropped != 0 || st.Durable != st.Enqueued {
-		return fmt.Errorf("smoke: wal: inconsistent at rest: %+v (want batches == fsyncs <= records, 0 dropped, durable == enqueued)", st)
-	}
-
-	// Let every short-TTL loadgen key cross its deadline so the
-	// pre/post state comparison is not racing expiry.
-	time.Sleep(20 * time.Millisecond)
-	pre, err := store.SnapshotOps()
-	if err != nil {
-		return fmt.Errorf("smoke: snapshot ops: %w", err)
-	}
-	fresh := kv.New(stm.New(), kv.WithClock(func() int64 { return time.Now().UnixNano() }))
-	if _, err := wal.Recover(l.Dir(), fresh.Apply); err != nil {
-		return fmt.Errorf("smoke: recover: %w", err)
-	}
-	post, err := fresh.SnapshotOps()
-	if err != nil {
-		return fmt.Errorf("smoke: restored snapshot ops: %w", err)
-	}
-	sortOps(pre)
-	sortOps(post)
-	if diff := diffOps(pre, post); diff != "" {
-		return fmt.Errorf("smoke: restore mismatch: %s", diff)
-	}
-	sum := 0
-	for i := 0; i < transferAccounts; i++ {
-		v, ok, err := fresh.Get(fmt.Sprintf("acct:%d", i))
-		if err != nil || !ok {
-			return fmt.Errorf("smoke: restored account %d missing (%v)", i, err)
-		}
-		var n int
-		fmt.Sscan(v, &n)
-		sum += n
-	}
-	if want := transferAccounts * 1000; sum != want {
-		return fmt.Errorf("smoke: restored conservation broken: %d, want %d", sum, want)
-	}
-	if lcfg.typed {
-		// The typed ledger must conserve through recovery too: the hash
-		// replays field by field, so a lost or doubled HINCRBY would
-		// break the sum even when the op-for-op comparison above passed
-		// (it compares against the live store, not the ground truth).
-		var pairs []kv.KV
-		err := fresh.Atomically(func(tx *stm.Tx, now int64) (err error) {
-			pairs, err = fresh.HGetAllTx(tx, now, typedStatsKey)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("smoke: restored typed ledger: %w", err)
-		}
-		hsum := 0
-		for _, p := range pairs {
-			var n int
-			if _, err := fmt.Sscan(p.V, &n); err != nil {
-				return fmt.Errorf("smoke: restored ledger field %s holds %q", p.K, p.V)
-			}
-			hsum += n
-		}
-		if want := transferAccounts * 1000; hsum != want {
-			return fmt.Errorf("smoke: restored typed ledger broken: %d, want %d", hsum, want)
-		}
-	}
-	fmt.Printf("smoke: restore ok — %d live entries reproduced, accounts conserved (typed=%v)\n", len(post), lcfg.typed)
-	return nil
-}
-
-// sortOps orders ops by key, stably: SnapshotOps emits each key's op
-// sequence in a canonical order, so a stable by-key sort makes two
-// dumps of the same logical state comparable.
-func sortOps(ops []wal.Op) {
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
-}
-
-// diffOps reports the first divergence between two sorted op dumps —
-// naming the key, kind and values on both sides — or "" if they
-// match. A bare length mismatch is useless in a flake report; the
-// offending key is what lets the failure be diagnosed post-hoc.
-func diffOps(pre, post []wal.Op) string {
-	n := min(len(pre), len(post))
-	for i := 0; i < n; i++ {
-		if pre[i] != post[i] {
-			return fmt.Sprintf("at index %d: live %+v, restored %+v", i, pre[i], post[i])
-		}
-	}
-	switch {
-	case len(pre) > n:
-		return fmt.Sprintf("%d restored entries, want %d; first live-only op %+v", len(post), len(pre), pre[n])
-	case len(post) > n:
-		return fmt.Sprintf("%d restored entries, want %d; first restored-only op %+v", len(post), len(pre), post[n])
-	}
-	return ""
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stmkv:", err)
-	os.Exit(1)
-}
-
-// fields joins a command's words for error reporting.
-func fields(args []string) string { return strings.Join(args, " ") }

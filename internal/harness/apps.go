@@ -406,7 +406,10 @@ func (a *kvApp) seed(s *stm.STM, rng *rand.Rand) error {
 	a.store = kv.New(s, kv.WithShards(kvShards))
 	for i := 0; i < a.cfg.KeyRange/2; i++ {
 		key := a.keys.Sample(rng)
-		if err := a.store.Set(a.names[key], strconv.Itoa(key)); err != nil {
+		err := a.store.Atomically(func(tx *stm.Tx, now int64) error {
+			return a.store.SetTx(tx, now, a.names[key], strconv.Itoa(key), 0)
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -51,15 +51,15 @@ func TestCommandTableComplete(t *testing.T) {
 		// One call on a fresh connection (QUIT hangs up); the reply —
 		// often an arity error — is irrelevant, the slot must count it.
 		c := dialClient(t, addr)
-		if _, err := c.do(cmd.name); err != nil {
+		if _, err := c.Do(cmd.name); err != nil {
 			t.Errorf("%s: %v", cmd.name, err)
 		}
-		c.close()
+		c.Close()
 	}
 
 	c := dialClient(t, addr)
-	defer c.close()
-	stats := c.mustDo(t, "INFO", "commandstats").Str
+	defer c.Close()
+	stats := mustDo(t, c, "INFO", "commandstats").Str
 	var expo bytes.Buffer
 	if err := reg.WriteProm(&expo); err != nil {
 		t.Fatal(err)

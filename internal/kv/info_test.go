@@ -40,13 +40,13 @@ func TestInfoSections(t *testing.T) {
 	_, addr, stop := startServerWith(t, st, WithManagerName("greedy"))
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
-	c.mustDo(t, "SET", "a", "1")
-	c.mustDo(t, "SET", "b", "2")
+	mustDo(t, c, "SET", "a", "1")
+	mustDo(t, c, "SET", "b", "2")
 
 	// No argument: every section, with live values.
-	v := c.mustDo(t, "INFO")
+	v := mustDo(t, c, "INFO")
 	if v.Kind != '$' {
 		t.Fatalf("INFO reply kind = %q, want bulk", v.Kind)
 	}
@@ -66,29 +66,29 @@ func TestInfoSections(t *testing.T) {
 	}
 
 	// Section selection, case-insensitive.
-	v = c.mustDo(t, "INFO", "KEYSPACE")
+	v = mustDo(t, c, "INFO", "KEYSPACE")
 	if !strings.Contains(v.Str, "db0:keys=2") || strings.Contains(v.Str, "# Server") {
 		t.Fatalf("INFO KEYSPACE = %q", v.Str)
 	}
-	v = c.mustDo(t, "INFO", "stm")
+	v = mustDo(t, c, "INFO", "stm")
 	if !strings.Contains(v.Str, "commits:") || !strings.Contains(v.Str, "wait_ns:") {
 		t.Fatalf("INFO stm = %q", v.Str)
 	}
 
 	// A TTL arms its shard's sweep, and only its shard's.
-	if v = c.mustDo(t, "INFO", "stats"); !strings.Contains(v.Str, "sweeper_reaped_keys:0\r\nexpiry_armed_shards:0\r\n") {
+	if v = mustDo(t, c, "INFO", "stats"); !strings.Contains(v.Str, "sweeper_reaped_keys:0\r\nexpiry_armed_shards:0\r\n") {
 		t.Fatalf("INFO stats before any TTL = %q", v.Str)
 	}
-	c.mustDo(t, "SET", "c", "3", "PX", "60000")
-	if v = c.mustDo(t, "INFO", "stats"); !strings.Contains(v.Str, "expiry_armed_shards:1\r\n") {
+	mustDo(t, c, "SET", "c", "3", "PX", "60000")
+	if v = mustDo(t, c, "INFO", "stats"); !strings.Contains(v.Str, "expiry_armed_shards:1\r\n") {
 		t.Fatalf("INFO stats after SET PX = %q", v.Str)
 	}
 
 	// Unknown section and bad arity are errors.
-	if v, _ := c.do("INFO", "bogus"); !v.IsError() || !strings.Contains(v.Str, "unknown INFO section") {
+	if v, _ := c.Do("INFO", "bogus"); !v.IsError() || !strings.Contains(v.Str, "unknown INFO section") {
 		t.Fatalf("INFO bogus = %+v, want unknown-section error", v)
 	}
-	if v, _ := c.do("INFO", "stats", "extra"); !v.IsError() {
+	if v, _ := c.Do("INFO", "stats", "extra"); !v.IsError() {
 		t.Fatalf("INFO with two args = %+v, want arity error", v)
 	}
 }
@@ -98,15 +98,15 @@ func TestInfoAndSlowlogRejectedInsideMulti(t *testing.T) {
 	_, addr, stop := startServerWith(t, st)
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
 	for _, cmd := range [][]string{{"INFO"}, {"SLOWLOG", "LEN"}} {
-		c.mustDo(t, "MULTI")
-		if v, _ := c.do(cmd...); !v.IsError() || !strings.Contains(v.Str, "inside MULTI") {
+		mustDo(t, c, "MULTI")
+		if v, _ := c.Do(cmd...); !v.IsError() || !strings.Contains(v.Str, "inside MULTI") {
 			t.Fatalf("%v inside MULTI = %+v, want rejection", cmd, v)
 		}
 		// The rejection poisons the block, exactly like SAVE.
-		if v, _ := c.do("EXEC"); !v.IsError() || !strings.HasPrefix(v.Str, "EXECABORT") {
+		if v, _ := c.Do("EXEC"); !v.IsError() || !strings.HasPrefix(v.Str, "EXECABORT") {
 			t.Fatalf("EXEC after %v = %+v, want EXECABORT", cmd, v)
 		}
 	}
@@ -121,16 +121,16 @@ func TestSlowlogRingWraparound(t *testing.T) {
 	_, addr, stop := startServerWith(t, st, withSlowlog(0, 4), WithAbortLog(al))
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
 	for i := 0; i < 10; i++ {
-		c.mustDo(t, "SET", "k", "v")
+		mustDo(t, c, "SET", "k", "v")
 	}
-	v := c.mustDo(t, "SLOWLOG", "LEN")
+	v := mustDo(t, c, "SLOWLOG", "LEN")
 	if v.Int != 4 {
 		t.Fatalf("SLOWLOG LEN = %d, want ring size 4", v.Int)
 	}
-	v = c.mustDo(t, "SLOWLOG", "GET", "-1")
+	v = mustDo(t, c, "SLOWLOG", "GET", "-1")
 	if len(v.Elems) != 4 {
 		t.Fatalf("SLOWLOG GET returned %d entries, want 4", len(v.Elems))
 	}
@@ -167,32 +167,32 @@ func TestSlowlogRingWraparound(t *testing.T) {
 		t.Fatalf("newest id = %d, want >= 9 after wraparound", newest)
 	}
 	// GET with a count caps the result.
-	if v = c.mustDo(t, "SLOWLOG", "GET", "2"); len(v.Elems) != 2 {
+	if v = mustDo(t, c, "SLOWLOG", "GET", "2"); len(v.Elems) != 2 {
 		t.Fatalf("SLOWLOG GET 2 returned %d entries", len(v.Elems))
 	}
-	c.mustDo(t, "SLOWLOG", "RESET")
-	if v = c.mustDo(t, "SLOWLOG", "LEN"); v.Int != 0 {
+	mustDo(t, c, "SLOWLOG", "RESET")
+	if v = mustDo(t, c, "SLOWLOG", "LEN"); v.Int != 0 {
 		t.Fatalf("SLOWLOG LEN after RESET = %d", v.Int)
 	}
 	// Unknown subcommand errors.
-	if v, _ := c.do("SLOWLOG", "HELP"); !v.IsError() {
+	if v, _ := c.Do("SLOWLOG", "HELP"); !v.IsError() {
 		t.Fatalf("SLOWLOG HELP = %+v, want error", v)
 	}
 
 	// ABORTLOG keeps the same ring behind its own filter: a clean
 	// first-try commit is not recorded, a retried one is, with its cause.
 	al.TxDone(stm.TxSummary{Label: "SET", Committed: true, Attempts: 1}, nil)
-	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 0 {
+	if v = mustDo(t, c, "ABORTLOG", "LEN"); v.Int != 0 {
 		t.Fatalf("ABORTLOG LEN after a clean commit = %d, want 0", v.Int)
 	}
 	retried := stm.TxSummary{Label: "SET", Committed: true, Cause: stm.CauseEnemyAbort, Attempts: 2}
 	for i := 0; i < 10; i++ {
 		al.TxDone(retried, []stm.TraceEvent{{Kind: stm.TraceAbort, Attempt: 1, Cause: stm.CauseEnemyAbort}})
 	}
-	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 4 {
+	if v = mustDo(t, c, "ABORTLOG", "LEN"); v.Int != 4 {
 		t.Fatalf("ABORTLOG LEN = %d, want ring size 4", v.Int)
 	}
-	v = c.mustDo(t, "ABORTLOG", "GET", "-1")
+	v = mustDo(t, c, "ABORTLOG", "GET", "-1")
 	if len(v.Elems) != 4 {
 		t.Fatalf("ABORTLOG GET returned %d entries, want 4", len(v.Elems))
 	}
@@ -211,21 +211,21 @@ func TestSlowlogRingWraparound(t *testing.T) {
 			t.Fatalf("entry %d events = %+v", i, evs)
 		}
 	}
-	if v = c.mustDo(t, "ABORTLOG", "GET", "2"); len(v.Elems) != 2 {
+	if v = mustDo(t, c, "ABORTLOG", "GET", "2"); len(v.Elems) != 2 {
 		t.Fatalf("ABORTLOG GET 2 returned %d entries", len(v.Elems))
 	}
 	// A trace longer than the cap renders as 32 events plus a count of
 	// the rest.
 	al.TxDone(stm.TxSummary{Cause: stm.CauseUserError, Attempts: 1}, make([]stm.TraceEvent, 40))
-	v = c.mustDo(t, "ABORTLOG", "GET", "1")
+	v = mustDo(t, c, "ABORTLOG", "GET", "1")
 	if evs := v.Elems[0].Elems[8].Elems; len(evs) != 33 || evs[32].Str != "... 8 more events" {
 		t.Fatalf("long trace rendered as %d events, last %+v", len(evs), evs[len(evs)-1])
 	}
-	c.mustDo(t, "ABORTLOG", "RESET")
-	if v = c.mustDo(t, "ABORTLOG", "LEN"); v.Int != 0 {
+	mustDo(t, c, "ABORTLOG", "RESET")
+	if v = mustDo(t, c, "ABORTLOG", "LEN"); v.Int != 0 {
 		t.Fatalf("ABORTLOG LEN after RESET = %d", v.Int)
 	}
-	if v = c.mustDo(t, "ABORTLOG", "GET"); len(v.Elems) != 0 {
+	if v = mustDo(t, c, "ABORTLOG", "GET"); len(v.Elems) != 0 {
 		t.Fatalf("ABORTLOG GET after RESET returned %d entries", len(v.Elems))
 	}
 }
@@ -249,11 +249,11 @@ func TestMetricsExposition(t *testing.T) {
 	defer stop()
 	reg := srv.Registry()
 	c := dialClient(t, addr)
-	defer c.close()
-	c.mustDo(t, "SET", "k", "v", "PX", "60000")
-	c.mustDo(t, "GET", "k")
-	c.mustDo(t, "GET", "k")
-	if v, _ := c.do("GET"); !v.IsError() {
+	defer c.Close()
+	mustDo(t, c, "SET", "k", "v", "PX", "60000")
+	mustDo(t, c, "GET", "k")
+	mustDo(t, c, "GET", "k")
+	if v, _ := c.Do("GET"); !v.IsError() {
 		t.Fatalf("GET with no key = %+v, want arity error", v)
 	}
 	srv.sm.sweepFailures.Inc()
@@ -308,7 +308,7 @@ func TestMetricsExposition(t *testing.T) {
 	if enq, dur, depth := samples[`wal_lsn_enqueued`], samples[`wal_lsn_durable`], samples[`wal_queue_depth`]; enq != 1 || dur != 1 || depth != 0 {
 		t.Fatalf("wal watermark gauges: lsn_enqueued %g, lsn_durable %g, queue_depth %g, want 1, 1, 0\n%s", enq, dur, depth, body)
 	}
-	if info := c.mustDo(t, "INFO", "wal").Str; !strings.Contains(info, "lsn_enqueued:1\r\nlsn_durable:1\r\nqueue_depth:0\r\n") {
+	if info := mustDo(t, c, "INFO", "wal").Str; !strings.Contains(info, "lsn_enqueued:1\r\nlsn_durable:1\r\nqueue_depth:0\r\n") {
 		t.Fatalf("INFO wal lacks the watermark lines:\n%s", info)
 	}
 	if samples[`stmkv_keys`] != 1 {
@@ -342,20 +342,20 @@ func TestCommitTelemetry(t *testing.T) {
 	srv, addr, stop := startServerWith(t, New(stm.New()), WithManagerName("greedy"))
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 	for i := range n {
-		c.mustDo(t, "SET", "k"+strconv.Itoa(i), "v")
+		mustDo(t, c, "SET", "k"+strconv.Itoa(i), "v")
 	}
-	c.mustDo(t, "MULTI")
-	c.mustDo(t, "RPUSH", "l", "a")
-	c.mustDo(t, "GET", "k0")
-	if v := c.mustDo(t, "EXEC"); len(v.Elems) != 2 {
+	mustDo(t, c, "MULTI")
+	mustDo(t, c, "RPUSH", "l", "a")
+	mustDo(t, c, "GET", "k0")
+	if v := mustDo(t, c, "EXEC"); len(v.Elems) != 2 {
 		t.Fatalf("EXEC = %+v, want two replies", v)
 	}
-	if v, _ := c.do("INCR", "l"); !strings.HasPrefix(v.Str, "WRONGTYPE") {
+	if v, _ := c.Do("INCR", "l"); !strings.HasPrefix(v.Str, "WRONGTYPE") {
 		t.Fatalf("INCR on a list = %+v, want WRONGTYPE", v)
 	}
-	c.mustDo(t, "PING")
+	mustDo(t, c, "PING")
 
 	var body strings.Builder
 	if err := srv.Registry().WriteProm(&body); err != nil {
@@ -375,7 +375,7 @@ func TestCommitTelemetry(t *testing.T) {
 			t.Errorf("%s = %g, want %d", name, got, want)
 		}
 	}
-	info := c.mustDo(t, "INFO", "stm").Str
+	info := mustDo(t, c, "INFO", "stm").Str
 	for _, line := range []string{"commit_p50_usec:", "commit_p99_usec:", "attempts_per_commit:1.00\r\n"} {
 		if !strings.Contains(info, line) {
 			t.Errorf("INFO stm lacks %q:\n%s", line, info)

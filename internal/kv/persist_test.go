@@ -369,27 +369,27 @@ func TestServerSaveRestoreBinaryKeys(t *testing.T) {
 	a.AttachWAL(l)
 	addr, stop := startServer(t, a)
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
 	bin := "b\x00in\xff\r\n:key"
 	val := "v\x00al\xfe\r\n"
-	c.mustDo(t, "SET", bin, val)
-	c.mustDo(t, "SET", "plain", "1")
-	if v := c.mustDo(t, "GET", bin); v.Str != val {
+	mustDo(t, c, "SET", bin, val)
+	mustDo(t, c, "SET", "plain", "1")
+	if v := mustDo(t, c, "GET", bin); v.Str != val {
 		t.Fatalf("GET binary = %q, want %q", v.Str, val)
 	}
-	if v := c.mustDo(t, "SAVE"); v.Str != "OK" {
+	if v := mustDo(t, c, "SAVE"); v.Str != "OK" {
 		t.Fatalf("SAVE = %q", v.Str)
 	}
-	c.mustDo(t, "SET", "after", "2")
-	if v := c.mustDo(t, "BGSAVE"); v.Str != "Background saving started" {
+	mustDo(t, c, "SET", "after", "2")
+	if v := mustDo(t, c, "BGSAVE"); v.Str != "Background saving started" {
 		t.Fatalf("BGSAVE = %q", v.Str)
 	}
 	// The background cut holds the single-flight slot; SAVE reports
 	// "in progress" until it finishes, then succeeds again.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		v, err := c.do("SAVE")
+		v, err := c.Do("SAVE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,24 +427,24 @@ func TestServerSaveErrors(t *testing.T) {
 	addr, stop := startServer(t, New(stm.New()))
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
-	v, err := c.do("SAVE")
+	v, err := c.Do("SAVE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.IsError() || !strings.Contains(v.Str, "persistence is disabled") {
 		t.Fatalf("SAVE on memory-only store: %q", v.Str)
 	}
-	c.mustDo(t, "MULTI")
-	v, err = c.do("BGSAVE")
+	mustDo(t, c, "MULTI")
+	v, err = c.Do("BGSAVE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.IsError() || !strings.Contains(v.Str, "inside MULTI") {
 		t.Fatalf("BGSAVE inside MULTI: %q", v.Str)
 	}
-	v, err = c.do("EXEC")
+	v, err = c.Do("EXEC")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvclient"
 	"repro/internal/resp"
 	"repro/internal/stm"
 )
@@ -39,46 +40,21 @@ func startServer(t *testing.T, st *Store) (string, func()) {
 	return ln.Addr().String(), stop
 }
 
-// client is a minimal test client over the resp package.
-type client struct {
-	conn net.Conn
-	r    *resp.Reader
-	w    *resp.Writer
-}
-
-func dialClient(t *testing.T, addr string) *client {
+func dialClient(t *testing.T, addr string) *kvclient.Client {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	c, err := kvclient.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &client{conn: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}
+	return c
 }
 
-func (c *client) close() { c.conn.Close() }
-
-// do sends one command as an array frame and reads one reply.
-func (c *client) do(args ...string) (resp.Value, error) {
-	c.w.Array(len(args))
-	for _, a := range args {
-		c.w.Bulk(a)
-	}
-	if err := c.w.Flush(); err != nil {
-		return resp.Value{}, err
-	}
-	return c.r.ReadReply()
-}
-
-// mustDo fails the test on transport errors or unexpected error
-// replies.
-func (c *client) mustDo(t *testing.T, args ...string) resp.Value {
+// mustDo fails the test on transport errors or error replies.
+func mustDo(t *testing.T, c *kvclient.Client, args ...string) resp.Value {
 	t.Helper()
-	v, err := c.do(args...)
+	v, err := c.Must(args...)
 	if err != nil {
-		t.Fatalf("%v: %v", args, err)
-	}
-	if v.IsError() {
-		t.Fatalf("%v: error reply %q", args, v.Str)
+		t.Fatal(err)
 	}
 	return v
 }
@@ -92,111 +68,111 @@ func TestServerProtocol(t *testing.T) {
 	addr, stop := startServer(t, st)
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
-	if v := c.mustDo(t, "PING"); v.Kind != '+' || v.Str != "PONG" {
+	if v := mustDo(t, c, "PING"); v.Kind != '+' || v.Str != "PONG" {
 		t.Fatalf("PING = %+v", v)
 	}
-	if v := c.mustDo(t, "PING", "hello"); v.Kind != '$' || v.Str != "hello" {
+	if v := mustDo(t, c, "PING", "hello"); v.Kind != '$' || v.Str != "hello" {
 		t.Fatalf("PING hello = %+v", v)
 	}
-	if v := c.mustDo(t, "SET", "k", "v"); v.Str != "OK" {
+	if v := mustDo(t, c, "SET", "k", "v"); v.Str != "OK" {
 		t.Fatalf("SET = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "k"); v.Str != "v" {
+	if v := mustDo(t, c, "GET", "k"); v.Str != "v" {
 		t.Fatalf("GET = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "missing"); !v.Null {
+	if v := mustDo(t, c, "GET", "missing"); !v.Null {
 		t.Fatalf("GET missing = %+v, want null", v)
 	}
-	if v := c.mustDo(t, "INCR", "n"); v.Int != 1 {
+	if v := mustDo(t, c, "INCR", "n"); v.Int != 1 {
 		t.Fatalf("INCR = %+v", v)
 	}
-	if v := c.mustDo(t, "INCRBY", "n", "41"); v.Int != 42 {
+	if v := mustDo(t, c, "INCRBY", "n", "41"); v.Int != 42 {
 		t.Fatalf("INCRBY = %+v", v)
 	}
-	if v, err := c.do("INCR", "k"); err != nil || !v.IsError() || !strings.Contains(v.Str, "not an integer") {
+	if v, err := c.Do("INCR", "k"); err != nil || !v.IsError() || !strings.Contains(v.Str, "not an integer") {
 		t.Fatalf("INCR on text = %+v, %v", v, err)
 	}
-	if v := c.mustDo(t, "MSET", "a", "1", "b", "2"); v.Str != "OK" {
+	if v := mustDo(t, c, "MSET", "a", "1", "b", "2"); v.Str != "OK" {
 		t.Fatalf("MSET = %+v", v)
 	}
-	v := c.mustDo(t, "MGET", "a", "nope", "b")
+	v := mustDo(t, c, "MGET", "a", "nope", "b")
 	if len(v.Elems) != 3 || v.Elems[0].Str != "1" || !v.Elems[1].Null || v.Elems[2].Str != "2" {
 		t.Fatalf("MGET = %+v", v)
 	}
-	if v := c.mustDo(t, "DEL", "a", "nope"); v.Int != 1 {
+	if v := mustDo(t, c, "DEL", "a", "nope"); v.Int != 1 {
 		t.Fatalf("DEL = %+v", v)
 	}
-	if v := c.mustDo(t, "DBSIZE"); v.Int != 3 { // k, n, b
+	if v := mustDo(t, c, "DBSIZE"); v.Int != 3 { // k, n, b
 		t.Fatalf("DBSIZE = %+v", v)
 	}
 
 	// Expiry over the wire, against the injected clock.
-	if v := c.mustDo(t, "SET", "tmp", "x", "PX", "500"); v.Str != "OK" {
+	if v := mustDo(t, c, "SET", "tmp", "x", "PX", "500"); v.Str != "OK" {
 		t.Fatalf("SET PX = %+v", v)
 	}
-	if v := c.mustDo(t, "PTTL", "tmp"); v.Int != 500 {
+	if v := mustDo(t, c, "PTTL", "tmp"); v.Int != 500 {
 		t.Fatalf("PTTL = %+v", v)
 	}
-	if v := c.mustDo(t, "TTL", "tmp"); v.Int != 1 { // 500ms rounds up
+	if v := mustDo(t, c, "TTL", "tmp"); v.Int != 1 { // 500ms rounds up
 		t.Fatalf("TTL = %+v", v)
 	}
-	if v := c.mustDo(t, "TTL", "k"); v.Int != -1 {
+	if v := mustDo(t, c, "TTL", "k"); v.Int != -1 {
 		t.Fatalf("TTL no-expiry = %+v", v)
 	}
-	if v := c.mustDo(t, "TTL", "ghost"); v.Int != -2 {
+	if v := mustDo(t, c, "TTL", "ghost"); v.Int != -2 {
 		t.Fatalf("TTL missing = %+v", v)
 	}
 	clk.advance(600 * time.Millisecond)
-	if v := c.mustDo(t, "GET", "tmp"); !v.Null {
+	if v := mustDo(t, c, "GET", "tmp"); !v.Null {
 		t.Fatalf("GET after expiry = %+v", v)
 	}
-	if v := c.mustDo(t, "EXPIRE", "k", "100"); v.Int != 1 {
+	if v := mustDo(t, c, "EXPIRE", "k", "100"); v.Int != 1 {
 		t.Fatalf("EXPIRE = %+v", v)
 	}
-	if v := c.mustDo(t, "EXPIRE", "ghost", "100"); v.Int != 0 {
+	if v := mustDo(t, c, "EXPIRE", "ghost", "100"); v.Int != 0 {
 		t.Fatalf("EXPIRE ghost = %+v", v)
 	}
 
 	// TTL arguments that would overflow time.Duration are rejected, not
 	// silently turned into deletes; SET requires a positive expiry.
-	c.mustDo(t, "SET", "longlived", "v")
-	if v, _ := c.do("EXPIRE", "longlived", "10000000000"); !v.IsError() || !strings.Contains(v.Str, "invalid expire") {
+	mustDo(t, c, "SET", "longlived", "v")
+	if v, _ := c.Do("EXPIRE", "longlived", "10000000000"); !v.IsError() || !strings.Contains(v.Str, "invalid expire") {
 		t.Fatalf("overflowing EXPIRE = %+v, want invalid-expire error", v)
 	}
-	if v := c.mustDo(t, "GET", "longlived"); v.Str != "v" {
+	if v := mustDo(t, c, "GET", "longlived"); v.Str != "v" {
 		t.Fatalf("key lost to overflowing EXPIRE: %+v", v)
 	}
-	if v, _ := c.do("SET", "x", "y", "EX", "0"); !v.IsError() {
+	if v, _ := c.Do("SET", "x", "y", "EX", "0"); !v.IsError() {
 		t.Fatalf("SET EX 0 = %+v, want error", v)
 	}
-	if v, _ := c.do("SET", "x", "y", "PX", "-40"); !v.IsError() {
+	if v, _ := c.Do("SET", "x", "y", "PX", "-40"); !v.IsError() {
 		t.Fatalf("SET PX -40 = %+v, want error", v)
 	}
 	// EXPIRE with an in-range negative TTL still deletes (Redis
 	// semantics).
-	if v := c.mustDo(t, "EXPIRE", "longlived", "-1"); v.Int != 1 {
+	if v := mustDo(t, c, "EXPIRE", "longlived", "-1"); v.Int != 1 {
 		t.Fatalf("EXPIRE -1 = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "longlived"); !v.Null {
+	if v := mustDo(t, c, "GET", "longlived"); !v.Null {
 		t.Fatalf("EXPIRE -1 did not delete: %+v", v)
 	}
 
 	// MULTI/EXEC: queued replies, then the block's replies as one array.
-	if v := c.mustDo(t, "MULTI"); v.Str != "OK" {
+	if v := mustDo(t, c, "MULTI"); v.Str != "OK" {
 		t.Fatalf("MULTI = %+v", v)
 	}
-	if v := c.mustDo(t, "INCRBY", "x1", "5"); v.Str != "QUEUED" {
+	if v := mustDo(t, c, "INCRBY", "x1", "5"); v.Str != "QUEUED" {
 		t.Fatalf("queue INCRBY = %+v", v)
 	}
-	if v := c.mustDo(t, "INCRBY", "x2", "-5"); v.Str != "QUEUED" {
+	if v := mustDo(t, c, "INCRBY", "x2", "-5"); v.Str != "QUEUED" {
 		t.Fatalf("queue INCRBY = %+v", v)
 	}
-	if v := c.mustDo(t, "MGET", "x1", "x2"); v.Str != "QUEUED" {
+	if v := mustDo(t, c, "MGET", "x1", "x2"); v.Str != "QUEUED" {
 		t.Fatalf("queue MGET = %+v", v)
 	}
-	v = c.mustDo(t, "EXEC")
+	v = mustDo(t, c, "EXEC")
 	if len(v.Elems) != 3 || v.Elems[0].Int != 5 || v.Elems[1].Int != -5 {
 		t.Fatalf("EXEC = %+v", v)
 	}
@@ -205,63 +181,62 @@ func TestServerProtocol(t *testing.T) {
 	}
 
 	// DISCARD drops the queue.
-	c.mustDo(t, "MULTI")
-	c.mustDo(t, "SET", "discarded", "1")
-	if v := c.mustDo(t, "DISCARD"); v.Str != "OK" {
+	mustDo(t, c, "MULTI")
+	mustDo(t, c, "SET", "discarded", "1")
+	if v := mustDo(t, c, "DISCARD"); v.Str != "OK" {
 		t.Fatalf("DISCARD = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "discarded"); !v.Null {
+	if v := mustDo(t, c, "GET", "discarded"); !v.Null {
 		t.Fatalf("GET after DISCARD = %+v", v)
 	}
 
 	// A bad command poisons the queue: EXEC aborts.
-	c.mustDo(t, "MULTI")
-	if v, _ := c.do("NOSUCH", "x"); !v.IsError() {
+	mustDo(t, c, "MULTI")
+	if v, _ := c.Do("NOSUCH", "x"); !v.IsError() {
 		t.Fatalf("queueing unknown command = %+v", v)
 	}
-	if v, _ := c.do("SET", "y", "1"); v.Str != "QUEUED" {
+	if v, _ := c.Do("SET", "y", "1"); v.Str != "QUEUED" {
 		t.Fatalf("queue after poison = %+v", v)
 	}
-	if v, _ := c.do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
+	if v, _ := c.Do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
 		t.Fatalf("EXEC on poisoned queue = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "y"); !v.Null {
+	if v := mustDo(t, c, "GET", "y"); !v.Null {
 		t.Fatalf("poisoned EXEC committed: %+v", v)
 	}
 
 	// EXEC is all-or-nothing: a failing INCR aborts the whole block.
-	c.mustDo(t, "SET", "text", "abc")
-	c.mustDo(t, "MULTI")
-	c.mustDo(t, "SET", "z", "1")
-	c.mustDo(t, "INCR", "text")
-	if v, _ := c.do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
+	mustDo(t, c, "SET", "text", "abc")
+	mustDo(t, c, "MULTI")
+	mustDo(t, c, "SET", "z", "1")
+	mustDo(t, c, "INCR", "text")
+	if v, _ := c.Do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
 		t.Fatalf("EXEC with failing INCR = %+v", v)
 	}
-	if v := c.mustDo(t, "GET", "z"); !v.Null {
+	if v := mustDo(t, c, "GET", "z"); !v.Null {
 		t.Fatalf("aborted EXEC leaked a write: %+v", v)
 	}
 
 	// State-machine errors outside MULTI.
-	if v, _ := c.do("EXEC"); !v.IsError() {
+	if v, _ := c.Do("EXEC"); !v.IsError() {
 		t.Fatalf("EXEC without MULTI = %+v", v)
 	}
-	if v, _ := c.do("DISCARD"); !v.IsError() {
+	if v, _ := c.Do("DISCARD"); !v.IsError() {
 		t.Fatalf("DISCARD without MULTI = %+v", v)
 	}
-	if v, _ := c.do("GET"); !v.IsError() {
+	if v, _ := c.Do("GET"); !v.IsError() {
 		t.Fatalf("GET with no key = %+v", v)
 	}
 
-	// Inline form over the same connection.
-	if _, err := c.conn.Write([]byte("PING\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := c.r.ReadReply(); err != nil || v.Str != "PONG" {
-		t.Fatalf("inline PING = %+v, %v", v, err)
+	// The inline form.
+	raw := dialPipe(t, addr)
+	raw.send(t, []byte("PING\r\n"))
+	if got := raw.replies(t, 1); got[0] != "+PONG\r\n" {
+		t.Fatalf("inline PING = %q", got[0])
 	}
 
 	// QUIT closes cleanly.
-	if v, err := c.do("QUIT"); err != nil || v.Str != "OK" {
+	if v, err := c.Do("QUIT"); err != nil || v.Str != "OK" {
 		t.Fatalf("QUIT = %+v, %v", v, err)
 	}
 }
@@ -277,25 +252,25 @@ func TestServerTypedCommands(t *testing.T) {
 	addr, stop := startServer(t, st)
 	defer stop()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
 	// Hashes.
-	if v := c.mustDo(t, "HSET", "h", "f1", "a", "f2", "b"); v.Int != 2 {
+	if v := mustDo(t, c, "HSET", "h", "f1", "a", "f2", "b"); v.Int != 2 {
 		t.Fatalf("HSET = %+v", v)
 	}
-	if v := c.mustDo(t, "HSET", "h", "f1", "c"); v.Int != 0 {
+	if v := mustDo(t, c, "HSET", "h", "f1", "c"); v.Int != 0 {
 		t.Fatalf("HSET overwrite = %+v", v)
 	}
-	if v := c.mustDo(t, "HGET", "h", "f1"); v.Str != "c" {
+	if v := mustDo(t, c, "HGET", "h", "f1"); v.Str != "c" {
 		t.Fatalf("HGET = %+v", v)
 	}
-	if v := c.mustDo(t, "HGET", "h", "nope"); !v.Null {
+	if v := mustDo(t, c, "HGET", "h", "nope"); !v.Null {
 		t.Fatalf("HGET absent = %+v", v)
 	}
-	if v := c.mustDo(t, "HLEN", "h"); v.Int != 2 {
+	if v := mustDo(t, c, "HLEN", "h"); v.Int != 2 {
 		t.Fatalf("HLEN = %+v", v)
 	}
-	v := c.mustDo(t, "HGETALL", "h")
+	v := mustDo(t, c, "HGETALL", "h")
 	if len(v.Elems) != 4 {
 		t.Fatalf("HGETALL = %+v", v)
 	}
@@ -303,82 +278,82 @@ func TestServerTypedCommands(t *testing.T) {
 	if got["f1"] != "c" || got["f2"] != "b" {
 		t.Fatalf("HGETALL pairs = %v", got)
 	}
-	if v := c.mustDo(t, "HINCRBY", "h", "ctr", "7"); v.Int != 7 {
+	if v := mustDo(t, c, "HINCRBY", "h", "ctr", "7"); v.Int != 7 {
 		t.Fatalf("HINCRBY = %+v", v)
 	}
-	if v := c.mustDo(t, "HDEL", "h", "f1", "ghost"); v.Int != 1 {
+	if v := mustDo(t, c, "HDEL", "h", "f1", "ghost"); v.Int != 1 {
 		t.Fatalf("HDEL = %+v", v)
 	}
-	if v, _ := c.do("HSET", "h", "odd"); !v.IsError() {
+	if v, _ := c.Do("HSET", "h", "odd"); !v.IsError() {
 		t.Fatalf("HSET bad arity = %+v", v)
 	}
 
 	// Lists.
-	if v := c.mustDo(t, "RPUSH", "l", "a", "b"); v.Int != 2 {
+	if v := mustDo(t, c, "RPUSH", "l", "a", "b"); v.Int != 2 {
 		t.Fatalf("RPUSH = %+v", v)
 	}
-	if v := c.mustDo(t, "LPUSH", "l", "z"); v.Int != 3 {
+	if v := mustDo(t, c, "LPUSH", "l", "z"); v.Int != 3 {
 		t.Fatalf("LPUSH = %+v", v)
 	}
-	v = c.mustDo(t, "LRANGE", "l", "0", "-1")
+	v = mustDo(t, c, "LRANGE", "l", "0", "-1")
 	if len(v.Elems) != 3 || v.Elems[0].Str != "z" || v.Elems[2].Str != "b" {
 		t.Fatalf("LRANGE = %+v", v)
 	}
-	if v := c.mustDo(t, "LPOP", "l"); v.Str != "z" {
+	if v := mustDo(t, c, "LPOP", "l"); v.Str != "z" {
 		t.Fatalf("LPOP = %+v", v)
 	}
-	if v := c.mustDo(t, "RPOP", "l"); v.Str != "b" {
+	if v := mustDo(t, c, "RPOP", "l"); v.Str != "b" {
 		t.Fatalf("RPOP = %+v", v)
 	}
-	if v := c.mustDo(t, "LLEN", "l"); v.Int != 1 {
+	if v := mustDo(t, c, "LLEN", "l"); v.Int != 1 {
 		t.Fatalf("LLEN = %+v", v)
 	}
-	if v := c.mustDo(t, "LPOP", "ghostlist"); !v.Null {
+	if v := mustDo(t, c, "LPOP", "ghostlist"); !v.Null {
 		t.Fatalf("LPOP missing = %+v", v)
 	}
 
 	// Sorted sets.
-	if v := c.mustDo(t, "ZADD", "zs", "2", "b", "1", "a", "3", "c"); v.Int != 3 {
+	if v := mustDo(t, c, "ZADD", "zs", "2", "b", "1", "a", "3", "c"); v.Int != 3 {
 		t.Fatalf("ZADD = %+v", v)
 	}
-	if v := c.mustDo(t, "ZADD", "zs", "0.5", "c"); v.Int != 0 { // relocate
+	if v := mustDo(t, c, "ZADD", "zs", "0.5", "c"); v.Int != 0 { // relocate
 		t.Fatalf("ZADD relocate = %+v", v)
 	}
-	if v := c.mustDo(t, "ZSCORE", "zs", "b"); v.Str != "2" {
+	if v := mustDo(t, c, "ZSCORE", "zs", "b"); v.Str != "2" {
 		t.Fatalf("ZSCORE = %+v", v)
 	}
-	if v := c.mustDo(t, "ZSCORE", "zs", "ghost"); !v.Null {
+	if v := mustDo(t, c, "ZSCORE", "zs", "ghost"); !v.Null {
 		t.Fatalf("ZSCORE missing = %+v", v)
 	}
-	v = c.mustDo(t, "ZRANGE", "zs", "0", "-1")
+	v = mustDo(t, c, "ZRANGE", "zs", "0", "-1")
 	if len(v.Elems) != 3 || v.Elems[0].Str != "c" || v.Elems[1].Str != "a" || v.Elems[2].Str != "b" {
 		t.Fatalf("ZRANGE = %+v", v)
 	}
-	v = c.mustDo(t, "ZRANGE", "zs", "0", "1", "WITHSCORES")
+	v = mustDo(t, c, "ZRANGE", "zs", "0", "1", "WITHSCORES")
 	if len(v.Elems) != 4 || v.Elems[0].Str != "c" || v.Elems[1].Str != "0.5" || v.Elems[2].Str != "a" || v.Elems[3].Str != "1" {
 		t.Fatalf("ZRANGE WITHSCORES = %+v", v)
 	}
-	if v, _ := c.do("ZRANGE", "zs", "0", "1", "NOSUCH"); !v.IsError() {
+	if v, _ := c.Do("ZRANGE", "zs", "0", "1", "NOSUCH"); !v.IsError() {
 		t.Fatalf("ZRANGE bad option = %+v", v)
 	}
-	if v, _ := c.do("ZADD", "zs", "nan", "m"); !v.IsError() || !strings.Contains(v.Str, "not a valid float") {
+	if v, _ := c.Do("ZADD", "zs", "nan", "m"); !v.IsError() || !strings.Contains(v.Str, "not a valid float") {
 		t.Fatalf("ZADD nan = %+v", v)
 	}
-	if v := c.mustDo(t, "ZCARD", "zs"); v.Int != 3 {
+	if v := mustDo(t, c, "ZCARD", "zs"); v.Int != 3 {
 		t.Fatalf("ZCARD = %+v", v)
 	}
-	if v := c.mustDo(t, "ZREM", "zs", "a", "ghost"); v.Int != 1 {
+	if v := mustDo(t, c, "ZREM", "zs", "a", "ghost"); v.Int != 1 {
 		t.Fatalf("ZREM = %+v", v)
 	}
 
 	// TYPE names every kind; WRONGTYPE crosses them.
-	c.mustDo(t, "SET", "str", "v")
+	mustDo(t, c, "SET", "str", "v")
 	for key, want := range map[string]string{"str": "string", "h": "hash", "l": "list", "zs": "zset"} {
-		if v := c.mustDo(t, "TYPE", key); v.Kind != '+' || v.Str != want {
+		if v := mustDo(t, c, "TYPE", key); v.Kind != '+' || v.Str != want {
 			t.Fatalf("TYPE %s = %+v, want %s", key, v, want)
 		}
 	}
-	if v := c.mustDo(t, "TYPE", "ghost"); v.Str != "none" {
+	if v := mustDo(t, c, "TYPE", "ghost"); v.Str != "none" {
 		t.Fatalf("TYPE missing = %+v", v)
 	}
 	for _, cmd := range [][]string{
@@ -389,51 +364,51 @@ func TestServerTypedCommands(t *testing.T) {
 		{"ZADD", "str", "1", "m"},
 		{"RPOP", "h"},
 	} {
-		if v, _ := c.do(cmd...); !v.IsError() || !strings.HasPrefix(v.Str, "WRONGTYPE") {
+		if v, _ := c.Do(cmd...); !v.IsError() || !strings.HasPrefix(v.Str, "WRONGTYPE") {
 			t.Fatalf("%v = %+v, want WRONGTYPE", cmd, v)
 		}
 	}
 	// MGET reads container keys as null, never as an error.
-	v = c.mustDo(t, "MGET", "str", "h", "l")
+	v = mustDo(t, c, "MGET", "str", "h", "l")
 	if v.Elems[0].Str != "v" || !v.Elems[1].Null || !v.Elems[2].Null {
 		t.Fatalf("MGET over containers = %+v", v)
 	}
 
 	// EXPIRE applies to a whole container.
-	if v := c.mustDo(t, "EXPIRE", "h", "1"); v.Int != 1 {
+	if v := mustDo(t, c, "EXPIRE", "h", "1"); v.Int != 1 {
 		t.Fatalf("EXPIRE hash = %+v", v)
 	}
 	clk.advance(2 * time.Second)
-	if v := c.mustDo(t, "HLEN", "h"); v.Int != 0 {
+	if v := mustDo(t, c, "HLEN", "h"); v.Int != 0 {
 		t.Fatalf("HLEN after expiry = %+v", v)
 	}
-	if v := c.mustDo(t, "TYPE", "h"); v.Str != "none" {
+	if v := mustDo(t, c, "TYPE", "h"); v.Str != "none" {
 		t.Fatalf("TYPE after expiry = %+v", v)
 	}
 
 	// One MULTI/EXEC block spanning all three container kinds: promote
 	// a job from a list into a zset and bump a hash counter atomically.
-	c.mustDo(t, "RPUSH", "jobs", "j1")
+	mustDo(t, c, "RPUSH", "jobs", "j1")
 	for _, cmd := range [][]string{
 		{"MULTI"}, {"LPOP", "jobs"}, {"ZADD", "active", "5", "j1"}, {"HINCRBY", "stats", "promoted", "1"},
 	} {
-		c.mustDo(t, cmd...)
+		mustDo(t, c, cmd...)
 	}
-	v = c.mustDo(t, "EXEC")
+	v = mustDo(t, c, "EXEC")
 	if len(v.Elems) != 3 || v.Elems[0].Str != "j1" || v.Elems[1].Int != 1 || v.Elems[2].Int != 1 {
 		t.Fatalf("typed EXEC = %+v", v)
 	}
-	if v := c.mustDo(t, "TYPE", "jobs"); v.Str != "none" { // drained → auto-deleted
+	if v := mustDo(t, c, "TYPE", "jobs"); v.Str != "none" { // drained → auto-deleted
 		t.Fatalf("TYPE drained list = %+v", v)
 	}
 	// All-or-nothing: a WRONGTYPE mid-block aborts every queued write.
-	c.mustDo(t, "MULTI")
-	c.mustDo(t, "RPUSH", "newlist", "x")
-	c.mustDo(t, "HSET", "active", "f", "v") // active is a zset
-	if v, _ := c.do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
+	mustDo(t, c, "MULTI")
+	mustDo(t, c, "RPUSH", "newlist", "x")
+	mustDo(t, c, "HSET", "active", "f", "v") // active is a zset
+	if v, _ := c.Do("EXEC"); !v.IsError() || !strings.Contains(v.Str, "EXECABORT") {
 		t.Fatalf("EXEC with WRONGTYPE = %+v", v)
 	}
-	if v := c.mustDo(t, "TYPE", "newlist"); v.Str != "none" {
+	if v := mustDo(t, c, "TYPE", "newlist"); v.Str != "none" {
 		t.Fatalf("aborted EXEC leaked a container write: %+v", v)
 	}
 	if err := st.CheckInvariants(); err != nil {
@@ -471,8 +446,8 @@ func TestServerGarbageDoesNotKill(t *testing.T) {
 		conn.Close()
 	}
 	c := dialClient(t, addr)
-	defer c.close()
-	if v := c.mustDo(t, "PING"); v.Str != "PONG" {
+	defer c.Close()
+	if v := mustDo(t, c, "PING"); v.Str != "PONG" {
 		t.Fatalf("server unhealthy after garbage: %+v", v)
 	}
 }
@@ -498,9 +473,9 @@ func TestServerTransferHammer(t *testing.T) {
 	seed := dialClient(t, addr)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("acct:%d", i)
-		seed.mustDo(t, "SET", keys[i], strconv.Itoa(initial))
+		mustDo(t, seed, "SET", keys[i], strconv.Itoa(initial))
 	}
-	seed.close()
+	seed.Close()
 
 	var wg sync.WaitGroup
 	errs := make([]error, movers+auditors)
@@ -509,7 +484,7 @@ func TestServerTransferHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := dialClient(t, addr)
-			defer c.close()
+			defer c.Close()
 			for i := 0; i < ops; i++ {
 				from := keys[(g+i)%accounts]
 				to := keys[(g*7+i*3+1)%accounts]
@@ -520,7 +495,7 @@ func TestServerTransferHammer(t *testing.T) {
 					{"INCRBY", to, amount},
 					{"EXEC"},
 				} {
-					v, err := c.do(cmd...)
+					v, err := c.Do(cmd...)
 					if err != nil {
 						errs[g] = fmt.Errorf("%v: %w", cmd, err)
 						return
@@ -538,9 +513,9 @@ func TestServerTransferHammer(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			c := dialClient(t, addr)
-			defer c.close()
+			defer c.Close()
 			for i := 0; i < ops; i++ {
-				v, err := c.do(append([]string{"MGET"}, keys...)...)
+				v, err := c.Do(append([]string{"MGET"}, keys...)...)
 				if err != nil {
 					errs[movers+a] = err
 					return
@@ -582,8 +557,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	st := New(stm.New())
 	addr, stop := startServer(t, st)
 	c := dialClient(t, addr)
-	defer c.close()
-	if v := c.mustDo(t, "PING"); v.Str != "PONG" {
+	defer c.Close()
+	if v := mustDo(t, c, "PING"); v.Str != "PONG" {
 		t.Fatalf("PING = %+v", v)
 	}
 	done := make(chan struct{})
@@ -593,7 +568,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not drain with a live connection")
 	}
-	if _, err := c.do("PING"); err == nil {
+	if _, err := c.Do("PING"); err == nil {
 		t.Fatal("connection survived server Close")
 	}
 }
@@ -789,9 +764,9 @@ func TestBgsaveDuringSave(t *testing.T) {
 		}
 	}()
 	c := dialClient(t, addr)
-	defer c.close()
+	defer c.Close()
 
-	if v := c.mustDo(t, "BGSAVE"); v.Str != "Background saving started" {
+	if v := mustDo(t, c, "BGSAVE"); v.Str != "Background saving started" {
 		t.Fatalf("first BGSAVE = %q", v.Str)
 	}
 	select {
@@ -803,7 +778,7 @@ func TestBgsaveDuringSave(t *testing.T) {
 		{"BGSAVE", "ERR Background save already in progress"},
 		{"SAVE", "ERR save already in progress"},
 	} {
-		v, err := c.do(cmd.name)
+		v, err := c.Do(cmd.name)
 		if err != nil {
 			t.Fatal(err)
 		}

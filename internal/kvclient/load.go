@@ -1,9 +1,8 @@
-package main
+package kvclient
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,70 +10,32 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/resp"
 	"repro/internal/workload"
 )
 
-// loadConfig parameterizes the closed-loop load generator.
-type loadConfig struct {
-	clients int
-	ops     int
-	binKeys bool
-	typed   bool
+// Load is the size of one Drive run; the workload itself is fixed.
+type Load struct {
+	Clients int  // concurrent connections
+	Ops     int  // operations per connection
+	BinKeys bool // a binary-hostile key table (NULs, CRLFs, high bytes)
+	Typed   bool // hash-ledger transfers, FIFO lists and zset round-trips in the mix
 }
 
-// The load generator's fixed workload. -audit, in another process,
-// checks conservation over the same transferAccounts.
+// The fixed workload. Audit checks conservation over the same
+// accounts and ledger, and the FIFO order of the same lists.
 const (
 	keyRange         = 512    // key universe size
 	keyDist          = "zipf" // key distribution (see workload.NewKeyDist)
 	transferAccounts = 8      // conservation-checked transfer accounts
+	initialBalance   = 1000   // what each account and ledger field is seeded with
 	transferShare    = 0.2    // fraction of ops that are MULTI/EXEC transfers
 	loadSeed         = 0x5eed // workload seed
+	ledgerKey        = "stats:hash"
+
+	// maxTypedClients bounds a typed run: client g owns list:<g>, and
+	// Audit walks list:0 .. list:<maxTypedClients-1>.
+	maxTypedClients = 64
 )
-
-// client is one load-generator connection.
-type client struct {
-	conn net.Conn
-	r    *resp.Reader
-	w    *resp.Writer
-}
-
-func dial(addr string) (*client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return newClient(conn), nil
-}
-
-func newClient(conn net.Conn) *client {
-	return &client{conn: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}
-}
-
-// do sends one command as an array frame and reads one reply.
-func (c *client) do(args ...string) (resp.Value, error) {
-	c.w.Array(len(args))
-	for _, a := range args {
-		c.w.Bulk(a)
-	}
-	if err := c.w.Flush(); err != nil {
-		return resp.Value{}, err
-	}
-	return c.r.ReadReply()
-}
-
-// must runs do and turns error replies into errors.
-func (c *client) must(args ...string) (resp.Value, error) {
-	v, err := c.do(args...)
-	if err != nil {
-		return v, fmt.Errorf("%s: %w", fields(args), err)
-	}
-	if v.IsError() {
-		return v, fmt.Errorf("%s: server error %q", fields(args), v.Str)
-	}
-	return v, nil
-}
 
 // counters aggregates what the generator actually did.
 type counters struct {
@@ -85,9 +46,9 @@ type counters struct {
 // opLats is one client's client-side latency record: wall time from
 // the first byte of the request to the last byte of the reply, one
 // histogram per op kind. Each client owns its own (histograms are not
-// concurrency-safe); runLoadgen merges them after the run. A transfer
-// times the whole MULTI..EXEC conversation — that is the unit a
-// caller waits for.
+// concurrency-safe); Drive merges them after the run. A transfer times
+// the whole MULTI..EXEC conversation — that is the unit a caller waits
+// for.
 type opLats struct {
 	get, set, incr, del, mget, expire, transfer, typed metrics.Histogram
 }
@@ -130,14 +91,20 @@ func (l *opLats) report() string {
 	return b.String()
 }
 
-// runLoadgen drives addr with cfg.clients closed-loop connections and
-// verifies two invariants on the way out: every transfer account
-// survives with the account total conserved (the MULTI/EXEC atomicity
-// contract over real sockets), and no command ever yields an
-// unexpected error reply.
-func runLoadgen(addr string, cfg loadConfig) (string, error) {
-	if cfg.clients < 1 || cfg.ops < 1 {
-		return "", fmt.Errorf("loadgen: need positive clients and ops")
+// Drive seeds the accounts (and, typed, the ledger), drives addr with
+// l.Clients closed-loop connections of l.Ops operations each, and ends
+// with Audit. Every reply is checked on the way: no command may answer
+// an error, a transfer answers QUEUED twice and then two integers, a
+// pop returns the client's next element in FIFO order and a score
+// reads back as written. It returns a report of what ran and how long
+// each kind of operation took.
+func Drive(addr string, l Load) (string, error) {
+	if l.Clients < 1 || l.Ops < 1 {
+		return "", fmt.Errorf("kvclient: need positive clients and ops")
+	}
+	if l.Typed && l.Clients > maxTypedClients {
+		return "", fmt.Errorf("kvclient: a typed run has at most %d clients (Audit checks list:0..list:%d), not %d",
+			maxTypedClients, maxTypedClients-1, l.Clients)
 	}
 	dist, err := workload.NewKeyDist(keyDist, keyRange)
 	if err != nil {
@@ -150,53 +117,49 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 	// length-prefixed, never delimiter-based, for this to survive.
 	keys := make([]string, keyRange)
 	for i := range keys {
-		if cfg.binKeys {
+		if l.BinKeys {
 			keys[i] = binKey(i)
 		} else {
 			keys[i] = fmt.Sprintf("key:%06d", i)
 		}
 	}
-	const initial = 1000
-	accounts := make([]string, transferAccounts)
-	seedConn, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		return "", err
 	}
-	msetArgs := []string{"MSET"}
-	for i := range accounts {
-		accounts[i] = fmt.Sprintf("acct:%d", i)
-		msetArgs = append(msetArgs, accounts[i], strconv.Itoa(initial))
+	defer c.Close()
+	accounts := accountKeys()
+	mset := []string{"MSET"}
+	for _, a := range accounts {
+		mset = append(mset, a, strconv.Itoa(initialBalance))
 	}
-	if _, err := seedConn.must(msetArgs...); err != nil {
-		seedConn.conn.Close()
+	if _, err := c.Must(mset...); err != nil {
 		return "", err
 	}
-	if cfg.typed {
+	if l.Typed {
 		// Typed conservation ledger: one shared hash of counter fields,
 		// moved between by MULTI/HINCRBY/HINCRBY/EXEC blocks exactly like
 		// the string accounts — the same atomicity contract, one value
 		// kind deeper.
-		args := []string{"HSET", typedStatsKey}
+		hset := []string{"HSET", ledgerKey}
 		for i := 0; i < transferAccounts; i++ {
-			args = append(args, "h:"+strconv.Itoa(i), strconv.Itoa(initial))
+			hset = append(hset, "h:"+strconv.Itoa(i), strconv.Itoa(initialBalance))
 		}
-		if _, err := seedConn.must(args...); err != nil {
-			seedConn.conn.Close()
+		if _, err := c.Must(hset...); err != nil {
 			return "", err
 		}
 	}
-	seedConn.conn.Close()
 
 	var cnt counters
 	var wg sync.WaitGroup
-	errs := make([]error, cfg.clients)
-	lats := make([]opLats, cfg.clients)
+	errs := make([]error, l.Clients)
+	lats := make([]opLats, l.Clients)
 	start := time.Now()
-	for g := 0; g < cfg.clients; g++ {
+	for g := 0; g < l.Clients; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = driveClient(addr, g, cfg, dist, keys, accounts, &cnt, &lats[g])
+			errs[g] = driveClient(addr, g, l, dist, keys, accounts, &cnt, &lats[g])
 		}(g)
 	}
 	wg.Wait()
@@ -210,78 +173,33 @@ func runLoadgen(addr string, cfg loadConfig) (string, error) {
 	for g := range lats {
 		lat.merge(&lats[g])
 	}
-
-	// Conservation audit: one consistent MGET across the accounts.
-	audit, err := dial(addr)
+	audit, err := Audit(c, l.Typed)
 	if err != nil {
 		return "", err
-	}
-	defer audit.conn.Close()
-	v, err := audit.must(append([]string{"MGET"}, accounts...)...)
-	if err != nil {
-		return "", err
-	}
-	sum := 0
-	for i, e := range v.Elems {
-		if e.Null {
-			return "", fmt.Errorf("loadgen: account %s vanished", accounts[i])
-		}
-		n, err := strconv.Atoi(e.Str)
-		if err != nil {
-			return "", fmt.Errorf("loadgen: account %s holds %q", accounts[i], e.Str)
-		}
-		sum += n
-	}
-	if want := transferAccounts * initial; sum != want {
-		return "", fmt.Errorf("loadgen: conservation broken: accounts sum to %d, want %d", sum, want)
 	}
 	typedNote := ""
-	if cfg.typed {
-		if err := auditTypedLedger(audit, transferAccounts*initial); err != nil {
-			return "", err
-		}
-		typedNote = fmt.Sprintf("\n  typed: hincrs=%d pushes=%d pops=%d zadds=%d — hash ledger conserved",
+	if l.Typed {
+		typedNote = fmt.Sprintf("\n  typed: hincrs=%d pushes=%d pops=%d zadds=%d",
 			cnt.hincrs.Load(), cnt.pushes.Load(), cnt.pops.Load(), cnt.zadds.Load())
 	}
-
-	total := int64(cfg.clients) * int64(cfg.ops)
+	total := int64(l.Clients) * int64(l.Ops)
 	return fmt.Sprintf(
-		"loadgen: %d ops over %d clients in %v (%.0f ops/sec; keys=%s)\n"+
-			"  gets=%d sets=%d incrs=%d dels=%d mgets=%d expires=%d transfers=%d — accounts conserved%s%s",
-		total, cfg.clients, elapsed.Round(time.Millisecond),
+		"drive: %d ops over %d clients in %v (%.0f ops/sec; keys=%s)\n"+
+			"  gets=%d sets=%d incrs=%d dels=%d mgets=%d expires=%d transfers=%d%s\n  %s%s",
+		total, l.Clients, elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds(), dist.Name(),
 		cnt.gets.Load(), cnt.sets.Load(), cnt.incrs.Load(), cnt.dels.Load(),
 		cnt.mgets.Load(), cnt.expires.Load(), cnt.transfers.Load(), typedNote,
-		lat.report()), nil
+		audit, lat.report()), nil
 }
 
-// typedStatsKey is the shared hash the typed workload's HINCRBY
-// transfer blocks move value within.
-const typedStatsKey = "stats:hash"
-
-// auditTypedLedger checks the typed conservation invariant: the
-// shared hash's counter fields sum to their seeded total, whatever
-// interleaving the HINCRBY transfer blocks committed in.
-func auditTypedLedger(c *client, want int) error {
-	v, err := c.must("HGETALL", typedStatsKey)
-	if err != nil {
-		return err
+// accountKeys names the transfer accounts.
+func accountKeys() []string {
+	keys := make([]string, transferAccounts)
+	for i := range keys {
+		keys[i] = "acct:" + strconv.Itoa(i)
 	}
-	if len(v.Elems)%2 != 0 {
-		return fmt.Errorf("loadgen: HGETALL %s returned %d elems", typedStatsKey, len(v.Elems))
-	}
-	sum := 0
-	for i := 0; i < len(v.Elems); i += 2 {
-		n, err := strconv.Atoi(v.Elems[i+1].Str)
-		if err != nil {
-			return fmt.Errorf("loadgen: field %s holds %q", v.Elems[i].Str, v.Elems[i+1].Str)
-		}
-		sum += n
-	}
-	if sum != want {
-		return fmt.Errorf("loadgen: typed conservation broken: %s sums to %d, want %d", typedStatsKey, sum, want)
-	}
-	return nil
+	return keys
 }
 
 // binKey builds a binary-hostile key: every byte class a text-based
@@ -296,23 +214,23 @@ func binKey(i int) string {
 // driveClient is one connection's closed loop: a transfer with
 // probability transferShare, otherwise a weighted singleton command on
 // a distribution-drawn key. Every op's round-trip lands in lat.
-func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys, accounts []string, cnt *counters, lat *opLats) error {
-	c, err := dial(addr)
+func driveClient(addr string, g int, l Load, dist workload.KeyDist, keys, accounts []string, cnt *counters, lat *opLats) error {
+	c, err := Dial(addr)
 	if err != nil {
 		return err
 	}
-	defer c.conn.Close()
+	defer c.Close()
 	rng := rand.New(rand.NewPCG(loadSeed+uint64(g)+1, uint64(g)*0x9e37+7))
-	typed := typedState{g: g}
-	if cfg.typed {
+	typed := typedState{g: g, binKeys: l.BinKeys}
+	if l.Typed {
 		// Reset this client's private containers: a durable server may
 		// carry residue from an earlier run against the same directory,
 		// and the FIFO/score verifications assume a known start.
-		if _, err := c.must("DEL", "list:"+strconv.Itoa(g), "zset:"+strconv.Itoa(g)); err != nil {
+		if _, err := c.Must("DEL", "list:"+strconv.Itoa(g), "zset:"+strconv.Itoa(g)); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < cfg.ops; i++ {
+	for i := 0; i < l.Ops; i++ {
 		if rng.Float64() < transferShare {
 			t0 := time.Now()
 			if err := doTransfer(c, rng, accounts); err != nil {
@@ -322,9 +240,9 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 			cnt.transfers.Add(1)
 			continue
 		}
-		if cfg.typed && rng.Float64() < 0.4 {
+		if l.Typed && rng.Float64() < 0.4 {
 			t0 := time.Now()
-			if err := typed.step(c, rng, cfg, cnt); err != nil {
+			if err := typed.step(c, rng, cnt); err != nil {
 				return err
 			}
 			lat.typed.Observe(time.Since(t0))
@@ -334,19 +252,19 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 		t0 := time.Now()
 		switch rng.Int64N(10) {
 		case 0, 1, 2: // 30% SET
-			if _, err := c.must("SET", key, strconv.Itoa(i)); err != nil {
+			if _, err := c.Must("SET", key, strconv.Itoa(i)); err != nil {
 				return err
 			}
 			lat.set.Observe(time.Since(t0))
 			cnt.sets.Add(1)
 		case 3: // 10% INCR on a dedicated integer namespace
-			if _, err := c.must("INCR", "ctr:"+key); err != nil {
+			if _, err := c.Must("INCR", "ctr:"+key); err != nil {
 				return err
 			}
 			lat.incr.Observe(time.Since(t0))
 			cnt.incrs.Add(1)
 		case 4: // 10% DEL
-			if _, err := c.must("DEL", key); err != nil {
+			if _, err := c.Must("DEL", key); err != nil {
 				return err
 			}
 			lat.del.Observe(time.Since(t0))
@@ -354,19 +272,19 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 		case 5: // 10% MGET of a small neighbourhood
 			k2 := keys[dist.Sample(rng)]
 			k3 := keys[dist.Sample(rng)]
-			if _, err := c.must("MGET", key, k2, k3); err != nil {
+			if _, err := c.Must("MGET", key, k2, k3); err != nil {
 				return err
 			}
 			lat.mget.Observe(time.Since(t0))
 			cnt.mgets.Add(1)
 		case 6: // 10% short-TTL SET (exercises expiry under load)
-			if _, err := c.must("SET", "tmp:"+key, "x", "PX", "5"); err != nil {
+			if _, err := c.Must("SET", "tmp:"+key, "x", "PX", "5"); err != nil {
 				return err
 			}
 			lat.expire.Observe(time.Since(t0))
 			cnt.expires.Add(1)
 		default: // 30% GET
-			if _, err := c.must("GET", key); err != nil {
+			if _, err := c.Must("GET", key); err != nil {
 				return err
 			}
 			lat.get.Observe(time.Since(t0))
@@ -380,21 +298,23 @@ func driveClient(addr string, g int, cfg loadConfig, dist workload.KeyDist, keys
 // FIFO list and a private sorted set it can verify exactly (no other
 // client touches them), plus its share of the contended ledger hash.
 // Both private structures deliberately leave residue behind — pushed
-// elements never popped, members never removed — so a durable smoke's
-// restore comparison covers every container kind, not just strings.
+// elements never popped, members never removed — so a durable run's
+// recovery covers every container kind, not just strings.
 type typedState struct {
 	g        int
+	binKeys  bool
 	nextPush int // next sequence number to RPUSH
 	nextPop  int // next sequence number LPOP must return
 	zseq     int // next zset member index
 }
 
 // element formats a list element or zset member: sequence number
-// prefixed, binary-hostile when the run is a -binkeys sweep (the
-// container chains and WAL field/value encoding must be
-// length-prefixed too, not just the key path).
-func (ts *typedState) element(seq int, binKeys bool) string {
-	if binKeys {
+// prefixed, binary-hostile in a BinKeys run (the container chains and
+// WAL field/value encoding must be length-prefixed too, not just the
+// key path). Audit reads the sequence number back from the decimal
+// tail.
+func (ts *typedState) element(seq int) string {
+	if ts.binKeys {
 		return string([]byte{0x00, '\r', 0xfe, 'e'}) + strconv.Itoa(seq)
 	}
 	return "e:" + strconv.Itoa(seq)
@@ -403,8 +323,8 @@ func (ts *typedState) element(seq int, binKeys bool) string {
 // step runs one typed operation: a hash-ledger transfer (contended,
 // conservation-audited at the end), a FIFO push/pop round on the
 // client's private list (order-verified inline), or a zset
-// add/score/range round (score round-trip verified inline).
-func (ts *typedState) step(c *client, rng *rand.Rand, cfg loadConfig, cnt *counters) error {
+// add/score round (score round-trip verified inline).
+func (ts *typedState) step(c *Client, rng *rand.Rand, cnt *counters) error {
 	listKey := "list:" + strconv.Itoa(ts.g)
 	zsetKey := "zset:" + strconv.Itoa(ts.g)
 	switch rng.Int64N(4) {
@@ -412,25 +332,12 @@ func (ts *typedState) step(c *client, rng *rand.Rand, cfg loadConfig, cnt *count
 		from := "h:" + strconv.Itoa(int(rng.Int64N(transferAccounts)))
 		to := "h:" + strconv.Itoa(int(rng.Int64N(transferAccounts)))
 		amount := strconv.FormatInt(rng.Int64N(20)+1, 10)
-		for _, cmd := range [][]string{
-			{"MULTI"},
-			{"HINCRBY", typedStatsKey, from, "-" + amount},
-			{"HINCRBY", typedStatsKey, to, amount},
-		} {
-			if _, err := c.must(cmd...); err != nil {
-				return err
-			}
-		}
-		v, err := c.must("EXEC")
-		if err != nil {
+		if err := transfer(c, "HINCRBY", []string{ledgerKey, from}, []string{ledgerKey, to}, amount); err != nil {
 			return err
-		}
-		if len(v.Elems) != 2 || v.Elems[0].Kind != ':' || v.Elems[1].Kind != ':' {
-			return fmt.Errorf("typed transfer: EXEC reply %+v, want two integers", v)
 		}
 		cnt.hincrs.Add(2)
 	case 1: // FIFO push
-		v, err := c.must("RPUSH", listKey, ts.element(ts.nextPush, cfg.binKeys))
+		v, err := c.Must("RPUSH", listKey, ts.element(ts.nextPush))
 		if err != nil {
 			return err
 		}
@@ -443,24 +350,24 @@ func (ts *typedState) step(c *client, rng *rand.Rand, cfg loadConfig, cnt *count
 		if ts.nextPop == ts.nextPush {
 			return nil // nothing outstanding; keep the loop closed
 		}
-		v, err := c.must("LPOP", listKey)
+		v, err := c.Must("LPOP", listKey)
 		if err != nil {
 			return err
 		}
-		if want := ts.element(ts.nextPop, cfg.binKeys); v.Null || v.Str != want {
+		if want := ts.element(ts.nextPop); v.Null || v.Str != want {
 			return fmt.Errorf("typed: LPOP %s = %q (null=%v), want %q (FIFO order broken)",
 				listKey, v.Str, v.Null, want)
 		}
 		ts.nextPop++
 		cnt.pops.Add(1)
 	default: // zset add + score round-trip
-		member := ts.element(ts.zseq, cfg.binKeys)
+		member := ts.element(ts.zseq)
 		ts.zseq++
 		score := strconv.FormatInt(rng.Int64N(1000), 10)
-		if _, err := c.must("ZADD", zsetKey, score, member); err != nil {
+		if _, err := c.Must("ZADD", zsetKey, score, member); err != nil {
 			return err
 		}
-		v, err := c.must("ZSCORE", zsetKey, member)
+		v, err := c.Must("ZSCORE", zsetKey, member)
 		if err != nil {
 			return err
 		}
@@ -473,26 +380,31 @@ func (ts *typedState) step(c *client, rng *rand.Rand, cfg loadConfig, cnt *count
 	return nil
 }
 
-// doTransfer runs one MULTI/INCRBY/INCRBY/EXEC block and sanity-checks
-// the replies: QUEUED twice, then an array of the two new balances.
-func doTransfer(c *client, rng *rand.Rand, accounts []string) error {
+// doTransfer moves a random amount between two random accounts.
+func doTransfer(c *Client, rng *rand.Rand, accounts []string) error {
 	from := accounts[rng.Int64N(int64(len(accounts)))]
 	to := accounts[rng.Int64N(int64(len(accounts)))]
 	amount := strconv.FormatInt(rng.Int64N(20)+1, 10)
-	if _, err := c.must("MULTI"); err != nil {
+	return transfer(c, "INCRBY", []string{from}, []string{to}, amount)
+}
+
+// transfer runs one MULTI / <incr> from -amount / <incr> to amount /
+// EXEC block and checks its replies: QUEUED twice, then an array of
+// the two new balances.
+func transfer(c *Client, incr string, from, to []string, amount string) error {
+	if _, err := c.Must("MULTI"); err != nil {
 		return err
 	}
-	if v, err := c.must("INCRBY", from, "-"+amount); err != nil {
-		return err
-	} else if v.Str != "QUEUED" {
-		return fmt.Errorf("transfer: INCRBY reply %+v, want QUEUED", v)
+	for _, args := range [][]string{append(from, "-"+amount), append(to, amount)} {
+		v, err := c.Must(append([]string{incr}, args...)...)
+		if err != nil {
+			return err
+		}
+		if v.Str != "QUEUED" {
+			return fmt.Errorf("transfer: %s reply %+v, want QUEUED", incr, v)
+		}
 	}
-	if v, err := c.must("INCRBY", to, amount); err != nil {
-		return err
-	} else if v.Str != "QUEUED" {
-		return fmt.Errorf("transfer: INCRBY reply %+v, want QUEUED", v)
-	}
-	v, err := c.must("EXEC")
+	v, err := c.Must("EXEC")
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 // (name plus label block). It is deliberately strict about the things
 // a scraper would choke on — malformed lines, samples with no TYPE,
 // duplicate series, unparseable values — and is shared by the package
-// tests and the stmkv smoke gate so both verify the same contract.
+// tests and kv's metrics tests so both verify the same contract.
 func CheckExposition(data []byte) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	typed := make(map[string]string) // family name -> kind
