@@ -47,7 +47,7 @@ func TestCrashRestart(t *testing.T) {
 
 	t.Log("phase 1: seed a durable server, plant TTL and typed probes, snapshot")
 	p := startStmkv(t, bin, data)
-	if _, err := kvclient.Drive(p.addr, kvclient.Load{Clients: 8, Ops: 500, Typed: true}); err != nil {
+	if _, err := kvclient.Drive(p.addr, kvclient.Load{Clients: 8, Ops: 500}); err != nil {
 		t.Fatal(err)
 	}
 	c := dial(t, p.addr)
@@ -62,7 +62,7 @@ func TestCrashRestart(t *testing.T) {
 
 	t.Log("phase 2: restart with scheduled snapshots, kill -9 mid-load")
 	p = startStmkv(t, bin, data, "-bgsave-every", "400ops")
-	load := background(p.addr, kvclient.Load{Clients: 8, Ops: 1_000_000, BinKeys: true, Typed: true})
+	load := background(p.addr, kvclient.Load{Clients: 8, Ops: 1_000_000, BinKeys: true})
 	time.Sleep(3 * time.Second)
 	p.killUnder(t, load)
 
@@ -75,7 +75,7 @@ func TestCrashRestart(t *testing.T) {
 	audit(t, c)
 
 	t.Log("phase 4: typed load, BGSAVE in a loop, kill -9 as the 40th snapshot starts")
-	load = background(p.addr, kvclient.Load{Clients: 8, Ops: 1_000_000, Typed: true})
+	load = background(p.addr, kvclient.Load{Clients: 8, Ops: 1_000_000})
 	time.Sleep(time.Second)
 	for started := 0; ; time.Sleep(20 * time.Millisecond) {
 		v, err := c.Do("BGSAVE")
@@ -261,7 +261,7 @@ func dial(t *testing.T, addr string) *kvclient.Client {
 
 func audit(t *testing.T, c *kvclient.Client) {
 	t.Helper()
-	summary, err := kvclient.Audit(c, true)
+	summary, err := kvclient.Audit(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/kv"
 	"repro/internal/kvclient"
+	"repro/internal/obs"
 	"repro/internal/stm"
 	"repro/internal/wal"
 )
@@ -38,22 +40,24 @@ func TestServerFlags(t *testing.T) {
 }
 
 // TestSmoke starts the server as main does, on ephemeral ports with
-// the metrics listener and the flight recorder on, drives a typed
+// the metrics listener and the flight recorder on, drives an
 // internal/kvclient load through it over TCP (every reply checked, then
 // kvclient.Audit: accounts and hash ledger conserved, private lists in
-// FIFO order), and checks what only a started server shows: the
-// conflict matrix at /debug/stm/conflicts saw the load, the store is
-// sound and sweeps clean, Close drains, a second Close is a no-op and
-// the port is free again. The durable run also snapshots every 400
-// records under the load; then the log's counters must be at rest and
-// consistent, and its directory, recovered as a crash would leave it,
-// must pass the same audit.
+// FIFO order), and checks what only a started server shows: /metrics
+// serves the server's registry, which counted the load, /healthz is
+// green, the conflict matrix at /debug/stm/conflicts saw the load, the
+// store is sound and sweeps clean, Close drains, a second Close is a
+// no-op and the port is free again. The durable run also sweeps and
+// snapshots every 400 records under the load; then the log's counters
+// must be at rest and consistent, and its directory, recovered as a
+// crash would leave it, must equal the live store op for op and pass
+// the same audit.
 func TestSmoke(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
-		smoke(t, kvclient.Load{Clients: 6, Ops: 1000, Typed: true})
+		smoke(t, kvclient.Load{Clients: 6, Ops: 1000})
 	})
 	t.Run("durable", func(t *testing.T) {
-		smoke(t, kvclient.Load{Clients: 24, Ops: 1500, Typed: true}, "-data", t.TempDir(), "-bgsave-every", "400ops")
+		smoke(t, kvclient.Load{Clients: 24, Ops: 1500}, "-data", t.TempDir(), "-bgsave-every", "400ops")
 	})
 }
 
@@ -81,7 +85,7 @@ func smoke(t *testing.T, load kvclient.Load, args ...string) {
 		t.Fatal(err)
 	}
 	t.Log(report)
-	checkConflicts(t, "http://"+inst.metricsAddr)
+	checkEndpoints(t, "http://"+inst.metricsAddr)
 
 	if err := inst.store.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -123,12 +127,37 @@ func smoke(t *testing.T, load kvclient.Load, args ...string) {
 	if st.Batches != st.Fsyncs || st.Fsyncs > st.Records() || st.Dropped != 0 || st.Durable != st.Enqueued {
 		t.Fatalf("wal inconsistent at rest: %+v (want batches == fsyncs <= records, 0 dropped, durable == enqueued)", st)
 	}
-	// The recovered store is audited over the wire like the live one:
-	// a lost or doubled INCRBY or HINCRBY in replay breaks a sum.
+	// The recovered store must equal the live one: a SET, tombstone,
+	// container member or TTL deadline lost or doubled in the replay of
+	// a log written under the sweeper and the scheduled snapshots shows
+	// as a differing op. The wait lets every short-TTL key of the load
+	// expire, so the two dumps do not race a deadline.
+	time.Sleep(20 * time.Millisecond)
+	live, err := inst.store.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh := kv.New(stm.New(), kv.WithClock(func() int64 { return time.Now().UnixNano() }))
 	if _, err := wal.Recover(inst.log.Dir(), fresh.Apply); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	recovered, err := fresh.SnapshotOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := func(a, b wal.Op) int { return strings.Compare(a.Key, b.Key) }
+	slices.SortStableFunc(live, byKey)
+	slices.SortStableFunc(recovered, byKey)
+	for i := range min(len(live), len(recovered)) {
+		if live[i] != recovered[i] {
+			t.Fatalf("recovered store differs at op %d: live %+v, recovered %+v", i, live[i], recovered[i])
+		}
+	}
+	if len(live) != len(recovered) {
+		t.Fatalf("recovered store has %d ops, live %d", len(recovered), len(live))
+	}
+	// It is audited over the wire like the live one: a lost or doubled
+	// INCRBY or HINCRBY in replay breaks a sum.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +174,7 @@ func smoke(t *testing.T, load kvclient.Load, args ...string) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := kvclient.Audit(c, true); err != nil {
+	if _, err := kvclient.Audit(c); err != nil {
 		t.Fatalf("recovered store: %v", err)
 	}
 	if err := inst.log.Close(); err != nil {
@@ -153,10 +182,11 @@ func smoke(t *testing.T, load kvclient.Load, args ...string) {
 	}
 }
 
-// checkConflicts: the conflict matrix is served as JSON that names the
-// manager and sampled the load's transactions and hot objects, and its
-// text form answers.
-func checkConflicts(t *testing.T, base string) {
+// checkEndpoints: /metrics parses back and counted the load's commands,
+// /healthz is green, the conflict matrix is served as JSON that names
+// the manager and sampled the load's transactions and hot objects, and
+// its text form answers.
+func checkEndpoints(t *testing.T, base string) {
 	t.Helper()
 	get := func(path string) []byte {
 		resp, err := http.Get(base + path)
@@ -170,6 +200,20 @@ func checkConflicts(t *testing.T, base string) {
 		}
 		return body
 	}
+	samples, err := obs.CheckExposition(get("/metrics"))
+	if err != nil {
+		t.Fatalf("metrics exposition malformed: %v", err)
+	}
+	var commands float64
+	for name, v := range samples {
+		if strings.HasPrefix(name, "stmkv_commands_total{") {
+			commands += v
+		}
+	}
+	if commands == 0 {
+		t.Fatal("stmkv_commands_total is zero after the load")
+	}
+	get("/healthz")
 	var snap struct {
 		Manager    string           `json:"manager"`
 		SampledTxs int64            `json:"sampled_txs"`
@@ -185,5 +229,6 @@ func checkConflicts(t *testing.T, base string) {
 		t.Fatalf("conflicts snapshot %+v: want a manager, sampled transactions and hot objects", snap)
 	}
 	get("/debug/stm/conflicts?format=text&top=5")
+	t.Logf("metrics: %d samples, %.0f commands counted", len(samples), commands)
 	t.Logf("conflicts: %d txs sampled (hot: %s), %d abort causes", snap.SampledTxs, snap.HotObjects[0].Obj, len(snap.Causes))
 }

@@ -10,14 +10,13 @@ import (
 // Audit checks what every Drive run leaves true, however it ended:
 // the transfer accounts all exist and sum to what was seeded (one
 // consistent MGET), the hash ledger does too, and each client's
-// private list is one ascending FIFO run. typed says a typed run
-// seeded the ledger, so it must exist; otherwise an absent ledger is
-// skipped. It returns a one-line summary.
+// private list is one ascending FIFO run. It returns a one-line
+// summary.
 //
 // MULTI/EXEC transfers are all-or-nothing, so the sums hold at any
 // instant a consistent read can see, across a kill -9 and a recovery
 // included.
-func Audit(c *Client, typed bool) (string, error) {
+func Audit(c *Client) (string, error) {
 	accounts := accountKeys()
 	v, err := c.Must(append([]string{"MGET"}, accounts...)...)
 	if err != nil {
@@ -29,19 +28,17 @@ func Audit(c *Client, typed bool) (string, error) {
 	if v, err = c.Must("HGETALL", ledgerKey); err != nil {
 		return "", err
 	}
-	if typed && len(v.Elems) == 0 {
+	if len(v.Elems) == 0 {
 		return "", fmt.Errorf("audit: ledger %s vanished", ledgerKey)
 	}
-	if len(v.Elems) > 0 {
-		var fields []string
-		var vals []resp.Value
-		for i := 0; i+1 < len(v.Elems); i += 2 {
-			fields = append(fields, v.Elems[i].Str)
-			vals = append(vals, v.Elems[i+1])
-		}
-		if err := conserved("ledger "+ledgerKey, fields, vals); err != nil {
-			return "", err
-		}
+	var fields []string
+	var vals []resp.Value
+	for i := 0; i+1 < len(v.Elems); i += 2 {
+		fields = append(fields, v.Elems[i].Str)
+		vals = append(vals, v.Elems[i+1])
+	}
+	if err := conserved("ledger "+ledgerKey, fields, vals); err != nil {
+		return "", err
 	}
 	lists, err := checkTypedLists(c)
 	if err != nil {
@@ -70,15 +67,15 @@ func conserved(what string, names []string, vals []resp.Value) error {
 	return nil
 }
 
-// checkTypedLists verifies the private lists a typed Drive leaves
+// checkTypedLists verifies the private lists a Drive leaves
 // behind (list:<client>): each client pushed consecutive sequence
 // numbers at the back and popped from the front, so whatever prefix of
 // its history survived a crash, the list is one ascending run without a
 // gap or a repeat. A push replayed twice, or one a snapshot both holds
 // and leaves in the log, shows as a repeat; a lost one as a gap. Absent
-// lists (no typed run, or everything popped) are skipped.
+// lists (a client that never ran, or everything popped) are skipped.
 func checkTypedLists(c *Client) (checked int, err error) {
-	for g := 0; g < maxTypedClients; g++ {
+	for g := 0; g < maxClients; g++ {
 		key := "list:" + strconv.Itoa(g)
 		v, err := c.Must("LRANGE", key, "0", "-1")
 		if err != nil {

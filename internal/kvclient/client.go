@@ -5,7 +5,7 @@
 // Pipeline sends several in one write and reads their replies in
 // order. Drive is the closed-loop load generator: zipf-skewed string
 // commands, MULTI/EXEC transfers between conservation-checked accounts
-// and, with Typed, hash-ledger transfers, private FIFO lists and zset
+// and between the fields of a hash ledger, private FIFO lists and zset
 // round-trips. Audit checks what any run against the store must leave
 // true however it ended, a kill -9 included: the accounts and the hash
 // ledger still sum to what was seeded, and every private list is one

@@ -58,64 +58,69 @@ func wantErr(t *testing.T, what string, err error, sub string) {
 	}
 }
 
-// TestDriveThenAudit: a typed, binary-keyed run passes its own audit,
+// TestDriveThenAudit: a binary-keyed run passes its own audit,
 // and the audit then catches a moved balance in each ledger.
 func TestDriveThenAudit(t *testing.T) {
 	addr := serve(t)
-	report, err := Drive(addr, Load{Clients: 4, Ops: 300, BinKeys: true, Typed: true})
+	report, err := Drive(addr, Load{Clients: 4, Ops: 300, BinKeys: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(report)
 	c := dial(t, addr)
-	if _, err := Audit(c, true); err != nil {
+	if _, err := Audit(c); err != nil {
 		t.Fatal(err)
 	}
 	must(t, c, "INCRBY", "acct:3", "1")
-	_, err = Audit(c, true)
+	_, err = Audit(c)
 	wantErr(t, "audit after a stray INCRBY", err, "accounts conservation broken")
 	must(t, c, "INCRBY", "acct:3", "-1")
 	must(t, c, "HINCRBY", ledgerKey, "h:5", "-7")
-	_, err = Audit(c, true)
+	_, err = Audit(c)
 	wantErr(t, "audit after a stray HINCRBY", err, "ledger "+ledgerKey+" conservation broken")
 }
 
-// TestAuditLedger: a typed audit requires the ledger, an untyped one
-// skips it when absent, and a vanished account is named.
+// TestAuditLedger: the audit requires the ledger, and a vanished
+// account is named.
 func TestAuditLedger(t *testing.T) {
 	c := dial(t, serve(t))
 	mset := []string{"MSET"}
-	for _, a := range accountKeys() {
+	hset := []string{"HSET", ledgerKey}
+	for i, a := range accountKeys() {
 		mset = append(mset, a, strconv.Itoa(initialBalance))
+		hset = append(hset, "h:"+strconv.Itoa(i), strconv.Itoa(initialBalance))
 	}
 	must(t, c, mset...)
-	if _, err := Audit(c, false); err != nil {
-		t.Fatalf("untyped audit without a ledger: %v", err)
+	_, err := Audit(c)
+	wantErr(t, "audit without a ledger", err, "ledger "+ledgerKey+" vanished")
+	must(t, c, hset...)
+	if _, err := Audit(c); err != nil {
+		t.Fatalf("audit of the seeded state: %v", err)
 	}
-	_, err := Audit(c, true)
-	wantErr(t, "typed audit without a ledger", err, "vanished")
 	must(t, c, "DEL", "acct:7")
-	_, err = Audit(c, false)
+	_, err = Audit(c)
 	wantErr(t, "audit with an account deleted", err, "acct:7 vanished")
 }
 
-// TestTypedClientBound: Audit walks list:0 .. list:<maxTypedClients-1>,
-// so a typed run with more clients than that is refused before it
-// writes anything, and a broken run on the last list in range is found.
-func TestTypedClientBound(t *testing.T) {
+// TestClientBound: Audit walks list:0 .. list:<maxClients-1>, so a run
+// with more clients than that is refused before it writes anything, a
+// run at the bound passes its audit, and a broken run on the last list
+// in range is found.
+func TestClientBound(t *testing.T) {
 	addr := serve(t)
-	_, err := Drive(addr, Load{Clients: maxTypedClients + 1, Ops: 1, Typed: true})
-	wantErr(t, "typed run over the bound", err, "at most "+strconv.Itoa(maxTypedClients)+" clients")
+	_, err := Drive(addr, Load{Clients: maxClients + 1, Ops: 1})
+	wantErr(t, "run over the bound", err, "at most "+strconv.Itoa(maxClients)+" clients")
 	c := dial(t, addr)
 	if v, err := c.Must("DBSIZE"); err != nil || v.Int != 0 {
 		t.Fatalf("a refused run seeded the accounts: %+v, %v", v, err)
 	}
-	if _, err := Drive(addr, Load{Clients: maxTypedClients + 1, Ops: 1}); err != nil {
-		t.Fatalf("an untyped run has no client bound: %v", err)
+	if _, err := Drive(addr, Load{Clients: maxClients, Ops: 4}); err != nil {
+		t.Fatalf("a run at the bound: %v", err)
 	}
-	last := "list:" + strconv.Itoa(maxTypedClients-1)
+	last := "list:" + strconv.Itoa(maxClients-1)
+	must(t, c, "DEL", last)
 	must(t, c, "RPUSH", last, "e:0", "e:1", "e:3")
-	_, err = Audit(c, false)
+	_, err = Audit(c)
 	wantErr(t, "audit of a gapped list", err, last+"[2] is element 3 after element 1")
 }
 

@@ -15,10 +15,9 @@ import (
 
 // Load is the size of one Drive run; the workload itself is fixed.
 type Load struct {
-	Clients int  // concurrent connections
+	Clients int  // concurrent connections, at most maxClients
 	Ops     int  // operations per connection
 	BinKeys bool // a binary-hostile key table (NULs, CRLFs, high bytes)
-	Typed   bool // hash-ledger transfers, FIFO lists and zset round-trips in the mix
 }
 
 // The fixed workload. Audit checks conservation over the same
@@ -32,9 +31,9 @@ const (
 	loadSeed         = 0x5eed // workload seed
 	ledgerKey        = "stats:hash"
 
-	// maxTypedClients bounds a typed run: client g owns list:<g>, and
-	// Audit walks list:0 .. list:<maxTypedClients-1>.
-	maxTypedClients = 64
+	// maxClients bounds a run: client g owns list:<g>, and Audit walks
+	// list:0 .. list:<maxClients-1>.
+	maxClients = 64
 )
 
 // counters aggregates what the generator actually did.
@@ -91,7 +90,7 @@ func (l *opLats) report() string {
 	return b.String()
 }
 
-// Drive seeds the accounts (and, typed, the ledger), drives addr with
+// Drive seeds the accounts and the ledger, drives addr with
 // l.Clients closed-loop connections of l.Ops operations each, and ends
 // with Audit. Every reply is checked on the way: no command may answer
 // an error, a transfer answers QUEUED twice and then two integers, a
@@ -102,9 +101,9 @@ func Drive(addr string, l Load) (string, error) {
 	if l.Clients < 1 || l.Ops < 1 {
 		return "", fmt.Errorf("kvclient: need positive clients and ops")
 	}
-	if l.Typed && l.Clients > maxTypedClients {
-		return "", fmt.Errorf("kvclient: a typed run has at most %d clients (Audit checks list:0..list:%d), not %d",
-			maxTypedClients, maxTypedClients-1, l.Clients)
+	if l.Clients > maxClients {
+		return "", fmt.Errorf("kvclient: a run has at most %d clients (Audit checks list:0..list:%d), not %d",
+			maxClients, maxClients-1, l.Clients)
 	}
 	dist, err := workload.NewKeyDist(keyDist, keyRange)
 	if err != nil {
@@ -136,18 +135,16 @@ func Drive(addr string, l Load) (string, error) {
 	if _, err := c.Must(mset...); err != nil {
 		return "", err
 	}
-	if l.Typed {
-		// Typed conservation ledger: one shared hash of counter fields,
-		// moved between by MULTI/HINCRBY/HINCRBY/EXEC blocks exactly like
-		// the string accounts — the same atomicity contract, one value
-		// kind deeper.
-		hset := []string{"HSET", ledgerKey}
-		for i := 0; i < transferAccounts; i++ {
-			hset = append(hset, "h:"+strconv.Itoa(i), strconv.Itoa(initialBalance))
-		}
-		if _, err := c.Must(hset...); err != nil {
-			return "", err
-		}
+	// Typed conservation ledger: one shared hash of counter fields,
+	// moved between by MULTI/HINCRBY/HINCRBY/EXEC blocks exactly like
+	// the string accounts — the same atomicity contract, one value kind
+	// deeper.
+	hset := []string{"HSET", ledgerKey}
+	for i := 0; i < transferAccounts; i++ {
+		hset = append(hset, "h:"+strconv.Itoa(i), strconv.Itoa(initialBalance))
+	}
+	if _, err := c.Must(hset...); err != nil {
+		return "", err
 	}
 
 	var cnt counters
@@ -173,23 +170,20 @@ func Drive(addr string, l Load) (string, error) {
 	for g := range lats {
 		lat.merge(&lats[g])
 	}
-	audit, err := Audit(c, l.Typed)
+	audit, err := Audit(c)
 	if err != nil {
 		return "", err
-	}
-	typedNote := ""
-	if l.Typed {
-		typedNote = fmt.Sprintf("\n  typed: hincrs=%d pushes=%d pops=%d zadds=%d",
-			cnt.hincrs.Load(), cnt.pushes.Load(), cnt.pops.Load(), cnt.zadds.Load())
 	}
 	total := int64(l.Clients) * int64(l.Ops)
 	return fmt.Sprintf(
 		"drive: %d ops over %d clients in %v (%.0f ops/sec; keys=%s)\n"+
-			"  gets=%d sets=%d incrs=%d dels=%d mgets=%d expires=%d transfers=%d%s\n  %s%s",
+			"  gets=%d sets=%d incrs=%d dels=%d mgets=%d expires=%d transfers=%d\n"+
+			"  typed: hincrs=%d pushes=%d pops=%d zadds=%d\n  %s%s",
 		total, l.Clients, elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds(), dist.Name(),
 		cnt.gets.Load(), cnt.sets.Load(), cnt.incrs.Load(), cnt.dels.Load(),
-		cnt.mgets.Load(), cnt.expires.Load(), cnt.transfers.Load(), typedNote,
+		cnt.mgets.Load(), cnt.expires.Load(), cnt.transfers.Load(),
+		cnt.hincrs.Load(), cnt.pushes.Load(), cnt.pops.Load(), cnt.zadds.Load(),
 		audit, lat.report()), nil
 }
 
@@ -222,13 +216,11 @@ func driveClient(addr string, g int, l Load, dist workload.KeyDist, keys, accoun
 	defer c.Close()
 	rng := rand.New(rand.NewPCG(loadSeed+uint64(g)+1, uint64(g)*0x9e37+7))
 	typed := typedState{g: g, binKeys: l.BinKeys}
-	if l.Typed {
-		// Reset this client's private containers: a durable server may
-		// carry residue from an earlier run against the same directory,
-		// and the FIFO/score verifications assume a known start.
-		if _, err := c.Must("DEL", "list:"+strconv.Itoa(g), "zset:"+strconv.Itoa(g)); err != nil {
-			return err
-		}
+	// Reset this client's private containers: a durable server may carry
+	// residue from an earlier run against the same directory, and the
+	// FIFO/score verifications assume a known start.
+	if _, err := c.Must("DEL", "list:"+strconv.Itoa(g), "zset:"+strconv.Itoa(g)); err != nil {
+		return err
 	}
 	for i := 0; i < l.Ops; i++ {
 		if rng.Float64() < transferShare {
@@ -240,7 +232,7 @@ func driveClient(addr string, g int, l Load, dist workload.KeyDist, keys, accoun
 			cnt.transfers.Add(1)
 			continue
 		}
-		if l.Typed && rng.Float64() < 0.4 {
+		if rng.Float64() < 0.4 {
 			t0 := time.Now()
 			if err := typed.step(c, rng, cnt); err != nil {
 				return err
