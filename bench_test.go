@@ -26,13 +26,9 @@ const benchThreads = 8
 // fixed-work (rather than fixed-time) form of a figure point, so ns/op
 // is comparable across managers. It keeps its own schedule, a yield
 // every 4 opens, not the figures' context model.
-func runFixedOps(b *testing.B, structure, manager string, tailWork int, forestAllProb float64) {
+func runFixedOps(b *testing.B, set intset.Set, manager string, tailWork int, forestAllProb float64) {
 	b.Helper()
 	factory, err := core.Factory(manager)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := intset.NewByName(structure)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,12 +132,14 @@ func spinWork(n int) {
 	spinSink.Store(x)
 }
 
-func benchFigure(b *testing.B, structure string, tailWork int, forestAllProb float64, managers []string) {
+// benchFigure runs one sub-benchmark per manager, each on a fresh set
+// from newSet.
+func benchFigure(b *testing.B, newSet func() intset.Set, tailWork int, forestAllProb float64, managers []string) {
 	b.Helper()
 	for _, mgr := range managers {
 		mgr := mgr
 		b.Run(mgr, func(b *testing.B) {
-			runFixedOps(b, structure, mgr, tailWork, forestAllProb)
+			runFixedOps(b, newSet(), mgr, tailWork, forestAllProb)
 		})
 	}
 }
@@ -149,16 +147,20 @@ func benchFigure(b *testing.B, structure string, tailWork int, forestAllProb flo
 // BenchmarkFigure1List is the paper's Figure 1: the sorted-list
 // application under heavy contention, one sub-benchmark per plotted
 // manager.
-func BenchmarkFigure1List(b *testing.B) { benchFigure(b, "list", 0, 0, core.FigureManagers) }
+func BenchmarkFigure1List(b *testing.B) {
+	benchFigure(b, func() intset.Set { return intset.NewList() }, 0, 0, core.FigureManagers)
+}
 
 // BenchmarkFigure2Skiplist is Figure 2: the skiplist application.
-func BenchmarkFigure2Skiplist(b *testing.B) { benchFigure(b, "skiplist", 0, 0, core.FigureManagers) }
+func BenchmarkFigure2Skiplist(b *testing.B) {
+	benchFigure(b, func() intset.Set { return intset.NewSkipList() }, 0, 0, core.FigureManagers)
+}
 
 // BenchmarkFigure3RedBlack is Figure 3: the red-black tree with an
 // uncontended computation at the end of each transaction (the paper's
 // low-contention scenario).
 func BenchmarkFigure3RedBlack(b *testing.B) {
-	benchFigure(b, "rbtree", 4000, 0, core.FigureManagers)
+	benchFigure(b, func() intset.Set { return intset.NewRBTree() }, 4000, 0, core.FigureManagers)
 }
 
 // BenchmarkFigure4Forest is Figure 4: the red-black forest with
@@ -168,7 +170,8 @@ func BenchmarkFigure3RedBlack(b *testing.B) {
 // the whole livelock fuse; the duration-bounded harness
 // (cmd/stmbench) measures it honestly instead.
 func BenchmarkFigure4Forest(b *testing.B) {
-	benchFigure(b, "rbforest", 0, 0.1, []string{"eruption", "greedy", "backoff", "karma"})
+	newForest := func() intset.Set { return intset.NewRBForest(intset.DefaultForestSize) }
+	benchFigure(b, newForest, 0, 0.1, []string{"eruption", "greedy", "backoff", "karma"})
 }
 
 // BenchmarkAdversarialMakespan simulates the Section 4 worst case for
@@ -287,18 +290,17 @@ func BenchmarkSTMReadTx(b *testing.B) {
 // (short window), validating that the figure pipeline itself is sound
 // under the benchmark runner.
 func BenchmarkHarnessPoint(b *testing.B) {
+	fig, err := harness.FigureByID(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := harness.Options{Window: 20 * time.Millisecond, Warmup: 5 * time.Millisecond}
 	for i := 0; i < b.N; i++ {
-		point, err := harness.Run(harness.Config{
-			Structure: "rbtree",
-			Manager:   "greedy",
-			Threads:   4,
-			Duration:  20 * time.Millisecond,
-			Warmup:    5 * time.Millisecond,
-		})
+		point, err := harness.Run(fig, "greedy", 4, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if point.Commits <= 0 {
+		if point.Stats.Commits <= 0 {
 			b.Fatal("no commits")
 		}
 	}

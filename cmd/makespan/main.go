@@ -103,7 +103,7 @@ func adversary(s, m int) error {
 		if err != nil {
 			return err
 		}
-		sys := sched.AdversaryTaskSystem(si, m)
+		sys := sched.TaskSystemOf(ins)
 		list, err := sys.ListSchedule(sched.EvenOddOrder(si + 1))
 		if err != nil {
 			return err

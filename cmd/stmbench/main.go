@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -46,12 +47,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("figures:")
-		for _, fig := range harness.Figures {
-			fmt.Printf("  %d: %s (structure=%s)\n", fig.ID, fig.Name, fig.Structure)
-		}
-		fmt.Printf("structures: %s\n", strings.Join(harness.Structures(), ", "))
-		fmt.Printf("managers: %s\n", strings.Join(core.Names(), ", "))
+		writeList(os.Stdout)
 		return
 	}
 
@@ -59,27 +55,28 @@ func main() {
 	if err != nil {
 		usage(err.Error())
 	}
+	if err := checkTiming(*window, *warmup); err != nil {
+		usage(err.Error())
+	}
 
-	opts := harness.FigureOptions{
-		Duration: *window,
-		Warmup:   *warmup,
-		Seed:     *seed,
-		Audit:    *audit,
-		TxTrace:  *txtrace,
+	opts := harness.Options{
+		Window:  *window,
+		Warmup:  *warmup,
+		Seed:    *seed,
+		Audit:   *audit,
+		TxTrace: *txtrace,
 	}
+	var ts []int
 	if *threads != "" {
-		ts, err := parseInts(*threads)
-		if err != nil {
+		if ts, err = parseInts(*threads); err != nil {
 			usage(err.Error())
 		}
-		opts.Threads = ts
 	}
+	var ms []string
 	if *managers != "" {
-		ms, err := parseManagers(*managers)
-		if err != nil {
+		if ms, err = parseManagers(*managers); err != nil {
 			usage(err.Error())
 		}
-		opts.Managers = ms
 	}
 	if !*jsonOut {
 		opts.Progress = func(p harness.Point) {
@@ -88,18 +85,18 @@ func main() {
 				hot = "  hot=" + p.HotVars[0].Obj
 			}
 			fmt.Fprintf(os.Stderr, "  %-10s %-12s x%-3d %10.0f commits/s (abort rate %.2f)%s\n",
-				p.Structure, p.Manager, p.Threads, p.CommitsPerSec, p.AbortRate, hot)
+				p.Structure, p.Manager, p.Threads, p.CommitsPerSec, p.Stats.AbortRate(), hot)
 		}
 	}
 
 	// jsonPoints accumulates across figures so the whole run is one
-	// JSON array; RunFigure stamps each point with its figure id.
+	// JSON array; each point carries its figure id.
 	var jsonPoints []harness.Point
 	for _, fig := range figures {
 		if !*jsonOut {
 			fmt.Fprintf(os.Stderr, "running figure %d: %s\n", fig.ID, fig.Name)
 		}
-		points, err := harness.RunFigure(fig, opts)
+		points, err := harness.RunFigure(fig, ms, ts, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -120,6 +117,19 @@ func main() {
 	}
 }
 
+// writeList prints the figures, the structure each one runs, and the
+// registered managers.
+func writeList(w io.Writer) {
+	fmt.Fprintln(w, "figures:")
+	structures := make([]string, len(harness.Figures))
+	for i, fig := range harness.Figures {
+		fmt.Fprintf(w, "  %d: %s (structure=%s)\n", fig.ID, fig.Name, fig.Structure)
+		structures[i] = fig.Structure
+	}
+	fmt.Fprintf(w, "structures: %s\n", strings.Join(structures, ", "))
+	fmt.Fprintf(w, "managers: %s\n", strings.Join(core.Names(), ", "))
+}
+
 // selectFigures resolves the -all / -figure selection into the figures
 // to run, rejecting unknown or ambiguous selections so a typo never
 // silently measures the wrong thing.
@@ -137,6 +147,18 @@ func selectFigures(all bool, figureID int) ([]harness.Figure, error) {
 		return nil, err
 	}
 	return []harness.Figure{fig}, nil
+}
+
+// checkTiming rejects a -window that measures nothing and a negative
+// -warmup; a zero warmup is honoured.
+func checkTiming(window, warmup time.Duration) error {
+	if window <= 0 {
+		return fmt.Errorf("bad -window %v: must be positive", window)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("bad -warmup %v: must not be negative", warmup)
+	}
+	return nil
 }
 
 // parseInts parses -threads: a comma-separated list of thread counts,

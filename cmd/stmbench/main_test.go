@@ -2,7 +2,11 @@ package main
 
 import (
 	"slices"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // TestSelectFigures pins the -all/-figure resolution: exactly one
@@ -120,5 +124,53 @@ func TestParseManagers(t *testing.T) {
 				t.Fatalf("parseManagers(%q) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestCheckTiming pins -window and -warmup: a window that measures
+// nothing and a negative warmup are usage errors, and a zero warmup is
+// honoured rather than replaced by a default.
+func TestCheckTiming(t *testing.T) {
+	tests := []struct {
+		name           string
+		window, warmup time.Duration
+		wantErr        bool
+	}{
+		{name: "defaults", window: 300 * time.Millisecond, warmup: 50 * time.Millisecond},
+		{name: "zero warmup", window: 100 * time.Millisecond},
+		{name: "zero window", warmup: 50 * time.Millisecond, wantErr: true},
+		{name: "negative window", window: -time.Millisecond, wantErr: true},
+		{name: "negative warmup", window: 100 * time.Millisecond, warmup: -time.Millisecond, wantErr: true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := checkTiming(tt.window, tt.warmup)
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("checkTiming(%v, %v) = %v, want error %v", tt.window, tt.warmup, err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestWriteList pins -list: one line per figure with its structure,
+// then every structure in figure order, then the managers.
+func TestWriteList(t *testing.T) {
+	var b strings.Builder
+	writeList(&b)
+	want := `figures:
+  1: List application (structure=list)
+  2: Skiplist application (structure=skiplist)
+  3: Red-black application (low contention) (structure=rbtree)
+  4: Red-black forest application (structure=rbforest)
+  5: Hash set application (disjoint buckets) (structure=hashset)
+  6: FIFO queue application (head/tail hot spots) (structure=queue)
+  7: Ordered map application (range scans vs point writes) (structure=omap)
+  8: KV store application (string keys, skewed traffic) (structure=kv)
+  9: KV store with write-ahead logging (group commit, async ack) (structure=kvwal)
+  10: Cross-type job pipeline (list, zset and hash in one transaction) (structure=jobs)
+structures: list, skiplist, rbtree, rbforest, hashset, queue, omap, kv, kvwal, jobs
+managers: ` + strings.Join(core.Names(), ", ") + "\n"
+	if got := b.String(); got != want {
+		t.Fatalf("-list printed\n%s\nwant\n%s", got, want)
 	}
 }

@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sys := sched.AdversaryTaskSystem(*s, *m)
+	sys := sched.TaskSystemOf(ins)
 	list, err := sys.ListSchedule(sched.EvenOddOrder(*s + 1))
 	if err != nil {
 		log.Fatal(err)

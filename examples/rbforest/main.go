@@ -24,20 +24,19 @@ func main() {
 
 	fmt.Printf("red-black forest: %d threads, %.0f%% of updates touch all %d trees\n\n",
 		*threads, *allProb*100, 50)
+	fig, err := harness.FigureByID(4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fig.ForestAllProb = *allProb
+	opts := harness.Options{Window: *duration, Warmup: 50 * time.Millisecond, Audit: true}
 	fmt.Printf("%-14s %14s %12s\n", "manager", "commits/sec", "abort rate")
 	for _, mgr := range []string{"eruption", "greedy", "aggressive", "backoff", "karma"} {
-		point, err := harness.Run(harness.Config{
-			Structure:     "rbforest",
-			Manager:       mgr,
-			Threads:       *threads,
-			Duration:      *duration,
-			ForestAllProb: *allProb,
-			Audit:         true,
-		})
+		point, err := harness.Run(fig, mgr, *threads, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-14s %14.0f %11.1f%%\n", mgr, point.CommitsPerSec, 100*point.AbortRate)
+		fmt.Printf("%-14s %14.0f %11.1f%%\n", mgr, point.CommitsPerSec, 100*point.Stats.AbortRate())
 	}
 	fmt.Println("\nstructural audit passed for every tree after every run.")
 }

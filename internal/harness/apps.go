@@ -32,9 +32,6 @@ type app interface {
 	draw(rng *rand.Rand) opDesc
 	// step runs the drawn operation inside tx; it must be retry-safe.
 	step(tx *stm.Tx, d opDesc) error
-	// mixName reports the op-mix label for measured points: the mix's
-	// name for apps that honour it, empty for fixed-workload apps.
-	mixName() string
 	// audit verifies structural integrity after the run.
 	audit(s *stm.STM) error
 }
@@ -54,8 +51,8 @@ type labeler interface{ label(d opDesc) stm.Label }
 // seedHalf pre-populates a structure to half the key range, one
 // insert transaction per sampled key — the shared seeding policy of
 // every app.
-func seedHalf(s *stm.STM, cfg Config, keys workload.KeyDist, rng *rand.Rand, insert func(tx *stm.Tx, key int) error) error {
-	for i := 0; i < cfg.KeyRange/2; i++ {
+func seedHalf(s *stm.STM, keys workload.KeyDist, rng *rand.Rand, insert func(tx *stm.Tx, key int) error) error {
+	for i := 0; i < keys.N()/2; i++ {
 		key := keys.Sample(rng)
 		if err := s.Atomically(func(tx *stm.Tx) error { return insert(tx, key) }); err != nil {
 			return err
@@ -78,75 +75,46 @@ type opDesc struct {
 	score  float64 // jobs: priority for the promotion ZADD
 }
 
-// ContainerStructures are the structure names served by
-// internal/container, in the order they were added.
-var ContainerStructures = []string{"hashset", "queue", "omap"}
-
-// KVStructures are the structure names served by internal/kv: the
-// sharded string-keyed store behind cmd/stmkv, in-memory ("kv"), with
-// a write-ahead log attached ("kvwal"), and the cross-type job
-// pipeline over the container kinds ("jobs").
-var KVStructures = []string{"kv", "kvwal", "jobs"}
-
-// Structures returns every structure name the harness can run: the
-// paper's four intset applications, the container subsystem's three,
-// and the kv store.
-func Structures() []string {
-	out := append([]string{}, intset.Structures...)
-	out = append(out, ContainerStructures...)
-	return append(out, KVStructures...)
-}
-
-// newApp builds the application for cfg.Structure.
-func newApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) (app, error) {
-	switch cfg.Structure {
-	case "hashset":
-		return &hashsetApp{set: container.NewHashSet[int](hashsetBuckets), keys: keys, mix: mix, cfg: cfg}, nil
-	case "queue":
-		return &queueApp{q: container.NewDeque[int](), keys: keys, mix: mix, cfg: cfg}, nil
-	case "omap":
-		return &omapApp{m: container.NewOMap[int, int](), keys: keys, mix: mix, cfg: cfg}, nil
-	case "kv":
-		return newKVApp(cfg, keys, mix), nil
-	case "kvwal":
-		a := newKVApp(cfg, keys, mix)
-		a.logged = true
-		return a, nil
-	case "jobs":
-		return &jobsApp{keys: keys, cfg: cfg}, nil
-	default:
-		set, err := intset.NewByName(cfg.Structure)
-		if err != nil {
-			return nil, fmt.Errorf("%w (harness structures: %v)", err, Structures())
-		}
-		forest, _ := set.(*intset.RBForest)
-		return &intsetApp{set: set, forest: forest, keys: keys, cfg: cfg}, nil
-	}
-}
-
 // intsetApp is the paper's workload: continuous random inserts and
 // removes on a small key range (100% updates, half and half), with the
 // forest's one-or-all variant. The op mix is fixed by the paper, so
-// cfg.Mix does not apply here.
+// the figure's Mix does not apply here.
 type intsetApp struct {
 	set intset.Set
 	// forest is non-nil when set is the red-black forest, hoisting the
 	// type assertion out of the per-operation path.
 	forest *intset.RBForest
 	keys   workload.KeyDist
-	cfg    Config
+	fig    Figure
+}
+
+func newIntsetApp(set intset.Set, fig Figure, keys workload.KeyDist) app {
+	forest, _ := set.(*intset.RBForest)
+	return &intsetApp{set: set, forest: forest, keys: keys, fig: fig}
+}
+
+func newList(fig Figure, keys workload.KeyDist) app {
+	return newIntsetApp(intset.NewList(), fig, keys)
+}
+
+func newSkipList(fig Figure, keys workload.KeyDist) app {
+	return newIntsetApp(intset.NewSkipList(), fig, keys)
+}
+
+func newRBTree(fig Figure, keys workload.KeyDist) app {
+	return newIntsetApp(intset.NewRBTree(), fig, keys)
+}
+
+func newRBForest(fig Figure, keys workload.KeyDist) app {
+	return newIntsetApp(intset.NewRBForest(intset.DefaultForestSize), fig, keys)
 }
 
 func (a *intsetApp) seed(s *stm.STM, rng *rand.Rand) error {
-	return seedHalf(s, a.cfg, a.keys, rng, func(tx *stm.Tx, key int) error {
+	return seedHalf(s, a.keys, rng, func(tx *stm.Tx, key int) error {
 		_, err := a.set.Insert(tx, key)
 		return err
 	})
 }
-
-// mixName is empty: the intset apps run the paper's fixed workload,
-// not a configurable mix.
-func (a *intsetApp) mixName() string { return "" }
 
 func (a *intsetApp) draw(rng *rand.Rand) opDesc {
 	d := opDesc{
@@ -154,7 +122,7 @@ func (a *intsetApp) draw(rng *rand.Rand) opDesc {
 		insert: rng.Int64N(2) == 0, // 100% updates, half insert half remove
 	}
 	if a.forest != nil {
-		d.all = rng.Float64() < a.cfg.ForestAllProb
+		d.all = rng.Float64() < a.fig.ForestAllProb
 		d.tree = int(rng.Int64N(int64(a.forest.Size())))
 	}
 	return d
@@ -194,7 +162,7 @@ func (a *intsetApp) audit(s *stm.STM) error {
 	switch v := a.set.(type) {
 	case interface{ CheckInvariants(*stm.Tx) error }: // skiplist, rbtree
 		if err := s.Atomically(v.CheckInvariants); err != nil {
-			return fmt.Errorf("harness: audit %s: %w", a.cfg.Structure, err)
+			return fmt.Errorf("harness: audit %s: %w", a.fig.Structure, err)
 		}
 	case *intset.RBForest:
 		for i := 0; i < v.Size(); i++ {
@@ -217,17 +185,18 @@ type hashsetApp struct {
 	set  *container.HashSet[int]
 	keys workload.KeyDist
 	mix  workload.OpMix
-	cfg  Config
+}
+
+func newHashSet(fig Figure, keys workload.KeyDist) app {
+	return &hashsetApp{set: container.NewHashSet[int](hashsetBuckets), keys: keys, mix: fig.Mix}
 }
 
 func (a *hashsetApp) seed(s *stm.STM, rng *rand.Rand) error {
-	return seedHalf(s, a.cfg, a.keys, rng, func(tx *stm.Tx, key int) error {
+	return seedHalf(s, a.keys, rng, func(tx *stm.Tx, key int) error {
 		_, err := a.set.Add(tx, key)
 		return err
 	})
 }
-
-func (a *hashsetApp) mixName() string { return a.mix.Name() }
 
 func (a *hashsetApp) draw(rng *rand.Rand) opDesc {
 	return opDesc{op: a.mix.Sample(rng), key: a.keys.Sample(rng)}
@@ -270,16 +239,17 @@ type queueApp struct {
 	q    *container.Deque[int]
 	keys workload.KeyDist
 	mix  workload.OpMix
-	cfg  Config
+}
+
+func newQueue(fig Figure, keys workload.KeyDist) app {
+	return &queueApp{q: container.NewDeque[int](), keys: keys, mix: fig.Mix}
 }
 
 func (a *queueApp) seed(s *stm.STM, rng *rand.Rand) error {
-	return seedHalf(s, a.cfg, a.keys, rng, func(tx *stm.Tx, key int) error {
+	return seedHalf(s, a.keys, rng, func(tx *stm.Tx, key int) error {
 		return a.q.PushBack(tx, key)
 	})
 }
-
-func (a *queueApp) mixName() string { return a.mix.Name() }
 
 func (a *queueApp) draw(rng *rand.Rand) opDesc {
 	return opDesc{op: a.mix.Sample(rng), key: a.keys.Sample(rng)}
@@ -318,17 +288,18 @@ type omapApp struct {
 	m    *container.OMap[int, int]
 	keys workload.KeyDist
 	mix  workload.OpMix
-	cfg  Config
+}
+
+func newOMap(fig Figure, keys workload.KeyDist) app {
+	return &omapApp{m: container.NewOMap[int, int](), keys: keys, mix: fig.Mix}
 }
 
 func (a *omapApp) seed(s *stm.STM, rng *rand.Rand) error {
-	return seedHalf(s, a.cfg, a.keys, rng, func(tx *stm.Tx, key int) error {
+	return seedHalf(s, a.keys, rng, func(tx *stm.Tx, key int) error {
 		_, _, err := a.m.Put(tx, key, key)
 		return err
 	})
 }
-
-func (a *omapApp) mixName() string { return a.mix.Name() }
 
 func (a *omapApp) draw(rng *rand.Rand) opDesc {
 	return opDesc{op: a.mix.Sample(rng), key: a.keys.Sample(rng)}
@@ -378,7 +349,6 @@ type kvApp struct {
 	names  []string
 	keys   workload.KeyDist
 	mix    workload.OpMix
-	cfg    Config
 	logged bool
 	walDir string
 	log    *wal.Log
@@ -389,22 +359,26 @@ type kvApp struct {
 // point traffic spreads.
 const kvShards = 8
 
-func newKVApp(cfg Config, keys workload.KeyDist, mix workload.OpMix) *kvApp {
-	names := make([]string, cfg.KeyRange)
+func newKVApp(fig Figure, keys workload.KeyDist, logged bool) *kvApp {
+	names := make([]string, keys.N())
 	for i := range names {
 		names[i] = fmt.Sprintf("key:%06d", i)
 	}
-	return &kvApp{names: names, keys: keys, mix: mix, cfg: cfg}
+	return &kvApp{names: names, keys: keys, mix: fig.Mix, logged: logged}
 }
+
+func newKV(fig Figure, keys workload.KeyDist) app { return newKVApp(fig, keys, false) }
+
+func newKVWAL(fig Figure, keys workload.KeyDist) app { return newKVApp(fig, keys, true) }
 
 func (a *kvApp) seed(s *stm.STM, rng *rand.Rand) error {
 	// The store binds to the run's STM, so it is built at seed time
-	// (newApp runs before the STM exists). Its shards start small
+	// (the app is built before the STM exists). Its shards start small
 	// relative to the key range: the seeding pass itself drives the
 	// first resizes, and the measured window inherits a table at its
 	// natural load factor.
 	a.store = kv.New(s, kv.WithShards(kvShards))
-	for i := 0; i < a.cfg.KeyRange/2; i++ {
+	for i := 0; i < a.keys.N()/2; i++ {
 		key := a.keys.Sample(rng)
 		err := a.store.Atomically(func(tx *stm.Tx, now int64) error {
 			return a.store.SetTx(tx, now, a.names[key], strconv.Itoa(key), 0)
@@ -444,8 +418,6 @@ func (a *kvApp) close() error {
 	}
 	return err
 }
-
-func (a *kvApp) mixName() string { return a.mix.Name() }
 
 func (a *kvApp) draw(rng *rand.Rand) opDesc {
 	return opDesc{op: a.mix.Sample(rng), key: a.keys.Sample(rng), now: a.store.Now()}
@@ -500,8 +472,9 @@ func (a *kvApp) audit(s *stm.STM) error {
 type jobsApp struct {
 	store *kv.Store
 	keys  workload.KeyDist
-	cfg   Config
 }
+
+func newJobs(_ Figure, keys workload.KeyDist) app { return &jobsApp{keys: keys} }
 
 const (
 	jobsPending = "jobs:pending"
@@ -536,13 +509,13 @@ func (a *jobsApp) seed(s *stm.STM, rng *rand.Rand) error {
 	// first measured transaction: half the key range pending, a quarter
 	// already active.
 	now := a.store.Now()
-	for i := 0; i < a.cfg.KeyRange/2; i++ {
+	for i := 0; i < a.keys.N()/2; i++ {
 		d := a.drawFor(rng, 0)
 		if err := s.Atomically(func(tx *stm.Tx) error { return a.step(tx, d) }); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < a.cfg.KeyRange/4; i++ {
+	for i := 0; i < a.keys.N()/4; i++ {
 		// Draw the score before entering the transaction: a retry must
 		// replay the same decision, not advance the RNG again (txpure).
 		score := rng.Float64() * 100
@@ -560,8 +533,6 @@ func (a *jobsApp) seed(s *stm.STM, rng *rand.Rand) error {
 	}
 	return nil
 }
-
-func (a *jobsApp) mixName() string { return "" }
 
 // drawFor fixes one operation with the given verb; draw samples the
 // verb from the pipeline mix: 40% submit, 30% promote, 20% complete,

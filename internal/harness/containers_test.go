@@ -9,43 +9,68 @@ import (
 	"repro/internal/workload"
 )
 
+// containerStructures are the applications served by
+// internal/container: Figures 5-7.
+var containerStructures = []string{"hashset", "queue", "omap"}
+
 func TestRunContainerStructures(t *testing.T) {
-	for _, structure := range harness.ContainerStructures {
+	for _, structure := range containerStructures {
 		structure := structure
 		t.Run(structure, func(t *testing.T) {
-			point, err := harness.Run(quickCfg(structure, "greedy", 2))
+			fig := figureOf(t, structure)
+			point, err := harness.Run(fig, "greedy", 2, quick)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if point.Commits <= 0 {
+			if point.Stats.Commits <= 0 {
 				t.Fatalf("no commits measured: %+v", point)
 			}
 			if point.Structure != structure || point.Manager != "greedy" || point.Threads != 2 {
 				t.Fatalf("point mislabelled: %+v", point)
 			}
-			if point.Mix != "update" {
-				t.Fatalf("container point carries mix %q, want %q", point.Mix, "update")
+			if point.Mix == "" || point.Mix != fig.Mix.Name() {
+				t.Fatalf("container point carries mix %q, want the figure's %q", point.Mix, fig.Mix.Name())
 			}
 		})
 	}
 }
 
+// mustMix builds a mix from weights.
+func mustMix(t testing.TB, lookup, insert, delete, rang float64) workload.OpMix {
+	t.Helper()
+	m, err := workload.NewOpMix(lookup, insert, delete, rang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRunContainerMixes runs every container application under a
+// read-heavy mix, the kv figures' mixed mix and a range-heavy mix, and
+// checks each point reports the mix it ran.
 func TestRunContainerMixes(t *testing.T) {
-	for _, mix := range []string{"readheavy", "mixed", "rangeheavy"} {
-		mix := mix
-		t.Run(mix, func(t *testing.T) {
-			for _, structure := range harness.ContainerStructures {
-				cfg := quickCfg(structure, "karma", 2)
-				cfg.Mix = mix
-				point, err := harness.Run(cfg)
+	for _, tc := range []struct {
+		name string
+		mix  workload.OpMix
+	}{
+		{"readheavy", mustMix(t, 0.90, 0.05, 0.05, 0)},
+		{"mixed", workload.MixedMix},
+		{"rangeheavy", mustMix(t, 0.20, 0.20, 0.20, 0.40)},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			for _, structure := range containerStructures {
+				fig := figureOf(t, structure)
+				fig.Mix = tc.mix
+				point, err := harness.Run(fig, "karma", 2, quick)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if point.Commits <= 0 {
-					t.Fatalf("%s/%s: no commits measured", structure, mix)
+				if point.Stats.Commits <= 0 {
+					t.Fatalf("%s/%s: no commits measured", structure, tc.name)
 				}
-				if point.Mix != mix {
-					t.Fatalf("%s: point carries mix %q, want %q", structure, point.Mix, mix)
+				if point.Mix != tc.mix.Name() {
+					t.Fatalf("%s: point carries mix %q, want %q", structure, point.Mix, tc.mix.Name())
 				}
 			}
 		})
@@ -53,14 +78,14 @@ func TestRunContainerMixes(t *testing.T) {
 }
 
 func TestRunContainerZipf(t *testing.T) {
-	cfg := quickCfg("omap", "greedy", 4)
-	cfg.KeyDist = "zipf:1.2"
-	cfg.Mix = "mixed"
-	point, err := harness.Run(cfg)
+	fig := figureOf(t, "omap")
+	fig.Keys = zipfKeys(1.2)
+	fig.Mix = workload.MixedMix
+	point, err := harness.Run(fig, "greedy", 4, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if point.Commits <= 0 {
+	if point.Stats.Commits <= 0 {
 		t.Fatalf("no commits under zipf keys: %+v", point)
 	}
 }
@@ -69,31 +94,30 @@ func TestRunContainerZipf(t *testing.T) {
 // string-keyed workload — under both key distributions, with the
 // audit on so the store's shard/bucket invariants are verified after
 // the run, and checks the point records its distribution (empty for
-// uniform, named for skew).
+// uniform, named with the sampler's own exponent for skew).
 func TestRunKVStructure(t *testing.T) {
-	cfg := quickCfg("kv", "greedy", 4)
-	cfg.Mix = "mixed"
-	cfg.Audit = true
-	point, err := harness.Run(cfg)
+	fig := figureOf(t, "kv")
+	uniform := fig
+	uniform.Keys = workload.NewUniform
+	point, err := harness.Run(uniform, "greedy", 4, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if point.Commits <= 0 {
+	if point.Stats.Commits <= 0 {
 		t.Fatalf("no commits measured: %+v", point)
 	}
 	if point.KeyDist != "" {
 		t.Fatalf("uniform point carries key_dist %q, want empty", point.KeyDist)
 	}
-	cfg.KeyDist = "zipf"
-	point, err = harness.Run(cfg)
+	point, err = harness.Run(fig, "greedy", 4, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if point.Commits <= 0 {
+	if point.Stats.Commits <= 0 {
 		t.Fatalf("no commits under zipf: %+v", point)
 	}
-	if point.KeyDist != "zipf(1.1)" {
-		t.Fatalf("zipf point carries key_dist %q, want %q", point.KeyDist, "zipf(1.1)")
+	if point.KeyDist != "zipf(1.07)" {
+		t.Fatalf("zipf point carries key_dist %q, want %q", point.KeyDist, "zipf(1.07)")
 	}
 }
 
@@ -103,15 +127,11 @@ func TestRunKVStructure(t *testing.T) {
 // closer hook closes the log and removes the scratch directory after
 // the run.
 func TestRunKVWALStructure(t *testing.T) {
-	cfg := quickCfg("kvwal", "greedy", 4)
-	cfg.Mix = "mixed"
-	cfg.KeyDist = "zipf"
-	cfg.Audit = true
-	point, err := harness.Run(cfg)
+	point, err := harness.Run(figureOf(t, "kvwal"), "greedy", 4, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if point.Commits <= 0 {
+	if point.Stats.Commits <= 0 {
 		t.Fatalf("no commits measured: %+v", point)
 	}
 	if point.Structure != "kvwal" {
@@ -125,13 +145,11 @@ func TestRunKVWALStructure(t *testing.T) {
 // + active + done — in one consistent snapshot plus the store's
 // structural invariants.
 func TestRunJobsStructure(t *testing.T) {
-	cfg := quickCfg("jobs", "greedy", 4)
-	cfg.Audit = true
-	point, err := harness.Run(cfg)
+	point, err := harness.Run(figureOf(t, "jobs"), "greedy", 4, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if point.Commits <= 0 {
+	if point.Stats.Commits <= 0 {
 		t.Fatalf("no commits measured: %+v", point)
 	}
 	if point.Structure != "jobs" {
@@ -140,6 +158,13 @@ func TestRunJobsStructure(t *testing.T) {
 	if point.Mix != "" {
 		t.Fatalf("jobs point carries mix %q, want empty (fixed pipeline mix)", point.Mix)
 	}
+}
+
+// sweep are the settings of the figure sweeps below.
+var sweep = harness.Options{
+	Window: 25 * time.Millisecond,
+	Warmup: 5 * time.Millisecond,
+	Audit:  true,
 }
 
 // TestJobsFigureSweep runs Figure 10 across two managers and checks
@@ -152,13 +177,7 @@ func TestJobsFigureSweep(t *testing.T) {
 	if fig.Structure != "jobs" {
 		t.Fatalf("figure 10 = %+v, want jobs", fig)
 	}
-	points, err := harness.RunFigure(fig, harness.FigureOptions{
-		Duration: 25 * time.Millisecond,
-		Warmup:   5 * time.Millisecond,
-		Threads:  []int{1, 4},
-		Managers: []string{"greedy", "karma"},
-		Audit:    true,
-	})
+	points, err := harness.RunFigure(fig, []string{"greedy", "karma"}, []int{1, 4}, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +202,7 @@ func TestKVFigureDefaultsToSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := harness.RunFigure(fig, harness.FigureOptions{
-		Duration: 25 * time.Millisecond,
-		Warmup:   5 * time.Millisecond,
-		Threads:  []int{1},
-		Audit:    true,
-	})
+	points, err := harness.RunFigure(fig, nil, []int{1}, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,24 +213,16 @@ func TestKVFigureDefaultsToSkew(t *testing.T) {
 		if p.Manager != core.FigureManagers[i] || p.Threads != 1 || p.Structure != "kv" {
 			t.Fatalf("point %d = %s/%s x%d, want kv/%s x1", i, p.Structure, p.Manager, p.Threads, core.FigureManagers[i])
 		}
-		if p.Mix != "mixed" || p.KeyDist != "zipf(1.1)" {
-			t.Fatalf("point %d labelled %q/%q, want mixed/zipf(1.1)", i, p.Mix, p.KeyDist)
+		if p.Mix != "mixed" || p.KeyDist != "zipf(1.07)" {
+			t.Fatalf("point %d labelled %q/%q, want mixed/zipf(1.07)", i, p.Mix, p.KeyDist)
 		}
 	}
 }
 
-func TestRunRejectsBadMix(t *testing.T) {
-	cfg := quickCfg("hashset", "greedy", 1)
-	cfg.Mix = "writeonly"
-	if _, err := harness.Run(cfg); err == nil {
-		t.Fatal("unknown op mix accepted")
-	}
-}
-
+// TestIntsetIgnoresMixLabel: the intset figures run the paper's fixed
+// update workload, so their points carry no mix label.
 func TestIntsetIgnoresMixLabel(t *testing.T) {
-	cfg := quickCfg("list", "greedy", 1)
-	cfg.Mix = "readheavy"
-	point, err := harness.Run(cfg)
+	point, err := harness.Run(figureOf(t, "list"), "greedy", 1, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,31 +231,12 @@ func TestIntsetIgnoresMixLabel(t *testing.T) {
 	}
 }
 
-func TestStructuresListsEverything(t *testing.T) {
-	got := harness.Structures()
-	want := []string{"list", "skiplist", "rbtree", "rbforest", "hashset", "queue", "omap", "kv", "kvwal", "jobs"}
-	if len(got) != len(want) {
-		t.Fatalf("Structures() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Structures()[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 func TestContainerFigureSweep(t *testing.T) {
 	fig, err := harness.FigureByID(6) // the queue figure
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := harness.RunFigure(fig, harness.FigureOptions{
-		Duration: 25 * time.Millisecond,
-		Warmup:   5 * time.Millisecond,
-		Threads:  []int{1, 2},
-		Managers: []string{"greedy", "karma"},
-		Audit:    true,
-	})
+	points, err := harness.RunFigure(fig, []string{"greedy", "karma"}, []int{1, 2}, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,16 +249,6 @@ func TestContainerFigureSweep(t *testing.T) {
 		}
 		if p.CommitsPerSec <= 0 {
 			t.Fatalf("no throughput at %+v", p)
-		}
-	}
-}
-
-// TestMixPresetsExported pins the preset names the harness documents
-// to what workload actually exports.
-func TestMixPresetsExported(t *testing.T) {
-	for _, m := range []workload.OpMix{workload.UpdateMix, workload.ReadHeavyMix, workload.MixedMix, workload.RangeMix} {
-		if _, err := workload.NewOpMix(m.Name()); err != nil {
-			t.Fatalf("preset %q not reachable by name: %v", m.Name(), err)
 		}
 	}
 }

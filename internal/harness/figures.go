@@ -2,35 +2,49 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
-// Figure describes one evaluation figure: which benchmark
-// application under which contention scenario. Every figure plots the
-// same series, core.FigureManagers, against DefaultThreads.
+// Figure is one evaluation figure: which benchmark application, on
+// which workload, under which contention scenario. Every figure plots
+// the same series, core.FigureManagers, against DefaultThreads; one
+// point of it is (Figure, manager, threads), run by Run.
 type Figure struct {
 	// ID is the figure number: 1-4 are the paper's, 5-7 the container
 	// extensions, 8-10 the kv-store applications.
 	ID int
 	// Name is the caption.
 	Name string
-	// Structure is the benchmark application.
+	// Structure names the application in points and in stmbench -list.
 	Structure string
-	// Mix is the container op mix (see Config.Mix); empty selects the
-	// default update mix, and the intset structures ignore it.
-	Mix string
-	// KeyDist is the figure's key distribution (see Config.KeyDist);
-	// empty selects uniform, the paper's workload. The kv figures run
-	// skewed traffic — real key-value traffic concentrates on hot keys.
-	KeyDist string
-	// TailWork is the uncontended in-transaction tail (Figure 3's low
-	// contention scenario); zero elsewhere.
+	// App builds a fresh application for one run, drawing keys from
+	// keys.
+	App func(fig Figure, keys workload.KeyDist) app
+	// Mix is the container op mix. The intset and jobs figures run a
+	// fixed workload and leave it zero, so their points carry no mix.
+	Mix workload.OpMix
+	// Keys builds the key distribution over a universe of n keys:
+	// uniform is the paper's workload; the kv figures run zipf, since
+	// real key-value traffic concentrates on hot keys.
+	Keys func(n int) (workload.KeyDist, error)
+	// TailWork adds an uncontended computation of roughly TailWork
+	// arithmetic steps at the end of every transaction, reproducing
+	// Figure 3's low-contention scenario ("threads perform
+	// computations unrelated to the effective transactions at the
+	// end"); zero elsewhere.
 	TailWork int
-	// ForestAllProb applies to the forest only.
+	// ForestAllProb is the probability that a red-black forest
+	// operation updates all trees rather than one, producing the
+	// high-variance transaction lengths of Figure 4. Only the forest
+	// reads it.
 	ForestAllProb float64
 }
+
+// zipf is the kv figures' key distribution: exponent 1.07, a common
+// web-workload skew.
+func zipf(n int) (workload.KeyDist, error) { return workload.NewZipf(n, 1.07) }
 
 // DefaultThreads samples the paper's 1..32 thread range, extended
 // with 64- and 128-goroutine points: the striped commit protocol
@@ -52,60 +66,78 @@ var Figures = []Figure{
 		ID:        1,
 		Name:      "List application",
 		Structure: "list",
+		App:       newList,
+		Keys:      workload.NewUniform,
 	},
 	{
 		ID:        2,
 		Name:      "Skiplist application",
 		Structure: "skiplist",
+		App:       newSkipList,
+		Keys:      workload.NewUniform,
 	},
 	{
 		ID:        3,
 		Name:      "Red-black application (low contention)",
 		Structure: "rbtree",
+		App:       newRBTree,
+		Keys:      workload.NewUniform,
 		TailWork:  4000,
 	},
 	{
 		ID:            4,
 		Name:          "Red-black forest application",
 		Structure:     "rbforest",
+		App:           newRBForest,
+		Keys:          workload.NewUniform,
 		ForestAllProb: 0.1,
 	},
 	{
 		ID:        5,
 		Name:      "Hash set application (disjoint buckets)",
 		Structure: "hashset",
-		Mix:       "update",
+		App:       newHashSet,
+		Mix:       workload.UpdateMix,
+		Keys:      workload.NewUniform,
 	},
 	{
 		ID:        6,
 		Name:      "FIFO queue application (head/tail hot spots)",
 		Structure: "queue",
-		Mix:       "update",
+		App:       newQueue,
+		Mix:       workload.UpdateMix,
+		Keys:      workload.NewUniform,
 	},
 	{
 		ID:        7,
 		Name:      "Ordered map application (range scans vs point writes)",
 		Structure: "omap",
-		Mix:       "mixed",
+		App:       newOMap,
+		Mix:       workload.MixedMix,
+		Keys:      workload.NewUniform,
 	},
 	{
 		ID:        8,
 		Name:      "KV store application (string keys, skewed traffic)",
 		Structure: "kv",
-		Mix:       "mixed",
-		KeyDist:   "zipf",
+		App:       newKV,
+		Mix:       workload.MixedMix,
+		Keys:      zipf,
 	},
 	{
 		ID:        9,
 		Name:      "KV store with write-ahead logging (group commit, async ack)",
 		Structure: "kvwal",
-		Mix:       "mixed",
-		KeyDist:   "zipf",
+		App:       newKVWAL,
+		Mix:       workload.MixedMix,
+		Keys:      zipf,
 	},
 	{
 		ID:        10,
 		Name:      "Cross-type job pipeline (list, zset and hash in one transaction)",
 		Structure: "jobs",
+		App:       newJobs,
+		Keys:      workload.NewUniform,
 	},
 }
 
@@ -120,62 +152,22 @@ func FigureByID(id int) (Figure, error) {
 	return Figure{}, fmt.Errorf("harness: no figure %d (have 1-%d)", id, len(Figures))
 }
 
-// FigureOptions tune a figure run without changing what it measures.
-type FigureOptions struct {
-	// Duration per point (default 300ms).
-	Duration time.Duration
-	// Warmup per point (default 50ms).
-	Warmup time.Duration
-	// Threads overrides DefaultThreads when non-empty.
-	Threads []int
-	// Managers overrides core.FigureManagers when non-empty.
-	Managers []string
-	// Seed for workload reproducibility.
-	Seed uint64
-	// Audit structural integrity after every point.
-	Audit bool
-	// TxTrace samples 1 in N transactions into the flight recorder's
-	// conflict matrix (see Config.TxTrace); zero disables tracing.
-	TxTrace int
-	// Progress, when non-nil, receives each point as it completes.
-	Progress func(Point)
-}
-
-// RunFigure measures every (manager, threads) point of the figure and
-// returns the points grouped in manager-major order.
-func RunFigure(fig Figure, opts FigureOptions) ([]Point, error) {
-	threads := DefaultThreads
-	if len(opts.Threads) > 0 {
-		threads = opts.Threads
+// RunFigure measures every (manager, threads) point of the figure,
+// in manager-major order. Empty managers run core.FigureManagers and
+// empty threads run DefaultThreads.
+func RunFigure(fig Figure, managers []string, threads []int, opts Options) ([]Point, error) {
+	if len(managers) == 0 {
+		managers = core.FigureManagers
 	}
-	managers := core.FigureManagers
-	if len(opts.Managers) > 0 {
-		managers = opts.Managers
+	if len(threads) == 0 {
+		threads = DefaultThreads
 	}
 	var points []Point
 	for _, mgr := range managers {
 		for _, th := range threads {
-			cfg := Config{
-				Structure:     fig.Structure,
-				Manager:       mgr,
-				Threads:       th,
-				Duration:      opts.Duration,
-				Warmup:        opts.Warmup,
-				TailWork:      fig.TailWork,
-				ForestAllProb: fig.ForestAllProb,
-				Seed:          opts.Seed,
-				Audit:         opts.Audit,
-				KeyDist:       fig.KeyDist,
-				Mix:           fig.Mix,
-				TxTrace:       opts.TxTrace,
-			}
-			point, err := Run(cfg)
+			point, err := Run(fig, mgr, th, opts)
 			if err != nil {
 				return nil, fmt.Errorf("figure %d, %s x%d: %w", fig.ID, mgr, th, err)
-			}
-			point.Figure = fig.ID
-			if opts.Progress != nil {
-				opts.Progress(point)
 			}
 			points = append(points, point)
 		}

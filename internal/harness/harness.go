@@ -3,9 +3,10 @@
 // shared structure (forcing contention), under a chosen contention
 // manager, with committed transactions per second as the reported
 // metric. The applications are the paper's four intset structures
-// (Figures 1–4) and the container subsystem's hash set, FIFO queue
-// and ordered map (Figures 5–7), the latter with configurable
-// lookup/insert/delete/range op mixes (see workload.NewOpMix).
+// (Figures 1–4), the container subsystem's hash set, FIFO queue and
+// ordered map (Figures 5–7) and the kv store's (Figures 8–10). A
+// figure is its entry in Figures; a point of it is (Figure, manager,
+// threads) under Options.
 package harness
 
 import (
@@ -20,48 +21,17 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stm"
-	"repro/internal/workload"
 )
 
-// Config describes one benchmark run (one point of a figure).
-type Config struct {
-	// Structure is the benchmark application: one of the paper's four
-	// ("list", "skiplist", "rbtree", "rbforest") or a container
-	// structure ("hashset", "queue", "omap") — see Structures.
-	Structure string
-	// Manager is the contention manager's registry name.
-	Manager string
-	// Threads is the number of worker goroutines (the figures' x
-	// axis).
-	Threads int
-	// Duration is the measurement window.
-	Duration time.Duration
-	// Warmup runs before measurement starts (populates the structure
-	// and lets the scheduler settle).
+// Options are how a point is run, never what it measures: the
+// figure fixes that.
+type Options struct {
+	// Window is the measurement window; it must be positive.
+	Window time.Duration
+	// Warmup runs before the window opens (after seeding, so it lets
+	// the structure and the scheduler settle); zero skips it, and it
+	// must not be negative.
 	Warmup time.Duration
-	// KeyRange is the key universe; the paper uses a small set of 256
-	// integers to force contention.
-	KeyRange int
-	// KeyDist names the key distribution: "uniform" (the paper's
-	// workload, default), "zipf" or "zipf:<exponent>" for skewed
-	// contention concentrated on hot keys.
-	KeyDist string
-	// Mix names the container op mix (see workload.NewOpMix):
-	// "update" (the paper's 50/50 insert/delete, default),
-	// "readheavy", "mixed", "rangeheavy" or explicit "w:l,i,d,r"
-	// weights. The intset structures always run the paper's fixed
-	// update workload; the mix applies to the container structures.
-	Mix string
-	// TailWork adds an uncontended computation of roughly TailWork
-	// arithmetic steps at the end of every transaction, reproducing
-	// Figure 3's low-contention scenario ("threads perform
-	// computations unrelated to the effective transactions at the
-	// end").
-	TailWork int
-	// ForestAllProb is the probability that a red-black forest
-	// operation updates all trees rather than one, producing the
-	// high-variance transaction lengths of Figure 4.
-	ForestAllProb float64
 	// Seed makes the workload reproducible.
 	Seed uint64
 	// Audit verifies structural integrity after the run.
@@ -70,10 +40,16 @@ type Config struct {
 	// 1 in TxTrace transactions into a conflict matrix (see
 	// obs.Conflicts). The measured Point then carries the top-K hottest
 	// variables and who-waits-on-whom decision edges next to its
-	// throughput. Zero (the default) leaves tracing compiled out of the
-	// measured path entirely — the recorder hooks stay nil-gated.
+	// throughput. Zero leaves tracing compiled out of the measured path
+	// entirely — the recorder hooks stay nil-gated.
 	TxTrace int
+	// Progress, when non-nil, receives each point as it completes.
+	Progress func(Point)
 }
+
+// keyRange is the key universe; the paper uses a small set of 256
+// integers to force contention.
+const keyRange = 256
 
 // rangeSpan is how many keys (omap, kv) or items (queue) a range
 // operation covers.
@@ -88,68 +64,31 @@ const rangeSpan = 16
 // an owner (DESIGN.md §Substitutions).
 const contexts = 8
 
-// withDefaults fills the zero fields with the paper's parameters.
-// ForestAllProb and Seed are taken as given: zero is a meaningful
-// value for both.
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.Duration <= 0 {
-		c.Duration = 300 * time.Millisecond
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 50 * time.Millisecond
-	}
-	if c.KeyRange <= 0 {
-		c.KeyRange = 256
-	}
-	return c
-}
-
-// Point is one measured datum: a (structure, manager, threads) triple
+// Point is one measured datum: a (figure, manager, threads) triple
 // with its throughput.
 type Point struct {
+	// Figure and Structure are the figure's ID and application.
+	Figure    int
 	Structure string
 	Manager   string
 	Threads   int
-	// Mix is the op mix the point ran (empty for the intset
-	// structures, which always run the paper's fixed update workload).
+	// Mix is the op mix the point ran (empty for the fixed-workload
+	// figures).
 	Mix string
 	// KeyDist is the key distribution the point ran, empty for
 	// uniform (the paper's default).
 	KeyDist string
-	// Figure is the paper figure the point belongs to; zero when the
-	// point was run outside a figure sweep (RunFigure stamps it).
-	Figure int
 	// CommitsPerSec is the figures' y axis: committed transactions
 	// per second during the measurement window.
 	CommitsPerSec float64
-	// Commits is the raw number of commits inside the window.
-	Commits int64
-	// Aborts, Conflicts and EnemyAborts aggregate the run's totals
-	// (window plus warmup).
-	Aborts      int64
-	Conflicts   int64
-	EnemyAborts int64
-	// AbortsEnemy, AbortsValidation and AbortsCASRace partition Aborts
-	// by cause (see stm.Stats); AbortsUser counts user-error aborts,
-	// which are not retried and sit outside the partition. They come
-	// from the engine's always-on counters, so they are exact even when
-	// TxTrace is off.
-	AbortsEnemy      int64
-	AbortsValidation int64
-	AbortsCASRace    int64
-	AbortsUser       int64
-	// AbortRate is total aborts / total attempts for the whole run.
-	AbortRate float64
-	// WaitNs and BackoffNs aggregate the run's time spent waiting on
-	// the contention manager's say-so (policy) and in engine-level
-	// backoff (mechanism) — see stm.Stats. Wait time is the quantity
-	// behind the paper's worst cases: Karma's Figure 10 collapse is
-	// threads waiting ~100 resolutions per abort.
-	WaitNs    int64
-	BackoffNs int64
+	// Stats are the engine's counters over the measurement window: the
+	// difference of the two snapshots that open and close it, so
+	// seeding, warmup and the workers' wind-down are not in them. The
+	// per-cause abort counts come from the always-on counters, exact
+	// even when TxTrace is off. WaitNs is the quantity behind the
+	// paper's worst cases: Karma's Figure 10 collapse is threads
+	// waiting ~100 resolutions per abort.
+	Stats stm.Stats
 	// Latency is the distribution of per-transaction wall times: each
 	// worker's own reading around its Atomically call, retries
 	// included — the paper's Theorem 1 is a statement about exactly
@@ -158,7 +97,7 @@ type Point struct {
 	// HotVars and HotEdges are the flight recorder's attribution: the
 	// top-K most conflicted named variables and the hottest
 	// aggressor→victim decision edges, from the sampled conflict
-	// matrix. Populated only when Config.TxTrace is on; the counts are
+	// matrix. Populated only when Options.TxTrace is on; the counts are
 	// sample counts, not run totals.
 	HotVars  []obs.HotObject
 	HotEdges []obs.ConflictEdge
@@ -169,38 +108,40 @@ type Point struct {
 // its throughput.
 const pointTopK = 5
 
-// Run executes one benchmark configuration.
-func Run(cfg Config) (Point, error) {
-	cfg = cfg.withDefaults()
-	keys, err := workload.NewKeyDist(cfg.KeyDist, cfg.KeyRange)
+// Run measures one point: fig under manager with threads workers.
+func Run(fig Figure, manager string, threads int, opts Options) (Point, error) {
+	switch {
+	case threads < 1:
+		return Point{}, fmt.Errorf("harness: %d threads, want at least 1", threads)
+	case opts.Window <= 0:
+		return Point{}, fmt.Errorf("harness: window %v, want a positive one", opts.Window)
+	case opts.Warmup < 0:
+		return Point{}, fmt.Errorf("harness: warmup %v, want zero or more", opts.Warmup)
+	}
+	keys, err := fig.Keys(keyRange)
 	if err != nil {
 		return Point{}, err
 	}
-	mix, err := workload.NewOpMix(cfg.Mix)
-	if err != nil {
-		return Point{}, err
-	}
-	application, err := newApp(cfg, keys, mix)
-	if err != nil {
-		return Point{}, err
-	}
-	point, err := run(cfg, application)
+	point, err := run(fig, manager, threads, opts, fig.App(fig, keys))
 	if err != nil {
 		return Point{}, err
 	}
 	if name := keys.Name(); name != "uniform" { // the default stays empty
 		point.KeyDist = name
 	}
+	if opts.Progress != nil {
+		opts.Progress(point)
+	}
 	return point, nil
 }
 
-// run measures application under cfg, which withDefaults has filled.
-// Apps holding external resources (the kvwal app's log and scratch
-// directory) release them through the optional closer interface, and
-// a failed close fails the point: for kvwal it is the log's sticky
-// write or fsync error, which the unacknowledged appends never
-// surface themselves.
-func run(cfg Config, application app) (point Point, err error) {
+// run measures application as one point of fig; Run has checked the
+// settings. Apps holding external resources (the kvwal app's log and
+// scratch directory) release them through the optional closer
+// interface, and a failed close fails the point: for kvwal it is the
+// log's sticky write or fsync error, which the unacknowledged appends
+// never surface themselves.
+func run(fig Figure, manager string, threads int, opts Options, application app) (point Point, err error) {
 	if c, ok := application.(closer); ok {
 		defer func() {
 			if cerr := c.close(); cerr != nil && err == nil {
@@ -208,14 +149,14 @@ func run(cfg Config, application app) (point Point, err error) {
 			}
 		}()
 	}
-	factory, err := core.Factory(cfg.Manager)
+	factory, err := core.Factory(manager)
 	if err != nil {
 		return Point{}, err
 	}
 	// The STM carries the contention-manager factory; workers are
 	// plain goroutines calling s.Atomically, each served by a pooled
-	// session with its own manager instance. With cfg.Threads workers
-	// in flight the pool holds cfg.Threads sessions, so the
+	// session with its own manager instance. With threads workers in
+	// flight the pool holds threads sessions, so the
 	// manager-per-concurrent-transaction model of the paper's sweeps
 	// is preserved without pinning.
 	stmOpts := []stm.Option{stm.WithManagerFactory(factory)}
@@ -223,39 +164,39 @@ func run(cfg Config, application app) (point Point, err error) {
 	// stay nil-gated, so an untraced sweep measures exactly what it
 	// measured before the recorder existed.
 	var conflicts *obs.Conflicts
-	if cfg.TxTrace > 0 {
-		conflicts = obs.NewConflicts(cfg.Manager)
-		stmOpts = append(stmOpts, stm.WithTracer(conflicts, cfg.TxTrace))
+	if opts.TxTrace > 0 {
+		conflicts = obs.NewConflicts(manager)
+		stmOpts = append(stmOpts, stm.WithTracer(conflicts, opts.TxTrace))
 	}
 	s := stm.New(stmOpts...)
 
-	seedRng := rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))
+	seedRng := rand.New(rand.NewPCG(opts.Seed, 0x9e3779b97f4a7c15))
 	if err := application.seed(s, seedRng); err != nil {
 		return Point{}, fmt.Errorf("harness: seeding: %w", err)
 	}
 
 	var stop atomic.Bool
-	workerErrs := make([]error, cfg.Threads)
-	latencies := make([]metrics.Histogram, cfg.Threads)
+	workerErrs := make([]error, threads)
+	latencies := make([]metrics.Histogram, threads)
 	procs := make(chan struct{}, contexts)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Threads; w++ {
-		rng := rand.New(rand.NewPCG(cfg.Seed+uint64(w)+1, uint64(w)*0x9e37+1))
+	for w := 0; w < threads; w++ {
+		rng := rand.New(rand.NewPCG(opts.Seed+uint64(w)+1, uint64(w)*0x9e37+1))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = work(&stop, s, procs, application, rng, cfg, &latencies[w])
+			workerErrs[w] = work(&stop, s, procs, application, rng, fig.TailWork, &latencies[w])
 		}(w)
 	}
 
 	// The atomic per-STM counters make TotalStats safe mid-run, so the
 	// measurement window is delimited by two live snapshots instead of
-	// per-worker commit counters read at quiescence.
-	time.Sleep(cfg.Warmup)
-	before := s.TotalStats().Commits
+	// per-worker counters read at quiescence.
+	time.Sleep(opts.Warmup)
+	before := s.TotalStats()
 	start := time.Now()
-	time.Sleep(cfg.Duration)
-	after := s.TotalStats().Commits
+	time.Sleep(opts.Window)
+	after := s.TotalStats()
 	elapsed := time.Since(start)
 	stop.Store(true)
 	wg.Wait()
@@ -265,25 +206,14 @@ func run(cfg Config, application app) (point Point, err error) {
 		}
 	}
 
-	total := s.TotalStats()
 	point = Point{
-		Structure:     cfg.Structure,
-		Manager:       cfg.Manager,
-		Threads:       cfg.Threads,
-		Mix:           application.mixName(),
-		Commits:       after - before,
-		CommitsPerSec: float64(after-before) / elapsed.Seconds(),
-		Aborts:        total.Aborts,
-		Conflicts:     total.Conflicts,
-		EnemyAborts:   total.EnemyAborts,
-		AbortRate:     total.AbortRate(),
-		WaitNs:        total.WaitNs,
-		BackoffNs:     total.BackoffNs,
-
-		AbortsEnemy:      total.AbortsEnemy,
-		AbortsValidation: total.AbortsValidation,
-		AbortsCASRace:    total.AbortsCASRace,
-		AbortsUser:       total.AbortsUser,
+		Figure:        fig.ID,
+		Structure:     fig.Structure,
+		Manager:       manager,
+		Threads:       threads,
+		Mix:           fig.Mix.Name(),
+		CommitsPerSec: float64(after.Commits-before.Commits) / elapsed.Seconds(),
+		Stats:         windowStats(before, after),
 	}
 	if conflicts != nil {
 		snap := conflicts.Snapshot(pointTopK)
@@ -293,12 +223,31 @@ func run(cfg Config, application app) (point Point, err error) {
 	for i := range latencies {
 		point.Latency.Merge(&latencies[i])
 	}
-	if cfg.Audit {
+	if opts.Audit {
 		if err := application.audit(s); err != nil {
 			return Point{}, err
 		}
 	}
 	return point, nil
+}
+
+// windowStats is after minus before, counter by counter.
+func windowStats(before, after stm.Stats) stm.Stats {
+	return stm.Stats{
+		Commits:              after.Commits - before.Commits,
+		Aborts:               after.Aborts - before.Aborts,
+		AbortsEnemy:          after.AbortsEnemy - before.AbortsEnemy,
+		AbortsValidation:     after.AbortsValidation - before.AbortsValidation,
+		AbortsValidationHeld: after.AbortsValidationHeld - before.AbortsValidationHeld,
+		AbortsCASRace:        after.AbortsCASRace - before.AbortsCASRace,
+		AbortsUser:           after.AbortsUser - before.AbortsUser,
+		Conflicts:            after.Conflicts - before.Conflicts,
+		EnemyAborts:          after.EnemyAborts - before.EnemyAborts,
+		Opens:                after.Opens - before.Opens,
+		Halted:               after.Halted - before.Halted,
+		WaitNs:               after.WaitNs - before.WaitNs,
+		BackoffNs:            after.BackoffNs - before.BackoffNs,
+	}
 }
 
 // errStopped cancels a worker's in-flight operation when the
@@ -315,7 +264,7 @@ var errStopped = errors.New("harness: measurement window closed")
 // record the latency. One transactional closure serves the whole run —
 // the drawn operation is passed through a captured variable — so the
 // measured loop allocates nothing of its own per transaction.
-func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, rng *rand.Rand, cfg Config, lat *metrics.Histogram) error {
+func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, rng *rand.Rand, tailWork int, lat *metrics.Histogram) error {
 	var d opDesc
 	held := false // the current attempt holds a context
 	// Apps that can name their operations (the jobs pipeline's verbs)
@@ -340,7 +289,7 @@ func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, r
 		if err := application.step(tx, d); err != nil {
 			return err
 		}
-		spin(cfg.TailWork)
+		spin(tailWork)
 		return nil
 	}
 	for !stop.Load() {

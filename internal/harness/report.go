@@ -11,8 +11,7 @@ import (
 
 // pointJSON is the machine-readable form of a Point for stmbench's
 // -json output. The latency histogram is flattened to its tracked
-// quantiles; Figure carries the paper figure the point belongs to (0
-// when run outside a figure sweep).
+// quantiles, and the engine counters are the point's window Stats.
 type pointJSON struct {
 	Figure        int     `json:"figure,omitempty"`
 	Structure     string  `json:"structure"`
@@ -37,14 +36,14 @@ type pointJSON struct {
 	LatP99Us         float64 `json:"lat_p99_us"`
 	LatMaxUs         float64 `json:"lat_max_us"`
 	// Flight-recorder attribution, present only on traced runs
-	// (Config.TxTrace > 0): top-K hot variables and decision edges.
+	// (Options.TxTrace > 0): top-K hot variables and decision edges.
 	HotVars  []obs.HotObject    `json:"hot_vars,omitempty"`
 	HotEdges []obs.ConflictEdge `json:"hot_edges,omitempty"`
 }
 
 // WriteJSON emits the points as an indented JSON array; each point
-// carries the figure it was measured for (Point.Figure, stamped by
-// RunFigure), so multi-figure runs stay distinguishable in one stream.
+// carries the figure it was measured for (Point.Figure), so
+// multi-figure runs stay distinguishable in one stream.
 func WriteJSON(w io.Writer, points []Point) error {
 	out := make([]pointJSON, len(points))
 	for i, p := range points {
@@ -56,18 +55,18 @@ func WriteJSON(w io.Writer, points []Point) error {
 			Mix:           p.Mix,
 			KeyDist:       p.KeyDist,
 			CommitsPerSec: p.CommitsPerSec,
-			Commits:       p.Commits,
-			Aborts:        p.Aborts,
-			Conflicts:     p.Conflicts,
-			EnemyAborts:   p.EnemyAborts,
-			AbortRate:     p.AbortRate,
-			WaitNs:        p.WaitNs,
-			BackoffNs:     p.BackoffNs,
+			Commits:       p.Stats.Commits,
+			Aborts:        p.Stats.Aborts,
+			Conflicts:     p.Stats.Conflicts,
+			EnemyAborts:   p.Stats.EnemyAborts,
+			AbortRate:     p.Stats.AbortRate(),
+			WaitNs:        p.Stats.WaitNs,
+			BackoffNs:     p.Stats.BackoffNs,
 
-			AbortsEnemy:      p.AbortsEnemy,
-			AbortsValidation: p.AbortsValidation,
-			AbortsCASRace:    p.AbortsCASRace,
-			AbortsUser:       p.AbortsUser,
+			AbortsEnemy:      p.Stats.AbortsEnemy,
+			AbortsValidation: p.Stats.AbortsValidation,
+			AbortsCASRace:    p.Stats.AbortsCASRace,
+			AbortsUser:       p.Stats.AbortsUser,
 			HotVars:          p.HotVars,
 			HotEdges:         p.HotEdges,
 

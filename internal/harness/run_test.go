@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
@@ -13,22 +14,36 @@ import (
 	"repro/internal/workload"
 )
 
-// TestForestAllProbZero: an explicit ForestAllProb of zero survives
-// Run's defaults, so the forest draws only single-tree operations.
+// figure returns the figure with the given ID.
+func figure(t testing.TB, id int) Figure {
+	t.Helper()
+	fig, err := FigureByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
+// newApp builds fig's application over its own key distribution.
+func newApp(t testing.TB, fig Figure) app {
+	t.Helper()
+	keys, err := fig.Keys(keyRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig.App(fig, keys)
+}
+
+// TestForestAllProbZero: a ForestAllProb of zero is honoured, so the
+// forest draws only single-tree operations.
 func TestForestAllProbZero(t *testing.T) {
-	cfg := Config{Structure: "rbforest", ForestAllProb: 0}.withDefaults()
-	keys, err := workload.NewKeyDist(cfg.KeyDist, cfg.KeyRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	application, err := newApp(cfg, keys, workload.UpdateMix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, 4)
+	fig.ForestAllProb = 0
+	application := newApp(t, fig)
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 10000; i++ {
 		if application.draw(rng).all {
-			t.Fatalf("draw %d touched all trees with ForestAllProb 0 (withDefaults gave %v)", i, cfg.ForestAllProb)
+			t.Fatalf("draw %d touched all trees with ForestAllProb 0", i)
 		}
 	}
 }
@@ -42,7 +57,6 @@ var errLogDied = errors.New("log died")
 func (a *closeFailApp) seed(*stm.STM, *rand.Rand) error { return nil }
 func (a *closeFailApp) draw(*rand.Rand) opDesc          { return opDesc{} }
 func (a *closeFailApp) step(*stm.Tx, opDesc) error      { return nil }
-func (a *closeFailApp) mixName() string                 { return "" }
 func (a *closeFailApp) audit(*stm.STM) error            { return nil }
 func (a *closeFailApp) close() error {
 	a.closed = true
@@ -52,14 +66,8 @@ func (a *closeFailApp) close() error {
 // TestRunReturnsCloseError: a point whose app fails to close is an
 // error, not a measurement.
 func TestRunReturnsCloseError(t *testing.T) {
-	cfg := Config{
-		Structure: "fake",
-		Manager:   "greedy",
-		Duration:  10 * time.Millisecond,
-		Warmup:    time.Millisecond,
-	}.withDefaults()
 	application := &closeFailApp{}
-	_, err := run(cfg, application)
+	_, err := run(Figure{Structure: "fake"}, "greedy", 1, Options{Window: 10 * time.Millisecond, Warmup: time.Millisecond}, application)
 	if !application.closed {
 		t.Fatal("run did not close the app")
 	}
@@ -72,16 +80,7 @@ func TestRunReturnsCloseError(t *testing.T) {
 // worker loop runs on the engine directly, and nothing else — the
 // store arms the capture, so the app has no logging step to forget.
 func TestKVWALLogsWrites(t *testing.T) {
-	cfg := Config{Structure: "kvwal", KeyRange: 64}.withDefaults()
-	keys, err := workload.NewKeyDist(cfg.KeyDist, cfg.KeyRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	application, err := newApp(cfg, keys, workload.UpdateMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := application.(*kvApp)
+	a := newApp(t, figure(t, 9)).(*kvApp)
 	defer a.close()
 	s := stm.New()
 	if err := a.seed(s, rand.New(rand.NewPCG(1, 2))); err != nil {
@@ -123,7 +122,6 @@ const probeOpens = 8
 
 func (a *contextProbe) seed(*stm.STM, *rand.Rand) error { return nil }
 func (a *contextProbe) draw(*rand.Rand) opDesc          { return opDesc{} }
-func (a *contextProbe) mixName() string                 { return "" }
 func (a *contextProbe) audit(*stm.STM) error            { return nil }
 
 func (a *contextProbe) step(tx *stm.Tx, _ opDesc) error {
@@ -159,21 +157,14 @@ func (a *contextProbe) step(tx *stm.Tx, _ opDesc) error {
 func TestContextModel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cfg := Config{
-		Structure: "probe",
-		Manager:   "greedy",
-		Threads:   64,
-		Duration:  40 * time.Millisecond,
-		Warmup:    10 * time.Millisecond,
-	}.withDefaults()
 	a := &contextProbe{}
 	start := time.Now()
-	point, err := run(cfg, a)
+	point, err := run(Figure{Structure: "probe"}, "greedy", 64, Options{Window: 40 * time.Millisecond, Warmup: 10 * time.Millisecond}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	timeslices := int64(time.Since(start)/(10*time.Millisecond)) + 1
-	if point.Commits == 0 {
+	if point.Stats.Commits == 0 {
 		t.Fatal("no attempt committed inside the window")
 	}
 	if got := a.maxBusy.Load(); got != contexts {
@@ -181,5 +172,56 @@ func TestContextModel(t *testing.T) {
 	}
 	if got := a.parked.Load(); got > timeslices {
 		t.Errorf("%d attempts were suspended while they owned an object; Go's timeslice allows %d", got, timeslices)
+	}
+}
+
+// userAbortSeed is an empty workload whose seeding ends one
+// transaction with a user error and carries on, so the run's totals
+// hold one user abort from before the window opened.
+type userAbortSeed struct{ steps atomic.Int64 }
+
+var errUser = errors.New("user error")
+
+func (a *userAbortSeed) seed(s *stm.STM, _ *rand.Rand) error {
+	if err := s.Atomically(func(*stm.Tx) error { return errUser }); !errors.Is(err, errUser) {
+		return fmt.Errorf("seed transaction returned %v, want %v", err, errUser)
+	}
+	return nil
+}
+func (a *userAbortSeed) draw(*rand.Rand) opDesc { return opDesc{} }
+func (a *userAbortSeed) audit(*stm.STM) error   { return nil }
+func (a *userAbortSeed) step(*stm.Tx, opDesc) error {
+	a.steps.Add(1)
+	return nil
+}
+
+// TestRunCountsWindowOnly: a point's engine counters cover the
+// measurement window, the interval of its commits, so the seeding
+// pass's user abort is not in them.
+func TestRunCountsWindowOnly(t *testing.T) {
+	point, err := run(Figure{Structure: "fake"}, "greedy", 1, Options{Window: 10 * time.Millisecond}, &userAbortSeed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if point.Stats.Commits == 0 {
+		t.Fatal("no commits inside the window")
+	}
+	if point.Stats.AbortsUser != 0 {
+		t.Fatalf("window counts %d user aborts; the only one was in seeding", point.Stats.AbortsUser)
+	}
+}
+
+// TestRunZeroWarmup: a zero warmup is honoured, so the window opens as
+// the workers start and holds nearly every transaction of the run; a
+// 50 ms warmup before the 20 ms window would leave it under a third.
+func TestRunZeroWarmup(t *testing.T) {
+	a := &userAbortSeed{}
+	point, err := run(Figure{Structure: "fake"}, "greedy", 1, Options{Window: 20 * time.Millisecond}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := a.steps.Load()
+	if 2*point.Stats.Commits < steps {
+		t.Fatalf("the window holds %d of the run's %d transactions; a zero warmup was not honoured", point.Stats.Commits, steps)
 	}
 }

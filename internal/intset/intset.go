@@ -15,11 +15,7 @@
 // covered by the default shallow copy.
 package intset
 
-import (
-	"fmt"
-
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 // Set is the transactional set-of-integers interface shared by the
 // benchmark structures. All methods must be called inside a
@@ -34,23 +30,3 @@ type Set interface {
 	// Keys returns the keys in ascending order.
 	Keys(tx *stm.Tx) ([]int, error)
 }
-
-// NewByName constructs one of the benchmark structures by its name in
-// the paper: "list", "skiplist", "rbtree" or "rbforest".
-func NewByName(name string) (Set, error) {
-	switch name {
-	case "list":
-		return NewList(), nil
-	case "skiplist":
-		return NewSkipList(), nil
-	case "rbtree":
-		return NewRBTree(), nil
-	case "rbforest":
-		return NewRBForest(DefaultForestSize), nil
-	default:
-		return nil, fmt.Errorf("intset: unknown structure %q", name)
-	}
-}
-
-// Structures lists the benchmark structure names in figure order.
-var Structures = []string{"list", "skiplist", "rbtree", "rbforest"}

@@ -502,18 +502,3 @@ func TestForestIndexOutOfRange(t *testing.T) {
 		t.Fatal("InsertOne with out-of-range tree index succeeded")
 	}
 }
-
-func TestNewByName(t *testing.T) {
-	for _, name := range intset.Structures {
-		s, err := intset.NewByName(name)
-		if err != nil {
-			t.Fatalf("NewByName(%q): %v", name, err)
-		}
-		if s == nil {
-			t.Fatalf("NewByName(%q) = nil", name)
-		}
-	}
-	if _, err := intset.NewByName("btree"); err == nil {
-		t.Fatal("NewByName(btree) should fail")
-	}
-}

@@ -24,7 +24,7 @@ type Load struct {
 // accounts and ledger, and the FIFO order of the same lists.
 const (
 	keyRange         = 512    // key universe size
-	keyDist          = "zipf" // key distribution (see workload.NewKeyDist)
+	zipfExponent     = 1.07   // key skew, a common web-workload one
 	transferAccounts = 8      // conservation-checked transfer accounts
 	initialBalance   = 1000   // what each account and ledger field is seeded with
 	transferShare    = 0.2    // fraction of ops that are MULTI/EXEC transfers
@@ -105,7 +105,7 @@ func Drive(addr string, l Load) (string, error) {
 		return "", fmt.Errorf("kvclient: a run has at most %d clients (Audit checks list:0..list:%d), not %d",
 			maxClients, maxClients-1, l.Clients)
 	}
-	dist, err := workload.NewKeyDist(keyDist, keyRange)
+	dist, err := workload.NewZipf(keyRange, zipfExponent)
 	if err != nil {
 		return "", err
 	}

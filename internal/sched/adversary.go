@@ -1,5 +1,7 @@
 package sched
 
+import "strconv"
+
 // Adversary builds the paper's Section 4 worst-case instance for the
 // greedy manager: transactions T0..Ts over objects X1..Xs (indices
 // 0..s-1 here), each of one time unit (m ticks):
@@ -38,62 +40,10 @@ func Adversary(s, m int) *Instance {
 			Length:    m,
 			Timestamp: s - i, // Ts oldest
 			Accesses:  accesses,
-			Label:     txLabel(i),
+			Label:     "T" + strconv.Itoa(i),
 		}
 	}
 	return &Instance{Specs: specs, Objects: s}
-}
-
-func txLabel(i int) string {
-	return "T" + itoa(i)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// AdversaryTaskSystem is the corresponding Garey–Graham task system
-// (Section 4.2's T*_j construction): each transaction becomes a task
-// of the same length requiring one unit of every object it touches for
-// its whole duration. Its optimal makespan is 2 time units (2m ticks):
-// the even-indexed transactions are pairwise disjoint, as are the odd.
-func AdversaryTaskSystem(s, m int) *System {
-	if s < 1 {
-		s = 1
-	}
-	if m < 2 {
-		m = 2
-	}
-	tasks := make([]Task, s+1)
-	for i := 0; i <= s; i++ {
-		need := make(map[int]float64)
-		if i < s {
-			need[i] = 1 // X_{i+1}
-		}
-		if i >= 1 {
-			need[i-1] = 1 // X_i
-		}
-		tasks[i] = Task{ID: i, Length: m, Need: need}
-	}
-	return &System{Tasks: tasks, Resources: s}
 }
 
 // EvenOddOrder is the list order that achieves the optimal makespan 2

@@ -211,7 +211,7 @@ func TestAdversaryGreedyMakespanIsSPlusOne(t *testing.T) {
 func TestAdversaryOptimalIsTwo(t *testing.T) {
 	for _, s := range []int{2, 3, 5} {
 		const m = 2
-		sys := sched.AdversaryTaskSystem(s, m)
+		sys := sched.TaskSystemOf(sched.Adversary(s, m))
 		list, err := sys.ListSchedule(sched.EvenOddOrder(s + 1))
 		if err != nil {
 			t.Fatal(err)

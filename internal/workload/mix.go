@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
-	"strconv"
-	"strings"
 )
 
 // Op is one container operation kind drawn from an OpMix. How an Op
@@ -40,8 +38,9 @@ func (op Op) String() string {
 	}
 }
 
-// OpMix is a distribution over container operations. The zero OpMix is
-// not usable; construct mixes with NewOpMix or the exported presets.
+// OpMix is a distribution over container operations. The zero OpMix
+// is a fixed-workload figure's: it has no name and no app samples it.
+// Mixes are the presets below or built from weights with NewOpMix.
 type OpMix struct {
 	name string
 	// cum is the cumulative weight of [lookup, insert, delete, range],
@@ -72,6 +71,14 @@ func newOpMix(name string, lookup, insert, delete, rang float64) (OpMix, error) 
 	return m, nil
 }
 
+// NewOpMix returns the mix that draws lookups, inserts, deletes and
+// range reads in proportion to the four weights, named by them
+// ("w:8,1,1,0"). Weights must be non-negative, and one positive.
+func NewOpMix(lookup, insert, delete, rang float64) (OpMix, error) {
+	name := fmt.Sprintf("w:%g,%g,%g,%g", lookup, insert, delete, rang)
+	return newOpMix(name, lookup, insert, delete, rang)
+}
+
 // mustOpMix builds the preset mixes; weights are compile-time
 // constants, so failure is a programming error.
 func mustOpMix(name string, lookup, insert, delete, rang float64) OpMix {
@@ -82,17 +89,13 @@ func mustOpMix(name string, lookup, insert, delete, rang float64) OpMix {
 	return m
 }
 
-// The preset mixes. UpdateMix is the paper's workload (every
-// transaction writes); the others widen the scenarios the way the
-// ROADMAP asks: read-mostly point traffic, a balanced mix with
-// occasional scans, and a scan-heavy regime where long consistent
-// reads compete with writers — the case the paper notes backoff-style
-// managers handle poorly.
+// The figures' mixes. UpdateMix is the paper's workload (every
+// transaction writes); MixedMix is mostly point reads with occasional
+// consistent scans, so long readers compete with writers — the case
+// the paper notes backoff-style managers handle poorly.
 var (
-	UpdateMix    = mustOpMix("update", 0, 0.5, 0.5, 0)
-	ReadHeavyMix = mustOpMix("readheavy", 0.90, 0.05, 0.05, 0)
-	MixedMix     = mustOpMix("mixed", 0.60, 0.15, 0.15, 0.10)
-	RangeMix     = mustOpMix("rangeheavy", 0.20, 0.20, 0.20, 0.40)
+	UpdateMix = mustOpMix("update", 0, 0.5, 0.5, 0)
+	MixedMix  = mustOpMix("mixed", 0.60, 0.15, 0.15, 0.10)
 )
 
 // Sample draws one operation.
@@ -106,38 +109,5 @@ func (m OpMix) Sample(rng *rand.Rand) Op {
 	return OpRange
 }
 
-// Name identifies the mix in reports.
+// Name identifies the mix in reports; it is empty for the zero OpMix.
 func (m OpMix) Name() string { return m.name }
-
-// NewOpMix constructs a mix by name: "update" (the paper's 50/50
-// insert/delete, the default for empty names), "readheavy", "mixed",
-// "rangeheavy", or explicit weights "w:<lookup>,<insert>,<delete>,<range>"
-// (e.g. "w:8,1,1,0"), normalized to probabilities.
-func NewOpMix(name string) (OpMix, error) {
-	switch name {
-	case "", "update":
-		return UpdateMix, nil
-	case "readheavy":
-		return ReadHeavyMix, nil
-	case "mixed":
-		return MixedMix, nil
-	case "rangeheavy":
-		return RangeMix, nil
-	}
-	if rest, ok := strings.CutPrefix(name, "w:"); ok {
-		parts := strings.Split(rest, ",")
-		if len(parts) != 4 {
-			return OpMix{}, fmt.Errorf("workload: op weights %q: want exactly 4 comma-separated numbers", rest)
-		}
-		var w [4]float64
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return OpMix{}, fmt.Errorf("workload: bad op weight %q: %w", p, err)
-			}
-			w[i] = v
-		}
-		return newOpMix(name, w[0], w[1], w[2], w[3])
-	}
-	return OpMix{}, fmt.Errorf("workload: unknown op mix %q (have update, readheavy, mixed, rangeheavy, w:l,i,d,r)", name)
-}

@@ -9,10 +9,7 @@ import (
 )
 
 func TestOpMixSampleFrequencies(t *testing.T) {
-	m, err := workload.NewOpMix("mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := workload.MixedMix
 	rng := rand.New(rand.NewPCG(7, 9))
 	counts := make(map[workload.Op]int)
 	const n = 40000
@@ -33,28 +30,29 @@ func TestOpMixSampleFrequencies(t *testing.T) {
 	}
 }
 
+// TestOpMixNames: the figures' presets keep the names points report,
+// and a mix built from weights is named by them.
 func TestOpMixNames(t *testing.T) {
-	for _, name := range []string{"update", "readheavy", "mixed", "rangeheavy"} {
-		m, err := workload.NewOpMix(name)
-		if err != nil {
-			t.Fatalf("NewOpMix(%q): %v", name, err)
-		}
-		if m.Name() != name {
-			t.Fatalf("NewOpMix(%q).Name() = %q", name, m.Name())
-		}
+	if got := workload.UpdateMix.Name(); got != "update" {
+		t.Errorf("UpdateMix.Name() = %q", got)
 	}
-	// Empty name defaults to the paper's update mix.
-	m, err := workload.NewOpMix("")
-	if err != nil || m.Name() != "update" {
-		t.Fatalf("NewOpMix(\"\") = %q, %v; want update, nil", m.Name(), err)
+	if got := workload.MixedMix.Name(); got != "mixed" {
+		t.Errorf("MixedMix.Name() = %q", got)
+	}
+	m, err := workload.NewOpMix(0.9, 0.05, 0.05, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Name(); got != "w:0.9,0.05,0.05,0" {
+		t.Errorf("NewOpMix(0.9, 0.05, 0.05, 0).Name() = %q", got)
+	}
+	if got := (workload.OpMix{}).Name(); got != "" {
+		t.Errorf("zero OpMix named %q, want empty", got)
 	}
 }
 
 func TestOpMixUpdateNeverReads(t *testing.T) {
-	m, err := workload.NewOpMix("update")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := workload.UpdateMix
 	rng := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 5000; i++ {
 		if op := m.Sample(rng); op != workload.OpInsert && op != workload.OpDelete {
@@ -64,7 +62,7 @@ func TestOpMixUpdateNeverReads(t *testing.T) {
 }
 
 func TestOpMixExplicitWeights(t *testing.T) {
-	m, err := workload.NewOpMix("w:1,0,0,1")
+	m, err := workload.NewOpMix(1, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +79,12 @@ func TestOpMixExplicitWeights(t *testing.T) {
 	}
 }
 
+// TestOpMixRejectsBadNames: a mix is named by its weights, and
+// weights that name no distribution are rejected.
 func TestOpMixRejectsBadNames(t *testing.T) {
-	for _, name := range []string{"nope", "w:1,2,3", "w:1,2,3,4,5", "w:1,2,3,4x", "w:-1,0,0,0", "w:0,0,0,0"} {
-		if _, err := workload.NewOpMix(name); err == nil {
-			t.Errorf("NewOpMix(%q) accepted", name)
+	for _, w := range [][4]float64{{-1, 0, 0, 0}, {0, 0, 0, 0}, {1, -0.5, 0, 0}} {
+		if _, err := workload.NewOpMix(w[0], w[1], w[2], w[3]); err == nil {
+			t.Errorf("NewOpMix(%v) accepted", w)
 		}
 	}
 }

@@ -27,7 +27,7 @@ type Uniform struct {
 }
 
 // NewUniform returns a uniform distribution over [0, n).
-func NewUniform(n int) (*Uniform, error) {
+func NewUniform(n int) (KeyDist, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: uniform needs n > 0, got %d", n)
 	}
@@ -84,23 +84,4 @@ func (z *Zipf) Sample(rng *rand.Rand) int {
 func (z *Zipf) N() int { return z.n }
 
 // Name implements KeyDist.
-func (z *Zipf) Name() string { return fmt.Sprintf("zipf(%.2g)", z.s) }
-
-// NewKeyDist constructs a distribution by name: "uniform" or
-// "zipf" (exponent 1.07, a common web-workload skew) or "zipf:<s>".
-func NewKeyDist(name string, n int) (KeyDist, error) {
-	switch {
-	case name == "" || name == "uniform":
-		return NewUniform(n)
-	case name == "zipf":
-		return NewZipf(n, 1.07)
-	case len(name) > 5 && name[:5] == "zipf:":
-		var s float64
-		if _, err := fmt.Sscanf(name[5:], "%g", &s); err != nil {
-			return nil, fmt.Errorf("workload: bad zipf exponent %q: %w", name[5:], err)
-		}
-		return NewZipf(n, s)
-	default:
-		return nil, fmt.Errorf("workload: unknown key distribution %q", name)
-	}
-}
+func (z *Zipf) Name() string { return fmt.Sprintf("zipf(%g)", z.s) }

@@ -68,21 +68,3 @@ func TestZipfRejectsBadParams(t *testing.T) {
 		t.Fatal("NaN accepted")
 	}
 }
-
-func TestNewKeyDist(t *testing.T) {
-	for _, name := range []string{"", "uniform", "zipf", "zipf:1.5"} {
-		d, err := workload.NewKeyDist(name, 8)
-		if err != nil {
-			t.Fatalf("NewKeyDist(%q): %v", name, err)
-		}
-		if d.N() != 8 {
-			t.Fatalf("NewKeyDist(%q).N() = %d", name, d.N())
-		}
-	}
-	if _, err := workload.NewKeyDist("pareto", 8); err == nil {
-		t.Fatal("unknown distribution accepted")
-	}
-	if _, err := workload.NewKeyDist("zipf:x", 8); err == nil {
-		t.Fatal("bad zipf exponent accepted")
-	}
-}
