@@ -8,7 +8,8 @@
 // managers (internal/stm, internal/core), the paper's benchmark data
 // structures (internal/intset; its skiplist is the container
 // subsystem's ordered map), a transactional container subsystem —
-// hash set, FIFO queue and ordered map on Var[T], with a shared
+// hash set, deque (the queue figure runs it as a FIFO) and ordered
+// map on Var[T], with a shared
 // transactional-resize Table (internal/container) — a sharded
 // TTL-aware key-value store and its RESP-lite protocol
 // (internal/kv, internal/resp) served over TCP by cmd/stmkv, a
@@ -16,8 +17,9 @@
 // framing, point-in-time snapshots and torn-tail-tolerant recovery
 // (internal/wal), hooked into the store through the engine's
 // post-commit hook and replayed on boot by stmkv -data — the
-// throughput harness with configurable lookup/insert/delete/range op
-// mixes and key distributions (internal/harness, internal/workload),
+// throughput harness, whose figures each fix their structure,
+// lookup/insert/delete/range op mix and key distribution as values
+// (internal/harness, internal/workload),
 // and the scheduling-theory side — task systems, list and optimal
 // schedulers, the discrete transaction simulator, the Section 4
 // adversary and the Lemma 7 graph machinery (internal/sched,
@@ -33,10 +35,10 @@
 // See DESIGN.md for the architecture (engine / sessions / Var[T] /
 // managers / containers / kv server / durability) and the
 // hardware substitutions; cmd/stmbench (figures 1-10, -audit,
-// tables and -json output), cmd/stmkv (the
-// RESP-lite server — durable with -data — load generator, audit mode
-// and CI smoke harness; see cmd/stmkv/README.md) and cmd/makespan for
-// the experiment drivers;
+// tables and -json output) and cmd/makespan for the experiment
+// drivers; cmd/stmkv for the RESP-lite server, durable with -data,
+// whose typed load and audit live in internal/kvclient and run as
+// cmd/stmkv's TestSmoke and TestCrashRestart (see cmd/stmkv/README.md);
 // and examples/ for runnable programs (each verifies its own
 // invariant and exits non-zero on violation, so CI smoke-runs them).
 package repro

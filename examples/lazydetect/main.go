@@ -3,8 +3,8 @@
 // the eager STM (conflicts at open time, greedy contention manager
 // arbitrating) and once on a Harris–Fraser-style lazy STM (conflicts
 // at commit time, no contention manager involved) — and reports
-// throughput, abort rate, and how much completed work each aborted
-// transaction threw away.
+// throughput, abort rate, and opens per attempt: how far an attempt
+// gets before it commits or is thrown away.
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("%d workers, %d objects per transaction, %v per mode\n\n", *workers, *objects, *duration)
-	fmt.Printf("%-14s %14s %12s %16s\n", "mode", "commits/sec", "abort rate", "opens per abort")
+	fmt.Printf("%-14s %14s %12s %16s\n", "mode", "commits/sec", "abort rate", "opens/attempt")
 	for _, mode := range []string{"eager-greedy", "lazy"} {
 		opts := []stm.Option{
 			stm.WithInterleavePeriod(2),
@@ -84,12 +84,9 @@ func main() {
 		}
 
 		stats := world.TotalStats()
-		opensPerAbort := 0.0
-		if stats.Aborts > 0 {
-			opensPerAbort = float64(stats.Opens) / float64(stats.Commits+stats.Aborts)
-		}
 		fmt.Printf("%-14s %14.0f %11.1f%% %16.1f\n",
-			mode, float64(commits.Load())/elapsed.Seconds(), 100*stats.AbortRate(), opensPerAbort)
+			mode, float64(commits.Load())/elapsed.Seconds(), 100*stats.AbortRate(),
+			float64(stats.Opens)/float64(stats.Commits+stats.Aborts))
 	}
 	fmt.Println("\nlazy losers only learn they are doomed at commit, after doing all their")
 	fmt.Println("opens; eager losers are stopped (or saved by the manager) at first conflict.")

@@ -89,16 +89,16 @@ type Point struct {
 	// paper's worst cases: Karma's Figure 10 collapse is threads
 	// waiting ~100 resolutions per abort.
 	Stats stm.Stats
-	// Latency is the distribution of per-transaction wall times: each
-	// worker's own reading around its Atomically call, retries
-	// included — the paper's Theorem 1 is a statement about exactly
-	// this worst case.
+	// Latency is the distribution of per-transaction wall times over
+	// the measurement window: each worker's own reading around its
+	// Atomically call, retries included — the paper's Theorem 1 is a
+	// statement about exactly this worst case.
 	Latency metrics.Histogram
 	// HotVars and HotEdges are the flight recorder's attribution: the
 	// top-K most conflicted named variables and the hottest
 	// aggressor→victim decision edges, from the sampled conflict
-	// matrix. Populated only when Options.TxTrace is on; the counts are
-	// sample counts, not run totals.
+	// matrix over the measurement window. Populated only when
+	// Options.TxTrace is on; the counts are sample counts, not totals.
 	HotVars  []obs.HotObject
 	HotEdges []obs.ConflictEdge
 }
@@ -160,13 +160,19 @@ func run(fig Figure, manager string, threads int, opts Options, application app)
 	// manager-per-concurrent-transaction model of the paper's sweeps
 	// is preserved without pinning.
 	stmOpts := []stm.Option{stm.WithManagerFactory(factory)}
+	// open is the measurement window. It opens after the first snapshot
+	// and closes before the second, so a transaction a worker sees start
+	// and end inside it is one of the window's commits: Latency counts
+	// at most Stats.Commits. The conflict matrix takes what completes
+	// while it is open.
+	var open atomic.Bool
 	// The flight recorder is opt-in per run: without it the hook sites
 	// stay nil-gated, so an untraced sweep measures exactly what it
 	// measured before the recorder existed.
 	var conflicts *obs.Conflicts
 	if opts.TxTrace > 0 {
 		conflicts = obs.NewConflicts(manager)
-		stmOpts = append(stmOpts, stm.WithTracer(conflicts, opts.TxTrace))
+		stmOpts = append(stmOpts, stm.WithTracer(windowSink{&open, conflicts}, opts.TxTrace))
 	}
 	s := stm.New(stmOpts...)
 
@@ -185,7 +191,7 @@ func run(fig Figure, manager string, threads int, opts Options, application app)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = work(&stop, s, procs, application, rng, fig.TailWork, &latencies[w])
+			workerErrs[w] = work(&stop, &open, s, procs, application, rng, fig.TailWork, &latencies[w])
 		}(w)
 	}
 
@@ -194,8 +200,10 @@ func run(fig Figure, manager string, threads int, opts Options, application app)
 	// per-worker counters read at quiescence.
 	time.Sleep(opts.Warmup)
 	before := s.TotalStats()
+	open.Store(true)
 	start := time.Now()
 	time.Sleep(opts.Window)
+	open.Store(false)
 	after := s.TotalStats()
 	elapsed := time.Since(start)
 	stop.Store(true)
@@ -231,6 +239,20 @@ func run(fig Figure, manager string, threads int, opts Options, application app)
 	return point, nil
 }
 
+// windowSink passes sampled transactions to sink only while the
+// measurement window is open, so seeding, warmup and wind-down stay
+// out of a point's hot variables and edges.
+type windowSink struct {
+	open *atomic.Bool
+	sink stm.TraceSink
+}
+
+func (w windowSink) TxDone(sum stm.TxSummary, events []stm.TraceEvent) {
+	if w.open.Load() {
+		w.sink.TxDone(sum, events)
+	}
+}
+
 // windowStats is after minus before, counter by counter.
 func windowStats(before, after stm.Stats) stm.Stats {
 	return stm.Stats{
@@ -261,10 +283,11 @@ var errStopped = errors.New("harness: measurement window closed")
 // work is one worker's loop: draw an operation outside the
 // transaction (transactional functions must be retry-safe), run it
 // through the goroutine-agnostic entry point on one of procs' contexts,
-// record the latency. One transactional closure serves the whole run —
-// the drawn operation is passed through a captured variable — so the
-// measured loop allocates nothing of its own per transaction.
-func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, rng *rand.Rand, tailWork int, lat *metrics.Histogram) error {
+// record the latency if the transaction ran wholly inside the window.
+// One transactional closure serves the whole run — the drawn operation
+// is passed through a captured variable — so the measured loop
+// allocates nothing of its own per transaction.
+func work(stop, open *atomic.Bool, s *stm.STM, procs chan struct{}, application app, rng *rand.Rand, tailWork int, lat *metrics.Histogram) error {
 	var d opDesc
 	held := false // the current attempt holds a context
 	// Apps that can name their operations (the jobs pipeline's verbs)
@@ -297,6 +320,7 @@ func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, r
 		if lb != nil {
 			lbl = lb.label(d)
 		}
+		inWindow := open.Load()
 		opStart := metrics.Mono()
 		err := s.Atomically(fn)
 		if held {
@@ -309,7 +333,9 @@ func work(stop *atomic.Bool, s *stm.STM, procs chan struct{}, application app, r
 		if err != nil {
 			return fmt.Errorf("harness: worker: %w", err)
 		}
-		lat.Observe(metrics.Mono() - opStart)
+		if inWindow && open.Load() {
+			lat.Observe(metrics.Mono() - opStart)
+		}
 	}
 	return nil
 }

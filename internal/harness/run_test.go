@@ -195,11 +195,16 @@ func (a *userAbortSeed) step(*stm.Tx, opDesc) error {
 	return nil
 }
 
-// TestRunCountsWindowOnly: a point's engine counters cover the
-// measurement window, the interval of its commits, so the seeding
-// pass's user abort is not in them.
+// TestRunCountsWindowOnly: a point's engine counters and its latency
+// cover the measurement window, the interval of its commits, so the
+// seeding pass's user abort is not in them, and the warmup's and the
+// wind-down's transactions are not in the latency. Latency keeps the
+// transactions that ran wholly inside the window, so it may count a
+// few fewer than the window's commits (one straddling each edge per
+// worker, more when the harness is descheduled at an edge), never more.
 func TestRunCountsWindowOnly(t *testing.T) {
-	point, err := run(Figure{Structure: "fake"}, "greedy", 1, Options{Window: 10 * time.Millisecond}, &userAbortSeed{})
+	const threads = 2
+	point, err := run(Figure{Structure: "fake", TailWork: 2000}, "greedy", threads, Options{Window: 10 * time.Millisecond, Warmup: 20 * time.Millisecond}, &userAbortSeed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +213,9 @@ func TestRunCountsWindowOnly(t *testing.T) {
 	}
 	if point.Stats.AbortsUser != 0 {
 		t.Fatalf("window counts %d user aborts; the only one was in seeding", point.Stats.AbortsUser)
+	}
+	if n, commits := int64(point.Latency.Count()), point.Stats.Commits; n > commits || 2*n < commits {
+		t.Fatalf("latency holds %d transactions, the window %d commits", n, commits)
 	}
 }
 

@@ -4,23 +4,27 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resp"
+	"repro/internal/stm"
+	"repro/internal/wal"
 )
 
 // This file is the server's observability surface: per-command
-// metrics, the SLOWLOG ring, the INFO sections, and the bridge that
-// exposes engine (stm), WAL and keyspace state through the obs
-// registry. The paper-relevant number here is the per-manager wait
-// time: a contention manager without a progress guarantee shows up as
-// stm_wait_ns_total exploding while commits flatline (ROADMAP's karma
-// convoy), which no throughput counter reveals.
+// metrics, the SLOWLOG ring, and serverStats, the one table INFO and
+// /metrics both render. The paper-relevant number here is the
+// per-manager wait time: a contention manager without a progress
+// guarantee shows up as stm_wait_ns_total exploding while commits
+// flatline (ROADMAP's karma convoy), which no throughput counter
+// reveals.
 
 // ServerOption configures a Server beyond its store.
 type ServerOption func(*Server)
@@ -39,10 +43,12 @@ type cmdMetrics struct {
 	lat    *obs.Histogram
 }
 
-// serverMetrics bundles the server's own instruments.
+// serverMetrics bundles the server's own instruments. The event
+// counters are plain obs instruments on the hot path; their one
+// registration is their row in serverStats.
 type serverMetrics struct {
-	connections *obs.Counter
-	clients     *obs.Gauge
+	connections obs.Counter
+	clients     obs.Gauge
 	// cmds is indexed by command.idx — the fixed metric universe,
 	// registered up front so the hot path is an index, never a
 	// registration. The last slot is unknownCommand's.
@@ -54,40 +60,53 @@ type serverMetrics struct {
 	commitLat   *obs.Histogram
 	commitTries *obs.Histogram
 
-	sweepFailures  *obs.Counter
-	sweepReaped    *obs.Counter
-	bgsaveFailures *obs.Counter
-	replyFlushes   *obs.Counter
+	sweepFailures  obs.Counter
+	sweepReaped    obs.Counter
+	bgsaveFailures obs.Counter
+	replyFlushes   obs.Counter
 }
 
-func newServerMetrics(reg *obs.Registry, manager string) *serverMetrics {
-	lbl := obs.Labels{"manager": manager}
-	sm := &serverMetrics{
-		connections: reg.Counter("stmkv_connections_total", "Connections accepted.", nil),
-		clients:     reg.Gauge("stmkv_connected_clients", "Connections currently open.", nil),
-		cmds:        make([]cmdMetrics, len(commandTable)+1),
+// registerMetrics builds the server's instruments and registers the
+// histograms and every serverStats row that names a series.
+func (srv *Server) registerMetrics() {
+	reg, lbl := srv.reg, obs.Labels{"manager": srv.managerName}
+	srv.sm = &serverMetrics{
+		cmds: make([]cmdMetrics, len(commandTable)+1),
 		commitLat: reg.Histogram("stm_commit_seconds",
 			"Committed command transactions (sweeper and snapshot chunks excluded): read to commit, retries included.", lbl),
 		commitTries: reg.SizeHistogram("stm_commit_attempts",
 			"Attempts per committed command transaction (1 = first try).", lbl),
-		sweepFailures: reg.Counter("stmkv_sweeper_failures_total",
-			"Background TTL sweeper passes that failed.", nil),
-		sweepReaped: reg.Counter("stmkv_sweeper_reaped_total",
-			"Expired keys removed by the background sweeper.", nil),
-		bgsaveFailures: reg.Counter("stmkv_bgsave_failures_total",
-			"Background saves (scheduled or BGSAVE) that failed.", nil),
-		replyFlushes: reg.Counter("stmkv_reply_flushes_total",
-			"Batches of replies sent to clients; commands per batch is stmkv_commands_total over this.", nil),
 	}
 	for _, cmd := range append(commandTable, unknownCommand) {
 		lbl := obs.Labels{"cmd": strings.ToLower(cmd.name)}
-		sm.cmds[cmd.idx] = cmdMetrics{
+		srv.sm.cmds[cmd.idx] = cmdMetrics{
 			calls:  reg.Counter("stmkv_commands_total", "Commands processed.", lbl),
 			errors: reg.Counter("stmkv_command_errors_total", "Commands answered with an error.", lbl),
 			lat:    reg.Histogram("stmkv_command_seconds", "Command wall time, decode to reply.", lbl),
 		}
 	}
-	return sm
+	durable := srv.store.Durable()
+	if durable {
+		l := srv.store.WAL()
+		reg.HistogramFunc("wal_fsync_seconds", "Segment fsync wall time.", nil, l.FsyncLatency)
+		reg.SizeHistogramFunc("wal_batch_ops", "Records per group-commit flush.", nil, l.BatchSizes)
+	}
+	for _, row := range serverStats {
+		if row.metric == "" || row.durable && !durable {
+			continue
+		}
+		var labels obs.Labels
+		if row.manager {
+			labels = lbl
+		}
+		// Each series takes a reading of its own at scrape time, which
+		// fetches only what its one row needs.
+		if row.kind == obs.KindGauge {
+			reg.GaugeFunc(row.metric, row.help, labels, func() float64 { _, v := render(row.read(srv.reading())); return v })
+		} else {
+			reg.CounterFunc(row.metric, row.help, labels, func() int64 { return row.read(srv.reading()).(int64) })
+		}
+	}
 }
 
 // observe records one released command. reply errors count as command
@@ -120,95 +139,9 @@ func (srv *Server) observe(h *heldReply) {
 	}
 }
 
-// replyFlushes is how many batches of replies the server has sent —
-// one writev(2) each on a TCP connection.
-func (srv *Server) replyFlushes() int64 { return srv.sm.replyFlushes.Value() }
-
 // Registry returns the registry holding the server's metrics, for
 // serving over HTTP.
 func (srv *Server) Registry() *obs.Registry { return srv.reg }
-
-// registerStoreMetrics bridges engine, WAL and keyspace state into the
-// registry as read-at-scrape functions — the subsystems keep their own
-// quiescence-free counters; exposition just snapshots them.
-func registerStoreMetrics(reg *obs.Registry, st *Store, manager string) {
-	lbl := obs.Labels{"manager": manager}
-	engine := st.STM()
-	reg.CounterFunc("stm_commits_total", "Committed logical transactions.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.Commits })
-	reg.CounterFunc("stm_aborts_total", "Aborted transaction attempts.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.Aborts })
-	reg.CounterFunc("stm_conflicts_total", "Conflicts observed.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.Conflicts })
-	reg.CounterFunc("stm_enemy_aborts_total", "Conflicts resolved by aborting the enemy.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.EnemyAborts })
-	reg.CounterFunc("stm_aborts_enemy_total",
-		"Aborts caused by an enemy's manager (or the self-abort ruling).", lbl,
-		func() int64 { s := engine.TotalStats(); return s.AbortsEnemy })
-	reg.CounterFunc("stm_aborts_validation_total",
-		"Aborts from read-set validation failure.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.AbortsValidation })
-	reg.CounterFunc("stm_aborts_validation_held_total",
-		"Validation aborts where a read's commit stripe was held by another committing writer (a subset of stm_aborts_validation_total).", lbl,
-		func() int64 { s := engine.TotalStats(); return s.AbortsValidationHeld })
-	reg.CounterFunc("stm_aborts_cas_race_total",
-		"Aborts from losing the commit status CAS after validation.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.AbortsCASRace })
-	reg.CounterFunc("stm_aborts_user_total",
-		"Transactions ended by a non-retryable user error.", lbl,
-		func() int64 { s := engine.TotalStats(); return s.AbortsUser })
-	reg.CounterFunc("stm_wait_ns_total",
-		"Nanoseconds in the engine's wait on a contention manager's ruling (policy waiting).", lbl,
-		func() int64 { s := engine.TotalStats(); return s.WaitNs })
-	reg.CounterFunc("stm_backoff_ns_total",
-		"Nanoseconds in engine-level backoff (acquisition CAS retries).", lbl,
-		func() int64 { s := engine.TotalStats(); return s.BackoffNs })
-	reg.GaugeFunc("stmkv_keys", "Approximate live keys (expired excluded).", nil,
-		func() float64 { return float64(st.PeekLen()) })
-	reg.GaugeFunc("stmkv_expiry_armed_shards", "Shards that may hold a key with a TTL; the sweeper skips the rest.", nil,
-		func() float64 { return float64(st.armedShards()) })
-	if !st.Durable() {
-		return
-	}
-	l := st.WAL()
-	reg.CounterFunc("wal_records_total", "Write sets logged.", nil,
-		func() int64 { return l.Stats().Records() })
-	reg.CounterFunc("wal_batches_total", "Group-commit flushes.", nil,
-		func() int64 { return l.Stats().Batches })
-	reg.CounterFunc("wal_fsyncs_total", "Segment fsync syscalls.", nil,
-		func() int64 { return l.Stats().Fsyncs })
-	reg.CounterFunc("wal_dropped_total", "Records refused for exceeding MaxRecord.", nil,
-		func() int64 { return l.Stats().Dropped })
-	reg.GaugeFunc("wal_segment", "Sequence number of the segment being written.", nil,
-		func() float64 { return float64(l.Stats().Segment) })
-	reg.GaugeFunc("wal_segments", "Segment files in the data directory; falls when a snapshot completes.", nil,
-		func() float64 { return float64(l.Stats().Segments) })
-	reg.CounterFunc("wal_snapshots_completed_total", "Snapshots published (SAVE, BGSAVE and scheduled).", nil,
-		func() int64 { return l.Stats().Snapshots })
-	reg.GaugeFunc("wal_snapshot_last_seconds", "Wall time of the latest completed snapshot, rotation to rename.", nil,
-		func() float64 { return l.Stats().SnapshotLast.Seconds() })
-	reg.GaugeFunc("wal_snapshot_last_chunks", "Chunk transactions the latest completed snapshot was cut in.", nil,
-		func() float64 { n, _ := st.SaveStats(); return float64(n) })
-	reg.CounterFunc("wal_snapshot_chunk_retries_total", "Snapshot chunk transactions that had to run again.", nil,
-		func() int64 { _, n := st.SaveStats(); return n })
-	reg.CounterFunc("wal_snapshot_tail_records_total", "Log records snapshots read back to roll their chunks forward.", nil,
-		func() int64 { return l.Stats().SnapshotTail })
-	reg.GaugeFunc("wal_lsn_enqueued", "LSN of the last record appended (committed in memory).", nil,
-		func() float64 { return float64(l.Stats().Enqueued) })
-	reg.GaugeFunc("wal_lsn_durable", "Durable watermark: the LSN up to which records are fsynced.", nil,
-		func() float64 { return float64(l.Stats().Durable) })
-	reg.GaugeFunc("wal_queue_depth", "Records appended but not yet durable (lsn_enqueued - lsn_durable).", nil,
-		func() float64 { return float64(l.Stats().QueueDepth()) })
-	reg.GaugeFunc("wal_sticky_error", "1 when the log is poisoned by a write/fsync failure.", nil,
-		func() float64 {
-			if l.Err() != nil {
-				return 1
-			}
-			return 0
-		})
-	reg.HistogramFunc("wal_fsync_seconds", "Segment fsync wall time.", nil, l.FsyncLatency)
-	reg.SizeHistogramFunc("wal_batch_ops", "Records per group-commit flush.", nil, l.BatchSizes)
-}
 
 // slowEntry is one recorded slow command. attempts and waitNs carry
 // the engine's verdict on *why* it was slow: a command with many
@@ -315,147 +248,220 @@ func (srv *Server) slowlogReply(_ *connState, a *args) resp.Value {
 // infoSections lists the sections in rendering order.
 var infoSections = []string{"server", "clients", "stats", "commandstats", "stm", "contention", "wal", "keyspace"}
 
-// infoReply serves INFO [section].
+// infoReply serves INFO [section]. One reading serves the whole reply.
 func (srv *Server) infoReply(_ *connState, a *args) resp.Value {
 	sections := infoSections
 	if len(a.s) == 1 {
 		want := strings.ToLower(a.s[0])
-		found := false
-		for _, s := range infoSections {
-			if s == want {
-				sections, found = []string{s}, true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(infoSections, want) {
 			return resp.ErrVal(fmt.Sprintf("ERR unknown INFO section '%s'", a.s[0]))
 		}
+		sections = []string{want}
 	}
+	r := srv.reading()
 	var b strings.Builder
-	for i, s := range sections {
+	for i, section := range sections {
 		if i > 0 {
 			b.WriteString("\r\n")
 		}
-		srv.infoSection(&b, s)
+		fmt.Fprintf(&b, "# %s%s\r\n", strings.ToUpper(section[:1]), section[1:])
+		if section == "commandstats" {
+			// One line per command that ran, by name.
+			byName := append([]*command(nil), commandTable...)
+			sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
+			for _, cmd := range byName {
+				m := &srv.sm.cmds[cmd.idx]
+				if calls := m.calls.Value(); calls > 0 {
+					snap := m.lat.Snapshot()
+					fmt.Fprintf(&b, "cmdstat_%s:calls=%d,errors=%d,p50_usec=%d,p99_usec=%d\r\n",
+						strings.ToLower(cmd.name), calls, m.errors.Value(),
+						snap.Quantile(0.50).Microseconds(), snap.Quantile(0.99).Microseconds())
+				}
+			}
+		}
+		for _, row := range serverStats {
+			if row.section == section && (!row.durable || srv.store.Durable()) {
+				text, _ := render(row.read(r))
+				fmt.Fprintf(&b, "%s:%s\r\n", row.key, text)
+			}
+		}
 	}
 	return resp.BulkVal(b.String())
 }
 
-func (srv *Server) infoSection(b *strings.Builder, section string) {
-	line := func(k string, v any) { fmt.Fprintf(b, "%s:%v\r\n", k, v) }
-	switch section {
-	case "server":
-		b.WriteString("# Server\r\n")
-		line("stmkv_version", "0.8.0")
-		line("go_version", runtime.Version())
-		line("process_id", os.Getpid())
-		line("uptime_in_seconds", int64(time.Since(srv.started).Seconds()))
-		line("contention_manager", srv.managerName)
-		line("shards", srv.store.Shards())
-		line("durable", boolInt(srv.store.Durable()))
-	case "clients":
-		b.WriteString("# Clients\r\n")
-		line("connected_clients", srv.sm.clients.Value())
-	case "stats":
-		b.WriteString("# Stats\r\n")
-		var cmds, errs int64
-		for _, m := range srv.sm.cmds {
-			cmds += m.calls.Value()
-			errs += m.errors.Value()
-		}
-		line("total_connections_received", srv.sm.connections.Value())
-		line("total_commands_processed", cmds)
-		line("total_command_errors", errs)
-		line("reply_flushes", srv.replyFlushes())
-		line("sweeper_failures", srv.sm.sweepFailures.Value())
-		line("sweeper_reaped_keys", srv.sm.sweepReaped.Value())
-		line("expiry_armed_shards", srv.store.armedShards())
-		line("bgsave_failures", srv.sm.bgsaveFailures.Value())
-		line("slowlog_len", srv.slow.len())
-	case "commandstats":
-		b.WriteString("# Commandstats\r\n")
-		byName := append([]*command(nil), commandTable...)
-		sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
-		for _, cmd := range byName {
-			m := &srv.sm.cmds[cmd.idx]
-			calls := m.calls.Value()
-			if calls == 0 {
-				continue
-			}
-			snap := m.lat.Snapshot()
-			fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,p50_usec=%d,p99_usec=%d\r\n",
-				strings.ToLower(cmd.name), calls, m.errors.Value(),
-				snap.Quantile(0.50).Microseconds(), snap.Quantile(0.99).Microseconds())
-		}
-	case "stm":
-		b.WriteString("# Stm\r\n")
-		s := srv.store.STM().TotalStats()
-		line("manager", srv.managerName)
-		line("commits", s.Commits)
-		line("aborts", s.Aborts)
-		line("conflicts", s.Conflicts)
-		line("enemy_aborts", s.EnemyAborts)
-		line("opens", s.Opens)
-		line("wait_ns", s.WaitNs)
-		line("backoff_ns", s.BackoffNs)
-		fmt.Fprintf(b, "abort_rate:%.4f\r\n", s.AbortRate())
-		lat := srv.sm.commitLat.Snapshot()
-		line("commit_p50_usec", lat.Quantile(0.50).Microseconds())
-		line("commit_p99_usec", lat.Quantile(0.99).Microseconds())
-		tries := srv.sm.commitTries.Snapshot()
-		fmt.Fprintf(b, "attempts_per_commit:%.2f\r\n", meanOf(tries.Sum(), tries.Count()))
-	case "contention":
-		// The forensics section: Aborts split by cause. Validation and
-		// CAS-race aborts dominating means the manager let doomed work
-		// run to its commit point; enemy aborts dominating means open-
-		// time conflicts are being resolved by killing someone.
-		b.WriteString("# Contention\r\n")
-		s := srv.store.STM().TotalStats()
-		line("aborts_enemy", s.AbortsEnemy)
-		line("aborts_validation", s.AbortsValidation)
-		line("aborts_validation_held", s.AbortsValidationHeld)
-		line("aborts_cas_race", s.AbortsCASRace)
-		line("aborts_user_error", s.AbortsUser)
-		line("wait_ns", s.WaitNs)
-		line("abortlog_len", srv.abort.Len())
-	case "wal":
-		b.WriteString("# Wal\r\n")
-		if !srv.store.Durable() {
-			line("wal_enabled", 0)
-			return
-		}
-		line("wal_enabled", 1)
-		l := srv.store.WAL()
-		st := l.Stats()
-		line("records", st.Records())
-		line("batches", st.Batches)
-		line("fsyncs", st.Fsyncs)
-		line("dropped", st.Dropped)
-		line("segment", st.Segment)
-		line("wal_segments", st.Segments)
-		chunks, retries := srv.store.SaveStats()
-		line("snapshots_completed", st.Snapshots)
-		line("snapshot_last_usec", st.SnapshotLast.Microseconds())
-		line("snapshot_last_chunks", chunks)
-		line("snapshot_chunk_retries", retries)
-		line("snapshot_tail_records", st.SnapshotTail)
-		line("lsn_enqueued", st.Enqueued)
-		line("lsn_durable", st.Durable)
-		line("queue_depth", st.QueueDepth())
-		lat := l.FsyncLatency()
-		line("fsync_p50_usec", lat.Quantile(0.50).Microseconds())
-		line("fsync_p99_usec", lat.Quantile(0.99).Microseconds())
-		sizes := l.BatchSizes()
-		fmt.Fprintf(b, "ops_per_batch:%.2f\r\n", meanOf(sizes.Sum(), sizes.Count()))
-		if err := l.Err(); err != nil {
-			line("sticky_error", err.Error())
-		} else {
-			line("sticky_error", "none")
-		}
-	case "keyspace":
-		b.WriteString("# Keyspace\r\n")
-		fmt.Fprintf(b, "db0:keys=%d\r\n", srv.store.PeekLen())
+// stat is one scalar statistic of the server, a row of serverStats:
+// an INFO line and, if metric is set, a /metrics series.
+type stat struct {
+	section, key string
+	// The series: its name, help and kind, and the manager label.
+	metric, help string
+	kind         obs.Kind
+	manager      bool
+	// durable rows exist only on a store with a log, in both views.
+	durable bool
+	// read returns the value as render takes it: a number is an int64.
+	read func(*reading) any
+}
+
+// keyCount is the live key count, which INFO writes as keys=N.
+type keyCount int64
+
+// render formats a row's value for each view: INFO's text and the
+// /metrics gauge. A statistic the two views show in different units
+// carries its typed value: a time.Duration is microseconds in INFO and
+// seconds in /metrics, and an error (nil when healthy) is its text or
+// "none" in INFO and 1 or 0 in /metrics.
+func render(v any) (info string, gauge float64) {
+	switch v := v.(type) {
+	case nil:
+		return "none", 0
+	case error:
+		return v.Error(), 1
+	case time.Duration:
+		return strconv.FormatInt(v.Microseconds(), 10), v.Seconds()
+	case keyCount:
+		return "keys=" + strconv.FormatInt(int64(v), 10), float64(v)
+	case int64:
+		return strconv.FormatInt(v, 10), float64(v)
+	case string:
+		return v, 0
 	}
+	panic(fmt.Sprintf("kv: statistic of type %T", v))
+}
+
+// reading is one look at the server's statistics. It fetches the
+// engine's totals, the log's counters and the last save's on first
+// use, once, so the rows of one INFO reply agree with each other.
+type reading struct {
+	srv    *Server
+	engine func() stm.Stats
+	log    func() wal.Stats
+	save   func() (chunks, retries int64)
+}
+
+func (srv *Server) reading() *reading {
+	return &reading{srv: srv,
+		engine: sync.OnceValue(srv.store.STM().TotalStats),
+		log:    sync.OnceValue(srv.store.WAL().Stats),
+		save:   sync.OnceValues(srv.store.SaveStats)}
+}
+
+// mean is a size histogram's mean as INFO prints it, 0 when empty.
+func mean(h *metrics.Histogram) string {
+	return strconv.FormatFloat(float64(h.Sum())/float64(max(h.Count(), 1)), 'f', 2, 64)
+}
+
+// serverStats is every scalar statistic of the server, in INFO order.
+// INFO renders a section from its rows; NewServer registers each row
+// that names a series.
+var serverStats = []stat{
+	{section: "server", key: "stmkv_version", read: func(*reading) any { return "0.8.0" }},
+	{section: "server", key: "go_version", read: func(*reading) any { return runtime.Version() }},
+	{section: "server", key: "process_id", read: func(*reading) any { return int64(os.Getpid()) }},
+	{section: "server", key: "uptime_in_seconds", read: func(r *reading) any { return int64(time.Since(r.srv.started).Seconds()) }},
+	{section: "server", key: "contention_manager", read: func(r *reading) any { return r.srv.managerName }},
+	{section: "server", key: "shards", read: func(r *reading) any { return int64(r.srv.store.Shards()) }},
+	{section: "server", key: "durable", read: func(r *reading) any { return int64(boolInt(r.srv.store.Durable())) }},
+
+	{section: "clients", key: "connected_clients", read: func(r *reading) any { return r.srv.sm.clients.Value() },
+		metric: "stmkv_connected_clients", help: "Connections currently open.", kind: obs.KindGauge},
+
+	{section: "stats", key: "total_connections_received", read: func(r *reading) any { return r.srv.sm.connections.Value() },
+		metric: "stmkv_connections_total", help: "Connections accepted."},
+	{section: "stats", key: "total_commands_processed", read: func(r *reading) any { n, _ := r.srv.cmdTotals(); return n }},
+	{section: "stats", key: "total_command_errors", read: func(r *reading) any { _, n := r.srv.cmdTotals(); return n }},
+	{section: "stats", key: "reply_flushes", read: func(r *reading) any { return r.srv.sm.replyFlushes.Value() },
+		metric: "stmkv_reply_flushes_total", help: "Batches of replies sent to clients; commands per batch is stmkv_commands_total over this."},
+	{section: "stats", key: "sweeper_failures", read: func(r *reading) any { return r.srv.sm.sweepFailures.Value() },
+		metric: "stmkv_sweeper_failures_total", help: "Background TTL sweeper passes that failed."},
+	{section: "stats", key: "sweeper_reaped_keys", read: func(r *reading) any { return r.srv.sm.sweepReaped.Value() },
+		metric: "stmkv_sweeper_reaped_total", help: "Expired keys removed by the background sweeper."},
+	{section: "stats", key: "expiry_armed_shards", read: func(r *reading) any { return int64(r.srv.store.armedShards()) },
+		metric: "stmkv_expiry_armed_shards", help: "Shards that may hold a key with a TTL; the sweeper skips the rest.", kind: obs.KindGauge},
+	{section: "stats", key: "bgsave_failures", read: func(r *reading) any { return r.srv.sm.bgsaveFailures.Value() },
+		metric: "stmkv_bgsave_failures_total", help: "Background saves (scheduled or BGSAVE) that failed."},
+	{section: "stats", key: "slowlog_len", read: func(r *reading) any { return r.srv.slow.len() }},
+
+	{section: "stm", key: "manager", read: func(r *reading) any { return r.srv.managerName }},
+	{section: "stm", key: "commits", read: func(r *reading) any { return r.engine().Commits },
+		metric: "stm_commits_total", help: "Committed logical transactions.", manager: true},
+	{section: "stm", key: "aborts", read: func(r *reading) any { return r.engine().Aborts },
+		metric: "stm_aborts_total", help: "Aborted transaction attempts.", manager: true},
+	{section: "stm", key: "conflicts", read: func(r *reading) any { return r.engine().Conflicts },
+		metric: "stm_conflicts_total", help: "Conflicts observed.", manager: true},
+	{section: "stm", key: "enemy_aborts", read: func(r *reading) any { return r.engine().EnemyAborts },
+		metric: "stm_enemy_aborts_total", help: "Conflicts resolved by aborting the enemy.", manager: true},
+	{section: "stm", key: "opens", read: func(r *reading) any { return r.engine().Opens }},
+	{section: "stm", key: "wait_ns", read: func(r *reading) any { return r.engine().WaitNs },
+		metric: "stm_wait_ns_total", help: "Nanoseconds in the engine's wait on a contention manager's ruling (policy waiting).", manager: true},
+	{section: "stm", key: "backoff_ns", read: func(r *reading) any { return r.engine().BackoffNs },
+		metric: "stm_backoff_ns_total", help: "Nanoseconds in engine-level backoff (acquisition CAS retries).", manager: true},
+	{section: "stm", key: "abort_rate", read: func(r *reading) any { s := r.engine(); return strconv.FormatFloat(s.AbortRate(), 'f', 4, 64) }},
+	{section: "stm", key: "commit_p50_usec", read: func(r *reading) any { return r.srv.sm.commitLat.Snapshot().Quantile(0.50).Microseconds() }},
+	{section: "stm", key: "commit_p99_usec", read: func(r *reading) any { return r.srv.sm.commitLat.Snapshot().Quantile(0.99).Microseconds() }},
+	{section: "stm", key: "attempts_per_commit", read: func(r *reading) any { return mean(r.srv.sm.commitTries.Snapshot()) }},
+
+	// The forensics section, aborts by cause. Validation and CAS-race
+	// aborts dominating: the manager let doomed work run to its commit
+	// point; enemy aborts: open-time conflicts end by killing someone.
+	{section: "contention", key: "aborts_enemy", read: func(r *reading) any { return r.engine().AbortsEnemy },
+		metric: "stm_aborts_enemy_total", help: "Aborts caused by an enemy's manager (or the self-abort ruling).", manager: true},
+	{section: "contention", key: "aborts_validation", read: func(r *reading) any { return r.engine().AbortsValidation },
+		metric: "stm_aborts_validation_total", help: "Aborts from read-set validation failure.", manager: true},
+	{section: "contention", key: "aborts_validation_held", read: func(r *reading) any { return r.engine().AbortsValidationHeld },
+		metric: "stm_aborts_validation_held_total", help: "Validation aborts where a read's commit stripe was held by another committing writer (a subset of stm_aborts_validation_total).", manager: true},
+	{section: "contention", key: "aborts_cas_race", read: func(r *reading) any { return r.engine().AbortsCASRace },
+		metric: "stm_aborts_cas_race_total", help: "Aborts from losing the commit status CAS after validation.", manager: true},
+	{section: "contention", key: "aborts_user_error", read: func(r *reading) any { return r.engine().AbortsUser },
+		metric: "stm_aborts_user_total", help: "Transactions ended by a non-retryable user error.", manager: true},
+	{section: "contention", key: "wait_ns", read: func(r *reading) any { return r.engine().WaitNs }},
+	{section: "contention", key: "abortlog_len", read: func(r *reading) any { return r.srv.abort.Len() }},
+
+	{section: "wal", key: "wal_enabled", read: func(r *reading) any { return int64(boolInt(r.srv.store.Durable())) }},
+	{section: "wal", key: "records", durable: true, read: func(r *reading) any { return r.log().Records() },
+		metric: "wal_records_total", help: "Write sets logged."},
+	{section: "wal", key: "batches", durable: true, read: func(r *reading) any { return r.log().Batches },
+		metric: "wal_batches_total", help: "Group-commit flushes."},
+	{section: "wal", key: "fsyncs", durable: true, read: func(r *reading) any { return r.log().Fsyncs },
+		metric: "wal_fsyncs_total", help: "Segment fsync syscalls."},
+	{section: "wal", key: "dropped", durable: true, read: func(r *reading) any { return r.log().Dropped },
+		metric: "wal_dropped_total", help: "Records refused for exceeding MaxRecord."},
+	{section: "wal", key: "segment", durable: true, read: func(r *reading) any { return int64(r.log().Segment) },
+		metric: "wal_segment", help: "Sequence number of the segment being written.", kind: obs.KindGauge},
+	{section: "wal", key: "wal_segments", durable: true, read: func(r *reading) any { return int64(r.log().Segments) },
+		metric: "wal_segments", help: "Segment files in the data directory; falls when a snapshot completes.", kind: obs.KindGauge},
+	{section: "wal", key: "snapshots_completed", durable: true, read: func(r *reading) any { return r.log().Snapshots },
+		metric: "wal_snapshots_completed_total", help: "Snapshots published (SAVE, BGSAVE and scheduled)."},
+	{section: "wal", key: "snapshot_last_usec", durable: true, read: func(r *reading) any { return r.log().SnapshotLast },
+		metric: "wal_snapshot_last_seconds", help: "Wall time of the latest completed snapshot, rotation to rename.", kind: obs.KindGauge},
+	{section: "wal", key: "snapshot_last_chunks", durable: true, read: func(r *reading) any { n, _ := r.save(); return n },
+		metric: "wal_snapshot_last_chunks", help: "Chunk transactions the latest completed snapshot was cut in.", kind: obs.KindGauge},
+	{section: "wal", key: "snapshot_chunk_retries", durable: true, read: func(r *reading) any { _, n := r.save(); return n },
+		metric: "wal_snapshot_chunk_retries_total", help: "Snapshot chunk transactions that had to run again."},
+	{section: "wal", key: "snapshot_tail_records", durable: true, read: func(r *reading) any { return r.log().SnapshotTail },
+		metric: "wal_snapshot_tail_records_total", help: "Log records snapshots read back to roll their chunks forward."},
+	{section: "wal", key: "lsn_enqueued", durable: true, read: func(r *reading) any { return int64(r.log().Enqueued) },
+		metric: "wal_lsn_enqueued", help: "LSN of the last record appended (committed in memory).", kind: obs.KindGauge},
+	{section: "wal", key: "lsn_durable", durable: true, read: func(r *reading) any { return int64(r.log().Durable) },
+		metric: "wal_lsn_durable", help: "Durable watermark: the LSN up to which records are fsynced.", kind: obs.KindGauge},
+	{section: "wal", key: "queue_depth", durable: true, read: func(r *reading) any { return int64(r.log().QueueDepth()) },
+		metric: "wal_queue_depth", help: "Records appended but not yet durable (lsn_enqueued - lsn_durable).", kind: obs.KindGauge},
+	{section: "wal", key: "fsync_p50_usec", durable: true, read: func(r *reading) any { return r.srv.store.WAL().FsyncLatency().Quantile(0.50).Microseconds() }},
+	{section: "wal", key: "fsync_p99_usec", durable: true, read: func(r *reading) any { return r.srv.store.WAL().FsyncLatency().Quantile(0.99).Microseconds() }},
+	{section: "wal", key: "ops_per_batch", durable: true, read: func(r *reading) any { return mean(r.srv.store.WAL().BatchSizes()) }},
+	{section: "wal", key: "sticky_error", durable: true, read: func(r *reading) any { return r.srv.store.WAL().Err() },
+		metric: "wal_sticky_error", help: "1 when the log is poisoned by a write/fsync failure.", kind: obs.KindGauge},
+
+	{section: "keyspace", key: "db0", read: func(r *reading) any { return keyCount(r.srv.store.PeekLen()) },
+		metric: "stmkv_keys", help: "Approximate live keys (expired excluded).", kind: obs.KindGauge},
+}
+
+// cmdTotals sums the per-command calls and errors.
+func (srv *Server) cmdTotals() (calls, errs int64) {
+	for _, m := range srv.sm.cmds {
+		calls, errs = calls+m.calls.Value(), errs+m.errors.Value()
+	}
+	return calls, errs
 }
 
 func boolInt(v bool) int {
@@ -463,13 +469,4 @@ func boolInt(v bool) int {
 		return 1
 	}
 	return 0
-}
-
-// meanOf computes sum/count as a float, zero when empty — for
-// dimensionless histograms whose Sum is stored as a time.Duration.
-func meanOf(sum time.Duration, count uint64) float64 {
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
 }

@@ -536,7 +536,7 @@ func TestReplyBatchSends(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialPipe(t, addr)
-			before := srv.replyFlushes()
+			before := srv.sm.replyFlushes.Value()
 			var got []string
 			if tc.burst {
 				conn.send(t, frames(tc.cmds...))
@@ -556,7 +556,7 @@ func TestReplyBatchSends(t *testing.T) {
 					t.Fatalf("reply %d = %q, want %q", i, g, want)
 				}
 			}
-			if sends := srv.replyFlushes() - before; sends != tc.sends {
+			if sends := srv.sm.replyFlushes.Value() - before; sends != tc.sends {
 				t.Fatalf("%d replies took %d sends, want %d", len(got), sends, tc.sends)
 			}
 		})

@@ -116,8 +116,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(srv)
 	}
-	srv.sm = newServerMetrics(srv.reg, srv.managerName)
-	registerStoreMetrics(srv.reg, store, srv.managerName)
+	srv.registerMetrics()
 	return srv
 }
 
