@@ -24,9 +24,12 @@
 //	            aid and a readable rendition of the paper's cascade).
 //
 // The simulated experiments run internal/core's managers, the ones the
-// STM runs. The command exits non-zero when one of greedy's claims
-// fails: the adversary's s+1 units, Theorem 9's bound, completion with
-// the pending-commit property, or greedy-timeout's recovery.
+// STM runs. The command exits 1 when one of the theory's claims fails:
+// the adversary's s+1 units for greedy against 2 for the even–odd list
+// schedule, Theorem 9's bound, completion with the pending-commit
+// property, or greedy-timeout's recovery. A flag value no experiment
+// can run with (-s below 1, -m below 2, -trials or -n below 1, an
+// unknown -exp) exits 2 before anything runs.
 //
 // Usage:
 //
@@ -39,6 +42,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -60,9 +65,13 @@ type simulated struct {
 
 func registry(name string) simulated { return simulated{name, core.MustFactory(name)} }
 
+// experiments are the -exp values besides "all", in the order -exp all
+// runs them.
+var experiments = []string{"adversary", "ratio", "bounded", "pending", "lemma7", "halted", "sequences", "randomized", "trace"}
+
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment: adversary|ratio|bounded|pending|lemma7|halted|sequences|randomized|trace|all")
+		exp    = flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|")+"|all")
 		s      = flag.Int("s", 8, "number of shared objects (adversary, trace)")
 		m      = flag.Int("m", 2, "ticks per time unit")
 		trials = flag.Int("trials", 10, "random trials per parameter point (ratio, lemma7)")
@@ -70,6 +79,11 @@ func main() {
 		seed   = flag.Uint64("seed", 42, "random seed")
 	)
 	flag.Parse()
+	if err := checkFlags(*exp, *s, *m, *trials, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "makespan:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
@@ -92,6 +106,29 @@ func main() {
 	run("sequences", func() error { return sequences() })
 	run("randomized", func() error { return randomized(*trials) })
 	run("trace", func() error { return trace(*s, *m) })
+}
+
+// checkFlags rejects flag values no experiment can run with: the
+// adversary needs at least one object and two ticks per time unit
+// ("time 0" and "time 1-ε" are distinct ticks), and the counts must be
+// positive.
+func checkFlags(exp string, s, m, trials, n int) error {
+	if exp != "all" && !slices.Contains(experiments, exp) {
+		return fmt.Errorf("unknown -exp %q", exp)
+	}
+	if s < 1 {
+		return fmt.Errorf("bad -s %d: must be at least 1", s)
+	}
+	if m < 2 {
+		return fmt.Errorf("bad -m %d: must be at least 2", m)
+	}
+	if trials < 1 {
+		return fmt.Errorf("bad -trials %d: must be positive", trials)
+	}
+	if n < 1 {
+		return fmt.Errorf("bad -n %d: must be positive", n)
+	}
+	return nil
 }
 
 func adversary(s, m int) error {
@@ -119,6 +156,9 @@ func adversary(s, m int) error {
 		}
 		if !res.Completed || res.Makespan != (si+1)*m {
 			return fmt.Errorf("greedy's makespan at s=%d is %d ticks, want s+1 = %d units", si, res.Makespan, si+1)
+		}
+		if list.Makespan != 2*m {
+			return fmt.Errorf("the even-odd list schedule at s=%d is %d ticks, want 2 units", si, list.Makespan)
 		}
 	}
 	fmt.Println("greedy = s+1 units, optimal = 2 units: the paper's separation, linear in s.")

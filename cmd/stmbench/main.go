@@ -3,8 +3,9 @@
 // number of threads and prints committed transactions per second per
 // contention manager — the same series Figures 1–4 plot, plus the
 // hash-set, queue, ordered-map, kv-store and job-pipeline sweeps
-// (figures 5–10). It is the repository's only figure driver; -audit
-// turns a sweep into a correctness check as well.
+// (figures 5–10). It is the repository's only figure driver (the
+// root BenchmarkHarnessPoint and the harness tests call the same
+// harness.Run); -audit turns a sweep into a correctness check as well.
 //
 // Usage:
 //

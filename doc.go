@@ -35,9 +35,11 @@
 // See DESIGN.md for the architecture (engine / sessions / Var[T] /
 // managers / containers / kv server / durability) and the
 // hardware substitutions; cmd/stmbench (figures 1-10, -audit,
-// tables and -json output) and cmd/makespan for the experiment
-// drivers; cmd/stmkv for the RESP-lite server, durable with -data,
-// whose typed load and audit live in internal/kvclient and run as
+// tables and -json output) and cmd/makespan (the Section 4 adversary,
+// Theorem 9 and the other theory experiments) for the experiment
+// drivers, one per half of the paper; cmd/stmkv for the RESP-lite
+// server, durable with -data, whose typed load and audit live in
+// internal/kvclient and run as
 // cmd/stmkv's TestSmoke and TestCrashRestart (see cmd/stmkv/README.md);
 // and examples/ for runnable programs (each verifies its own
 // invariant and exits non-zero on violation, so CI smoke-runs them).

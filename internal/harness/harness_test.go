@@ -250,7 +250,7 @@ func TestWriteTable(t *testing.T) {
 func TestWriteJSONKeys(t *testing.T) {
 	untraced := []string{
 		"abort_rate", "aborts", "aborts_cas_race", "aborts_enemy", "aborts_user",
-		"aborts_validation", "backoff_ns", "commits", "commits_per_sec", "conflicts",
+		"aborts_validation", "aborts_validation_held", "backoff_ns", "commits", "commits_per_sec", "conflicts",
 		"enemy_aborts", "figure", "key_dist", "lat_max_us", "lat_p50_us", "lat_p99_us",
 		"manager", "mix", "structure", "threads", "wait_ns",
 	}
@@ -260,8 +260,8 @@ func TestWriteJSONKeys(t *testing.T) {
 		Figure: 8, Structure: "kv", Manager: "greedy", Threads: 4,
 		Mix: "mixed", KeyDist: "zipf(1.07)", CommitsPerSec: 1000,
 		Stats: stm.Stats{
-			Commits: 100, Aborts: 6, AbortsEnemy: 3, AbortsValidation: 2, AbortsCASRace: 1,
-			AbortsUser: 1, Conflicts: 9, EnemyAborts: 4, WaitNs: 5, BackoffNs: 7,
+			Commits: 100, Aborts: 6, AbortsEnemy: 3, AbortsValidation: 2, AbortsValidationHeld: 1,
+			AbortsCASRace: 1, AbortsUser: 1, Conflicts: 9, EnemyAborts: 4, WaitNs: 5, BackoffNs: 7,
 		},
 	}
 	p.Latency.Observe(time.Microsecond)

@@ -28,13 +28,16 @@ type pointJSON struct {
 	WaitNs        int64   `json:"wait_ns,omitempty"`
 	BackoffNs     int64   `json:"backoff_ns,omitempty"`
 	// The per-cause abort partition (always exact; omitted when zero).
-	AbortsEnemy      int64   `json:"aborts_enemy,omitempty"`
-	AbortsValidation int64   `json:"aborts_validation,omitempty"`
-	AbortsCASRace    int64   `json:"aborts_cas_race,omitempty"`
-	AbortsUser       int64   `json:"aborts_user,omitempty"`
-	LatP50Us         float64 `json:"lat_p50_us"`
-	LatP99Us         float64 `json:"lat_p99_us"`
-	LatMaxUs         float64 `json:"lat_max_us"`
+	AbortsEnemy      int64 `json:"aborts_enemy,omitempty"`
+	AbortsValidation int64 `json:"aborts_validation,omitempty"`
+	// AbortsValidationHeld is the subset of AbortsValidation that failed
+	// on a stripe another committer held.
+	AbortsValidationHeld int64   `json:"aborts_validation_held,omitempty"`
+	AbortsCASRace        int64   `json:"aborts_cas_race,omitempty"`
+	AbortsUser           int64   `json:"aborts_user,omitempty"`
+	LatP50Us             float64 `json:"lat_p50_us"`
+	LatP99Us             float64 `json:"lat_p99_us"`
+	LatMaxUs             float64 `json:"lat_max_us"`
 	// Flight-recorder attribution, present only on traced runs
 	// (Options.TxTrace > 0): top-K hot variables and decision edges.
 	HotVars  []obs.HotObject    `json:"hot_vars,omitempty"`
@@ -63,12 +66,13 @@ func WriteJSON(w io.Writer, points []Point) error {
 			WaitNs:        p.Stats.WaitNs,
 			BackoffNs:     p.Stats.BackoffNs,
 
-			AbortsEnemy:      p.Stats.AbortsEnemy,
-			AbortsValidation: p.Stats.AbortsValidation,
-			AbortsCASRace:    p.Stats.AbortsCASRace,
-			AbortsUser:       p.Stats.AbortsUser,
-			HotVars:          p.HotVars,
-			HotEdges:         p.HotEdges,
+			AbortsEnemy:          p.Stats.AbortsEnemy,
+			AbortsValidation:     p.Stats.AbortsValidation,
+			AbortsValidationHeld: p.Stats.AbortsValidationHeld,
+			AbortsCASRace:        p.Stats.AbortsCASRace,
+			AbortsUser:           p.Stats.AbortsUser,
+			HotVars:              p.HotVars,
+			HotEdges:             p.HotEdges,
 
 			LatP50Us: float64(p.Latency.Quantile(0.50).Nanoseconds()) / 1e3,
 			LatP99Us: float64(p.Latency.Quantile(0.99).Nanoseconds()) / 1e3,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stm"
 	"repro/internal/workload"
 )
@@ -35,7 +36,10 @@ func newApp(t testing.TB, fig Figure) app {
 }
 
 // TestForestAllProbZero: a ForestAllProb of zero is honoured, so the
-// forest draws only single-tree operations.
+// forest draws only single-tree operations, and Figure 4 run that way
+// at 8 threads passes its audit under every plotted manager (greedy
+// alone under -short). Single-tree updates are where openRead once
+// wrote the forest's nil sentinel.
 func TestForestAllProbZero(t *testing.T) {
 	fig := figure(t, 4)
 	fig.ForestAllProb = 0
@@ -45,6 +49,22 @@ func TestForestAllProbZero(t *testing.T) {
 		if application.draw(rng).all {
 			t.Fatalf("draw %d touched all trees with ForestAllProb 0", i)
 		}
+	}
+	managers := core.FigureManagers
+	if testing.Short() {
+		managers = []string{"greedy"}
+	}
+	opts := Options{Window: 60 * time.Millisecond, Warmup: 10 * time.Millisecond, Audit: true}
+	for _, mgr := range managers {
+		t.Run(mgr, func(t *testing.T) {
+			point, err := Run(fig, mgr, 8, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if point.Stats.Commits <= 0 {
+				t.Fatalf("no commits under %s", mgr)
+			}
+		})
 	}
 }
 

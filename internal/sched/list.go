@@ -65,79 +65,6 @@ func (sys *System) ListSchedule(order []int) (*Schedule, error) {
 	return &Schedule{Start: start, Makespan: makespan}, nil
 }
 
-// BestListSchedule tries every permutation of the task list and
-// returns the best list schedule found. Exponential; intended for the
-// small instances of the theory experiments. For n above
-// bestListLimit it falls back to a handful of natural orders (by ID,
-// by decreasing length, by decreasing resource weight).
-func (sys *System) BestListSchedule() (*Schedule, error) {
-	n := len(sys.Tasks)
-	if n == 0 {
-		return &Schedule{Start: nil, Makespan: 0}, nil
-	}
-	if n > bestListLimit {
-		return sys.bestHeuristicList()
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	var best *Schedule
-	err := permute(order, 0, func(perm []int) error {
-		sched, err := sys.ListSchedule(perm)
-		if err != nil {
-			return err
-		}
-		if best == nil || sched.Makespan < best.Makespan {
-			cp := make([]int, len(sched.Start))
-			copy(cp, sched.Start)
-			best = &Schedule{Start: cp, Makespan: sched.Makespan}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return best, nil
-}
-
-// bestListLimit bounds the exhaustive permutation search (8! = 40320
-// list schedules).
-const bestListLimit = 8
-
-func (sys *System) bestHeuristicList() (*Schedule, error) {
-	n := len(sys.Tasks)
-	byID := make([]int, n)
-	for i := range byID {
-		byID[i] = i
-	}
-	byLength := make([]int, n)
-	copy(byLength, byID)
-	sortBy(byLength, func(a, b int) bool { return sys.Tasks[a].Length > sys.Tasks[b].Length })
-	byWeight := make([]int, n)
-	copy(byWeight, byID)
-	weight := func(id int) float64 {
-		w := 0.0
-		for _, need := range sys.Tasks[id].Need {
-			w += need
-		}
-		return w * float64(sys.Tasks[id].Length)
-	}
-	sortBy(byWeight, func(a, b int) bool { return weight(a) > weight(b) })
-
-	var best *Schedule
-	for _, order := range [][]int{byID, byLength, byWeight} {
-		sched, err := sys.ListSchedule(order)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || sched.Makespan < best.Makespan {
-			best = sched
-		}
-	}
-	return best, nil
-}
-
 func fits(use map[int]float64, need map[int]float64) bool {
 	for r, n := range need {
 		if use[r]+n > 1+resourceEps {
@@ -162,29 +89,4 @@ func checkPermutation(order []int, n int) error {
 		seen[id] = true
 	}
 	return nil
-}
-
-// permute invokes fn on every permutation of a[k:] in place.
-func permute(a []int, k int, fn func([]int) error) error {
-	if k == len(a) {
-		return fn(a)
-	}
-	for i := k; i < len(a); i++ {
-		a[k], a[i] = a[i], a[k]
-		if err := permute(a, k+1, fn); err != nil {
-			return err
-		}
-		a[k], a[i] = a[i], a[k]
-	}
-	return nil
-}
-
-// sortBy is insertion sort with a custom less, avoiding a sort.Slice
-// allocation on tiny slices.
-func sortBy(a []int, less func(a, b int) bool) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && less(a[j], a[j-1]); j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

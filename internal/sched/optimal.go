@@ -28,9 +28,13 @@ func (sys *System) Optimal() (*Schedule, error) {
 		return nil, fmt.Errorf("sched: Optimal supports at most %d tasks, got %d", optimalLimit, n)
 	}
 
-	// Seed the bound with the best list schedule, which is also the
-	// witness returned if no strictly better schedule exists.
-	seed, err := sys.BestListSchedule()
+	// Seed the bound with the list schedule in ID order, which is also
+	// the witness returned if no strictly better schedule exists.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	seed, err := sys.ListSchedule(order)
 	if err != nil {
 		return nil, err
 	}

@@ -136,21 +136,30 @@ func TestOptimalMatchesObviousCases(t *testing.T) {
 	}
 }
 
+// TestOptimalNeverWorseThanBestList checks Optimal against the best
+// list schedule over every permutation of the tasks (n <= 5, so at
+// most 120 lists).
 func TestOptimalNeverWorseThanBestList(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for trial := 0; trial < 30; trial++ {
 		ins := sched.RandomInstance(rng, 4+int(rng.Int64N(2)), 3, 3, 2)
 		sys := sched.TaskSystemOf(ins)
-		best, err := sys.BestListSchedule()
-		if err != nil {
-			t.Fatal(err)
+		best := -1
+		for _, order := range permutations(len(sys.Tasks)) {
+			list, err := sys.ListSchedule(order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best < 0 || list.Makespan < best {
+				best = list.Makespan
+			}
 		}
 		opt, err := sys.Optimal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt.Makespan > best.Makespan {
-			t.Fatalf("trial %d: optimal %d worse than best list %d", trial, opt.Makespan, best.Makespan)
+		if opt.Makespan > best {
+			t.Fatalf("trial %d: optimal %d worse than best list %d", trial, opt.Makespan, best)
 		}
 		if opt.Makespan < sys.LowerBound() {
 			t.Fatalf("trial %d: optimal %d below lower bound %d", trial, opt.Makespan, sys.LowerBound())
@@ -158,6 +167,44 @@ func TestOptimalNeverWorseThanBestList(t *testing.T) {
 		if err := sys.Feasible(opt); err != nil {
 			t.Fatalf("trial %d: optimal schedule infeasible: %v", trial, err)
 		}
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int{}, p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestEmptyInstance: a system with no transactions completes at
+// makespan 0, both simulated and under the exact optimum.
+func TestEmptyInstance(t *testing.T) {
+	ins := &sched.Instance{}
+	res, err := sched.Simulate(ins, greedy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Makespan != 0 {
+		t.Fatalf("empty instance: completed %v, makespan %d; want true, 0", res.Completed, res.Makespan)
+	}
+	if t0 := sched.CheckPendingCommit(res); t0 >= 0 {
+		t.Fatalf("empty instance violates pending commit at tick %d", t0)
+	}
+	opt, err := sched.TaskSystemOf(ins).Optimal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Makespan != 0 {
+		t.Fatalf("empty system: optimal makespan %d, want 0", opt.Makespan)
 	}
 }
 

@@ -427,7 +427,7 @@ func defaultMaxTicks(ins *Instance) int {
 	}
 	// Quadratic headroom over the serial schedule: ample for any
 	// progress-making manager, finite for livelocking ones.
-	if total > math.MaxInt32/total {
+	if total > 0 && total > math.MaxInt32/total {
 		return math.MaxInt32
 	}
 	return total*total + total + 16
