@@ -17,7 +17,10 @@ import (
 // BenchmarkAdversarialMakespan simulates the Section 4 worst case for
 // greedy (E5).
 func BenchmarkAdversarialMakespan(b *testing.B) {
-	ins := sched.Adversary(8, 2)
+	ins, err := sched.Adversary(8, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)

@@ -135,7 +135,10 @@ func adversary(s, m int) error {
 	fmt.Printf("Section 4 adversarial instance, s=%d objects, m=%d ticks/unit\n", s, m)
 	fmt.Printf("%-6s %-10s %-10s %-8s %-8s\n", "s", "greedy", "optimal", "ratio", "bound")
 	for _, si := range []int{1, 2, 4, s} {
-		ins := sched.Adversary(si, m)
+		ins, err := sched.Adversary(si, m)
+		if err != nil {
+			return err
+		}
 		res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 		if err != nil {
 			return err
@@ -204,7 +207,11 @@ func bounded(n int, seed uint64) error {
 func pending(m int) error {
 	managers := []simulated{registry("greedy"), {"timid", timid}, registry("aggressive"), registry("karma")}
 	var failed []string
-	report := func(instance, title string, ins *sched.Instance) error {
+	report := func(instance, title string, build func(m int) (*sched.Instance, error)) error {
+		ins, err := build(m)
+		if err != nil {
+			return err
+		}
 		fmt.Println(title)
 		for _, sm := range managers {
 			res, err := sched.Simulate(ins, sm.mgr, 500)
@@ -227,10 +234,10 @@ func pending(m int) error {
 		}
 		return nil
 	}
-	if err := report("cyclic-conflict", "cyclic-conflict instance (deadlocks always-wait):", sched.CycleInstance(m)); err != nil {
+	if err := report("cyclic-conflict", "cyclic-conflict instance (deadlocks always-wait):", sched.CycleInstance); err != nil {
 		return err
 	}
-	if err := report("same-object", "same-object instance (livelocks always-abort):", sched.LivelockInstance(m)); err != nil {
+	if err := report("same-object", "same-object instance (livelocks always-abort):", sched.LivelockInstance); err != nil {
 		return err
 	}
 	if len(failed) > 0 {
@@ -337,13 +344,17 @@ func randomized(trials int) error {
 	fmt.Println("open problem: randomized contention management, completion-time distribution")
 	fmt.Printf("%-22s %-10s %-8s %-8s %-8s %-8s\n", "instance", "completed", "p50", "p90", "p99", "worst")
 	for _, tc := range []struct {
-		name string
-		ins  *sched.Instance
+		name  string
+		build func(m int) (*sched.Instance, error)
 	}{
-		{"cycle (kills timid)", sched.CycleInstance(2)},
-		{"same-object (kills aggressive)", sched.LivelockInstance(2)},
+		{"cycle (kills timid)", sched.CycleInstance},
+		{"same-object (kills aggressive)", sched.LivelockInstance},
 	} {
-		study, err := sched.StudyRandomized(tc.ins, 0.5, uint(trials*20), 100_000)
+		ins, err := tc.build(2)
+		if err != nil {
+			return err
+		}
+		study, err := sched.StudyRandomized(ins, 0.5, uint(trials*20), 100_000)
 		if err != nil {
 			return err
 		}
@@ -361,7 +372,10 @@ func trace(s, m int) error {
 		s = 4 // keep the trace readable
 	}
 	fmt.Printf("greedy on the adversary, s=%d, m=%d — the paper's cascade, event by event\n", s, m)
-	ins := sched.Adversary(s, m)
+	ins, err := sched.Adversary(s, m)
+	if err != nil {
+		return err
+	}
 	res, err := sched.SimulateObserved(ins, core.MustFactory("greedy"), 0, func(tick int, event string, tx, other int) {
 		if other >= 0 {
 			fmt.Printf("  tick %2d: T%d %s (object/enemy %d)\n", tick, tx, event, other)

@@ -152,9 +152,10 @@ func TestHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads 100k keys")
 	}
-	// 97–106 B over 13 runs on linux/amd64 (131–142 over 38 runs
-	// while the node held the entry's kind, containers and deadline).
-	const n, budget = 100_000, 115
+	// 87.6–92.8 B over 10 runs on linux/amd64 (97–106 over 13 runs
+	// while a version was a 48-byte cell, 131–142 over 38 runs while
+	// the node held the entry's kind, containers and deadline).
+	const n, budget = 100_000, 100
 	keys := makeKeys(n)
 	before := liveHeap()
 	st := preloadStore(t, keys)
@@ -191,27 +192,29 @@ func TestHeapPerKeyByKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads 20k keys per kind")
 	}
-	// Over 12 runs on linux/amd64: string-ttl 115–122 B, hash
-	// 697–708, list 961–968, zset 1 508–1 522 (123–132, 707–712,
-	// 970–978 and 1 515–1 523 with the entry inline in the node).
+	// Over 10 runs on linux/amd64: string-ttl 102.7–106.8 B, hash
+	// 574–579, list 792–798, zset 1 288–1 293 (115–122, 697–708,
+	// 961–968 and 1 508–1 522 over 12 runs while a version was a
+	// 48-byte cell; 123–132, 707–712, 970–978 and 1 515–1 523 with the
+	// entry inline in the node).
 	const n, batch = 20_000, 256
 	kinds := []struct {
 		name   string
 		budget float64
 		put    func(st *Store, tx *stm.Tx, now int64, key, val string) error
 	}{
-		{"string-ttl", 130, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+		{"string-ttl", 115, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
 			return st.SetTx(tx, now, key, val, time.Hour)
 		}},
-		{"hash", 725, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+		{"hash", 595, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
 			_, err := st.HSetTx(tx, now, key, "field", val)
 			return err
 		}},
-		{"list", 985, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+		{"list", 815, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
 			_, err := st.RPushTx(tx, now, key, val)
 			return err
 		}},
-		{"zset", 1545, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
+		{"zset", 1315, func(st *Store, tx *stm.Tx, now int64, key, val string) error {
 			_, err := st.ZAddTx(tx, now, key, val, 1)
 			return err
 		}},
@@ -258,8 +261,9 @@ func TestListHeapPerElement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-element list")
 	}
-	// 26.4 B in each of 12 runs on linux/amd64 (runCap 32).
-	const n, batch, budget = 200_000, 250, 30
+	// 24.4 B in each of 10 runs on linux/amd64 (runCap 32; 26.4 in
+	// each of 12 while a version was a 48-byte cell).
+	const n, batch, budget = 200_000, 250, 28
 	vals := makeKeys(n)
 	st := New(stm.New())
 	before := liveHeap()

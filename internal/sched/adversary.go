@@ -1,6 +1,9 @@
 package sched
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Adversary builds the paper's Section 4 worst-case instance for the
 // greedy manager: transactions T0..Ts over objects X1..Xs (indices
@@ -17,13 +20,15 @@ import "strconv"
 // Theorem 9 bound is quadratic; whether the quadratic bound is tight
 // is the paper's open problem.
 //
-// m must be at least 2 so "time 0" and "time 1-ε" are distinct ticks.
-func Adversary(s, m int) *Instance {
+// s must be at least 1, and m at least 2 so "time 0" and "time 1-ε"
+// are distinct ticks; any other s or m is an error, not a different
+// instance, since callers read makespans in units of their own m.
+func Adversary(s, m int) (*Instance, error) {
 	if s < 1 {
-		s = 1
+		return nil, fmt.Errorf("sched: adversary needs s >= 1 objects, got %d", s)
 	}
-	if m < 2 {
-		m = 2
+	if err := checkUnit(m); err != nil {
+		return nil, err
 	}
 	specs := make([]TxSpec, s+1)
 	for i := 0; i <= s; i++ {
@@ -43,7 +48,17 @@ func Adversary(s, m int) *Instance {
 			Label:     "T" + strconv.Itoa(i),
 		}
 	}
-	return &Instance{Specs: specs, Objects: s}
+	return &Instance{Specs: specs, Objects: s}, nil
+}
+
+// checkUnit rejects a time unit m too short to hold two distinct
+// ticks, the least an instance with an access at the start and at the
+// end of a unit can be built on.
+func checkUnit(m int) error {
+	if m < 2 {
+		return fmt.Errorf("sched: a time unit needs m >= 2 ticks, got %d", m)
+	}
+	return nil
 }
 
 // EvenOddOrder is the list order that achieves the optimal makespan 2
@@ -64,10 +79,11 @@ func EvenOddOrder(n int) []int {
 // start of an attempt of length m >= 2, so whichever transaction is
 // mid-flight is aborted by the other's restart before it can commit,
 // forever ("if a contention manager always advises transactions to
-// abort one another, then live-lock can happen").
-func LivelockInstance(m int) *Instance {
-	if m < 2 {
-		m = 2
+// abort one another, then live-lock can happen"). An m below 2 is an
+// error.
+func LivelockInstance(m int) (*Instance, error) {
+	if err := checkUnit(m); err != nil {
+		return nil, err
 	}
 	return &Instance{
 		Objects: 1,
@@ -81,15 +97,16 @@ func LivelockInstance(m int) *Instance {
 				Accesses: []Access{{Offset: 0, Object: 0}},
 			},
 		},
-	}
+	}, nil
 }
 
 // CycleInstance is the two-transaction cyclic-conflict instance that
 // deadlocks an always-wait manager and livelocks an always-abort one:
-// T0 opens A then B, T1 opens B then A, at mirrored offsets.
-func CycleInstance(m int) *Instance {
-	if m < 2 {
-		m = 2
+// T0 opens A then B, T1 opens B then A, at mirrored offsets. An m
+// below 2 is an error.
+func CycleInstance(m int) (*Instance, error) {
+	if err := checkUnit(m); err != nil {
+		return nil, err
 	}
 	return &Instance{
 		Objects: 2,
@@ -103,5 +120,5 @@ func CycleInstance(m int) *Instance {
 				Accesses: []Access{{Offset: 0, Object: 1}, {Offset: m - 1, Object: 0}},
 			},
 		},
-	}
+	}, nil
 }

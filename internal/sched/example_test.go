@@ -10,7 +10,11 @@ import (
 func ExampleSimulate() {
 	// The paper's Section 4 adversary with s=2 objects: greedy commits
 	// one transaction per round, for a makespan of s+1 = 3 time units.
-	ins := sched.Adversary(2, 2)
+	ins, err := sched.Adversary(2, 2)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	res, err := sched.Simulate(ins, core.MustFactory("greedy"), 0)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -48,7 +52,11 @@ func ExampleSystem_Optimal() {
 func ExampleMeasureRatio() {
 	// Theorem 9 on the s=3 adversary: greedy's makespan stays within
 	// s(s+1)+2 of the exact optimum.
-	ins := sched.Adversary(3, 2)
+	ins, err := sched.Adversary(3, 2)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	report, err := sched.MeasureRatio(ins)
 	if err != nil {
 		fmt.Println("error:", err)

@@ -19,6 +19,15 @@ var (
 	timid      = func() stm.Manager { return &core.QueueOnBlock{} }
 )
 
+// mustInstance unwraps an instance built from a test's constant,
+// valid parameters.
+func mustInstance(ins *sched.Instance, err error) *sched.Instance {
+	if err != nil {
+		panic(err)
+	}
+	return ins
+}
+
 func unit(id, length int, objects ...int) sched.Task {
 	need := make(map[int]float64)
 	for _, o := range objects {
@@ -234,10 +243,37 @@ func TestGareyGrahamListBound(t *testing.T) {
 
 // --- The Section 4 adversarial instance ---
 
+// TestInstancesRejectBadParameters: an adversary without an object or
+// an instance whose time unit is under two ticks is an error, not a
+// silently different instance, since a caller divides the makespan by
+// the m it asked for.
+func TestInstancesRejectBadParameters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+		bad  bool
+	}{
+		{"Adversary(0, 2)", second(sched.Adversary(0, 2)), true},
+		{"Adversary(-1, 2)", second(sched.Adversary(-1, 2)), true},
+		{"Adversary(2, 1)", second(sched.Adversary(2, 1)), true},
+		{"LivelockInstance(1)", second(sched.LivelockInstance(1)), true},
+		{"CycleInstance(0)", second(sched.CycleInstance(0)), true},
+		{"Adversary(1, 2)", second(sched.Adversary(1, 2)), false},
+		{"LivelockInstance(2)", second(sched.LivelockInstance(2)), false},
+		{"CycleInstance(3)", second(sched.CycleInstance(3)), false},
+	} {
+		if (c.err != nil) != c.bad {
+			t.Errorf("%s: error %v, want an error: %t", c.name, c.err, c.bad)
+		}
+	}
+}
+
+func second(_ *sched.Instance, err error) error { return err }
+
 func TestAdversaryGreedyMakespanIsSPlusOne(t *testing.T) {
 	for _, s := range []int{1, 2, 3, 5, 8} {
 		const m = 2
-		ins := sched.Adversary(s, m)
+		ins := mustInstance(sched.Adversary(s, m))
 		res, err := sched.Simulate(ins, greedy, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +294,7 @@ func TestAdversaryGreedyMakespanIsSPlusOne(t *testing.T) {
 func TestAdversaryOptimalIsTwo(t *testing.T) {
 	for _, s := range []int{2, 3, 5} {
 		const m = 2
-		sys := sched.TaskSystemOf(sched.Adversary(s, m))
+		sys := sched.TaskSystemOf(mustInstance(sched.Adversary(s, m)))
 		list, err := sys.ListSchedule(sched.EvenOddOrder(s + 1))
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +359,7 @@ func TestTheorem1BoundedAborts(t *testing.T) {
 }
 
 func TestTimidDeadlocksOnCycle(t *testing.T) {
-	ins := sched.CycleInstance(2)
+	ins := mustInstance(sched.CycleInstance(2))
 	res, err := sched.Simulate(ins, timid, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +370,7 @@ func TestTimidDeadlocksOnCycle(t *testing.T) {
 }
 
 func TestAggressiveLivelocksOnSameObject(t *testing.T) {
-	ins := sched.LivelockInstance(2)
+	ins := mustInstance(sched.LivelockInstance(2))
 	res, err := sched.Simulate(ins, aggressive, 400)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +384,7 @@ func TestAggressiveLivelocksOnSameObject(t *testing.T) {
 }
 
 func TestGreedyResolvesLivelockInstance(t *testing.T) {
-	ins := sched.LivelockInstance(2)
+	ins := mustInstance(sched.LivelockInstance(2))
 	res, err := sched.Simulate(ins, greedy, 400)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +398,7 @@ func TestGreedyResolvesLivelockInstance(t *testing.T) {
 }
 
 func TestGreedyResolvesCycle(t *testing.T) {
-	ins := sched.CycleInstance(2)
+	ins := mustInstance(sched.CycleInstance(2))
 	res, err := sched.Simulate(ins, greedy, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +412,7 @@ func TestGreedyResolvesCycle(t *testing.T) {
 }
 
 func TestKarmaCompletesCycle(t *testing.T) {
-	ins := sched.CycleInstance(2)
+	ins := mustInstance(sched.CycleInstance(2))
 	res, err := sched.Simulate(ins, karma, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +423,7 @@ func TestKarmaCompletesCycle(t *testing.T) {
 }
 
 func TestRandomizedUsuallyCompletes(t *testing.T) {
-	ins := sched.CycleInstance(2)
+	ins := mustInstance(sched.CycleInstance(2))
 	seed := uint64(42)
 	coin := func() stm.Manager {
 		seed++
@@ -411,8 +447,8 @@ func TestRandomizedUsuallyCompletes(t *testing.T) {
 func TestEveryManagerTerminates(t *testing.T) {
 	for _, name := range core.Names() {
 		for instance, ins := range map[string]*sched.Instance{
-			"cycle":       sched.CycleInstance(2),
-			"same-object": sched.LivelockInstance(2),
+			"cycle":       mustInstance(sched.CycleInstance(2)),
+			"same-object": mustInstance(sched.LivelockInstance(2)),
 		} {
 			res, err := sched.Simulate(ins, core.MustFactory(name), 1_000)
 			if err != nil {

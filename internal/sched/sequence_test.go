@@ -115,8 +115,8 @@ func TestMeasureSequencesGreedyVsKarma(t *testing.T) {
 
 func TestStudyRandomizedCompletesHardInstances(t *testing.T) {
 	for name, ins := range map[string]*sched.Instance{
-		"cycle":       sched.CycleInstance(2),
-		"same-object": sched.LivelockInstance(2),
+		"cycle":       mustInstance(sched.CycleInstance(2)),
+		"same-object": mustInstance(sched.LivelockInstance(2)),
 	} {
 		study, err := sched.StudyRandomized(ins, 0.5, 50, 100_000)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestStudyRandomizedCompletesHardInstances(t *testing.T) {
 
 func TestStudyRandomizedDegenerateP(t *testing.T) {
 	// p=0 is the always-wait manager: the cycle instance must fail.
-	study, err := sched.StudyRandomized(sched.CycleInstance(2), 0, 5, 500)
+	study, err := sched.StudyRandomized(mustInstance(sched.CycleInstance(2)), 0, 5, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestStudyRandomizedDegenerateP(t *testing.T) {
 		t.Fatalf("p=0 completed %.0f%% of cycle runs; expected deadlock", 100*study.CompletedFraction)
 	}
 	// p=1 is always-abort: the same-object instance must fail.
-	study, err = sched.StudyRandomized(sched.LivelockInstance(2), 1, 5, 500)
+	study, err = sched.StudyRandomized(mustInstance(sched.LivelockInstance(2)), 1, 5, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStudyRandomizedDegenerateP(t *testing.T) {
 func TestSequencesBackwardCompatibleNil(t *testing.T) {
 	// Instances without sequences behave exactly as before: this is
 	// the adversary regression re-run through the new code path.
-	ins := sched.Adversary(3, 2)
+	ins := mustInstance(sched.Adversary(3, 2))
 	if ins.Sequences != nil {
 		t.Fatal("adversary should not define sequences")
 	}

@@ -18,6 +18,26 @@ func TestTxDescriptorSize(t *testing.T) {
 	}
 }
 
+// TestCellSize pins a version's layout: a locator is an owner and a
+// pre-image pointer, and a cell is that locator followed directly by
+// the payload, so a pointer-sized payload's version is three words. A
+// read-set entry is the object and the locator it saw.
+func TestCellSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"locator", unsafe.Sizeof(locator{}), 16},
+		{"cell[*int]", unsafe.Sizeof(cell[*int]{}), 24},
+		{"cell[int]", unsafe.Sizeof(cell[int]{}), 24},
+		{"readEntry", unsafe.Sizeof(readEntry{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestAttemptAllocBudget pins absolute allocation counts for the
 // attempt path on a pooled session in steady state: what DSTM's
 // protocol makes unavoidable (one descriptor per writer attempt, one
@@ -63,7 +83,7 @@ func TestAttemptAllocBudget(t *testing.T) {
 			}
 			return Update(tx, counter, incr)
 		})},
-		// the Var, and the initial locator and box in one cell
+		// the Var, and its birth cell
 		{"NewVar", 2, func() { sink = NewVar(7) }},
 	} {
 		if got := testing.AllocsPerRun(500, c.fn); got != c.want {
@@ -72,8 +92,8 @@ func TestAttemptAllocBudget(t *testing.T) {
 	}
 	_ = sink
 
-	// And in bytes: a 24 B descriptor and a 48 B cell (a 32 B locator
-	// and a 16 B box).
+	// And in bytes: a 32 B descriptor and a 24 B cell (a 16 B locator
+	// and the 8 B int).
 	const runs = 2000
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -81,8 +101,8 @@ func TestAttemptAllocBudget(t *testing.T) {
 		update()
 	}
 	runtime.ReadMemStats(&m1)
-	if perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs; perOp > 96 {
-		t.Errorf("typed Update: %d B per transaction, want <= 96", perOp)
+	if perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs; perOp > 56 {
+		t.Errorf("typed Update: %d B per transaction, want <= 56", perOp)
 	}
 }
 

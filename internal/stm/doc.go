@@ -61,14 +61,15 @@
 //
 // # The engine
 //
-// Var[T] is the DSTM transactional object. Each Var holds a locator: a
-// triple of (owner transaction, pre-image, new version) installed by
-// compare-and-swap; the pre-image is let go once the owner commits, so
-// a committed object keeps none of its history alive. The locator
-// machinery is untyped and unexported — a version is one allocation,
-// its locator and a boxed T, behind a one-method interface — so one
-// read set and one conflict protocol serve every payload type, and
-// nothing outside this package can reach a locator.
+// Var[T] is the DSTM transactional object. Each Var holds a locator:
+// (owner transaction, pre-image) followed by the new version in the
+// same allocation, installed by compare-and-swap; the pre-image is let
+// go once the owner commits, so a committed object keeps none of its
+// history alive. The locator machinery is untyped and unexported — a
+// version is one allocation, its locator then its T, and the locator
+// is what the engine reads, records and validates — so one read set
+// and one conflict protocol serve every payload type, and nothing
+// outside this package can reach a locator.
 // A transaction commits by changing its status word from active to
 // committed with a single compare-and-swap; one transaction aborts
 // another the same way. Conflict detection is eager: a transaction

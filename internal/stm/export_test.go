@@ -21,7 +21,7 @@ func CommitUnbumped[T any](x T, vars ...*Var[T]) {
 	w := &Tx{}
 	w.status.Store(int32(StatusCommitted))
 	for _, v := range vars {
-		l := newCell(v, x, w)
+		l := newCell(x, w)
 		l.prev.Store(v.obj.loc.Load().base())
 		v.obj.loc.Store(l)
 	}

@@ -36,20 +36,20 @@ func WithLazyConflicts() Option {
 	return func(s *STM) { s.lazy = true }
 }
 
-// openWriteLazy buffers a private clone of the object's committed
-// version in the transaction's write buffer, as a cell owned by tx that
-// commit installs as it is (or mk(tx), when the caller replaces the
-// whole value — see openWrite). The pre-image is
+// openWriteLazy buffers mk(tx, base) — a private version made from the
+// object's committed version base (see openWrite) — in the
+// transaction's write buffer, as a cell owned by tx that commit
+// installs as it is. The pre-image is
 // recorded in the read set, which is what commit-time validation
 // checks: if any base version moved, the transaction aborts itself
 // and retries.
-func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
+func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx, base *locator) *locator) (*locator, error) {
 	if err := tx.step(); err != nil {
 		return nil, err
 	}
 	sess := tx.sess
 	if l, ok := sess.lazyWrites[o]; ok {
-		return l.newVal, nil
+		return l, nil
 	}
 	// Record the pre-image for commit-time validation. This is one
 	// write acquisition, not a read followed by a write: the manager
@@ -62,16 +62,10 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error)
 		// An active owner is a lazy writer inside its commit, whose
 		// pre-image is the committed version: take it, with no
 		// enemy-resolution loop; validation catches the writer's CAS.
-		l, _ := tx.openBase(o.loc.Load())
-		base = l.newVal
+		base, _ = tx.openBase(o.loc.Load())
 		tx.recordRead(o, base)
 	}
-	var clone *locator
-	if mk != nil {
-		clone = mk(tx)
-	} else {
-		clone = base.cloneCell(tx)
-	}
+	clone := mk(tx, base)
 	if sess.lazyWrites == nil {
 		sess.lazyWrites = make(map[*tobj]*locator, 4)
 	}
@@ -87,7 +81,7 @@ func (o *tobj) openWriteLazy(tx *Tx, mk func(owner *Tx) *locator) (value, error)
 	if !tx.validate() {
 		return nil, ErrAborted
 	}
-	return clone.newVal, nil
+	return clone, nil
 }
 
 // tryCommitReadOnly is the clock-stable read-only commit shared by the

@@ -42,7 +42,7 @@ type session struct {
 	// in open order, and are looked up by linear scan; the rest go to
 	// the map (nil until a transaction first needs it).
 	reads    []readEntry
-	overflow map[*tobj]value
+	overflow map[*tobj]*locator
 	// writeStripes holds the commit-stripe index of every object the
 	// attempt has open for writing, in open order — what commit needs
 	// of the write set to lock it (and to know there is one);

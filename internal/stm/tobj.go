@@ -6,57 +6,48 @@ import (
 	"time"
 )
 
-// value is a committed or tentative version as the locator engine sees
-// it: untyped, so one read set and one locator layout serve every
-// Var[T]. Its only implementation is varBox[T]. Opening an object for
-// writing hands the transaction a private copy in a new cell (see
-// cell), which becomes the committed version if and only if the
-// transaction commits.
-type value interface {
-	// cloneCell returns a new cell owned by owner whose box holds a
-	// private copy of this version.
-	cloneCell(owner *Tx) *locator
-}
-
-// locator is the DSTM indirection record. Every locator is the head of
-// a cell whose box is its newVal, so a version is one allocation and a
-// committed read touches the variable's slot and that cell only. The
-// object's current committed version is determined by prev first and
-// the owner's frozen status only when prev is set:
+// locator is the DSTM indirection record, and it is the version: every
+// locator is the head of a cell (see cell in var.go) whose payload
+// follows it in the same allocation, so a version is one allocation
+// and a committed read touches the variable's slot and that cell only.
+// The engine is untyped — one read set and one conflict protocol serve
+// every Var[T] — and only the typed API, which made the cell, reaches
+// the payload. The object's current committed version is determined by
+// prev first and the owner's frozen status only when prev is set:
 //
-//	prev nil               -> newVal (owner nil, or committed and released)
-//	owner committed        -> newVal
-//	owner aborted          -> the pre-image, prev.newVal
-//	owner active           -> the pre-image (the tentative newVal is private)
+//	prev nil               -> this locator (owner nil, or committed and released)
+//	owner committed        -> this locator
+//	owner aborted          -> the pre-image, prev
+//	owner active           -> the pre-image (the tentative payload is private)
 //
-// Ownership changes by installing a whole new locator with CAS; owner
-// and newVal never change once a locator is installed.
+// Ownership changes by installing a whole new locator with CAS. A
+// locator's owner never changes, and its payload changes only while
+// that owner is active, in place, by the owner, whose tentative
+// version nobody else reads.
 //
 // The pre-image is held as a pointer to the locator that committed it
-// (prev, whose newVal it is) and not as a second value, so that it can
-// be let go: a committed owner's pre-image is dead, and the owner
-// clears prev right after its status CAS and clock bump
-// (Tx.releasePreimages). Were it kept — as DSTM's oldVal is — every
-// written object would pin its previous version until its next write,
-// and a version that holds a pointer pins whatever that reaches: in a
-// Deque the popped predecessor run, whose own link pins its
-// predecessor, so every run ever popped (TestDequeBoundedHeap). prev
-// always points at a locator whose own owner is nil or committed,
-// never through an aborted one, so the chain it keeps alive is one
-// cell long.
+// (prev) and not as a second value, so that it can be let go: a
+// committed owner's pre-image is dead, and the owner clears prev right
+// after its status CAS and clock bump (Tx.releasePreimages). Were it
+// kept — as DSTM's oldVal is — every written object would pin its
+// previous version until its next write, and a version that holds a
+// pointer pins whatever that reaches: in a Deque the popped predecessor
+// run, whose own link pins its predecessor, so every run ever popped
+// (TestDequeBoundedHeap). prev always points at a locator whose own
+// owner is nil or committed, never through an aborted one, so the chain
+// it keeps alive is one cell long.
 //
 // An install stores prev before the store or CAS that publishes the
 // locator, and prev is cleared only after the owner's status CAS has
 // succeeded, so a reader that loads prev nil knows the version is
 // committed without loading the owner's descriptor.
 type locator struct {
-	owner  *Tx
-	prev   atomic.Pointer[locator]
-	newVal value
+	owner *Tx
+	prev  atomic.Pointer[locator]
 }
 
-// base returns the locator whose newVal is the committed version this
-// locator records, which is stable provided the owner is not active.
+// base returns the locator that is the committed version this locator
+// records, which is stable provided the owner is not active.
 func (l *locator) base() *locator {
 	p := l.prev.Load()
 	if p == nil || l.owner.Status() == StatusCommitted {
@@ -66,7 +57,7 @@ func (l *locator) base() *locator {
 }
 
 // openBase is base for an open by tx, which also learns of an active
-// owner: it returns the locator holding l's committed version and, when
+// owner: it returns the locator that is l's committed version and, when
 // l's owner is still active, that owner as the enemy to resolve. A
 // locator whose owner has committed but not yet released prev belongs
 // to a writer that may not have bumped the commit clock, so validate's
@@ -130,8 +121,8 @@ func (o *tobj) String() string {
 // is exact at some instant during the call; with an active owner the
 // answer is the owner's pre-image, which is correct because an active
 // owner's tentative version is private.
-func (o *tobj) committed() value {
-	return o.loc.Load().base().newVal
+func (o *tobj) committed() *locator {
+	return o.loc.Load().base()
 }
 
 // openWrite acquires the object for writing on behalf of tx and
@@ -140,13 +131,13 @@ func (o *tobj) committed() value {
 // manager chooses between aborting the enemy and waiting, and the STM
 // retries until the object is free or tx itself dies.
 //
-// A fresh acquisition installs a cell holding a clone of the committed
-// version, or mk(tx) when mk is non-nil: callers that overwrite the
-// whole value (the typed Write) use it to skip a clone they would
-// immediately discard. When the transaction already owns the object,
-// the existing private version is returned and the caller overwrites
-// it in place.
-func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
+// A fresh acquisition installs mk(tx, base), a new cell owned by tx
+// made from the committed version base: a copy of it for a
+// read-modify-write, or the new value outright for the typed Write,
+// which skips a copy it would immediately discard. When the
+// transaction already owns the object, the existing private version is
+// returned and the caller overwrites it in place.
+func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx, base *locator) *locator) (*locator, error) {
 	if tx.sess.stm.lazy {
 		return o.openWriteLazy(tx, mk)
 	}
@@ -156,7 +147,7 @@ func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 		}
 		l := o.loc.Load()
 		if l.owner == tx {
-			return l.newVal, nil // already ours (write after write)
+			return l, nil // already ours (write after write)
 		}
 		base, enemy := tx.openBase(l)
 		if enemy != nil {
@@ -167,12 +158,7 @@ func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 		}
 		// Owner is nil or frozen: base is stable for as long as l
 		// stays installed, and our CAS fails if it does not.
-		var nl *locator
-		if mk != nil {
-			nl = mk(tx)
-		} else {
-			nl = base.newVal.cloneCell(tx)
-		}
+		nl := mk(tx, base)
 		nl.prev.Store(base)
 		if !o.loc.CompareAndSwap(l, nl) {
 			tx.backoff(spin)
@@ -192,7 +178,7 @@ func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 		if err := tx.checkOpaque(); err != nil {
 			return nil, err
 		}
-		return nl.newVal, nil
+		return nl, nil
 	}
 }
 
@@ -200,7 +186,7 @@ func (o *tobj) openWrite(tx *Tx, mk func(owner *Tx) *locator) (value, error) {
 // returns it. Reads are invisible to writers, but an active writer is
 // a conflict for the reader (as in DSTM): the contention manager
 // arbitrates before the read can proceed.
-func (o *tobj) openRead(tx *Tx) (value, error) {
+func (o *tobj) openRead(tx *Tx) (*locator, error) {
 	for {
 		// The status check follows the locator load, as in checkOpaque.
 		// An enemy takes an object this attempt wrote only after
@@ -214,10 +200,10 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 		}
 		// Read own write.
 		if lw, ok := tx.sess.lazyWrites[o]; ok {
-			return lw.newVal, nil
+			return lw, nil
 		}
 		if l.owner == tx {
-			return l.newVal, nil
+			return l, nil
 		}
 		// Repeated read: return the recorded version for a stable view.
 		if v, ok := tx.lookupRead(o); ok {
@@ -232,8 +218,7 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 			}
 			continue
 		}
-		v := base.newVal
-		tx.recordRead(o, v)
+		tx.recordRead(o, base)
 		tx.sess.opens++
 		tx.sess.mgr.Opened(tx, false)
 		tx.sess.stats.opens.Add(1)
@@ -244,7 +229,7 @@ func (o *tobj) openRead(tx *Tx) (value, error) {
 		if err := tx.checkOpaque(); err != nil {
 			return nil, err
 		}
-		return v, nil
+		return base, nil
 	}
 }
 

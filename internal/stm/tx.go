@@ -272,7 +272,7 @@ func (tx *Tx) maybeYield() {
 // the version observed.
 type readEntry struct {
 	obj  *tobj
-	seen value
+	seen *locator
 }
 
 // inlineReads is the number of read-set entries kept in the session's
@@ -307,7 +307,7 @@ const InlineReads = inlineReads
 
 // lookupRead returns the version the attempt has recorded for obj, if
 // any: the slice first, then the overflow map.
-func (tx *Tx) lookupRead(obj *tobj) (value, bool) {
+func (tx *Tx) lookupRead(obj *tobj) (*locator, bool) {
 	sess := tx.sess
 	for i := range sess.reads {
 		if sess.reads[i].obj == obj {
@@ -325,14 +325,14 @@ func (tx *Tx) lookupRead(obj *tobj) (value, bool) {
 // The caller (openRead) has already checked lookupRead and found
 // nothing, and only the owning goroutine mutates the read set, so no
 // duplicate check is repeated here — this is the hottest read path.
-func (tx *Tx) recordRead(obj *tobj, v value) {
+func (tx *Tx) recordRead(obj *tobj, v *locator) {
 	sess := tx.sess
 	if len(sess.reads) < inlineReads {
 		sess.reads = append(sess.reads, readEntry{obj, v})
 		return
 	}
 	if sess.overflow == nil {
-		sess.overflow = make(map[*tobj]value, 2*inlineReads)
+		sess.overflow = make(map[*tobj]*locator, 2*inlineReads)
 	}
 	sess.overflow[obj] = v
 }
@@ -393,7 +393,7 @@ func (tx *Tx) validateReads(lockAware bool) readFault {
 // other's acquisition, which is impossible, so at least one fails.
 // (Checked the other way around, a stale version read could pair with
 // a post-release owner read and let both commit.)
-func (tx *Tx) readStillValid(obj *tobj, seen value, lockAware bool) readFault {
+func (tx *Tx) readStillValid(obj *tobj, seen *locator, lockAware bool) readFault {
 	if lockAware {
 		if owner := tx.sess.stm.stripes[obj.stripe].owner.Load(); owner != nil && owner != tx {
 			return readHeld

@@ -1,38 +1,23 @@
 package stm
 
+import "unsafe"
+
 // This file is the transactional API: Var[T] is the transactional
 // object, and Read/Write/Update and friends hand callers T directly —
 // no interface, no type assertions, no panic surface. Underneath, every
 // Var embeds the same untyped core (tobj: locator slot, commit stripe,
-// label) and its versions are varBox[T] values, so one read set, one
-// locator layout and one conflict protocol — everything the contention
-// managers see — serve every payload type. Opening for writing performs
-// exactly one allocation, a cell holding the new locator and its
-// varBox, and reads allocate nothing (TestAttemptAllocBudget).
+// label) and each of its versions is a cell[T] whose head is the
+// locator the engine works with, so one read set, one locator layout
+// and one conflict protocol — everything the contention managers see —
+// serve every payload type. Opening for writing performs exactly one
+// allocation, the cell of the new version, and reads allocate nothing
+// (TestAttemptAllocBudget).
 
 // Cloner is a pluggable deep-copy strategy for a Var's payload. The
 // returned value must not share mutable state with the argument:
 // mutations of one must not be observable through the other. *Var
 // handles are immutable and may be shared freely.
 type Cloner[T any] func(T) T
-
-// varBox adapts a typed payload to the untyped locator engine. The
-// back-pointer carries the Var's clone strategy into cloneCell, which
-// the engine invokes without knowing the payload type.
-type varBox[T any] struct {
-	va  *Var[T]
-	val T
-}
-
-// cloneCell implements value: a new cell holding a shallow copy of the
-// payload, deepened by the Var's Cloner when one is installed.
-func (b *varBox[T]) cloneCell(owner *Tx) *locator {
-	val := b.val
-	if cl := b.va.clone; cl != nil {
-		val = cl(val)
-	}
-	return newCell(b.va, val, owner)
-}
 
 // Var is a transactional variable holding a T: a shared handle whose
 // versioned contents are accessed inside transactions with Read, Write
@@ -50,33 +35,61 @@ type Var[T any] struct {
 	clone Cloner[T]
 }
 
-// cell is one version of a Var: a locator and the box it carries as
-// newVal, in one allocation. Every version is made as a cell — the
-// birth value (NewVar, MakeVars), an eager writer's tentative version
-// and a lazy writer's buffered one (cloneCell, or Write's whole-value
-// constructor) — so writing an object costs one allocation, and a
-// committed read loads the Var's slot and this cell only. The two
-// halves can share a cell because they are needed for exactly the same
-// span: while the locator is installed, and then as the next writer's
-// pre-image (prev points at the locator, whose newVal is the box) until
-// that writer commits and lets go. A read set's seen version pins the
-// cell, and with it the locator's owner descriptor, only until the
-// attempt ends. Folding the initial locator into the Var would instead
-// keep it — and the birth value it points at — alive as long as the
-// Var: in a Deque the birth value of a link is the neighbouring run,
-// whose own links pin their birth neighbours, i.e. every popped run
-// forever (TestDequeBoundedHeap; DESIGN.md §1).
+// cell is one version of a Var: its locator followed by its payload,
+// in one allocation. Every version is made as a cell — the birth value
+// (NewVar, MakeVars), an eager writer's tentative version and a lazy
+// writer's buffered one (copyCell, or Write's whole-value constructor)
+// — so writing an object costs one allocation, and a committed read
+// loads the Var's slot and this cell only. The locator is the first
+// field, so the engine's *locator is the cell's address and payload
+// recovers the cell from it. The two halves can share a cell because
+// they are needed for exactly the same span: while the locator is
+// installed, and then as the next writer's pre-image (prev) until that
+// writer commits and lets go. A read set's seen version pins the cell,
+// and with it the locator's owner descriptor, only until the attempt
+// ends. Folding the initial locator into the Var would instead keep it
+// — and the birth value it carries — alive as long as the Var: in a
+// Deque the birth value of a link is the neighbouring run, whose own
+// links pin their birth neighbours, i.e. every popped run forever
+// (TestDequeBoundedHeap; DESIGN.md §1).
 type cell[T any] struct {
 	loc locator
-	box varBox[T]
+	val T
 }
 
-// newCell allocates a version of va holding val, owned by owner (nil
-// for a birth value), and returns its locator.
-func newCell[T any](va *Var[T], val T, owner *Tx) *locator {
-	c := &cell[T]{loc: locator{owner: owner}, box: varBox[T]{va: va, val: val}}
-	c.loc.newVal = &c.box
+// newCell allocates a version holding val, owned by owner (nil for a
+// birth value), and returns its locator.
+func newCell[T any](val T, owner *Tx) *locator {
+	c := &cell[T]{loc: locator{owner: owner}, val: val}
 	return &c.loc
+}
+
+// payload returns the value of the version l, which must be the
+// locator of a cell[T]: every locator of a Var[T] is one, since only
+// the Var's own API makes them.
+func payload[T any](l *locator) *T {
+	return &(*cell[T])(unsafe.Pointer(l)).val
+}
+
+// copyCell is openWrite's constructor for a read-modify-write: a new
+// version owned by owner holding a copy of base's payload, deepened by
+// the Var's Cloner when one is installed.
+func (v *Var[T]) copyCell(owner *Tx, base *locator) *locator {
+	x := *payload[T](base)
+	if v.clone != nil {
+		x = v.clone(x)
+	}
+	return newCell(x, owner)
+}
+
+// open opens v for writing and returns the transaction's private
+// version to modify in place.
+func (v *Var[T]) open(tx *Tx) (*T, error) {
+	l, err := v.obj.openWrite(tx, v.copyCell)
+	if err != nil {
+		return nil, err
+	}
+	return payload[T](l), nil
 }
 
 // NewVar creates a transactional variable whose initial committed
@@ -91,8 +104,8 @@ func NewVar[T any](v T) *Var[T] {
 // each labelled name (as NewNamedVar; "" for none) and holding its
 // element of vals, with the shallow clone strategy. The variables live
 // in the slice, so n of them cost one allocation for the slice and one
-// birth cell each, and a handle is &vars[i]; the slice must not be
-// copied element by element, since a Var's versions point back at it.
+// birth cell each, and a handle is &vars[i]; like any Var, an element
+// must not be copied.
 func MakeVars[T any](name string, vals []T) []Var[T] {
 	vars := make([]Var[T], len(vals))
 	for i, v := range vals {
@@ -105,7 +118,7 @@ func MakeVars[T any](name string, vals []T) []Var[T] {
 // init makes v's birth cell and deals its commit stripe.
 func (v *Var[T]) init(x T) {
 	v.obj.stripe = nextStripe()
-	v.obj.loc.Store(newCell(v, x, nil))
+	v.obj.loc.Store(newCell(x, nil))
 }
 
 // NewVarCloner creates a transactional variable with a deep-copy
@@ -145,7 +158,7 @@ func (v *Var[T]) String() string { return v.obj.String() }
 // Peek returns the current committed value outside any transaction.
 // It is intended for post-run verification in tests and examples;
 // concurrent use is safe but yields only a single-variable snapshot.
-func (v *Var[T]) Peek() T { return v.obj.committed().(*varBox[T]).val }
+func (v *Var[T]) Peek() T { return *payload[T](v.obj.committed()) }
 
 // Read records v's committed value in the transaction's read set and
 // returns it. The returned value is a copy at T's top level, but any
@@ -154,12 +167,12 @@ func (v *Var[T]) Peek() T { return v.obj.committed().(*varBox[T]).val }
 // means the transaction has been aborted or halted and must be
 // propagated out of the transactional function.
 func Read[T any](tx *Tx, v *Var[T]) (T, error) {
-	val, err := v.obj.openRead(tx)
+	l, err := v.obj.openRead(tx)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return val.(*varBox[T]).val, nil
+	return *payload[T](l), nil
 }
 
 // Write opens v for writing and sets the transaction's private version
@@ -175,14 +188,14 @@ func Write[T any](tx *Tx, v *Var[T], x T) error {
 	if v.clone != nil {
 		x = v.clone(x)
 	}
-	val, err := v.obj.openWrite(tx, func(owner *Tx) *locator { return newCell(v, x, owner) })
+	l, err := v.obj.openWrite(tx, func(owner *Tx, _ *locator) *locator { return newCell(x, owner) })
 	if err != nil {
 		return err
 	}
 	// Write-after-write: ownership was already ours, so openWrite
 	// returned the existing private version; overwrite it in place.
 	// (On fresh acquisition this re-stores the value just installed.)
-	val.(*varBox[T]).val = x
+	*payload[T](l) = x
 	return nil
 }
 
@@ -193,12 +206,11 @@ func Write[T any](tx *Tx, v *Var[T], x T) error {
 // of side effects outside the transaction, since an abort retries the
 // whole transactional function. The error contract is Read's.
 func Update[T any](tx *Tx, v *Var[T], f func(T) T) error {
-	val, err := v.obj.openWrite(tx, nil)
+	p, err := v.open(tx)
 	if err != nil {
 		return err
 	}
-	b := val.(*varBox[T])
-	b.val = f(b.val)
+	*p = f(*p)
 	return nil
 }
 
@@ -221,16 +233,15 @@ func Update[T any](tx *Tx, v *Var[T], f func(T) T) error {
 //		return bal - amount, nil
 //	})
 func UpdateErr[T any](tx *Tx, v *Var[T], f func(T) (T, error)) error {
-	val, err := v.obj.openWrite(tx, nil)
+	p, err := v.open(tx)
 	if err != nil {
 		return err
 	}
-	b := val.(*varBox[T])
-	nv, err := f(b.val)
+	nv, err := f(*p)
 	if err != nil {
 		return err
 	}
-	b.val = nv
+	*p = nv
 	return nil
 }
 
@@ -244,14 +255,13 @@ func Swap[T any](tx *Tx, v *Var[T], x T) (T, error) {
 	if v.clone != nil {
 		x = v.clone(x)
 	}
-	val, err := v.obj.openWrite(tx, nil)
+	p, err := v.open(tx)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	b := val.(*varBox[T])
-	old := b.val
-	b.val = x
+	old := *p
+	*p = x
 	return old, nil
 }
 
