@@ -87,14 +87,6 @@ func (tr *traceState) serverOpts() []kv.ServerOption {
 	return []kv.ServerOption{kv.WithAbortLog(tr.abortlog)}
 }
 
-// muxOpts returns the obs.Mux options that mount the HTTP endpoints.
-func (tr *traceState) muxOpts() []obs.MuxOption {
-	if tr == nil {
-		return nil
-	}
-	return []obs.MuxOption{obs.WithConflicts(tr.conflicts)}
-}
-
 // openStore builds the store, and in durable mode replays the data
 // directory into it before attaching a fresh log segment. The returned
 // log is nil in memory-only mode; the caller owns closing it after the
@@ -168,7 +160,7 @@ func saveSchedule(spec, data string) (kv.ServerOption, error) {
 
 // startMetrics serves the observability endpoints — Prometheus
 // /metrics, liveness /healthz, /debug/pprof — from the server's
-// registry on its own listener, so scraping and profiling never
+// statistics on its own listener, so scraping and profiling never
 // contend with the RESP accept loop. Health turns red when the WAL
 // has latched a sticky error: the process answers but is no longer
 // durable, which a probe should treat as down. Empty addr disables;
@@ -188,7 +180,11 @@ func startMetrics(addr string, srv *kv.Server, store *kv.Store, tr *traceState) 
 	if err != nil {
 		return "", nil, fmt.Errorf("metrics listener: %w", err)
 	}
-	hs := &http.Server{Handler: obs.Mux(srv.Registry(), health, tr.muxOpts()...)}
+	var conflicts *obs.Conflicts
+	if tr != nil {
+		conflicts = tr.conflicts
+	}
+	hs := &http.Server{Handler: obs.Mux(srv.WriteMetrics, health, conflicts)}
 	go hs.Serve(ln)
 	return ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -16,7 +16,7 @@
 // scheduling simulator (internal/sched) runs the same managers.
 //
 // The managers comparable in the paper's figures are available through
-// the registry (New, Factories, Names).
+// the registry (Factory, MustFactory, New, Names).
 package core
 
 import (

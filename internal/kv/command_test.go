@@ -21,7 +21,6 @@ func TestCommandTableComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr, stop := startServerWith(t, New(stm.New()))
-	reg := srv.Registry()
 	defer stop()
 
 	seen := make(map[string]bool)
@@ -61,9 +60,7 @@ func TestCommandTableComplete(t *testing.T) {
 	defer c.Close()
 	stats := mustDo(t, c, "INFO", "commandstats").Str
 	var expo bytes.Buffer
-	if err := reg.WriteProm(&expo); err != nil {
-		t.Fatal(err)
-	}
+	srv.WriteMetrics(&expo)
 	samples, err := obs.CheckExposition(expo.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -36,76 +38,99 @@ func WithManagerName(name string) ServerOption {
 	return func(srv *Server) { srv.managerName = name }
 }
 
-// cmdMetrics is one command's counters and latency distribution.
+// cmdMetrics is one command's counters and latency distribution,
+// labelled by name, the command's name in lower case.
 type cmdMetrics struct {
-	calls  *obs.Counter
-	errors *obs.Counter
-	lat    *obs.Histogram
+	name          string
+	calls, errors atomic.Int64
+	lat           obs.Histogram
 }
 
-// serverMetrics bundles the server's own instruments. The event
-// counters are plain obs instruments on the hot path; their one
-// registration is their row in serverStats.
+// serverMetrics bundles the server's own instruments, which the hot
+// path updates and INFO and WriteMetrics read.
 type serverMetrics struct {
-	connections obs.Counter
-	clients     obs.Gauge
-	// cmds is indexed by command.idx — the fixed metric universe,
-	// registered up front so the hot path is an index, never a
-	// registration. The last slot is unknownCommand's.
+	connections atomic.Int64
+	clients     atomic.Int64
+	// cmds is indexed by command.idx — the fixed metric universe, set
+	// up front so the hot path is an index. The last slot is
+	// unknownCommand's.
 	cmds []cmdMetrics
 
 	// commitLat and commitTries are stm_commit_seconds and
 	// stm_commit_attempts: the latency and attempt count of every
 	// command transaction that committed (see observe).
-	commitLat   *obs.Histogram
-	commitTries *obs.Histogram
+	commitLat   obs.Histogram
+	commitTries obs.Histogram
 
-	sweepFailures  obs.Counter
-	sweepReaped    obs.Counter
-	bgsaveFailures obs.Counter
-	replyFlushes   obs.Counter
+	sweepFailures  atomic.Int64
+	sweepReaped    atomic.Int64
+	bgsaveFailures atomic.Int64
+	replyFlushes   atomic.Int64
 }
 
-// registerMetrics builds the server's instruments and registers the
-// histograms and every serverStats row that names a series.
-func (srv *Server) registerMetrics() {
-	reg, lbl := srv.reg, obs.Labels{"manager": srv.managerName}
-	srv.sm = &serverMetrics{
-		cmds: make([]cmdMetrics, len(commandTable)+1),
-		commitLat: reg.Histogram("stm_commit_seconds",
-			"Committed command transactions (sweeper and snapshot chunks excluded): read to commit, retries included.", lbl),
-		commitTries: reg.SizeHistogram("stm_commit_attempts",
-			"Attempts per committed command transaction (1 = first try).", lbl),
+// newCmdMetrics returns a slot for every command and the unknown one.
+func newCmdMetrics() []cmdMetrics {
+	cmds := make([]cmdMetrics, len(commandTable)+1)
+	for _, cmd := range commandTable {
+		cmds[cmd.idx].name = strings.ToLower(cmd.name)
 	}
-	for _, cmd := range append(commandTable, unknownCommand) {
-		lbl := obs.Labels{"cmd": strings.ToLower(cmd.name)}
-		srv.sm.cmds[cmd.idx] = cmdMetrics{
-			calls:  reg.Counter("stmkv_commands_total", "Commands processed.", lbl),
-			errors: reg.Counter("stmkv_command_errors_total", "Commands answered with an error.", lbl),
-			lat:    reg.Histogram("stmkv_command_seconds", "Command wall time, decode to reply.", lbl),
-		}
-	}
+	cmds[unknownCommand.idx].name = strings.ToLower(unknownCommand.name)
+	return cmds
+}
+
+// WriteMetrics writes the server's statistics in the Prometheus text
+// exposition format, as -metrics serves them at /metrics: every
+// serverStats row that names a series, each command's calls, errors
+// and latency, the commit histograms and, on a durable store, the
+// log's fsync and batch-size histograms. One reading serves the scrape.
+func (srv *Server) WriteMetrics(w io.Writer) {
+	r := srv.reading()
 	durable := srv.store.Durable()
-	if durable {
-		l := srv.store.WAL()
-		reg.HistogramFunc("wal_fsync_seconds", "Segment fsync wall time.", nil, l.FsyncLatency)
-		reg.SizeHistogramFunc("wal_batch_ops", "Records per group-commit flush.", nil, l.BatchSizes)
-	}
+	mgr := []string{"manager", srv.managerName}
 	for _, row := range serverStats {
 		if row.metric == "" || row.durable && !durable {
 			continue
 		}
-		var labels obs.Labels
+		var labels []string
 		if row.manager {
-			labels = lbl
+			labels = mgr
 		}
-		// Each series takes a reading of its own at scrape time, which
-		// fetches only what its one row needs.
-		if row.kind == obs.KindGauge {
-			reg.GaugeFunc(row.metric, row.help, labels, func() float64 { _, v := render(row.read(srv.reading())); return v })
+		if row.gauge {
+			obs.WriteFamily(w, row.metric, row.help, "gauge")
+			_, v := render(row.read(r))
+			obs.WriteFloat(w, row.metric, v, labels...)
 		} else {
-			reg.CounterFunc(row.metric, row.help, labels, func() int64 { return row.read(srv.reading()).(int64) })
+			obs.WriteFamily(w, row.metric, row.help, "counter")
+			obs.WriteInt(w, row.metric, row.read(r).(int64), labels...)
 		}
+	}
+
+	cmds := srv.sm.cmds
+	obs.WriteFamily(w, "stmkv_commands_total", "Commands processed.", "counter")
+	for i := range cmds {
+		obs.WriteInt(w, "stmkv_commands_total", cmds[i].calls.Load(), "cmd", cmds[i].name)
+	}
+	obs.WriteFamily(w, "stmkv_command_errors_total", "Commands answered with an error.", "counter")
+	for i := range cmds {
+		obs.WriteInt(w, "stmkv_command_errors_total", cmds[i].errors.Load(), "cmd", cmds[i].name)
+	}
+	obs.WriteFamily(w, "stmkv_command_seconds", "Command wall time, decode to reply.", "histogram")
+	for i := range cmds {
+		obs.WriteHistogram(w, "stmkv_command_seconds", cmds[i].lat.Snapshot(), 1e-9, "cmd", cmds[i].name)
+	}
+
+	histogram := func(name, help string, h *metrics.Histogram, scale float64, labels ...string) {
+		obs.WriteFamily(w, name, help, "histogram")
+		obs.WriteHistogram(w, name, h, scale, labels...)
+	}
+	histogram("stm_commit_seconds", "Committed command transactions (sweeper and snapshot chunks excluded): read to commit, retries included.",
+		srv.sm.commitLat.Snapshot(), 1e-9, mgr...)
+	histogram("stm_commit_attempts", "Attempts per committed command transaction (1 = first try).",
+		srv.sm.commitTries.Snapshot(), 1, mgr...)
+	if durable {
+		l := srv.store.WAL()
+		histogram("wal_fsync_seconds", "Segment fsync wall time.", l.FsyncLatency(), 1e-9)
+		histogram("wal_batch_ops", "Records per group-commit flush.", l.BatchSizes(), 1)
 	}
 }
 
@@ -119,9 +144,9 @@ func (srv *Server) registerMetrics() {
 // for the log is not counted.
 func (srv *Server) observe(h *heldReply) {
 	m := &srv.sm.cmds[h.cmd.idx]
-	m.calls.Inc()
+	m.calls.Add(1)
 	if h.reply.IsError() {
-		m.errors.Inc()
+		m.errors.Add(1)
 	}
 	now := metrics.Mono()
 	dur := now - h.start
@@ -138,10 +163,6 @@ func (srv *Server) observe(h *heldReply) {
 		srv.slow.note(h.argv, dur, h.cost)
 	}
 }
-
-// Registry returns the registry holding the server's metrics, for
-// serving over HTTP.
-func (srv *Server) Registry() *obs.Registry { return srv.reg }
 
 // slowEntry is one recorded slow command. attempts and waitNs carry
 // the engine's verdict on *why* it was slow: a command with many
@@ -271,10 +292,10 @@ func (srv *Server) infoReply(_ *connState, a *args) resp.Value {
 			sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
 			for _, cmd := range byName {
 				m := &srv.sm.cmds[cmd.idx]
-				if calls := m.calls.Value(); calls > 0 {
+				if calls := m.calls.Load(); calls > 0 {
 					snap := m.lat.Snapshot()
 					fmt.Fprintf(&b, "cmdstat_%s:calls=%d,errors=%d,p50_usec=%d,p99_usec=%d\r\n",
-						strings.ToLower(cmd.name), calls, m.errors.Value(),
+						m.name, calls, m.errors.Load(),
 						snap.Quantile(0.50).Microseconds(), snap.Quantile(0.99).Microseconds())
 				}
 			}
@@ -293,10 +314,10 @@ func (srv *Server) infoReply(_ *connState, a *args) resp.Value {
 // an INFO line and, if metric is set, a /metrics series.
 type stat struct {
 	section, key string
-	// The series: its name, help and kind, and the manager label.
-	metric, help string
-	kind         obs.Kind
-	manager      bool
+	// The series: its name and help, whether it is a gauge (else a
+	// counter), and whether it carries the manager label.
+	metric, help   string
+	gauge, manager bool
 	// durable rows exist only on a store with a log, in both views.
 	durable bool
 	// read returns the value as render takes it: a number is an int64.
@@ -352,7 +373,7 @@ func mean(h *metrics.Histogram) string {
 }
 
 // serverStats is every scalar statistic of the server, in INFO order.
-// INFO renders a section from its rows; NewServer registers each row
+// INFO renders a section from its rows; WriteMetrics writes each row
 // that names a series.
 var serverStats = []stat{
 	{section: "server", key: "stmkv_version", read: func(*reading) any { return "0.8.0" }},
@@ -363,22 +384,22 @@ var serverStats = []stat{
 	{section: "server", key: "shards", read: func(r *reading) any { return int64(r.srv.store.Shards()) }},
 	{section: "server", key: "durable", read: func(r *reading) any { return int64(boolInt(r.srv.store.Durable())) }},
 
-	{section: "clients", key: "connected_clients", read: func(r *reading) any { return r.srv.sm.clients.Value() },
-		metric: "stmkv_connected_clients", help: "Connections currently open.", kind: obs.KindGauge},
+	{section: "clients", key: "connected_clients", read: func(r *reading) any { return r.srv.sm.clients.Load() },
+		metric: "stmkv_connected_clients", help: "Connections currently open.", gauge: true},
 
-	{section: "stats", key: "total_connections_received", read: func(r *reading) any { return r.srv.sm.connections.Value() },
+	{section: "stats", key: "total_connections_received", read: func(r *reading) any { return r.srv.sm.connections.Load() },
 		metric: "stmkv_connections_total", help: "Connections accepted."},
 	{section: "stats", key: "total_commands_processed", read: func(r *reading) any { n, _ := r.srv.cmdTotals(); return n }},
 	{section: "stats", key: "total_command_errors", read: func(r *reading) any { _, n := r.srv.cmdTotals(); return n }},
-	{section: "stats", key: "reply_flushes", read: func(r *reading) any { return r.srv.sm.replyFlushes.Value() },
+	{section: "stats", key: "reply_flushes", read: func(r *reading) any { return r.srv.sm.replyFlushes.Load() },
 		metric: "stmkv_reply_flushes_total", help: "Batches of replies sent to clients; commands per batch is stmkv_commands_total over this."},
-	{section: "stats", key: "sweeper_failures", read: func(r *reading) any { return r.srv.sm.sweepFailures.Value() },
+	{section: "stats", key: "sweeper_failures", read: func(r *reading) any { return r.srv.sm.sweepFailures.Load() },
 		metric: "stmkv_sweeper_failures_total", help: "Background TTL sweeper passes that failed."},
-	{section: "stats", key: "sweeper_reaped_keys", read: func(r *reading) any { return r.srv.sm.sweepReaped.Value() },
+	{section: "stats", key: "sweeper_reaped_keys", read: func(r *reading) any { return r.srv.sm.sweepReaped.Load() },
 		metric: "stmkv_sweeper_reaped_total", help: "Expired keys removed by the background sweeper."},
 	{section: "stats", key: "expiry_armed_shards", read: func(r *reading) any { return int64(r.srv.store.armedShards()) },
-		metric: "stmkv_expiry_armed_shards", help: "Shards that may hold a key with a TTL; the sweeper skips the rest.", kind: obs.KindGauge},
-	{section: "stats", key: "bgsave_failures", read: func(r *reading) any { return r.srv.sm.bgsaveFailures.Value() },
+		metric: "stmkv_expiry_armed_shards", help: "Shards that may hold a key with a TTL; the sweeper skips the rest.", gauge: true},
+	{section: "stats", key: "bgsave_failures", read: func(r *reading) any { return r.srv.sm.bgsaveFailures.Load() },
 		metric: "stmkv_bgsave_failures_total", help: "Background saves (scheduled or BGSAVE) that failed."},
 	{section: "stats", key: "slowlog_len", read: func(r *reading) any { return r.srv.slow.len() }},
 
@@ -427,39 +448,40 @@ var serverStats = []stat{
 	{section: "wal", key: "dropped", durable: true, read: func(r *reading) any { return r.log().Dropped },
 		metric: "wal_dropped_total", help: "Records refused for exceeding MaxRecord."},
 	{section: "wal", key: "segment", durable: true, read: func(r *reading) any { return int64(r.log().Segment) },
-		metric: "wal_segment", help: "Sequence number of the segment being written.", kind: obs.KindGauge},
+		metric: "wal_segment", help: "Sequence number of the segment being written.", gauge: true},
 	{section: "wal", key: "wal_segments", durable: true, read: func(r *reading) any { return int64(r.log().Segments) },
-		metric: "wal_segments", help: "Segment files in the data directory; falls when a snapshot completes.", kind: obs.KindGauge},
+		metric: "wal_segments", help: "Segment files in the data directory; falls when a snapshot completes.", gauge: true},
 	{section: "wal", key: "snapshots_completed", durable: true, read: func(r *reading) any { return r.log().Snapshots },
 		metric: "wal_snapshots_completed_total", help: "Snapshots published (SAVE, BGSAVE and scheduled)."},
 	{section: "wal", key: "snapshot_last_usec", durable: true, read: func(r *reading) any { return r.log().SnapshotLast },
-		metric: "wal_snapshot_last_seconds", help: "Wall time of the latest completed snapshot, rotation to rename.", kind: obs.KindGauge},
+		metric: "wal_snapshot_last_seconds", help: "Wall time of the latest completed snapshot, rotation to rename.", gauge: true},
 	{section: "wal", key: "snapshot_last_chunks", durable: true, read: func(r *reading) any { n, _ := r.save(); return n },
-		metric: "wal_snapshot_last_chunks", help: "Chunk transactions the latest completed snapshot was cut in.", kind: obs.KindGauge},
+		metric: "wal_snapshot_last_chunks", help: "Chunk transactions the latest completed snapshot was cut in.", gauge: true},
 	{section: "wal", key: "snapshot_chunk_retries", durable: true, read: func(r *reading) any { _, n := r.save(); return n },
 		metric: "wal_snapshot_chunk_retries_total", help: "Snapshot chunk transactions that had to run again."},
 	{section: "wal", key: "snapshot_tail_records", durable: true, read: func(r *reading) any { return r.log().SnapshotTail },
 		metric: "wal_snapshot_tail_records_total", help: "Log records snapshots read back to roll their chunks forward."},
 	{section: "wal", key: "lsn_enqueued", durable: true, read: func(r *reading) any { return int64(r.log().Enqueued) },
-		metric: "wal_lsn_enqueued", help: "LSN of the last record appended (committed in memory).", kind: obs.KindGauge},
+		metric: "wal_lsn_enqueued", help: "LSN of the last record appended (committed in memory).", gauge: true},
 	{section: "wal", key: "lsn_durable", durable: true, read: func(r *reading) any { return int64(r.log().Durable) },
-		metric: "wal_lsn_durable", help: "Durable watermark: the LSN up to which records are fsynced.", kind: obs.KindGauge},
+		metric: "wal_lsn_durable", help: "Durable watermark: the LSN up to which records are fsynced.", gauge: true},
 	{section: "wal", key: "queue_depth", durable: true, read: func(r *reading) any { return int64(r.log().QueueDepth()) },
-		metric: "wal_queue_depth", help: "Records appended but not yet durable (lsn_enqueued - lsn_durable).", kind: obs.KindGauge},
+		metric: "wal_queue_depth", help: "Records appended but not yet durable (lsn_enqueued - lsn_durable).", gauge: true},
 	{section: "wal", key: "fsync_p50_usec", durable: true, read: func(r *reading) any { return r.srv.store.WAL().FsyncLatency().Quantile(0.50).Microseconds() }},
 	{section: "wal", key: "fsync_p99_usec", durable: true, read: func(r *reading) any { return r.srv.store.WAL().FsyncLatency().Quantile(0.99).Microseconds() }},
 	{section: "wal", key: "ops_per_batch", durable: true, read: func(r *reading) any { return mean(r.srv.store.WAL().BatchSizes()) }},
 	{section: "wal", key: "sticky_error", durable: true, read: func(r *reading) any { return r.srv.store.WAL().Err() },
-		metric: "wal_sticky_error", help: "1 when the log is poisoned by a write/fsync failure.", kind: obs.KindGauge},
+		metric: "wal_sticky_error", help: "1 when the log is poisoned by a write/fsync failure.", gauge: true},
 
 	{section: "keyspace", key: "db0", read: func(r *reading) any { return keyCount(r.srv.store.PeekLen()) },
-		metric: "stmkv_keys", help: "Approximate live keys (expired excluded).", kind: obs.KindGauge},
+		metric: "stmkv_keys", help: "Approximate live keys (expired excluded).", gauge: true},
 }
 
 // cmdTotals sums the per-command calls and errors.
 func (srv *Server) cmdTotals() (calls, errs int64) {
-	for _, m := range srv.sm.cmds {
-		calls, errs = calls+m.calls.Value(), errs+m.errors.Value()
+	for i := range srv.sm.cmds {
+		m := &srv.sm.cmds[i]
+		calls, errs = calls+m.calls.Load(), errs+m.errors.Load()
 	}
 	return calls, errs
 }

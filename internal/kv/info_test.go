@@ -1,11 +1,13 @@
 package kv
 
 import (
+	"bytes"
+	"errors"
 	"io"
-	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,22 +19,9 @@ import (
 // startServerWith is startServer with server options.
 func startServerWith(t *testing.T, st *Store, opts ...ServerOption) (*Server, string, func()) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := NewServer(st, opts...)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	stop := func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("server close: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve returned: %v", err)
-		}
-	}
-	return srv, ln.Addr().String(), stop
+	addr, stop := serve(t, srv)
+	return srv, addr, stop
 }
 
 func TestInfoSections(t *testing.T) {
@@ -231,7 +220,7 @@ func TestSlowlogRingWraparound(t *testing.T) {
 }
 
 // TestMetricsExposition drives commands over RESP and checks the
-// registry's /metrics output parses back with the expected samples —
+// server's /metrics output parses back with the expected samples —
 // per-command counters and latency histograms, engine wait-time with
 // the manager label, the shard a TTL armed, and WAL internals on a
 // durable store.
@@ -247,7 +236,6 @@ func TestMetricsExposition(t *testing.T) {
 
 	srv, addr, stop := startServerWith(t, st, WithManagerName("karma"))
 	defer stop()
-	reg := srv.Registry()
 	c := dialClient(t, addr)
 	defer c.Close()
 	mustDo(t, c, "SET", "k", "v", "PX", "60000")
@@ -256,10 +244,10 @@ func TestMetricsExposition(t *testing.T) {
 	if v, _ := c.Do("GET"); !v.IsError() {
 		t.Fatalf("GET with no key = %+v, want arity error", v)
 	}
-	srv.sm.sweepFailures.Inc()
-	srv.sm.bgsaveFailures.Inc()
+	srv.sm.sweepFailures.Add(1)
+	srv.sm.bgsaveFailures.Add(1)
 
-	mux := obs.Mux(reg, nil)
+	mux := obs.Mux(srv.WriteMetrics, nil, nil)
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 	resp, err := hs.Client().Get(hs.URL + "/metrics")
@@ -329,6 +317,70 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeUnderLoad scrapes WriteMetrics in a loop while four
+// connections pipeline SET, GET and INCR: every scrape parses, and the
+// summed stmkv_commands_total never falls from one scrape to the next.
+// The last scrape, after every reply arrived, counts every command.
+func TestMetricsScrapeUnderLoad(t *testing.T) {
+	srv, addr, stop := startServerWith(t, New(stm.New()))
+	defer stop()
+	const conns, rounds = 4, 100
+	var wg sync.WaitGroup
+	for i := range conns {
+		c := dialClient(t, addr)
+		defer c.Close()
+		key := "k" + strconv.Itoa(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				vs, err := c.Pipeline([]string{"SET", key, "v"}, []string{"GET", key}, []string{"INCR", "n"})
+				if err == nil {
+					for _, v := range vs {
+						if v.IsError() {
+							err = errors.New(v.Str)
+						}
+					}
+				}
+				if err != nil {
+					t.Errorf("connection %s: %v", key, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	var last float64
+	for loaded := false; !loaded; {
+		select {
+		case <-done:
+			loaded = true
+		default:
+		}
+		var body bytes.Buffer
+		srv.WriteMetrics(&body)
+		samples, err := obs.CheckExposition(body.Bytes())
+		if err != nil {
+			t.Fatalf("scrape failed parse-back: %v\n%s", err, body.String())
+		}
+		var total float64
+		for name, v := range samples {
+			if strings.HasPrefix(name, "stmkv_commands_total{") {
+				total += v
+			}
+		}
+		if total < last {
+			t.Fatalf("stmkv_commands_total fell from %g to %g between scrapes", last, total)
+		}
+		last = total
+	}
+	if want := float64(conns * rounds * 3); last != want {
+		t.Fatalf("last scrape counts %g commands, want %g", last, want)
+	}
+}
+
 // TestCommitTelemetry: stm_commit_seconds and stm_commit_attempts count
 // the command transactions that committed, one sample each, whatever
 // else the connection sends. Here that is n SETs, a PING (its body
@@ -358,9 +410,7 @@ func TestCommitTelemetry(t *testing.T) {
 	mustDo(t, c, "PING")
 
 	var body strings.Builder
-	if err := srv.Registry().WriteProm(&body); err != nil {
-		t.Fatal(err)
-	}
+	srv.WriteMetrics(&body)
 	samples, err := obs.CheckExposition([]byte(body.String()))
 	if err != nil {
 		t.Fatalf("/metrics failed parse-back: %v\n%s", err, body.String())

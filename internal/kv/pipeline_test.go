@@ -354,18 +354,18 @@ func TestDurablePipelineWindowBound(t *testing.T) {
 	}()
 	// Executed minus released, sampled while the burst drains: commits
 	// first, so that the difference can only underestimate.
-	released := srv.sm.cmds[lookupCommand("INCR").idx].calls
+	released := &srv.sm.cmds[lookupCommand("INCR").idx].calls
 	engine := srv.store.STM()
-	held := func() int64 { return engine.TotalStats().Commits - released.Value() }
+	held := func() int64 { return engine.TotalStats().Commits - released.Load() }
 	// Not reading: the replies (under 60 kB in all) fit the socket
 	// buffers, so the server runs the whole burst regardless.
 	var peak int64
-	for deadline := time.Now().Add(60 * time.Second); released.Value() < n; {
+	for deadline := time.Now().Add(60 * time.Second); released.Load() < n; {
 		if h := held(); h > peak {
 			peak = h
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server released %d of %d replies", released.Value(), n)
+			t.Fatalf("server released %d of %d replies", released.Load(), n)
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
@@ -536,7 +536,7 @@ func TestReplyBatchSends(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialPipe(t, addr)
-			before := srv.sm.replyFlushes.Value()
+			before := srv.sm.replyFlushes.Load()
 			var got []string
 			if tc.burst {
 				conn.send(t, frames(tc.cmds...))
@@ -556,7 +556,7 @@ func TestReplyBatchSends(t *testing.T) {
 					t.Fatalf("reply %d = %q, want %q", i, g, want)
 				}
 			}
-			if sends := srv.sm.replyFlushes.Value() - before; sends != tc.sends {
+			if sends := srv.sm.replyFlushes.Load() - before; sends != tc.sends {
 				t.Fatalf("%d replies took %d sends, want %d", len(got), sends, tc.sends)
 			}
 		})

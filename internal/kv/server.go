@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/resp"
 	"repro/internal/stm"
 	"repro/internal/wal"
@@ -35,11 +34,10 @@ import (
 type Server struct {
 	store *Store
 
-	// Observability state (see info.go, abortlog.go): the metrics
-	// registry, the per-command instruments, the SLOWLOG and ABORTLOG
-	// rings, and the labels INFO reports.
-	reg         *obs.Registry
-	sm          *serverMetrics
+	// Observability state (see info.go, abortlog.go): the server's
+	// instruments, the SLOWLOG and ABORTLOG rings, and the labels INFO
+	// and WriteMetrics report.
+	sm          serverMetrics
 	slow        *slowlog
 	abort       *AbortLog
 	managerName string
@@ -50,6 +48,9 @@ type Server struct {
 	sweep       time.Duration
 	saveEvery   time.Duration
 	saveRecords int64
+	// saveBase is the log's record count when the record-count schedule
+	// was set, which its first snapshot counts from.
+	saveBase int64
 	// saving is the server's one save slot: SAVE, BGSAVE and a
 	// scheduled save take it before they cut, so a save that finds it
 	// taken is refused at once instead of failing in the background.
@@ -90,19 +91,24 @@ func WithSaveSchedule(every time.Duration, records int64) ServerOption {
 	if every != 0 && records != 0 {
 		panic("kv: WithSaveSchedule takes a duration or a record count, not both")
 	}
-	return func(srv *Server) { srv.saveEvery, srv.saveRecords = every, records }
+	return func(srv *Server) {
+		srv.saveEvery, srv.saveRecords = every, records
+		if records > 0 && srv.store.Durable() {
+			srv.saveBase = srv.store.WAL().Stats().Records()
+		}
+	}
 }
 
 // savePoll is how often a record-count schedule reads the log's count.
 const savePoll = 100 * time.Millisecond
 
-// NewServer returns a server for the store. It keeps its metrics in
-// a registry of its own (see Registry), which INFO reads and an HTTP
-// listener may serve.
+// NewServer returns a server for the store. It keeps its statistics
+// itself: INFO renders them, and WriteMetrics writes them for an HTTP
+// listener to serve.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	srv := &Server{
 		store:       store,
-		reg:         obs.NewRegistry(),
+		sm:          serverMetrics{cmds: newCmdMetrics()},
 		conns:       make(map[net.Conn]struct{}),
 		managerName: "default",
 		started:     time.Now(),
@@ -116,7 +122,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(srv)
 	}
-	srv.registerMetrics()
 	return srv
 }
 
@@ -212,7 +217,7 @@ func (srv *Server) sweepLoop() {
 		case <-timer.C:
 		}
 		if reaped, err := st.SweepShard(shard); err != nil {
-			srv.sm.sweepFailures.Inc()
+			srv.sm.sweepFailures.Add(1)
 			log.Printf("kv: sweep shard %d: %v", shard, err)
 		} else {
 			srv.sm.sweepReaped.Add(int64(reaped))
@@ -229,7 +234,7 @@ func (srv *Server) saveLoop() {
 	}
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
-	last := srv.store.WAL().Stats().Records()
+	last := srv.saveBase
 	for {
 		select {
 		case <-srv.ctx.Done():
@@ -258,7 +263,7 @@ func (srv *Server) backgroundSave() {
 	defer srv.saving.Store(false)
 	err := srv.store.Save(srv.ctx)
 	if err != nil && !errors.Is(err, wal.ErrSnapshotInProgress) && srv.ctx.Err() == nil {
-		srv.sm.bgsaveFailures.Inc()
+		srv.sm.bgsaveFailures.Add(1)
 		log.Printf("kv: background save: %v", err)
 	}
 }
@@ -513,7 +518,7 @@ func (out *outbox) flush() error {
 	if len(out.vec) == 0 {
 		return nil
 	}
-	out.srv.sm.replyFlushes.Inc()
+	out.srv.sm.replyFlushes.Add(1)
 	out.send = out.vec
 	_, err := out.send.WriteTo(out.conn)
 	clear(out.vec)
@@ -532,7 +537,7 @@ func (out *outbox) flush() error {
 // commands, inside one atomic transaction.
 func (srv *Server) handle(conn net.Conn) {
 	defer srv.drop(conn)
-	srv.sm.connections.Inc()
+	srv.sm.connections.Add(1)
 	srv.sm.clients.Add(1)
 	defer srv.sm.clients.Add(-1)
 	out := &outbox{srv: srv, conn: conn}

@@ -22,11 +22,17 @@ import (
 // address and a shutdown func.
 func startServer(t *testing.T, st *Store) (string, func()) {
 	t.Helper()
+	return serve(t, NewServer(st))
+}
+
+// serve runs srv on an ephemeral port and returns its address and a
+// shutdown func.
+func serve(t *testing.T, srv *Server) (string, func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(st)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	stop := func() {
@@ -578,7 +584,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 // own counters, so a method that lets an outside caller report into
 // it does not belong here.
 func TestServerSurface(t *testing.T) {
-	want := []string{"Close", "Registry", "Serve"}
+	want := []string{"Close", "Serve", "WriteMetrics"}
 	typ := reflect.TypeOf((*Server)(nil))
 	var got []string
 	for i := range typ.NumMethod() {
@@ -637,7 +643,7 @@ func TestCloseStopsBackgroundLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(time.Second)
-	waitFor(t, "the sweeper to reap", func() bool { return srv.sm.sweepReaped.Value() == 1 })
+	waitFor(t, "the sweeper to reap", func() bool { return srv.sm.sweepReaped.Load() == 1 })
 	waitFor(t, "two scheduled snapshots", func() bool { return l.Stats().Snapshots >= 2 })
 
 	park.Store(true)
@@ -656,7 +662,7 @@ func TestCloseStopsBackgroundLoops(t *testing.T) {
 	if got := l.Stats().Snapshots; got != snaps {
 		t.Fatalf("the save parked at Close published: %d snapshots, want %d", got, snaps)
 	}
-	cut, reaped := chunks.Load(), srv.sm.sweepReaped.Value()
+	cut, reaped := chunks.Load(), srv.sm.sweepReaped.Load()
 
 	// A dead key written now arms its shard, which a running sweeper
 	// would reap and disarm; a running schedule would cut chunks. Many
@@ -666,7 +672,7 @@ func TestCloseStopsBackgroundLoops(t *testing.T) {
 	}
 	clk.advance(time.Second)
 	time.Sleep(100 * time.Millisecond)
-	if got := srv.sm.sweepReaped.Value(); got != reaped {
+	if got := srv.sm.sweepReaped.Load(); got != reaped {
 		t.Fatalf("sweeper reaped %d keys after Close", got-reaped)
 	}
 	if got := st.armedShards(); got != 1 {
@@ -678,14 +684,16 @@ func TestCloseStopsBackgroundLoops(t *testing.T) {
 	if got := l.Stats().Snapshots; got != snaps {
 		t.Fatalf("%d snapshots published after Close", got-snaps)
 	}
-	if got := srv.sm.bgsaveFailures.Value(); got != 0 {
+	if got := srv.sm.bgsaveFailures.Load(); got != 0 {
 		t.Fatalf("%d background saves counted as failed; a cancelled one is not", got)
 	}
 }
 
 // TestSaveScheduleCountsRecords pins the record-count schedule
 // (-bgsave-every <n>ops): no snapshot while fewer than n records have
-// reached the log since the last, one soon after the n-th.
+// reached the log since the last, one soon after the n-th. The first n
+// count from NewServer, so records logged before Serve (n-1 here) count
+// even if the schedule's goroutine starts after them.
 func TestSaveScheduleCountsRecords(t *testing.T) {
 	st := New(stm.New())
 	l := openTestWAL(t, t.TempDir())
@@ -693,21 +701,6 @@ func TestSaveScheduleCountsRecords(t *testing.T) {
 	st.AttachWAL(l)
 	const n = 20
 	srv := NewServer(st, WithSaveSchedule(0, n))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		if err := srv.Close(); err != nil {
-			t.Error(err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve returned: %v", err)
-		}
-	}()
-
 	set := func(from, to int) {
 		for i := from; i < to; i++ {
 			if err := st.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
@@ -716,6 +709,8 @@ func TestSaveScheduleCountsRecords(t *testing.T) {
 		}
 	}
 	set(0, n-1)
+	_, stop := serve(t, srv)
+	defer stop()
 	time.Sleep(3*savePoll + savePoll/2)
 	if got := l.Stats().Snapshots; got != 0 {
 		t.Fatalf("%d snapshots after %d of %d records", got, n-1, n)

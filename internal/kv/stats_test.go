@@ -118,9 +118,7 @@ func TestInfoMetricsParity(t *testing.T) {
 	srv.sm.bgsaveFailures.Add(7)
 
 	var body strings.Builder
-	if err := srv.Registry().WriteProm(&body); err != nil {
-		t.Fatal(err)
-	}
+	srv.WriteMetrics(&body)
 	samples, err := obs.CheckExposition([]byte(body.String()))
 	if err != nil {
 		t.Fatalf("/metrics failed parse-back: %v\n%s", err, body.String())

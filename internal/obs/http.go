@@ -1,45 +1,33 @@
 package obs
 
 import (
+	"io"
 	"net/http"
 	"net/http/pprof"
 )
 
-// MuxOption adds an optional endpoint to the mux Mux builds.
-type MuxOption func(*http.ServeMux)
-
-// WithConflicts mounts the STM conflict matrix at /debug/stm/conflicts
-// (JSON; ?format=text for the report form — see Conflicts.Handler).
-func WithConflicts(c *Conflicts) MuxOption {
-	return func(mux *http.ServeMux) {
-		mux.Handle("/debug/stm/conflicts", c.Handler())
-	}
-}
-
 // Mux returns an HTTP handler serving the standard operational
 // endpoints:
 //
-//	/metrics       Prometheus text exposition of r
-//	/healthz       200 "ok" (or 503 with the error when health fails)
-//	/debug/pprof/  the full pprof suite (profile, heap, trace, ...)
+//	/metrics              the Prometheus text exposition metrics writes
+//	/healthz              200 "ok" (or 503 with the error when health fails)
+//	/debug/pprof/         the full pprof suite (profile, heap, trace, ...)
+//	/debug/stm/conflicts  the STM conflict matrix, when conflicts is not
+//	                      nil (JSON; ?format=text for the report form —
+//	                      see Conflicts.Handler)
 //
-// plus whatever the options mount (WithConflicts adds
-// /debug/stm/conflicts). health may be nil, in which case /healthz
-// always reports healthy. The pprof handlers are registered explicitly
-// rather than through http.DefaultServeMux so an stmkv process never
-// exposes them on a listener it didn't ask for.
-func Mux(r *Registry, health func() error, opts ...MuxOption) *http.ServeMux {
+// health may be nil, in which case /healthz always reports healthy.
+// The pprof handlers are registered explicitly rather than through
+// http.DefaultServeMux so an stmkv process never exposes them on a
+// listener it didn't ask for.
+func Mux(metrics func(io.Writer), health func() error, conflicts *Conflicts) *http.ServeMux {
 	mux := http.NewServeMux()
-	for _, opt := range opts {
-		opt(mux)
+	if conflicts != nil {
+		mux.Handle("/debug/stm/conflicts", conflicts.Handler())
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WriteProm(w); err != nil {
-			// Too late for a status code if the write partially
-			// succeeded; the scraper sees a truncated body and retries.
-			return
-		}
+		metrics(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		if health != nil {

@@ -12,34 +12,6 @@ import (
 	"repro/internal/metrics"
 )
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	const goroutines, per = 8, 10000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != goroutines*per {
-		t.Fatalf("counter = %d, want %d", got, goroutines*per)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(42)
-	g.Add(-2)
-	if g.Value() != 40 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
-}
-
 func TestHistogramConcurrentSnapshot(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 4, 5000
@@ -67,114 +39,62 @@ func TestHistogramConcurrentSnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryIdempotent(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("requests_total", "help", Labels{"cmd": "GET"})
-	b := r.Counter("requests_total", "help", Labels{"cmd": "GET"})
-	if a != b {
-		t.Fatal("same name+labels returned different counters")
-	}
-	other := r.Counter("requests_total", "help", Labels{"cmd": "SET"})
-	if a == other {
-		t.Fatal("different labels returned the same counter")
-	}
-	h1 := r.Histogram("latency_seconds", "help", nil)
-	h2 := r.Histogram("latency_seconds", "help", nil)
-	if h1 != h2 {
-		t.Fatal("histogram registration not idempotent")
-	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", "", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch did not panic")
-		}
-	}()
-	r.Gauge("m", "", nil)
-}
-
-func TestRegistryInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid metric name did not panic")
-		}
-	}()
-	r.Counter("bad-name", "", nil)
-}
-
-func TestNilRegistrySafe(t *testing.T) {
-	var r *Registry
-	r.Counter("x", "", nil).Inc()
-	r.Gauge("x", "", nil).Set(1)
-	r.Histogram("x", "", nil).Observe(time.Second)
-	r.CounterFunc("x", "", nil, func() int64 { return 0 })
-	if err := r.WriteProm(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWritePromParseBack(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("stmkv_commands_total", "Commands processed.", Labels{"cmd": "GET"}).Add(5)
-	r.Counter("stmkv_commands_total", "Commands processed.", Labels{"cmd": "SET"}).Add(3)
-	r.Gauge("stmkv_connected_clients", "Open connections.", nil).Set(2)
-	r.GaugeFunc("stmkv_uptime_seconds", "Uptime.", nil, func() float64 { return 1.5 })
-	r.CounterFunc("stm_commits_total", "Commits.", Labels{"manager": "greedy"}, func() int64 { return 99 })
-	h := r.Histogram("stmkv_command_seconds", "Latency.", Labels{"cmd": "GET"})
-	h.Observe(100 * time.Microsecond)
-	h.Observe(3 * time.Millisecond)
-	sh := r.SizeHistogram("wal_batch_ops", "Batch sizes.", nil)
-	sh.ObserveN(4)
-	r.HistogramFunc("stm_commit_seconds", "Commit latency.", nil, func() *metrics.Histogram {
-		var m metrics.Histogram
-		m.Observe(time.Millisecond)
-		return &m
-	})
-
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamily(&buf, "stmkv_commands_total", "Commands processed.", "counter")
+	WriteInt(&buf, "stmkv_commands_total", 5, "cmd", "get")
+	WriteInt(&buf, "stmkv_commands_total", 3, "cmd", "set")
+	WriteFamily(&buf, "stmkv_uptime_seconds", "Uptime.", "gauge")
+	WriteFloat(&buf, "stmkv_uptime_seconds", 1.5)
+	WriteFamily(&buf, "stm_commits_total", "Commits.", "counter")
+	WriteInt(&buf, "stm_commits_total", 99, "manager", "greedy")
+	var lat metrics.Histogram
+	lat.Observe(100 * time.Microsecond)
+	lat.Observe(3 * time.Millisecond)
+	WriteFamily(&buf, "stmkv_command_seconds", "Latency.", "histogram")
+	WriteHistogram(&buf, "stmkv_command_seconds", &lat, 1e-9, "cmd", "get")
+	WriteHistogram(&buf, "stmkv_command_seconds", &metrics.Histogram{}, 1e-9, "cmd", "set")
+	var sizes metrics.Histogram
+	sizes.Observe(4)
+	WriteFamily(&buf, "wal_batch_ops", "Batch sizes.", "histogram")
+	WriteHistogram(&buf, "wal_batch_ops", &sizes, 1)
+
 	out := buf.String()
 	samples, err := CheckExposition(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exposition failed parse-back: %v\n%s", err, out)
 	}
-	if samples[`stmkv_commands_total{cmd="GET"}`] != 5 {
-		t.Fatalf("GET counter sample wrong:\n%s", out)
+	if samples[`stmkv_commands_total{cmd="get"}`] != 5 {
+		t.Fatalf("get counter sample wrong:\n%s", out)
 	}
 	if samples[`stm_commits_total{manager="greedy"}`] != 99 {
-		t.Fatalf("counter func sample wrong:\n%s", out)
+		t.Fatalf("labelled counter sample wrong:\n%s", out)
 	}
-	if samples[`stmkv_connected_clients`] != 2 {
+	if samples[`stmkv_uptime_seconds`] != 1.5 {
 		t.Fatalf("gauge sample wrong:\n%s", out)
 	}
-	if samples[`stmkv_command_seconds_count{cmd="GET"}`] != 2 {
+	if samples[`stmkv_command_seconds_count{cmd="get"}`] != 2 {
 		t.Fatalf("histogram count wrong:\n%s", out)
 	}
-	if samples[`stmkv_command_seconds_bucket{cmd="GET",le="+Inf"}`] != 2 {
+	if samples[`stmkv_command_seconds_bucket{cmd="get",le="+Inf"}`] != 2 {
 		t.Fatalf("+Inf bucket wrong:\n%s", out)
 	}
-	sum := samples[`stmkv_command_seconds_sum{cmd="GET"}`]
+	if samples[`stmkv_command_seconds_count{cmd="set"}`] != 0 {
+		t.Fatalf("empty histogram count wrong:\n%s", out)
+	}
+	sum := samples[`stmkv_command_seconds_sum{cmd="get"}`]
 	if sum < 0.003 || sum > 0.0032 {
 		t.Fatalf("histogram sum = %g, want ~0.0031:\n%s", sum, out)
 	}
 	if samples[`wal_batch_ops_sum`] != 4 {
 		t.Fatalf("size histogram sum = %g, want unscaled 4:\n%s", samples[`wal_batch_ops_sum`], out)
 	}
-	if samples[`stm_commit_seconds_count`] != 1 {
-		t.Fatalf("histogram func count wrong:\n%s", out)
-	}
 	if !strings.Contains(out, "# TYPE stmkv_command_seconds histogram") {
 		t.Fatalf("missing TYPE line:\n%s", out)
 	}
 	// Cumulative buckets: every _bucket sample is <= the +Inf total.
 	for name, v := range samples {
-		if strings.Contains(name, "_bucket{") && strings.Contains(name, `cmd="GET"`) {
+		if strings.Contains(name, "_bucket{") && strings.Contains(name, `cmd="get"`) {
 			if v > 2 {
 				t.Fatalf("bucket %s = %g exceeds count", name, v)
 			}
@@ -183,18 +103,15 @@ func TestWritePromParseBack(t *testing.T) {
 }
 
 func TestWritePromLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("weird_total", "", Labels{"key": "a\"b\\c\nd"}).Inc()
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamily(&buf, "weird_total", "a \\ help\nline", "counter")
+	WriteInt(&buf, "weird_total", 1, "key", "a\"b\\c\nd")
 	samples, err := CheckExposition(buf.Bytes())
 	if err != nil {
 		t.Fatalf("escaped output failed parse-back: %v\n%s", err, buf.String())
 	}
-	if len(samples) != 1 {
-		t.Fatalf("want 1 sample, got %v", samples)
+	if len(samples) != 1 || samples[`weird_total{key="a\"b\\c\nd"}`] != 1 {
+		t.Fatalf("want the one escaped sample, got %v", samples)
 	}
 }
 
@@ -206,6 +123,12 @@ func TestCheckExpositionRejectsMalformed(t *testing.T) {
 		"# TYPE x counter\n# TYPE x counter\nx 1\n",
 		"# TYPE x counter\nx 1\nx 2\n",
 		"",
+		// Names outside Prometheus's grammar.
+		"# TYPE 9bad counter\n9bad 1\n",
+		"# TYPE x counter\nx{9k=\"v\"} 1\n",
+		"# TYPE x counter\nx{bad-name=\"v\"} 1\n",
+		// A family's samples split from its group.
+		"# TYPE a counter\n# TYPE b counter\nb 1\na 1\n",
 	}
 	for _, c := range cases {
 		if _, err := CheckExposition([]byte(c)); err == nil {
@@ -215,15 +138,16 @@ func TestCheckExpositionRejectsMalformed(t *testing.T) {
 }
 
 func TestMuxEndpoints(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("up_total", "", nil).Inc()
 	healthy := true
-	mux := Mux(r, func() error {
+	mux := Mux(func(w io.Writer) {
+		WriteFamily(w, "up_total", "", "counter")
+		WriteInt(w, "up_total", 1)
+	}, func() error {
 		if !healthy {
 			return io.ErrClosedPipe
 		}
 		return nil
-	})
+	}, NewConflicts("greedy"))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -257,5 +181,8 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 	if code, _ = get("/debug/pprof/goroutine?debug=1"); code != 200 {
 		t.Fatalf("/debug/pprof/goroutine status %d", code)
+	}
+	if code, _ = get("/debug/stm/conflicts"); code != 200 {
+		t.Fatalf("/debug/stm/conflicts status %d", code)
 	}
 }

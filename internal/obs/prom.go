@@ -1,124 +1,76 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/metrics"
 )
 
-// WriteProm renders the registry in the Prometheus text exposition
-// format (version 0.0.4): one HELP/TYPE pair per family, then one
-// sample line per series, with histograms expanded to cumulative
-// le-edge buckets plus _sum and _count. Output is deterministic
-// (families and series sorted) so it diffs cleanly in tests.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
+// The writers below emit the Prometheus text exposition format
+// (version 0.0.4). A family is its WriteFamily header followed by all
+// of its samples as one group. labels alternate label names and
+// values, e.g. "cmd", "get"; values are escaped, names are written as
+// given. Write errors are left to the caller's writer: a scrape cut
+// short is a truncated body the scraper retries. CheckExposition
+// checks what they produce.
 
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		f.mu.Lock()
-		sers := make([]*series, len(f.series))
-		copy(sers, f.series)
-		f.mu.Unlock()
-		if len(sers) == 0 {
-			continue
-		}
-		sort.Slice(sers, func(i, j int) bool { return sers[i].key < sers[j].key })
-
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range sers {
-			switch f.kind {
-			case KindCounter:
-				v := int64(0)
-				if s.counterFn != nil {
-					v = s.counterFn()
-				} else if s.counter != nil {
-					v = s.counter.Value()
-				}
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(s, nil), v)
-			case KindGauge:
-				if s.gaugeFn != nil {
-					fmt.Fprintf(bw, "%s%s %s\n", f.name, labelString(s, nil), formatFloat(s.gaugeFn()))
-				} else if s.gauge != nil {
-					fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(s, nil), s.gauge.Value())
-				}
-			case KindHistogram:
-				var snap *metrics.Histogram
-				if s.histFn != nil {
-					snap = s.histFn()
-				} else if s.hist != nil {
-					snap = s.hist.Snapshot()
-				}
-				if snap == nil {
-					snap = &metrics.Histogram{}
-				}
-				writeHistogram(bw, f, s, snap)
-			}
-		}
-	}
-	return bw.Flush()
+// WriteFamily writes a family's HELP and TYPE lines; kind is
+// "counter", "gauge" or "histogram".
+func WriteFamily(w io.Writer, name, help, kind string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, kind)
 }
 
-// writeHistogram emits cumulative buckets for the occupied le edges
-// plus the mandatory +Inf bucket. Skipping empty buckets keeps 64-way
-// families compact; cumulative semantics make any subset of edges
-// valid.
-func writeHistogram(w io.Writer, f *family, s *series, snap *metrics.Histogram) {
-	counts := snap.Counts()
+// WriteInt writes one integer sample.
+func WriteInt(w io.Writer, name string, v int64, labels ...string) {
+	fmt.Fprintf(w, "%s%s %d\n", name, labelBlock(labels), v)
+}
+
+// WriteFloat writes one floating-point sample.
+func WriteFloat(w io.Writer, name string, v float64, labels ...string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, labelBlock(labels), formatFloat(v))
+}
+
+// WriteHistogram writes one histogram series: cumulative buckets for
+// the occupied le edges plus the mandatory +Inf bucket, then _sum and
+// _count. Skipping empty buckets keeps 64-way series compact;
+// cumulative semantics make any subset of edges valid. scale
+// multiplies raw values and bucket edges: 1e-9 turns nanosecond
+// durations into the seconds Prometheus expects, 1 leaves unit-less
+// sizes alone.
+func WriteHistogram(w io.Writer, name string, h *metrics.Histogram, scale float64, labels ...string) {
+	le := append(labels[:len(labels):len(labels)], "le", "")
 	var cum uint64
-	for i, c := range counts {
+	for i, c := range h.Counts() {
 		if c == 0 {
 			continue
 		}
 		cum += c
-		le := float64(metrics.BucketUpper(i)) * f.scale
-		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(s, []string{"le", formatFloat(le)}), cum)
+		le[len(le)-1] = formatFloat(float64(metrics.BucketUpper(i)) * scale)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelBlock(le), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(s, []string{"le", "+Inf"}), snap.Count())
-	fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(s, nil), formatFloat(float64(snap.Sum())*f.scale))
-	fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(s, nil), snap.Count())
+	le[len(le)-1] = "+Inf"
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelBlock(le), h.Count())
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelBlock(labels), formatFloat(float64(h.Sum())*scale))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labelBlock(labels), h.Count())
 }
 
-// labelString renders {k="v",...}, optionally with one extra pair
-// (used for the histogram le label), or "" when there are no labels.
-func labelString(s *series, extra []string) string {
-	if len(s.labelKeys) == 0 && extra == nil {
+// labelBlock renders {k="v",...}, or "" when there are no labels.
+func labelBlock(labels []string) string {
+	if len(labels) == 0 {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range s.labelKeys {
+	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(k)
+		b.WriteString(labels[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(s.labelVals[i]))
-		b.WriteByte('"')
-	}
-	if extra != nil {
-		if len(s.labelKeys) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra[0])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(extra[1]))
+		b.WriteString(labelEscaper.Replace(labels[i+1]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -127,9 +79,6 @@ func labelString(s *series, extra []string) string {
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-
-func escapeLabel(v string) string { return labelEscaper.Replace(v) }
-func escapeHelp(v string) string  { return helpEscaper.Replace(v) }
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

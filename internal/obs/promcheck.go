@@ -2,19 +2,36 @@ package obs
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
+)
+
+// The grammar CheckExposition holds a line to: Prometheus's names for
+// metrics and labels, and a sample as a metric name, an optional block
+// of quoted label values (escapes honoured) and a value.
+const (
+	metricNameRe = `[a-zA-Z_:][a-zA-Z0-9_:]*`
+	labelPairRe  = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"`
+)
+
+var (
+	metricName = regexp.MustCompile(`^` + metricNameRe + `$`)
+	sampleLine = regexp.MustCompile(`^(` + metricNameRe + `)(\{` + labelPairRe + `(?:,` + labelPairRe + `)*\})? (.*)$`)
 )
 
 // CheckExposition validates Prometheus text-format output and returns
 // the parsed samples keyed by the full series name as written
 // (name plus label block). It is deliberately strict about the things
-// a scraper would choke on — malformed lines, samples with no TYPE,
-// duplicate series, unparseable values — and is shared by the package
-// tests and kv's metrics tests so both verify the same contract.
+// a scraper would choke on — malformed lines, metric or label names
+// outside the grammar, samples with no TYPE or apart from their
+// family's group, duplicate series, unparseable values — and is shared
+// by the package tests and kv's metrics tests so both verify the same
+// contract.
 func CheckExposition(data []byte) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	typed := make(map[string]string) // family name -> kind
+	current := ""                    // the family of the last TYPE line
 	for ln, line := range strings.Split(string(data), "\n") {
 		lineNo := ln + 1
 		if line == "" {
@@ -24,6 +41,9 @@ func CheckExposition(data []byte) (map[string]float64, error) {
 			fields := strings.SplitN(line, " ", 4)
 			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
 				return nil, fmt.Errorf("line %d: malformed comment %q", lineNo, line)
+			}
+			if !metricName.MatchString(fields[2]) {
+				return nil, fmt.Errorf("line %d: bad metric name %q", lineNo, fields[2])
 			}
 			if fields[1] == "TYPE" {
 				name := fields[2]
@@ -38,21 +58,19 @@ func CheckExposition(data []byte) (map[string]float64, error) {
 					return nil, fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, name)
 				}
 				typed[name] = kind
+				current = name
 			}
 			continue
 		}
 
-		name, rest, err := splitSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			return nil, fmt.Errorf("line %d: malformed sample %q", lineNo, line)
 		}
-		val, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		name, base := m[1]+m[2], m[1]
+		val, err := strconv.ParseFloat(strings.TrimSpace(m[3]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad value in %q: %v", lineNo, line, err)
-		}
-		base := name
-		if i := strings.IndexByte(base, '{'); i >= 0 {
-			base = base[:i]
 		}
 		fam := base
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
@@ -65,6 +83,9 @@ func CheckExposition(data []byte) (map[string]float64, error) {
 		if _, ok := typed[fam]; !ok {
 			return nil, fmt.Errorf("line %d: sample %q has no preceding TYPE", lineNo, name)
 		}
+		if fam != current {
+			return nil, fmt.Errorf("line %d: sample %q is apart from its family's group under %q's TYPE", lineNo, name, fam)
+		}
 		if _, dup := samples[name]; dup {
 			return nil, fmt.Errorf("line %d: duplicate series %q", lineNo, name)
 		}
@@ -74,37 +95,4 @@ func CheckExposition(data []byte) (map[string]float64, error) {
 		return nil, fmt.Errorf("exposition contains no samples")
 	}
 	return samples, nil
-}
-
-// splitSample splits "name{labels} value" or "name value" into the
-// series name (labels included) and the value text, honoring quotes
-// and escapes inside label values.
-func splitSample(line string) (name, rest string, err error) {
-	brace := strings.IndexByte(line, '{')
-	space := strings.IndexByte(line, ' ')
-	if brace < 0 || (space >= 0 && space < brace) {
-		// No label block.
-		if space < 0 {
-			return "", "", fmt.Errorf("malformed sample %q", line)
-		}
-		return line[:space], line[space+1:], nil
-	}
-	inQuote, esc := false, false
-	for i := brace + 1; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case esc:
-			esc = false
-		case c == '\\':
-			esc = true
-		case c == '"':
-			inQuote = !inQuote
-		case c == '}' && !inQuote:
-			if i+1 >= len(line) || line[i+1] != ' ' {
-				return "", "", fmt.Errorf("missing value after label block in %q", line)
-			}
-			return line[:i+1], line[i+2:], nil
-		}
-	}
-	return "", "", fmt.Errorf("unterminated label block in %q", line)
 }

@@ -93,9 +93,8 @@ type Manager interface {
 }
 
 // ManagerFactory constructs a fresh Manager instance. The STM calls it
-// once per pooled session (see WithManagerFactory); benchmarks that
-// pin Threads call it once per worker. Managers stay as decentralized
-// as the paper requires either way: one instance per concurrent
+// once per pooled session (see WithManagerFactory), so managers stay
+// as decentralized as the paper requires: one instance per concurrent
 // transaction stream, no coordination between instances.
 type ManagerFactory func() Manager
 
