@@ -244,12 +244,16 @@ func start(cfg serverConfig) (*instance, error) {
 // listener, connections, sweeper and snapshot schedule first, then the
 // metrics listener, then the log.
 func serve(cfg serverConfig) error {
+	// Catch the signals before the boot line is printed: a client may
+	// act on that line at once, and a SIGTERM that arrived before
+	// Notify would kill the process without the clean shutdown.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	inst, err := start(cfg)
 	if err != nil {
 		return err
 	}
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "stmkv: %v, shutting down\n", sig)

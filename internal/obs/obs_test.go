@@ -123,16 +123,29 @@ func TestCheckExpositionRejectsMalformed(t *testing.T) {
 		"# TYPE x counter\n# TYPE x counter\nx 1\n",
 		"# TYPE x counter\nx 1\nx 2\n",
 		"",
-		// Names outside Prometheus's grammar.
-		"# TYPE 9bad counter\n9bad 1\n",
-		"# TYPE x counter\nx{9k=\"v\"} 1\n",
-		"# TYPE x counter\nx{bad-name=\"v\"} 1\n",
 		// A family's samples split from its group.
 		"# TYPE a counter\n# TYPE b counter\nb 1\na 1\n",
 	}
 	for _, c := range cases {
 		if _, err := CheckExposition([]byte(c)); err == nil {
 			t.Fatalf("malformed exposition accepted: %q", c)
+		}
+	}
+}
+
+func TestCheckExpositionRejectsInvalidNames(t *testing.T) {
+	cases := []string{
+		// Metric names outside Prometheus's grammar.
+		"# TYPE 9bad counter\n9bad 1\n",
+		"# TYPE bad-name counter\nbad-name 1\n",
+		"# HELP bad-name help\n",
+		// Label names outside it.
+		"# TYPE x counter\nx{9k=\"v\"} 1\n",
+		"# TYPE x counter\nx{bad-name=\"v\"} 1\n",
+	}
+	for _, c := range cases {
+		if _, err := CheckExposition([]byte(c)); err == nil {
+			t.Fatalf("invalid name accepted: %q", c)
 		}
 	}
 }
